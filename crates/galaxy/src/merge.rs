@@ -288,14 +288,13 @@ pub fn merge_results(
         }
     }
 
-    let mut result = QueryResult::new(
+    QueryResult::from_rows(
         plan.group_columns.iter().map(|c| c.name.clone()).collect(),
         plan.aggregate_labels.clone(),
-    );
-    for (key, accs) in groups {
-        result.insert(key, accs.iter().map(MergeAcc::finalize).collect());
-    }
-    result
+        groups
+            .into_iter()
+            .map(|(key, accs)| (key, accs.iter().map(MergeAcc::finalize).collect())),
+    )
 }
 
 #[cfg(test)]

@@ -4,15 +4,70 @@
 //! the queries whose bit is set (§3.2.2); those operators are ordinary hash-based
 //! GROUP BY / aggregate evaluators. The same [`GroupedAggregator`] is used by the
 //! CJOIN distributor, the query-at-a-time baseline, and the reference oracle, so
-//! result comparisons across engines exercise identical aggregation code.
+//! result comparisons across engines exercise identical aggregation code — and
+//! `tests/property_oracle.rs` checks that code against a naive fold that shares
+//! none of it.
+//!
+//! ## State layout
+//!
+//! When many tuples survive the Filters, the Distributor is the pipeline, and its
+//! time is this operator's memory traffic. A [`GroupedAggregator`] therefore keeps
+//! no per-group heap objects. A group is a dense id `0..num_groups`, in order of
+//! first appearance, and its key is not the group-by *values* but one `u32`
+//! dictionary **code** per group-by column:
+//!
+//! ```text
+//! index   [u32; 2^k]              slot -> group id, or EMPTY   (open addressing)
+//! keys    [u32; groups * G]       G = number of GROUP BY columns
+//! states  [AggState; groups * A]  A = number of aggregates
+//! coder   per column: code -> value, value -> code
+//!         per dimension clause: attached row -> its columns' codes
+//! ```
+//!
+//! * **Coding.** Each group-by column has a dictionary that numbers its distinct
+//!   values in order of first appearance. A column on the fact row is looked up by
+//!   value for every tuple. Columns on a dimension row — in a star query, nearly
+//!   all of them — are looked up once per *distinct attached row*: the first time a
+//!   row arrives its columns are coded and the codes remembered under the address
+//!   of the row's values; afterwards a tuple carrying that row costs one
+//!   address lookup per clause and no string is hashed, compared or cloned.
+//! * **Probe.** The codes are hashed, the hash's top bits pick a home slot, and
+//!   linear probing walks from there comparing stored codes to the tuple's — a few
+//!   bytes, inline in the `keys` arena. A hit touches nothing else but the
+//!   group's states; a miss appends the codes and fresh states to the arenas,
+//!   which grow by amortised doubling like any `Vec`. Neither allocates per tuple.
+//! * **Load factor.** The index doubles when more than half its slots are taken,
+//!   so it runs between 1/4 and 1/2 full and an average probe inspects fewer than
+//!   two slots. At 4 bytes a slot that is 8–16 bytes per group; growth re-links
+//!   groups by rehashing their codes and never moves keys or states.
+//! * **Merge** translates the other side's codes through its dictionaries' values
+//!   into this side's (once per distinct value) and folds its states in, moved,
+//!   not cloned. **Finalize** ranks each dictionary's values once, sorts group ids
+//!   by rank tuples — integer comparisons standing in for the value comparisons —
+//!   and hands the rows, already in order, to [`QueryResult::from_rows`] for one
+//!   bottom-up build.
+//!
+//! Grouping is by value even though no value is looked at on the hot path. A code
+//! is assigned by a dictionary keyed on the [`Value`] itself (its derived `Hash`
+//! and `Eq` cover an integer's bits or a string's bytes, never an `Arc`'s address),
+//! so equal values always get the same code: two equal strings in different
+//! allocations, or two versions of a dimension row that agree on a column (what
+//! re-versioning under ingest produces), land in one group. The per-row memo is the
+//! only place an address is used, and only as the name of an immutable row: rows
+//! are never mutated, and the aggregator keeps a clone of every row it has coded,
+//! so the row cannot be freed and its address cannot come to mean another row
+//! while the memo lives. Which code, slot or group id a key gets depends on arrival
+//! order, and that order is not observable: [`QueryResult`] sorts rows by key
+//! value, and every aggregate is commutative and associative.
 
 use std::fmt;
+use std::hash::Hasher;
 
-use cjoin_common::FxHashMap;
+use cjoin_common::{FxHashMap, FxHasher};
 use cjoin_storage::{Row, Value};
 
 use crate::result::QueryResult;
-use crate::star::{BoundAggregateSpec, BoundColumnRef, BoundStarQuery};
+use crate::star::{BoundAggregateSpec, BoundColumnRef, BoundStarQuery, ColumnSource};
 
 /// SQL aggregate functions supported by the star-query template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -232,19 +287,186 @@ impl AggState {
     }
 }
 
+/// Marks a free slot of the open-addressing index; also the exclusive upper
+/// bound on group ids.
+const EMPTY: u32 = u32::MAX;
+
+/// Initial number of index slots (a power of two).
+const MIN_SLOTS: usize = 16;
+
+/// The dictionary of one group-by column: its distinct values, coded in order of
+/// first appearance.
+#[derive(Debug, Default)]
+struct Dictionary {
+    values: Vec<Value>,
+    codes: FxHashMap<Value, u32>,
+}
+
+impl Dictionary {
+    /// The value's code, assigning the next free one on first sight.
+    fn code_of(&mut self, value: &Value) -> u32 {
+        if let Some(&code) = self.codes.get(value) {
+            return code;
+        }
+        let code = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
+        self.values.push(value.clone());
+        self.codes.insert(value.clone(), code);
+        code
+    }
+
+    /// `ranks[code]` = position of the code's value among the sorted values, so
+    /// comparing two ranks is comparing the two values.
+    fn ranks(&self) -> Vec<u32> {
+        let mut by_value: Vec<u32> = (0..self.values.len() as u32).collect();
+        by_value.sort_unstable_by_key(|&code| &self.values[code as usize]);
+        let mut ranks = vec![0; by_value.len()];
+        for (rank, code) in by_value.into_iter().enumerate() {
+            ranks[code as usize] = rank as u32;
+        }
+        ranks
+    }
+}
+
+/// The group-by columns read through one dimension clause, and the codes of every
+/// distinct row attached through it so far.
+#[derive(Debug)]
+struct ClauseCodes {
+    clause: usize,
+    /// `(position in the key, column of the dimension row)`.
+    columns: Vec<(usize, usize)>,
+    /// Address of a coded row's values → offset of its codes in `codes`.
+    seen: FxHashMap<usize, u32>,
+    /// Per coded row, one code per entry of `columns`.
+    codes: Vec<u32>,
+}
+
+/// Turns a tuple's group-by values into a key of `u32` codes, one per column.
+#[derive(Debug)]
+struct KeyCoder {
+    /// One dictionary per group-by column.
+    dicts: Vec<Dictionary>,
+    /// `(position in the key, fact column)` of the group-by columns on the fact row.
+    fact_columns: Vec<(usize, usize)>,
+    /// The group-by columns on dimension rows, by clause.
+    clauses: Vec<ClauseCodes>,
+    /// Every dimension row coded so far. A row in here cannot be freed, so no
+    /// other row can appear at an address in a clause's `seen`.
+    pinned: Vec<Row>,
+}
+
+impl KeyCoder {
+    fn new(group_by: &[BoundColumnRef]) -> Self {
+        let mut fact_columns = Vec::new();
+        let mut clauses: Vec<ClauseCodes> = Vec::new();
+        for (position, col) in group_by.iter().enumerate() {
+            match col.source {
+                ColumnSource::Fact(idx) => fact_columns.push((position, idx)),
+                ColumnSource::Dimension { clause, column } => {
+                    match clauses.iter_mut().find(|c| c.clause == clause) {
+                        Some(codes) => codes.columns.push((position, column)),
+                        None => clauses.push(ClauseCodes {
+                            clause,
+                            columns: vec![(position, column)],
+                            seen: FxHashMap::default(),
+                            codes: Vec::new(),
+                        }),
+                    }
+                }
+            }
+        }
+        Self {
+            dicts: group_by.iter().map(|_| Dictionary::default()).collect(),
+            fact_columns,
+            clauses,
+            pinned: Vec::new(),
+        }
+    }
+
+    /// Writes the tuple's key into `key` (one slot per group-by column).
+    #[inline]
+    fn code(&mut self, fact: &Row, dims: &[Option<&Row>], key: &mut [u32]) {
+        for &(position, idx) in &self.fact_columns {
+            key[position] = self.dicts[position].code_of(fact.get(idx));
+        }
+        for clause in &mut self.clauses {
+            let Some(row) = dims.get(clause.clause).copied().flatten() else {
+                // A missing dimension row reads as NULL in every column.
+                for &(position, _) in &clause.columns {
+                    key[position] = self.dicts[position].code_of(&Value::Null);
+                }
+                continue;
+            };
+            let address = row.values().as_ptr() as usize;
+            let at = match clause.seen.get(&address) {
+                Some(&at) => at as usize,
+                None => {
+                    let at = clause.codes.len();
+                    for &(position, column) in &clause.columns {
+                        let code = self.dicts[position].code_of(row.get(column));
+                        clause.codes.push(code);
+                    }
+                    let offset = u32::try_from(at).expect("fewer than 2^32 row codes");
+                    clause.seen.insert(address, offset);
+                    self.pinned.push(row.clone());
+                    at
+                }
+            };
+            for (&(position, _), &code) in clause.columns.iter().zip(&clause.codes[at..]) {
+                key[position] = code;
+            }
+        }
+    }
+
+    /// Makes sure every value `other` has coded has a code here too, and returns
+    /// per column the table from `other`'s codes to this coder's.
+    fn translate(&mut self, other: &KeyCoder) -> Vec<Vec<u32>> {
+        self.dicts
+            .iter_mut()
+            .zip(&other.dicts)
+            .map(|(ours, theirs)| theirs.values.iter().map(|v| ours.code_of(v)).collect())
+            .collect()
+    }
+
+    /// The values a key stands for.
+    fn decode(&self, key: &[u32]) -> Vec<Value> {
+        key.iter()
+            .zip(&self.dicts)
+            .map(|(&code, dict)| dict.values[code as usize].clone())
+            .collect()
+    }
+}
+
+fn hash_key(key: &[u32]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for &code in key {
+        hasher.write_u32(code);
+    }
+    hasher.finish()
+}
+
 /// Hash-based GROUP BY / aggregate evaluator for one star query.
 ///
 /// The accumulator receives, per qualifying fact tuple, the fact row plus the joining
 /// dimension rows (in the order of the query's dimension clauses); group-by columns
-/// and aggregate inputs may refer to either side.
+/// and aggregate inputs may refer to either side. See the module docs for the state
+/// layout.
 #[derive(Debug)]
 pub struct GroupedAggregator {
     group_by: Vec<BoundColumnRef>,
     aggregates: Vec<BoundAggregateSpec>,
-    groups: FxHashMap<Vec<Value>, Vec<AggState>>,
-    /// For queries with no GROUP BY we still must output a single row (of NULL/0
-    /// aggregates) even when no tuple qualifies, like SQL does.
-    scalar: bool,
+    coder: KeyCoder,
+    /// Open-addressing index, a power of two long: slot → group id, or [`EMPTY`].
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`; see [`home_slot`](Self::home_slot).
+    shift: u32,
+    /// Number of groups; neither arena's length gives it when its stride is zero.
+    groups: usize,
+    /// Per-group key codes, at stride `group_by.len()`.
+    keys: Vec<u32>,
+    /// Per-group running states, at stride `aggregates.len()`.
+    states: Vec<AggState>,
+    /// Scratch: the current tuple's key.
+    key: Vec<u32>,
 }
 
 impl GroupedAggregator {
@@ -253,25 +475,81 @@ impl GroupedAggregator {
         let mut agg = Self {
             group_by: query.group_by.clone(),
             aggregates: query.aggregates.clone(),
-            groups: FxHashMap::default(),
-            scalar: query.group_by.is_empty(),
+            coder: KeyCoder::new(&query.group_by),
+            index: vec![EMPTY; MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            groups: 0,
+            keys: Vec::new(),
+            states: Vec::new(),
+            key: vec![0; query.group_by.len()],
         };
-        if agg.scalar {
-            agg.groups.insert(Vec::new(), agg.fresh_states());
+        if agg.group_by.is_empty() {
+            // A query with no GROUP BY outputs a single row (of NULL/0 aggregates)
+            // even when no tuple qualifies, like SQL does: its one group, with the
+            // empty key, exists from the start.
+            agg.group_of_key();
         }
         agg
     }
 
-    fn fresh_states(&self) -> Vec<AggState> {
-        self.aggregates
-            .iter()
-            .map(|a| AggState::new(a.func))
-            .collect()
-    }
-
     /// Number of groups accumulated so far.
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
+        self.groups
+    }
+
+    /// The slot a probe for `hash` starts at: the hash's top bits (FxHash ends in a
+    /// multiply, so those are its best-mixed ones).
+    #[inline]
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash >> self.shift) as usize
+    }
+
+    /// The group whose key is `self.key`, created with fresh states if it is new.
+    #[inline]
+    fn group_of_key(&mut self) -> usize {
+        let arity = self.key.len();
+        let mask = self.index.len() - 1;
+        let mut slot = self.home_slot(hash_key(&self.key));
+        loop {
+            let group = self.index[slot];
+            if group == EMPTY {
+                break;
+            }
+            let group = group as usize;
+            if self.keys[group * arity..][..arity] == *self.key {
+                return group;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let group = self.groups;
+        assert!(group < EMPTY as usize, "more than {EMPTY} groups");
+        self.index[slot] = group as u32;
+        self.groups += 1;
+        self.keys.extend_from_slice(&self.key);
+        self.states
+            .extend(self.aggregates.iter().map(|a| AggState::new(a.func)));
+        if self.groups * 2 > self.index.len() {
+            self.grow_index();
+        }
+        group
+    }
+
+    /// Doubles the index and re-links every group by rehashing its codes; the
+    /// arenas do not move.
+    fn grow_index(&mut self) {
+        let slots = self.index.len() * 2;
+        self.shift -= 1;
+        self.index.clear();
+        self.index.resize(slots, EMPTY);
+        let mask = slots - 1;
+        let arity = self.key.len();
+        for group in 0..self.groups {
+            let mut slot = self.home_slot(hash_key(&self.keys[group * arity..][..arity]));
+            while self.index[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.index[slot] = group as u32;
+        }
     }
 
     /// Accumulates one qualifying fact tuple.
@@ -280,17 +558,10 @@ impl GroupedAggregator {
     /// `None` is only acceptable if no group-by column or aggregate input refers to
     /// that dimension.
     pub fn accumulate(&mut self, fact: &Row, dims: &[Option<&Row>]) {
-        let key: Vec<Value> = self
-            .group_by
-            .iter()
-            .map(|c| c.value(fact, dims).clone())
-            .collect();
-        let states = self.groups.entry(key).or_insert_with(|| {
-            self.aggregates
-                .iter()
-                .map(|a| AggState::new(a.func))
-                .collect()
-        });
+        self.coder.code(fact, dims, &mut self.key);
+        let group = self.group_of_key();
+        let width = self.aggregates.len();
+        let states = &mut self.states[group * width..][..width];
         for (state, spec) in states.iter_mut().zip(&self.aggregates) {
             let input = spec.input.as_ref().map(|c| c.value(fact, dims));
             state.update(input);
@@ -318,36 +589,49 @@ impl GroupedAggregator {
             other.aggregates.len(),
             "cannot merge partials with different aggregate lists"
         );
-        for (key, other_states) in other.groups {
-            debug_assert_eq!(key.len(), self.group_by.len());
-            match self.groups.get_mut(&key) {
-                Some(states) => {
-                    assert_eq!(
-                        states.len(),
-                        other_states.len(),
-                        "cannot merge partials with different aggregate states"
-                    );
-                    for (s, o) in states.iter_mut().zip(other_states) {
-                        s.merge(o);
-                    }
-                }
-                None => {
-                    self.groups.insert(key, other_states);
-                }
+        let arity = self.group_by.len();
+        let width = self.aggregates.len();
+        let translate = self.coder.translate(&other.coder);
+        let mut partials = other.states.into_iter();
+        for theirs in 0..other.groups {
+            for (position, table) in translate.iter().enumerate() {
+                self.key[position] = table[other.keys[theirs * arity + position] as usize];
+            }
+            let group = self.group_of_key();
+            let states = &mut self.states[group * width..][..width];
+            for (state, partial) in states.iter_mut().zip(partials.by_ref()) {
+                state.merge(partial);
             }
         }
     }
 
     /// Finalizes into a deterministic [`QueryResult`].
     pub fn finalize(&self) -> QueryResult {
-        let mut result = QueryResult::new(
+        let arity = self.group_by.len();
+        let width = self.aggregates.len();
+        let ranks: Vec<Vec<u32>> = self.coder.dicts.iter().map(Dictionary::ranks).collect();
+        let key = |group: u32| &self.keys[group as usize * arity..][..arity];
+        let ranked = |group: u32| {
+            key(group)
+                .iter()
+                .zip(&ranks)
+                .map(|(&code, ranks)| ranks[code as usize])
+        };
+        let mut order: Vec<u32> = (0..self.groups as u32).collect();
+        order.sort_unstable_by(|&a, &b| ranked(a).cmp(ranked(b)));
+        QueryResult::from_rows(
             self.group_by.iter().map(|c| c.name.clone()).collect(),
             self.aggregates.iter().map(|a| a.label()).collect(),
-        );
-        for (key, states) in &self.groups {
-            result.insert(key.clone(), states.iter().map(AggState::finalize).collect());
-        }
-        result
+            order.into_iter().map(|group| {
+                (
+                    self.coder.decode(key(group)),
+                    self.states[group as usize * width..][..width]
+                        .iter()
+                        .map(AggState::finalize)
+                        .collect(),
+                )
+            }),
+        )
     }
 }
 
@@ -469,12 +753,243 @@ mod tests {
         for _ in 0..3 {
             a.merge(GroupedAggregator::new(&q));
         }
+        assert_eq!(a.num_groups(), 1, "the empty-key groups merged into one");
         let r = a.finalize();
         assert_eq!(r.num_rows(), 1);
         let row = r.rows().next().unwrap();
         assert_eq!(row.1[0], AggValue::Int(0));
         assert_eq!(row.1[1], AggValue::Null);
         assert_eq!(row.1[2], AggValue::Null);
+        // ... and a shard that did drain tuples lands in that same row.
+        let mut fed = GroupedAggregator::new(&q);
+        fed.accumulate(&fact(1, 6), &[]);
+        a.merge(fed);
+        assert_eq!(a.num_groups(), 1);
+        let r = a.finalize();
+        assert_eq!(r.rows().next().unwrap().1[1], AggValue::Int(6));
+    }
+
+    #[test]
+    fn index_growth_keeps_every_groups_state() {
+        // 5 000 groups take the index from MIN_SLOTS through ten doublings; each
+        // group is fed once on the way up and once after the last growth.
+        const GROUPS: i64 = 5_000;
+        let q = simple_bound_query(vec![0], vec![AggFunc::Count, AggFunc::Sum]);
+        let mut agg = GroupedAggregator::new(&q);
+        for g in 0..GROUPS {
+            agg.accumulate(&fact(g, g), &[]);
+        }
+        assert!(agg.index.len() > MIN_SLOTS << 8);
+        assert!(
+            agg.index.len() >= 2 * agg.num_groups(),
+            "load factor <= 1/2"
+        );
+        for g in (0..GROUPS).rev() {
+            agg.accumulate(&fact(g, 1), &[]);
+        }
+        assert_eq!(agg.num_groups(), GROUPS as usize);
+        let result = agg.finalize();
+        assert_eq!(result.num_rows(), GROUPS as usize);
+        for g in 0..GROUPS {
+            let row = result.aggregate_for(&[Value::int(g)]).unwrap();
+            assert_eq!(row[0], AggValue::Int(2), "group {g}");
+            assert_eq!(row[1], AggValue::Int(i128::from(g) + 1), "group {g}");
+        }
+    }
+
+    /// A query grouping by column 1 of its one dimension clause (and, optionally,
+    /// fact column 0), SUM over fact column 1.
+    fn dim_grouped_query(also_fact_col0: bool) -> BoundStarQuery {
+        let mut q = simple_bound_query(
+            if also_fact_col0 { vec![0] } else { vec![] },
+            vec![AggFunc::Sum],
+        );
+        q.group_by.push(BoundColumnRef {
+            name: "color.name".into(),
+            source: ColumnSource::Dimension {
+                clause: 0,
+                column: 1,
+            },
+        });
+        q
+    }
+
+    fn color(key: i64, name: &str) -> Row {
+        Row::new(vec![Value::int(key), Value::str(name)])
+    }
+
+    #[test]
+    fn equal_values_in_distinct_allocations_share_a_group() {
+        // Re-versioning a dimension row under ingest produces an equal value in a
+        // different row at a different address; codes come from the value.
+        let mut agg = GroupedAggregator::new(&dim_grouped_query(false));
+        let (old, new) = (color(1, "red"), color(1, &(String::from("re") + "d")));
+        assert_ne!(old.values().as_ptr(), new.values().as_ptr());
+        agg.accumulate(&fact(1, 1), &[Some(&old)]);
+        agg.accumulate(&fact(1, 10), &[Some(&new)]);
+        agg.accumulate(&fact(1, 100), &[Some(&old.clone())]);
+        assert_eq!(agg.num_groups(), 1);
+        assert_eq!(agg.coder.pinned.len(), 2, "each distinct row coded once");
+        // Same on the fact side, where every tuple is coded by value.
+        let mut agg = GroupedAggregator::new(&simple_bound_query(vec![0], vec![AggFunc::Sum]));
+        for (name, amount) in [("ASIA", 1), ("ASIA", 10)] {
+            agg.accumulate(&Row::new(vec![Value::str(name), Value::int(amount)]), &[]);
+        }
+        assert_eq!(
+            agg.finalize().aggregate_for(&[Value::str("ASIA")]).unwrap()[0],
+            AggValue::Int(11)
+        );
+    }
+
+    #[test]
+    fn coded_rows_stay_pinned_so_an_address_is_never_reused() {
+        // Each row is dropped by the caller right after its tuple; were it not
+        // pinned, the allocator would hand the next row the same address and the
+        // aggregator would take it for the previous one.
+        let mut agg = GroupedAggregator::new(&dim_grouped_query(false));
+        for i in 0..200 {
+            let row = color(i, &format!("name-{i}"));
+            agg.accumulate(&fact(i, 1), &[Some(&row)]);
+        }
+        assert_eq!(agg.num_groups(), 200);
+        let result = agg.finalize();
+        for i in 0..200 {
+            let name = Value::str(format!("name-{i}"));
+            assert_eq!(result.aggregate_for(&[name]).unwrap()[0], AggValue::Int(1));
+        }
+    }
+
+    #[test]
+    fn merge_translates_codes_between_dictionaries() {
+        // The partials meet the same values in opposite orders, so their codes for
+        // them differ; on the fact column one side holds a value the other lacks.
+        let q = dim_grouped_query(true);
+        let (red, green) = (color(1, "red"), color(2, "green"));
+        let mut a = GroupedAggregator::new(&q);
+        a.accumulate(&fact(7, 1), &[Some(&red)]);
+        a.accumulate(&fact(8, 10), &[Some(&green)]);
+        let mut b = GroupedAggregator::new(&q);
+        b.accumulate(&fact(8, 100), &[Some(&green)]);
+        b.accumulate(&fact(9, 1_000), &[Some(&green)]);
+        b.accumulate(&fact(7, 10_000), &[Some(&red)]);
+        a.merge(b);
+        let result = a.finalize();
+        let sum = |f: i64, name: &str| {
+            result
+                .aggregate_for(&[Value::int(f), Value::str(name)])
+                .unwrap()[0]
+                .clone()
+        };
+        assert_eq!(result.num_rows(), 3);
+        assert_eq!(sum(7, "red"), AggValue::Int(10_001));
+        assert_eq!(sum(8, "green"), AggValue::Int(110));
+        assert_eq!(sum(9, "green"), AggValue::Int(1_000));
+    }
+
+    #[test]
+    fn finalize_orders_rows_like_value_ordering() {
+        // Ranks stand in for the values when finalize sorts: the row order must be
+        // `Vec<Value>`'s own (Int < Str < Null within a column), whatever order
+        // the values were first seen in.
+        let q = dim_grouped_query(true);
+        let mut agg = GroupedAggregator::new(&q);
+        let keys = [
+            (Value::Null, Some("b")),
+            (Value::str("x"), Some("a")),
+            (Value::int(5), None),
+            (Value::int(-3), Some("b")),
+            (Value::str(""), Some("b")),
+            (Value::int(5), Some("a")),
+            (Value::int(-3), Some("a")),
+        ];
+        for (fact_key, name) in &keys {
+            let row = name.map(|n| color(0, n));
+            agg.accumulate(
+                &Row::new(vec![fact_key.clone(), Value::int(1)]),
+                &[row.as_ref()],
+            );
+        }
+        let mut expected: Vec<Vec<Value>> = keys
+            .iter()
+            .map(|(k, n)| vec![k.clone(), n.map_or(Value::Null, Value::str)])
+            .collect();
+        expected.sort();
+        let got: Vec<Vec<Value>> = agg.finalize().rows().map(|(k, _)| k.clone()).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn zero_empty_string_and_null_are_three_groups() {
+        let q = simple_bound_query(vec![0], vec![AggFunc::Count]);
+        let mut agg = GroupedAggregator::new(&q);
+        for key in [Value::int(0), Value::str(""), Value::Null, Value::int(0)] {
+            agg.accumulate(&Row::new(vec![key, Value::int(1)]), &[]);
+        }
+        let result = agg.finalize();
+        assert_eq!(result.num_rows(), 3);
+        assert_eq!(
+            result.aggregate_for(&[Value::int(0)]).unwrap()[0],
+            AggValue::Int(2)
+        );
+        assert_eq!(
+            result.aggregate_for(&[Value::str("")]).unwrap()[0],
+            AggValue::Int(1)
+        );
+        assert_eq!(
+            result.aggregate_for(&[Value::Null]).unwrap()[0],
+            AggValue::Int(1)
+        );
+    }
+
+    #[test]
+    fn missing_dimension_row_groups_under_null() {
+        let mut agg = GroupedAggregator::new(&dim_grouped_query(false));
+        let red = color(1, "red");
+        agg.accumulate(&fact(1, 5), &[Some(&red)]);
+        agg.accumulate(&fact(2, 7), &[None]);
+        agg.accumulate(&fact(3, 11), &[]);
+        let result = agg.finalize();
+        assert_eq!(result.num_rows(), 2);
+        assert_eq!(
+            result.aggregate_for(&[Value::str("red")]).unwrap()[0],
+            AggValue::Int(5)
+        );
+        assert_eq!(
+            result.aggregate_for(&[Value::Null]).unwrap()[0],
+            AggValue::Int(18)
+        );
+    }
+
+    #[test]
+    fn merge_grows_the_target_index_mid_merge() {
+        let q = simple_bound_query(
+            vec![0],
+            vec![AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max],
+        );
+        // The target starts at MIN_SLOTS with three groups, all of which the
+        // partial also holds, somewhere among 3 000 groups of its own.
+        let mut target = GroupedAggregator::new(&q);
+        for g in [7, 1_500, 2_999] {
+            target.accumulate(&fact(g, -1), &[]);
+        }
+        assert_eq!(target.index.len(), MIN_SLOTS);
+        let mut partial = GroupedAggregator::new(&q);
+        for g in 0..3_000 {
+            partial.accumulate(&fact(g, g), &[]);
+        }
+        target.merge(partial);
+        assert_eq!(target.num_groups(), 3_000);
+        assert!(target.index.len() >= 2 * 3_000);
+        let result = target.finalize();
+        for g in 0..3_000i64 {
+            let row = result.aggregate_for(&[Value::int(g)]).unwrap();
+            let shared = [7, 1_500, 2_999].contains(&g);
+            let (count, sum, min) = if shared { (2, g - 1, -1) } else { (1, g, g) };
+            assert_eq!(row[0], AggValue::Int(count), "group {g}");
+            assert_eq!(row[1], AggValue::Int(i128::from(sum)), "group {g}");
+            assert_eq!(row[2], AggValue::Int(i128::from(min)), "group {g}");
+            assert_eq!(row[3], AggValue::Int(i128::from(g)), "group {g}");
+        }
     }
 
     #[test]

@@ -29,6 +29,22 @@ impl QueryResult {
         }
     }
 
+    /// Builds a result from all of its rows at once: the rows are sorted and the
+    /// map is built bottom-up in one pass, instead of one tree descent per
+    /// [`insert`](QueryResult::insert). If a group key repeats, the last row wins,
+    /// as with `insert`.
+    pub fn from_rows(
+        group_columns: Vec<String>,
+        aggregate_columns: Vec<String>,
+        rows: impl IntoIterator<Item = (Vec<Value>, Vec<AggValue>)>,
+    ) -> Self {
+        Self {
+            group_columns,
+            aggregate_columns,
+            rows: rows.into_iter().collect(),
+        }
+    }
+
     /// Group-by column names.
     pub fn group_columns(&self) -> &[String] {
         &self.group_columns
@@ -158,6 +174,25 @@ mod tests {
         let r = result_with(&[(5, 1), (1, 2), (3, 3)]);
         let keys: Vec<i64> = r.rows().map(|(k, _)| k[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn from_rows_matches_row_by_row_insert() {
+        // Unsorted input with a repeated key: same map as inserting in that order.
+        let groups = [(5, 1), (1, 2), (3, 3), (1, 9)];
+        let bulk = QueryResult::from_rows(
+            vec!["g".into()],
+            vec!["SUM(x)".into()],
+            groups
+                .iter()
+                .map(|&(g, s)| (vec![Value::int(g)], vec![AggValue::Int(s)])),
+        );
+        assert_eq!(bulk, result_with(&groups));
+        assert_eq!(bulk.num_rows(), 3);
+        assert_eq!(
+            bulk.aggregate_for(&[Value::int(1)]).unwrap()[0],
+            AggValue::Int(9)
+        );
     }
 
     #[test]

@@ -598,9 +598,9 @@ pub fn decode_query_result(cur: &mut Cursor<'_>) -> Result<QueryResult, WireErro
     for _ in 0..len {
         aggregate_columns.push(cur.str()?);
     }
-    let mut result = QueryResult::new(group_columns, aggregate_columns);
-    let rows = cur.collection_len(8)?;
-    for _ in 0..rows {
+    let len = cur.collection_len(8)?;
+    let mut rows = Vec::with_capacity(len);
+    for _ in 0..len {
         let klen = cur.collection_len(1)?;
         let mut key = Vec::with_capacity(klen);
         for _ in 0..klen {
@@ -611,9 +611,13 @@ pub fn decode_query_result(cur: &mut Cursor<'_>) -> Result<QueryResult, WireErro
         for _ in 0..alen {
             aggs.push(decode_agg_value(cur)?);
         }
-        result.insert(key, aggs);
+        rows.push((key, aggs));
     }
-    Ok(result)
+    Ok(QueryResult::from_rows(
+        group_columns,
+        aggregate_columns,
+        rows,
+    ))
 }
 
 fn encode_query_error(buf: &mut Vec<u8>, e: &QueryError) {

@@ -5,6 +5,7 @@
 //!   filtering invariant of §3.2.2 made executable.
 //! * Query bit-vector algebra obeys the set laws the Filters rely on.
 //! * Aggregate state merging is equivalent to single-pass accumulation.
+//! * The aggregation kernel agrees with a group-by fold that shares no code with it.
 //!
 //! Cases are generated from a fixed-seed [`StdRng`], so every run explores the same
 //! (broad) input space deterministically; on failure the assertion message carries
@@ -344,6 +345,179 @@ fn aggregate_merge_matches_single_pass() {
             a.approx_eq(&b),
             "case {case}: merged aggregation diverged: {:?}",
             a.diff(&b)
+        );
+    }
+}
+
+/// One group's running aggregates in the naive oracle below, written out with no
+/// reference to the library's aggregation code.
+#[derive(Default)]
+struct NaiveGroup {
+    rows: u64,
+    amounts: Vec<i64>,
+    names: Vec<String>,
+    labels: Vec<String>,
+}
+
+/// The aggregation kernel against a group-by oracle that shares no code with it.
+///
+/// `reference::evaluate`, the baseline and the CJOIN Distributor all aggregate
+/// through [`GroupedAggregator`], so every engine-vs-engine oracle is blind to a
+/// kernel bug (bad hash or equality, a group lost on index growth, a wrong merge).
+/// Here the expected result comes from a `BTreeMap` fold written in this test, over
+/// high-cardinality keys mixing `Int`, `Str` and `Null` on both the fact and the
+/// dimension side, with all five aggregate functions.
+#[test]
+fn aggregation_kernel_matches_a_naive_group_by() {
+    let catalog = Catalog::new();
+    catalog.add_fact_table(Arc::new(Table::new(Schema::new(
+        "facts",
+        vec![
+            Column::int("f_dim"),
+            Column::int("f_tag"),
+            Column::str("f_label"),
+            Column::int("f_amount"),
+        ],
+    ))));
+    catalog.add_table(Arc::new(Table::new(Schema::new(
+        "dim",
+        vec![Column::int("d_key"), Column::str("d_name")],
+    ))));
+    let amount = || ColumnRef::fact("f_amount");
+    let query = StarQuery::builder("naive-oracle")
+        .join_dimension("dim", "f_dim", "d_key", Predicate::True)
+        .group_by(ColumnRef::dim("dim", "d_name"))
+        .group_by(ColumnRef::fact("f_tag"))
+        .group_by(ColumnRef::fact("f_label"))
+        .aggregate(AggregateSpec::count_star())
+        .aggregate(AggregateSpec::over(AggFunc::Count, amount()))
+        .aggregate(AggregateSpec::over(AggFunc::Sum, amount()))
+        .aggregate(AggregateSpec::over(AggFunc::Min, amount()))
+        .aggregate(AggregateSpec::over(AggFunc::Max, amount()))
+        .aggregate(AggregateSpec::over(AggFunc::Avg, amount()))
+        .aggregate(AggregateSpec::over(
+            AggFunc::Min,
+            ColumnRef::dim("dim", "d_name"),
+        ))
+        .aggregate(AggregateSpec::over(
+            AggFunc::Max,
+            ColumnRef::fact("f_label"),
+        ))
+        .build()
+        .bind(&catalog)
+        .unwrap();
+
+    let mut rng = StdRng::seed_from_u64(0xC105);
+    for case in 0..4 {
+        // 300 dimension rows over 120 names: equal names sit in distinct
+        // allocations, as they do after a dimension row is re-versioned.
+        let dim_rows: Vec<Row> = (0..300)
+            .map(|k| {
+                let name = format!("name-{:03}", rng.gen_range(0..120u32));
+                Row::new(vec![Value::int(k), Value::str(name)])
+            })
+            .collect();
+        let labels = ["", "a", "b", "ab", "ba"];
+        let joined: Vec<(Row, Option<&Row>)> = (0..6_000)
+            .map(|_| {
+                let dim = (!rng.gen_bool(0.05)).then(|| &dim_rows[rng.gen_range(0..300usize)]);
+                let nullable_int = |rng: &mut StdRng, range: std::ops::Range<i64>| {
+                    if rng.gen_bool(0.1) {
+                        Value::Null
+                    } else {
+                        Value::int(rng.gen_range(range))
+                    }
+                };
+                let tag = nullable_int(&mut rng, 0..40);
+                let label = match rng.gen_range(0..=labels.len()) {
+                    i if i < labels.len() => Value::str(labels[i]),
+                    _ => Value::Null,
+                };
+                let amount = nullable_int(&mut rng, -1000..1000);
+                let key = dim.map_or(Value::Null, |d| d.get(0).clone());
+                (Row::new(vec![key, tag, label, amount]), dim)
+            })
+            .collect();
+
+        // The oracle: fold into a BTreeMap keyed by the group-by values, keep the
+        // raw inputs per group, and compute every aggregate from them at the end.
+        let mut naive: std::collections::BTreeMap<Vec<Value>, NaiveGroup> = Default::default();
+        for (fact, dim) in &joined {
+            let name = dim.map_or(Value::Null, |d| d.get(1).clone());
+            let group = naive
+                .entry(vec![name.clone(), fact.get(1).clone(), fact.get(2).clone()])
+                .or_default();
+            group.rows += 1;
+            if let Value::Int(amount) = fact.get(3) {
+                group.amounts.push(*amount);
+            }
+            if let Value::Str(name) = &name {
+                group.names.push(name.to_string());
+            }
+            if let Value::Str(label) = fact.get(2) {
+                group.labels.push(label.to_string());
+            }
+        }
+        assert!(naive.len() > 3_000, "case {case}: high cardinality");
+        let mut expected = cjoin_repro::QueryResult::new(Vec::new(), Vec::new());
+        for (key, group) in naive {
+            let int = |v: Option<i64>| v.map_or(AggValue::Null, |v| AggValue::Int(v.into()));
+            let text = |v: Option<&String>| v.map_or(AggValue::Null, |v| AggValue::Str(v.clone()));
+            let sum: i128 = group.amounts.iter().map(|&a| i128::from(a)).sum();
+            let seen = !group.amounts.is_empty();
+            expected.insert(
+                key,
+                vec![
+                    AggValue::Int(group.rows.into()),
+                    AggValue::Int(group.amounts.len() as i128),
+                    if seen {
+                        AggValue::Int(sum)
+                    } else {
+                        AggValue::Null
+                    },
+                    int(group.amounts.iter().copied().min()),
+                    int(group.amounts.iter().copied().max()),
+                    if seen {
+                        AggValue::Float(sum as f64 / group.amounts.len() as f64)
+                    } else {
+                        AggValue::Null
+                    },
+                    text(group.names.iter().min()),
+                    text(group.labels.iter().max()),
+                ],
+            );
+        }
+
+        // (a) one aggregator over all rows.
+        let feed = |agg: &mut GroupedAggregator, (fact, dim): &(Row, Option<&Row>)| {
+            agg.accumulate(fact, &[*dim]);
+        };
+        let mut single = GroupedAggregator::new(&query);
+        joined.iter().for_each(|row| feed(&mut single, row));
+        let got = single.finalize();
+        assert!(
+            got.approx_eq(&expected),
+            "case {case}: single aggregator diverged: {:?}",
+            got.diff(&expected)
+        );
+
+        // (b) a random 2-4-way partition, merged in shuffled order.
+        let ways = rng.gen_range(2..=4usize);
+        let mut partials: Vec<GroupedAggregator> =
+            (0..ways).map(|_| GroupedAggregator::new(&query)).collect();
+        for row in &joined {
+            feed(&mut partials[rng.gen_range(0..ways)], row);
+        }
+        for i in (1..ways).rev() {
+            partials.swap(i, rng.gen_range(0..=i));
+        }
+        let mut merged = partials.pop().unwrap();
+        partials.into_iter().for_each(|p| merged.merge(p));
+        let got = merged.finalize();
+        assert!(
+            got.approx_eq(&expected),
+            "case {case}: {ways}-way merge diverged: {:?}",
+            got.diff(&expected)
         );
     }
 }
