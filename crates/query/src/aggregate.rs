@@ -13,61 +13,55 @@
 //! When many tuples survive the Filters, the Distributor is the pipeline, and its
 //! time is this operator's memory traffic. A [`GroupedAggregator`] therefore keeps
 //! no per-group heap objects. A group is a dense id `0..num_groups`, in order of
-//! first appearance, and its key is not the group-by *values* but one `u32`
-//! dictionary **code** per group-by column:
+//! first appearance, and its data sits at that id in three flat arenas:
 //!
 //! ```text
 //! index   [u32; 2^k]              slot -> group id, or EMPTY   (open addressing)
-//! keys    [u32; groups * G]       G = number of GROUP BY columns
+//! hashes  [u64; groups]           the key's hash
+//! keys    [Value; groups * G]     G = number of GROUP BY columns
 //! states  [AggState; groups * A]  A = number of aggregates
-//! coder   per column: code -> value, value -> code
-//!         per dimension clause: attached row -> its columns' codes
 //! ```
 //!
-//! * **Coding.** Each group-by column has a dictionary that numbers its distinct
-//!   values in order of first appearance. A column on the fact row is looked up by
-//!   value for every tuple. Columns on a dimension row — in a star query, nearly
-//!   all of them — are looked up once per *distinct attached row*: the first time a
-//!   row arrives its columns are coded and the codes remembered under the address
-//!   of the row's values; afterwards a tuple carrying that row costs one
-//!   address lookup per clause and no string is hashed, compared or cloned.
-//! * **Probe.** The codes are hashed, the hash's top bits pick a home slot, and
-//!   linear probing walks from there comparing stored codes to the tuple's — a few
-//!   bytes, inline in the `keys` arena. A hit touches nothing else but the
-//!   group's states; a miss appends the codes and fresh states to the arenas,
-//!   which grow by amortised doubling like any `Vec`. Neither allocates per tuple.
+//! * **Probe.** A tuple's group-by values are hashed *by reference*, straight out
+//!   of the fact row and the attached dimension rows: no key `Vec` is built and no
+//!   [`Value`] cloned. The hash's top bits pick a home slot and linear probing
+//!   walks from there; a candidate group is accepted when its stored hash matches
+//!   and its stored key equals the tuple's values. A hit touches nothing else but
+//!   the group's states. Only a miss clones the values (an `Arc` bump per string)
+//!   and appends them and fresh states to the arenas. Neither allocates per tuple;
+//!   a miss may grow an arena.
 //! * **Load factor.** The index doubles when more than half its slots are taken,
 //!   so it runs between 1/4 and 1/2 full and an average probe inspects fewer than
 //!   two slots. At 4 bytes a slot that is 8–16 bytes per group; growth re-links
-//!   groups by rehashing their codes and never moves keys or states.
-//! * **Merge** translates the other side's codes through its dictionaries' values
-//!   into this side's (once per distinct value) and folds its states in, moved,
-//!   not cloned. **Finalize** ranks each dictionary's values once, sorts group ids
-//!   by rank tuples — integer comparisons standing in for the value comparisons —
-//!   and hands the rows, already in order, to [`QueryResult::from_rows`] for one
-//!   bottom-up build.
+//!   groups from their stored hashes and never moves keys or states.
+//! * **Arena growth.** The arenas grow by half, not by doubling
+//!   (`reserve_by_half`): with several thousand groups per query and many queries
+//!   in flight, the slack of doubling was measurable in the process's peak RSS.
+//! * **Merge** walks the other side's groups arena to arena, reusing their stored
+//!   hashes, and moves keys and states, never cloning them. **Finalize** hands all
+//!   rows to [`QueryResult::from_rows`] for one sorted bulk build; dropping an
+//!   aggregator frees four `Vec`s.
 //!
-//! Grouping is by value even though no value is looked at on the hot path. A code
-//! is assigned by a dictionary keyed on the [`Value`] itself (its derived `Hash`
-//! and `Eq` cover an integer's bits or a string's bytes, never an `Arc`'s address),
-//! so equal values always get the same code: two equal strings in different
-//! allocations, or two versions of a dimension row that agree on a column (what
-//! re-versioning under ingest produces), land in one group. The per-row memo is the
-//! only place an address is used, and only as the name of an immutable row: rows
-//! are never mutated, and the aggregator keeps a clone of every row it has coded,
-//! so the row cannot be freed and its address cannot come to mean another row
-//! while the memo lives. Which code, slot or group id a key gets depends on arrival
-//! order, and that order is not observable: [`QueryResult`] sorts rows by key
-//! value, and every aggregate is commutative and associative.
+//! Hashing by reference is sound because hash and equality are defined on values,
+//! never on addresses: `Value`'s derived `Hash` covers an integer's bits or a
+//! string's bytes, so the values a tuple refers to hash exactly like the clones a
+//! group stores, and [`same_value`] compares contents (`Arc::ptr_eq` is only a
+//! shortcut that skips the byte comparison when both sides share an allocation).
+//! Two equal strings in different allocations — what re-versioning a dimension
+//! row under ingest produces — land in one group. Which slot or group id a key
+//! gets depends on arrival order, and that order is not observable:
+//! [`QueryResult`] sorts rows by key value, and every aggregate is commutative
+//! and associative.
 
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use cjoin_common::{FxHashMap, FxHasher};
+use cjoin_common::FxHasher;
 use cjoin_storage::{Row, Value};
 
 use crate::result::QueryResult;
-use crate::star::{BoundAggregateSpec, BoundColumnRef, BoundStarQuery, ColumnSource};
+use crate::star::{BoundAggregateSpec, BoundColumnRef, BoundStarQuery};
 
 /// SQL aggregate functions supported by the star-query template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -294,154 +288,29 @@ const EMPTY: u32 = u32::MAX;
 /// Initial number of index slots (a power of two).
 const MIN_SLOTS: usize = 16;
 
-/// The dictionary of one group-by column: its distinct values, coded in order of
-/// first appearance.
-#[derive(Debug, Default)]
-struct Dictionary {
-    values: Vec<Value>,
-    codes: FxHashMap<Value, u32>,
-}
-
-impl Dictionary {
-    /// The value's code, assigning the next free one on first sight.
-    fn code_of(&mut self, value: &Value) -> u32 {
-        if let Some(&code) = self.codes.get(value) {
-            return code;
-        }
-        let code = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
-        self.values.push(value.clone());
-        self.codes.insert(value.clone(), code);
-        code
-    }
-
-    /// `ranks[code]` = position of the code's value among the sorted values, so
-    /// comparing two ranks is comparing the two values.
-    fn ranks(&self) -> Vec<u32> {
-        let mut by_value: Vec<u32> = (0..self.values.len() as u32).collect();
-        by_value.sort_unstable_by_key(|&code| &self.values[code as usize]);
-        let mut ranks = vec![0; by_value.len()];
-        for (rank, code) in by_value.into_iter().enumerate() {
-            ranks[code as usize] = rank as u32;
-        }
-        ranks
+/// Group-key equality on values, with a shared-allocation fast path for strings:
+/// the attached dimension rows hand out the same `Arc<str>` over and over, so a
+/// hit usually needs no byte comparison. Distinct allocations with equal contents
+/// are still equal.
+#[inline]
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Str(x), Value::Str(y)) => Arc::ptr_eq(x, y) || x == y,
+        (Value::Null, Value::Null) => true,
+        _ => false,
     }
 }
 
-/// The group-by columns read through one dimension clause, and the codes of every
-/// distinct row attached through it so far.
-#[derive(Debug)]
-struct ClauseCodes {
-    clause: usize,
-    /// `(position in the key, column of the dimension row)`.
-    columns: Vec<(usize, usize)>,
-    /// Address of a coded row's values → offset of its codes in `codes`.
-    seen: FxHashMap<usize, u32>,
-    /// Per coded row, one code per entry of `columns`.
-    codes: Vec<u32>,
-}
-
-/// Turns a tuple's group-by values into a key of `u32` codes, one per column.
-#[derive(Debug)]
-struct KeyCoder {
-    /// One dictionary per group-by column.
-    dicts: Vec<Dictionary>,
-    /// `(position in the key, fact column)` of the group-by columns on the fact row.
-    fact_columns: Vec<(usize, usize)>,
-    /// The group-by columns on dimension rows, by clause.
-    clauses: Vec<ClauseCodes>,
-    /// Every dimension row coded so far. A row in here cannot be freed, so no
-    /// other row can appear at an address in a clause's `seen`.
-    pinned: Vec<Row>,
-}
-
-impl KeyCoder {
-    fn new(group_by: &[BoundColumnRef]) -> Self {
-        let mut fact_columns = Vec::new();
-        let mut clauses: Vec<ClauseCodes> = Vec::new();
-        for (position, col) in group_by.iter().enumerate() {
-            match col.source {
-                ColumnSource::Fact(idx) => fact_columns.push((position, idx)),
-                ColumnSource::Dimension { clause, column } => {
-                    match clauses.iter_mut().find(|c| c.clause == clause) {
-                        Some(codes) => codes.columns.push((position, column)),
-                        None => clauses.push(ClauseCodes {
-                            clause,
-                            columns: vec![(position, column)],
-                            seen: FxHashMap::default(),
-                            codes: Vec::new(),
-                        }),
-                    }
-                }
-            }
-        }
-        Self {
-            dicts: group_by.iter().map(|_| Dictionary::default()).collect(),
-            fact_columns,
-            clauses,
-            pinned: Vec::new(),
-        }
+/// Makes room in an arena for one more group of `stride` elements. A full arena
+/// grows by half (from the `MIN_SLOTS / 2` groups the initial index holds):
+/// `Vec`'s own doubling leaves up to half of a query's group state as slack, and
+/// with many queries in flight that slack showed in peak RSS.
+#[inline]
+fn reserve_by_half<T>(arena: &mut Vec<T>, stride: usize) {
+    if arena.capacity() - arena.len() < stride {
+        arena.reserve_exact((arena.len() / 2).max(MIN_SLOTS / 2 * stride));
     }
-
-    /// Writes the tuple's key into `key` (one slot per group-by column).
-    #[inline]
-    fn code(&mut self, fact: &Row, dims: &[Option<&Row>], key: &mut [u32]) {
-        for &(position, idx) in &self.fact_columns {
-            key[position] = self.dicts[position].code_of(fact.get(idx));
-        }
-        for clause in &mut self.clauses {
-            let Some(row) = dims.get(clause.clause).copied().flatten() else {
-                // A missing dimension row reads as NULL in every column.
-                for &(position, _) in &clause.columns {
-                    key[position] = self.dicts[position].code_of(&Value::Null);
-                }
-                continue;
-            };
-            let address = row.values().as_ptr() as usize;
-            let at = match clause.seen.get(&address) {
-                Some(&at) => at as usize,
-                None => {
-                    let at = clause.codes.len();
-                    for &(position, column) in &clause.columns {
-                        let code = self.dicts[position].code_of(row.get(column));
-                        clause.codes.push(code);
-                    }
-                    let offset = u32::try_from(at).expect("fewer than 2^32 row codes");
-                    clause.seen.insert(address, offset);
-                    self.pinned.push(row.clone());
-                    at
-                }
-            };
-            for (&(position, _), &code) in clause.columns.iter().zip(&clause.codes[at..]) {
-                key[position] = code;
-            }
-        }
-    }
-
-    /// Makes sure every value `other` has coded has a code here too, and returns
-    /// per column the table from `other`'s codes to this coder's.
-    fn translate(&mut self, other: &KeyCoder) -> Vec<Vec<u32>> {
-        self.dicts
-            .iter_mut()
-            .zip(&other.dicts)
-            .map(|(ours, theirs)| theirs.values.iter().map(|v| ours.code_of(v)).collect())
-            .collect()
-    }
-
-    /// The values a key stands for.
-    fn decode(&self, key: &[u32]) -> Vec<Value> {
-        key.iter()
-            .zip(&self.dicts)
-            .map(|(&code, dict)| dict.values[code as usize].clone())
-            .collect()
-    }
-}
-
-fn hash_key(key: &[u32]) -> u64 {
-    let mut hasher = FxHasher::default();
-    for &code in key {
-        hasher.write_u32(code);
-    }
-    hasher.finish()
 }
 
 /// Hash-based GROUP BY / aggregate evaluator for one star query.
@@ -454,19 +323,16 @@ fn hash_key(key: &[u32]) -> u64 {
 pub struct GroupedAggregator {
     group_by: Vec<BoundColumnRef>,
     aggregates: Vec<BoundAggregateSpec>,
-    coder: KeyCoder,
     /// Open-addressing index, a power of two long: slot → group id, or [`EMPTY`].
     index: Vec<u32>,
     /// `64 - log2(index.len())`; see [`home_slot`](Self::home_slot).
     shift: u32,
-    /// Number of groups; neither arena's length gives it when its stride is zero.
-    groups: usize,
-    /// Per-group key codes, at stride `group_by.len()`.
-    keys: Vec<u32>,
+    /// Per-group key hash (saves rehashing on index growth and on merge).
+    hashes: Vec<u64>,
+    /// Per-group key values, at stride `group_by.len()`.
+    keys: Vec<Value>,
     /// Per-group running states, at stride `aggregates.len()`.
     states: Vec<AggState>,
-    /// Scratch: the current tuple's key.
-    key: Vec<u32>,
 }
 
 impl GroupedAggregator {
@@ -475,26 +341,26 @@ impl GroupedAggregator {
         let mut agg = Self {
             group_by: query.group_by.clone(),
             aggregates: query.aggregates.clone(),
-            coder: KeyCoder::new(&query.group_by),
             index: vec![EMPTY; MIN_SLOTS],
             shift: 64 - MIN_SLOTS.trailing_zeros(),
-            groups: 0,
+            hashes: Vec::new(),
             keys: Vec::new(),
             states: Vec::new(),
-            key: vec![0; query.group_by.len()],
         };
         if agg.group_by.is_empty() {
             // A query with no GROUP BY outputs a single row (of NULL/0 aggregates)
             // even when no tuple qualifies, like SQL does: its one group, with the
             // empty key, exists from the start.
-            agg.group_of_key();
+            let hash = FxHasher::default().finish();
+            agg.push_fresh_states();
+            agg.link_group(agg.home_slot(hash), hash);
         }
         agg
     }
 
     /// Number of groups accumulated so far.
     pub fn num_groups(&self) -> usize {
-        self.groups
+        self.hashes.len()
     }
 
     /// The slot a probe for `hash` starts at: the hash's top bits (FxHash ends in a
@@ -504,47 +370,66 @@ impl GroupedAggregator {
         (hash >> self.shift) as usize
     }
 
-    /// The group whose key is `self.key`, created with fresh states if it is new.
+    /// Probes the index for a group with this `hash` whose stored key satisfies
+    /// `same_key`: `Ok(group id)` on a hit, `Err(free slot)` where the group would
+    /// be linked on a miss.
     #[inline]
-    fn group_of_key(&mut self) -> usize {
-        let arity = self.key.len();
+    fn find(&self, hash: u64, same_key: impl Fn(&[Value]) -> bool) -> Result<usize, usize> {
+        let arity = self.group_by.len();
         let mask = self.index.len() - 1;
-        let mut slot = self.home_slot(hash_key(&self.key));
+        let mut slot = self.home_slot(hash);
         loop {
             let group = self.index[slot];
             if group == EMPTY {
-                break;
+                return Err(slot);
             }
             let group = group as usize;
-            if self.keys[group * arity..][..arity] == *self.key {
-                return group;
+            if self.hashes[group] == hash && same_key(&self.keys[group * arity..][..arity]) {
+                return Ok(group);
             }
             slot = (slot + 1) & mask;
         }
-        let group = self.groups;
-        assert!(group < EMPTY as usize, "more than {EMPTY} groups");
-        self.index[slot] = group as u32;
-        self.groups += 1;
-        self.keys.extend_from_slice(&self.key);
+    }
+
+    /// Makes room for one more group in every arena.
+    fn reserve_group(&mut self) {
+        reserve_by_half(&mut self.hashes, 1);
+        reserve_by_half(&mut self.keys, self.group_by.len());
+        reserve_by_half(&mut self.states, self.aggregates.len());
+    }
+
+    /// Appends one group's worth of initial aggregate states to the state arena.
+    fn push_fresh_states(&mut self) {
         self.states
             .extend(self.aggregates.iter().map(|a| AggState::new(a.func)));
-        if self.groups * 2 > self.index.len() {
+    }
+
+    /// Links the group whose key and states were just appended to the arenas into
+    /// the free `slot` that [`find`](Self::find) reported, doubling the index once
+    /// it is more than half full. Returns the new group's id.
+    fn link_group(&mut self, slot: usize, hash: u64) -> usize {
+        let group = self.hashes.len();
+        assert!(group < EMPTY as usize, "more than {EMPTY} groups");
+        self.hashes.push(hash);
+        debug_assert_eq!(self.keys.len(), self.hashes.len() * self.group_by.len());
+        debug_assert_eq!(self.states.len(), self.hashes.len() * self.aggregates.len());
+        self.index[slot] = group as u32;
+        if self.hashes.len() * 2 > self.index.len() {
             self.grow_index();
         }
         group
     }
 
-    /// Doubles the index and re-links every group by rehashing its codes; the
-    /// arenas do not move.
+    /// Doubles the index and re-links every group from its stored hash; the arenas
+    /// do not move.
     fn grow_index(&mut self) {
         let slots = self.index.len() * 2;
         self.shift -= 1;
         self.index.clear();
         self.index.resize(slots, EMPTY);
         let mask = slots - 1;
-        let arity = self.key.len();
-        for group in 0..self.groups {
-            let mut slot = self.home_slot(hash_key(&self.keys[group * arity..][..arity]));
+        for (group, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = self.home_slot(hash);
             while self.index[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
@@ -558,8 +443,27 @@ impl GroupedAggregator {
     /// `None` is only acceptable if no group-by column or aggregate input refers to
     /// that dimension.
     pub fn accumulate(&mut self, fact: &Row, dims: &[Option<&Row>]) {
-        self.coder.code(fact, dims, &mut self.key);
-        let group = self.group_of_key();
+        let mut hasher = FxHasher::default();
+        for col in &self.group_by {
+            col.value(fact, dims).hash(&mut hasher);
+        }
+        let hash = hasher.finish();
+        let found = self.find(hash, |key| {
+            key.iter()
+                .zip(&self.group_by)
+                .all(|(have, col)| same_value(have, col.value(fact, dims)))
+        });
+        let group = match found {
+            Ok(group) => group,
+            Err(slot) => {
+                // First tuple of its group: only now are the key values cloned.
+                self.reserve_group();
+                self.keys
+                    .extend(self.group_by.iter().map(|c| c.value(fact, dims).clone()));
+                self.push_fresh_states();
+                self.link_group(slot, hash)
+            }
+        };
         let width = self.aggregates.len();
         let states = &mut self.states[group * width..][..width];
         for (state, spec) in states.iter_mut().zip(&self.aggregates) {
@@ -571,7 +475,9 @@ impl GroupedAggregator {
     /// Merges another aggregator's partial state into this one. This is how the
     /// sharded distributor combines per-shard partials at query end: hash
     /// aggregation is commutative and associative, so merging the shard partials
-    /// in any order yields exactly the single-aggregator result.
+    /// in any order yields exactly the single-aggregator result. Groups move
+    /// arena to arena: the other side's stored hashes are reused, and its key
+    /// values and states are moved, never cloned.
     ///
     /// # Panics
     /// Panics if `other` was built for a different query shape (different group-by
@@ -591,16 +497,27 @@ impl GroupedAggregator {
         );
         let arity = self.group_by.len();
         let width = self.aggregates.len();
-        let translate = self.coder.translate(&other.coder);
-        let mut partials = other.states.into_iter();
-        for theirs in 0..other.groups {
-            for (position, table) in translate.iter().enumerate() {
-                self.key[position] = table[other.keys[theirs * arity + position] as usize];
-            }
-            let group = self.group_of_key();
-            let states = &mut self.states[group * width..][..width];
-            for (state, partial) in states.iter_mut().zip(partials.by_ref()) {
-                state.merge(partial);
+        let mut keys = other.keys.into_iter();
+        let mut states = other.states.into_iter();
+        for hash in other.hashes {
+            let key = &keys.as_slice()[..arity];
+            let found = self.find(hash, |have| {
+                have.iter().zip(key).all(|(a, b)| same_value(a, b))
+            });
+            match found {
+                Ok(group) => {
+                    keys.by_ref().take(arity).for_each(drop);
+                    let into = &mut self.states[group * width..][..width];
+                    for (state, partial) in into.iter_mut().zip(states.by_ref().take(width)) {
+                        state.merge(partial);
+                    }
+                }
+                Err(slot) => {
+                    self.reserve_group();
+                    self.keys.extend(keys.by_ref().take(arity));
+                    self.states.extend(states.by_ref().take(width));
+                    self.link_group(slot, hash);
+                }
             }
         }
     }
@@ -609,23 +526,13 @@ impl GroupedAggregator {
     pub fn finalize(&self) -> QueryResult {
         let arity = self.group_by.len();
         let width = self.aggregates.len();
-        let ranks: Vec<Vec<u32>> = self.coder.dicts.iter().map(Dictionary::ranks).collect();
-        let key = |group: u32| &self.keys[group as usize * arity..][..arity];
-        let ranked = |group: u32| {
-            key(group)
-                .iter()
-                .zip(&ranks)
-                .map(|(&code, ranks)| ranks[code as usize])
-        };
-        let mut order: Vec<u32> = (0..self.groups as u32).collect();
-        order.sort_unstable_by(|&a, &b| ranked(a).cmp(ranked(b)));
         QueryResult::from_rows(
             self.group_by.iter().map(|c| c.name.clone()).collect(),
             self.aggregates.iter().map(|a| a.label()).collect(),
-            order.into_iter().map(|group| {
+            (0..self.num_groups()).map(|group| {
                 (
-                    self.coder.decode(key(group)),
-                    self.states[group as usize * width..][..width]
+                    self.keys[group * arity..][..arity].to_vec(),
+                    self.states[group * width..][..width]
                         .iter()
                         .map(AggState::finalize)
                         .collect(),
@@ -788,6 +695,9 @@ mod tests {
             agg.accumulate(&fact(g, 1), &[]);
         }
         assert_eq!(agg.num_groups(), GROUPS as usize);
+        // Arenas grow by half, so at most a third of one is slack.
+        assert!(agg.states.capacity() <= agg.states.len() * 3 / 2);
+        assert!(agg.keys.capacity() <= agg.keys.len() * 3 / 2);
         let result = agg.finalize();
         assert_eq!(result.num_rows(), GROUPS as usize);
         for g in 0..GROUPS {
@@ -797,125 +707,26 @@ mod tests {
         }
     }
 
-    /// A query grouping by column 1 of its one dimension clause (and, optionally,
-    /// fact column 0), SUM over fact column 1.
-    fn dim_grouped_query(also_fact_col0: bool) -> BoundStarQuery {
-        let mut q = simple_bound_query(
-            if also_fact_col0 { vec![0] } else { vec![] },
-            vec![AggFunc::Sum],
-        );
-        q.group_by.push(BoundColumnRef {
-            name: "color.name".into(),
-            source: ColumnSource::Dimension {
-                clause: 0,
-                column: 1,
-            },
-        });
-        q
-    }
-
-    fn color(key: i64, name: &str) -> Row {
-        Row::new(vec![Value::int(key), Value::str(name)])
-    }
-
     #[test]
-    fn equal_values_in_distinct_allocations_share_a_group() {
-        // Re-versioning a dimension row under ingest produces an equal value in a
-        // different row at a different address; codes come from the value.
-        let mut agg = GroupedAggregator::new(&dim_grouped_query(false));
-        let (old, new) = (color(1, "red"), color(1, &(String::from("re") + "d")));
-        assert_ne!(old.values().as_ptr(), new.values().as_ptr());
-        agg.accumulate(&fact(1, 1), &[Some(&old)]);
-        agg.accumulate(&fact(1, 10), &[Some(&new)]);
-        agg.accumulate(&fact(1, 100), &[Some(&old.clone())]);
+    fn equal_strings_in_distinct_allocations_share_a_group() {
+        // Re-versioning a dimension row under ingest produces equal strings behind
+        // different `Arc`s; grouping is by value, the pointer check only a shortcut.
+        let q = simple_bound_query(vec![0], vec![AggFunc::Sum]);
+        let mut agg = GroupedAggregator::new(&q);
+        let first = Value::str("ASIA");
+        let second = Value::str(String::from("AS") + "IA");
+        let (Value::Str(a), Value::Str(b)) = (&first, &second) else {
+            unreachable!()
+        };
+        assert!(!Arc::ptr_eq(a, b));
+        agg.accumulate(&Row::new(vec![first.clone(), Value::int(1)]), &[]);
+        agg.accumulate(&Row::new(vec![second, Value::int(10)]), &[]);
+        agg.accumulate(&Row::new(vec![first, Value::int(100)]), &[]);
         assert_eq!(agg.num_groups(), 1);
-        assert_eq!(agg.coder.pinned.len(), 2, "each distinct row coded once");
-        // Same on the fact side, where every tuple is coded by value.
-        let mut agg = GroupedAggregator::new(&simple_bound_query(vec![0], vec![AggFunc::Sum]));
-        for (name, amount) in [("ASIA", 1), ("ASIA", 10)] {
-            agg.accumulate(&Row::new(vec![Value::str(name), Value::int(amount)]), &[]);
-        }
         assert_eq!(
             agg.finalize().aggregate_for(&[Value::str("ASIA")]).unwrap()[0],
-            AggValue::Int(11)
+            AggValue::Int(111)
         );
-    }
-
-    #[test]
-    fn coded_rows_stay_pinned_so_an_address_is_never_reused() {
-        // Each row is dropped by the caller right after its tuple; were it not
-        // pinned, the allocator would hand the next row the same address and the
-        // aggregator would take it for the previous one.
-        let mut agg = GroupedAggregator::new(&dim_grouped_query(false));
-        for i in 0..200 {
-            let row = color(i, &format!("name-{i}"));
-            agg.accumulate(&fact(i, 1), &[Some(&row)]);
-        }
-        assert_eq!(agg.num_groups(), 200);
-        let result = agg.finalize();
-        for i in 0..200 {
-            let name = Value::str(format!("name-{i}"));
-            assert_eq!(result.aggregate_for(&[name]).unwrap()[0], AggValue::Int(1));
-        }
-    }
-
-    #[test]
-    fn merge_translates_codes_between_dictionaries() {
-        // The partials meet the same values in opposite orders, so their codes for
-        // them differ; on the fact column one side holds a value the other lacks.
-        let q = dim_grouped_query(true);
-        let (red, green) = (color(1, "red"), color(2, "green"));
-        let mut a = GroupedAggregator::new(&q);
-        a.accumulate(&fact(7, 1), &[Some(&red)]);
-        a.accumulate(&fact(8, 10), &[Some(&green)]);
-        let mut b = GroupedAggregator::new(&q);
-        b.accumulate(&fact(8, 100), &[Some(&green)]);
-        b.accumulate(&fact(9, 1_000), &[Some(&green)]);
-        b.accumulate(&fact(7, 10_000), &[Some(&red)]);
-        a.merge(b);
-        let result = a.finalize();
-        let sum = |f: i64, name: &str| {
-            result
-                .aggregate_for(&[Value::int(f), Value::str(name)])
-                .unwrap()[0]
-                .clone()
-        };
-        assert_eq!(result.num_rows(), 3);
-        assert_eq!(sum(7, "red"), AggValue::Int(10_001));
-        assert_eq!(sum(8, "green"), AggValue::Int(110));
-        assert_eq!(sum(9, "green"), AggValue::Int(1_000));
-    }
-
-    #[test]
-    fn finalize_orders_rows_like_value_ordering() {
-        // Ranks stand in for the values when finalize sorts: the row order must be
-        // `Vec<Value>`'s own (Int < Str < Null within a column), whatever order
-        // the values were first seen in.
-        let q = dim_grouped_query(true);
-        let mut agg = GroupedAggregator::new(&q);
-        let keys = [
-            (Value::Null, Some("b")),
-            (Value::str("x"), Some("a")),
-            (Value::int(5), None),
-            (Value::int(-3), Some("b")),
-            (Value::str(""), Some("b")),
-            (Value::int(5), Some("a")),
-            (Value::int(-3), Some("a")),
-        ];
-        for (fact_key, name) in &keys {
-            let row = name.map(|n| color(0, n));
-            agg.accumulate(
-                &Row::new(vec![fact_key.clone(), Value::int(1)]),
-                &[row.as_ref()],
-            );
-        }
-        let mut expected: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|(k, n)| vec![k.clone(), n.map_or(Value::Null, Value::str)])
-            .collect();
-        expected.sort();
-        let got: Vec<Vec<Value>> = agg.finalize().rows().map(|(k, _)| k.clone()).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -943,8 +754,16 @@ mod tests {
 
     #[test]
     fn missing_dimension_row_groups_under_null() {
-        let mut agg = GroupedAggregator::new(&dim_grouped_query(false));
-        let red = color(1, "red");
+        let mut q = simple_bound_query(vec![], vec![AggFunc::Sum]);
+        q.group_by.push(BoundColumnRef {
+            name: "color.name".into(),
+            source: crate::star::ColumnSource::Dimension {
+                clause: 0,
+                column: 1,
+            },
+        });
+        let mut agg = GroupedAggregator::new(&q);
+        let red = Row::new(vec![Value::int(1), Value::str("red")]);
         agg.accumulate(&fact(1, 5), &[Some(&red)]);
         agg.accumulate(&fact(2, 7), &[None]);
         agg.accumulate(&fact(3, 11), &[]);
