@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 use cjoin_query::{CompareOp, Predicate};
 use cjoin_storage::{
-    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, Row, RowId, RowVersion,
-    ScanVolume, Schema, Table, Value, ZoneCodes, ZoneMap,
+    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, ScanVolume, Schema, Table,
+    Value, ZoneCodes, ZoneMap,
 };
 
 /// What a row group's zone maps prove about a compiled predicate.
@@ -684,12 +684,6 @@ pub struct ColumnarScanCursor {
     pub(crate) passes: u64,
     /// Average encoded bytes per row of each column (for volume accounting).
     pub(crate) col_bytes_per_row: Vec<u64>,
-    /// Reusable per-chunk match bitmaps (one per query with a fact predicate).
-    pub(crate) match_bufs: Vec<Vec<bool>>,
-    /// Reusable per-chunk set of columns whose bytes were touched.
-    pub(crate) touched_cols: Vec<bool>,
-    /// Reusable buffer for hybrid-tail rows read from the row store.
-    pub(crate) tail_buffer: Vec<(RowId, Row, RowVersion)>,
     /// Per-row-group checksum verdicts, lazily filled on first touch
     /// ([`GROUP_UNVERIFIED`] / [`GROUP_VERIFIED`] / [`GROUP_QUARANTINED`]).
     pub(crate) group_state: Vec<u8>,
@@ -720,9 +714,6 @@ impl ColumnarScanCursor {
             segment_end: None,
             passes: 0,
             col_bytes_per_row,
-            match_bufs: Vec::new(),
-            touched_cols: vec![false; arity],
-            tail_buffer: Vec::new(),
             group_state,
         }
     }
@@ -765,7 +756,7 @@ impl ColumnarScanCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cjoin_storage::{Column, CompressionPolicy, SnapshotId};
+    use cjoin_storage::{Column, CompressionPolicy, Row, SnapshotId};
 
     fn fact_table(rows: i64) -> Table {
         let schema = Schema::new(

@@ -134,6 +134,27 @@ struct AdmissionState {
     /// pipeline's entries, and a pinned `result_tx` would turn the
     /// pre-supervision disconnect error into a hang.
     runtimes: FxHashMap<u32, Arc<QueryRuntime>>,
+    /// `dim_slots[s]` = name of the dimension that owns in-flight-tuple slot
+    /// `s`. A dimension is given a slot the first time a query joins it and
+    /// keeps it for the engine's lifetime, however often its Filter is retired
+    /// and re-created, so the slot count — and with it every pooled tuple's
+    /// `dims` vector — is bounded by the number of distinct dimensions ever
+    /// joined instead of growing with Filter churn. (Why a re-created Filter
+    /// may inherit the slot: [`crate::pipeline::run_stage_worker`].)
+    dim_slots: Vec<String>,
+}
+
+impl AdmissionState {
+    /// The slot of `dimension`, assigned on first use; publishes the new count
+    /// to `slot_count` (what the scan front-end sizes tuples by).
+    fn slot_of(&mut self, dimension: &str, slot_count: &AtomicUsize) -> usize {
+        if let Some(slot) = self.dim_slots.iter().position(|d| d == dimension) {
+            return slot;
+        }
+        self.dim_slots.push(dimension.to_string());
+        slot_count.store(self.dim_slots.len(), Ordering::Release);
+        self.dim_slots.len() - 1
+    }
 }
 
 /// Handle to a query registered with the CJOIN pipeline.
@@ -378,6 +399,7 @@ impl CjoinEngine {
                 allocator: QueryIdAllocator::new(config.max_concurrency),
                 registered: FxHashMap::default(),
                 runtimes: FxHashMap::default(),
+                dim_slots: Vec::new(),
             })),
             config: Mutex::new(config.clone()),
             core: Mutex::new(None),
@@ -551,6 +573,7 @@ impl CjoinEngine {
             in_flight: Arc::clone(&in_flight),
             pool: Arc::clone(&pool),
             slot_count: Arc::clone(&shared.slot_count),
+            chain: Arc::clone(&chain),
             counters: Arc::clone(&counters),
             worker_counters: Arc::clone(&scan_worker_counters[worker]),
             config: config.clone(),
@@ -951,7 +974,7 @@ impl CjoinEngine {
                         existing
                     }
                     None => {
-                        let slot = self.shared.slot_count.fetch_add(1, Ordering::AcqRel);
+                        let slot = admission.slot_of(&clause.table, &self.shared.slot_count);
                         let table = Arc::new(DimensionTable::new(
                             clause.table.clone(),
                             slot,
@@ -2510,6 +2533,50 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
+        engine.shutdown();
+    }
+
+    /// Regression: every (re)created Filter used to take a fresh dimension
+    /// slot, so under Filter churn the slot count — and with it the `dims`
+    /// vector of every pooled tuple, resized per tuple — grew with uptime. A
+    /// dimension now owns one slot for the engine's lifetime.
+    #[test]
+    fn filter_churn_does_not_grow_dimension_slots() {
+        let catalog = small_catalog(120);
+        let config = test_config().with_worker_threads(1).with_batch_size(32);
+        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+        let expected =
+            reference::evaluate(&catalog, &red_sum_query("red"), SnapshotId::INITIAL).unwrap();
+        for round in 0..100 {
+            // The query alone references `color`: its Filter is created at
+            // admission and retired by the manager once the query is cleaned up.
+            let result = engine.execute(red_sum_query(&format!("q{round}"))).unwrap();
+            assert_eq!(result, expected, "round {round}");
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !engine.filter_order().is_empty() {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: Filter never retired"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(engine.shared.slot_count.load(Ordering::Acquire), 1);
+        assert_eq!(engine.shared.admission.lock().dim_slots, ["color"]);
+
+        // A pooled tuple still carries the `dims` vector of its last trip.
+        let pool = Arc::clone(&engine.shared.core.lock().as_ref().unwrap().pool);
+        let mut batch = pool.take(1);
+        let (tuple, recycled) = batch.next_slot(32);
+        assert!(
+            recycled,
+            "the pool holds batches that went round the pipeline"
+        );
+        assert_eq!(
+            tuple.dims.len(),
+            1,
+            "sized by distinct dimensions, not by churn"
+        );
         engine.shutdown();
     }
 

@@ -26,6 +26,12 @@
 //!   description starts from — one lock acquisition, one `Arc` clone and up to four
 //!   atomic increments per tuple per Filter via [`apply_filter`].
 //!
+//! The per-bit-vector decision of the batched path — early skip, probe, then a
+//! hit / multi-version / miss outcome — is `probe_bits`, which works on bare
+//! bit-vector words so that the columnar scan front-end can run the chain's
+//! leading Filter on rows it has not materialised yet (see
+//! [`crate::preprocessor`]); the Stage and the scan side share that one kernel.
+//!
 //! Both produce identical surviving tuples and statistics totals; the
 //! `abl_probe_locking` benchmark quantifies the difference. (When dimension churn
 //! creates multi-version keys, split tuples are appended at the batch tail and the
@@ -39,7 +45,7 @@ use parking_lot::RwLock;
 
 use cjoin_common::QuerySet;
 
-use crate::dimension::{DimEntry, DimensionTable, FilterStats};
+use crate::dimension::{DimEntry, DimensionTable, FilterStats, ProbeGuard};
 use crate::tuple::{Batch, InFlightTuple};
 
 /// Combines a fact tuple with the content *versions* stored for its key when more
@@ -58,7 +64,7 @@ use crate::tuple::{Batch, InFlightTuple};
 /// them. Returns whether the in-place tuple survives; splits (which always
 /// survive) are appended to `splits` and must be routed through the *remaining*
 /// filters by the caller.
-fn combine_versions(
+pub(crate) fn combine_versions(
     versions: &[Arc<DimEntry>],
     slot: usize,
     tuple: &mut InFlightTuple,
@@ -98,6 +104,53 @@ fn combine_versions(
             tuple.dims[slot] = Some(versions[vi].row.clone());
             true
         }
+    }
+}
+
+/// What one Filter decided for one tuple's bit-vector.
+pub(crate) enum ProbeOutcome<'g> {
+    /// The bit-vector became zero: the tuple is dropped.
+    Dropped,
+    /// The tuple survives with nothing to attach: the probe was skipped, or the
+    /// key missed and a query that ignores the dimension keeps the tuple.
+    Kept,
+    /// The tuple survives joined with this entry; the caller attaches its row.
+    Joined(&'g DimEntry),
+    /// The key has several content versions. The bit-vector is untouched: the
+    /// caller runs [`combine_versions`] on the materialised tuple (and counts a
+    /// drop if it does not survive).
+    Versions(&'g [Arc<DimEntry>]),
+}
+
+/// One Filter applied to one bit-vector held as bare words: the §3.2.2 early
+/// skip, then a probe of `guard` with the foreign key (`fk` is only called when
+/// the probe happens), then the AND with the hit's `bδ` or, on a miss, with
+/// `bDj`. Probe, skip and drop counts accumulate in `stats`; `tuples_in` is the
+/// caller's, who knows the batch size.
+#[inline]
+pub(crate) fn probe_bits<'g>(
+    dim: &DimensionTable,
+    guard: &'g ProbeGuard<'_>,
+    early_skip: bool,
+    bits: &mut [u64],
+    fk: impl FnOnce() -> i64,
+    stats: &mut BatchLocalStats,
+) -> ProbeOutcome<'g> {
+    if early_skip && dim.complement.contains_all_words(bits) {
+        stats.skips += 1;
+        return ProbeOutcome::Kept;
+    }
+    stats.probes += 1;
+    let (emptied, outcome) = match guard.get(fk()) {
+        Some([entry]) => (entry.bits.and_words(bits), ProbeOutcome::Joined(entry)),
+        Some(versions) => return ProbeOutcome::Versions(versions),
+        None => (dim.complement.and_words(bits), ProbeOutcome::Kept),
+    };
+    if emptied {
+        stats.tuples_dropped += 1;
+        ProbeOutcome::Dropped
+    } else {
+        outcome
     }
 }
 
@@ -215,6 +268,13 @@ impl FilterChain {
         self.filters.read().clone()
     }
 
+    /// The Filter currently first in the order — the one the run-time optimizer
+    /// keeps most selective, and the one the columnar scan front-end probes
+    /// before it materialises a row.
+    pub fn leading(&self) -> Option<Arc<DimensionTable>> {
+        self.filters.read().first().cloned()
+    }
+
     /// Current order as dimension names (diagnostics / tests).
     pub fn order(&self) -> Vec<String> {
         self.filters.read().iter().map(|f| f.name.clone()).collect()
@@ -296,39 +356,27 @@ impl FilterChain {
             let mut kept = 0usize;
             for i in 0..live {
                 let tuple = &mut batch[i];
-                let survives = if early_skip && dim.complement.contains_all(&tuple.bits) {
-                    stats.skips += 1;
-                    true
-                } else {
-                    stats.probes += 1;
-                    let fk = tuple.row.int(dim.fact_fk_column);
-                    match guard.get(fk) {
-                        Some([entry]) => {
-                            if entry.bits.and_into_with_zero_check(&mut tuple.bits) {
-                                stats.tuples_dropped += 1;
-                                false
-                            } else {
-                                tuple.ensure_slots(slot + 1);
-                                tuple.dims[slot] = Some(entry.row.clone());
-                                true
-                            }
-                        }
-                        Some(versions) => {
-                            if combine_versions(versions, slot, tuple, &mut splits) {
-                                true
-                            } else {
-                                stats.tuples_dropped += 1;
-                                false
-                            }
-                        }
-                        None => {
-                            if dim.complement.and_into_with_zero_check(&mut tuple.bits) {
-                                stats.tuples_dropped += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        }
+                let row = &tuple.row;
+                let outcome = probe_bits(
+                    dim,
+                    &guard,
+                    early_skip,
+                    tuple.bits.words_mut(),
+                    || row.int(dim.fact_fk_column),
+                    &mut stats,
+                );
+                let survives = match outcome {
+                    ProbeOutcome::Dropped => false,
+                    ProbeOutcome::Kept => true,
+                    ProbeOutcome::Joined(entry) => {
+                        tuple.ensure_slots(slot + 1);
+                        tuple.dims[slot] = Some(entry.row.clone());
+                        true
+                    }
+                    ProbeOutcome::Versions(versions) => {
+                        let survives = combine_versions(versions, slot, tuple, &mut splits);
+                        stats.tuples_dropped += u64::from(!survives);
+                        survives
                     }
                 };
                 if survives {
@@ -402,16 +450,16 @@ impl FilterChain {
 /// Per-(batch, filter) statistics accumulated in registers/stack and flushed to the
 /// shared [`FilterStats`] atomics once, instead of up to four `fetch_add`s per tuple.
 #[derive(Debug, Default)]
-struct BatchLocalStats {
-    tuples_in: u64,
-    tuples_dropped: u64,
-    probes: u64,
-    skips: u64,
+pub(crate) struct BatchLocalStats {
+    pub(crate) tuples_in: u64,
+    pub(crate) tuples_dropped: u64,
+    pub(crate) probes: u64,
+    pub(crate) skips: u64,
 }
 
 impl BatchLocalStats {
     #[inline]
-    fn flush(&self, stats: &FilterStats) {
+    pub(crate) fn flush(&self, stats: &FilterStats) {
         if self.tuples_in > 0 {
             stats.tuples_in.fetch_add(self.tuples_in, Ordering::Relaxed);
         }

@@ -307,20 +307,41 @@ pub fn stage_slice(
 /// defensively if ever seen. A `Shutdown` message stops the worker without being
 /// forwarded; the engine shuts each Stage down explicitly.
 ///
-/// Multi-Stage layouts must tolerate the filter chain growing, shrinking or being
-/// reordered *while a batch travels between Stages* (query admission and the
-/// run-time optimizer both mutate the chain): slice boundaries computed from one
-/// Stage's snapshot need not line up with the next Stage's, so naively slicing
-/// could process a Filter twice or — worse — skip it entirely, leaking tuples that
-/// should have been dropped. Each batch therefore records which Filters already
-/// processed it (by slot id, unique per Filter instance), every Stage skips those,
-/// and the **final Stage applies all remaining Filters of its snapshot** rather
-/// than just its slice, so no Filter present at the end of the pipe is ever
-/// missed. Filters admitted after a batch entered the pipeline are safe on both
-/// sides: the batch's tuples cannot carry the new query's bit, and the new Filter
-/// passes unreferencing queries' tuples through unchanged. With a single Stage the
-/// snapshot is taken and applied atomically per batch, so the untracked fast path
-/// is kept.
+/// # One tracked path
+///
+/// A batch can meet a different filter chain at every hop. Query admission and
+/// the run-time optimizer grow, shrink and reorder the chain *while the batch
+/// travels*: between two Stages of a multi-Stage layout — where slice boundaries
+/// computed from one snapshot need not line up with the next, so naive slicing
+/// could apply a Filter twice or, worse, never — and, in every layout, between
+/// the columnar scan front-end and the first Stage, because that front-end
+/// probes the chain's leading Filter itself before it materialises a row (see
+/// [`crate::preprocessor`]). Each batch therefore records which Filters already
+/// processed it, by dimension slot ([`Batch::mark_filter_applied`]): whoever
+/// probes a Filter marks the batch with the slot of the Filter *that actually
+/// probed it*, every Stage skips marked Filters, and the **final Stage applies
+/// every unmarked Filter of its snapshot** rather than just its slice, so no
+/// Filter present at the end of the pipe is ever missed and none runs twice.
+/// There is no untracked variant: a single-Stage layout is the final Stage of a
+/// one-Stage pipe.
+///
+/// A Filter that enters the chain after a batch was produced (or after the scan
+/// side chose that chunk's leading Filter) may run on the batch or not; both are
+/// sound. The batch's tuples cannot carry the bit of the query whose admission
+/// created the Filter — that bit is only set by the scan after the query is
+/// installed, which follows its registration — and for every other registered
+/// query the new Filter's `bDj` holds a 1, so the Filter passes their tuples
+/// through unchanged and attaches nothing they read.
+///
+/// A dimension keeps its slot for the engine's lifetime, so a Filter re-created
+/// for a dimension whose previous Filter was retired inherits that slot, and a
+/// batch still in flight may carry the mark its predecessor left. That is the
+/// case above once more: the predecessor was retired only after its last
+/// referencing query ended, behind the drain barrier, so a batch marked by it
+/// carries no bit of a query that references the dimension, and the successor —
+/// admitted after the batch was produced — has nothing to do on it.
+///
+/// [`Batch::mark_filter_applied`]: crate::tuple::Batch::mark_filter_applied
 #[allow(clippy::too_many_arguments)]
 pub fn run_stage_worker(
     stage_index: usize,
@@ -332,40 +353,31 @@ pub fn run_stage_worker(
     batched_probing: bool,
     faults: Option<Arc<FaultPlan>>,
 ) {
-    // Worker-local scratch for the tracked multi-Stage path, reused across
-    // batches so per-batch bookkeeping allocates nothing at steady state.
+    // Worker-local scratch, reused across batches so per-batch bookkeeping
+    // allocates nothing at steady state.
     let mut todo_scratch: Vec<Arc<DimensionTable>> = Vec::new();
     while let Ok(msg) = input.recv() {
         match msg {
             Message::Data(mut batch) => {
                 fault::inject(&faults, FaultSite::StageWorker);
                 let filters = chain.snapshot();
-                if num_stages <= 1 {
-                    FilterChain::process_batch(&filters, &mut batch, early_skip, batched_probing);
+                let last = stage_index + 1 == num_stages;
+                let candidates: &[Arc<DimensionTable>] = if last {
+                    &filters
                 } else {
-                    let last = stage_index + 1 == num_stages;
-                    let candidates: &[Arc<DimensionTable>] = if last {
-                        &filters
-                    } else {
-                        stage_slice(&filters, stage_index, num_stages)
-                    };
-                    todo_scratch.clear();
-                    todo_scratch.extend(
-                        candidates
-                            .iter()
-                            .filter(|f| !batch.filter_applied(f.slot))
-                            .cloned(),
-                    );
-                    for f in &todo_scratch {
-                        batch.mark_filter_applied(f.slot);
-                    }
-                    FilterChain::process_batch(
-                        &todo_scratch,
-                        &mut batch,
-                        early_skip,
-                        batched_probing,
-                    );
+                    stage_slice(&filters, stage_index, num_stages)
+                };
+                todo_scratch.clear();
+                todo_scratch.extend(
+                    candidates
+                        .iter()
+                        .filter(|f| !batch.filter_applied(f.slot))
+                        .cloned(),
+                );
+                for f in &todo_scratch {
+                    batch.mark_filter_applied(f.slot);
                 }
+                FilterChain::process_batch(&todo_scratch, &mut batch, early_skip, batched_probing);
                 if output.send(Message::Data(batch)).is_err() {
                     return;
                 }

@@ -66,13 +66,66 @@
 //! row-store frontier and the segment end all fall on chunk starts; the §3.3
 //! lifecycle steps (admission at boundaries, wrap-around completion, drain
 //! barriers) therefore run at chunk starts with the exact same ordering as the
-//! row path's per-row boundary checks. Within a chunk, fact predicates are
-//! evaluated over encoded data via each query's install-time-compiled
-//! [`EncodedFactPredicate`] (zone maps decide whole chunks where possible),
-//! and surviving tuples materialise only the union of columns the active
-//! queries' join keys, group-bys and aggregates read — column positions are
-//! preserved (unneeded columns read as NULL) so every downstream index keeps
-//! working. See [`crate::colscan`] for the correctness argument.
+//! row path's per-row boundary checks. See [`crate::colscan`] for why encoded
+//! evaluation and late materialisation are exact.
+//!
+//! A chunk inside a verified row group is processed a phase at a time, and a
+//! row exists only once something wants it:
+//!
+//! 1. **Verdicts.** Each active fact predicate is resolved once for the chunk:
+//!    the group's zone maps decide it (`Never` removes the query's bit from the
+//!    chunk's base mask, `Always` leaves nothing to test), or the query's
+//!    install-time-compiled [`EncodedFactPredicate`] fills a match buffer over
+//!    the encoded data. If no query can want any row the chunk is skipped.
+//! 2. **Selection.** A selection vector of the rows whose `bτ` is non-zero
+//!    after the match buffers and snapshot visibility, their bit-vectors side
+//!    by side in one flat scratch (stride = words of `maxConc`). When every
+//!    active query owns a match buffer, a row none of them matched costs its
+//!    share of one OR over the buffers and nothing else.
+//! 3. **Leading probe.** The chain's *leading* Filter — the first of
+//!    [`FilterChain`]'s order at that moment, the one the run-time optimizer
+//!    keeps most selective — is probed for the selected rows straight off the
+//!    encoded foreign-key column: one bulk gather
+//!    ([`IntEncoding::gather`](cjoin_storage::IntEncoding::gather)), one
+//!    [`ProbeGuard`](crate::dimension::ProbeGuard) for the chunk, the §3.2.2
+//!    early skip honoured, bits ANDed in place by the kernel the Stages use
+//!    (`filter::probe_bits`), the selection compacted to the survivors.
+//! 4. **Materialisation.** `project_row` + `reset` for the survivors only — the
+//!    union of columns the active queries' join keys, group-bys and aggregates
+//!    read, positions preserved, the rest NULL — with the joined dimension row
+//!    attached and every emitted batch marked
+//!    ([`Batch::mark_filter_applied`]) with the slot of the Filter that probed
+//!    it, so the Stages run the *rest* of the chain and never probe it again
+//!    (the argument for chains that change between chunk and Stage is in
+//!    [`crate::pipeline::run_stage_worker`]).
+//!
+//! **Why only the leading Filter.** The paper drops tuples as early as possible
+//! (§3.2.2) and names tuple materialisation as the cost its allocator exists to
+//! hide (§4); on a selective mix the first Filter discards most of what the
+//! fact predicates let through, so probing it before phase 4 removes most of
+//! the rows there are to build, while every further Filter moved to the scan
+//! thread would move its probes onto the one thread that cannot be widened
+//! without splitting the scan. The Filter is chosen per chunk and recorded per
+//! batch, so reordering needs no coordination with the scan. When phase 3
+//! cannot run — the chain is empty, no active query references the leading
+//! dimension, or its foreign key is not a non-null integer column of the
+//! replica — phase 4 materialises the whole selection unmarked and the Stage
+//! probes as before. Hybrid-tail and quarantined chunks take the row-at-a-time
+//! path (`emit_materialized_rows`), also unmarked.
+//!
+//! **Lock discipline.** The probe guard is the read lock of the dimension's
+//! hash table, and a Stage needs the same lock to make progress. Phase 3 takes
+//! it and releases it before phase 4 begins; only phase 4 flushes (which can
+//! block on a full Stage queue) and only after phase 4 does the chunk finalize
+//! queries (which waits on the drain barrier, or on the coordinator's stall).
+//! So the scan never blocks while holding it — with a writer-preferring lock, a
+//! `register_query` / `unregister_query` queued behind a guard held across a
+//! blocked flush would stall the Stage's next read and deadlock all three.
+//!
+//! **Filter statistics.** The leading Filter's `tuples_in` / `probes` / `skips`
+//! / `tuples_dropped` for a chunk are flushed once, from the scan side, so its
+//! drop rate stays whole for `reorder_filters`, and "tuples entering the chain"
+//! still means the tuples that met their first Filter.
 //!
 //! ## Control-tuple ordering
 //!
@@ -102,8 +155,8 @@ use cjoin_common::{QueryId, QuerySet};
 use cjoin_query::star::ColumnSource;
 use cjoin_query::{BoundPredicate, BoundStarQuery};
 use cjoin_storage::{
-    ColumnId, ContinuousScan, EncodedColumn, PartitionScheme, RowId, RowVersion, ScanBatch,
-    SnapshotId,
+    ColumnId, ColumnarTable, ContinuousScan, EncodedColumn, PartitionScheme, Row, RowGroup, RowId,
+    RowVersion, ScanBatch, ScanVolume, SnapshotId,
 };
 
 use crate::colscan::{
@@ -111,11 +164,13 @@ use crate::colscan::{
     GROUP_VERIFIED,
 };
 use crate::config::CjoinConfig;
+use crate::dimension::{DimEntry, DimensionTable};
 use crate::fault::{self, FaultPlan, FaultSite};
+use crate::filter::{combine_versions, probe_bits, BatchLocalStats, FilterChain, ProbeOutcome};
 use crate::pool::BatchPool;
 use crate::progress::QueryProgress;
 use crate::stats::{ScanWorkerCounters, SharedCounters};
-use crate::tuple::{Batch, ControlTuple, Message, QueryRuntime};
+use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
 
 /// Partition-pruning plan attached to a query at admission (§5, Fact Table
 /// Partitioning): the set of partitions the query needs and how many fact rows of
@@ -202,6 +257,9 @@ pub struct PreprocessorContext {
     pub pool: Arc<BatchPool>,
     /// Number of dimension slots currently allocated (for tuple sizing).
     pub slot_count: Arc<AtomicUsize>,
+    /// The filter chain the Stages run. The columnar front-end probes its
+    /// leading Filter itself, before it materialises a row.
+    pub chain: Arc<FilterChain>,
     /// Global pipeline counters.
     pub counters: Arc<SharedCounters>,
     /// This worker's own counters (always sum to the global totals).
@@ -263,17 +321,80 @@ struct ActiveQuery {
     partition: Option<PartitionPlan>,
 }
 
-/// How one query's fact predicate resolved for the current columnar chunk.
-enum ChunkPredicate {
-    /// The zone maps prove every row of the chunk's group matches.
-    All,
-    /// The zone maps prove no row can match.
-    None,
-    /// Evaluated over encoded data into the match buffer at this index.
+/// A per-row test phase 2 still owes one query after the chunk-level verdicts
+/// (queries whose zone verdict was `Always`, or that have no fact predicate,
+/// owe nothing; a `Never` verdict already removed the bit from the chunk's base
+/// mask).
+#[derive(Debug)]
+enum RowTest {
+    /// The encoded kernel's match buffer at this index.
     Buf(usize),
     /// The predicate did not compile: evaluate the bound predicate on a
     /// materialised replica row (shared across queries within the row).
     RowEval,
+}
+
+/// What the scan-side probe of the leading Filter (phase 3) owes a surviving
+/// row once phase 4 has materialised it. Owned, not borrowed: the
+/// [`ProbeGuard`](crate::dimension::ProbeGuard) is gone by then.
+#[derive(Debug)]
+enum Joined {
+    /// Nothing to attach (probe skipped, or a miss a query ignoring the
+    /// dimension survives).
+    Nothing,
+    /// The joining dimension row.
+    Row(Row),
+    /// The key's content versions: claimed-split on the materialised tuple.
+    Versions(Vec<Arc<DimEntry>>),
+}
+
+/// Reusable buffers of the columnar front-end's chunk phases. Every vector is
+/// cleared, never shrunk, so the steady state allocates nothing.
+#[derive(Debug, Default)]
+struct ChunkScratch {
+    /// Match bitmaps of the encoded predicate kernels, one per `RowTest::Buf`.
+    match_bufs: Vec<Vec<bool>>,
+    /// Columns whose encoded bytes this chunk read for all of its rows.
+    touched: Vec<bool>,
+    /// Hybrid-tail / quarantined rows read from the row store.
+    tail_rows: Vec<(RowId, Row, RowVersion)>,
+    /// Phase 1: the per-row tests still owed, `(query bit, test)`.
+    tests: Vec<(usize, RowTest)>,
+    /// Phase 1: words of the active mask minus the queries the zone maps ruled out.
+    base: Vec<u64>,
+    /// Phase 2: OR of the match buffers, when every active query has one.
+    wanted: Vec<bool>,
+    /// One encoded integer column decoded for the chunk: the partition column
+    /// in phase 2, then the leading Filter's foreign keys in phase 3.
+    values: Vec<i64>,
+    /// Phase 2: the selection vector — chunk offsets of the rows whose `bτ` is
+    /// non-zero — compacted by phase 3 to the probe's survivors.
+    sel: Vec<u32>,
+    /// The selected rows' bit-vectors, `base.len()` words each.
+    sel_bits: Vec<u64>,
+    /// Phase 3: per surviving row, what to attach once it is materialised
+    /// (empty when the leading Filter was not probed scan-side).
+    joined: Vec<Joined>,
+    /// Queries whose partition plan completed on the chunk's last row.
+    partition_done: Vec<usize>,
+}
+
+#[inline]
+fn clear_bit(words: &mut [u64], bit: usize) {
+    words[bit / 64] &= !(1u64 << (bit % 64));
+}
+
+/// What phase 1 learnt about the chunk as a whole.
+#[derive(Debug, Default)]
+struct ChunkVerdicts {
+    /// Some active query wants every row before visibility: it has no fact
+    /// predicate, the zone maps prove its predicate over the whole group, or
+    /// its predicate must be evaluated row by row.
+    unconditional: bool,
+    /// Some active query carries a partition plan (rows must be counted).
+    any_partition: bool,
+    /// Some predicate did not compile and is evaluated on materialised rows.
+    any_row_eval: bool,
 }
 
 /// The fact columns `bound`'s join keys, group-bys and aggregate inputs read —
@@ -323,6 +444,7 @@ pub struct Preprocessor {
     in_flight: Arc<AtomicI64>,
     pool: Arc<BatchPool>,
     slot_count: Arc<AtomicUsize>,
+    chain: Arc<FilterChain>,
     counters: Arc<SharedCounters>,
     worker_counters: Arc<ScanWorkerCounters>,
     poison: Arc<AtomicBool>,
@@ -366,6 +488,8 @@ pub struct Preprocessor {
     col_needs: Vec<usize>,
     /// Cached sorted union of the active queries' needed columns.
     projection: Vec<ColumnId>,
+    /// Buffers of the columnar chunk phases (unused by the row front-end).
+    chunk: ChunkScratch,
     shutdown: bool,
 }
 
@@ -455,6 +579,7 @@ impl Preprocessor {
             in_flight: ctx.in_flight,
             pool: ctx.pool,
             slot_count: ctx.slot_count,
+            chain: ctx.chain,
             counters: ctx.counters,
             worker_counters: ctx.worker_counters,
             poison: ctx.poison,
@@ -474,6 +599,7 @@ impl Preprocessor {
             boundary_scratch: Vec::new(),
             col_needs,
             projection: Vec::new(),
+            chunk: ChunkScratch::default(),
             shutdown: false,
         }
     }
@@ -755,21 +881,7 @@ impl Preprocessor {
             std::thread::sleep(Duration::from_micros(self.config.idle_sleep_us));
             return;
         }
-        SharedCounters::add(&self.counters.tuples_scanned, scan_buffer.len() as u64);
-        SharedCounters::add(
-            &self.worker_counters.tuples_scanned,
-            scan_buffer.len() as u64,
-        );
-        self.pass_rows_seen += scan_buffer.len() as u64;
-        // Every active query sees every scanned row exactly once per pass; the batch
-        // length is therefore each query's progress increment (§3.2.3). With
-        // segment workers the per-segment batches sum to the whole table, so the
-        // shared tracker stays exact.
-        for bit in self.active_mask.iter() {
-            if let Some(q) = &self.queries[bit] {
-                q.progress.advance(scan_buffer.len() as u64);
-            }
-        }
+        self.note_rows_scanned(scan_buffer.len() as u64);
 
         // One ordered range query per batch finds every query whose starting tuple
         // lies in the batch's (consecutive, ascending) row range; the per-row loop
@@ -908,8 +1020,10 @@ impl Preprocessor {
     // Columnar scan processing
     // ------------------------------------------------------------------
 
-    /// Advances the columnar cursor by one chunk, running the same per-row
-    /// lifecycle as [`Preprocessor::process_next_scan_batch`] over encoded data.
+    /// Advances the columnar cursor by one chunk: the §3.3 lifecycle steps at
+    /// the chunk start, then the chunk's rows — from the row store for the
+    /// hybrid tail and quarantined groups, through the four encoded-region
+    /// phases ([`Preprocessor::scan_encoded_chunk`]) otherwise.
     ///
     /// Chunks are cut so that every query-start boundary, row-group edge, the
     /// replica/row-store frontier and the segment end fall on a chunk *start*:
@@ -918,22 +1032,17 @@ impl Preprocessor {
     /// either fully inside one row group (so its zone maps apply) or fully in
     /// the hybrid tail (served from the row store).
     fn process_next_columnar_chunk(&mut self) {
-        // Take the cursor state out so `&mut self` methods (flush /
-        // finalize_query) stay callable inside the loop; written back below.
-        let ScanKind::Columnar(cursor) = &mut self.scan else {
+        let ScanKind::Columnar(cursor) = &self.scan else {
             unreachable!("the columnar chunk path runs only over a columnar cursor");
         };
         let replica = Arc::clone(&cursor.replica);
         let table = Arc::clone(&cursor.table);
         let volume = Arc::clone(&cursor.volume);
-        let col_bytes = std::mem::take(&mut cursor.col_bytes_per_row);
-        let mut match_bufs = std::mem::take(&mut cursor.match_bufs);
-        let mut tail_rows = std::mem::take(&mut cursor.tail_buffer);
-        let mut touched = std::mem::take(&mut cursor.touched_cols);
-        let mut group_state = std::mem::take(&mut cursor.group_state);
         let (start, end) = cursor.current_bounds();
         let mut position = cursor.position;
         let mut passes = cursor.passes;
+        // Taken out so `&mut self` methods stay callable; put back below.
+        let mut chunk = std::mem::take(&mut self.chunk);
 
         'chunk: {
             if start >= end {
@@ -1008,269 +1117,478 @@ impl Preprocessor {
             }
             let chunk_len = (chunk_end - position) as usize;
 
-            SharedCounters::add(&self.counters.tuples_scanned, chunk_len as u64);
-            SharedCounters::add(&self.worker_counters.tuples_scanned, chunk_len as u64);
-            self.pass_rows_seen += chunk_len as u64;
-            for bit in self.active_mask.iter() {
-                if let Some(q) = &self.queries[bit] {
-                    q.progress.advance(chunk_len as u64);
-                }
-            }
-
-            if position >= replica_len {
-                // Hybrid tail: rows appended after the replica was built are
-                // served from the live row store with the full per-row path.
-                tail_rows.clear();
-                table.read_range(position, chunk_len, &mut tail_rows);
-                self.emit_materialized_rows(&mut tail_rows);
+            // Hybrid tail (rows appended after the replica was built) and
+            // quarantined groups are served from the live row store with the
+            // full per-row path; the replica is a frozen prefix of the row
+            // store, so a quarantined group's rows (and results) are identical,
+            // just slower. Chunks never cross a group edge, so the whole chunk
+            // shares one checksum verdict.
+            if position >= replica_len || !self.group_verified(replica.group_of(position)) {
+                self.note_rows_scanned(chunk_len as u64);
+                chunk.tail_rows.clear();
+                table.read_range(position, chunk_len, &mut chunk.tail_rows);
+                self.emit_materialized_rows(&mut chunk.tail_rows);
                 let bytes = chunk_len as u64 * 8 * replica.schema().arity() as u64;
                 volume.record_scan(chunk_len as u64, bytes);
                 position = chunk_end;
                 break 'chunk;
             }
 
-            // Checksum gate: verify each row group once before trusting its
-            // encoded columns or zone maps. A group that fails is quarantined
-            // for the life of this cursor and served from the live row store
-            // exactly like the hybrid tail — the replica is a frozen prefix of
-            // the row store, so the rows (and results) are identical, just
-            // slower. Chunks never cross a group edge, so the whole chunk
-            // shares one verdict.
-            let g = replica.group_of(position);
-            if group_state.get(g).copied() == Some(GROUP_UNVERIFIED) {
-                if replica.verify_group(g) {
-                    group_state[g] = GROUP_VERIFIED;
-                } else {
-                    group_state[g] = GROUP_QUARANTINED;
-                    volume.record_group_quarantined();
-                    eprintln!(
-                        "cjoin: columnar row group {g} failed its checksum; \
-                         serving its rows from the row store"
-                    );
-                }
-            }
-            if group_state.get(g).copied() == Some(GROUP_QUARANTINED) {
-                tail_rows.clear();
-                table.read_range(position, chunk_len, &mut tail_rows);
-                self.emit_materialized_rows(&mut tail_rows);
-                let bytes = chunk_len as u64 * 8 * replica.schema().arity() as u64;
-                volume.record_scan(chunk_len as u64, bytes);
-                position = chunk_end;
-                break 'chunk;
-            }
-
-            // Encoded region: the chunk lies inside one row group. Resolve each
-            // active fact predicate once for the whole chunk — a zone verdict
-            // where the maps decide, an encoded-kernel evaluation into a match
-            // bitmap otherwise, or a per-row fallback for predicates that did
-            // not compile.
-            let group = &replica.row_groups()[replica.group_of(position)];
-            for t in touched.iter_mut() {
-                *t = false;
-            }
-            let mut states: Vec<(usize, ChunkPredicate)> = Vec::new();
-            let mut bufs_used = 0usize;
-            let mut all_never = !self.active_mask.is_empty();
-            let mut any_partition = false;
-            let mut any_row_eval = false;
-            for bit in self.active_mask.iter() {
-                let Some(q) = &self.queries[bit] else {
-                    continue;
-                };
-                if q.partition.is_some() {
-                    any_partition = true;
-                }
-                if q.fact_predicate.is_none() {
-                    all_never = false;
-                    continue;
-                }
-                let state = match &q.encoded_predicate {
-                    Some(encoded) => match encoded.zone_verdict(&group.zones) {
-                        ZoneVerdict::Never => ChunkPredicate::None,
-                        ZoneVerdict::Always => {
-                            all_never = false;
-                            ChunkPredicate::All
-                        }
-                        ZoneVerdict::Maybe => {
-                            all_never = false;
-                            if match_bufs.len() == bufs_used {
-                                match_bufs.push(Vec::new());
-                            }
-                            let buf = &mut match_bufs[bufs_used];
-                            buf.clear();
-                            buf.resize(chunk_len, false);
-                            encoded.eval_range(&replica, position as usize, buf, &volume);
-                            for &c in encoded.columns() {
-                                touched[c] = true;
-                            }
-                            bufs_used += 1;
-                            ChunkPredicate::Buf(bufs_used - 1)
-                        }
-                    },
-                    None => {
-                        all_never = false;
-                        any_row_eval = true;
-                        ChunkPredicate::RowEval
-                    }
-                };
-                states.push((bit, state));
-            }
-
-            // Zone-map chunk skip: every active query's predicate is provably
-            // false over this group, and no partition plan needs the rows
-            // counted towards its coverage.
-            if all_never && !any_partition {
-                volume.record_group_skip(chunk_len as u64);
-                position = chunk_end;
-                break 'chunk;
-            }
-            if any_row_eval {
-                // The fallback materialises full rows: every column is touched.
-                for t in touched.iter_mut() {
-                    *t = true;
-                }
-            }
-
-            let check_visibility = !group.all_always_visible;
-            let num_slots = self.slot_count.load(Ordering::Acquire);
-            let mut out: Batch = self.pool.take(self.config.batch_size);
-            let mut partition_done: Vec<usize> = Vec::new();
-            let mut tuples_recycled = 0u64;
-            let mut tuples_allocated = 0u64;
-            let mut mat_rows = 0u64;
-            for i in position as usize..chunk_end as usize {
-                let j = i - position as usize;
-                self.bits_scratch.copy_from(&self.active_mask);
-                if check_visibility {
-                    // Snapshot visibility as a virtual fact predicate (§3.5),
-                    // from the replica's frozen version metadata.
-                    if let Some(version) = replica.version(i) {
-                        if version != RowVersion::ALWAYS_VISIBLE {
-                            for bit in self.active_mask.iter() {
-                                if let Some(q) = &self.queries[bit] {
-                                    if !version.visible_at(q.snapshot) {
-                                        self.bits_scratch.unset(bit);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                let mut full_row = None;
-                for &(bit, ref state) in &states {
-                    match state {
-                        ChunkPredicate::All => {}
-                        ChunkPredicate::None => self.bits_scratch.unset(bit),
-                        ChunkPredicate::Buf(b) => {
-                            if !match_bufs[*b][j] {
-                                self.bits_scratch.unset(bit);
-                            }
-                        }
-                        ChunkPredicate::RowEval => {
-                            let row = full_row
-                                .get_or_insert_with(|| replica.row(i).expect("row in replica"));
-                            let keep = self.queries[bit]
-                                .as_ref()
-                                .and_then(|q| q.fact_predicate.as_ref())
-                                .is_some_and(|p| p.eval(row));
-                            if !keep {
-                                self.bits_scratch.unset(bit);
-                            }
-                        }
-                    }
-                }
-                if any_partition {
-                    // Partition coverage counts *seen* rows whether or not a
-                    // predicate dropped them (same rule as the row path); the
-                    // partition column is read from the encoded data because
-                    // the projected tuple may not carry it.
-                    if let Some((scheme, column)) = &self.partition_scheme {
-                        let value = match replica.encoded_column(*column) {
-                            EncodedColumn::Int { data, .. } => data.get(i).unwrap_or(0),
-                            EncodedColumn::Str { .. } => 0,
-                        };
-                        let pid = scheme.partition_of(value).index();
-                        for &bit in &self.special_bits {
-                            let Some(q) = &mut self.queries[bit] else {
-                                continue;
-                            };
-                            if let Some(plan) = &mut q.partition {
-                                if plan.needed.get(pid).copied().unwrap_or(false) {
-                                    plan.remaining_rows = plan.remaining_rows.saturating_sub(1);
-                                    if plan.remaining_rows == 0 {
-                                        partition_done.push(bit);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if !self.bits_scratch.is_empty() {
-                    // Late materialization: only the union of columns the
-                    // active queries read is decoded; positions are preserved
-                    // (the rest are NULL) so downstream indices keep working.
-                    let (slot, recycled) = out.next_slot(self.config.max_concurrency);
-                    let row = replica.project_row(i, &self.projection);
-                    slot.reset(RowId(i as u64), row, &self.bits_scratch, num_slots);
-                    mat_rows += 1;
-                    if recycled {
-                        tuples_recycled += 1;
-                    } else {
-                        tuples_allocated += 1;
-                    }
-                    if out.len() >= self.config.batch_size {
-                        out = self.flush(out);
-                    }
-                }
-                if !partition_done.is_empty() {
-                    out = self.flush(out);
-                    for bit in partition_done.drain(..) {
-                        self.finalize_query(bit);
-                    }
-                    if self.active_mask.is_empty() {
-                        break;
-                    }
-                }
-            }
-            if tuples_recycled > 0 {
-                SharedCounters::add(&self.counters.tuples_recycled, tuples_recycled);
-            }
-            if tuples_allocated > 0 {
-                SharedCounters::add(&self.counters.tuples_allocated, tuples_allocated);
-            }
-            let leftover = self.flush(out);
-            self.pool.put(leftover);
-
-            // Byte accounting: each predicate-touched column is billed once
-            // over the chunk; materialization bills the projected columns per
-            // surviving row.
-            let mut chunk_bytes = 0u64;
-            for (c, t) in touched.iter().enumerate() {
-                if *t {
-                    let b = col_bytes[c] * chunk_len as u64;
-                    volume.record_column(c, b);
-                    chunk_bytes += b;
-                }
-            }
-            for &c in &self.projection {
-                let b = col_bytes[c] * mat_rows;
-                volume.record_column(c, b);
-                chunk_bytes += b;
-            }
-            volume.record_scan(chunk_len as u64, chunk_bytes);
-            position = chunk_end;
+            position += self.scan_encoded_chunk(&replica, &volume, position, chunk_len, &mut chunk);
         }
 
+        self.chunk = chunk;
         let ScanKind::Columnar(cursor) = &mut self.scan else {
             unreachable!("scan kind cannot change mid-call");
         };
         cursor.position = position;
         cursor.passes = passes;
-        cursor.col_bytes_per_row = col_bytes;
-        cursor.match_bufs = match_bufs;
-        cursor.tail_buffer = tail_rows;
-        cursor.touched_cols = touched;
-        cursor.group_state = group_state;
+    }
+
+    /// Checksum gate: verifies row group `g` the first time the cursor touches
+    /// it, before its encoded columns or zone maps are trusted. A group that
+    /// fails is quarantined for the life of this cursor. Returns whether the
+    /// group may be read from the replica.
+    fn group_verified(&mut self, g: usize) -> bool {
+        let ScanKind::Columnar(cursor) = &mut self.scan else {
+            unreachable!("row groups exist only under a columnar cursor");
+        };
+        if cursor.group_state.get(g).copied() == Some(GROUP_UNVERIFIED) {
+            if cursor.replica.verify_group(g) {
+                cursor.group_state[g] = GROUP_VERIFIED;
+            } else {
+                cursor.group_state[g] = GROUP_QUARANTINED;
+                cursor.volume.record_group_quarantined();
+                eprintln!(
+                    "cjoin: columnar row group {g} failed its checksum; \
+                     serving its rows from the row store"
+                );
+            }
+        }
+        cursor.group_state.get(g).copied() != Some(GROUP_QUARANTINED)
+    }
+
+    /// Counts `rows` scanned rows: every active query sees every scanned row
+    /// exactly once per pass, so the count is also each query's progress
+    /// increment (§3.2.3). With segment workers the per-segment counts sum to
+    /// the whole table, so the shared tracker stays exact.
+    fn note_rows_scanned(&mut self, rows: u64) {
+        SharedCounters::add(&self.counters.tuples_scanned, rows);
+        SharedCounters::add(&self.worker_counters.tuples_scanned, rows);
+        self.pass_rows_seen += rows;
+        for bit in self.active_mask.iter() {
+            if let Some(q) = &self.queries[bit] {
+                q.progress.advance(rows);
+            }
+        }
+    }
+
+    /// The encoded region: rows `position..position + chunk_len` of one
+    /// verified row group, in the four phases of the module doc. Returns how
+    /// many rows the chunk covered — all of them, unless a partition plan
+    /// completed mid-chunk, in which case the chunk ends on that row so the
+    /// query is finalized before the next row is looked at.
+    fn scan_encoded_chunk(
+        &mut self,
+        replica: &ColumnarTable,
+        volume: &ScanVolume,
+        position: u64,
+        chunk_len: usize,
+        chunk: &mut ChunkScratch,
+    ) -> u64 {
+        let at = position as usize;
+        let group = &replica.row_groups()[replica.group_of(position)];
+
+        // Phase 1: one verdict per query for the whole chunk.
+        let Some(verdicts) = self.chunk_verdicts(replica, volume, group, at, chunk_len, chunk)
+        else {
+            // Zone-map chunk skip: every active query's predicate is provably
+            // false over this group, and no partition plan needs the rows
+            // counted towards its coverage.
+            self.note_rows_scanned(chunk_len as u64);
+            volume.record_group_skip(chunk_len as u64);
+            return chunk_len as u64;
+        };
+
+        // Phase 2: the rows some query still wants, with their bit-vectors.
+        let covered = self.select_rows(replica, group, at, chunk_len, &verdicts, chunk);
+        self.note_rows_scanned(covered as u64);
+
+        // Phase 3: the leading Filter, before any row exists. Its read lock is
+        // released inside; nothing below blocks while holding it.
+        let probed = self.probe_leading(replica, at, covered, chunk);
+
+        // Phase 4: rows for the survivors only.
+        let materialised = self.materialise_selected(replica, position, probed, chunk);
+
+        // Byte accounting: each column read for the whole chunk (predicates,
+        // the probed foreign key) is billed once over the chunk;
+        // materialisation bills the projected columns per row it built.
+        let ScanKind::Columnar(cursor) = &self.scan else {
+            unreachable!("the encoded region exists only under a columnar cursor");
+        };
+        let mut chunk_bytes = 0u64;
+        let whole = chunk.touched.iter().enumerate().filter(|(_, t)| **t);
+        let billed = whole
+            .map(|(c, _)| (c, covered as u64))
+            .chain(self.projection.iter().map(|&c| (c, materialised)));
+        for (c, rows) in billed {
+            let bytes = cursor.col_bytes_per_row[c] * rows;
+            volume.record_column(c, bytes);
+            chunk_bytes += bytes;
+        }
+        volume.record_scan(covered as u64, chunk_bytes);
+
+        // Everything the chunk produced has been flushed: the drain barrier
+        // inside finalize covers it.
+        while let Some(bit) = chunk.partition_done.pop() {
+            self.finalize_query(bit);
+        }
+        covered as u64
+    }
+
+    /// Phase 1. Resolves each active fact predicate once for the whole chunk:
+    /// a zone verdict where the maps decide, an encoded-kernel evaluation into
+    /// a match bitmap otherwise, or a per-row fallback for predicates that did
+    /// not compile. Leaves the chunk's base mask and owed row tests in `chunk`;
+    /// `None` means no query can want any row of the chunk.
+    fn chunk_verdicts(
+        &self,
+        replica: &ColumnarTable,
+        volume: &ScanVolume,
+        group: &RowGroup,
+        at: usize,
+        chunk_len: usize,
+        chunk: &mut ChunkScratch,
+    ) -> Option<ChunkVerdicts> {
+        chunk.touched.clear();
+        chunk.touched.resize(replica.schema().arity(), false);
+        chunk.tests.clear();
+        chunk.base.clear();
+        chunk.base.extend_from_slice(self.active_mask.words());
+        let mut verdicts = ChunkVerdicts::default();
+        let mut bufs_used = 0usize;
+        for bit in self.active_mask.iter() {
+            let Some(q) = &self.queries[bit] else {
+                continue;
+            };
+            verdicts.any_partition |= q.partition.is_some();
+            if q.fact_predicate.is_none() {
+                verdicts.unconditional = true;
+                continue;
+            }
+            let Some(encoded) = &q.encoded_predicate else {
+                verdicts.unconditional = true;
+                verdicts.any_row_eval = true;
+                chunk.tests.push((bit, RowTest::RowEval));
+                continue;
+            };
+            match encoded.zone_verdict(&group.zones) {
+                ZoneVerdict::Never => clear_bit(&mut chunk.base, bit),
+                ZoneVerdict::Always => verdicts.unconditional = true,
+                ZoneVerdict::Maybe => {
+                    if chunk.match_bufs.len() == bufs_used {
+                        chunk.match_bufs.push(Vec::new());
+                    }
+                    let buf = &mut chunk.match_bufs[bufs_used];
+                    buf.clear();
+                    buf.resize(chunk_len, false);
+                    encoded.eval_range(replica, at, buf, volume);
+                    for &c in encoded.columns() {
+                        chunk.touched[c] = true;
+                    }
+                    chunk.tests.push((bit, RowTest::Buf(bufs_used)));
+                    bufs_used += 1;
+                }
+            }
+        }
+        if !verdicts.unconditional && bufs_used == 0 && !verdicts.any_partition {
+            return None;
+        }
+        if verdicts.any_row_eval {
+            // The fallback materialises full rows: every column is touched.
+            chunk.touched.fill(true);
+        }
+        Some(verdicts)
+    }
+
+    /// Phase 2. Builds the selection vector: the chunk's rows whose `bτ` is
+    /// non-zero after the owed row tests and snapshot visibility, with their
+    /// bit-vectors side by side in `chunk.sel_bits`. When every active query
+    /// owns a match buffer, a row none of them matched costs its share of one
+    /// OR over the buffers and nothing else. Partition coverage is counted
+    /// here, for every row seen; returns the rows covered (see
+    /// [`Preprocessor::scan_encoded_chunk`]).
+    fn select_rows(
+        &mut self,
+        replica: &ColumnarTable,
+        group: &RowGroup,
+        at: usize,
+        chunk_len: usize,
+        verdicts: &ChunkVerdicts,
+        chunk: &mut ChunkScratch,
+    ) -> usize {
+        chunk.sel.clear();
+        chunk.sel_bits.clear();
+        let ChunkScratch {
+            match_bufs,
+            tests,
+            base,
+            wanted,
+            values,
+            sel,
+            sel_bits,
+            partition_done,
+            ..
+        } = chunk;
+
+        let wanted: Option<&[bool]> = if verdicts.unconditional {
+            None
+        } else {
+            wanted.clear();
+            wanted.resize(chunk_len, false);
+            for (_, test) in tests.iter() {
+                if let RowTest::Buf(b) = test {
+                    for (w, &m) in wanted.iter_mut().zip(&match_bufs[*b]) {
+                        *w |= m;
+                    }
+                }
+            }
+            Some(wanted)
+        };
+        // Partition coverage counts *seen* rows whether or not a predicate
+        // dropped them (same rule as the row path); the partition column is
+        // read from the encoded data because the projected tuple may not
+        // carry it.
+        let partition = match &self.partition_scheme {
+            Some((scheme, column)) if verdicts.any_partition => {
+                values.clear();
+                match replica.encoded_column(*column) {
+                    EncodedColumn::Int { data, .. } => data.decode_range(at, chunk_len, values),
+                    EncodedColumn::Str { .. } => values.resize(chunk_len, 0),
+                }
+                Some(scheme)
+            }
+            _ => None,
+        };
+        let check_visibility = !group.all_always_visible;
+
+        for j in 0..chunk_len {
+            if wanted.is_none_or(|w| w[j]) {
+                let first_word = sel_bits.len();
+                sel_bits.extend_from_slice(base);
+                let bits = &mut sel_bits[first_word..];
+                let mut full_row = None;
+                for &(bit, ref test) in tests.iter() {
+                    let keep = match test {
+                        RowTest::Buf(b) => match_bufs[*b][j],
+                        RowTest::RowEval => {
+                            let row = full_row.get_or_insert_with(|| {
+                                replica.row(at + j).expect("row in replica")
+                            });
+                            self.queries[bit]
+                                .as_ref()
+                                .and_then(|q| q.fact_predicate.as_ref())
+                                .is_some_and(|p| p.eval(row))
+                        }
+                    };
+                    if !keep {
+                        clear_bit(bits, bit);
+                    }
+                }
+                if check_visibility {
+                    // Snapshot visibility as a virtual fact predicate (§3.5),
+                    // from the replica's frozen version metadata.
+                    let version = replica.version(at + j).expect("row in replica");
+                    if version != RowVersion::ALWAYS_VISIBLE {
+                        for bit in self.active_mask.iter() {
+                            if let Some(q) = &self.queries[bit] {
+                                if !version.visible_at(q.snapshot) {
+                                    clear_bit(bits, bit);
+                                }
+                            }
+                        }
+                    }
+                }
+                if bits.iter().all(|&w| w == 0) {
+                    sel_bits.truncate(first_word);
+                } else {
+                    sel.push(j as u32);
+                }
+            }
+            if let Some(scheme) = partition {
+                let pid = scheme.partition_of(values[j]).index();
+                for &bit in &self.special_bits {
+                    let Some(plan) = self.queries[bit]
+                        .as_mut()
+                        .and_then(|q| q.partition.as_mut())
+                    else {
+                        continue;
+                    };
+                    if plan.needed.get(pid).copied().unwrap_or(false) {
+                        plan.remaining_rows = plan.remaining_rows.saturating_sub(1);
+                        if plan.remaining_rows == 0 {
+                            partition_done.push(bit);
+                        }
+                    }
+                }
+                if !partition_done.is_empty() {
+                    return j + 1;
+                }
+            }
+        }
+        chunk_len
+    }
+
+    /// Phase 3. Runs the chain's *leading* Filter — whichever Filter is first
+    /// in the order right now — for the selected rows straight off the encoded
+    /// foreign-key column: one bulk gather, one [`ProbeGuard`] for the chunk,
+    /// bits ANDed in place, the selection compacted to the survivors and what
+    /// each is owed recorded in `chunk.joined`. Returns the Filter that probed
+    /// (so the batches can be marked with *its* slot) and its statistics for
+    /// the chunk, or `None` when the Stage must run the Filter itself: the chain
+    /// is empty, no active query references the dimension (every row would
+    /// take the early skip), or the foreign key is not a non-null integer
+    /// column of the replica.
+    ///
+    /// [`ProbeGuard`]: crate::dimension::ProbeGuard
+    fn probe_leading(
+        &self,
+        replica: &ColumnarTable,
+        at: usize,
+        covered: usize,
+        chunk: &mut ChunkScratch,
+    ) -> Option<(Arc<DimensionTable>, BatchLocalStats)> {
+        chunk.joined.clear();
+        if chunk.sel.is_empty() {
+            return None;
+        }
+        let dim = self.chain.leading()?;
+        if dim.complement.contains_all(&self.active_mask) {
+            return None;
+        }
+        let EncodedColumn::Int { data, nulls: None } = replica.encoded_column(dim.fact_fk_column)
+        else {
+            return None;
+        };
+        chunk.values.clear();
+        if chunk.sel.len() == covered {
+            data.decode_range(at, covered, &mut chunk.values);
+        } else {
+            data.gather(at, &chunk.sel, &mut chunk.values);
+        }
+        chunk.touched[dim.fact_fk_column] = true;
+
+        let words = chunk.base.len();
+        let mut stats = BatchLocalStats {
+            tuples_in: chunk.sel.len() as u64,
+            ..BatchLocalStats::default()
+        };
+        let early_skip = self.config.early_skip;
+        let guard = dim.probe_batch();
+        let mut kept = 0usize;
+        for k in 0..chunk.sel.len() {
+            let fk = chunk.values[k];
+            let bits = &mut chunk.sel_bits[k * words..(k + 1) * words];
+            let joined = match probe_bits(&dim, &guard, early_skip, bits, || fk, &mut stats) {
+                ProbeOutcome::Dropped => continue,
+                ProbeOutcome::Kept => Joined::Nothing,
+                ProbeOutcome::Joined(entry) => Joined::Row(entry.row.clone()),
+                ProbeOutcome::Versions(versions) => Joined::Versions(versions.to_vec()),
+            };
+            chunk.joined.push(joined);
+            chunk.sel[kept] = chunk.sel[k];
+            chunk
+                .sel_bits
+                .copy_within(k * words..(k + 1) * words, kept * words);
+            kept += 1;
+        }
+        drop(guard);
+        chunk.sel.truncate(kept);
+        chunk.sel_bits.truncate(kept * words);
+        Some((dim, stats))
+    }
+
+    /// Phase 4. Late materialization for the survivors: only the union of
+    /// columns the active queries read is decoded (positions are preserved,
+    /// the rest are NULL, so downstream indices keep working), into recycled
+    /// tuples. When phase 3 probed the leading Filter, its joined dimension row
+    /// is attached (claimed-split for a multi-version key), every batch is
+    /// marked with its slot so no Stage probes it again, and its statistics for
+    /// the chunk are flushed. Returns the number of rows materialised.
+    fn materialise_selected(
+        &mut self,
+        replica: &ColumnarTable,
+        position: u64,
+        mut probed: Option<(Arc<DimensionTable>, BatchLocalStats)>,
+        chunk: &mut ChunkScratch,
+    ) -> u64 {
+        let words = chunk.base.len();
+        let num_slots = self.slot_count.load(Ordering::Acquire);
+        let applied = probed.as_ref().map(|(dim, _)| dim.slot);
+        let mut out: Batch = self.pool.take(self.config.batch_size);
+        let mut splits: Vec<InFlightTuple> = Vec::new();
+        let mut tuples_recycled = 0u64;
+        let mut joined = chunk.joined.drain(..);
+        for (k, &offset) in chunk.sel.iter().enumerate() {
+            let i = position + u64::from(offset);
+            self.bits_scratch
+                .copy_from_words(&chunk.sel_bits[k * words..(k + 1) * words]);
+            // Zero-allocation steady state: the slot reuses a spare tuple's
+            // bit-vector words and dimension-slot vector in place.
+            let (tuple, recycled) = out.next_slot(self.config.max_concurrency);
+            let row = replica.project_row(i as usize, &self.projection);
+            tuple.reset(RowId(i), row, &self.bits_scratch, num_slots);
+            tuples_recycled += u64::from(recycled);
+            if let (Some((dim, stats)), Some(joined)) = (&mut probed, joined.next()) {
+                match joined {
+                    Joined::Nothing => {}
+                    Joined::Row(row) => {
+                        tuple.ensure_slots(dim.slot + 1);
+                        tuple.dims[dim.slot] = Some(row);
+                    }
+                    Joined::Versions(versions) => {
+                        if !combine_versions(&versions, dim.slot, tuple, &mut splits) {
+                            stats.tuples_dropped += 1;
+                            out.truncate_live(out.len() - 1);
+                        }
+                        for split in splits.drain(..) {
+                            out.push(split);
+                        }
+                    }
+                }
+            }
+            if out.len() >= self.config.batch_size {
+                out = self.flush_applied(out, applied);
+            }
+        }
+        drop(joined);
+        let materialised = chunk.sel.len() as u64;
+        if let Some((dim, stats)) = &probed {
+            stats.flush(&dim.stats);
+        }
+        if tuples_recycled > 0 {
+            SharedCounters::add(&self.counters.tuples_recycled, tuples_recycled);
+        }
+        if materialised > tuples_recycled {
+            SharedCounters::add(
+                &self.counters.tuples_allocated,
+                materialised - tuples_recycled,
+            );
+        }
+        let leftover = self.flush_applied(out, applied);
+        self.pool.put(leftover);
+        materialised
+    }
+
+    /// [`Preprocessor::flush`] for a batch whose tuples the Filter at dimension
+    /// slot `applied` has already processed (scan-side probe): the mark travels
+    /// with the batch so every Stage skips that Filter.
+    fn flush_applied(&self, mut batch: Batch, applied: Option<usize>) -> Batch {
+        if let Some(slot) = applied {
+            batch.mark_filter_applied(slot);
+        }
+        self.flush(batch)
     }
 
     /// Runs the full row-at-a-time path (visibility, special predicates,
@@ -1822,6 +2140,7 @@ mod tests {
             in_flight,
             pool: BatchPool::new(8, true),
             slot_count: Arc::new(AtomicUsize::new(1)),
+            chain: Arc::new(FilterChain::new()),
             counters: SharedCounters::new(),
             worker_counters: Arc::new(ScanWorkerCounters::default()),
             poison: Arc::new(AtomicBool::new(false)),
@@ -2380,6 +2699,7 @@ mod tests {
                 in_flight: Arc::clone(&in_flight),
                 pool: BatchPool::new(8, true),
                 slot_count: Arc::new(AtomicUsize::new(0)),
+                chain: Arc::new(FilterChain::new()),
                 counters: Arc::clone(&counters),
                 worker_counters: Arc::new(ScanWorkerCounters::default()),
                 config: config.clone(),
@@ -2509,5 +2829,308 @@ mod tests {
         for h in worker_handles {
             h.join().unwrap();
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Columnar front-end: probe before materialise
+    // ------------------------------------------------------------------
+
+    /// `fact(day, fk_a, fk_b)` over dimensions `a(k)` and `b(k)`: `day` grows
+    /// with the row position (a date-clustered load, 100 rows a day), `fk_a`
+    /// cycles over `keys_a` keys and `fk_b` over `keys_b`, out of step.
+    fn star_catalog(rows: i64, keys_a: i64, keys_b: i64) -> Arc<Catalog> {
+        let catalog = Catalog::new();
+        for (name, keys) in [("a", keys_a), ("b", keys_b)] {
+            let dim = Table::new(Schema::new(name, vec![Column::int("k")]));
+            dim.insert_batch_unchecked(
+                (0..keys).map(|k| Row::new(vec![Value::int(k)])),
+                SnapshotId::INITIAL,
+            );
+            catalog.add_table(Arc::new(dim));
+        }
+        let fact = Table::new(Schema::new(
+            "fact",
+            vec![Column::int("day"), Column::int("fk_a"), Column::int("fk_b")],
+        ));
+        fact.insert_batch_unchecked(
+            (0..rows).map(|i| {
+                Row::new(vec![
+                    Value::int(i / 100),
+                    Value::int(i * 7 % keys_a),
+                    Value::int(i / 3 % keys_b),
+                ])
+            }),
+            SnapshotId::INITIAL,
+        );
+        catalog.add_fact_table(Arc::new(fact));
+        Arc::new(catalog)
+    }
+
+    /// A runtime for `query` (bit `bit`) plus its bound fact predicate, the way
+    /// admission hands them to the front-end. Dimension slots: `a` = 0, `b` = 1.
+    fn star_runtime(
+        catalog: &Catalog,
+        bit: u32,
+        query: StarQuery,
+    ) -> (Arc<QueryRuntime>, Option<BoundPredicate>) {
+        let bound = query.bind(catalog).unwrap();
+        let fact_predicate = (!bound.fact_predicate_is_true).then(|| bound.fact_predicate.clone());
+        let slot_map = bound
+            .dimensions
+            .iter()
+            .map(|d| usize::from(d.table == "b"))
+            .collect();
+        let (tx, _rx) = bounded(1);
+        let runtime = Arc::new(QueryRuntime {
+            id: QueryId(bit),
+            name: query.name,
+            bound: Arc::new(bound),
+            slot_map,
+            result_tx: tx,
+            resolved: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
+            deadline_at: None,
+            admitted_at: Instant::now(),
+            snapshot: SnapshotId::INITIAL,
+            progress: Arc::new(QueryProgress::new(0)),
+        });
+        (runtime, fact_predicate)
+    }
+
+    /// A classic columnar Preprocessor over `catalog`'s fact table sharing
+    /// `chain` with whoever plays the Stage.
+    #[allow(clippy::type_complexity)]
+    fn columnar_harness(
+        catalog: &Catalog,
+        config: &CjoinConfig,
+        chain: &Arc<FilterChain>,
+    ) -> (
+        Preprocessor,
+        Sender<ScanMessage>,
+        Receiver<Message>,
+        Receiver<Message>,
+        Arc<AtomicI64>,
+    ) {
+        let fact = catalog.fact_table().unwrap();
+        let replica = Arc::new(
+            ColumnarTable::from_table(&fact, cjoin_storage::CompressionPolicy::Adaptive).unwrap(),
+        );
+        let volume = Arc::new(ScanVolume::with_columns(fact.schema().arity()));
+        let cursor = ColumnarScanCursor::new(replica, fact, volume);
+        let (cmd_tx, cmd_rx) = unbounded();
+        let (stage_tx, stage_rx) = unbounded();
+        let (dist_tx, dist_rx) = unbounded();
+        let in_flight = Arc::new(AtomicI64::new(0));
+        let mut ctx = context(config, stage_tx, dist_tx, Arc::clone(&in_flight));
+        ctx.chain = Arc::clone(chain);
+        ctx.slot_count = Arc::new(AtomicUsize::new(2));
+        let pre = Preprocessor::new_columnar(cursor, cmd_rx, ctx);
+        (pre, cmd_tx, stage_rx, dist_rx, in_flight)
+    }
+
+    fn install_with(
+        cmd_tx: &Sender<ScanMessage>,
+        (runtime, fact_predicate): (Arc<QueryRuntime>, Option<BoundPredicate>),
+    ) {
+        cmd_tx
+            .send(ScanMessage::Command(PreprocessorCommand::Install {
+                runtime,
+                fact_predicate,
+                snapshot: SnapshotId::INITIAL,
+                partition: Vec::new(),
+                ack: None,
+            }))
+            .unwrap();
+    }
+
+    /// The leading Filter is swapped by the optimizer between two chunks while
+    /// the batches of the earlier chunks are still queued for the Stage: the
+    /// front-end marks each batch with the Filter that actually probed it, and
+    /// the Stage runs exactly the rest — every Filter once per tuple that
+    /// reaches it, none twice, none skipped.
+    #[test]
+    fn leading_filter_swap_between_chunks_applies_every_filter_exactly_once() {
+        const ROWS: i64 = 64;
+        const BATCH: usize = 16;
+        let selected_a = |fk: i64| fk == 1 || fk == 2;
+        let selected_b = |fk: i64| fk <= 1;
+        let catalog = star_catalog(ROWS, 4, 3);
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(BATCH);
+
+        // Query 0 joins both dimensions; the chain starts as [a, b].
+        let chain = Arc::new(FilterChain::new());
+        let filters: Vec<Arc<DimensionTable>> = [("a", 0usize, 1usize), ("b", 1, 2)]
+            .into_iter()
+            .map(|(name, slot, fk_column)| {
+                let table = DimensionTable::new(name, slot, fk_column, 0, 8, &QuerySet::new(8));
+                let keys: Vec<(i64, Row)> = (0..4i64)
+                    .filter(|&k| {
+                        if name == "a" {
+                            selected_a(k)
+                        } else {
+                            selected_b(k)
+                        }
+                    })
+                    .map(|k| (k, Row::new(vec![Value::int(k)])))
+                    .collect();
+                table.register_query(QueryId(0), &keys);
+                let table = Arc::new(table);
+                chain.push(Arc::clone(&table));
+                table
+            })
+            .collect();
+        let query = StarQuery::builder("both")
+            .join_dimension("a", "fk_a", "k", cjoin_query::Predicate::True)
+            .join_dimension("b", "fk_b", "k", cjoin_query::Predicate::True)
+            .aggregate(AggregateSpec::count_star())
+            .build();
+
+        let (mut pre, cmd_tx, stage_rx, _dist_rx, _in_flight) =
+            columnar_harness(&catalog, &config, &chain);
+        install_with(&cmd_tx, star_runtime(&catalog, 0, query));
+        pre.apply_commands();
+
+        // Chunks 0 and 1 under [a, b], chunks 2 and 3 under [b, a]; nothing
+        // has been taken off the Stage queue yet.
+        pre.process_next_columnar_chunk();
+        pre.process_next_columnar_chunk();
+        assert!(chain.reorder(&["b".into(), "a".into()]));
+        pre.process_next_columnar_chunk();
+        pre.process_next_columnar_chunk();
+
+        let fks = |i: i64| (i * 7 % 4, i / 3 % 3);
+        let half = ROWS / 2;
+        // What each Filter must have seen: all rows of the chunks it led, and
+        // the other Filter's survivors of the chunks it did not.
+        let in_a = half + (half..ROWS).filter(|&i| selected_b(fks(i).1)).count() as i64;
+        let in_b = half + (0..half).filter(|&i| selected_a(fks(i).0)).count() as i64;
+        let (a_in, _, a_probes, a_skips) = filters[0].stats.snapshot();
+        assert_eq!(a_in, half as u64, "a has only probed the chunks it led");
+
+        let (out_tx, out_rx) = unbounded();
+        let stage = {
+            let chain = Arc::clone(&chain);
+            let input = stage_rx.clone();
+            std::thread::spawn(move || {
+                crate::pipeline::run_stage_worker(0, 1, input, out_tx, chain, true, true, None)
+            })
+        };
+        pre.stage_tx.send(Message::Shutdown).unwrap();
+        stage.join().unwrap();
+        assert_eq!((a_probes, a_skips), (half as u64, 0));
+
+        let mut survivors = Vec::new();
+        let mut batches = 0;
+        while let Ok(Message::Data(batch)) = out_rx.try_recv() {
+            batches += 1;
+            assert!(
+                batch.filter_applied(0) && batch.filter_applied(1),
+                "both Filters processed every batch"
+            );
+            for tuple in batch.iter() {
+                let (fk_a, fk_b) = fks(tuple.row_id.0 as i64);
+                assert_eq!(
+                    tuple.dims[0].as_ref().map(|r| r.int(0)),
+                    Some(fk_a),
+                    "a's row attached once, by whoever probed a"
+                );
+                assert_eq!(tuple.dims[1].as_ref().map(|r| r.int(0)), Some(fk_b));
+                survivors.push(tuple.row_id.0 as i64);
+            }
+        }
+        assert_eq!(batches, 4, "one batch per chunk");
+        let expected: Vec<i64> = (0..ROWS)
+            .filter(|&i| selected_a(fks(i).0) && selected_b(fks(i).1))
+            .collect();
+        assert_eq!(survivors, expected);
+        assert_eq!(filters[0].stats.snapshot().0, in_a as u64, "a: tuples_in");
+        assert_eq!(filters[1].stats.snapshot().0, in_b as u64, "b: tuples_in");
+        for filter in &filters {
+            let (tuples_in, _, probes, skips) = filter.stats.snapshot();
+            assert_eq!((probes, skips), (tuples_in, 0), "one probe per tuple in");
+        }
+    }
+
+    /// Timing probe for the columnar front-end alone: a date-clustered replica,
+    /// eight registered 90-day-window queries joining one dimension at 5 %
+    /// selectivity, `Preprocessor::run` into a receiver that only drains.
+    /// `cargo test --release -p cjoin-core columnar_probe_before_materialise_timing -- --ignored --nocapture`
+    #[test]
+    #[ignore = "timing probe; run with --ignored --nocapture"]
+    fn columnar_probe_before_materialise_timing() {
+        const ROWS: i64 = 400_000;
+        const KEYS: i64 = 1_000;
+        const QUERIES: u32 = 8;
+        let catalog = star_catalog(ROWS, KEYS, 3);
+        let config = CjoinConfig::default().with_max_concurrency(QUERIES as usize);
+        let chain = Arc::new(FilterChain::new());
+        let dim = Arc::new(DimensionTable::new(
+            "a",
+            0,
+            1,
+            0,
+            QUERIES as usize,
+            &QuerySet::new(QUERIES as usize),
+        ));
+        chain.push(Arc::clone(&dim));
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
+            columnar_harness(&catalog, &config, &chain);
+        let counters = Arc::clone(&pre.counters);
+
+        let days = ROWS / 100;
+        for q in 0..QUERIES {
+            // Every query selects its own twentieth of the keys and a 90-day
+            // window, the windows spread over the table.
+            let keys: Vec<(i64, Row)> = (0..KEYS)
+                .filter(|k| (k + i64::from(q)) % 20 == 0)
+                .map(|k| (k, Row::new(vec![Value::int(k)])))
+                .collect();
+            dim.register_query(QueryId(q), &keys);
+            let from = i64::from(q) * (days - 90) / i64::from(QUERIES);
+            let query = StarQuery::builder(format!("window{q}"))
+                .fact_predicate(cjoin_query::Predicate::between("day", from, from + 89))
+                .join_dimension("a", "fk_a", "k", cjoin_query::Predicate::True)
+                .aggregate(AggregateSpec::count_star())
+                .build();
+            install_with(&cmd_tx, star_runtime(&catalog, q, query));
+        }
+
+        let started = Instant::now();
+        let scan = std::thread::spawn(move || pre.run());
+        let (mut ended, mut materialised) = (0, 0u64);
+        while ended < QUERIES {
+            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
+                materialised += batch.len() as u64;
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+            }
+            while let Ok(msg) = dist_rx.try_recv() {
+                ended += u32::from(matches!(msg, Message::Control(ControlTuple::QueryEnd(_))));
+            }
+            std::thread::yield_now();
+        }
+        let elapsed = started.elapsed();
+        cmd_tx
+            .send(ScanMessage::Command(PreprocessorCommand::Shutdown))
+            .unwrap();
+        scan.join().unwrap();
+
+        let scanned = counters.tuples_scanned.load(Ordering::Relaxed);
+        let (tuples_in, dropped, probes, _) = dim.stats.snapshot();
+        println!(
+            "columnar front-end: {scanned} rows in {elapsed:?} = {:.1} M rows/s; \
+             selected {tuples_in} ({:.4} of scanned), probed {probes}, dropped {dropped}, \
+             materialised {materialised} ({:.4} of scanned)",
+            scanned as f64 / elapsed.as_secs_f64() / 1e6,
+            tuples_in as f64 / scanned as f64,
+            materialised as f64 / scanned as f64,
+        );
+        assert_eq!(
+            materialised,
+            tuples_in - dropped,
+            "rows exist only for survivors"
+        );
+        assert!(materialised > 0 && materialised < tuples_in);
     }
 }

@@ -77,8 +77,9 @@ impl InFlightTuple {
         self.dims.resize(num_slots, None);
     }
 
-    /// Ensures the dimension-slot vector can hold `num_slots` entries (slots are only
-    /// ever appended while a pipeline is running).
+    /// Ensures the dimension-slot vector can hold `num_slots` entries (a dimension's
+    /// slot is assigned once, so the slot count only ever grows — up to the number
+    /// of distinct dimensions the engine has joined).
     pub fn ensure_slots(&mut self, num_slots: usize) {
         if self.dims.len() < num_slots {
             self.dims.resize(num_slots, None);
@@ -119,11 +120,13 @@ pub struct Batch {
     tuples: Vec<InFlightTuple>,
     /// Number of live tuples at the front of `tuples`.
     live: usize,
-    /// Slots of the dimension Filters that have already processed this batch.
-    /// Tracked only by multi-Stage layouts, where the filter chain can grow,
-    /// shrink or be reordered while the batch is between Stages (see
-    /// [`crate::pipeline::run_stage_worker`]); slot ids are never reused within
-    /// one engine, so a slot uniquely identifies a Filter instance.
+    /// Slots of the dimension Filters that have already processed this batch,
+    /// set by whoever ran the Filter: a Stage worker, or the columnar scan
+    /// front-end, which probes the chain's leading Filter before it materialises
+    /// the batch's tuples. Every Stage skips the Filters recorded here, because
+    /// the chain can grow, shrink or be reordered while the batch travels (see
+    /// [`crate::pipeline::run_stage_worker`], which also argues why a re-created
+    /// Filter inheriting its dimension's slot is safe).
     applied_filters: Vec<usize>,
 }
 
@@ -205,7 +208,7 @@ impl Batch {
     }
 
     /// Records that the Filter occupying dimension slot `slot` has processed this
-    /// batch (multi-Stage layouts only).
+    /// batch.
     pub fn mark_filter_applied(&mut self, slot: usize) {
         if !self.applied_filters.contains(&slot) {
             self.applied_filters.push(slot);

@@ -232,6 +232,24 @@ impl QuerySet {
         &self.words
     }
 
+    /// The underlying words, for kernels that combine bit-vectors held in flat
+    /// word storage ([`AtomicQuerySet::and_words`]). Callers may only *clear*
+    /// bits through this view: bits at positions `>= capacity` must stay zero.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
+    /// Overwrites the contents from `words`, the [`QuerySet::words`] of a
+    /// vector of the same capacity.
+    ///
+    /// # Panics
+    /// Panics if `words` is not exactly this vector's word count.
+    #[inline]
+    pub fn copy_from_words(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+        self.clear_tail();
+    }
+
     /// Zeroes any bits at positions `>= capacity` (needed after whole-word fills).
     fn clear_tail(&mut self) {
         let rem = self.capacity % WORD_BITS;
@@ -373,8 +391,19 @@ impl AtomicQuerySet {
     #[inline]
     pub fn and_into_with_zero_check(&self, target: &mut QuerySet) -> bool {
         assert_eq!(self.capacity, target.capacity, "QuerySet capacity mismatch");
+        self.and_words(&mut target.words)
+    }
+
+    /// [`AtomicQuerySet::and_into_with_zero_check`] over a bit-vector held as
+    /// bare words (one row of a flat `words-per-vector`-strided scratch).
+    ///
+    /// # Panics
+    /// Panics if `target` is not exactly this vector's word count.
+    #[inline]
+    pub fn and_words(&self, target: &mut [u64]) -> bool {
+        assert_eq!(self.words.len(), target.len(), "QuerySet width mismatch");
         let mut any = 0u64;
-        for (t, s) in target.words.iter_mut().zip(&self.words) {
+        for (t, s) in target.iter_mut().zip(&self.words) {
             *t &= s.load(Ordering::Acquire);
             any |= *t;
         }
@@ -402,9 +431,19 @@ impl AtomicQuerySet {
             other.capacity(),
             "QuerySet capacity mismatch"
         );
+        self.contains_all_words(other.words())
+    }
+
+    /// [`AtomicQuerySet::contains_all`] over a bit-vector held as bare words.
+    ///
+    /// # Panics
+    /// Panics if `other` is not exactly this vector's word count.
+    #[inline]
+    pub fn contains_all_words(&self, other: &[u64]) -> bool {
+        assert_eq!(self.words.len(), other.len(), "QuerySet width mismatch");
         self.words
             .iter()
-            .zip(other.words())
+            .zip(other)
             .all(|(s, o)| o & !s.load(Ordering::Acquire) == 0)
     }
 
@@ -544,6 +583,30 @@ mod tests {
         let mut disjoint = QuerySet::from_bits(128, [5, 127]);
         assert!(a.and_into_with_zero_check(&mut disjoint));
         assert!(disjoint.is_empty());
+    }
+
+    #[test]
+    fn flat_word_rows_round_trip_through_a_query_set() {
+        // Two 70-bit vectors in one flat scratch, stride = words of the capacity.
+        let a = QuerySet::from_bits(70, [0, 69]);
+        let b = QuerySet::from_bits(70, [5, 64]);
+        let stride = a.words().len();
+        let mut flat: Vec<u64> = [a.words(), b.words()].concat();
+        let filter = AtomicQuerySet::from_query_set(&QuerySet::from_bits(70, [5, 69]));
+        assert!(
+            filter.contains_all_words(&[0, 0]),
+            "the empty vector is a subset"
+        );
+        assert!(!filter.contains_all_words(&flat[..stride]));
+        assert!(!filter.and_words(&mut flat[..stride]));
+        assert!(!filter.and_words(&mut flat[stride..]));
+        let mut out = QuerySet::new(70);
+        out.copy_from_words(&flat[..stride]);
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![69]);
+        out.copy_from_words(&flat[stride..]);
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![5]);
+        out.words_mut()[0] = 0;
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -309,6 +309,39 @@ impl IntEncoding<'_> {
             IntEncoding::Delta(v) => v.get(row),
         }
     }
+
+    /// Appends the values of rows `start..start + len` to `out`, element for
+    /// element what [`IntEncoding::get`] returns, through each encoding's
+    /// sequential range kernel.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the column.
+    pub fn decode_range(&self, start: usize, len: usize, out: &mut Vec<i64>) {
+        match self {
+            IntEncoding::Plain(values) => out.extend_from_slice(&values[start..start + len]),
+            IntEncoding::Rle(v) => v.decode_range(start, len, out),
+            IntEncoding::Packed(v) => v.decode_range(start, len, out),
+            IntEncoding::Delta(v) => v.decode_range(start, len, out),
+        }
+    }
+
+    /// Appends the values of rows `start + o`, for each `o` of the selection
+    /// vector `offsets` (non-decreasing), to `out` — the bulk form of
+    /// [`IntEncoding::get`] a scan uses to read one column for the rows that
+    /// survived its predicates.
+    ///
+    /// # Panics
+    /// Panics if a selected row is past the end of the column.
+    pub fn gather(&self, start: usize, offsets: &[u32], out: &mut Vec<i64>) {
+        match self {
+            IntEncoding::Plain(values) => {
+                out.extend(offsets.iter().map(|&o| values[start + o as usize]));
+            }
+            IntEncoding::Rle(v) => v.gather(start, offsets, out),
+            IntEncoding::Packed(v) => v.gather(start, offsets, out),
+            IntEncoding::Delta(v) => v.gather(start, offsets, out),
+        }
+    }
 }
 
 /// A borrowed view of one column's encoded representation, for scan kernels that
@@ -596,11 +629,13 @@ impl ColumnarTable {
         if row >= self.len() {
             return None;
         }
-        Some(Row::new(
+        // Collected straight into the row's `Arc<[Value]>`: the range's exact
+        // length makes it one allocation, with no intermediate `Vec` to copy.
+        Some(
             (0..self.schema.arity())
                 .map(|c| self.columns[c].value(row))
                 .collect(),
-        ))
+        )
     }
 
     /// Visibility metadata of the row at `row`.
@@ -711,11 +746,14 @@ impl ColumnarTable {
     /// columns are NULL. Column positions are preserved so bound column indices keep
     /// working.
     pub fn project_row(&self, row: usize, projection: &[ColumnId]) -> Row {
-        let mut values = vec![Value::Null; self.schema.arity()];
+        // One allocation: the all-NULL row is built in its final `Arc<[Value]>`
+        // and the projected columns are written in place while it is unshared.
+        let mut values: Arc<[Value]> = (0..self.schema.arity()).map(|_| Value::Null).collect();
+        let slots = Arc::get_mut(&mut values).expect("a freshly built Arc is unshared");
         for &c in projection {
-            values[c] = self.columns[c].value(row);
+            slots[c] = self.columns[c].value(row);
         }
-        Row::new(values)
+        Row::from(values)
     }
 
     /// Approximate encoded heap footprint of one column, in bytes.
@@ -1447,5 +1485,88 @@ mod tests {
         let columnar =
             Arc::new(ColumnarTable::from_table(&table, CompressionPolicy::Plain).unwrap());
         let _ = ColumnarContinuousScan::new(columnar).with_batch_rows(0);
+    }
+
+    /// The bulk kernels against the definition: for every encoding, over seeded
+    /// data shaped to hit each kernel's edges — runs of length 1 and runs that
+    /// cross the range, delta-block and packed-word boundaries, empty and
+    /// single-row ranges, selections with gaps — `decode_range` and `gather`
+    /// return what `get(i)` returns, element for element.
+    #[test]
+    fn prop_gather_and_decode_range_equal_get() {
+        use crate::compress::DELTA_BLOCK_ROWS;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x6A7E);
+        for case in 0..96 {
+            let len = rng.gen_range(1..700usize);
+            // Run lengths from 1 (no two neighbours equal) to longer than any
+            // range below; value widths from 1 bit to one that straddles words.
+            let max_run = [1usize, 3, 40, 400][case % 4];
+            let spread = [1i64, 6, 1 << 13, 1 << 40][(case / 4) % 4];
+            let base = rng.gen_range(-1_000_000i64..1_000_000);
+            let mut values = Vec::with_capacity(len);
+            while values.len() < len {
+                let v = base + rng.gen_range(0..spread + 1);
+                let run = rng.gen_range(1..max_run + 1).min(len - values.len());
+                values.extend(std::iter::repeat_n(v, run));
+            }
+            let rle = RleVec::from_slice(&values);
+            let packed = BitPackedVec::from_slice(&values);
+            let delta = DeltaVec::from_slice(&values);
+            let encodings = [
+                IntEncoding::Plain(&values),
+                IntEncoding::Rle(&rle),
+                IntEncoding::Packed(&packed),
+                IntEncoding::Delta(&delta),
+            ];
+
+            // Ranges: empty, single-row, the whole column, one ending on and
+            // one starting on a delta-block edge, and a random one.
+            let edge = DELTA_BLOCK_ROWS.min(len);
+            let random_start = rng.gen_range(0..len);
+            let ranges = [
+                (random_start, 0),
+                (random_start, 1),
+                (0, len),
+                (0, edge),
+                (edge.min(len - 1), len - edge.min(len - 1)),
+                (random_start, rng.gen_range(0..len - random_start + 1)),
+            ];
+            for encoding in &encodings {
+                for &(start, n) in &ranges {
+                    let expected: Vec<i64> = (start..start + n)
+                        .map(|i| encoding.get(i).unwrap())
+                        .collect();
+                    let mut decoded = vec![-7]; // kernels append, never clear
+                    encoding.decode_range(start, n, &mut decoded);
+                    assert_eq!(decoded[0], -7);
+                    assert_eq!(
+                        decoded[1..],
+                        expected[..],
+                        "case {case} {encoding:?} range {start}+{n}"
+                    );
+
+                    // A selection with gaps over the same range (dense, sparse
+                    // and empty densities all occur across cases).
+                    let keep = [1.0, 0.5, 0.05, 0.0][case % 4];
+                    let offsets: Vec<u32> = (0..n as u32)
+                        .filter(|_| rng.gen_range(0.0..1.0) < keep)
+                        .collect();
+                    let expected: Vec<i64> = offsets
+                        .iter()
+                        .map(|&o| encoding.get(start + o as usize).unwrap())
+                        .collect();
+                    let mut gathered = vec![-7];
+                    encoding.gather(start, &offsets, &mut gathered);
+                    assert_eq!(
+                        gathered[1..],
+                        expected[..],
+                        "case {case} {encoding:?} gather {start}+{offsets:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -107,6 +107,48 @@ impl RleVec {
         self.iter().collect()
     }
 
+    /// Appends the values at positions `start..start + len` to `out`, walking
+    /// the runs with one [`RunCursor`] (a single binary search to find the
+    /// first run) instead of one [`RleVec::get`] per row.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the vector.
+    pub fn decode_range(&self, start: usize, len: usize, out: &mut Vec<i64>) {
+        let (start, end) = (start as u64, (start + len) as u64);
+        assert!(end <= self.len, "range {start}..{end} past {}", self.len);
+        let mut cursor = self.runs();
+        cursor.seek(start);
+        while let Some((value, run_start, run_end)) = cursor.next_run() {
+            if run_start >= end {
+                break;
+            }
+            let rows = run_end.min(end) - run_start.max(start);
+            out.extend(std::iter::repeat_n(value, rows as usize));
+        }
+    }
+
+    /// Appends the values at positions `start + o` for each `o` of `offsets`
+    /// (non-decreasing) to `out`: one binary search for the first position,
+    /// then the run cursor only ever moves forward.
+    ///
+    /// # Panics
+    /// Panics if a position is past the end of the vector.
+    pub fn gather(&self, start: usize, offsets: &[u32], out: &mut Vec<i64>) {
+        let Some(&first) = offsets.first() else {
+            return;
+        };
+        let mut cursor = self.runs();
+        cursor.seek((start + first as usize) as u64);
+        let mut run = cursor.next_run().expect("position past the end");
+        out.extend(offsets.iter().map(|&o| {
+            let pos = (start + o as usize) as u64;
+            while run.2 <= pos {
+                run = cursor.next_run().expect("position past the end");
+            }
+            run.0
+        }));
+    }
+
     /// Approximate heap footprint in bytes of the encoded form.
     pub fn encoded_bytes(&self) -> u64 {
         (self.runs.len() * std::mem::size_of::<(i64, u64)>()) as u64
@@ -220,6 +262,13 @@ fn offset_from(base: i64, value: i64) -> u64 {
     (i128::from(value) - i128::from(base)) as u64
 }
 
+/// `base + raw`, the inverse of [`offset_from`] (the sum always fits an `i64`
+/// because `raw` was produced from an `i64` no smaller than `base`).
+#[inline]
+fn apply_offset(base: i64, raw: u64) -> i64 {
+    base.wrapping_add(raw as i64)
+}
+
 /// A frame-of-reference bit-packed vector of `i64` values.
 ///
 /// Every value is stored as a fixed-width unsigned offset from the column
@@ -281,12 +330,40 @@ impl BitPackedVec {
             return None;
         }
         let raw = read_bits(&self.words, index as u64, self.width);
-        Some((i128::from(self.base) + i128::from(raw)) as i64)
+        Some(apply_offset(self.base, raw))
+    }
+
+    /// Appends the values at positions `start..start + len` to `out`, with one
+    /// bounds check for the range.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the vector.
+    pub fn decode_range(&self, start: usize, len: usize, out: &mut Vec<i64>) {
+        let (start, end) = (start as u64, (start + len) as u64);
+        assert!(end <= self.len, "range {start}..{end} past {}", self.len);
+        out.extend(
+            (start..end).map(|i| apply_offset(self.base, read_bits(&self.words, i, self.width))),
+        );
+    }
+
+    /// Appends the values at positions `start + o` for each `o` of `offsets`
+    /// to `out`.
+    ///
+    /// # Panics
+    /// Panics if a position is past the end of the vector.
+    pub fn gather(&self, start: usize, offsets: &[u32], out: &mut Vec<i64>) {
+        out.extend(offsets.iter().map(|&o| {
+            let index = (start + o as usize) as u64;
+            assert!(index < self.len, "row {index} past {}", self.len);
+            apply_offset(self.base, read_bits(&self.words, index, self.width))
+        }));
     }
 
     /// Decodes the whole vector back into plain values.
     pub fn decode(&self) -> Vec<i64> {
-        (0..self.len()).map(|i| self.get(i).unwrap()).collect()
+        let mut out = Vec::with_capacity(self.len());
+        self.decode_range(0, self.len(), &mut out);
+        out
     }
 
     /// Approximate heap footprint in bytes of the encoded form.
@@ -374,12 +451,46 @@ impl DeltaVec {
         }
         let base = self.bases[index / DELTA_BLOCK_ROWS];
         let raw = read_bits(&self.words, index as u64, self.width);
-        Some((i128::from(base) + i128::from(raw)) as i64)
+        Some(apply_offset(base, raw))
+    }
+
+    /// Appends the values at positions `start..start + len` to `out`, with one
+    /// bounds check for the range.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the vector.
+    pub fn decode_range(&self, start: usize, len: usize, out: &mut Vec<i64>) {
+        let end = start + len;
+        assert!(
+            end as u64 <= self.len,
+            "range {start}..{end} past {}",
+            self.len
+        );
+        out.extend((start..end).map(|i| {
+            let raw = read_bits(&self.words, i as u64, self.width);
+            apply_offset(self.bases[i / DELTA_BLOCK_ROWS], raw)
+        }));
+    }
+
+    /// Appends the values at positions `start + o` for each `o` of `offsets`
+    /// to `out`.
+    ///
+    /// # Panics
+    /// Panics if a position is past the end of the vector.
+    pub fn gather(&self, start: usize, offsets: &[u32], out: &mut Vec<i64>) {
+        out.extend(offsets.iter().map(|&o| {
+            let index = start + o as usize;
+            assert!((index as u64) < self.len, "row {index} past {}", self.len);
+            let raw = read_bits(&self.words, index as u64, self.width);
+            apply_offset(self.bases[index / DELTA_BLOCK_ROWS], raw)
+        }));
     }
 
     /// Decodes the whole vector back into plain values.
     pub fn decode(&self) -> Vec<i64> {
-        (0..self.len()).map(|i| self.get(i).unwrap()).collect()
+        let mut out = Vec::with_capacity(self.len());
+        self.decode_range(0, self.len(), &mut out);
+        out
     }
 
     /// Approximate heap footprint in bytes of the encoded form.

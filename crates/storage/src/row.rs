@@ -91,6 +91,22 @@ impl From<Vec<Value>> for Row {
     }
 }
 
+impl From<Arc<[Value]>> for Row {
+    fn from(values: Arc<[Value]>) -> Self {
+        Self { values }
+    }
+}
+
+/// Collects into the row's shared storage directly; an iterator that knows its
+/// exact length (a range, a slice, a `map` over either) costs one allocation.
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Self {
+            values: iter.into_iter().collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,9 +17,17 @@
 //!    admitted while background churn keeps all four segment cursors busy must
 //!    equal the reference exactly: a duplicated row-group row inflates the
 //!    aggregate, a zone-map-skipped visible row deflates it.
+//! 5. **Probe before materialise** — the front-end runs the chain's leading
+//!    Filter on encoded foreign keys and builds rows only for survivors. Every
+//!    outcome of that scan-side probe — a referencing query that selected no
+//!    dimension row, a query that ignores the leading dimension, a key carrying
+//!    two content versions, and the two fallbacks that bypass it (a quarantined
+//!    row group, the hybrid tail) — must leave results bit-identical to
+//!    `reference::evaluate`, with one scan worker and with four.
 
 use std::sync::Arc;
 
+use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
 use cjoin_repro::query::reference;
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
@@ -236,4 +244,252 @@ fn mid_scan_admission_is_exactly_once_across_columnar_segments() {
         handle.wait().unwrap();
     }
     engine.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// 5. Probe before materialise
+// ---------------------------------------------------------------------------
+
+/// `sales(color_fk, size_fk, amount)` over `color(k, name)` and
+/// `size(k, label)`: 5 000 fact rows (five row groups, so four scan workers
+/// each own at least one), every foreign key hitting a stored dimension row.
+fn two_dimension_warehouse() -> Arc<Catalog> {
+    let catalog = Catalog::new();
+    let color = Table::new(Schema::new(
+        "color",
+        vec![Column::int("k"), Column::str("name")],
+    ));
+    for (k, name) in [(1, "red"), (2, "green"), (3, "blue"), (4, "black")] {
+        color
+            .insert(vec![Value::int(k), Value::str(name)], SnapshotId::INITIAL)
+            .unwrap();
+    }
+    let size = Table::new(Schema::new(
+        "size",
+        vec![Column::int("k"), Column::str("label")],
+    ));
+    for (k, label) in [(1, "S"), (2, "M"), (3, "L")] {
+        size.insert(vec![Value::int(k), Value::str(label)], SnapshotId::INITIAL)
+            .unwrap();
+    }
+    let fact = Table::new(Schema::new(
+        "sales",
+        vec![
+            Column::int("color_fk"),
+            Column::int("size_fk"),
+            Column::int("amount"),
+        ],
+    ));
+    fact.insert_batch_unchecked(
+        (0..5_000i64).map(|i| {
+            Row::new(vec![
+                Value::int(i % 4 + 1),
+                Value::int(i % 3 + 1),
+                Value::int(i),
+            ])
+        }),
+        SnapshotId::INITIAL,
+    );
+    catalog.add_table(Arc::new(color));
+    catalog.add_table(Arc::new(size));
+    catalog.add_fact_table(Arc::new(fact));
+    Arc::new(catalog)
+}
+
+/// COUNT(*) and SUM(amount) grouped by the joined dimensions' attributes, so a
+/// wrong attached row shows up as a wrong group, not just a wrong total.
+fn sales_by(name: &str, color: Option<Predicate>, size: Option<Predicate>) -> StarQuery {
+    let mut query = StarQuery::builder(name);
+    if let Some(predicate) = color {
+        query = query
+            .join_dimension("color", "color_fk", "k", predicate)
+            .group_by(ColumnRef::dim("color", "name"));
+    }
+    if let Some(predicate) = size {
+        query = query
+            .join_dimension("size", "size_fk", "k", predicate)
+            .group_by(ColumnRef::dim("size", "label"));
+    }
+    query
+        .aggregate(AggregateSpec::count_star())
+        .aggregate(AggregateSpec::over(AggFunc::Sum, ColumnRef::fact("amount")))
+        .build()
+}
+
+fn small_config(scan_workers: usize) -> CjoinConfig {
+    config(scan_workers)
+        .with_max_concurrency(8)
+        // Appended rows must stay in the hybrid tail, not be folded into a
+        // rebuilt replica.
+        .with_tail_compaction_rows(0)
+}
+
+/// Submits every query at once (so they share chunks, and whichever dimension
+/// leads the chain some of them reference it and some do not), then checks each
+/// against the oracle at the snapshot current at submission.
+fn assert_all_match_oracle(engine: &CjoinEngine, catalog: &Arc<Catalog>, queries: &[StarQuery]) {
+    let snapshot = catalog.snapshots().current();
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|q| engine.submit(q.clone()).unwrap())
+        .collect();
+    for (query, handle) in queries.iter().zip(handles) {
+        let expected = reference::evaluate(catalog, query, snapshot).unwrap();
+        assert_eq!(handle.wait().unwrap(), expected, "query {}", query.name);
+    }
+}
+
+/// The query mix of the suite: for either dimension, one query selects some of
+/// its rows, one selects none of them, and one does not reference it at all.
+fn probe_mix() -> Vec<StarQuery> {
+    let none = || Predicate::eq("k", 99);
+    vec![
+        sales_by("color_some", Some(Predicate::between("k", 1, 2)), None),
+        sales_by("size_some", None, Some(Predicate::eq("label", "M"))),
+        sales_by(
+            "both",
+            Some(Predicate::eq("name", "blue")),
+            Some(Predicate::between("k", 2, 3)),
+        ),
+        sales_by("color_none", Some(none()), None),
+        sales_by("size_none", None, Some(none())),
+        sales_by("no_dimension", None, None),
+    ]
+}
+
+#[test]
+fn scan_side_probe_handles_empty_selections_and_unreferencing_queries() {
+    for scan_workers in [1, 4] {
+        let catalog = two_dimension_warehouse();
+        let engine = CjoinEngine::start(Arc::clone(&catalog), small_config(scan_workers)).unwrap();
+        // Twice: the second round meets a chain the first one left behind
+        // (possibly reordered, possibly with a Filter retired and re-created
+        // on its dimension's old slot).
+        for _ in 0..2 {
+            assert_all_match_oracle(&engine, &catalog, &probe_mix());
+        }
+        engine.shutdown();
+    }
+}
+
+#[test]
+fn scan_side_probe_splits_tuples_whose_key_carries_two_versions() {
+    for scan_workers in [1, 4] {
+        let catalog = two_dimension_warehouse();
+        // Slow every chunk a little so the pinned query is still mid-pass when
+        // the dimension changes under it and the second query is admitted.
+        let plan = FaultPlan::seeded(7)
+            .delay(FaultSite::ScanWorker, 2_000)
+            .build();
+        let config = small_config(scan_workers).with_fault_plan(plan);
+        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+
+        // Only `color` is ever joined here, so it is the leading Filter.
+        let by_color = sales_by("pinned", Some(Predicate::between("k", 1, 2)), None);
+        let before = catalog.snapshots().current();
+        let expected_pinned = reference::evaluate(&catalog, &by_color, before).unwrap();
+        let pinned = engine.submit(by_color.clone()).unwrap();
+
+        let mut session = engine.ingest_session();
+        session.upsert_dimension("color", 0, vec![Value::int(1), Value::str("crimson")]);
+        session.commit().unwrap();
+
+        // Admitted while `pinned` is in flight: key 1 now has two versions in
+        // the hash table, one per query, and both queries' bits ride on the
+        // same fact tuples.
+        let after = catalog.snapshots().current();
+        let mut fresh_query = by_color.clone();
+        fresh_query.name = "fresh".into();
+        let expected_fresh = reference::evaluate(&catalog, &fresh_query, after).unwrap();
+        let fresh = engine.submit(fresh_query).unwrap();
+        assert!(
+            pinned.try_result().is_none(),
+            "the pinned query must still be in flight for its key to carry two versions"
+        );
+
+        assert_eq!(pinned.wait().unwrap(), expected_pinned, "pinned query");
+        assert_eq!(fresh.wait().unwrap(), expected_fresh, "fresh query");
+        assert_ne!(
+            expected_pinned, expected_fresh,
+            "the upsert must change the grouping"
+        );
+        engine.shutdown();
+    }
+}
+
+#[test]
+fn quarantined_groups_and_the_hybrid_tail_bypass_the_scan_side_probe() {
+    for scan_workers in [1, 4] {
+        let catalog = two_dimension_warehouse();
+        let plan = FaultPlan::seeded(5).corrupt_row_group(1).build();
+        let config = small_config(scan_workers).with_fault_plan(plan);
+        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+
+        // Rows past the replica: served from the row store by the tail path.
+        let mut session = engine.ingest_session();
+        for i in 0..300i64 {
+            session.append_fact(vec![
+                Value::int(i % 4 + 1),
+                Value::int(i % 3 + 1),
+                Value::int(1_000_000 + i),
+            ]);
+        }
+        session.commit().unwrap();
+
+        assert_all_match_oracle(&engine, &catalog, &probe_mix());
+        let columnar = engine.stats().columnar.expect("columnar stats present");
+        assert!(
+            columnar.groups_quarantined >= 1,
+            "group 1 was never quarantined"
+        );
+        engine.shutdown();
+    }
+}
+
+/// A partition plan that completes in the middle of a chunk ends the chunk on
+/// that row: the query is finalized before the next row is looked at, sees
+/// every row of its partitions exactly once, and the scan stops early.
+#[test]
+fn partition_pruning_cuts_the_columnar_pass_short_without_changing_the_answer() {
+    let data = SsbDataSet::generate(SsbConfig::for_tests(0.004, 606).with_clustering());
+    let catalog = data.catalog();
+    let query = StarQuery::builder("year_1995")
+        .fact_predicate(Predicate::between("lo_orderdate", 19_950_101, 19_951_231))
+        .join_dimension(
+            "date",
+            "lo_orderdate",
+            "d_datekey",
+            Predicate::between("d_year", 1995, 1995),
+        )
+        .group_by(ColumnRef::dim("date", "d_monthnuminyear"))
+        .aggregate(AggregateSpec::over(
+            AggFunc::Sum,
+            ColumnRef::fact("lo_revenue"),
+        ))
+        .aggregate(AggregateSpec::count_star())
+        .build();
+    let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
+
+    for scan_workers in [1, 4] {
+        let run = |pruning: bool| {
+            let config = CjoinConfig {
+                partition_pruning: pruning,
+                ..config(scan_workers)
+            };
+            let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+            let result = engine.execute(query.clone()).unwrap();
+            let scanned = engine.stats().tuples_scanned;
+            engine.shutdown();
+            (result, scanned)
+        };
+        let (full_result, full_scanned) = run(false);
+        let (pruned_result, pruned_scanned) = run(true);
+        assert_eq!(full_result, expected, "scan_workers={scan_workers}");
+        assert_eq!(pruned_result, expected, "scan_workers={scan_workers}");
+        assert!(
+            pruned_scanned < full_scanned,
+            "scan_workers={scan_workers}: pruning should end the pass early \
+             ({pruned_scanned} vs {full_scanned} rows)"
+        );
+    }
 }
