@@ -6,16 +6,21 @@
 //! workers. The oracle-backed equivalence of all shard counts is asserted by
 //! `tests/distributor_sharding.rs`; this bench only measures.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cjoin_repro::bench::experiments::ExperimentParams;
-use cjoin_repro::bench::hotpath::end_to_end_sharding;
+use cjoin_repro::bench::run_closed_loop;
+use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
+use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
+
+const CONCURRENCY: usize = 8;
 
 fn bench(c: &mut Criterion) {
-    let params = ExperimentParams::quick();
-    let concurrency = 8;
+    let data = SsbDataSet::generate(SsbConfig::new(0.002, 0xC70));
+    let catalog = data.catalog();
+    let workload = Workload::generate(&data, WorkloadConfig::new(CONCURRENCY, 0.02, 0xC70));
 
     let mut group = c.benchmark_group("abl_distributor_sharding");
     group.sample_size(10);
@@ -23,7 +28,16 @@ fn bench(c: &mut Criterion) {
 
     for shards in [1usize, 2, 4] {
         group.bench_function(format!("shards_{shards}"), |b| {
-            b.iter(|| end_to_end_sharding(&params, concurrency, shards).unwrap());
+            b.iter(|| {
+                let config = CjoinConfig::default()
+                    .with_worker_threads(2)
+                    .with_max_concurrency(32)
+                    .with_distributor_shards(shards);
+                let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+                let report = run_closed_loop(&engine, workload.queries(), CONCURRENCY).unwrap();
+                engine.shutdown();
+                report.timings.len()
+            });
         });
     }
     group.finish();

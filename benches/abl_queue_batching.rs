@@ -1,7 +1,5 @@
-//! Ablation — tuple batching and the pooled batch allocator (§4): the pipeline hands
-//! tuples between threads in batches to amortise queue synchronisation, and recycles
-//! batch allocations through a pool. This benchmark varies the batch size and toggles
-//! the pool.
+//! Ablation — tuple batching (§4): the pipeline hands tuples between threads in
+//! batches to amortise queue synchronisation. This benchmark varies the batch size.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,22 +40,6 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    for (label, use_pool) in [("pool_enabled", true), ("pool_disabled", false)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let config = CjoinConfig {
-                    use_batch_pool: use_pool,
-                    ..CjoinConfig::default()
-                        .with_worker_threads(4)
-                        .with_max_concurrency(32)
-                };
-                let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-                let report = run_closed_loop(&engine, workload.queries(), CONCURRENCY).unwrap();
-                engine.shutdown();
-                report.timings.len()
-            });
-        });
-    }
     group.finish();
 }
 

@@ -8,16 +8,21 @@
 //! `scan_workers` settings is asserted by `tests/scan_parallelism.rs` and
 //! `tests/engine_equivalence.rs`; this bench only measures.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cjoin_repro::bench::experiments::ExperimentParams;
-use cjoin_repro::bench::hotpath::end_to_end_scan_workers;
+use cjoin_repro::bench::run_closed_loop;
+use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
+use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
+
+const CONCURRENCY: usize = 8;
 
 fn bench(c: &mut Criterion) {
-    let params = ExperimentParams::quick();
-    let concurrency = 8;
+    let data = SsbDataSet::generate(SsbConfig::new(0.002, 0xC70));
+    let catalog = data.catalog();
+    let workload = Workload::generate(&data, WorkloadConfig::new(CONCURRENCY, 0.02, 0xC70));
 
     let mut group = c.benchmark_group("abl_scan_parallelism");
     group.sample_size(10);
@@ -27,7 +32,15 @@ fn bench(c: &mut Criterion) {
         for scan_workers in [1usize, 2, 4] {
             group.bench_function(format!("scan_{scan_workers}_shards_{shards}"), |b| {
                 b.iter(|| {
-                    end_to_end_scan_workers(&params, concurrency, scan_workers, shards).unwrap()
+                    let config = CjoinConfig::default()
+                        .with_worker_threads(2)
+                        .with_max_concurrency(32)
+                        .with_scan_workers(scan_workers)
+                        .with_distributor_shards(shards);
+                    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+                    let report = run_closed_loop(&engine, workload.queries(), CONCURRENCY).unwrap();
+                    engine.shutdown();
+                    report.timings.len()
                 });
             });
         }

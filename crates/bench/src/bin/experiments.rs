@@ -1,7 +1,7 @@
 //! Command-line entry point that regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <all|fig4|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io|bench-json> [options]
+//! experiments <all|fig4|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io> [options]
 //!
 //! Options:
 //!   --scale <f64>          SSB scale factor              (default 0.01)
@@ -9,58 +9,24 @@
 //!   --threads <usize>      CJOIN worker threads          (default 4)
 //!   --concurrency <list>   comma-separated n values      (default 1,32,64,128,256)
 //!   --markdown             print Markdown tables instead of plain text
-//!   --out <path>           output path for bench-json    (default BENCH_PR10.json)
 //! ```
-//!
-//! `bench-json` runs the filter hot-path ablation (batched vs. per-tuple probing),
-//! the distributor-sharding ablation (end-to-end qph/p99 for
-//! `distributor_shards` ∈ {1, 2, 4}), the scan-parallelism ablation
-//! (end-to-end qph/p99 for `scan_workers` ∈ {1, 2, 4} × `distributor_shards`
-//! ∈ {1, 4} on an ingest-bound low-selectivity population), the columnar-scan
-//! ablation (`columnar_scan` ∈ {off, on} × `scan_workers` ∈ {1, 4}, plus a
-//! clustered date-range probe reporting bytes/row, zone-map skip rate and the
-//! per-run probe ratio) and the supervision A/B (`supervision` ∈ {off, on} on
-//! the fault-free path, proving the panic-isolation scaffolding costs < 2%
-//! qph) and the serving A/B (the same closed loop driven in-process vs through
-//! `RemoteEngine` → TCP → `cjoin-server`, measuring what the front door costs
-//! in qph and p99 response) and the elastic-scheduler A/B (`auto_tune` ∈
-//! {off, on} against a static `worker_threads` ∈ {1, 2, 4} sweep, proving the
-//! scheduler's self-chosen widths keep up with the best hand-tuned static
-//! configuration on the same host) and the ingest-durability sweep
-//! (`SyncPolicy` ∈ {every-record, on-commit, never} × rows-per-batch ∈
-//! {1, 64, 1024} at a constant total row count: WAL-logged ingest rate,
-//! commits/s, fsync wait per commit, and timed crash recovery of the produced
-//! log) on fixed fig5/fig8-style workloads and writes a
-//! machine-readable baseline for the perf trajectory of future PRs. The host's
-//! available parallelism is recorded alongside: segment scan workers trade
-//! extra CPU for wall-clock, so their speedup only materialises where spare
-//! cores exist.
 
 use std::env;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use cjoin_bench::experiments::{
-    ablations, columnar_scan_volume, fig4_pipeline_config, fig5_concurrency_scaleup,
-    fig6_predictability, fig7_selectivity, fig8_data_scale, modelled_io_comparison,
-    tab1_submission_vs_concurrency, tab2_submission_vs_selectivity, tab3_submission_vs_sf,
-    ExperimentParams,
+    ablations, fig4_pipeline_config, fig5_concurrency_scaleup, fig6_predictability,
+    fig7_selectivity, fig8_data_scale, modelled_io_comparison, tab1_submission_vs_concurrency,
+    tab2_submission_vs_selectivity, tab3_submission_vs_sf, ExperimentParams,
 };
-use cjoin_bench::hotpath::{
-    columnar_range_probe, end_to_end_ab, end_to_end_auto_tune, end_to_end_columnar,
-    end_to_end_scan_workers, end_to_end_served, end_to_end_sharding, end_to_end_supervision,
-    ingest_rate, EndToEndReport, ProbeAblationParams, ProbeHarness,
-};
-use cjoin_bench::{JsonObject, RunReport, Table};
+use cjoin_bench::Table;
 use cjoin_common::Result;
-use cjoin_storage::SyncPolicy;
 
 struct Options {
     experiment: String,
     params: ExperimentParams,
     concurrency: Vec<usize>,
     markdown: bool,
-    out: String,
 }
 
 fn parse_args() -> std::result::Result<Options, String> {
@@ -69,13 +35,9 @@ fn parse_args() -> std::result::Result<Options, String> {
     let mut params = ExperimentParams::default();
     let mut concurrency = vec![1, 32, 64, 128, 256];
     let mut markdown = false;
-    let mut out = "BENCH_PR10.json".to_string();
 
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--out" => {
-                out = args.next().ok_or("--out needs a value")?;
-            }
             "--scale" => {
                 params.scale_factor = args
                     .next()
@@ -117,333 +79,7 @@ fn parse_args() -> std::result::Result<Options, String> {
         params,
         concurrency,
         markdown,
-        out,
     })
-}
-
-/// 99th-percentile response time of a closed-loop run, in milliseconds.
-fn p99_response_ms(report: &RunReport) -> f64 {
-    let mut samples: Vec<f64> = report
-        .timings
-        .iter()
-        .map(|t| t.response_time.as_secs_f64() * 1e3)
-        .collect();
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[((samples.len() - 1) as f64 * 0.99).round() as usize]
-}
-
-/// Runs the hot-path ablation and writes the machine-readable perf baseline.
-fn run_bench_json(options: &Options) -> Result<()> {
-    eprintln!("# filter-stage ablation (fig5-style dimension population)");
-    let ab = ProbeAblationParams::fig5_style();
-    let harness = ProbeHarness::build(&ab);
-    assert!(
-        harness.paths_agree(),
-        "batched and per-tuple hot paths must produce identical survivors"
-    );
-    let measure_for = Duration::from_secs(2);
-    let batched_tps = harness.measure(true, measure_for);
-    let per_tuple_tps = harness.measure(false, measure_for);
-    let speedup = batched_tps / per_tuple_tps;
-    eprintln!(
-        "  batched: {batched_tps:.0} tuples/s, per-tuple: {per_tuple_tps:.0} tuples/s, \
-         speedup {speedup:.2}x"
-    );
-
-    eprintln!("# end-to-end A/B (fig5-style closed loop)");
-    let mut e2e = options.params.clone();
-    // Fixed moderate size so the baseline is comparable across machines and PRs.
-    e2e.scale_factor = 0.005;
-    let concurrency = 32;
-    let on = end_to_end_ab(&e2e, concurrency, true)?;
-    let off = end_to_end_ab(&e2e, concurrency, false)?;
-    let render = |r: &EndToEndReport| {
-        JsonObject::new()
-            .field_f64("throughput_qph", r.throughput_qph)
-            .field_f64("mean_submission_ms", r.mean_submission_ms)
-            .field_f64("p99_submission_ms", r.p99_submission_ms)
-            .field_f64("mean_response_ms", r.mean_response_ms)
-            .field_u64("queries", r.queries as u64)
-    };
-
-    eprintln!("# distributor-sharding sweep (fig5-style closed loop)");
-    let mut sharding = JsonObject::new();
-    for shards in [1usize, 2, 4] {
-        let report = end_to_end_sharding(&e2e, concurrency, shards)?;
-        eprintln!(
-            "  shards={shards}: {:.0} q/h, p99 submission {:.3} ms",
-            report.throughput_qph, report.p99_submission_ms
-        );
-        sharding = sharding.field_obj(&format!("shards_{shards}"), render(&report));
-    }
-
-    // Scan-parallelism sweep on the ingest-bound population: a larger table at a
-    // low selectivity, so response time is dominated by scan passes rather than
-    // filter work — the regime the sharded front-end targets.
-    eprintln!("# scan-parallelism sweep (ingest-bound: low selectivity, higher SF)");
-    let mut ingest = options.params.clone();
-    ingest.scale_factor = 0.01;
-    ingest.selectivity = 0.002;
-    let scan_concurrency = 16;
-    let mut scan_parallelism = JsonObject::new();
-    for shards in [1usize, 4] {
-        for scan_workers in [1usize, 2, 4] {
-            let report = end_to_end_scan_workers(&ingest, scan_concurrency, scan_workers, shards)?;
-            eprintln!(
-                "  scan_workers={scan_workers} shards={shards}: {:.0} q/h, \
-                 p99 submission {:.3} ms",
-                report.throughput_qph, report.p99_submission_ms
-            );
-            scan_parallelism = scan_parallelism.field_obj(
-                &format!("scan_{scan_workers}_shards_{shards}"),
-                render(&report),
-            );
-        }
-    }
-
-    // Columnar-scan A/B on the fig5-style closed loop: the storage-layout knob
-    // toggled over the classic and sharded scan front-end, plus a clustered
-    // date-range probe for the byte-level evidence (bytes/row vs the row store,
-    // zone-map skip rate, rows answered per RLE probe).
-    eprintln!("# columnar-scan sweep (fig5-style closed loop + clustered probe)");
-    let mut columnar_sweep = JsonObject::new();
-    for scan_workers in [1usize, 4] {
-        for columnar in [false, true] {
-            let (report, volume) = end_to_end_columnar(&e2e, concurrency, scan_workers, columnar)?;
-            let layout = if columnar { "columnar" } else { "row" };
-            eprintln!(
-                "  layout={layout} scan_workers={scan_workers}: {:.0} q/h, \
-                 p99 submission {:.3} ms",
-                report.throughput_qph, report.p99_submission_ms
-            );
-            let mut obj = render(&report);
-            if let Some(volume) = volume {
-                obj = obj
-                    .field_u64("bytes_scanned", volume.bytes_scanned)
-                    .field_u64("rows_scanned", volume.rows_scanned)
-                    .field_f64("bytes_per_row", volume.bytes_per_row());
-            }
-            columnar_sweep =
-                columnar_sweep.field_obj(&format!("{layout}_scan_{scan_workers}"), obj);
-        }
-    }
-    // Supervision A/B on the fault-free path: same closed loop with the
-    // catch_unwind wrappers, supervisor/reaper thread and runtimes registry on
-    // vs off. The committed baseline proves the robustness scaffolding costs
-    // < 2% qph when nothing fails.
-    eprintln!("# supervision overhead A/B (fig5-style closed loop)");
-    let sup_off = end_to_end_supervision(&e2e, concurrency, false)?;
-    let sup_on = end_to_end_supervision(&e2e, concurrency, true)?;
-    let sup_overhead = 1.0 - sup_on.throughput_qph / sup_off.throughput_qph;
-    eprintln!(
-        "  supervision=off: {:.0} q/h, supervision=on: {:.0} q/h, overhead {:.2}%",
-        sup_off.throughput_qph,
-        sup_on.throughput_qph,
-        100.0 * sup_overhead
-    );
-    let supervision = JsonObject::new()
-        .field_obj("supervision_off", render(&sup_off))
-        .field_obj("supervision_on", render(&sup_on))
-        .field_f64("qph_overhead_fraction", sup_overhead);
-
-    // Serving A/B: the same closed loop in-process vs through the TCP front
-    // door (RemoteEngine → cjoin-server), quantifying what framing,
-    // per-connection threads, and admission bookkeeping cost.
-    eprintln!("# serving A/B (fig5-style closed loop, in-process vs TCP)");
-    let (in_process, served) = end_to_end_served(&e2e, concurrency)?;
-    let serving_overhead = 1.0 - served.throughput_qph() / in_process.throughput_qph();
-    eprintln!(
-        "  in-process: {:.0} q/h p99 {:.3} ms, served: {:.0} q/h p99 {:.3} ms, \
-         overhead {:.2}%",
-        in_process.throughput_qph(),
-        p99_response_ms(&in_process),
-        served.throughput_qph(),
-        p99_response_ms(&served),
-        100.0 * serving_overhead
-    );
-    let render_run = |r: &RunReport| {
-        JsonObject::new()
-            .field_f64("throughput_qph", r.throughput_qph())
-            .field_f64("mean_response_ms", r.mean_response().as_secs_f64() * 1e3)
-            .field_f64("p99_response_ms", p99_response_ms(r))
-            .field_u64("queries", r.timings.len() as u64)
-    };
-    let serving = JsonObject::new()
-        .field_obj("in_process", render_run(&in_process))
-        .field_obj("served", render_run(&served))
-        .field_f64("qph_overhead_fraction", serving_overhead);
-
-    // Elastic-scheduler A/B: the same closed loop with every parallelism knob
-    // left at its default, auto-tune off (fixed default widths — the
-    // pre-scheduler shape) vs on (scheduler-governed widths, sized from the
-    // host at startup and resized from live counters), plus a static
-    // worker_threads sweep so "auto-tune keeps up with the best hand-tuned
-    // static configuration on this host" is a recorded fact, not a claim.
-    eprintln!("# elastic-scheduler A/B (fig5-style closed loop + static width sweep)");
-    let tune_off = end_to_end_auto_tune(&e2e, concurrency, false)?;
-    let tune_on = end_to_end_auto_tune(&e2e, concurrency, true)?;
-    eprintln!(
-        "  auto_tune=off: {:.0} q/h, auto_tune=on: {:.0} q/h",
-        tune_off.throughput_qph, tune_on.throughput_qph
-    );
-    let mut static_sweep = JsonObject::new();
-    let mut best_static_qph = tune_off.throughput_qph;
-    for threads in [1usize, 2, 4] {
-        let mut static_params = e2e.clone();
-        static_params.worker_threads = threads;
-        let report = end_to_end_ab(&static_params, concurrency, true)?;
-        eprintln!(
-            "  static worker_threads={threads}: {:.0} q/h, p99 submission {:.3} ms",
-            report.throughput_qph, report.p99_submission_ms
-        );
-        best_static_qph = best_static_qph.max(report.throughput_qph);
-        static_sweep =
-            static_sweep.field_obj(&format!("worker_threads_{threads}"), render(&report));
-    }
-    eprintln!(
-        "  auto-tune vs best static: {:.3}x",
-        tune_on.throughput_qph / best_static_qph
-    );
-    let elastic_scheduler = JsonObject::new()
-        .field_obj("auto_tune_off", render(&tune_off))
-        .field_obj("auto_tune_on", render(&tune_on))
-        .field_obj("static_worker_threads", static_sweep)
-        .field_f64("best_static_qph", best_static_qph)
-        .field_f64(
-            "auto_tune_vs_best_static",
-            tune_on.throughput_qph / best_static_qph,
-        );
-
-    // Ingest-durability sweep: the WAL-logged ingestion path under every sync
-    // policy × batch size at a constant total row count. Contiguous fact rows
-    // coalesce into one WAL record, so rows-per-batch is the group-commit
-    // amortization axis; each cell also times a cold restart replaying the
-    // produced log onto a fresh warehouse.
-    eprintln!("# ingest-durability sweep (SyncPolicy x rows-per-batch, constant total rows)");
-    let total_rows = 2048usize;
-    let mut ingest_durability = JsonObject::new();
-    for (policy, policy_name) in [
-        (SyncPolicy::EveryRecord, "every_record"),
-        (SyncPolicy::OnCommit, "on_commit"),
-        (SyncPolicy::Never, "never"),
-    ] {
-        for rows_per_batch in [1usize, 64, 1024] {
-            let batches = total_rows / rows_per_batch;
-            let report = ingest_rate(&e2e, policy, rows_per_batch, batches)?;
-            eprintln!(
-                "  policy={policy_name} rows/batch={rows_per_batch}: \
-                 {:.0} rows/s, {:.0} commits/s, {:.0} ns fsync/commit, \
-                 recovery {:.1} ms for {} rows",
-                report.rows_per_sec,
-                report.commits_per_sec,
-                report.sync_ns_per_commit,
-                report.recovery_ms,
-                report.recovered_rows
-            );
-            ingest_durability = ingest_durability.field_obj(
-                &format!("{policy_name}_batch_{rows_per_batch}"),
-                JsonObject::new()
-                    .field_u64("batches", report.batches as u64)
-                    .field_u64("rows_per_batch", report.rows_per_batch as u64)
-                    .field_f64("rows_per_sec", report.rows_per_sec)
-                    .field_f64("commits_per_sec", report.commits_per_sec)
-                    .field_f64("sync_ns_per_commit", report.sync_ns_per_commit)
-                    .field_u64("wal_bytes", report.wal_bytes)
-                    .field_f64("recovery_ms", report.recovery_ms)
-                    .field_u64("recovered_rows", report.recovered_rows),
-            );
-        }
-    }
-
-    let probe = columnar_range_probe(&e2e)?;
-    eprintln!(
-        "  clustered probe: {:.1} of {:.1} bytes/row ({:.1}% of the row store), \
-         skip rate {:.2}, {:.0} rows/probe on an RLE column",
-        probe.columnar_bytes_per_row(),
-        probe.row_store_bytes_per_row(),
-        100.0 * probe.columnar_bytes_per_row() / probe.row_store_bytes_per_row(),
-        probe.skip_rate(),
-        probe.rle_rows_per_probe
-    );
-    let columnar_probe = JsonObject::new()
-        .field_u64("fact_rows", probe.fact_rows)
-        .field_u64("queries", probe.queries as u64)
-        .field_f64("row_store_bytes_per_row", probe.row_store_bytes_per_row())
-        .field_f64("columnar_bytes_per_row", probe.columnar_bytes_per_row())
-        .field_f64(
-            "byte_ratio_vs_row_store",
-            probe.columnar_bytes_per_row() / probe.row_store_bytes_per_row(),
-        )
-        .field_f64("zone_map_skip_rate", probe.skip_rate())
-        .field_u64("row_groups_skipped", probe.stats.row_groups_skipped)
-        .field_f64("rle_rows_per_predicate_probe", probe.rle_rows_per_probe)
-        .field_f64("replica_compression_ratio", probe.compression_ratio);
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    let json = JsonObject::new()
-        .field_str("artifact", "BENCH_PR10")
-        .field_str(
-            "description",
-            "Filter hot path A/B (CjoinConfig::batched_probing) + sharded aggregation \
-             stage sweep (CjoinConfig::distributor_shards) + sharded scan front-end \
-             sweep (CjoinConfig::scan_workers; speedup requires spare host cores) + \
-             compressed columnar scan A/B (CjoinConfig::columnar_scan: encoded \
-             predicates, zone-map skipping, late materialization) + pipeline \
-             supervision A/B (CjoinConfig::supervision: catch_unwind isolation, \
-             supervisor/reaper thread, runtimes registry on the fault-free path) + \
-             serving A/B (in-process vs RemoteEngine -> TCP -> cjoin-server: wire \
-             framing, per-connection threads, multi-tenant admission) + elastic \
-             scheduler A/B (CjoinConfig::auto_tune: scheduler-governed widths vs \
-             fixed defaults vs best static worker_threads sweep) + ingest \
-             durability sweep (WAL SyncPolicy x rows-per-batch at constant \
-             total rows: durable ingest rate, commits/s, fsync wait per \
-             commit, timed crash recovery)",
-        )
-        .field_u64("host_cpus", host_cpus)
-        .field_u64("available_parallelism", host_cpus)
-        .field_obj(
-            "workload",
-            JsonObject::new()
-                .field_str("shape", "fig5-style")
-                .field_u64("filter_stage_queries", ab.queries as u64)
-                .field_f64("filter_stage_selectivity", ab.selectivity)
-                .field_u64("filter_stage_batch_size", ab.batch_size as u64)
-                .field_f64("end_to_end_scale_factor", e2e.scale_factor)
-                .field_f64("end_to_end_selectivity", e2e.selectivity)
-                .field_u64("end_to_end_concurrency", concurrency as u64)
-                .field_f64("ingest_bound_scale_factor", ingest.scale_factor)
-                .field_f64("ingest_bound_selectivity", ingest.selectivity)
-                .field_u64("ingest_bound_concurrency", scan_concurrency as u64)
-                .field_u64("worker_threads", e2e.worker_threads as u64),
-        )
-        .field_obj(
-            "filter_stage",
-            JsonObject::new()
-                .field_f64("batched_tuples_per_sec", batched_tps)
-                .field_f64("per_tuple_tuples_per_sec", per_tuple_tps)
-                .field_f64("speedup", speedup),
-        )
-        .field_obj("end_to_end_batched", render(&on))
-        .field_obj("end_to_end_per_tuple", render(&off))
-        .field_obj("distributor_sharding", sharding)
-        .field_obj("scan_parallelism", scan_parallelism)
-        .field_obj("columnar_scan", columnar_sweep)
-        .field_obj("columnar_probe", columnar_probe)
-        .field_obj("supervision", supervision)
-        .field_obj("serving", serving)
-        .field_obj("elastic_scheduler", elastic_scheduler)
-        .field_obj("ingest_durability", ingest_durability)
-        .render();
-    std::fs::write(&options.out, &json)
-        .map_err(|e| cjoin_common::Error::invalid_state(format!("write {}: {e}", options.out)))?;
-    eprintln!("# wrote {}", options.out);
-    println!("{json}");
-    Ok(())
 }
 
 fn print_table(table: &Table, markdown: bool) {
@@ -502,7 +138,6 @@ fn run(options: &Options) -> Result<Vec<Table>> {
     }
     if want("io") {
         tables.push(modelled_io_comparison(p, n)?);
-        tables.push(columnar_scan_volume(p)?);
     }
     Ok(tables)
 }
@@ -513,9 +148,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: experiments <all|fig4|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io|bench-json> \
-                 [--scale F] [--selectivity S] [--threads T] [--concurrency 1,32,...] [--markdown] \
-                 [--out PATH]"
+                "usage: experiments <all|fig4|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io> \
+                 [--scale F] [--selectivity S] [--threads T] [--concurrency 1,32,...] [--markdown]"
             );
             return ExitCode::FAILURE;
         }
@@ -528,15 +162,6 @@ fn main() -> ExitCode {
         options.params.worker_threads,
         options.concurrency
     );
-    if options.experiment == "bench-json" {
-        return match run_bench_json(&options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     match run(&options) {
         Ok(tables) => {
             if tables.is_empty() {

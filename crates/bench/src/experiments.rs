@@ -502,7 +502,7 @@ pub fn fig8_data_scale(
 // ---------------------------------------------------------------------------
 
 /// Ablations of CJOIN design choices called out in §3–§4: the early-skip
-/// optimisation, run-time filter ordering, and the pooled batch allocator.
+/// optimisation and the number of Filter worker threads.
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -520,16 +520,6 @@ pub fn ablations(params: &ExperimentParams, concurrency: usize) -> Result<Table>
         ("no early skip", {
             let mut c = params.cjoin_config(concurrency);
             c.early_skip = false;
-            c
-        }),
-        ("no adaptive ordering", {
-            let mut c = params.cjoin_config(concurrency);
-            c.adaptive_filter_ordering = false;
-            c
-        }),
-        ("no batch pool", {
-            let mut c = params.cjoin_config(concurrency);
-            c.use_batch_pool = false;
             c
         }),
         (
@@ -584,55 +574,6 @@ pub fn modelled_io_comparison(
             fmt_f64(ratio),
         ]);
     }
-    Ok(table)
-}
-
-/// Measured columnar scan volume (§5 "Column Stores" / "Compressed Tables"):
-/// a clustered date-range probe workload through the columnar pipeline, compared
-/// against the bytes one row-store pass moves per row. Complements the modelled
-/// disk table with the byte-level story of encoded predicates, zone-map skipping
-/// and late materialization.
-///
-/// # Errors
-/// Propagates engine errors.
-pub fn columnar_scan_volume(params: &ExperimentParams) -> Result<Table> {
-    let probe = crate::hotpath::columnar_range_probe(params)?;
-    let mut table = Table::new(
-        "Measured columnar scan volume (clustered date-range probes, CjoinConfig::columnar_scan)",
-        vec!["metric", "value"],
-    );
-    table.push_row(vec![
-        "rows considered per probe pass".into(),
-        probe.fact_rows.to_string(),
-    ]);
-    table.push_row(vec![
-        "row-store bytes/row".into(),
-        fmt_f64(probe.row_store_bytes_per_row()),
-    ]);
-    table.push_row(vec![
-        "columnar bytes/row".into(),
-        fmt_f64(probe.columnar_bytes_per_row()),
-    ]);
-    table.push_row(vec![
-        "byte ratio (columnar / row)".into(),
-        fmt_f64(probe.columnar_bytes_per_row() / probe.row_store_bytes_per_row()),
-    ]);
-    table.push_row(vec![
-        "zone-map skip rate".into(),
-        fmt_f64(probe.skip_rate()),
-    ]);
-    table.push_row(vec![
-        "row groups skipped".into(),
-        probe.stats.row_groups_skipped.to_string(),
-    ]);
-    table.push_row(vec![
-        "rows per predicate probe (RLE column)".into(),
-        fmt_f64(probe.rle_rows_per_probe),
-    ]);
-    table.push_row(vec![
-        "replica compression ratio".into(),
-        fmt_f64(probe.compression_ratio),
-    ]);
     Ok(table)
 }
 
@@ -691,28 +632,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_scan_volume_reports_byte_savings() {
-        let p = ExperimentParams::quick();
-        let table = columnar_scan_volume(&p).unwrap();
-        assert_eq!(table.num_rows(), 8);
-        let value = |i: usize| table.rows[i][1].parse::<f64>().unwrap();
-        let ratio = value(3);
-        assert!(
-            ratio > 0.0 && ratio < 0.4,
-            "columnar probes must move well under 40% of the row-store bytes, got {ratio}"
-        );
-        assert!(
-            value(6) > 32.0,
-            "an RLE column answers whole runs per probe, got {} rows/probe",
-            value(6)
-        );
-    }
-
-    #[test]
     fn ablations_quick_run() {
         let p = ExperimentParams::quick();
         let table = ablations(&p, 4).unwrap();
-        assert_eq!(table.num_rows(), 5);
+        assert_eq!(table.num_rows(), 3);
         for row in &table.rows {
             assert!(row[1].parse::<f64>().unwrap() > 0.0);
         }

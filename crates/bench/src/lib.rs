@@ -14,7 +14,7 @@
 //! | Submission time vs. selectivity | Table 2 | [`experiments::tab2_submission_vs_selectivity`] |
 //! | Normalized throughput vs. scale factor | Figure 8 | [`experiments::fig8_data_scale`] |
 //! | Submission time vs. scale factor | Table 3 | [`experiments::tab3_submission_vs_sf`] |
-//! | Design ablations (early skip, adaptive ordering, batch pool) | §3–§4 design points | [`experiments::ablations`] |
+//! | Design ablations (early skip, worker threads) | §3–§4 design points | [`experiments::ablations`] |
 //!
 //! The same functions back the Criterion benches under `benches/` (with small
 //! parameters) and the `experiments` binary (with paper-shaped sweeps):
@@ -24,22 +24,18 @@
 //! cargo run --release -p cjoin-bench --bin experiments -- fig5 --scale 0.01 --concurrency 1,32,64,128,256
 //! ```
 //!
-//! The [`hotpath`] module additionally hosts the filter hot-path ablation
-//! (batched vs. per-tuple probing) behind the `abl_probe_locking` bench, and
-//! `experiments -- bench-json` writes a machine-readable `BENCH_PR2.json`
-//! perf-trajectory baseline (filter-stage throughput and end-to-end
-//! throughput / p99 submission time under both hot-path settings).
+//! Performance claims are not made from this crate: the repeated-trial,
+//! per-layer benchmark is the `rig/` package at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod driver;
 pub mod experiments;
-pub mod hotpath;
 pub mod report;
 
 pub use driver::{run_closed_loop, QueryTiming, RunReport};
-pub use report::{JsonObject, Table};
+pub use report::Table;
 
 #[doc(no_inline)]
 pub use cjoin_query::{EngineStats, JoinEngine, QueryTicket};

@@ -104,104 +104,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// A minimal JSON object builder for machine-readable benchmark artifacts
-/// (`BENCH_*.json`). The build environment has no `serde_json`, so this hand-rolls
-/// the subset needed: objects of strings, numbers, booleans and nested objects,
-/// rendered deterministically in insertion order with 2-space indentation.
-#[derive(Debug, Clone, Default)]
-pub struct JsonObject {
-    entries: Vec<(String, String)>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl JsonObject {
-    /// Creates an empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a floating-point field (`NaN`/infinite values render as `null`).
-    #[must_use]
-    pub fn field_f64(mut self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.entries.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Adds an integer field.
-    #[must_use]
-    pub fn field_u64(mut self, key: &str, value: u64) -> Self {
-        self.entries.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Adds a boolean field.
-    #[must_use]
-    pub fn field_bool(mut self, key: &str, value: bool) -> Self {
-        self.entries.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Adds a string field (escaped).
-    #[must_use]
-    pub fn field_str(mut self, key: &str, value: &str) -> Self {
-        self.entries
-            .push((key.to_string(), format!("\"{}\"", json_escape(value))));
-        self
-    }
-
-    /// Adds a nested object field.
-    #[must_use]
-    pub fn field_obj(mut self, key: &str, value: JsonObject) -> Self {
-        self.entries.push((key.to_string(), value.render_inner(1)));
-        self
-    }
-
-    fn render_inner(&self, depth: usize) -> String {
-        if self.entries.is_empty() {
-            return "{}".to_string();
-        }
-        let pad = "  ".repeat(depth);
-        let close_pad = "  ".repeat(depth.saturating_sub(1));
-        let fields: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(k, v)| {
-                // Re-indent nested objects relative to this depth.
-                let v = v.replace('\n', &format!("\n{pad}"));
-                format!("{pad}\"{}\": {v}", json_escape(k))
-            })
-            .collect();
-        format!("{{\n{}\n{close_pad}}}", fields.join(",\n"))
-    }
-
-    /// Renders the object as a pretty-printed JSON document (trailing newline).
-    pub fn render(&self) -> String {
-        let mut s = self.render_inner(1);
-        s.push('\n');
-        s
-    }
-}
-
 /// Formats a floating-point value with a sensible number of digits for tables.
 pub fn fmt_f64(value: f64) -> String {
     if value == 0.0 {
@@ -254,35 +156,6 @@ mod tests {
     fn mismatched_row_length_panics() {
         let mut t = Table::new("t", vec!["a", "b"]);
         t.push_row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn json_object_renders_nested_pretty_output() {
-        let json = JsonObject::new()
-            .field_str("name", "abl \"probe\" locking")
-            .field_u64("queries", 32)
-            .field_bool("batched", true)
-            .field_f64("speedup", 1.5)
-            .field_f64("bad", f64::NAN)
-            .field_obj(
-                "inner",
-                JsonObject::new()
-                    .field_f64("qph", 1234.5)
-                    .field_obj("empty", JsonObject::new()),
-            )
-            .render();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"name\": \"abl \\\"probe\\\" locking\""));
-        assert!(json.contains("\"queries\": 32"));
-        assert!(json.contains("\"batched\": true"));
-        assert!(json.contains("\"speedup\": 1.5"));
-        assert!(json.contains("\"bad\": null"));
-        assert!(json.contains("    \"qph\": 1234.5"), "{json}");
-        assert!(json.contains("\"empty\": {}"));
-        // Valid-JSON smoke: balanced braces and no trailing commas.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n}"));
     }
 
     #[test]

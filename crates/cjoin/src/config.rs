@@ -55,11 +55,8 @@ pub struct CjoinConfig {
     pub stage_layout: StageLayout,
     /// Number of fact tuples per batch handed between pipeline threads.
     pub batch_size: usize,
-    /// Capacity (in batches) of each inter-thread queue.
-    pub queue_capacity: usize,
-    /// Enable run-time reordering of the filter chain from observed drop rates (§3.4).
-    pub adaptive_filter_ordering: bool,
-    /// How often (in milliseconds) the pipeline manager re-evaluates the filter order.
+    /// How often (in milliseconds) the pipeline manager re-evaluates the filter
+    /// order from observed drop rates (§3.4).
     pub reorder_interval_ms: u64,
     /// Enable the early-skip optimisation (`bτ AND ¬bDj == 0` avoids the probe, §3.2.2).
     pub early_skip: bool,
@@ -67,7 +64,8 @@ pub struct CjoinConfig {
     /// lock is taken once per (batch, filter) with entries borrowed rather than
     /// `Arc`-cloned, filter statistics accumulate in batch-local counters flushed
     /// once per batch, and survivors are compacted in place. Disable to fall back
-    /// to the per-tuple probe path (the `abl_probe_locking` ablation baseline).
+    /// to the per-tuple probe path (the reference the batched path is tested
+    /// against).
     pub batched_probing: bool,
     /// Number of parallel aggregation (Distributor) shards. `1` runs the classic
     /// single-threaded Distributor; `N > 1` adds a routing thread that splits each
@@ -94,22 +92,10 @@ pub struct CjoinConfig {
     /// are bit-identical to the row-store scan; rows appended after engine
     /// start are served from the row store by a hybrid tail path.
     pub columnar_scan: bool,
-    /// Enable the pooled batch allocator (§4); disable to measure its effect.
-    pub use_batch_pool: bool,
     /// Enable partition-based early query termination (§5, Fact Table Partitioning):
     /// queries whose fact predicate restricts the partitioning column finish as soon
     /// as the scan has covered every partition they need.
     pub partition_pruning: bool,
-    /// Microseconds the preprocessor sleeps when no query is registered (the
-    /// continuous scan idles instead of spinning).
-    pub idle_sleep_us: u64,
-    /// Run every pipeline role under the supervisor: panics are caught at the
-    /// role boundary, in-flight queries on the dead axis fail with a typed
-    /// [`cjoin_query::QueryError::StageFailed`] instead of hanging, and the
-    /// pipeline respawns with the failed axis degraded to its classic path.
-    /// Disable only to measure the `catch_unwind` + outcome-channel overhead
-    /// (the BENCH_PR7 supervision A/B).
-    pub supervision: bool,
     /// Deterministic fault schedule for supervision tests; `None` (the default)
     /// makes every injection point a single untaken branch. See [`FaultPlan`].
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -119,11 +105,7 @@ pub struct CjoinConfig {
     /// `std::thread::available_parallelism()` and re-sized at runtime from
     /// live pipeline counters through a hysteresis-guarded policy (see
     /// [`crate::scheduler`]). Explicitly configured knob values remain fixed
-    /// overrides the scheduler never touches. Note that `auto_tune` keeps the
-    /// in-flight runtime registry populated even with `supervision` off (the
-    /// scheduler re-installs in-flight queries across a resize), so combining
-    /// `auto_tune` with `supervision = false` means a role panic leaves
-    /// in-flight handles to resolve only at shutdown.
+    /// overrides the scheduler never touches.
     pub auto_tune: bool,
     /// Path of the write-ahead log behind the durable ingestion path. `None`
     /// (the default) disables durability: `IngestSession` commits mutate the
@@ -153,18 +135,13 @@ impl Default for CjoinConfig {
             worker_threads: 4,
             stage_layout: StageLayout::Horizontal,
             batch_size: 1024,
-            queue_capacity: 8,
-            adaptive_filter_ordering: true,
             reorder_interval_ms: 50,
             early_skip: true,
             batched_probing: true,
             distributor_shards: 1,
             scan_workers: 1,
             columnar_scan: false,
-            use_batch_pool: true,
             partition_pruning: false,
-            idle_sleep_us: 200,
-            supervision: true,
             fault_plan: None,
             auto_tune: true,
             wal_path: None,
@@ -189,9 +166,6 @@ impl CjoinConfig {
         }
         if self.batch_size == 0 {
             return Err(Error::invalid_config("batch_size must be positive"));
-        }
-        if self.queue_capacity == 0 {
-            return Err(Error::invalid_config("queue_capacity must be positive"));
         }
         if self.distributor_shards == 0 {
             return Err(Error::invalid_config("distributor_shards must be positive"));
@@ -245,8 +219,7 @@ impl CjoinConfig {
         self
     }
 
-    /// Convenience: a configuration with batched probing enabled or disabled
-    /// (the hot-path A/B knob used by the `abl_probe_locking` ablation).
+    /// Convenience: a configuration with batched probing enabled or disabled.
     pub fn with_batched_probing(mut self, enabled: bool) -> Self {
         self.batched_probing = enabled;
         self
@@ -278,13 +251,6 @@ impl CjoinConfig {
         self
     }
 
-    /// Convenience: a configuration with supervision enabled or disabled (the
-    /// robustness A/B knob measured in BENCH_PR7.json).
-    pub fn with_supervision(mut self, enabled: bool) -> Self {
-        self.supervision = enabled;
-        self
-    }
-
     /// Convenience: a configuration carrying a deterministic fault schedule.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
@@ -292,7 +258,7 @@ impl CjoinConfig {
     }
 
     /// Convenience: a configuration with the elastic stage scheduler enabled
-    /// or disabled (the self-tuning A/B knob measured in BENCH_PR9.json).
+    /// or disabled.
     pub fn with_auto_tune(mut self, enabled: bool) -> Self {
         self.auto_tune = enabled;
         self
@@ -350,12 +316,6 @@ mod tests {
         .is_err());
         assert!(CjoinConfig {
             batch_size: 0,
-            ..CjoinConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CjoinConfig {
-            queue_capacity: 0,
             ..CjoinConfig::default()
         }
         .validate()
@@ -491,13 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn supervision_defaults_on_with_no_fault_plan() {
+    fn fault_plan_defaults_to_none_and_builds() {
         let c = CjoinConfig::default();
-        assert!(c.supervision);
         assert!(c.fault_plan.is_none());
         let plan = FaultPlan::seeded(1).build();
-        let c = c.with_supervision(false).with_fault_plan(Arc::clone(&plan));
-        assert!(!c.supervision);
+        let c = c.with_fault_plan(Arc::clone(&plan));
         assert!(c.fault_plan.is_some());
         c.validate().unwrap();
     }

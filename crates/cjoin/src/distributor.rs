@@ -669,7 +669,7 @@ mod tests {
         let d = Distributor::single(
             rx,
             Arc::clone(&in_flight),
-            BatchPool::new(4, true),
+            BatchPool::new(4),
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
             fin_tx,
@@ -841,7 +841,7 @@ mod tests {
         let d = Distributor::single(
             rx,
             in_flight,
-            BatchPool::new(4, true),
+            BatchPool::new(4),
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
             fin_tx,
@@ -972,7 +972,7 @@ mod tests {
             rx,
             queues.senders(),
             Arc::clone(&in_flight),
-            BatchPool::new(16, true),
+            BatchPool::new(16),
             64,
             8,
         );
@@ -1144,7 +1144,7 @@ mod tests {
             1,
             rx,
             Arc::clone(&in_flight),
-            BatchPool::new(4, true),
+            BatchPool::new(4),
             Arc::clone(&counters),
             Arc::clone(&shard_counters),
             ptx,

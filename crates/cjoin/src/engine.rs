@@ -20,9 +20,9 @@
 //!
 //! # Supervision
 //!
-//! With `CjoinConfig::supervision` (the default) every pipeline role runs under
-//! [`spawn_supervised`]: a panic becomes a [`RoleFailure`] on the supervisor's
-//! channel instead of a silently dead thread. The supervisor thread then:
+//! Every pipeline role runs under [`spawn_supervised`]: a panic becomes a
+//! [`RoleFailure`] on the supervisor's channel instead of a silently dead
+//! thread. The supervisor thread then:
 //!
 //! 1. takes the pipeline out of service (no new query can install against it),
 //! 2. resolves every in-flight query to [`QueryError::StageFailed`] — *before*
@@ -39,14 +39,14 @@
 //! Two liveness rules keep the supervisor itself unblockable. First, no client
 //! thread ever sleeps while holding the core lock: [`CjoinEngine::submit`]
 //! registers the query under the lock but waits for the installation ack
-//! outside it, with a polling wait that detects both a supervisor-resolved
-//! outcome and a dead command receiver (a queued install is *retained* when
-//! its receiver dies — the ack sender inside it never drops, so a blocking
-//! `recv` would hang forever). Second, resolution of every registered query is
-//! owned by exactly one party: the pipeline on success, the supervisor (or
-//! engine shutdown) on failure — a failed install therefore does not roll
-//! itself back, it lets the supervisor's registry drain fail it, so a query id
-//! is never released twice.
+//! outside it, with a polling wait ([`await_install_ack`]) that detects both a
+//! supervisor-resolved outcome and a dead command receiver (a queued install
+//! is *retained* when its receiver dies — the ack sender inside it never drops,
+//! so a blocking `recv` would hang forever). Second, resolution of every
+//! registered query is owned by exactly one party: the pipeline on success,
+//! the supervisor (or engine shutdown) on failure — a failed install therefore
+//! does not roll itself back, it lets the supervisor's registry drain fail it,
+//! so a query id is never released twice.
 //!
 //! The same supervisor loop doubles as the deadline reaper: queries submitted
 //! with [`StarQuery::deadline`] are resolved to
@@ -75,7 +75,7 @@
 //! scheduler as a forced downscale, and respawns consult the scheduler's
 //! effective widths.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -129,10 +129,7 @@ struct AdmissionState {
     registered: FxHashMap<u32, Registered>,
     /// Active queries' runtimes, for the supervisor (fail them all on a role
     /// death), the deadline reaper, and elastic resizes (re-install them all
-    /// on the new pipeline incarnation). Only populated when supervision or
-    /// auto-tune is on: without either, nothing would ever drain a crashed
-    /// pipeline's entries, and a pinned `result_tx` would turn the
-    /// pre-supervision disconnect error into a hang.
+    /// on the new pipeline incarnation).
     runtimes: FxHashMap<u32, Arc<QueryRuntime>>,
     /// `dim_slots[s]` = name of the dimension that owns in-flight-tuple slot
     /// `s`. A dimension is given a slot the first time a query joins it and
@@ -299,8 +296,6 @@ struct EngineShared {
     /// The engine-lifetime concurrency cap (never degraded: bit-vector widths
     /// and the id allocator are sized by it).
     max_concurrency: usize,
-    /// Whether roles run under panic supervision (fixed at start).
-    supervision: bool,
     chain: Arc<FilterChain>,
     slot_count: Arc<AtomicUsize>,
     counters: Arc<SharedCounters>,
@@ -317,14 +312,6 @@ struct EngineShared {
     /// The elastic stage scheduler: source of truth for the effective width of
     /// every governed parallelism axis (see [`crate::scheduler`]).
     scheduler: StageScheduler,
-    /// Whether elastic scheduling is on (`CjoinConfig::auto_tune` at start).
-    /// Gates the runtimes registry and the mid-install resize handshake.
-    elastic: bool,
-    /// Incremented every time a fresh [`PipelineCore`] is placed (start,
-    /// supervisor respawn, elastic resize). A submission that loses its core
-    /// mid-install compares epochs to tell "a resize swapped the pipeline and
-    /// re-installed my query" from "the pipeline genuinely died".
-    core_epoch: AtomicU64,
     /// The write-ahead log behind the durable ingestion path (`None` without
     /// `CjoinConfig::wal_path`). Serializes ingestion batches: exactly one
     /// commit is in flight at a time, which is the single-writer premise of
@@ -391,7 +378,6 @@ impl CjoinEngine {
         let scheduler = StageScheduler::new(&config);
         let shared = Arc::new(EngineShared {
             max_concurrency: config.max_concurrency,
-            supervision: config.supervision,
             chain: Arc::new(FilterChain::new()),
             slot_count: Arc::new(AtomicUsize::new(0)),
             counters: SharedCounters::new(),
@@ -406,8 +392,6 @@ impl CjoinEngine {
             shutdown_flag: Arc::new(AtomicBool::new(false)),
             failure_tx,
             degradations: Mutex::new(Vec::new()),
-            elastic: config.auto_tune,
-            core_epoch: AtomicU64::new(0),
             scheduler,
             catalog,
             ingest: Mutex::new(ingest_log),
@@ -419,19 +403,12 @@ impl CjoinEngine {
             .store(recovery_truncations, Ordering::Relaxed);
         let core = Self::spawn_pipeline(&shared, &config)?;
         *shared.core.lock() = Some(core);
-        shared.core_epoch.fetch_add(1, Ordering::Release);
-        let supervisor = if config.supervision {
+        let supervisor = {
             let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("cjoin-supervisor".into())
-                    .spawn(move || run_supervisor(shared, failure_rx))
-                    .map_err(|e| {
-                        Error::invalid_state(format!("failed to spawn supervisor: {e}"))
-                    })?,
-            )
-        } else {
-            None
+            std::thread::Builder::new()
+                .name("cjoin-supervisor".into())
+                .spawn(move || run_supervisor(shared, failure_rx))
+                .map_err(|e| Error::invalid_state(format!("failed to spawn supervisor: {e}")))?
         };
         // The tuner only runs when there is something to tune: auto-tune on
         // and at least one axis left at its default for the scheduler to
@@ -449,7 +426,7 @@ impl CjoinEngine {
         };
         Ok(Self {
             shared,
-            supervisor: Mutex::new(supervisor),
+            supervisor: Mutex::new(Some(supervisor)),
             tuner: Mutex::new(tuner),
         })
     }
@@ -462,13 +439,16 @@ impl CjoinEngine {
     /// everything spawned here (threads, queues, scan layout, per-core
     /// counters) belongs to the returned [`PipelineCore`] and dies with it.
     fn spawn_pipeline(shared: &Arc<EngineShared>, config: &CjoinConfig) -> Result<PipelineCore> {
+        /// Capacity, in batches, of every inter-thread queue (Stage inputs,
+        /// the Distributor's input, each shard's input).
+        const QUEUE_CAPACITY: usize = 8;
+
         // The scheduler owns the effective width of every governed axis;
         // pinned axes keep their (possibly supervisor-degraded) config values.
         // Shadowing here means every spawn site — start, supervisor respawn,
         // elastic resize — derives the same shape from the same source.
         let config = &shared.scheduler.effective_config(config);
         let fact = shared.catalog.fact_table()?;
-        let supervised = config.supervision;
         let failure_tx = shared.failure_tx.clone();
 
         let stage_plan = StagePlan::derive(&config.stage_layout, config.worker_threads)
@@ -486,11 +466,11 @@ impl CjoinEngine {
         // one, including the per-shard queues and sub-batches of the sharded
         // aggregation stage and the per-segment working/leftover batches of the
         // sharded scan front-end.
-        let pool_capacity = (stage_plan.num_stages() + 1) * config.queue_capacity
+        let pool_capacity = (stage_plan.num_stages() + 1) * QUEUE_CAPACITY
             + stage_plan.total_threads()
             + 2 * scan_workers
-            + shards * (config.queue_capacity.max(4) + 1);
-        let pool = BatchPool::new(pool_capacity, config.use_batch_pool);
+            + shards * (QUEUE_CAPACITY + 1);
+        let pool = BatchPool::new(pool_capacity);
 
         // The compressed columnar front-end scans a read-optimised replica of the
         // fact table built once at engine start; rows appended later are served
@@ -558,9 +538,9 @@ impl CjoinEngine {
 
         // Queues: one per stage plus the distributor's.
         let stage_queues: Vec<TupleQueue> = (0..stage_plan.num_stages())
-            .map(|_| TupleQueue::new(config.queue_capacity))
+            .map(|_| TupleQueue::new(QUEUE_CAPACITY))
             .collect();
-        let distributor_queue = TupleQueue::new(config.queue_capacity.max(4));
+        let distributor_queue = TupleQueue::new(QUEUE_CAPACITY);
 
         // Scan front-end: the classic single Preprocessor thread, or one segment
         // worker per scan range plus the admission coordinator (which owns the
@@ -601,7 +581,6 @@ impl CjoinEngine {
             };
             scan_worker_handles.push(spawn_supervised(
                 RoleKind::ScanWorker(0),
-                supervised,
                 failure_tx.clone(),
                 move || preprocessor.run(),
             ));
@@ -644,7 +623,6 @@ impl CjoinEngine {
                 };
                 scan_worker_handles.push(spawn_supervised(
                     RoleKind::ScanWorker(worker),
-                    supervised,
                     failure_tx.clone(),
                     move || segment_worker.run(),
                 ));
@@ -663,7 +641,6 @@ impl CjoinEngine {
             .with_faults(config.fault_plan.clone());
             coordinator_handle = Some(spawn_supervised(
                 RoleKind::ScanCoordinator,
-                supervised,
                 failure_tx.clone(),
                 move || coordinator.run(),
             ));
@@ -690,7 +667,6 @@ impl CjoinEngine {
                         stage: stage_index,
                         worker: worker_index,
                     },
-                    supervised,
                     failure_tx.clone(),
                     move || {
                         run_stage_worker(
@@ -728,12 +704,11 @@ impl CjoinEngine {
             .with_faults(config.fault_plan.clone());
             distributor_handles.push(spawn_supervised(
                 RoleKind::DistributorShard(0),
-                supervised,
                 failure_tx.clone(),
                 move || distributor.run(),
             ));
         } else {
-            let shard_queues = ShardQueues::new(shards, config.queue_capacity.max(4));
+            let shard_queues = ShardQueues::new(shards, QUEUE_CAPACITY);
             let (partials_tx, partials_rx) = unbounded();
             for (shard, shard_counter) in shard_counters.iter().enumerate() {
                 let mut worker = Distributor::sharded(
@@ -749,7 +724,6 @@ impl CjoinEngine {
                 .with_faults(config.fault_plan.clone());
                 distributor_handles.push(spawn_supervised(
                     RoleKind::DistributorShard(shard),
-                    supervised,
                     failure_tx.clone(),
                     move || worker.run(),
                 ));
@@ -771,7 +745,6 @@ impl CjoinEngine {
             .with_faults(config.fault_plan.clone());
             router_handle = Some(spawn_supervised(
                 RoleKind::ShardRouter,
-                supervised,
                 failure_tx.clone(),
                 move || router.run(),
             ));
@@ -780,20 +753,19 @@ impl CjoinEngine {
                     .with_faults(config.fault_plan.clone());
             merger_handle = Some(spawn_supervised(
                 RoleKind::ShardMerger,
-                supervised,
                 failure_tx.clone(),
                 move || merger.run(),
             ));
         }
 
-        // Manager thread: Algorithm 2 cleanup + adaptive filter ordering.
+        // Manager thread: Algorithm 2 cleanup + run-time filter ordering.
         let manager_handle = {
             let chain = Arc::clone(&chain);
             let admission = Arc::clone(&shared.admission);
             let counters = Arc::clone(&counters);
             let config = config.clone();
             let shutdown_flag = Arc::clone(&shared.shutdown_flag);
-            spawn_supervised(RoleKind::Manager, supervised, failure_tx, move || {
+            spawn_supervised(RoleKind::Manager, failure_tx, move || {
                 run_manager(
                     finished_rx,
                     chain,
@@ -1050,11 +1022,8 @@ impl CjoinEngine {
         admission
             .registered
             .insert(id.0, Registered { referenced_dims });
-        if self.shared.supervision || self.shared.elastic {
-            admission.runtimes.insert(id.0, Arc::clone(&runtime));
-        }
+        admission.runtimes.insert(id.0, Arc::clone(&runtime));
         let cmd_tx = core.cmd_tx.clone();
-        let install_epoch = self.shared.core_epoch.load(Ordering::Acquire);
         drop(admission);
         // Release the core lock BEFORE waiting for the installation ack. The
         // scan front-end acks at its own pace (it may be mid-stall behind a
@@ -1072,88 +1041,33 @@ impl CjoinEngine {
             partition,
             ack: Some(ack_tx),
         });
-        // Failure-aware ack wait. A plain blocking `recv` can hang forever: a
-        // message queued when its receiver dies is retained, not destroyed
-        // (`queue::tests::queued_messages_survive_receiver_drop`), so the ack
-        // sender inside a ghost install never drops. Instead poll, and between
-        // polls (a) check whether the supervisor already resolved this query
-        // (its outcome is in the result channel — surface it via the handle),
-        // and (b) probe the command channel, which errors once the front-end
-        // receiver is gone.
-        let mut installed = cmd_tx.send(install).is_ok();
-        if installed {
-            installed = loop {
-                match ack_rx.recv_timeout(Duration::from_millis(10)) {
-                    Ok(()) => break true,
-                    Err(RecvTimeoutError::Disconnected) => break false,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if runtime.resolved.load(Ordering::Acquire) {
-                            break true;
-                        }
-                        if cmd_tx
-                            .send(ScanMessage::Command(PreprocessorCommand::Probe))
-                            .is_err()
-                        {
-                            break false;
-                        }
-                    }
-                }
-            };
-        }
-        if !installed && !self.shared.supervision {
-            // With elastic scheduling the install can also die because a
-            // concurrent resize swapped the pipeline between releasing the
-            // core lock and the ack: the resize collected this query from the
-            // runtimes registry (it registered under the previous core-lock
-            // epoch) and re-installed it on the new incarnation, so the handle
-            // is live and rolling back here would corrupt id recycling. The
-            // core epoch distinguishes the two cases; the check and the
-            // rollback run under the core lock so no resize can interleave
-            // between deciding "the pipeline died" and releasing the id.
-            let rollback = if self.shared.elastic {
-                let _core_guard = self.shared.core.lock();
-                let swapped = self.shared.core_epoch.load(Ordering::Acquire) != install_epoch;
-                if !swapped && !runtime.resolved.load(Ordering::Acquire) {
-                    cleanup_query(id, &self.shared.chain, &self.shared.admission);
-                    true
-                } else {
-                    false
-                }
-            } else {
-                // Unsupervised, non-elastic: roll the whole admission back
-                // (dimension registrations, registry entry, query id) so a
-                // failed installation cannot leak the id or leave ghost bits
-                // in the dimension hash tables.
-                cleanup_query(id, &self.shared.chain, &self.shared.admission);
-                true
-            };
-            if rollback {
-                return Err(Error::invalid_state(
-                    "pipeline stopped during query installation",
-                ));
-            }
-        }
-        // Supervised and not installed: do NOT clean up here — the query is in
-        // the runtimes registry, and the role death that broke the install is
-        // (or will be) a failure the supervisor handles by resolving and
-        // cleaning every registered query. Rolling back here too would release
-        // the id twice, corrupting whichever later query recycled it. The
-        // returned handle resolves with the supervisor's typed error.
+        // An install that is never acked is NOT rolled back here: the query is
+        // in the runtimes registry, so whoever broke the install owns it — the
+        // supervisor resolves and cleans every registered query after a role
+        // death, a resize re-installs it on the new incarnation, shutdown
+        // resolves it. Rolling back here too would release the id twice,
+        // corrupting whichever later query recycled it. The returned handle
+        // resolves with the owner's outcome.
+        let acked = cmd_tx.send(install).is_ok() && await_install_ack(&cmd_tx, &ack_rx, &runtime);
         let submission_time = submitted_at.elapsed();
 
         // Fold this submit→install latency into the EWMA (α = 1/8) the
-        // deadline quote charges for admission overhead.
-        let install_ns = submission_time.as_nanos() as u64;
-        let ewma = &self.shared.counters.install_ns_ewma;
-        let prev = ewma.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            install_ns
-        } else {
-            prev - prev / 8 + install_ns / 8
-        };
-        ewma.store(next, Ordering::Relaxed);
+        // deadline quote charges for admission overhead. Only an acked install
+        // is a latency sample; an unacked one measured the failure-detection
+        // poll, not admission.
+        if acked {
+            let install_ns = submission_time.as_nanos() as u64;
+            let ewma = &self.shared.counters.install_ns_ewma;
+            let prev = ewma.load(Ordering::Relaxed);
+            let next = if prev == 0 {
+                install_ns
+            } else {
+                prev - prev / 8 + install_ns / 8
+            };
+            ewma.store(next, Ordering::Relaxed);
+        }
 
-        if self.shared.supervision && runtime.deadline_at.is_some() {
+        if runtime.deadline_at.is_some() {
             // Nudge the supervisor so the reaper tracks the fresh deadline
             // promptly; its bounded reap interval means a stream of these can
             // never starve reaping.
@@ -1689,7 +1603,7 @@ impl cjoin_query::JoinEngine for CjoinEngine {
     }
 }
 
-/// The manager thread body: query cleanup (Algorithm 2) and adaptive filter ordering.
+/// The manager thread body: query cleanup (Algorithm 2) and run-time filter ordering (§3.4).
 fn run_manager(
     finished_rx: Receiver<QueryId>,
     chain: Arc<FilterChain>,
@@ -1713,7 +1627,7 @@ fn run_manager(
             }
             break;
         }
-        if config.adaptive_filter_ordering && last_reorder.elapsed() >= interval {
+        if last_reorder.elapsed() >= interval {
             reorder_filters(&chain, &counters);
             last_reorder = Instant::now();
         }
@@ -1828,8 +1742,8 @@ fn run_tuner(shared: Arc<EngineShared>) {
 /// original snapshot. The installs are *sent* under the lock — the new core
 /// has processed nothing yet and submissions/reaper/supervisor all serialize
 /// on the same lock, so no id can complete-and-recycle between collection and
-/// re-installation. The ack waits happen outside the lock, with the same
-/// failure-aware poll as `submit`.
+/// re-installation. The ack waits happen outside the lock, through the same
+/// [`await_install_ack`] as `submit`.
 ///
 /// Re-installed queries restart a full pass at their original snapshot; the
 /// old incarnation's partial routing state died with it, and §3.3's wrap
@@ -1894,14 +1808,6 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
                 return Ok(());
             }
         }
-    }
-    if !shared.supervision && !shared.elastic && !shared.admission.lock().registered.is_empty() {
-        // Without the runtimes registry there is nothing to re-install
-        // in-flight queries from; refuse rather than silently dropping them.
-        *core_guard = Some(core);
-        return Err(Error::invalid_state(
-            "pipeline swap with queries in flight requires supervision or auto_tune",
-        ));
     }
     teardown_core(core, false);
     if let SwapIntent::Resize {
@@ -1978,52 +1884,58 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
             Some(runtime.bound.fact_predicate.clone())
         };
         let (ack_tx, ack_rx) = bounded(1);
-        let sent = cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
-                runtime: Arc::clone(&runtime),
-                fact_predicate,
-                snapshot: runtime.snapshot,
-                partition,
-                ack: Some(ack_tx),
-            }))
-            .is_ok();
-        acks.push((runtime, ack_rx, sent));
+        // A failed send drops the install and with it `ack_tx`, which the
+        // wait below sees as a disconnect.
+        let _ = cmd_tx.send(ScanMessage::Command(PreprocessorCommand::Install {
+            runtime: Arc::clone(&runtime),
+            fact_predicate,
+            snapshot: runtime.snapshot,
+            partition,
+            ack: Some(ack_tx),
+        }));
+        acks.push((runtime, ack_rx));
     }
     *core_guard = Some(new_core);
-    shared.core_epoch.fetch_add(1, Ordering::Release);
     drop(core_guard);
-    // Ack waits outside the lock, failure-aware like `submit`'s: a re-install
-    // that dies mid-flight is owned by the supervisor when there is one, and
-    // resolved right here otherwise.
-    for (runtime, ack_rx, sent) in acks {
-        let installed = sent
-            && loop {
-                match ack_rx.recv_timeout(Duration::from_millis(10)) {
-                    Ok(()) => break true,
-                    Err(RecvTimeoutError::Disconnected) => break false,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if runtime.resolved.load(Ordering::Acquire) {
-                            break true;
-                        }
-                        if cmd_tx
-                            .send(ScanMessage::Command(PreprocessorCommand::Probe))
-                            .is_err()
-                        {
-                            break false;
-                        }
-                    }
-                }
-            };
-        if !installed && !shared.supervision {
-            runtime.mark_cancelled();
-            runtime.resolve(Err(QueryError::StageFailed {
-                role: "scheduler".into(),
-                detail: "pipeline stopped during resize re-installation".into(),
-            }));
-            cleanup_query(runtime.id, &shared.chain, &shared.admission);
-        }
+    // Ack waits outside the lock. A re-install that dies mid-flight is owned
+    // by the supervisor, like any other in-flight query of a dead pipeline.
+    for (runtime, ack_rx) in acks {
+        await_install_ack(&cmd_tx, &ack_rx, &runtime);
     }
     Ok(())
+}
+
+/// Waits for the scan front-end to ack an install sent on `cmd_tx`, returning
+/// whether it did.
+///
+/// A plain blocking `recv` can hang forever: a message queued when its
+/// receiver dies is retained, not destroyed
+/// (`queue::tests::queued_messages_survive_receiver_drop`), so the ack sender
+/// inside a ghost install never drops. Instead poll, and between polls give up
+/// (`false`) once (a) someone else resolved the query — the supervisor after a
+/// role death, the reaper, a cancel; its outcome is already in the result
+/// channel — or (b) the command channel errors, which it does once the
+/// front-end receiver is gone.
+fn await_install_ack(
+    cmd_tx: &Sender<ScanMessage>,
+    ack_rx: &Receiver<()>,
+    runtime: &QueryRuntime,
+) -> bool {
+    loop {
+        match ack_rx.recv_timeout(Duration::from_millis(10)) {
+            Ok(()) => return true,
+            Err(RecvTimeoutError::Disconnected) => return false,
+            Err(RecvTimeoutError::Timeout) => {
+                if runtime.resolved.load(Ordering::Acquire)
+                    || cmd_tx
+                        .send(ScanMessage::Command(PreprocessorCommand::Probe))
+                        .is_err()
+                {
+                    return false;
+                }
+            }
+        }
+    }
 }
 
 /// The supervisor thread body: reacts to role deaths with [`handle_failure`]
@@ -2186,7 +2098,6 @@ fn handle_failure(
                 .pipeline_restarts
                 .fetch_add(1, Ordering::Relaxed);
             *core_guard = Some(core);
-            shared.core_epoch.fetch_add(1, Ordering::Release);
         }
         Err(e) => {
             eprintln!("cjoin: failed to respawn the pipeline after a role failure: {e}");
@@ -2867,6 +2778,40 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "reaper should not wait for the pass to finish"
         );
+        engine.shutdown();
+    }
+
+    /// An install that is never acked is not an admission-latency sample: the
+    /// scan worker acks the first query, then sleeps 40 ms inside its first
+    /// scan event and dies there, so the second query's install is queued but
+    /// never processed and its `submit` returns only after the supervisor
+    /// resolved it. The EWMA behind `quote_eta` must not move.
+    #[test]
+    fn unacked_install_does_not_feed_the_install_latency_ewma() {
+        use crate::fault::{FaultPlan, FaultSite};
+        let catalog = small_catalog(300);
+        let config = test_config().with_fault_plan(
+            FaultPlan::seeded(1)
+                .delay(FaultSite::ScanWorker, 40_000)
+                .panic_at_event(FaultSite::ScanWorker, 0)
+                .build(),
+        );
+        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+        let ewma = &engine.shared.counters.install_ns_ewma;
+
+        let acked = engine.submit(red_sum_query("acked")).unwrap();
+        let after_acked = ewma.load(Ordering::Relaxed);
+        assert!(after_acked > 0, "an acked install is a sample");
+
+        let unacked = engine.submit(red_sum_query("unacked")).unwrap();
+        assert!(
+            unacked.submission_time() >= Duration::from_millis(10),
+            "the second install must have sat through at least one ack poll"
+        );
+        assert_eq!(ewma.load(Ordering::Relaxed), after_acked);
+        for handle in [acked, unacked] {
+            assert!(matches!(handle.wait(), Err(QueryError::StageFailed { .. })));
+        }
         engine.shutdown();
     }
 

@@ -10,8 +10,7 @@
 //! Cost when disabled: the config carries `Option<Arc<FaultPlan>>` defaulting
 //! to `None`, and every injection point is a single branch on that `None`
 //! ([`inject`]). No atomics are touched and nothing is allocated on the hot
-//! path unless a plan is installed — this is what the supervision off/on
-//! benchmark A/B (BENCH_PR7.json) measures.
+//! path unless a plan is installed.
 //!
 //! Each scheduled panic fires **exactly once** per plan (a fired latch), at the
 //! first site event whose ordinal reaches the seed-derived trigger. Delays fire

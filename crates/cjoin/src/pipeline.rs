@@ -171,27 +171,20 @@ pub fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Spawns one pipeline role.
 ///
-/// With `supervised == true` the role body runs under `catch_unwind`; a panic
-/// is converted into a [`RoleFailure`] on `failure_tx` (best effort — if the
-/// supervisor is gone, the failure is dropped and the thread just exits). With
-/// `supervised == false` the body runs bare, reproducing the pre-supervision
-/// behaviour for the overhead A/B.
+/// The role body runs under `catch_unwind`; a panic is converted into a
+/// [`RoleFailure`] on `failure_tx` (best effort — if the supervisor is gone,
+/// the failure is dropped and the thread just exits).
 ///
 /// # Panics
 /// Panics only if the OS refuses to spawn a thread.
 pub fn spawn_supervised(
     role: RoleKind,
-    supervised: bool,
     failure_tx: Sender<SupervisorEvent>,
     f: impl FnOnce() + Send + 'static,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(role.thread_name())
         .spawn(move || {
-            if !supervised {
-                f();
-                return;
-            }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 let failure = RoleFailure {
                     role,

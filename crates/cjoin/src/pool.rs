@@ -36,41 +36,33 @@ pub struct BatchPool {
     slots: ArrayQueue<Batch>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: bool,
 }
 
 impl BatchPool {
-    /// Creates a pool holding at most `capacity` spare batches. A disabled pool
-    /// always allocates fresh batches (used to measure the pool's effect).
-    pub fn new(capacity: usize, enabled: bool) -> Arc<Self> {
+    /// Creates a pool holding at most `capacity` spare batches.
+    pub fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             slots: ArrayQueue::new(capacity.max(1)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled,
         })
     }
 
     /// Takes an empty batch from the pool (with its spare tuples ready for in-place
     /// reuse), or allocates a new one.
     pub fn take(&self, capacity_hint: usize) -> Batch {
-        if self.enabled {
-            if let Some(mut batch) = self.slots.pop() {
-                batch.recycle();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return batch;
-            }
+        if let Some(mut batch) = self.slots.pop() {
+            batch.recycle();
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return batch;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         Batch::with_capacity(capacity_hint)
     }
 
-    /// Returns a spent batch to the pool (dropped if the pool is full or disabled).
+    /// Returns a spent batch to the pool (dropped if the pool is full).
     /// The batch's tuples are retained as spares, not deallocated.
     pub fn put(&self, mut batch: Batch) {
-        if !self.enabled {
-            return;
-        }
         batch.recycle();
         // If the pool is full the batch is simply dropped.
         let _ = self.slots.push(batch);
@@ -85,11 +77,6 @@ impl BatchPool {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Whether pooling is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +88,7 @@ mod tests {
 
     #[test]
     fn reuses_returned_batches() {
-        let pool = BatchPool::new(4, true);
+        let pool = BatchPool::new(4);
         let mut b = pool.take(16);
         assert_eq!(pool.misses(), 1);
         b.push(InFlightTuple::new(
@@ -126,19 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_always_allocates() {
-        let pool = BatchPool::new(4, false);
-        assert!(!pool.enabled());
-        let b = pool.take(8);
-        pool.put(b);
-        let _ = pool.take(8);
-        assert_eq!(pool.hits(), 0);
-        assert_eq!(pool.misses(), 2);
-    }
-
-    #[test]
     fn overflow_is_dropped_not_an_error() {
-        let pool = BatchPool::new(1, true);
+        let pool = BatchPool::new(1);
         pool.put(Batch::new());
         pool.put(Batch::new()); // exceeds capacity; silently dropped
         assert_eq!(pool.hits(), 0);
@@ -150,7 +126,7 @@ mod tests {
 
     #[test]
     fn concurrent_take_put() {
-        let pool = BatchPool::new(16, true);
+        let pool = BatchPool::new(16);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let pool = Arc::clone(&pool);

@@ -172,6 +172,10 @@ use crate::progress::QueryProgress;
 use crate::stats::{ScanWorkerCounters, SharedCounters};
 use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
 
+/// How long the scan sleeps when it has nothing to do (no registered query, or
+/// an empty segment): the operator is always on but must not spin.
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
 /// Partition-pruning plan attached to a query at admission (§5, Fact Table
 /// Partitioning): the set of partitions the query needs and how many fact rows of
 /// those partitions remain to be seen. In sharded-scan mode each worker carries
@@ -628,7 +632,7 @@ impl Preprocessor {
             if self.active_mask.is_empty() {
                 // The operator is "always on" but idles cheaply when no query is
                 // registered instead of burning a scan.
-                std::thread::sleep(Duration::from_micros(self.config.idle_sleep_us));
+                std::thread::sleep(IDLE_SLEEP);
                 continue;
             }
             let step_started = Instant::now();
@@ -878,7 +882,7 @@ impl Preprocessor {
                 self.finalize_query(bit);
             }
             self.scan_buffer = scan_buffer;
-            std::thread::sleep(Duration::from_micros(self.config.idle_sleep_us));
+            std::thread::sleep(IDLE_SLEEP);
             return;
         }
         self.note_rows_scanned(scan_buffer.len() as u64);
@@ -1055,7 +1059,7 @@ impl Preprocessor {
                 for bit in bits {
                     self.finalize_query(bit);
                 }
-                std::thread::sleep(Duration::from_micros(self.config.idle_sleep_us));
+                std::thread::sleep(IDLE_SLEEP);
                 break 'chunk;
             }
             if position >= end || position < start {
@@ -2138,7 +2142,7 @@ mod tests {
             stage_tx,
             distributor_tx: dist_tx,
             in_flight,
-            pool: BatchPool::new(8, true),
+            pool: BatchPool::new(8),
             slot_count: Arc::new(AtomicUsize::new(1)),
             chain: Arc::new(FilterChain::new()),
             counters: SharedCounters::new(),
@@ -2697,7 +2701,7 @@ mod tests {
                 stage_tx: stage_tx.clone(),
                 distributor_tx: dist_tx.clone(),
                 in_flight: Arc::clone(&in_flight),
-                pool: BatchPool::new(8, true),
+                pool: BatchPool::new(8),
                 slot_count: Arc::new(AtomicUsize::new(0)),
                 chain: Arc::new(FilterChain::new()),
                 counters: Arc::clone(&counters),

@@ -1,9 +1,8 @@
 //! The elastic stage scheduler: self-tuning scan/stage/shard parallelism.
 //!
-//! BENCH_PR5/PR8 record honestly that on a small host every static
-//! `scan_workers`/`distributor_shards` step *loses* throughput — the knobs are
-//! oblivious to the machine and the workload. This module makes them earn
-//! their keep: a [`StageScheduler`] owns the *effective* width of each
+//! On a small host every static `scan_workers`/`distributor_shards` step
+//! *loses* throughput — the knobs are oblivious to the machine and the
+//! workload. This module makes them earn their keep: a [`StageScheduler`] owns the *effective* width of each
 //! parallelism axis (scan workers, filter-stage workers, Distributor shards),
 //! sizes them at engine start from `std::thread::available_parallelism()`, and
 //! re-sizes them at runtime from the live pipeline counters the engine already

@@ -62,9 +62,9 @@ pub struct SharedCounters {
     /// current pass so far (reset at each wrap; written with `store`).
     pub pass_busy_ns: AtomicU64,
     /// Exponentially weighted moving average (α = 1/8) of submit→install
-    /// latency in nanoseconds, updated after every successful admission. The
-    /// deadline quote adds this to the cycle estimate so install backlog no
-    /// longer causes under-shedding.
+    /// latency in nanoseconds, updated after every acked install. The
+    /// deadline quote adds this to the cycle estimate so install backlog
+    /// does not cause under-shedding.
     pub install_ns_ewma: AtomicU64,
 }
 
@@ -212,7 +212,7 @@ impl FilterStatsSnapshot {
 
 /// Point-in-time statistics of the compressed columnar scan front-end
 /// (`CjoinConfig::columnar_scan`): the byte-level scan volume and zone-map /
-/// per-run evidence the `io` and `bench-json` experiments report.
+/// per-run evidence the rig's `cjoin.colscan.*` metrics are derived from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnarScanStats {
     /// Bytes of encoded column data the scan actually touched (predicate

@@ -218,8 +218,7 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
     }
 }
 
-/// Regression for the pre-supervision hang: a ticket whose filter Stage dies
-/// mid-query must resolve with `Err(StageFailed)` in bounded time instead of
+/// A ticket whose filter Stage dies mid-query must resolve with `Err(StageFailed)` in bounded time instead of
 /// blocking `wait()` forever on a result channel nobody will ever write to.
 #[test]
 fn dead_stage_resolves_ticket_with_stage_failed_in_bounded_time() {
@@ -436,4 +435,197 @@ fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
     assert_matches_oracle(&result, &expected, "post-upscale probe");
     assert_quiesces(&engine, "post-upscale quiesce");
     engine.shutdown();
+}
+
+/// Shared-host slack on a `quote_eta` comparison: the 150 ms the engine's own
+/// `idle_time_does_not_inflate_the_deadline_quote` allows over an honest quote.
+const QUOTE_TOLERANCE: Duration = Duration::from_millis(150);
+
+/// One engine lifetime of the resize-under-fault scenario: a warm-up query
+/// (so `quote_eta` has a pre-fault value), then `queries` in flight across a
+/// `request_resize`, with a scan worker scheduled to panic at ScanWorker event
+/// `panic_at` (`None` = fault-free calibration run). Asserts the contract at
+/// every step and returns the ScanWorker event counts read just before and
+/// just after the resize call — the window the caller sweeps `panic_at` over.
+fn resize_with_queries_in_flight(
+    catalog: &Arc<cjoin_repro::Catalog>,
+    queries: &[StarQuery],
+    expected: &[QueryResult],
+    scan_workers: usize,
+    columnar: bool,
+    panic_at: Option<u64>,
+) -> (u64, u64) {
+    const MAX_CONCURRENCY: usize = 8;
+    let what = format!("scan_workers={scan_workers} columnar={columnar} panic_at={panic_at:?}");
+    let check = |outcome: QueryOutcome, i: usize, phase: &str| match outcome {
+        Ok(result) => assert_matches_oracle(&result, &expected[i], &format!("{what} ({phase})")),
+        Err(QueryError::StageFailed { role, detail }) => assert!(
+            panic_at.is_some() && !role.is_empty() && !detail.is_empty(),
+            "{what} ({phase}): StageFailed without a scheduled fault or diagnostics"
+        ),
+        Err(other) => panic!("{what} ({phase}): unexpected error {other}"),
+    };
+
+    // The scan delay keeps the queries in flight across the resize; the
+    // coordinator delay (segmented front-end only) spaces the re-installs out
+    // so scan events fall between them.
+    let mut plan = FaultPlan::seeded(panic_at.unwrap_or(0))
+        .delay(FaultSite::ScanWorker, 300)
+        .delay(FaultSite::ScanCoordinator, 3_000);
+    if let Some(event) = panic_at {
+        plan = plan.panic_at_event(FaultSite::ScanWorker, event);
+    }
+    let plan = plan.build();
+    let config = CjoinConfig::default()
+        .with_worker_threads(2)
+        .with_max_concurrency(MAX_CONCURRENCY)
+        .with_batch_size(128)
+        .with_scan_workers(scan_workers)
+        .with_columnar_scan(columnar)
+        .with_fault_plan(Arc::clone(&plan));
+    let engine = CjoinEngine::start(Arc::clone(catalog), config).unwrap();
+
+    let warm = submit_with_retry(&engine, &queries[0], &what);
+    check(wait_bounded(&warm, &what), 0, "warm-up");
+    let quote_before = engine.quote_eta();
+
+    let handles: Vec<QueryHandle> = queries
+        .iter()
+        .map(|q| submit_with_retry(&engine, q, &what))
+        .collect();
+    let events_before = plan.hits(FaultSite::ScanWorker);
+    let start = Instant::now();
+    // Refused (typed, never hung) while the supervisor is mid-restart.
+    while let Err(err) = engine.request_resize(Axis::DistributorShards, 2) {
+        assert!(
+            start.elapsed() < RESOLVE_TIMEOUT,
+            "{what}: resize kept failing: {err}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let events_after = plan.hits(FaultSite::ScanWorker);
+    for (i, handle) in handles.iter().enumerate() {
+        check(
+            wait_bounded(handle, &what),
+            i,
+            "in flight across the resize",
+        );
+    }
+
+    if let Some(event) = panic_at {
+        // Host jitter can leave the trigger ordinal unreached by the in-flight
+        // phase; drive filler queries until the one-shot fault has fired, then
+        // wait for the supervisor to finish the restart it owns.
+        let start = Instant::now();
+        while plan.hits(FaultSite::ScanWorker) <= event {
+            let filler = submit_with_retry(&engine, &queries[0], &what);
+            check(wait_bounded(&filler, &what), 0, "filler");
+            assert!(
+                start.elapsed() < RESOLVE_TIMEOUT,
+                "{what}: fault never fired"
+            );
+        }
+        loop {
+            let stats = engine.stats();
+            if stats.role_failures >= 1 && stats.pipeline_restarts >= 1 {
+                break;
+            }
+            assert!(
+                start.elapsed() < RESOLVE_TIMEOUT,
+                "{what}: scan worker died but no role failure + restart was recorded"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    assert_quiesces(&engine, &what);
+
+    if let (Some(before), Some(after)) = (quote_before, engine.quote_eta()) {
+        assert!(
+            after <= before + QUOTE_TOLERANCE,
+            "{what}: quote rose from {before:?} to {after:?} across the recovery"
+        );
+    }
+
+    // No leaked id, no ghost bit: once cleanup has caught up, a full
+    // `maxConc` of fresh queries is admitted at once and answers exactly.
+    let start = Instant::now();
+    while engine.active_queries() > 0 {
+        assert!(
+            start.elapsed() < RESOLVE_TIMEOUT,
+            "{what}: {} queries never unregistered",
+            engine.active_queries()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let fresh: Vec<(usize, QueryHandle)> = (0..MAX_CONCURRENCY)
+        .map(|n| {
+            let i = n % queries.len();
+            let handle = engine
+                .submit(queries[i].clone())
+                .unwrap_or_else(|err| panic!("{what}: fresh submission {n} refused: {err}"));
+            (i, handle)
+        })
+        .collect();
+    for (i, handle) in &fresh {
+        let result = wait_bounded(handle, &what)
+            .unwrap_or_else(|err| panic!("{what}: fresh query failed: {err}"));
+        assert_matches_oracle(&result, &expected[*i], &format!("{what} (fresh)"));
+    }
+    assert_quiesces(&engine, &what);
+    engine.shutdown();
+    (events_before, events_after)
+}
+
+/// A scan worker dying while a resize re-installs in-flight queries is owned
+/// by the supervisor alone — neither `submit` nor the swap resolves or rolls
+/// back a query whose install was never acked. Per front-end shape, a
+/// fault-free run measures which ScanWorker event ordinals the resize call
+/// spans; the panic is then swept across that span and a margin either side,
+/// so it lands before the drain, on the old incarnation's last events, on the
+/// new incarnation's first events, and just after.
+///
+/// The segmented front-end installs one query per coordinator message, so its
+/// re-install window spans many ScanWorker events and the sweep must land
+/// inside it. The classic front-end drains every queued re-install in one
+/// command sweep: its window is a single event boundary, which the sweep
+/// brackets but cannot pin.
+#[test]
+fn scan_worker_death_around_a_resize_reinstall_is_owned_by_the_supervisor() {
+    let data = test_data();
+    let catalog = data.catalog();
+    let queries = test_queries(&data, 61);
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| reference::evaluate(&catalog, q, SnapshotId::INITIAL).unwrap())
+        .collect();
+    let run = |scan_workers, columnar, panic_at| {
+        resize_with_queries_in_flight(
+            &catalog,
+            &queries,
+            &expected,
+            scan_workers,
+            columnar,
+            panic_at,
+        )
+    };
+
+    for scan_workers in [1usize, 2] {
+        for columnar in [false, true] {
+            let (before, after) = run(scan_workers, columnar, None);
+            let (lo, hi) = (before.saturating_sub(2), after + 2);
+            let stride = ((hi - lo) / 6).max(1) as usize;
+            let mut inside = 0;
+            for panic_at in (lo..=hi).step_by(stride) {
+                let (before, after) = run(scan_workers, columnar, Some(panic_at));
+                if (before..after).contains(&panic_at) {
+                    inside += 1;
+                }
+            }
+            assert!(
+                scan_workers == 1 || inside > 0,
+                "scan_workers={scan_workers} columnar={columnar}: no panic in {lo}..={hi} \
+                 landed inside the resize"
+            );
+        }
+    }
 }
