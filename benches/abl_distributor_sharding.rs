@@ -1,6 +1,6 @@
 //! Ablation — Distributor sharding (the `distributor_shards` knob): the final
-//! aggregation stage as a single Distributor thread versus a router plus 2 or 4
-//! parallel aggregation shards behind an end-of-query merge barrier. Each sample
+//! aggregation stage as a single Distributor shard versus a router plus 2 or 4
+//! parallel aggregation shards that merge their partials at query end. Each sample
 //! drives a fig5-style closed-loop workload through a full `CjoinEngine`, so the
 //! measurement includes the routing and merge overhead, not just the shard
 //! workers. The oracle-backed equivalence of all shard counts is asserted by

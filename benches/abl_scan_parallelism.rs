@@ -1,10 +1,9 @@
 //! Ablation — scan parallelism (the `scan_workers` knob): the continuous-scan
-//! front-end as the classic single Preprocessor thread versus 2 or 4 segment
-//! scan workers behind the admission coordinator, at both a classic and a
-//! 4-shard aggregation stage. Each sample drives a fig5-style closed-loop
-//! workload through a full `CjoinEngine`, so the measurement includes admission
-//! coordination, segment-boundary stalls and the end-of-query drain barrier, not
-//! just the raw segment cursors. The oracle-backed equivalence of all
+//! front-end as one scan worker versus 2 or 4 segment scan workers, at both a
+//! 1-shard and a 4-shard aggregation stage. Each sample drives a fig5-style
+//! closed-loop workload through a full `CjoinEngine`, so the measurement
+//! includes install relays, stall-gate parking and the end-of-query drain
+//! barrier, not just the raw segment cursors. The oracle-backed equivalence of all
 //! `scan_workers` settings is asserted by `tests/scan_parallelism.rs` and
 //! `tests/engine_equivalence.rs`; this bench only measures.
 

@@ -67,19 +67,20 @@ pub struct CjoinConfig {
     /// to the per-tuple probe path (the reference the batched path is tested
     /// against).
     pub batched_probing: bool,
-    /// Number of parallel aggregation (Distributor) shards. `1` runs the classic
-    /// single-threaded Distributor; `N > 1` adds a routing thread that splits each
-    /// surviving batch across `N` shard workers by a hash of the tuple's group-by
-    /// key (round-robin for ungrouped queries) plus a merge thread that combines
-    /// the per-shard partial aggregates behind an end-of-query barrier.
+    /// Number of parallel aggregation (Distributor) shards. A single shard reads
+    /// the pipeline's output queue itself — the paper's Distributor; `N > 1` adds
+    /// a routing thread that splits each surviving batch across the `N` shards by
+    /// a hash of the tuple's group-by key (round-robin for ungrouped queries). At
+    /// query end every shard folds its partial aggregate into a shared merge
+    /// slot and the last one to do so delivers the result.
     pub distributor_shards: usize,
-    /// Number of parallel continuous-scan (Preprocessor) workers. `1` runs the
-    /// classic single-threaded Preprocessor; `N > 1` splits the fact table's page
-    /// range into `N` static segments, each owned by a scan worker that runs the
-    /// full per-row path over its own segment cursor, plus an admission
-    /// coordinator thread that installs queries at segment-batch boundaries and
-    /// emits the single end-of-query control tuple once every segment has
-    /// completed one pass since the query's admission.
+    /// Number of parallel continuous-scan (Preprocessor) workers. The fact
+    /// table's page range is split into that many static segments (one — the
+    /// whole table, the paper's Preprocessor — by default), each owned by a scan
+    /// worker that runs the full per-row path over its own segment cursor.
+    /// Worker 0 emits a query's start control tuple and relays the install to
+    /// the others; the worker that completes the query's pass last emits the
+    /// single end-of-query control tuple.
     pub scan_workers: usize,
     /// Enable the compressed columnar scan front-end (§5, Column Stores /
     /// Compressed Tables): the continuous scan runs over a read-optimised

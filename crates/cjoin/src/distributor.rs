@@ -6,16 +6,14 @@
 //! dimension tables are read through the dimension rows the Filters attached to the
 //! tuple, so no re-probing is necessary.
 //!
-//! With `CjoinConfig::distributor_shards = 1` (the default) a single [`Distributor`]
-//! thread owns all per-query aggregation state — the paper's original design. With
-//! `N > 1` the final stage becomes three kinds of threads:
-//!
-//! * a [`ShardRouter`] that consumes the pipeline's output queue and splits every
-//!   surviving batch into per-shard sub-batches,
-//! * `N` [`Distributor`] shard workers, each owning its *own* per-query
-//!   [`GroupedAggregator`] partials, and
-//! * a [`ShardMerger`] that combines the `N` partials of a finished query into the
-//!   final [`QueryResult`](cjoin_query::QueryResult).
+//! The stage is `CjoinConfig::distributor_shards` [`Distributor`] shard workers,
+//! each owning its *own* per-query [`GroupedAggregator`] partials, over one shared
+//! array of [`MergeSlots`] in which a finished query's partials meet. With one
+//! shard (the default) that worker reads the pipeline's output queue directly and
+//! owns all per-query aggregation state — the paper's original design. With
+//! `N > 1` a [`ShardRouter`] thread sits in front of the shards: it consumes the
+//! pipeline's output queue and splits every surviving batch into per-shard
+//! sub-batches.
 //!
 //! ## Query-major batches
 //!
@@ -55,53 +53,58 @@
 //!
 //! ## Control tuples and the end-barrier
 //!
-//! Control tuples drive query lifecycle and are **broadcast** to every shard
-//! (every shard owns partial state for every query):
+//! Control tuples drive query lifecycle and reach **every** shard (every shard
+//! owns partial state for every query; the router broadcasts them):
 //!
-//! * *query start* creates the shard-local aggregation operator. The Preprocessor
-//!   enqueues the start tuple before any data carrying the query's bit exists, the
-//!   router broadcasts it before routing any later batch, and each shard queue is
-//!   FIFO — so no shard can see a query's tuple before its start tuple
-//!   (invariant 1, asserted by `tests/distributor_sharding.rs`).
-//! * *query end* is only enqueued by the Preprocessor after its drain barrier
+//! * *query start* creates the shard-local aggregation operator. The scan
+//!   front-end enqueues the start tuple before any data carrying the query's bit
+//!   exists, the router broadcasts it before routing any later batch, and each
+//!   shard queue is FIFO — so no shard can see a query's tuple before its start
+//!   tuple (invariant 1, asserted by `tests/distributor_sharding.rs`).
+//! * *query end* is only enqueued by the scan front-end after its drain barrier
 //!   observed the in-flight batch counter at zero — and the router adds every
 //!   sub-batch it creates to that counter *before* acknowledging the parent batch,
 //!   so "in-flight = 0" covers routed sub-batches too. When the end tuple reaches a
 //!   shard, the shard has already drained every tuple of that query; it detaches
-//!   its partial and emits it to the merger. The merger finalizes a query only
-//!   after receiving all `N` partials — the **end-barrier** — and only then
-//!   delivers the result, counts the completion, and notifies the manager
-//!   (invariant 2). Query ids are recycled strictly after that notification, so a
-//!   recycled id can never collide with an unfinished merge.
+//!   its partial and folds it into the query's merge slot. The shard whose
+//!   contribution is the `N`-th — the **end-barrier** — takes the merged state
+//!   out of the slot, finalizes it, counts the completion, delivers the result
+//!   and notifies the manager, in that order (invariant 2). With one shard the
+//!   first contribution is the last and the partial comes straight back. Query
+//!   ids are recycled strictly after that notification, and the closing shard
+//!   leaves the slot empty, so a recycled id can never collide with an
+//!   unfinished merge.
 //!
-//! Shutdown flows the same way: the router broadcasts it to the shards, each shard
-//! exits and drops its side of the partials channel, and the merger exits when the
-//! channel disconnects.
+//! Shutdown flows the same way: the router broadcasts it to the shards and each
+//! shard exits.
 //!
 //! ## Failure and barrier release
 //!
-//! Two barriers in this stage can wait forever if a role dies: the Preprocessor's
-//! drain barrier (a dead shard never decrements the in-flight counter) and the
-//! merger's end-barrier (a dead shard never emits its partial, so `received`
-//! never reaches `N`). Neither barrier polls a failure flag itself — instead the
-//! supervisor (see [`crate::pipeline`]) first resolves every in-flight query's
-//! outcome with a typed `StageFailed` error through the [`QueryRuntime`]'s
-//! first-wins latch, *then* poisons the drain barrier and tears the stage down.
-//! The teardown releases both barriers mechanically: poisoning unblocks the
-//! drain barrier, and dropping the shard queues / partials channel disconnects
-//! the surviving roles' `recv` loops so they exit and can be joined. Because the
-//! outcome latch was already taken, a partially-merged result can never be
-//! delivered — result delivery goes through [`QueryRuntime::resolve`], which
-//! silently discards the loser.
+//! Two barriers in this stage can wait forever if a role dies: the scan
+//! front-end's drain barrier (a dead shard never decrements the in-flight
+//! counter) and the end-barrier (a dead shard never contributes its partial, so
+//! `received` never reaches `N`). Neither barrier polls a failure flag itself —
+//! instead the supervisor (see [`crate::pipeline`]) first resolves every
+//! in-flight query's outcome with a typed `StageFailed` error through the
+//! [`QueryRuntime`]'s first-wins latch, *then* poisons the drain barrier and
+//! tears the stage down. Nobody blocks on the end-barrier — a contributing shard
+//! leaves its partial in the slot and moves on — so a half-filled slot holds no
+//! thread; it dies with the pipeline incarnation that owns the [`MergeSlots`],
+//! and the respawned stage starts with empty ones. Poisoning unblocks the drain
+//! barrier, and dropping the shard queues disconnects the surviving roles'
+//! `recv` loops so they exit and can be joined. Because the outcome latch was
+//! already taken, a partially-merged result can never be delivered — result
+//! delivery goes through [`QueryRuntime::resolve`], which silently discards the
+//! loser.
 
-use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
 
-use cjoin_common::{FxHashMap, FxHasher, QueryId};
+use cjoin_common::{FxHasher, QueryId};
 use cjoin_query::GroupedAggregator;
 use cjoin_storage::Row;
 
@@ -111,7 +114,7 @@ use crate::queue::ShardSenders;
 use crate::stats::{ShardCounters, SharedCounters};
 use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
 
-/// Aggregation state of one registered query (shard-local in sharded mode).
+/// One shard's aggregation state of one registered query.
 struct QueryAggregation {
     runtime: Arc<QueryRuntime>,
     aggregator: GroupedAggregator,
@@ -120,36 +123,61 @@ struct QueryAggregation {
     routed: Vec<u32>,
 }
 
-/// One shard's partial aggregation state for a finished query, en route to the
-/// [`ShardMerger`].
-pub struct ShardPartial {
-    /// Index of the shard that produced the partial.
-    pub shard: usize,
-    /// The finished query's runtime (identifies the query and carries its result
-    /// channel).
-    pub runtime: Arc<QueryRuntime>,
-    /// The shard's partial aggregation.
-    pub partial: GroupedAggregator,
+/// Where the shards' partials of a finished query meet: one mutex-guarded slot
+/// per query id, shared by every [`Distributor`] of the stage.
+pub struct MergeSlots {
+    slots: Vec<Mutex<MergeSlot>>,
+    shards: usize,
 }
 
-/// What a [`Distributor`] does with a query's aggregation state at query end.
-enum ShardOutput {
-    /// Single-shard mode: finalize, deliver the result, notify the manager.
-    Finalize { finished_tx: Sender<QueryId> },
-    /// Sharded mode: detach the partial and emit it to the merger.
-    Partials { partials_tx: Sender<ShardPartial> },
+#[derive(Default)]
+struct MergeSlot {
+    /// The partials contributed so far, merged.
+    merged: Option<GroupedAggregator>,
+    received: usize,
 }
 
-/// An aggregation worker: the classic single-threaded Distributor, or one shard of
-/// the sharded aggregation stage (the two differ only in what happens at query end).
+impl MergeSlots {
+    /// Creates the slots of a stage of `shards` workers; `max_concurrency` is
+    /// the pipeline's `maxConc`.
+    pub fn new(max_concurrency: usize, shards: usize) -> Arc<Self> {
+        Arc::new(Self {
+            slots: (0..max_concurrency).map(|_| Mutex::default()).collect(),
+            shards,
+        })
+    }
+
+    /// Folds one shard's partial into `id`'s slot. The contribution that
+    /// completes the end-barrier gets the merged state back and leaves the slot
+    /// empty for the id's next query; every other one returns `None`.
+    fn contribute(&self, id: QueryId, partial: GroupedAggregator) -> Option<GroupedAggregator> {
+        let mut slot = self.slots[id.index()].lock();
+        let merged = match slot.merged.take() {
+            Some(mut merged) => {
+                merged.merge(partial);
+                merged
+            }
+            None => partial,
+        };
+        slot.received += 1;
+        if slot.received < self.shards {
+            slot.merged = Some(merged);
+            return None;
+        }
+        slot.received = 0;
+        Some(merged)
+    }
+}
+
+/// An aggregation worker: one shard of the aggregation stage.
 pub struct Distributor {
-    shard: usize,
     input: Receiver<Message>,
     in_flight: Arc<AtomicI64>,
     pool: Arc<BatchPool>,
     counters: Arc<SharedCounters>,
     shard_counters: Arc<ShardCounters>,
-    output: ShardOutput,
+    merge: Arc<MergeSlots>,
+    finished_tx: Sender<QueryId>,
     queries: Vec<Option<QueryAggregation>>,
     /// Scratch: bits of the registered queries the current batch carries, in order
     /// of first appearance; empty between batches.
@@ -158,55 +186,27 @@ pub struct Distributor {
 }
 
 impl Distributor {
-    /// Creates the classic single-threaded Distributor: it owns all aggregation
-    /// state and finalizes queries itself. `max_concurrency` is the pipeline's
-    /// `maxConc`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn single(
+    /// Creates one shard of a stage whose shards share `merge`. `input` is the
+    /// shard's own queue — the pipeline's output queue when the stage has one
+    /// shard, the router's per-shard queue otherwise.
+    pub fn new(
         input: Receiver<Message>,
         in_flight: Arc<AtomicI64>,
         pool: Arc<BatchPool>,
         counters: Arc<SharedCounters>,
         shard_counters: Arc<ShardCounters>,
+        merge: Arc<MergeSlots>,
         finished_tx: Sender<QueryId>,
-        max_concurrency: usize,
     ) -> Self {
         Self {
-            shard: 0,
             input,
             in_flight,
             pool,
             counters,
             shard_counters,
-            output: ShardOutput::Finalize { finished_tx },
-            queries: (0..max_concurrency).map(|_| None).collect(),
-            carried: Vec::new(),
-            faults: None,
-        }
-    }
-
-    /// Creates shard `shard` of a sharded aggregation stage: at query end it emits
-    /// its partial to the merger instead of finalizing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded(
-        shard: usize,
-        input: Receiver<Message>,
-        in_flight: Arc<AtomicI64>,
-        pool: Arc<BatchPool>,
-        counters: Arc<SharedCounters>,
-        shard_counters: Arc<ShardCounters>,
-        partials_tx: Sender<ShardPartial>,
-        max_concurrency: usize,
-    ) -> Self {
-        Self {
-            shard,
-            input,
-            in_flight,
-            pool,
-            counters,
-            shard_counters,
-            output: ShardOutput::Partials { partials_tx },
-            queries: (0..max_concurrency).map(|_| None).collect(),
+            queries: (0..merge.slots.len()).map(|_| None).collect(),
+            merge,
+            finished_tx,
             carried: Vec::new(),
             faults: None,
         }
@@ -298,29 +298,21 @@ impl Distributor {
                     debug_assert!(false, "query end for unregistered query {id:?}");
                     return;
                 };
-                match &self.output {
-                    ShardOutput::Finalize { finished_tx } => {
-                        let result = state.aggregator.finalize();
-                        // Count completion before delivering the result: a client
-                        // that wakes on the result channel must observe its own
-                        // query in `queries_completed`.
-                        SharedCounters::add(&self.counters.queries_completed, 1);
-                        // First-wins delivery: if the supervisor or the deadline
-                        // reaper already failed this query, the Ok outcome is
-                        // dropped here. The lifecycle (finished notification, id
-                        // recycling) still completes either way.
-                        state.runtime.resolve(Ok(result));
-                        let _ = finished_tx.send(id);
-                    }
-                    ShardOutput::Partials { partials_tx } => {
-                        SharedCounters::add(&self.shard_counters.partials_emitted, 1);
-                        let _ = partials_tx.send(ShardPartial {
-                            shard: self.shard,
-                            runtime: state.runtime,
-                            partial: state.aggregator,
-                        });
-                    }
-                }
+                SharedCounters::add(&self.shard_counters.partials_emitted, 1);
+                let Some(merged) = self.merge.contribute(id, state.aggregator) else {
+                    return;
+                };
+                let result = merged.finalize();
+                // Count completion before delivering the result: a client
+                // that wakes on the result channel must observe its own
+                // query in `queries_completed`.
+                SharedCounters::add(&self.counters.queries_completed, 1);
+                // First-wins delivery: if the supervisor or the deadline
+                // reaper already failed this query, the Ok outcome is
+                // dropped here. The lifecycle (finished notification, id
+                // recycling) still completes either way.
+                state.runtime.resolve(Ok(result));
+                let _ = self.finished_tx.send(id);
             }
         }
     }
@@ -333,9 +325,10 @@ struct RouteInfo {
     grouped: bool,
 }
 
-/// The router of the sharded aggregation stage: consumes the pipeline's output
-/// queue, broadcasts control tuples, and splits each surviving data batch into
-/// per-shard sub-batches (see the module docs for the routing policy).
+/// The router of an aggregation stage of more than one shard: consumes the
+/// pipeline's output queue, broadcasts control tuples, and splits each surviving
+/// data batch into per-shard sub-batches (see the module docs for the routing
+/// policy).
 pub struct ShardRouter {
     input: Receiver<Message>,
     /// Sender-only handle: the shard workers are the sole receivers of their
@@ -420,7 +413,7 @@ impl ShardRouter {
 
     /// Splits one surviving batch across the shards. The in-flight counter is
     /// raised by the number of sub-batches *before* the parent batch is
-    /// acknowledged, so the Preprocessor's drain barrier (in-flight = 0) never
+    /// acknowledged, so the scan front-end's drain barrier (in-flight = 0) never
     /// fires while routed work is still pending. Routing bookkeeping (the
     /// per-shard slots and the dims scratch) is reused, so the loop allocates
     /// nothing per tuple at steady state — the sub-batch tuples themselves come
@@ -488,94 +481,6 @@ impl ShardRouter {
         }
         self.rr = (self.rr + 1) % n;
         self.rr
-    }
-}
-
-/// A query whose partials are still being collected by the [`ShardMerger`].
-struct PendingMerge {
-    runtime: Arc<QueryRuntime>,
-    partial: GroupedAggregator,
-    received: usize,
-}
-
-/// The merger of the sharded aggregation stage: collects each finished query's
-/// `N` shard partials (the end-barrier), merges them, and delivers the result.
-pub struct ShardMerger {
-    partials_rx: Receiver<ShardPartial>,
-    num_shards: usize,
-    counters: Arc<SharedCounters>,
-    finished_tx: Sender<QueryId>,
-    pending: FxHashMap<u32, PendingMerge>,
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl ShardMerger {
-    /// Creates a merger expecting `num_shards` partials per finished query.
-    pub fn new(
-        partials_rx: Receiver<ShardPartial>,
-        num_shards: usize,
-        counters: Arc<SharedCounters>,
-        finished_tx: Sender<QueryId>,
-    ) -> Self {
-        Self {
-            partials_rx,
-            num_shards,
-            counters,
-            finished_tx,
-            pending: FxHashMap::default(),
-            faults: None,
-        }
-    }
-
-    /// Attaches a fault-injection plan (supervision tests only).
-    pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Number of queries whose end-barrier has not completed yet (tests).
-    pub fn pending_queries(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Runs until every shard has dropped its sender (pipeline teardown).
-    pub fn run(&mut self) {
-        while let Ok(partial) = self.partials_rx.recv() {
-            fault::inject(&self.faults, FaultSite::ShardMerger);
-            self.absorb(partial);
-        }
-    }
-
-    /// Folds one shard partial into the query's pending merge; finalizes the query
-    /// once all `num_shards` partials arrived. Exposed for barrier unit tests.
-    pub fn absorb(&mut self, partial: ShardPartial) {
-        let id = partial.runtime.id;
-        let received = match self.pending.entry(id.0) {
-            Entry::Vacant(v) => {
-                v.insert(PendingMerge {
-                    runtime: partial.runtime,
-                    partial: partial.partial,
-                    received: 1,
-                });
-                1
-            }
-            Entry::Occupied(mut o) => {
-                let m = o.get_mut();
-                m.partial.merge(partial.partial);
-                m.received += 1;
-                m.received
-            }
-        };
-        if received >= self.num_shards {
-            let merge = self.pending.remove(&id.0).expect("pending merge present");
-            let result = merge.partial.finalize();
-            // Same ordering contract as the single-shard path: completion is
-            // counted before the result is delivered, and delivery goes through
-            // the first-wins latch (a failed/reaped query drops the Ok here).
-            SharedCounters::add(&self.counters.queries_completed, 1);
-            merge.runtime.resolve(Ok(result));
-            let _ = self.finished_tx.send(id);
-        }
     }
 }
 
@@ -666,14 +571,14 @@ mod tests {
         let (tx, rx) = unbounded();
         let (fin_tx, fin_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(0));
-        let d = Distributor::single(
+        let d = Distributor::new(
             rx,
             Arc::clone(&in_flight),
             BatchPool::new(4),
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
+            MergeSlots::new(8, 1),
             fin_tx,
-            8,
         );
         (d, tx, fin_rx, in_flight)
     }
@@ -838,14 +743,14 @@ mod tests {
         let (tx, rx) = unbounded();
         let (fin_tx, _fin_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(batches as i64));
-        let d = Distributor::single(
+        let d = Distributor::new(
             rx,
             in_flight,
             BatchPool::new(4),
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
+            MergeSlots::new(queries, 1),
             fin_tx,
-            queries,
         );
         let mut results = Vec::new();
         for bit in 0..queries {
@@ -959,7 +864,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Sharded mode: router, shard workers, merge barrier
+    // Router and end-barrier
     // ------------------------------------------------------------------
 
     fn router_harness(
@@ -1069,123 +974,105 @@ mod tests {
         assert_eq!(per_shard, [3, 3], "round-robin balances scalar tuples");
     }
 
-    /// Invariant 2 at the unit level: the merger finalizes a query only after all
-    /// shards' partials arrived, and merges them into the exact global result.
+    /// Invariant 2 at the unit level, for stages of 1, 2 and 4 shards: nothing is
+    /// delivered before the last shard's contribution, that shard delivers the
+    /// exact global result (counted, resolved, manager notified), and the slot is
+    /// left ready for the id's next query.
     #[test]
-    fn merger_end_barrier_waits_for_every_shard() {
+    fn end_barrier_waits_for_every_shard_and_the_last_one_delivers() {
         let catalog = catalog();
-        let (rt, result_rx) = runtime(&catalog, 0, true);
-        let counters = SharedCounters::new();
-        let (fin_tx, fin_rx) = unbounded();
-        let (_ptx, prx) = unbounded();
-        let mut merger = ShardMerger::new(prx, 3, Arc::clone(&counters), fin_tx);
+        // Shard `i` drains `rows[i]`; the last shard of every stage drains
+        // nothing (an empty partial still counts towards the barrier).
+        let rows: [&[(i64, &str, i64)]; 4] = [
+            &[(1, "red", 10)],
+            &[(2, "green", 20), (1, "red", 1)],
+            &[(1, "red", 100)],
+            &[],
+        ];
+        for shards in [1, 2, 4] {
+            let merge = MergeSlots::new(8, shards);
+            let counters = SharedCounters::new();
+            let (fin_tx, fin_rx) = unbounded();
+            let in_flight = Arc::new(AtomicI64::new(0));
+            for round in 0..2 {
+                let (rt, result_rx) = runtime(&catalog, 3, true);
+                let mut expected = std::collections::BTreeMap::new();
+                for shard in 0..shards {
+                    let shard_rows = if shard + 1 == shards {
+                        rows[3]
+                    } else {
+                        rows[shard]
+                    };
+                    let (tx, rx) = unbounded();
+                    let shard_counters = Arc::new(ShardCounters::default());
+                    let mut worker = Distributor::new(
+                        rx,
+                        Arc::clone(&in_flight),
+                        BatchPool::new(4),
+                        Arc::clone(&counters),
+                        Arc::clone(&shard_counters),
+                        Arc::clone(&merge),
+                        fin_tx.clone(),
+                    );
+                    tx.send(Message::Control(ControlTuple::QueryStart(Arc::clone(&rt))))
+                        .unwrap();
+                    in_flight.fetch_add(1, Ordering::AcqRel);
+                    tx.send(Message::Data(
+                        shard_rows
+                            .iter()
+                            .map(|&(fk, name, amount)| {
+                                *expected.entry(name).or_insert(0i128) += amount as i128;
+                                tuple(&[3], fk, amount, Some(name))
+                            })
+                            .collect(),
+                    ))
+                    .unwrap();
+                    tx.send(Message::Control(ControlTuple::QueryEnd(QueryId(3))))
+                        .unwrap();
+                    tx.send(Message::Shutdown).unwrap();
 
-        let partial_with = |rows: &[(i64, &str, i64)]| -> GroupedAggregator {
-            let mut agg = GroupedAggregator::new(&rt.bound);
-            for &(fk, name, amount) in rows {
-                let t = tuple(&[0], fk, amount, Some(name));
-                let dims = [t.dims[0].as_ref()];
-                agg.accumulate(&t.row, &dims);
+                    assert!(
+                        result_rx.try_recv().is_err(),
+                        "{shards} shards: no result before the barrier completes"
+                    );
+                    assert_eq!(
+                        counters.queries_completed.load(Ordering::Relaxed),
+                        round,
+                        "{shards} shards: not counted before the barrier completes"
+                    );
+                    assert!(fin_rx.try_recv().is_err());
+                    worker.run();
+                    assert_eq!(shard_counters.partials_emitted.load(Ordering::Relaxed), 1);
+                    assert_eq!(
+                        shard_counters.tuples_distributed.load(Ordering::Relaxed),
+                        shard_rows.len() as u64
+                    );
+                }
+                let result = result_rx.try_recv().unwrap().unwrap();
+                assert_eq!(result.num_rows(), expected.len());
+                for (name, sum) in &expected {
+                    assert_eq!(
+                        result.aggregate_for(&[Value::str(name)]).unwrap()[0],
+                        AggValue::Int(*sum),
+                        "{shards} shards, group {name}"
+                    );
+                }
+                assert_eq!(
+                    counters.queries_completed.load(Ordering::Relaxed),
+                    round + 1
+                );
+                assert_eq!(fin_rx.try_recv().unwrap(), QueryId(3));
+                assert!(fin_rx.try_recv().is_err(), "one notification per query");
             }
-            agg
-        };
-        for (shard, rows) in [
-            vec![(1, "red", 10)],
-            vec![(2, "green", 20), (1, "red", 1)],
-            vec![],
-        ]
-        .into_iter()
-        .enumerate()
-        .take(2)
-        {
-            merger.absorb(ShardPartial {
-                shard,
-                runtime: Arc::clone(&rt),
-                partial: partial_with(&rows),
-            });
-            assert_eq!(merger.pending_queries(), 1);
-            assert!(
-                result_rx.try_recv().is_err(),
-                "no result before the barrier completes"
+            assert_eq!(in_flight.load(Ordering::Acquire), 0);
+            assert_eq!(
+                counters.tuples_distributed.load(Ordering::Relaxed),
+                2 * rows[..shards - 1]
+                    .iter()
+                    .map(|r| r.len() as u64)
+                    .sum::<u64>(),
+                "shards update the global totals too"
             );
-            assert_eq!(counters.queries_completed.load(Ordering::Relaxed), 0);
-            assert!(fin_rx.try_recv().is_err());
         }
-        // The last shard (an empty partial — it drained no tuples) completes it.
-        merger.absorb(ShardPartial {
-            shard: 2,
-            runtime: Arc::clone(&rt),
-            partial: partial_with(&[]),
-        });
-        assert_eq!(merger.pending_queries(), 0);
-        let result = result_rx.try_recv().unwrap().unwrap();
-        assert_eq!(
-            result.aggregate_for(&[Value::str("red")]).unwrap()[0],
-            AggValue::Int(11)
-        );
-        assert_eq!(
-            result.aggregate_for(&[Value::str("green")]).unwrap()[0],
-            AggValue::Int(20)
-        );
-        assert_eq!(counters.queries_completed.load(Ordering::Relaxed), 1);
-        assert_eq!(fin_rx.try_recv().unwrap(), QueryId(0));
-    }
-
-    #[test]
-    fn sharded_worker_emits_partials_instead_of_finalizing() {
-        let catalog = catalog();
-        let (rt, result_rx) = runtime(&catalog, 0, true);
-        let (tx, rx) = unbounded();
-        let (ptx, prx) = unbounded();
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let counters = SharedCounters::new();
-        let shard_counters = Arc::new(ShardCounters::default());
-        let mut worker = Distributor::sharded(
-            1,
-            rx,
-            Arc::clone(&in_flight),
-            BatchPool::new(4),
-            Arc::clone(&counters),
-            Arc::clone(&shard_counters),
-            ptx,
-            8,
-        );
-        tx.send(Message::Control(ControlTuple::QueryStart(Arc::clone(&rt))))
-            .unwrap();
-        in_flight.fetch_add(1, Ordering::AcqRel);
-        tx.send(Message::Data(Batch::from(vec![tuple(
-            &[0],
-            1,
-            42,
-            Some("red"),
-        )])))
-        .unwrap();
-        tx.send(Message::Control(ControlTuple::QueryEnd(QueryId(0))))
-            .unwrap();
-        tx.send(Message::Shutdown).unwrap();
-        worker.run();
-
-        assert!(
-            result_rx.try_recv().is_err(),
-            "a shard never delivers results directly"
-        );
-        assert_eq!(counters.queries_completed.load(Ordering::Relaxed), 0);
-        let p = prx.try_recv().unwrap();
-        assert_eq!(p.shard, 1);
-        assert_eq!(p.runtime.id, QueryId(0));
-        assert_eq!(
-            p.partial
-                .finalize()
-                .aggregate_for(&[Value::str("red")])
-                .unwrap()[0],
-            AggValue::Int(42)
-        );
-        assert_eq!(shard_counters.partials_emitted.load(Ordering::Relaxed), 1);
-        assert_eq!(shard_counters.tuples_distributed.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            counters.tuples_distributed.load(Ordering::Relaxed),
-            1,
-            "shard updates the global totals too"
-        );
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! [`CjoinEngine::start`] builds the always-on pipeline (continuous scan →
 //! Preprocessor → Stages → aggregation stage) and the manager thread. The scan
-//! front-end is a single Preprocessor by default, or — with
-//! `CjoinConfig::scan_workers > 1` — that many segment scan workers behind an
-//! admission coordinator (see [`crate::preprocessor`]). The
-//! aggregation stage is a single Distributor by default, or — with
-//! `CjoinConfig::distributor_shards > 1` — a router, that many parallel
-//! aggregation shards, and an end-barrier merger (see [`crate::distributor`]). Queries are
+//! front-end is `CjoinConfig::scan_workers` scan workers, one by default, each
+//! over its own segment of the fact table (see [`crate::preprocessor`]). The
+//! aggregation stage is `CjoinConfig::distributor_shards` aggregation shards,
+//! one by default, behind a router when there are several (see
+//! [`crate::distributor`]). Queries are
 //! registered at any time with [`CjoinEngine::submit`], which performs Algorithm 1 of
 //! the paper on the caller's thread (the Pipeline Manager work runs concurrently with
 //! the pipeline, which keeps flowing while dimension hash tables are updated) and
@@ -31,9 +30,10 @@
 //!    truncated result as `Ok`,
 //! 3. tears the old pipeline down without ever blocking on a dead consumer
 //!    (see [`teardown_core`]),
-//! 4. degrades the failed axis to its classic path (segmented scan → single
-//!    Preprocessor, columnar scan → row store, sharded aggregation → single
-//!    Distributor, multi-worker stages → one horizontal worker), and
+//! 4. steps the failed axis down to width 1 — fewer threads running the same
+//!    code (scan workers, distributor shards, stage workers in the horizontal
+//!    layout); a scan worker that dies at width 1 falls back from the columnar
+//!    replica to the row store — and
 //! 5. respawns the pipeline, leaving the engine serviceable for fresh queries.
 //!
 //! Two liveness rules keep the supervisor itself unblockable. First, no client
@@ -94,7 +94,7 @@ use cjoin_storage::{
 use crate::colscan::ColumnarScanCursor;
 use crate::config::{CjoinConfig, StageLayout};
 use crate::dimension::DimensionTable;
-use crate::distributor::{Distributor, ShardMerger, ShardRouter};
+use crate::distributor::{Distributor, MergeSlots, ShardRouter};
 use crate::fault::{inject, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
@@ -103,8 +103,7 @@ use crate::pipeline::{
 };
 use crate::pool::BatchPool;
 use crate::preprocessor::{
-    PartitionPlan, Preprocessor, PreprocessorCommand, PreprocessorContext, ScanCoordinator,
-    ScanMessage, ScanStall,
+    PartitionPlan, Preprocessor, PreprocessorCommand, PreprocessorContext, ScanKind, ScanStall,
 };
 use crate::progress::QueryProgress;
 use crate::queue::{ShardQueues, TupleQueue};
@@ -166,7 +165,7 @@ pub struct QueryHandle {
     /// Cancellation hooks (`None` for queries shed at admission, which never
     /// entered the pipeline). The runtime is held weakly so the handle never
     /// pins the result channel of a query the pipeline already dropped.
-    cancel: Option<(Weak<QueryRuntime>, Sender<ScanMessage>)>,
+    cancel: Option<(Weak<QueryRuntime>, Sender<PreprocessorCommand>)>,
 }
 
 impl QueryHandle {
@@ -232,9 +231,7 @@ impl QueryHandle {
         };
         runtime.mark_cancelled();
         if runtime.resolve(Err(QueryError::Cancelled)) {
-            let _ = cmd_tx.send(ScanMessage::Command(PreprocessorCommand::Cancel {
-                id: self.id,
-            }));
+            let _ = cmd_tx.send(PreprocessorCommand::Cancel { id: self.id });
         }
     }
 
@@ -247,18 +244,13 @@ impl QueryHandle {
 }
 
 struct PipelineThreads {
-    /// Scan front-end: the single classic Preprocessor, or one thread per segment
-    /// scan worker.
+    /// Scan front-end: one thread per scan worker.
     scan_workers: Vec<JoinHandle<()>>,
-    /// The admission coordinator (sharded scan front-end only).
-    scan_coordinator: Option<JoinHandle<()>>,
     workers: Vec<Vec<JoinHandle<()>>>,
-    /// The aggregation-stage router (sharded mode only).
+    /// The aggregation-stage router (only with more than one shard).
     router: Option<JoinHandle<()>>,
-    /// Aggregation workers: the single Distributor, or one worker per shard.
+    /// Aggregation stage: one thread per shard.
     distributors: Vec<JoinHandle<()>>,
-    /// The end-barrier merger (sharded mode only).
-    merger: Option<JoinHandle<()>>,
     manager: JoinHandle<()>,
 }
 
@@ -267,7 +259,7 @@ struct PipelineThreads {
 /// role failure; state that must survive restarts (filter chain, dimension
 /// tables, admission registry, global counters) lives in [`EngineShared`].
 struct PipelineCore {
-    cmd_tx: Sender<ScanMessage>,
+    cmd_tx: Sender<PreprocessorCommand>,
     stage_queues: Vec<TupleQueue>,
     distributor_queue: TupleQueue,
     stage_plan: StagePlan,
@@ -279,9 +271,10 @@ struct PipelineCore {
     /// The compressed columnar scan front-end's replica and byte-accounting
     /// counters (`None` unless `CjoinConfig::columnar_scan` is enabled).
     columnar: Option<(Arc<ColumnarTable>, Arc<ScanVolume>)>,
-    /// The segmented front-end's stall gate (sharded scan only), opened during
-    /// teardown so parked workers can observe shutdown.
-    stall: Option<Arc<ScanStall>>,
+    /// The scan front-end's stall gate, opened by the failure-path teardown so a
+    /// worker parked behind — or closing a query and waiting for — a dead sibling
+    /// can observe shutdown.
+    stall: Arc<ScanStall>,
     /// Failure poison: set by the supervisor *after* it resolved every
     /// in-flight query, releasing drain barriers that would otherwise wait
     /// forever on batches a dead role will never drain.
@@ -337,8 +330,7 @@ struct PartitionInfo {
     scheme: PartitionScheme,
     column_name: String,
     /// `rows_per_partition[w][p]` = rows of partition `p` that lie in scan worker
-    /// `w`'s segment (one segment covering the whole table in classic mode), so
-    /// per-worker pruning plans sum to the classic whole-table plan.
+    /// `w`'s segment, so per-worker pruning plans sum to the whole-table plan.
     rows_per_partition: Vec<Vec<u64>>,
 }
 
@@ -463,9 +455,8 @@ impl CjoinEngine {
         let in_flight = Arc::new(AtomicI64::new(0));
         let poison = Arc::new(AtomicBool::new(false));
         // Enough pooled batches for every queue position plus the threads working on
-        // one, including the per-shard queues and sub-batches of the sharded
-        // aggregation stage and the per-segment working/leftover batches of the
-        // sharded scan front-end.
+        // one, including each shard's queue and sub-batch and each scan worker's
+        // working/leftover batches.
         let pool_capacity = (stage_plan.num_stages() + 1) * QUEUE_CAPACITY
             + stage_plan.total_threads()
             + 2 * scan_workers
@@ -493,11 +484,10 @@ impl CjoinEngine {
         };
 
         // The fact table's page range is split into one static segment per scan
-        // worker; the last segment's end is open so appended rows keep the classic
-        // next-pass semantics. (One whole-table "segment" in classic mode.) The
-        // columnar front-end aligns segment boundaries to row groups instead of
-        // heap pages, so zone-map skipping never has to split a group between
-        // two workers.
+        // worker; the last segment's end is open so appended rows are picked up on
+        // the next pass. The columnar front-end aligns segment boundaries to row
+        // groups instead of heap pages, so zone-map skipping never has to split a
+        // group between two workers.
         let segment_unit = if columnar.is_some() {
             DEFAULT_ROW_GROUP_ROWS
         } else {
@@ -542,107 +532,55 @@ impl CjoinEngine {
             .collect();
         let distributor_queue = TupleQueue::new(QUEUE_CAPACITY);
 
-        // Scan front-end: the classic single Preprocessor thread, or one segment
-        // worker per scan range plus the admission coordinator (which owns the
-        // engine-facing command channel — segment workers also report their
-        // per-query pass completions into the same inbox).
+        // Scan front-end: one worker per scan range. Worker 0 owns the
+        // engine-facing command channel and relays to its siblings' queues.
         let (cmd_tx, cmd_rx) = unbounded();
-        let preprocessor_context = |worker: usize| PreprocessorContext {
-            stage_tx: stage_queues[0].sender(),
-            distributor_tx: distributor_queue.sender(),
-            in_flight: Arc::clone(&in_flight),
-            pool: Arc::clone(&pool),
-            slot_count: Arc::clone(&shared.slot_count),
-            chain: Arc::clone(&chain),
-            counters: Arc::clone(&counters),
-            worker_counters: Arc::clone(&scan_worker_counters[worker]),
-            config: config.clone(),
-            partition_scheme: partition_scheme.clone(),
-            poison: Arc::clone(&poison),
-        };
+        let (mut sibling_txs, sibling_rxs): (Vec<_>, Vec<_>) =
+            (1..scan_workers).map(|_| unbounded()).unzip();
+        let stall = ScanStall::new(scan_workers);
         let mut scan_worker_handles = Vec::with_capacity(scan_workers);
-        let mut coordinator_handle = None;
-        let mut stall_handle = None;
-        if scan_workers == 1 {
-            let mut preprocessor = match &columnar {
-                Some((replica, volume)) => {
-                    let cursor = ColumnarScanCursor::new(
+        for (worker, (&(start, end), commands)) in scan_ranges
+            .iter()
+            .zip(std::iter::once(cmd_rx).chain(sibling_rxs))
+            .enumerate()
+        {
+            let context = PreprocessorContext {
+                worker,
+                // Worker 0 takes them all; the others get the emptied vector.
+                siblings: std::mem::take(&mut sibling_txs),
+                stall: Arc::clone(&stall),
+                stage_tx: stage_queues[0].sender(),
+                distributor_tx: distributor_queue.sender(),
+                in_flight: Arc::clone(&in_flight),
+                pool: Arc::clone(&pool),
+                slot_count: Arc::clone(&shared.slot_count),
+                chain: Arc::clone(&chain),
+                counters: Arc::clone(&counters),
+                worker_counters: Arc::clone(&scan_worker_counters[worker]),
+                config: config.clone(),
+                partition_scheme: partition_scheme.clone(),
+                poison: Arc::clone(&poison),
+            };
+            let scan = match &columnar {
+                Some((replica, volume)) => ScanKind::Columnar(
+                    ColumnarScanCursor::new(
                         Arc::clone(replica),
                         Arc::clone(&fact),
                         Arc::clone(volume),
-                    );
-                    Preprocessor::new_columnar(cursor, cmd_rx, preprocessor_context(0))
-                }
-                None => {
-                    let scan =
-                        ContinuousScan::new(Arc::clone(&fact)).with_batch_rows(config.batch_size);
-                    Preprocessor::new(scan, cmd_rx, preprocessor_context(0))
-                }
+                    )
+                    .with_segment(start, end),
+                ),
+                None => ScanKind::Row(
+                    ContinuousScan::new(Arc::clone(&fact))
+                        .with_batch_rows(config.batch_size)
+                        .with_segment(start, end),
+                ),
             };
+            let mut preprocessor = Preprocessor::new(scan, commands, context);
             scan_worker_handles.push(spawn_supervised(
-                RoleKind::ScanWorker(0),
+                RoleKind::ScanWorker(worker),
                 failure_tx.clone(),
                 move || preprocessor.run(),
-            ));
-        } else {
-            let stall = ScanStall::new(scan_workers);
-            let mut worker_txs = Vec::with_capacity(scan_workers);
-            for (worker, &(start, end)) in scan_ranges.iter().enumerate() {
-                let (worker_tx, worker_rx) = unbounded();
-                worker_txs.push(worker_tx);
-                let mut segment_worker = match &columnar {
-                    Some((replica, volume)) => {
-                        let cursor = ColumnarScanCursor::new(
-                            Arc::clone(replica),
-                            Arc::clone(&fact),
-                            Arc::clone(volume),
-                        )
-                        .with_segment(start, end);
-                        Preprocessor::segment_worker_columnar(
-                            cursor,
-                            worker_rx,
-                            preprocessor_context(worker),
-                            worker,
-                            cmd_tx.clone(),
-                            Arc::clone(&stall),
-                        )
-                    }
-                    None => {
-                        let scan = ContinuousScan::new(Arc::clone(&fact))
-                            .with_batch_rows(config.batch_size)
-                            .with_segment(start, end);
-                        Preprocessor::segment_worker(
-                            scan,
-                            worker_rx,
-                            preprocessor_context(worker),
-                            worker,
-                            cmd_tx.clone(),
-                            Arc::clone(&stall),
-                        )
-                    }
-                };
-                scan_worker_handles.push(spawn_supervised(
-                    RoleKind::ScanWorker(worker),
-                    failure_tx.clone(),
-                    move || segment_worker.run(),
-                ));
-            }
-            stall_handle = Some(Arc::clone(&stall));
-            let mut coordinator = ScanCoordinator::new(
-                cmd_rx,
-                worker_txs,
-                distributor_queue.sender(),
-                Arc::clone(&in_flight),
-                Arc::clone(&counters),
-                stall,
-                config.max_concurrency,
-            )
-            .with_poison(Arc::clone(&poison))
-            .with_faults(config.fault_plan.clone());
-            coordinator_handle = Some(spawn_supervised(
-                RoleKind::ScanCoordinator,
-                failure_tx.clone(),
-                move || coordinator.run(),
             ));
         }
 
@@ -686,53 +624,15 @@ impl CjoinEngine {
             workers.push(stage_workers);
         }
 
-        // Aggregation stage: a single Distributor, or router + shards + merger.
+        // Aggregation stage: the shards, over one set of merge slots. A single
+        // shard reads the Distributor queue itself; several read their own queues
+        // behind a router that splits it.
         let (finished_tx, finished_rx) = unbounded();
-        let mut distributor_handles = Vec::with_capacity(shards);
-        let mut router_handle = None;
-        let mut merger_handle = None;
-        if shards == 1 {
-            let mut distributor = Distributor::single(
-                distributor_queue.receiver(),
-                Arc::clone(&in_flight),
-                Arc::clone(&pool),
-                Arc::clone(&counters),
-                Arc::clone(&shard_counters[0]),
-                finished_tx,
-                config.max_concurrency,
-            )
-            .with_faults(config.fault_plan.clone());
-            distributor_handles.push(spawn_supervised(
-                RoleKind::DistributorShard(0),
-                failure_tx.clone(),
-                move || distributor.run(),
-            ));
-        } else {
+        let merge = MergeSlots::new(config.max_concurrency, shards);
+        let (shard_inputs, router_handle) = if stage_plan.has_router() {
             let shard_queues = ShardQueues::new(shards, QUEUE_CAPACITY);
-            let (partials_tx, partials_rx) = unbounded();
-            for (shard, shard_counter) in shard_counters.iter().enumerate() {
-                let mut worker = Distributor::sharded(
-                    shard,
-                    shard_queues.shard(shard).receiver(),
-                    Arc::clone(&in_flight),
-                    Arc::clone(&pool),
-                    Arc::clone(&counters),
-                    Arc::clone(shard_counter),
-                    partials_tx.clone(),
-                    config.max_concurrency,
-                )
-                .with_faults(config.fault_plan.clone());
-                distributor_handles.push(spawn_supervised(
-                    RoleKind::DistributorShard(shard),
-                    failure_tx.clone(),
-                    move || worker.run(),
-                ));
-            }
-            // The merger must observe the channel disconnect once every shard
-            // exits, so the engine keeps no sender of its own.
-            drop(partials_tx);
             // The router gets a sender-only handle; `shard_queues` drops at the end
-            // of this block, leaving each worker as the sole receiver of its queue
+            // of this block, leaving each shard as the sole receiver of its queue
             // so a dead shard surfaces as a send error rather than a blocked send.
             let mut router = ShardRouter::new(
                 distributor_queue.receiver(),
@@ -743,20 +643,37 @@ impl CjoinEngine {
                 config.max_concurrency,
             )
             .with_faults(config.fault_plan.clone());
-            router_handle = Some(spawn_supervised(
-                RoleKind::ShardRouter,
+            let handle = spawn_supervised(RoleKind::ShardRouter, failure_tx.clone(), move || {
+                router.run()
+            });
+            let inputs = (0..shards).map(|s| shard_queues.shard(s).receiver());
+            (inputs.collect(), Some(handle))
+        } else {
+            (vec![distributor_queue.receiver()], None)
+        };
+        let mut distributor_handles = Vec::with_capacity(shards);
+        for (shard, (input, shard_counter)) in
+            shard_inputs.into_iter().zip(&shard_counters).enumerate()
+        {
+            let mut distributor = Distributor::new(
+                input,
+                Arc::clone(&in_flight),
+                Arc::clone(&pool),
+                Arc::clone(&counters),
+                Arc::clone(shard_counter),
+                Arc::clone(&merge),
+                finished_tx.clone(),
+            )
+            .with_faults(config.fault_plan.clone());
+            distributor_handles.push(spawn_supervised(
+                RoleKind::DistributorShard(shard),
                 failure_tx.clone(),
-                move || router.run(),
-            ));
-            let mut merger =
-                ShardMerger::new(partials_rx, shards, Arc::clone(&counters), finished_tx)
-                    .with_faults(config.fault_plan.clone());
-            merger_handle = Some(spawn_supervised(
-                RoleKind::ShardMerger,
-                failure_tx.clone(),
-                move || merger.run(),
+                move || distributor.run(),
             ));
         }
+        // The manager must observe the channel disconnect once every shard
+        // exits, so the engine keeps no sender of its own.
+        drop(finished_tx);
 
         // Manager thread: Algorithm 2 cleanup + run-time filter ordering.
         let manager_handle = {
@@ -788,15 +705,13 @@ impl CjoinEngine {
             shard_counters,
             scan_worker_counters,
             columnar,
-            stall: stall_handle,
+            stall,
             poison,
             threads: PipelineThreads {
                 scan_workers: scan_worker_handles,
-                scan_coordinator: coordinator_handle,
                 workers,
                 router: router_handle,
                 distributors: distributor_handles,
-                merger: merger_handle,
                 manager: manager_handle,
             },
         })
@@ -1002,10 +917,9 @@ impl CjoinEngine {
             Some(bound.fact_predicate.clone())
         };
         let (result_tx, result_rx) = bounded(1);
-        let progress = Arc::new(
-            QueryProgress::new(self.shared.catalog.fact_table()?.len() as u64)
-                .with_segments(core.stage_plan.scan_workers as u64),
-        );
+        let progress = Arc::new(QueryProgress::new(
+            self.shared.catalog.fact_table()?.len() as u64
+        ));
         let runtime = Arc::new(QueryRuntime {
             id,
             name: query.name.clone(),
@@ -1034,13 +948,13 @@ impl CjoinEngine {
         drop(core_guard);
 
         let (ack_tx, ack_rx) = bounded(1);
-        let install = ScanMessage::Command(PreprocessorCommand::Install {
+        let install = PreprocessorCommand::Install {
             runtime: Arc::clone(&runtime),
             fact_predicate,
             snapshot,
             partition,
             ack: Some(ack_tx),
-        });
+        };
         // An install that is never acked is NOT rolled back here: the query is
         // in the runtimes registry, so whoever broke the install owns it — the
         // supervisor resolves and cleans every registered query after a role
@@ -1668,8 +1582,8 @@ fn partition_plans(
             needed[pid.index()] = true;
         }
         // Each worker's plan counts only the needed-partition rows of its
-        // own segment; the per-worker remainders sum to the classic
-        // whole-table remainder.
+        // own segment; the per-worker remainders sum to the whole-table
+        // remainder.
         Some(
             info.rows_per_partition
                 .iter()
@@ -1818,14 +1732,10 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
     {
         {
             let mut config = shared.config.lock();
-            match axis {
-                Axis::ScanWorkers => config.scan_workers = *width,
-                Axis::StageWorkers => {
-                    config.stage_layout = StageLayout::Horizontal;
-                    config.worker_threads = *width;
-                }
-                Axis::DistributorShards => config.distributor_shards = *width,
+            if *axis == Axis::StageWorkers {
+                config.stage_layout = StageLayout::Horizontal;
             }
+            *axis.width_in(&mut config) = *width;
         }
         let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
         shared.scheduler.commit_resize(*axis, *width, *reason, pass);
@@ -1837,20 +1747,11 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
             // No pipeline to carry the queries to: fail them all, exactly as a
             // failed supervisor respawn leaves the engine (core stays `None`,
             // submissions report the engine down).
-            let stranded: Vec<(u32, Arc<QueryRuntime>)> = {
-                let mut admission = shared.admission.lock();
-                admission.runtimes.drain().collect()
-            };
-            for (_, runtime) in &stranded {
-                runtime.mark_cancelled();
-                runtime.resolve(Err(QueryError::StageFailed {
-                    role: "scheduler".into(),
-                    detail: format!("pipeline respawn failed during resize: {e}"),
-                }));
-            }
-            for (id, _) in &stranded {
-                cleanup_query(QueryId(*id), &shared.chain, &shared.admission);
-            }
+            fail_all_in_flight(
+                shared,
+                "scheduler",
+                &format!("pipeline respawn failed during resize: {e}"),
+            );
             return Err(e);
         }
     };
@@ -1886,13 +1787,13 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
         let (ack_tx, ack_rx) = bounded(1);
         // A failed send drops the install and with it `ack_tx`, which the
         // wait below sees as a disconnect.
-        let _ = cmd_tx.send(ScanMessage::Command(PreprocessorCommand::Install {
+        let _ = cmd_tx.send(PreprocessorCommand::Install {
             runtime: Arc::clone(&runtime),
             fact_predicate,
             snapshot: runtime.snapshot,
             partition,
             ack: Some(ack_tx),
-        }));
+        });
         acks.push((runtime, ack_rx));
     }
     *core_guard = Some(new_core);
@@ -1917,7 +1818,7 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
 /// channel — or (b) the command channel errors, which it does once the
 /// front-end receiver is gone.
 fn await_install_ack(
-    cmd_tx: &Sender<ScanMessage>,
+    cmd_tx: &Sender<PreprocessorCommand>,
     ack_rx: &Receiver<()>,
     runtime: &QueryRuntime,
 ) -> bool {
@@ -1927,9 +1828,7 @@ fn await_install_ack(
             Err(RecvTimeoutError::Disconnected) => return false,
             Err(RecvTimeoutError::Timeout) => {
                 if runtime.resolved.load(Ordering::Acquire)
-                    || cmd_tx
-                        .send(ScanMessage::Command(PreprocessorCommand::Probe))
-                        .is_err()
+                    || cmd_tx.send(PreprocessorCommand::Probe).is_err()
                 {
                     return false;
                 }
@@ -1973,8 +1872,48 @@ fn run_supervisor(shared: Arc<EngineShared>, failure_rx: Receiver<SupervisorEven
     }
 }
 
+/// Resolves every registered query to [`QueryError::StageFailed`] and releases
+/// its admission state (dimension registrations, id) — what is left to do for
+/// the in-flight queries of a pipeline that can no longer run them.
+fn fail_all_in_flight(shared: &EngineShared, role: &str, detail: &str) {
+    let failed: Vec<(u32, Arc<QueryRuntime>)> = {
+        let mut admission = shared.admission.lock();
+        admission.runtimes.drain().collect()
+    };
+    for (_, runtime) in &failed {
+        runtime.mark_cancelled();
+        runtime.resolve(Err(QueryError::StageFailed {
+            role: role.into(),
+            detail: detail.into(),
+        }));
+    }
+    for (id, _) in &failed {
+        cleanup_query(QueryId(*id), &shared.chain, &shared.admission);
+    }
+}
+
+/// Moves every role failure already queued on the supervisor's channel into
+/// `roles`, counting each. Benign admission nudges drained alongside are
+/// dropped — the bounded reap in [`run_supervisor`] covers any deadline they
+/// announced.
+fn drain_failures(
+    shared: &EngineShared,
+    failure_rx: &Receiver<SupervisorEvent>,
+    roles: &mut Vec<RoleKind>,
+) {
+    while let Ok(event) = failure_rx.try_recv() {
+        if let SupervisorEvent::Failure(extra) = event {
+            shared
+                .counters
+                .role_failures
+                .fetch_add(1, Ordering::Relaxed);
+            roles.push(extra.role);
+        }
+    }
+}
+
 /// Fails all in-flight queries with a typed error, tears the dead pipeline
-/// down, degrades the failed axis to its classic path and respawns.
+/// down, steps the failed axis down and respawns.
 ///
 /// The ordering is load-bearing (see the module docs and
 /// `crate::preprocessor::drain_barrier`): queries are resolved to
@@ -2001,53 +1940,23 @@ fn handle_failure(
     let core = core_guard.take();
 
     // Resolve every in-flight query BEFORE any barrier can release truncated.
-    let failed: Vec<(u32, Arc<QueryRuntime>)> = {
-        let mut admission = shared.admission.lock();
-        admission.runtimes.drain().collect()
-    };
-    for (_, runtime) in &failed {
-        runtime.mark_cancelled();
-        runtime.resolve(Err(QueryError::StageFailed {
-            role: failure.role.to_string(),
-            detail: failure.detail.clone(),
-        }));
-    }
-    for (id, _) in &failed {
-        cleanup_query(QueryId(*id), &shared.chain, &shared.admission);
-    }
+    fail_all_in_flight(shared, &failure.role.to_string(), &failure.detail);
 
     // Collapse a cascade (several roles dying around the same incident, e.g.
-    // injected panics on both a scan worker and a shard) into one restart.
-    // Benign admission nudges drained alongside are simply dropped — the
-    // bounded reap in `run_supervisor` covers any deadline they announced.
+    // injected panics on both a scan worker and a shard) into one restart:
+    // what is already queued, and what the teardown shakes loose.
     let mut roles = vec![failure.role];
-    while let Ok(extra) = failure_rx.try_recv() {
-        if let SupervisorEvent::Failure(extra) = extra {
-            shared
-                .counters
-                .role_failures
-                .fetch_add(1, Ordering::Relaxed);
-            roles.push(extra.role);
-        }
-    }
+    drain_failures(shared, failure_rx, &mut roles);
     if let Some(core) = core {
         teardown_core(core, true);
     }
-    while let Ok(extra) = failure_rx.try_recv() {
-        if let SupervisorEvent::Failure(extra) = extra {
-            shared
-                .counters
-                .role_failures
-                .fetch_add(1, Ordering::Relaxed);
-            roles.push(extra.role);
-        }
-    }
+    drain_failures(shared, failure_rx, &mut roles);
 
     if shared.shutdown_flag.load(Ordering::Acquire) {
         return;
     }
 
-    // Degrade each failed axis to its classic path and respawn.
+    // Step each failed axis down and respawn.
     let config = {
         let mut config = shared.config.lock();
         for role in &roles {
@@ -2060,33 +1969,12 @@ fn handle_failure(
             // every future one) spawns the degraded shape even on a governed
             // axis, record the event, and reset the tuning policy's
             // hysteresis clock. Same-width commits record nothing.
-            let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
-            match role {
-                RoleKind::ScanWorker(_) | RoleKind::ScanCoordinator => {
-                    shared.scheduler.commit_resize(
-                        Axis::ScanWorkers,
-                        config.scan_workers,
-                        ResizeReason::Degraded,
-                        pass,
-                    );
-                }
-                RoleKind::StageWorker { .. } => {
-                    shared.scheduler.commit_resize(
-                        Axis::StageWorkers,
-                        config.worker_threads,
-                        ResizeReason::Degraded,
-                        pass,
-                    );
-                }
-                RoleKind::ShardRouter | RoleKind::DistributorShard(_) | RoleKind::ShardMerger => {
-                    shared.scheduler.commit_resize(
-                        Axis::DistributorShards,
-                        config.distributor_shards,
-                        ResizeReason::Degraded,
-                        pass,
-                    );
-                }
-                RoleKind::Manager => {}
+            if let Some(axis) = role.axis() {
+                let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
+                let width = *axis.width_in(&mut config);
+                shared
+                    .scheduler
+                    .commit_resize(axis, width, ResizeReason::Degraded, pass);
             }
         }
         config.clone()
@@ -2105,46 +1993,27 @@ fn handle_failure(
     }
 }
 
-/// Degrades the axis hosting `role` one step towards the classic CJOIN layout.
-/// Returns a description of the applied step, or `None` if the axis is already
-/// at its simplest configuration (the role is respawned as-is).
+/// Steps the axis hosting `role` down to width 1 — fewer threads, the same
+/// code. A scan worker that dies at width 1 falls back from the columnar
+/// replica to the row store instead. Returns a description of the applied
+/// step, or `None` if there is nothing left to step down (the role is
+/// respawned as-is).
 fn degrade(config: &mut CjoinConfig, role: &RoleKind) -> Option<String> {
-    match role {
-        RoleKind::ScanWorker(_) | RoleKind::ScanCoordinator => {
-            if config.scan_workers > 1 {
-                config.scan_workers = 1;
-                Some(
-                    "collapsed the segmented scan front-end to the classic single Preprocessor"
-                        .into(),
-                )
-            } else if config.columnar_scan {
-                config.columnar_scan = false;
-                Some("fell back from the columnar replica scan to the row store".into())
-            } else {
-                None
-            }
+    let axis = role.axis()?;
+    let from = *axis.width_in(config);
+    let relayout = axis == Axis::StageWorkers && config.stage_layout != StageLayout::Horizontal;
+    if from > 1 || relayout {
+        if relayout {
+            config.stage_layout = StageLayout::Horizontal;
         }
-        RoleKind::StageWorker { .. } => {
-            if config.worker_threads > 1 || config.stage_layout != StageLayout::Horizontal {
-                config.stage_layout = StageLayout::Horizontal;
-                config.worker_threads = 1;
-                Some("collapsed the filter stages to a single horizontal worker".into())
-            } else {
-                None
-            }
-        }
-        RoleKind::ShardRouter | RoleKind::DistributorShard(_) | RoleKind::ShardMerger => {
-            if config.distributor_shards > 1 {
-                config.distributor_shards = 1;
-                Some(
-                    "collapsed the sharded aggregation stage to the classic single Distributor"
-                        .into(),
-                )
-            } else {
-                None
-            }
-        }
-        RoleKind::Manager => None,
+        *axis.width_in(config) = 1;
+        let layout = if relayout { ", horizontal layout" } else { "" };
+        Some(format!("{} {from} → 1{layout}", axis.label()))
+    } else if axis == Axis::ScanWorkers && config.columnar_scan {
+        config.columnar_scan = false;
+        Some("fell back from the columnar replica scan to the row store".into())
+    } else {
+        None
     }
 }
 
@@ -2177,9 +2046,7 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
         if runtime.resolve(Err(QueryError::DeadlineExceeded { deadline })) {
             let _ = core
                 .cmd_tx
-                .send(ScanMessage::Command(PreprocessorCommand::Cancel {
-                    id: runtime.id,
-                }));
+                .send(PreprocessorCommand::Cancel { id: runtime.id });
         }
     }
 }
@@ -2191,14 +2058,15 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
 ///
 /// `poisoned == true` is the failure path, which must never block on a queue
 /// whose consumer is dead. It releases every blocking primitive up front —
-/// the poison flag (drain barriers), the stall gate (parked segment workers),
-/// a best-effort shutdown command (idle command loops) — then DROPS the
-/// engine-side queue handles before joining, so a producer blocked on a full
-/// queue observes the channel disconnect once the dead consumer's receiver is
-/// gone instead of waiting forever. Surviving consumers keep draining until
-/// their upstream disconnects, which preserves the join order's termination
-/// argument stage by stage; the manager exits last, when the aggregation
-/// stage drops the finished-query channel.
+/// the poison flag (drain barriers), the stall gate (scan workers parked
+/// behind, or closing a query and waiting for, a dead sibling), a best-effort
+/// shutdown command (idle command loops) — then DROPS the engine-side queue
+/// handles before joining, so a producer blocked on a full queue observes the
+/// channel disconnect once the dead consumer's receiver is gone instead of
+/// waiting forever. Surviving consumers keep draining until their upstream
+/// disconnects, which preserves the join order's termination argument stage by
+/// stage; the manager exits last, when the aggregation stage drops the
+/// finished-query channel.
 fn teardown_core(core: PipelineCore, poisoned: bool) {
     let PipelineCore {
         cmd_tx,
@@ -2211,81 +2079,44 @@ fn teardown_core(core: PipelineCore, poisoned: bool) {
     } = core;
     if poisoned {
         poison.store(true, Ordering::Release);
-        if let Some(stall) = &stall {
-            stall.shutdown();
-        }
-        let _ = cmd_tx.send(ScanMessage::Command(PreprocessorCommand::Shutdown));
-        drop(cmd_tx);
-        drop(stage_queues);
-        drop(distributor_queue);
-        join_pipeline_threads(threads);
-        return;
+        stall.shutdown();
     }
-    // Stop the producers first so no new data enters the pipeline. In sharded
-    // mode the coordinator consumes the shutdown, opens the stall gate and
-    // relays the stop to every segment worker before exiting.
-    let _ = cmd_tx.send(ScanMessage::Command(PreprocessorCommand::Shutdown));
-    let mut threads = threads;
-    if let Some(coordinator) = threads.scan_coordinator.take() {
-        let _ = coordinator.join();
-    }
-    for handle in threads.scan_workers.drain(..) {
+    // Stop the producers first so no new data enters the pipeline: worker 0
+    // consumes the shutdown and relays the stop to its siblings.
+    let _ = cmd_tx.send(PreprocessorCommand::Shutdown);
+    drop(cmd_tx);
+    // The graceful path keeps the queues, to carry the shutdown messages; the
+    // failure path drops them here, and every role exits on its upstream's
+    // disconnect instead.
+    let queues = (!poisoned).then_some((stage_queues, distributor_queue));
+    // A panicked thread's `Err` join result is discarded throughout: its
+    // payload already travelled to the supervisor as a [`RoleFailure`].
+    for handle in threads.scan_workers {
         let _ = handle.join();
     }
     // Stop each stage in order; downstream stages are still draining while
     // upstream workers finish their last batches.
-    for (stage_index, stage_workers) in threads.workers.drain(..).enumerate() {
-        for _ in 0..stage_workers.len() {
-            let _ = stage_queues[stage_index].send(Message::Shutdown);
+    for (stage_index, stage_workers) in threads.workers.into_iter().enumerate() {
+        if let Some((stage_queues, _)) = &queues {
+            for _ in 0..stage_workers.len() {
+                let _ = stage_queues[stage_index].send(Message::Shutdown);
+            }
         }
         for handle in stage_workers {
             let _ = handle.join();
         }
     }
-    // One shutdown message stops the whole aggregation stage: the single
-    // Distributor consumes it directly; in sharded mode the router consumes it
-    // and broadcasts it to every shard.
-    let _ = distributor_queue.send(Message::Shutdown);
-    if let Some(router) = threads.router.take() {
-        let _ = router.join();
+    // One shutdown message stops the whole aggregation stage: a single shard
+    // consumes it directly; the router consumes it and broadcasts it to every
+    // shard.
+    if let Some((_, distributor_queue)) = &queues {
+        let _ = distributor_queue.send(Message::Shutdown);
     }
-    for handle in threads.distributors.drain(..) {
+    for handle in threads.router.into_iter().chain(threads.distributors) {
         let _ = handle.join();
-    }
-    // Every shard dropping its partials sender lets the merger observe the
-    // disconnect and exit.
-    if let Some(merger) = threads.merger.take() {
-        let _ = merger.join();
     }
     // The aggregation stage dropping its side of the finished-query channel lets
     // the manager observe the disconnect and exit.
-    let _ = threads.manager.join();
-}
-
-/// Joins every pipeline thread after the failure-path teardown released all
-/// blocking primitives; a panicked thread's `Err` join result is discarded
-/// (its payload already travelled to the supervisor as a [`RoleFailure`]).
-fn join_pipeline_threads(threads: PipelineThreads) {
-    if let Some(coordinator) = threads.scan_coordinator {
-        let _ = coordinator.join();
-    }
-    for handle in threads.scan_workers {
-        let _ = handle.join();
-    }
-    for stage_workers in threads.workers {
-        for handle in stage_workers {
-            let _ = handle.join();
-        }
-    }
-    if let Some(router) = threads.router {
-        let _ = router.join();
-    }
-    for handle in threads.distributors {
-        let _ = handle.join();
-    }
-    if let Some(merger) = threads.merger {
-        let _ = merger.join();
-    }
     let _ = threads.manager.join();
 }
 

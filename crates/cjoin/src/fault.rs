@@ -26,23 +26,20 @@ use std::time::Duration;
 
 /// A named pipeline site where faults can be injected.
 ///
-/// One variant per supervised role kind; the injection hook sits inside the
-/// role's main loop, so a scheduled panic exercises exactly the thread-death
-/// path the supervisor must recover from.
+/// One variant per supervised role kind with an input loop, plus the WAL's
+/// I/O points; the injection hook sits inside the role's main loop, so a
+/// scheduled panic exercises exactly the thread-death path the supervisor must
+/// recover from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A segment scan worker (or the classic single-threaded Preprocessor).
+    /// A scan worker.
     ScanWorker,
-    /// The scan admission coordinator.
-    ScanCoordinator,
     /// A filter Stage worker.
     StageWorker,
     /// The distributor shard router.
     ShardRouter,
-    /// A distributor aggregation shard (or the classic single Distributor).
+    /// A distributor aggregation shard.
     DistributorShard,
-    /// The end-of-query merge barrier.
-    ShardMerger,
     /// A WAL record append on the durable ingestion path.
     WalAppend,
     /// A WAL fsync (commit-marker durability point).
@@ -53,13 +50,11 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, for matrix tests.
-    pub const ALL: [FaultSite; 9] = [
+    pub const ALL: [FaultSite; 7] = [
         FaultSite::ScanWorker,
-        FaultSite::ScanCoordinator,
         FaultSite::StageWorker,
         FaultSite::ShardRouter,
         FaultSite::DistributorShard,
-        FaultSite::ShardMerger,
         FaultSite::WalAppend,
         FaultSite::WalSync,
         FaultSite::WalReplay,
@@ -68,14 +63,12 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::ScanWorker => 0,
-            FaultSite::ScanCoordinator => 1,
-            FaultSite::StageWorker => 2,
-            FaultSite::ShardRouter => 3,
-            FaultSite::DistributorShard => 4,
-            FaultSite::ShardMerger => 5,
-            FaultSite::WalAppend => 6,
-            FaultSite::WalSync => 7,
-            FaultSite::WalReplay => 8,
+            FaultSite::StageWorker => 1,
+            FaultSite::ShardRouter => 2,
+            FaultSite::DistributorShard => 3,
+            FaultSite::WalAppend => 4,
+            FaultSite::WalSync => 5,
+            FaultSite::WalReplay => 6,
         }
     }
 }
@@ -84,11 +77,9 @@ impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             FaultSite::ScanWorker => "scan-worker",
-            FaultSite::ScanCoordinator => "scan-coordinator",
             FaultSite::StageWorker => "stage-worker",
             FaultSite::ShardRouter => "shard-router",
             FaultSite::DistributorShard => "distributor-shard",
-            FaultSite::ShardMerger => "shard-merger",
             FaultSite::WalAppend => "wal-append",
             FaultSite::WalSync => "wal-sync",
             FaultSite::WalReplay => "wal-replay",
@@ -124,7 +115,7 @@ pub struct FaultPlan {
     /// Absolute WAL byte offsets the engine silently bit-flips after its next
     /// commit — surfaces only at replay, as a checksum mismatch.
     byte_flips: Vec<u64>,
-    hits: [AtomicU64; 9],
+    hits: [AtomicU64; FaultSite::ALL.len()],
 }
 
 /// Plans are compared by their *schedule* (seed + declared faults), ignoring
@@ -322,17 +313,17 @@ mod tests {
 
     #[test]
     fn disabled_plan_injects_nothing() {
-        inject(&None, FaultSite::ShardMerger);
+        inject(&None, FaultSite::ShardRouter);
         let plan = FaultPlan::seeded(1).build();
-        inject(&Some(Arc::clone(&plan)), FaultSite::ShardMerger);
-        assert_eq!(plan.hits(FaultSite::ShardMerger), 1);
+        inject(&Some(Arc::clone(&plan)), FaultSite::ShardRouter);
+        assert_eq!(plan.hits(FaultSite::ShardRouter), 1);
     }
 
     #[test]
     fn plans_compare_by_schedule_not_runtime_state() {
         let a = FaultPlan::seeded(3).panic_at(FaultSite::StageWorker);
         let b = FaultPlan::seeded(3).panic_at(FaultSite::StageWorker);
-        a.hit(FaultSite::ShardMerger);
+        a.hit(FaultSite::ShardRouter);
         assert_eq!(a, b);
         let c = FaultPlan::seeded(4).panic_at(FaultSite::StageWorker);
         assert_ne!(a, c);
@@ -340,7 +331,7 @@ mod tests {
 
     #[test]
     fn wal_sites_are_injectable_and_displayed() {
-        assert_eq!(FaultSite::ALL.len(), 9);
+        assert_eq!(FaultSite::ALL.len(), 7);
         let plan = FaultPlan::seeded(0).panic_at(FaultSite::WalSync).build();
         plan.hit(FaultSite::WalAppend);
         plan.hit(FaultSite::WalReplay);
@@ -374,11 +365,11 @@ mod tests {
     #[test]
     fn delays_and_corruption_are_recorded() {
         let plan = FaultPlan::seeded(9)
-            .delay(FaultSite::ScanCoordinator, 1)
+            .delay(FaultSite::ScanWorker, 1)
             .corrupt_row_group(2)
             .corrupt_row_group(5)
             .build();
-        plan.hit(FaultSite::ScanCoordinator);
+        plan.hit(FaultSite::ScanWorker);
         assert_eq!(plan.corrupt_groups(), &[2, 5]);
         assert_eq!(plan.seed(), 9);
     }

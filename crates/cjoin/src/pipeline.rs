@@ -15,11 +15,19 @@
 //! per batch and processes the contiguous slice assigned to its Stage. With a single
 //! Stage this is the entire chain.
 //!
-//! Downstream of the Filter Stages sits the **aggregation stage**: a single
-//! Distributor thread by default, or — with `CjoinConfig::distributor_shards > 1` —
-//! a router plus that many parallel aggregation shards and a merger (see
-//! [`crate::distributor`]). The [`StagePlan`] records both halves of the thread
-//! layout so diagnostics and tests can reason about the whole pipeline.
+//! Upstream of the Filter Stages sits the **scan front-end**:
+//! `CjoinConfig::scan_workers` scan worker threads, each over its own segment of
+//! the fact table (see [`crate::preprocessor`]). Downstream sits the
+//! **aggregation stage**: `CjoinConfig::distributor_shards` aggregation shard
+//! threads and, when there is more than one of them, a router thread in front
+//! (see [`crate::distributor`]). The [`StagePlan`] records all three parts of the
+//! thread layout so diagnostics and tests can reason about the whole pipeline.
+//!
+//! The supervised roles are therefore five ([`RoleKind`]): scan worker, Stage
+//! worker, shard router, distributor shard, and the manager. Query lifecycle has
+//! no thread of its own — worker 0 of the front-end emits a query's start tuple,
+//! the scan worker that finishes the query's pass last emits its end tuple, and
+//! the shard that drains that end tuple last delivers the result.
 //!
 //! # Supervision and barrier release on failure
 //!
@@ -29,22 +37,25 @@
 //! argument above assumes every role *keeps draining its input queue*; a dead
 //! role violates that, and two barriers would otherwise wait forever:
 //!
-//! * the Preprocessor's **drain barrier** (install/finalize waits for
-//!   `in_flight == 0`) never terminates if a Stage worker or Distributor died
-//!   holding batches, and
-//! * the **ShardMerger end-barrier** (a query finalizes after all N shard
-//!   partials arrived) never completes if a shard died before emitting its
-//!   partial.
+//! * the scan front-end's **drain barrier** (the worker closing a query waits
+//!   for `in_flight == 0`, and before that for its siblings to park) never
+//!   terminates if a Stage worker or Distributor died holding batches, or a
+//!   sibling died before parking, and
+//! * the aggregation stage's **end-barrier** (a query finalizes when the last of
+//!   the N shards contributes its partial) never completes if a shard died
+//!   before contributing.
 //!
 //! Release-on-failure is therefore part of the pipeline contract: the
 //! supervisor first resolves every in-flight query's outcome channel with
 //! `QueryError::StageFailed` (so no client can observe a truncated `Ok`), then
 //! *poisons* the pipeline — the drain barrier re-checks the poison flag in its
-//! backoff loop and exits early, parked scan workers are released through the
-//! `ScanStall` shutdown path, and queue senders/receivers are dropped so every
-//! surviving role's `recv()`/`send()` returns a disconnect and the role exits
-//! its loop. Only after every thread is joined does the supervisor respawn the
-//! pipeline with the failed axis degraded to its classic path. Ordering matters:
+//! backoff loop and exits early, parked scan workers and a closer waiting for
+//! them are released through the `ScanStall` shutdown path, and queue
+//! senders/receivers are dropped so every surviving role's `recv()`/`send()`
+//! returns a disconnect and the role exits its loop (nobody waits on the
+//! end-barrier, so it needs no release: its half-filled merge slots die with the
+//! pipeline incarnation). Only after every thread is joined does the supervisor
+//! respawn the pipeline with the failed axis stepped down. Ordering matters:
 //! outcomes are resolved *before* barriers are poisoned, so a poisoned barrier
 //! can never let a finalize path deliver a result computed from a partial scan.
 
@@ -58,16 +69,15 @@ use crate::config::StageLayout;
 use crate::dimension::DimensionTable;
 use crate::fault::{self, FaultPlan, FaultSite};
 use crate::filter::FilterChain;
+use crate::scheduler::Axis;
 use crate::tuple::Message;
 
 /// Identity of one supervised pipeline role, used in thread names, failure
 /// reports and [`cjoin_query::QueryError::StageFailed`] messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoleKind {
-    /// Segment scan worker `i` (the classic single Preprocessor is worker 0).
+    /// Scan worker `i`.
     ScanWorker(usize),
-    /// The scan admission coordinator (sharded front-end only).
-    ScanCoordinator,
     /// Worker `worker` of filter Stage `stage`.
     StageWorker {
         /// Stage index in the [`StagePlan`].
@@ -75,12 +85,10 @@ pub enum RoleKind {
         /// Worker index within the Stage.
         worker: usize,
     },
-    /// The distributor shard router (sharded aggregation only).
+    /// The distributor shard router (only with more than one shard).
     ShardRouter,
-    /// Distributor aggregation shard `i` (the classic Distributor is shard 0).
+    /// Distributor aggregation shard `i`.
     DistributorShard(usize),
-    /// The end-of-query merge barrier (sharded aggregation only).
-    ShardMerger,
     /// The pipeline manager (filter reordering, query cleanup).
     Manager,
 }
@@ -90,11 +98,9 @@ impl RoleKind {
     pub fn thread_name(&self) -> String {
         match self {
             RoleKind::ScanWorker(i) => format!("cjoin-scan-w{i}"),
-            RoleKind::ScanCoordinator => "cjoin-scan-coord".into(),
             RoleKind::StageWorker { stage, worker } => format!("cjoin-stage{stage}-w{worker}"),
             RoleKind::ShardRouter => "cjoin-dist-router".into(),
             RoleKind::DistributorShard(i) => format!("cjoin-distributor-s{i}"),
-            RoleKind::ShardMerger => "cjoin-dist-merger".into(),
             RoleKind::Manager => "cjoin-manager".into(),
         }
     }
@@ -105,11 +111,20 @@ impl RoleKind {
     pub fn fault_site(&self) -> Option<FaultSite> {
         match self {
             RoleKind::ScanWorker(_) => Some(FaultSite::ScanWorker),
-            RoleKind::ScanCoordinator => Some(FaultSite::ScanCoordinator),
             RoleKind::StageWorker { .. } => Some(FaultSite::StageWorker),
             RoleKind::ShardRouter => Some(FaultSite::ShardRouter),
             RoleKind::DistributorShard(_) => Some(FaultSite::DistributorShard),
-            RoleKind::ShardMerger => Some(FaultSite::ShardMerger),
+            RoleKind::Manager => None,
+        }
+    }
+
+    /// The parallelism axis the role belongs to — the one the supervisor steps
+    /// down after the role dies (the manager belongs to none).
+    pub fn axis(&self) -> Option<Axis> {
+        match self {
+            RoleKind::ScanWorker(_) => Some(Axis::ScanWorkers),
+            RoleKind::StageWorker { .. } => Some(Axis::StageWorkers),
+            RoleKind::ShardRouter | RoleKind::DistributorShard(_) => Some(Axis::DistributorShards),
             RoleKind::Manager => None,
         }
     }
@@ -119,13 +134,11 @@ impl std::fmt::Display for RoleKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RoleKind::ScanWorker(i) => write!(f, "scan-worker-{i}"),
-            RoleKind::ScanCoordinator => f.write_str("scan-coordinator"),
             RoleKind::StageWorker { stage, worker } => {
                 write!(f, "stage-{stage}-worker-{worker}")
             }
             RoleKind::ShardRouter => f.write_str("shard-router"),
             RoleKind::DistributorShard(i) => write!(f, "distributor-shard-{i}"),
-            RoleKind::ShardMerger => f.write_str("shard-merger"),
             RoleKind::Manager => f.write_str("manager"),
         }
     }
@@ -211,7 +224,7 @@ pub struct StagePlan {
 
 impl StagePlan {
     /// Derives the plan from the configured layout and total worker-thread budget,
-    /// with a single-shard aggregation stage and the classic single-scan front-end.
+    /// with one aggregation shard and one scan worker.
     pub fn derive(layout: &StageLayout, worker_threads: usize) -> Self {
         let threads_per_stage = match layout {
             StageLayout::Horizontal => vec![worker_threads.max(1)],
@@ -231,13 +244,13 @@ impl StagePlan {
         }
     }
 
-    /// The same plan with a sharded aggregation stage.
+    /// The same plan with `shards` aggregation shards.
     pub fn with_distributor_shards(mut self, shards: usize) -> Self {
         self.distributor_shards = shards.max(1);
         self
     }
 
-    /// The same plan with a sharded continuous-scan front-end.
+    /// The same plan with `workers` scan workers.
     pub fn with_scan_workers(mut self, workers: usize) -> Self {
         self.scan_workers = workers.max(1);
         self
@@ -253,25 +266,20 @@ impl StagePlan {
         self.threads_per_stage.iter().sum()
     }
 
-    /// Threads spawned for the aggregation stage: the classic Distributor needs one;
-    /// a sharded stage needs one per shard plus the router and the merger.
-    pub fn aggregation_threads(&self) -> usize {
-        if self.distributor_shards <= 1 {
-            1
-        } else {
-            self.distributor_shards + 2
-        }
+    /// Whether the aggregation stage has a router: a single shard reads the
+    /// pipeline's output queue itself, several need a thread that splits it.
+    pub fn has_router(&self) -> bool {
+        self.distributor_shards > 1
     }
 
-    /// Threads spawned for the scan front-end: the classic Preprocessor needs one;
-    /// a sharded front-end needs one per segment worker plus the admission
-    /// coordinator.
+    /// Threads spawned for the aggregation stage: one per shard, plus the router.
+    pub fn aggregation_threads(&self) -> usize {
+        self.distributor_shards + usize::from(self.has_router())
+    }
+
+    /// Threads spawned for the scan front-end: one per scan worker.
     pub fn scan_threads(&self) -> usize {
-        if self.scan_workers <= 1 {
-            1
-        } else {
-            self.scan_workers + 1
-        }
+        self.scan_workers
     }
 }
 
@@ -428,14 +436,10 @@ mod tests {
     fn aggregation_thread_budget_tracks_sharding() {
         let solo = StagePlan::derive(&StageLayout::Horizontal, 2);
         assert_eq!(solo.distributor_shards, 1);
-        assert_eq!(solo.aggregation_threads(), 1, "classic single Distributor");
+        assert_eq!(solo.aggregation_threads(), 1, "one shard, no router");
         let sharded = StagePlan::derive(&StageLayout::Horizontal, 2).with_distributor_shards(4);
         assert_eq!(sharded.distributor_shards, 4);
-        assert_eq!(
-            sharded.aggregation_threads(),
-            6,
-            "4 shards + router + merger"
-        );
+        assert_eq!(sharded.aggregation_threads(), 5, "4 shards + router");
         // Degenerate zero clamps to the single-shard plan.
         let clamped = StagePlan::derive(&StageLayout::Horizontal, 2).with_distributor_shards(0);
         assert_eq!(clamped.distributor_shards, 1);
@@ -445,11 +449,11 @@ mod tests {
     fn scan_thread_budget_tracks_the_front_end_sharding() {
         let solo = StagePlan::derive(&StageLayout::Horizontal, 2);
         assert_eq!(solo.scan_workers, 1);
-        assert_eq!(solo.scan_threads(), 1, "classic single Preprocessor");
+        assert_eq!(solo.scan_threads(), 1);
         let sharded = StagePlan::derive(&StageLayout::Horizontal, 2).with_scan_workers(4);
         assert_eq!(sharded.scan_workers, 4);
-        assert_eq!(sharded.scan_threads(), 5, "4 segment workers + coordinator");
-        // Degenerate zero clamps to the classic plan.
+        assert_eq!(sharded.scan_threads(), 4, "one thread per scan worker");
+        // Degenerate zero clamps to one worker.
         let clamped = StagePlan::derive(&StageLayout::Horizontal, 2).with_scan_workers(0);
         assert_eq!(clamped.scan_workers, 1);
     }

@@ -1,5 +1,5 @@
-//! The Preprocessor (§3.2.2, §3.3) — classic single-threaded, or sharded into
-//! parallel segment scan workers behind an admission coordinator.
+//! The Preprocessor (§3.2.2, §3.3): the scan front-end, one or more scan workers
+//! that each run the paper's Preprocessor over a segment of the fact table.
 //!
 //! The Preprocessor owns the continuous scan. For every fact tuple it:
 //!
@@ -29,38 +29,54 @@
 //! boundary — instead of rescanning every active query per row for wrap-around
 //! detection and `passed_start` flipping.
 //!
-//! ## Sharded front-end (`CjoinConfig::scan_workers > 1`)
+//! ## Scan workers (`CjoinConfig::scan_workers`)
 //!
-//! With `N > 1` scan workers the fact table's page range is split into `N` static
-//! segments ([`cjoin_storage::segment_ranges`]); each segment is owned by one
-//! worker running the full per-row path above over its own circular segment
-//! cursor, feeding the filter stages concurrently. A [`ScanCoordinator`] thread
-//! preserves the paper's §3.3 admission guarantees:
+//! The fact table's page range is split into `N` static segments
+//! ([`cjoin_storage::segment_ranges`]; one segment, the whole table, for
+//! `N = 1`); each segment is owned by one worker — a [`Preprocessor`] on its own
+//! thread — running the full per-row path above over its own circular segment
+//! cursor, feeding the filter stages concurrently with its siblings. No thread
+//! owns the query lifecycle; the workers keep the paper's §3.3 guarantees among
+//! themselves:
 //!
-//! * **Admission** — the coordinator emits the query-start control tuple *first*,
-//!   then relays the install to every worker; each worker installs the query at
-//!   its own segment-batch boundary, recording the query's starting position
-//!   within its segment. Any data tuple carrying the new bit is therefore
-//!   produced strictly after the start tuple was enqueued, so the Distributor's
-//!   FIFO queue observes start-before-data (invariant 1) with no global pause.
+//! * **Admission** — worker 0 owns the engine-facing command channel. On an
+//!   install it emits the query-start control tuple *first*, then relays the
+//!   install (with sibling *i*'s partition plan) to each sibling's FIFO command
+//!   queue, then installs the query itself and acks; cancels and shutdown are
+//!   relayed the same way. Each worker installs the query at its own
+//!   segment-batch boundary, recording the query's starting position within
+//!   its segment. Any data tuple carrying the new bit is therefore produced
+//!   strictly after the start tuple was enqueued, so the Distributor's FIFO
+//!   queue observes start-before-data (invariant 1) with no global pause.
 //! * **Exactly one pass** — each worker independently retires the query's bit the
 //!   moment its segment cursor wraps the per-segment starting tuple (or its
 //!   partition plan is exhausted): from then on the worker never sets the bit, so
 //!   no segment row is seen twice; and because every segment installs the bit at
 //!   a boundary it was not yet produced past, no row is missed. The segment
 //!   ranges partition the table, so the union over workers is exactly one pass.
-//! * **Completion** — a worker that retires a bit notifies the coordinator
-//!   (`SegmentPassDone`). Once **all** `N` segments have completed one pass since
-//!   the admission, the coordinator stalls the workers at their next batch
-//!   boundary ([`ScanStall`]), runs the drain barrier below, emits the single
-//!   end-of-query control tuple, and releases the stall — so the
-//!   Distributor/ShardMerger lifecycle protocol is identical to the classic
-//!   single-scan mode.
+//! * **Completion** — a worker that retires a bit flushes what can still carry
+//!   it and marks its segment complete on the query's [`QueryProgress`], whose
+//!   count worker 0 restarted at `N` before relaying the install. The worker
+//!   whose mark is the `N`-th closes the query itself: it takes the
+//!   [`ScanStall`] gate, which parks its siblings at their next batch boundary,
+//!   runs the drain barrier below, emits the single end-of-query control tuple,
+//!   and releases the gate. With no siblings the relay loops are empty and the
+//!   gate has nobody to wait for: install, scan, wrap, drain, end.
+//! * **Two closers at once** — workers finishing *different* queries may both
+//!   want the gate. A worker counts as parked from the moment it asks — it
+//!   produces nothing while it waits — so the holder never waits for a
+//!   sibling that is itself waiting for the gate, and the waiting closer takes
+//!   its turn when the holder releases.
+//! * **A dead sibling** never parks, so a closer could wait for it forever. The
+//!   supervisor owns that case: its failure-path teardown opens the gate
+//!   ([`ScanStall::shutdown`]) after resolving every in-flight query and
+//!   setting the poison flag, the closer's drain barrier returns on poison, and
+//!   the closer emits nothing for the truncated scan. A worker that leaves its
+//!   loop in an orderly way opens the gate itself on the way out.
 //!
 //! ## Columnar front-end (`CjoinConfig::columnar_scan`)
 //!
-//! With the columnar scan on, each Preprocessor (classic or segment worker)
-//! drives a [`ColumnarScanCursor`] over a compressed replica of the fact table
+//! With the columnar scan on, each scan worker drives a [`ColumnarScanCursor`] over a compressed replica of the fact table
 //! instead of a [`ContinuousScan`] over the row store. The scan advances in
 //! *chunks* cut so that query-start boundaries, row-group edges, the replica/
 //! row-store frontier and the segment end all fall on chunk starts; the §3.3
@@ -117,7 +133,7 @@
 //! hash table, and a Stage needs the same lock to make progress. Phase 3 takes
 //! it and releases it before phase 4 begins; only phase 4 flushes (which can
 //! block on a full Stage queue) and only after phase 4 does the chunk finalize
-//! queries (which waits on the drain barrier, or on the coordinator's stall).
+//! queries (which can wait on the stall gate and the drain barrier).
 //! So the scan never blocks while holding it — with a writer-preferring lock, a
 //! `register_query` / `unregister_query` queued behind a guard held across a
 //! blocked flush would stall the Stage's next read and deadlock all three.
@@ -133,16 +149,20 @@
 //! processed by the Distributor after (before) that tuple. Data tuples travel through
 //! the worker stages while control tuples take a direct path to the Distributor's
 //! queue, so ordering is enforced with a *drain barrier*: before emitting an
-//! end-of-query control tuple the front-end stops sending data and waits until every
-//! batch already sent has been fully processed by the Distributor (an atomic
-//! in-flight counter reaches zero). In sharded mode "stops sending data" is the
-//! [`ScanStall`]: concurrent segment workers park at their next batch boundary, the
-//! counter can only fall, and the barrier terminates. The wait itself uses bounded
-//! spin-then-park backoff and records its duration in
-//! `SharedCounters::barrier_wait_ns`, so submission-latency predictability analyses
-//! can attribute stalls. Admissions and completions are rare relative to tuple flow,
-//! so the stall is negligible — it is the same "stall the pipeline" step the paper
-//! describes.
+//! end-of-query control tuple the closing worker waits until every batch already
+//! sent has been fully processed by the Distributor (an atomic in-flight counter
+//! reaches zero). Every batch that can carry the query's bit is already counted:
+//! each worker flushed before it retired the bit, and the closer's mark —
+//! the last — acquires the earlier ones. So the counter reaching zero at any
+//! instant is enough for correctness; the [`ScanStall`] gate is what makes the
+//! wait *terminate* — with the siblings parked at their next batch boundary and
+//! the closer itself not producing, the counter can only fall. The wait uses
+//! bounded spin-then-park backoff and records its duration in
+//! `SharedCounters::barrier_wait_ns` (one `control_barriers` increment per
+//! drain, i.e. per end-of-query tuple), so submission-latency predictability
+//! analyses can attribute stalls. Admissions and completions are rare relative
+//! to tuple flow, so the stall is negligible — it is the same "stall the
+//! pipeline" step the paper describes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
@@ -165,7 +185,7 @@ use crate::colscan::{
 };
 use crate::config::CjoinConfig;
 use crate::dimension::{DimEntry, DimensionTable};
-use crate::fault::{self, FaultPlan, FaultSite};
+use crate::fault::{self, FaultSite};
 use crate::filter::{combine_versions, probe_bits, BatchLocalStats, FilterChain, ProbeOutcome};
 use crate::pool::BatchPool;
 use crate::progress::QueryProgress;
@@ -178,9 +198,9 @@ const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// Partition-pruning plan attached to a query at admission (§5, Fact Table
 /// Partitioning): the set of partitions the query needs and how many fact rows of
-/// those partitions remain to be seen. In sharded-scan mode each worker carries
-/// its own plan whose `remaining_rows` counts only the rows of its segment, so
-/// the per-worker plans sum to the classic whole-table plan.
+/// those partitions remain to be seen. Each scan worker carries its own plan
+/// whose `remaining_rows` counts only the rows of its segment, so the
+/// per-worker plans sum to the whole-table plan.
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
     /// `needed[p]` is true iff partition `p` overlaps the query's fact-predicate range.
@@ -189,8 +209,9 @@ pub struct PartitionPlan {
     pub remaining_rows: u64,
 }
 
-/// A command sent from the engine (acting as the Pipeline Manager) to the scan
-/// front-end (the classic Preprocessor thread, or the [`ScanCoordinator`]).
+/// A command to a scan worker: from the engine (acting as the Pipeline Manager)
+/// to worker 0, and from worker 0 — which relays installs, cancels and shutdown
+/// — to each of its siblings.
 #[derive(Debug)]
 pub enum PreprocessorCommand {
     /// Install a freshly admitted query (Algorithm 1, lines 17–22).
@@ -201,13 +222,13 @@ pub enum PreprocessorCommand {
         fact_predicate: Option<BoundPredicate>,
         /// Snapshot the query reads.
         snapshot: SnapshotId,
-        /// Partition-pruning plans, one per scan worker (a single entry in
-        /// classic mode; empty when partition pruning does not apply).
+        /// Partition-pruning plans, the receiving worker's first, then one per
+        /// sibling it relays to (empty when partition pruning does not apply).
         partition: Vec<Option<PartitionPlan>>,
-        /// Acknowledged once the query-start control tuple has been enqueued (and,
-        /// in sharded mode, the install has been relayed to every scan worker's
-        /// FIFO command queue); the elapsed time up to this point is the paper's
-        /// "submission time" metric. `None` on the coordinator's per-worker
+        /// Acknowledged once the query-start control tuple has been enqueued,
+        /// the install has been relayed to every sibling's FIFO command queue
+        /// and worker 0 has installed the query itself; the elapsed time up to
+        /// this point is the paper's "submission time" metric. `None` on the
         /// relays — the engine-facing ack does not wait for a round-trip.
         ack: Option<Sender<()>>,
     },
@@ -224,33 +245,22 @@ pub enum PreprocessorCommand {
     },
     /// Shut the pipeline down: forward shutdown messages and exit.
     Shutdown,
-    /// Liveness probe: ignored by workers. The coordinator sends one to every
-    /// worker before stalling for a finalize, so a dead worker (dropped command
-    /// receiver) surfaces as a send error instead of a stall that waits forever
-    /// for a thread that can no longer park.
+    /// Liveness probe: ignored. A sender waiting on an install ack sends one
+    /// between polls, so a dead worker 0 (dropped command receiver) surfaces as
+    /// a send error instead of a wait that never ends.
     Probe,
 }
 
-/// A message travelling to the scan front-end: engine commands, plus (sharded
-/// mode) per-segment pass-completion events from the workers to the coordinator.
-/// One enum keeps the classic and sharded front-ends behind the same channel type.
-#[derive(Debug)]
-pub enum ScanMessage {
-    /// An engine command (install / shutdown).
-    Command(PreprocessorCommand),
-    /// Scan worker `segment` has completed one pass over its segment for `query`
-    /// since the query's admission and has retired the query's bit locally.
-    SegmentPassDone {
-        /// The reporting worker's segment index.
-        segment: usize,
-        /// The query whose per-segment pass completed.
-        query: QueryId,
-    },
-}
-
-/// Everything a Preprocessor (classic or segment worker) shares with the rest of
-/// the pipeline. Bundled so constructors stay readable as the front-end grows.
+/// Everything a scan worker shares with the rest of the pipeline and with its
+/// siblings. Bundled so the constructor stays readable as the front-end grows.
 pub struct PreprocessorContext {
+    /// This worker's index in the front-end. Worker 0 owns the engine-facing
+    /// command channel.
+    pub worker: usize,
+    /// Worker 0 only: the command queues of workers `1..`, in order.
+    pub siblings: Vec<Sender<PreprocessorCommand>>,
+    /// The front-end's stall gate, shared by all of its workers.
+    pub stall: Arc<ScanStall>,
     /// Queue into the first filter Stage.
     pub stage_tx: Sender<Message>,
     /// Direct path for control tuples to the aggregation stage.
@@ -280,9 +290,9 @@ pub struct PreprocessorContext {
     pub partition_scheme: Option<(PartitionScheme, usize)>,
 }
 
-/// The scan source a Preprocessor drives: the classic row-store continuous
-/// scan, or the compressed columnar cursor when `CjoinConfig::columnar_scan`
-/// is on.
+/// The scan source a Preprocessor drives: the row-store continuous scan, or
+/// the compressed columnar cursor when `CjoinConfig::columnar_scan` is on.
+/// Either covers the worker's segment of the fact table.
 pub enum ScanKind {
     /// The row-store continuous scan (the default).
     Row(ContinuousScan),
@@ -419,30 +429,14 @@ fn query_column_needs(bound: &BoundStarQuery) -> Vec<ColumnId> {
     needs
 }
 
-/// How a Preprocessor behaves at query lifecycle edges.
-enum Role {
-    /// The classic single-threaded front-end: emits the query-start control tuple
-    /// at install and the end-of-query control tuple (behind the drain barrier)
-    /// at wrap-around.
-    Classic,
-    /// One segment worker of a sharded front-end: the [`ScanCoordinator`] owns
-    /// both control tuples; the worker only retires bits locally and reports
-    /// segment-pass completion.
-    Segment {
-        /// This worker's segment index.
-        segment: usize,
-        /// Pass-completion events into the coordinator's inbox.
-        events: Sender<ScanMessage>,
-        /// Parks the worker at batch boundaries while the coordinator drains.
-        stall: Arc<ScanStall>,
-    },
-}
-
-/// The Preprocessor: owns a continuous scan (whole-table or one segment) and the
-/// active-query bookkeeping for it.
+/// One scan worker: owns a continuous scan over its segment of the fact table
+/// and the active-query bookkeeping for it.
 pub struct Preprocessor {
     scan: ScanKind,
-    commands: Receiver<ScanMessage>,
+    commands: Receiver<PreprocessorCommand>,
+    worker: usize,
+    siblings: Vec<Sender<PreprocessorCommand>>,
+    stall: Arc<ScanStall>,
     stage_tx: Sender<Message>,
     distributor_tx: Sender<Message>,
     in_flight: Arc<AtomicI64>,
@@ -454,7 +448,6 @@ pub struct Preprocessor {
     poison: Arc<AtomicBool>,
     config: CjoinConfig,
     partition_scheme: Option<(PartitionScheme, usize)>,
-    role: Role,
     /// Busy time accumulated in the current scan pass, published to
     /// `SharedCounters::last_pass_ns` at each wrap, feeding admission's
     /// deadline ETA (the paper's predictability, measured rather than
@@ -498,77 +491,16 @@ pub struct Preprocessor {
 }
 
 impl Preprocessor {
-    /// Creates the classic single-threaded Preprocessor over a whole-table scan.
+    /// Creates scan worker `ctx.worker` over `scan`, which must cover that
+    /// worker's segment (see [`ContinuousScan::with_segment`] /
+    /// [`ColumnarScanCursor::with_segment`]; columnar segment bounds should be
+    /// row-group-aligned so zone-map chunks do not straddle workers). Worker 0
+    /// receives the engine's commands on `commands`; every other worker
+    /// receives worker 0's relays.
     pub fn new(
-        scan: ContinuousScan,
-        commands: Receiver<ScanMessage>,
-        ctx: PreprocessorContext,
-    ) -> Self {
-        Self::with_role(ScanKind::Row(scan), commands, ctx, Role::Classic)
-    }
-
-    /// Creates the classic single-threaded Preprocessor over a columnar cursor
-    /// (`CjoinConfig::columnar_scan`).
-    pub fn new_columnar(
-        cursor: ColumnarScanCursor,
-        commands: Receiver<ScanMessage>,
-        ctx: PreprocessorContext,
-    ) -> Self {
-        Self::with_role(ScanKind::Columnar(cursor), commands, ctx, Role::Classic)
-    }
-
-    /// Creates one segment worker of a sharded scan front-end. `scan` must be a
-    /// segment scan (see [`ContinuousScan::with_segment`]); lifecycle control
-    /// tuples are owned by the [`ScanCoordinator`] receiving `events`.
-    pub fn segment_worker(
-        scan: ContinuousScan,
-        commands: Receiver<ScanMessage>,
-        ctx: PreprocessorContext,
-        segment: usize,
-        events: Sender<ScanMessage>,
-        stall: Arc<ScanStall>,
-    ) -> Self {
-        Self::with_role(
-            ScanKind::Row(scan),
-            commands,
-            ctx,
-            Role::Segment {
-                segment,
-                events,
-                stall,
-            },
-        )
-    }
-
-    /// Creates one columnar segment worker of a sharded scan front-end.
-    /// `cursor` must carry a segment (see [`ColumnarScanCursor::with_segment`]);
-    /// segment bounds should be row-group-aligned so zone-map chunks do not
-    /// straddle workers.
-    pub fn segment_worker_columnar(
-        cursor: ColumnarScanCursor,
-        commands: Receiver<ScanMessage>,
-        ctx: PreprocessorContext,
-        segment: usize,
-        events: Sender<ScanMessage>,
-        stall: Arc<ScanStall>,
-    ) -> Self {
-        Self::with_role(
-            ScanKind::Columnar(cursor),
-            commands,
-            ctx,
-            Role::Segment {
-                segment,
-                events,
-                stall,
-            },
-        )
-    }
-
-    fn with_role(
         scan: ScanKind,
-        commands: Receiver<ScanMessage>,
+        commands: Receiver<PreprocessorCommand>,
         ctx: PreprocessorContext,
-        role: Role,
     ) -> Self {
         let max = ctx.config.max_concurrency;
         let col_needs = match &scan {
@@ -578,6 +510,9 @@ impl Preprocessor {
         Self {
             scan,
             commands,
+            worker: ctx.worker,
+            siblings: ctx.siblings,
+            stall: ctx.stall,
             stage_tx: ctx.stage_tx,
             distributor_tx: ctx.distributor_tx,
             in_flight: ctx.in_flight,
@@ -589,7 +524,6 @@ impl Preprocessor {
             poison: ctx.poison,
             config: ctx.config,
             partition_scheme: ctx.partition_scheme,
-            role,
             pass_busy: Duration::ZERO,
             pass_rows_seen: 0,
             active_mask: QuerySet::new(max),
@@ -619,11 +553,11 @@ impl Preprocessor {
     /// for shutting down the downstream stages and the Distributor afterwards.
     pub fn run(&mut self) {
         loop {
-            if let Role::Segment { stall, .. } = &self.role {
-                stall.park_if_requested();
-            }
+            self.stall.park_if_requested();
             self.apply_commands();
             if self.shutdown || self.poison.load(Ordering::Acquire) {
+                // This worker will never park again: nobody may wait for it to.
+                self.stall.shutdown();
                 return;
             }
             if !self.active_mask.is_empty() {
@@ -649,7 +583,7 @@ impl Preprocessor {
     /// the admission ETA quote extrapolates from.
     fn note_busy(&mut self, elapsed: Duration) {
         self.pass_busy += elapsed;
-        if self.reports_pass_progress() {
+        if self.leads() {
             self.counters
                 .pass_rows
                 .store(self.pass_rows_seen, Ordering::Relaxed);
@@ -659,13 +593,13 @@ impl Preprocessor {
         }
     }
 
-    /// Whether this worker publishes the live `pass_rows` / `pass_busy_ns`
-    /// counters. Exactly one worker per pipeline does (the classic
-    /// Preprocessor, or segment worker 0 of a sharded front-end) so the
-    /// counters are a consistent single-segment sample rather than an
-    /// interleaving of workers racing `store`s.
-    fn reports_pass_progress(&self) -> bool {
-        matches!(self.role, Role::Classic | Role::Segment { segment: 0, .. })
+    /// Whether this is worker 0: the one that receives the engine's commands
+    /// (and so emits query-start tuples and relays to its siblings) and the one
+    /// that publishes the live `pass_rows` / `pass_busy_ns` counters, so those
+    /// are a consistent single-segment sample rather than an interleaving of
+    /// workers racing `store`s.
+    fn leads(&self) -> bool {
+        self.worker == 0
     }
 
     // ------------------------------------------------------------------
@@ -675,43 +609,106 @@ impl Preprocessor {
     fn apply_commands(&mut self) {
         loop {
             match self.commands.try_recv() {
-                Ok(ScanMessage::Command(PreprocessorCommand::Install {
+                Ok(PreprocessorCommand::Install {
                     runtime,
                     fact_predicate,
                     snapshot,
                     partition,
                     ack,
-                })) => {
-                    let plan = partition.into_iter().next().flatten();
-                    self.install_query(runtime, fact_predicate, snapshot, plan);
+                }) => {
+                    let mut plans = partition.into_iter();
+                    let own = plans.next().flatten();
+                    if self.leads() && !self.admit(&runtime, &fact_predicate, snapshot, plans) {
+                        // The ack sender drops unsent, so the submitter observes
+                        // the failure instead of an admission that cannot complete.
+                        return;
+                    }
+                    self.install_query(runtime, fact_predicate, snapshot, own);
                     if let Some(ack) = ack {
                         let _ = ack.send(());
                     }
                 }
-                Ok(ScanMessage::Command(PreprocessorCommand::Cancel { id })) => {
+                Ok(PreprocessorCommand::Cancel { id }) => {
+                    // Siblings first, whether or not this worker still carries
+                    // the bit: each retires it at its own next boundary, and the
+                    // last of them closes the query the ordinary way.
+                    if !self.relay(|| PreprocessorCommand::Cancel { id }) {
+                        return;
+                    }
                     let bit = id.index();
                     if self.queries.get(bit).is_some_and(Option::is_some) {
                         self.finalize_query(bit);
                     }
                 }
-                Ok(ScanMessage::Command(PreprocessorCommand::Shutdown)) => {
+                Ok(PreprocessorCommand::Probe) => {}
+                Ok(PreprocessorCommand::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    self.relay(|| PreprocessorCommand::Shutdown);
                     self.shutdown = true;
                     return;
-                }
-                Ok(ScanMessage::Command(PreprocessorCommand::Probe)) => {}
-                Ok(ScanMessage::SegmentPassDone { .. }) => {
-                    // Only the coordinator's inbox carries these.
-                    debug_assert!(false, "segment event delivered to a scan worker");
                 }
                 Err(TryRecvError::Empty) => return,
-                Err(TryRecvError::Disconnected) => {
-                    self.shutdown = true;
-                    return;
-                }
             }
         }
     }
 
+    /// Sends one command to every sibling (worker 0 has them; for every other
+    /// worker this is an empty loop). A sibling whose command receiver is gone
+    /// outside an orderly shutdown can no longer deliver its segment's pass:
+    /// this worker stops consuming commands, so submissions fail fast instead of
+    /// hanging, and returns false.
+    fn relay(&mut self, mut command: impl FnMut() -> PreprocessorCommand) -> bool {
+        let mut delivered = true;
+        for tx in &self.siblings {
+            delivered &= tx.send(command()).is_ok();
+        }
+        self.shutdown |= !delivered;
+        delivered
+    }
+
+    /// Worker 0's half of an install, ahead of installing the query on its own
+    /// segment: restart the progress tracker at this front-end's width, emit the
+    /// query-start control tuple, relay the install to every sibling with that
+    /// sibling's partition plan. Returns false if a sibling is unreachable.
+    ///
+    /// Invariant 1 (§3.3.1): the query-start control tuple enters the
+    /// Distributor's queue before any worker has installed the query, so no
+    /// data tuple carrying its bit can precede it. The relays need no
+    /// round-trip: the paper's submission contract ("the query-start control
+    /// tuple has entered the pipeline") is already met, each sibling's command
+    /// queue is FIFO (the install precedes any later command to it), and the
+    /// exactly-one-pass argument only depends on *where* a worker installs the
+    /// bit, not on when the engine learns about it.
+    fn admit(
+        &mut self,
+        runtime: &Arc<QueryRuntime>,
+        fact_predicate: &Option<BoundPredicate>,
+        snapshot: SnapshotId,
+        mut plans: impl Iterator<Item = Option<PartitionPlan>>,
+    ) -> bool {
+        // Before the relay: a sibling may mark its segment complete the moment
+        // it has the install.
+        runtime.progress.restart(self.siblings.len() as u64 + 1);
+        let _ = self
+            .distributor_tx
+            .send(Message::Control(ControlTuple::QueryStart(Arc::clone(
+                runtime,
+            ))));
+        let relayed = self.relay(|| PreprocessorCommand::Install {
+            runtime: Arc::clone(runtime),
+            fact_predicate: fact_predicate.clone(),
+            snapshot,
+            partition: vec![plans.next().flatten()],
+            ack: None,
+        });
+        if relayed {
+            SharedCounters::add(&self.counters.queries_admitted, 1);
+        }
+        relayed
+    }
+
+    /// Installs a query on this worker's segment at the current batch boundary:
+    /// tuples produced from here on carry its bit, until the cursor is back at
+    /// this position.
     fn install_query(
         &mut self,
         runtime: Arc<QueryRuntime>,
@@ -721,24 +718,9 @@ impl Preprocessor {
     ) {
         let bit = runtime.id.index();
         let start_position = self.scan.normalized_position();
-        if matches!(self.role, Role::Classic) {
-            // The query-start control tuple must precede any tuple carrying the
-            // query's bit. Data tuples with the bit are only produced after this
-            // method returns, and they reach the Distributor's queue strictly later
-            // than this control tuple, so no drain barrier is needed here. (In
-            // sharded mode the coordinator emitted the start tuple before relaying
-            // this install — same argument, one hop earlier.)
-            let _ = self
-                .distributor_tx
-                .send(Message::Control(ControlTuple::QueryStart(Arc::clone(
-                    &runtime,
-                ))));
-        }
-
         let special =
             fact_predicate.is_some() || snapshot != SnapshotId::INITIAL || partition.is_some();
-        let segment_irrelevant = matches!(self.role, Role::Segment { .. })
-            && partition.as_ref().is_some_and(|p| p.remaining_rows == 0);
+        let segment_irrelevant = partition.as_ref().is_some_and(|p| p.remaining_rows == 0);
         // Columnar mode: compile the fact predicate for encoded evaluation and
         // register the query's column needs with the late-materialization
         // projection — both before any tuple can carry the new bit.
@@ -776,15 +758,17 @@ impl Preprocessor {
             self.special_index[bit] = Some(self.special_bits.len());
             self.special_bits.push(bit);
         }
-        if matches!(self.role, Role::Classic) {
-            SharedCounters::add(&self.counters.queries_admitted, 1);
-        } else if segment_irrelevant {
+        if segment_irrelevant {
             // This segment holds no rows of the partitions the query needs: its
             // pass is trivially complete, before any of its bits were produced.
             self.finalize_query(bit);
         }
     }
 
+    /// Retires a query on this worker's segment — its pass here is complete, or
+    /// it was cancelled — and, if this was the last segment still to report,
+    /// closes the query. Callers have flushed every tuple that can still carry
+    /// the bit; from here on this worker never sets it.
     fn finalize_query(&mut self, bit: usize) {
         let Some(query) = self.queries[bit].take() else {
             return;
@@ -795,7 +779,6 @@ impl Preprocessor {
         if !query.needs.is_empty() {
             self.rebuild_projection();
         }
-        query.progress.mark_segment_completed();
         self.active_mask.unset(bit);
         if let Some(entry) = self.starts_at.get_mut(&query.start_position) {
             entry.retain(|&b| b != bit);
@@ -810,31 +793,34 @@ impl Preprocessor {
                 self.special_index[moved] = Some(pos);
             }
         }
-        match &self.role {
-            Role::Classic => {
-                query.progress.mark_completed();
-                // Everything sent so far may still carry the query's bit: drain
-                // before the end-of-query control tuple so its aggregation operator
-                // neither misses tuples nor sees them twice.
-                drain_barrier(&self.in_flight, &self.counters, &self.poison);
-                let _ = self
-                    .distributor_tx
-                    .send(Message::Control(ControlTuple::QueryEnd(QueryId(
-                        bit as u32,
-                    ))));
-            }
-            Role::Segment {
-                segment, events, ..
-            } => {
-                // The bit is retired locally (this worker will never set it
-                // again); the coordinator emits the single end-of-query control
-                // tuple once every segment has reported.
-                let _ = events.send(ScanMessage::SegmentPassDone {
-                    segment: *segment,
-                    query: QueryId(bit as u32),
-                });
-            }
+        if query.progress.mark_segment_completed() {
+            self.close_query(bit, &query.progress);
         }
+    }
+
+    /// Ends a query every segment has completed its pass for: the one
+    /// end-of-query control tuple, behind the drain barrier.
+    ///
+    /// Invariant 2 (§3.3.2/§3.3.3): every worker has retired the bit, so batches
+    /// produced from here on cannot carry it — but batches already in flight
+    /// can. Holding the stall gate parks the siblings at their next batch
+    /// boundary, which makes the in-flight counter monotonically non-increasing;
+    /// drain it to zero, and only then emit the control tuple.
+    fn close_query(&self, bit: usize, progress: &QueryProgress) {
+        self.stall.stall();
+        drain_barrier(&self.in_flight, &self.counters, &self.poison);
+        // A barrier released by supervisor poison was not a real drain: the
+        // query's outcome was already resolved with an error, so no end-of-query
+        // tuple is owed for the truncated scan (and the run loop stops next).
+        if !self.poison.load(Ordering::Acquire) {
+            progress.mark_completed();
+            let _ = self
+                .distributor_tx
+                .send(Message::Control(ControlTuple::QueryEnd(QueryId(
+                    bit as u32,
+                ))));
+        }
+        self.stall.release();
     }
 
     // ------------------------------------------------------------------
@@ -856,7 +842,7 @@ impl Preprocessor {
                 .store(busy.as_nanos() as u64, Ordering::Relaxed);
             self.counters.cycle_rows.store(rows, Ordering::Relaxed);
         }
-        if self.reports_pass_progress() {
+        if self.leads() {
             self.counters.pass_rows.store(0, Ordering::Relaxed);
             self.counters.pass_busy_ns.store(0, Ordering::Relaxed);
         }
@@ -1707,8 +1693,8 @@ impl Preprocessor {
 /// Waits until the in-flight batch counter reaches zero, with bounded
 /// spin-then-park backoff (pure spins, then yields, then exponentially growing
 /// micro-sleeps capped at ~256 µs), recording the wait in `control_barriers` /
-/// `barrier_wait_ns`. Used by the classic Preprocessor before every end-of-query
-/// control tuple and by the [`ScanCoordinator`] while workers are stalled.
+/// `barrier_wait_ns`. Run before every end-of-query control tuple, by the scan
+/// worker closing the query, while it holds the [`ScanStall`] gate.
 ///
 /// The barrier's termination argument assumes every downstream consumer is
 /// alive; a dead Stage or Distributor leaves the counter stuck above zero
@@ -1748,21 +1734,26 @@ pub(crate) fn drain_barrier(in_flight: &AtomicI64, counters: &SharedCounters, po
 }
 
 // ---------------------------------------------------------------------------
-// Stall protocol (sharded front-end)
+// Stall gate
 // ---------------------------------------------------------------------------
 
-/// Parks every segment scan worker at its next batch boundary while the
-/// coordinator drains the pipeline for an end-of-query control tuple.
+/// The gate a scan worker holds while it closes a query: its siblings park at
+/// their next batch boundary, so nothing is produced while the closer drains
+/// the pipeline for the end-of-query control tuple.
 ///
-/// Workers call [`ScanStall::park_if_requested`] once per loop iteration — a
-/// single uncontended mutex acquisition per scan batch. The coordinator's
-/// [`ScanStall::stall`] returns only once all `workers` are parked, which makes
-/// the subsequent drain barrier terminate: no producer is running, so the
-/// in-flight counter can only fall. [`ScanStall::release`] resumes the workers.
-/// A worker that is already parked when a release races with the next stall
-/// simply stays parked (it re-checks the request under the lock before
-/// decrementing its park count), so the coordinator can never over- or
-/// under-count parked workers.
+/// Every worker calls [`ScanStall::park_if_requested`] once per loop iteration
+/// — a single uncontended mutex acquisition per scan batch. A closer's
+/// [`ScanStall::stall`] returns once it holds the gate alone and every other
+/// worker is parked, which makes the subsequent drain barrier terminate: no
+/// producer is running, so the in-flight counter can only fall.
+/// [`ScanStall::release`] hands the gate to the next waiting closer, or resumes
+/// the parked workers when there is none.
+///
+/// A worker counts as parked from the moment it *asks* for the gate — it
+/// produces nothing while it waits its turn — so workers closing different
+/// queries at once take the gate one after the other instead of each waiting
+/// for the other to park. With a single worker nobody else is to park and
+/// `stall` returns at once.
 #[derive(Debug)]
 pub struct ScanStall {
     state: Mutex<StallState>,
@@ -1772,13 +1763,17 @@ pub struct ScanStall {
 
 #[derive(Debug, Default)]
 struct StallState {
-    requested: bool,
+    /// Workers between `stall` and `release`: holding the gate or waiting for it.
+    closers: usize,
+    /// Whether one of the closers holds the gate.
+    held: bool,
+    /// Workers producing nothing: parked at a batch boundary, or a closer.
     parked: usize,
     shutdown: bool,
 }
 
 impl ScanStall {
-    /// Creates a stall gate for `workers` segment scan workers.
+    /// Creates the stall gate of a front-end of `workers` scan workers.
     pub fn new(workers: usize) -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(StallState::default()),
@@ -1787,45 +1782,59 @@ impl ScanStall {
         })
     }
 
-    /// Worker side: parks until released if a stall is requested; otherwise
-    /// returns immediately.
+    /// At a batch boundary: parks while any sibling is closing a query;
+    /// otherwise returns immediately.
     pub fn park_if_requested(&self) {
         let mut s = self.lock_state();
-        if !s.requested {
+        if s.closers == 0 || s.shutdown {
             return;
         }
         s.parked += 1;
         self.cv.notify_all();
-        while s.requested && !s.shutdown {
+        while s.closers > 0 && !s.shutdown {
             s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
         s.parked -= 1;
-        self.cv.notify_all();
     }
 
-    /// Coordinator side: requests a stall and blocks until every worker is parked
-    /// (or the gate is shut down).
+    /// Closer side: blocks until this worker holds the gate alone and every
+    /// other worker is parked (or the gate is shut down).
     pub fn stall(&self) {
         let mut s = self.lock_state();
-        s.requested = true;
+        s.closers += 1;
+        s.parked += 1;
+        if s.held {
+            // The holder may be waiting for this worker to stop producing.
+            self.cv.notify_all();
+        }
+        while s.held && !s.shutdown {
+            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+        s.held = true;
         while s.parked < self.workers && !s.shutdown {
             s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Coordinator side: releases a stall, resuming every parked worker.
+    /// Closer side: gives the gate up.
     pub fn release(&self) {
         let mut s = self.lock_state();
-        s.requested = false;
-        self.cv.notify_all();
+        s.held = false;
+        s.closers -= 1;
+        s.parked -= 1;
+        if s.parked > 0 {
+            // Parked siblings, or closers waiting their turn.
+            self.cv.notify_all();
+        }
     }
 
-    /// Permanently opens the gate (pipeline teardown): parked workers resume and
-    /// no future stall blocks.
+    /// Permanently opens the gate: parked workers resume, a waiting closer
+    /// proceeds, and no future stall blocks. Called by a worker leaving its
+    /// loop (it can never park again) and by the failure-path teardown (a dead
+    /// worker cannot call it for itself).
     pub fn shutdown(&self) {
         let mut s = self.lock_state();
         s.shutdown = true;
-        s.requested = false;
         self.cv.notify_all();
     }
 
@@ -1838,283 +1847,10 @@ impl ScanStall {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Admission coordinator (sharded front-end)
-// ---------------------------------------------------------------------------
-
-/// Per-query completion bookkeeping held by the coordinator.
-struct PendingQuery {
-    progress: Arc<QueryProgress>,
-    segments_remaining: usize,
-}
-
-/// The admission coordinator of a sharded scan front-end.
-///
-/// Owns the engine-facing command channel and the paper's §3.3 lifecycle
-/// protocol: it emits the query-start control tuple, relays installs to every
-/// segment worker (each installs at its own next segment-batch boundary),
-/// collects per-segment pass completions, and — once all segments completed one
-/// pass since a query's admission — stalls the workers, runs the drain barrier,
-/// and emits the single end-of-query control tuple. Downstream (Distributor /
-/// ShardRouter / ShardMerger) semantics are therefore identical to the classic
-/// single-threaded Preprocessor.
-pub struct ScanCoordinator {
-    inbox: Receiver<ScanMessage>,
-    worker_txs: Vec<Sender<ScanMessage>>,
-    distributor_tx: Sender<Message>,
-    in_flight: Arc<AtomicI64>,
-    counters: Arc<SharedCounters>,
-    stall: Arc<ScanStall>,
-    poison: Arc<AtomicBool>,
-    faults: Option<Arc<FaultPlan>>,
-    pending: Vec<Option<PendingQuery>>,
-    shutdown: bool,
-}
-
-impl ScanCoordinator {
-    /// Creates a coordinator for the given segment workers.
-    pub fn new(
-        inbox: Receiver<ScanMessage>,
-        worker_txs: Vec<Sender<ScanMessage>>,
-        distributor_tx: Sender<Message>,
-        in_flight: Arc<AtomicI64>,
-        counters: Arc<SharedCounters>,
-        stall: Arc<ScanStall>,
-        max_concurrency: usize,
-    ) -> Self {
-        Self {
-            inbox,
-            worker_txs,
-            distributor_tx,
-            in_flight,
-            counters,
-            stall,
-            poison: Arc::new(AtomicBool::new(false)),
-            faults: None,
-            pending: (0..max_concurrency).map(|_| None).collect(),
-            shutdown: false,
-        }
-    }
-
-    /// Shares the supervisor's poison flag so the coordinator's drain barrier
-    /// releases when a downstream role dies.
-    pub fn with_poison(mut self, poison: Arc<AtomicBool>) -> Self {
-        self.poison = poison;
-        self
-    }
-
-    /// Attaches a fault-injection plan (supervision tests only).
-    pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Runs the coordinator loop until shutdown, then tears the workers down.
-    pub fn run(&mut self) {
-        while !self.shutdown {
-            match self.inbox.recv() {
-                Ok(msg) => self.handle(msg),
-                Err(_) => break,
-            }
-        }
-        // Teardown: wake any parked worker, then stop each one. The engine joins
-        // the worker threads after this thread exits.
-        self.stall.shutdown();
-        for tx in &self.worker_txs {
-            let _ = tx.send(ScanMessage::Command(PreprocessorCommand::Shutdown));
-        }
-    }
-
-    fn handle(&mut self, msg: ScanMessage) {
-        fault::inject(&self.faults, FaultSite::ScanCoordinator);
-        match msg {
-            ScanMessage::Command(PreprocessorCommand::Cancel { id }) => {
-                // Relay to every worker; each retires the bit at its own next
-                // batch boundary and reports a SegmentPassDone, so cancellation
-                // completes through the ordinary end-of-pass machinery (stall +
-                // drain barrier + one end-of-query control tuple).
-                for tx in &self.worker_txs {
-                    if tx
-                        .send(ScanMessage::Command(PreprocessorCommand::Cancel { id }))
-                        .is_err()
-                    {
-                        self.shutdown = true;
-                        self.stall.shutdown();
-                        return;
-                    }
-                }
-            }
-            ScanMessage::Command(PreprocessorCommand::Install {
-                runtime,
-                fact_predicate,
-                snapshot,
-                partition,
-                ack,
-            }) => {
-                if self.install(runtime, fact_predicate, snapshot, partition) {
-                    if let Some(ack) = ack {
-                        let _ = ack.send(());
-                    }
-                }
-                // On a failed install (dead worker) the ack sender is dropped
-                // unsent, so the submitting client observes the failure instead
-                // of a successful admission that can never complete.
-            }
-            ScanMessage::Command(PreprocessorCommand::Shutdown) => self.shutdown = true,
-            // Probes flow coordinator → worker only; ignore a stray one.
-            ScanMessage::Command(PreprocessorCommand::Probe) => {}
-            ScanMessage::SegmentPassDone { query, .. } => {
-                let mut ready = Vec::new();
-                self.record_segment_done(query, &mut ready);
-                if ready.is_empty() {
-                    return;
-                }
-                // A stall is about to make the front-end briefly unresponsive:
-                // apply every already-queued message first, so admissions ack at
-                // classic latency instead of waiting out the stall, and any
-                // concurrent pass completions share this single stall.
-                while !self.shutdown {
-                    match self.inbox.try_recv() {
-                        Ok(ScanMessage::SegmentPassDone { query, .. }) => {
-                            self.record_segment_done(query, &mut ready);
-                        }
-                        Ok(other) => self.handle(other),
-                        Err(_) => break,
-                    }
-                }
-                if !self.shutdown {
-                    self.finalize(ready);
-                }
-                // On shutdown the pending queries are abandoned: they can no
-                // longer complete correctly, and their waiters observe the
-                // teardown through the result channels.
-            }
-        }
-    }
-
-    /// Installs a query across the front-end; returns false (and shuts the
-    /// coordinator down) if a segment worker is no longer reachable.
-    fn install(
-        &mut self,
-        runtime: Arc<QueryRuntime>,
-        fact_predicate: Option<BoundPredicate>,
-        snapshot: SnapshotId,
-        partition: Vec<Option<PartitionPlan>>,
-    ) -> bool {
-        let bit = runtime.id.index();
-        // Invariant 1 (§3.3.1): the query-start control tuple enters the
-        // Distributor's queue before any worker has even been told about the
-        // query, so no data tuple carrying its bit can precede it.
-        let _ = self
-            .distributor_tx
-            .send(Message::Control(ControlTuple::QueryStart(Arc::clone(
-                &runtime,
-            ))));
-        self.pending[bit] = Some(PendingQuery {
-            progress: Arc::clone(&runtime.progress),
-            segments_remaining: self.worker_txs.len(),
-        });
-        // Relay the install to every worker; each installs at its own next
-        // segment-batch boundary. No round-trip is needed: the paper's submission
-        // contract ("the query-start control tuple has entered the pipeline") is
-        // already met, each worker's command queue is FIFO (the install precedes
-        // any later command to that worker), and the exactly-one-pass argument
-        // only depends on *where* a worker installs the bit, not on when the
-        // engine learns about it. Skipping the ack wait keeps sharded submission
-        // latency at classic levels instead of paying one batch boundary per
-        // worker.
-        for (worker, tx) in self.worker_txs.iter().enumerate() {
-            let sent = tx.send(ScanMessage::Command(PreprocessorCommand::Install {
-                runtime: Arc::clone(&runtime),
-                fact_predicate: fact_predicate.clone(),
-                snapshot,
-                partition: vec![partition.get(worker).cloned().flatten()],
-                ack: None,
-            }));
-            if sent.is_err() {
-                // A segment worker's command receiver is gone outside an orderly
-                // shutdown: the front-end can no longer deliver a full pass, and
-                // this query's segments_remaining would never reach zero. Mirror
-                // the classic dead-Preprocessor failure mode — stop consuming
-                // commands, so this submission and every later one fail fast
-                // instead of hanging silently. Opening the stall gate keeps any
-                // subsequent stall from waiting on the dead worker.
-                self.shutdown = true;
-                self.stall.shutdown();
-                return false;
-            }
-        }
-        SharedCounters::add(&self.counters.queries_admitted, 1);
-        true
-    }
-
-    /// Counts one segment pass for `query`; pushes its bit onto `ready` once all
-    /// segments have reported.
-    fn record_segment_done(&mut self, query: QueryId, ready: &mut Vec<usize>) {
-        let bit = query.index();
-        match &mut self.pending[bit] {
-            Some(p) => {
-                p.segments_remaining = p.segments_remaining.saturating_sub(1);
-                if p.segments_remaining == 0 {
-                    ready.push(bit);
-                }
-            }
-            // A pass event for an unknown query would mean a worker finished a
-            // pass for a bit the coordinator never installed; never happens in a
-            // running pipeline.
-            None => debug_assert!(false, "segment pass for unregistered query {query:?}"),
-        }
-    }
-
-    /// Ends every query in `ready` behind one stall + drain barrier.
-    ///
-    /// Invariant 2 (§3.3.2/§3.3.3): every worker has retired these bits locally,
-    /// so batches produced from here on cannot carry them — but batches already
-    /// in flight can. Park the workers at their next batch boundary (making the
-    /// in-flight counter monotonically non-increasing), drain it to zero, and
-    /// only then emit the end-of-query control tuples.
-    fn finalize(&mut self, ready: Vec<usize>) {
-        // A worker that died abnormally can never park: probe every command
-        // channel first so a dead worker turns into the fail-fast shutdown path
-        // instead of a stall that waits forever.
-        for tx in &self.worker_txs {
-            if tx
-                .send(ScanMessage::Command(PreprocessorCommand::Probe))
-                .is_err()
-            {
-                self.shutdown = true;
-                self.stall.shutdown();
-                return;
-            }
-        }
-        self.stall.stall();
-        drain_barrier(&self.in_flight, &self.counters, &self.poison);
-        if self.poison.load(Ordering::Acquire) {
-            // The barrier was released by supervisor poison, not by a real
-            // drain: every affected query's outcome was already resolved with
-            // an error, so do not emit end-of-query tuples for a truncated scan.
-            self.shutdown = true;
-            self.stall.shutdown();
-            return;
-        }
-        for bit in ready {
-            let Some(pending) = self.pending[bit].take() else {
-                continue;
-            };
-            pending.progress.mark_completed();
-            let _ = self
-                .distributor_tx
-                .send(Message::Control(ControlTuple::QueryEnd(QueryId(
-                    bit as u32,
-                ))));
-        }
-        self.stall.release();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cjoin_common::splitmix64;
     use cjoin_query::{AggregateSpec, StarQuery};
     use cjoin_storage::{segment_ranges, Catalog, Column, Row, Schema, Table, Value};
     use crossbeam::channel::{bounded, unbounded};
@@ -2132,6 +1868,8 @@ mod tests {
         Arc::new(t)
     }
 
+    /// The context of a one-worker front-end; tests of wider ones overwrite
+    /// `worker`, `siblings`, `stall` and the shared counters.
     fn context(
         config: &CjoinConfig,
         stage_tx: Sender<Message>,
@@ -2139,6 +1877,9 @@ mod tests {
         in_flight: Arc<AtomicI64>,
     ) -> PreprocessorContext {
         PreprocessorContext {
+            worker: 0,
+            siblings: Vec::new(),
+            stall: ScanStall::new(1),
             stage_tx,
             distributor_tx: dist_tx,
             in_flight,
@@ -2153,7 +1894,7 @@ mod tests {
         }
     }
 
-    /// Builds a classic Preprocessor wired to in-memory channels, returning the
+    /// Builds a one-worker front-end wired to in-memory channels, returning the
     /// pieces the test drives directly.
     #[allow(clippy::type_complexity)]
     fn harness(
@@ -2161,7 +1902,7 @@ mod tests {
         config: CjoinConfig,
     ) -> (
         Preprocessor,
-        Sender<ScanMessage>,
+        Sender<PreprocessorCommand>,
         Receiver<Message>,
         Receiver<Message>,
         Arc<AtomicI64>,
@@ -2173,7 +1914,7 @@ mod tests {
         let (dist_tx, dist_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(0));
         let ctx = context(&config, stage_tx, dist_tx, Arc::clone(&in_flight));
-        let pre = Preprocessor::new(scan, cmd_rx, ctx);
+        let pre = Preprocessor::new(ScanKind::Row(scan), cmd_rx, ctx);
         (pre, cmd_tx, stage_rx, dist_rx, in_flight)
     }
 
@@ -2209,17 +1950,19 @@ mod tests {
         )
     }
 
-    fn install(cmd_tx: &Sender<ScanMessage>, runtime: Arc<QueryRuntime>) {
-        let (ack_tx, _ack_rx) = bounded(1);
+    /// Sends an unfiltered install for `runtime`; returns the ack's receiver.
+    fn install(cmd_tx: &Sender<PreprocessorCommand>, runtime: Arc<QueryRuntime>) -> Receiver<()> {
+        let (ack_tx, ack_rx) = bounded(1);
         cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
+            .send(PreprocessorCommand::Install {
                 runtime,
                 fact_predicate: None,
                 snapshot: SnapshotId::INITIAL,
                 partition: Vec::new(),
                 ack: Some(ack_tx),
-            }))
+            })
             .unwrap();
+        ack_rx
     }
 
     #[test]
@@ -2340,13 +2083,13 @@ mod tests {
             .unwrap();
         let (ack_tx, _ack) = bounded(1);
         cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
+            .send(PreprocessorCommand::Install {
                 runtime: rt,
                 fact_predicate: Some(pred),
                 snapshot: SnapshotId::INITIAL,
                 partition: Vec::new(),
                 ack: Some(ack_tx),
-            }))
+            })
             .unwrap();
         pre.apply_commands();
         let _ = dist_rx.try_recv();
@@ -2372,9 +2115,7 @@ mod tests {
     fn shutdown_command_stops_the_loop() {
         let config = CjoinConfig::default().with_max_concurrency(4);
         let (mut pre, cmd_tx, stage_rx, dist_rx, _) = harness(5, config);
-        cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Shutdown))
-            .unwrap();
+        cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
         pre.run(); // returns instead of scanning forever
         assert!(
             stage_rx.try_recv().is_err(),
@@ -2410,18 +2151,18 @@ mod tests {
         let (dist_tx, dist_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(0));
         let ctx = context(&config, stage_tx, dist_tx, Arc::clone(&in_flight));
-        let mut pre = Preprocessor::new(scan, cmd_rx, ctx);
+        let mut pre = Preprocessor::new(ScanKind::Row(scan), cmd_rx, ctx);
         // Query pinned at snapshot 0 must only see the first 5 rows.
         let (rt, _r) = dummy_runtime(0);
         let (ack_tx, _ack) = bounded(1);
         cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
+            .send(PreprocessorCommand::Install {
                 runtime: rt,
                 fact_predicate: None,
                 snapshot: SnapshotId(0),
                 partition: Vec::new(),
                 ack: Some(ack_tx),
-            }))
+            })
             .unwrap();
         pre.apply_commands();
         let _ = dist_rx.try_recv();
@@ -2527,86 +2268,181 @@ mod tests {
         assert_eq!(in_flight.load(Ordering::Acquire), 7, "nothing was drained");
     }
 
+    /// The stall gate under seeded schedules: 2–4 emulated scan workers with
+    /// randomised yields, several of them closing queries at once, one idling
+    /// between batches, one arriving late. A `producing` flag per worker is up
+    /// exactly while the real worker could flush a batch (between two batch
+    /// boundaries and not inside `stall`..`release`).
     #[test]
-    fn stall_parks_and_releases_workers() {
-        let stall = ScanStall::new(2);
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let stall = Arc::clone(&stall);
-                std::thread::spawn(move || {
-                    // Emulate the scan loop: check the gate until shutdown.
-                    loop {
-                        stall.park_if_requested();
-                        {
-                            let s = stall.state.lock().unwrap();
-                            if s.shutdown {
-                                return;
-                            }
-                        }
-                        std::thread::sleep(Duration::from_micros(50));
+    fn stall_gate_serialises_closers_and_parks_everyone_else() {
+        const SEEDS: u64 = 1_200;
+        const BOUNDED: Duration = Duration::from_secs(20);
+        for seed in 0..SEEDS {
+            let mut rng = seed;
+            let workers = 2 + (splitmix64(&mut rng) % 3) as usize;
+            let stall = ScanStall::new(workers);
+            let producing: Arc<Vec<AtomicBool>> =
+                Arc::new((0..workers).map(|_| AtomicBool::new(false)).collect());
+            let in_section = Arc::new(AtomicUsize::new(0));
+            // Closes per worker: at least two workers close, so turns collide.
+            let quotas: Vec<usize> = (0..workers)
+                .map(|w| {
+                    if w < 2 {
+                        1 + (splitmix64(&mut rng) % 3) as usize
+                    } else {
+                        (splitmix64(&mut rng) % 3) as usize
                     }
                 })
-            })
-            .collect();
-        // stall() returns only once both workers are parked.
-        stall.stall();
-        assert_eq!(stall.state.lock().unwrap().parked, 2);
-        stall.release();
-        // Workers resume; a second stall round still works.
-        stall.stall();
-        assert_eq!(stall.state.lock().unwrap().parked, 2);
-        stall.release();
-        stall.shutdown();
-        for w in workers {
-            w.join().unwrap();
+                .collect();
+            let remaining = Arc::new(AtomicUsize::new(quotas.iter().sum()));
+            let idler = (splitmix64(&mut rng) % workers as u64) as usize;
+            let late = (splitmix64(&mut rng) % workers as u64) as usize;
+            let (done_tx, done_rx) = unbounded();
+            for (w, quota) in quotas.into_iter().enumerate() {
+                let stall = Arc::clone(&stall);
+                let producing = Arc::clone(&producing);
+                let in_section = Arc::clone(&in_section);
+                let remaining = Arc::clone(&remaining);
+                let done_tx = done_tx.clone();
+                let mut rng = seed ^ ((w as u64 + 1) << 32);
+                std::thread::spawn(move || {
+                    let mut jitter = move || {
+                        for _ in 0..splitmix64(&mut rng) % 4 {
+                            std::thread::yield_now();
+                        }
+                    };
+                    if w == late {
+                        std::thread::sleep(Duration::from_micros(300));
+                    }
+                    let mut quota = quota;
+                    while remaining.load(Ordering::Acquire) > 0 {
+                        stall.park_if_requested();
+                        if w == idler {
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
+                        producing[w].store(true, Ordering::SeqCst);
+                        jitter();
+                        if quota > 0 {
+                            quota -= 1;
+                            // Flushed, then blocked inside the gate.
+                            producing[w].store(false, Ordering::SeqCst);
+                            stall.stall();
+                            assert_eq!(
+                                in_section.fetch_add(1, Ordering::SeqCst),
+                                0,
+                                "seed {seed}: two closers inside the gate"
+                            );
+                            for _ in 0..2 {
+                                for (other, flag) in producing.iter().enumerate() {
+                                    assert!(
+                                        !flag.load(Ordering::SeqCst),
+                                        "seed {seed}: worker {w} closing while {other} produces"
+                                    );
+                                }
+                                jitter();
+                            }
+                            in_section.fetch_sub(1, Ordering::SeqCst);
+                            stall.release();
+                            remaining.fetch_sub(1, Ordering::AcqRel);
+                            producing[w].store(true, Ordering::SeqCst);
+                            jitter();
+                        }
+                        producing[w].store(false, Ordering::SeqCst);
+                    }
+                    let _ = done_tx.send(w);
+                });
+            }
+            for _ in 0..workers {
+                done_rx
+                    .recv_timeout(BOUNDED)
+                    .unwrap_or_else(|_| panic!("seed {seed}: a closer never got its turn"));
+            }
+            let s = stall.lock_state();
+            assert_eq!(
+                (s.parked, s.closers, s.held),
+                (0, 0, false),
+                "seed {seed}: the gate is not back at rest"
+            );
         }
+
+        // `shutdown` releases a closer waiting for a worker that will never
+        // park (the dead-sibling case) and the worker parked behind it.
+        let stall = ScanStall::new(3);
+        let (done_tx, done_rx) = unbounded();
+        let closer = {
+            let (stall, done_tx) = (Arc::clone(&stall), done_tx.clone());
+            std::thread::spawn(move || {
+                stall.stall();
+                stall.release();
+                let _ = done_tx.send(());
+            })
+        };
+        let parker = {
+            let stall = Arc::clone(&stall);
+            std::thread::spawn(move || {
+                while stall.lock_state().closers == 0 {
+                    std::thread::yield_now();
+                }
+                stall.park_if_requested();
+                let _ = done_tx.send(());
+            })
+        };
+        while stall.lock_state().parked < 2 {
+            std::thread::yield_now();
+        }
+        assert!(
+            done_rx.try_recv().is_err(),
+            "both wait for the third worker"
+        );
+        stall.shutdown();
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(BOUNDED)
+                .expect("shutdown releases everyone");
+        }
+        closer.join().unwrap();
+        parker.join().unwrap();
+        assert_eq!(stall.lock_state().parked, 0);
+        stall.stall(); // an open gate never blocks again
+        stall.release();
     }
 
-    /// A dead segment worker (dropped command receiver outside an orderly
-    /// shutdown) must fail the submission fast — the engine-facing ack channel
-    /// is dropped unsent and the coordinator stops consuming commands — instead
-    /// of admitting a query whose pass can never complete.
+    /// A sibling whose command receiver is gone outside an orderly shutdown
+    /// must fail the submission fast — the ack sender is dropped unsent and
+    /// worker 0 stops consuming commands — instead of admitting a query whose
+    /// pass can never complete.
     #[test]
-    fn coordinator_fails_fast_when_a_segment_worker_dies() {
-        let (inbox_tx, inbox_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded::<Message>();
+    fn install_fails_fast_when_a_sibling_is_unreachable() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(10);
+        let (cmd_tx, cmd_rx) = unbounded();
+        let (stage_tx, _stage_rx) = unbounded();
+        let (dist_tx, dist_rx) = unbounded();
         let (dead_tx, dead_rx) = unbounded();
-        drop(dead_rx); // the "worker" is gone
-        let counters = SharedCounters::new();
-        let mut coordinator = ScanCoordinator::new(
-            inbox_rx,
-            vec![dead_tx],
-            dist_tx,
-            Arc::new(AtomicI64::new(0)),
-            Arc::clone(&counters),
-            ScanStall::new(1),
-            8,
-        );
-        let coord = std::thread::spawn(move || coordinator.run());
+        drop(dead_rx); // the sibling is gone
+        let mut ctx = context(&config, stage_tx, dist_tx, Arc::new(AtomicI64::new(0)));
+        ctx.siblings = vec![dead_tx];
+        ctx.stall = ScanStall::new(2);
+        let counters = Arc::clone(&ctx.counters);
+        let scan = ContinuousScan::new(fact_table(25)).with_batch_rows(config.batch_size);
+        let mut lead = Preprocessor::new(ScanKind::Row(scan), cmd_rx, ctx);
 
         let (rt, _res) = dummy_runtime(0);
-        let (ack_tx, ack_rx) = bounded(1);
-        inbox_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
-                runtime: rt,
-                fact_predicate: None,
-                snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
-                ack: Some(ack_tx),
-            }))
-            .unwrap();
+        let ack_rx = install(&cmd_tx, rt);
+        lead.run(); // returns: the worker shut itself down
         assert!(
             ack_rx.recv().is_err(),
             "the submission must observe the failure, not a successful admission"
         );
-        coord.join().unwrap(); // the coordinator shut itself down
         assert_eq!(
             counters.queries_admitted.load(Ordering::Relaxed),
             0,
             "a failed install is not counted as an admission"
         );
-        // The start tuple may already have been enqueued (it precedes the relay);
-        // what matters is that no end tuple ever will be.
+        assert_eq!(lead.active_queries(), 0);
+        // The start tuple was already enqueued (it precedes the relay); what
+        // matters is that no end tuple ever will be.
         while let Ok(msg) = dist_rx.try_recv() {
             assert!(
                 matches!(msg, Message::Control(ControlTuple::QueryStart(_))),
@@ -2615,223 +2451,152 @@ mod tests {
         }
     }
 
-    /// A worker that dies *after* its installs succeeded (and after reporting
-    /// pass completions) must not hang the coordinator's finalize stall: the
-    /// pre-stall liveness probe detects the dropped command receiver and takes
-    /// the fail-fast shutdown path instead.
-    #[test]
-    fn coordinator_finalize_survives_a_worker_dying_after_install() {
-        let (inbox_tx, inbox_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded::<Message>();
-        let (tx_alive, _rx_alive) = unbounded();
-        let (tx_dying, rx_dying) = unbounded();
-        let counters = SharedCounters::new();
-        let mut coordinator = ScanCoordinator::new(
-            inbox_rx,
-            vec![tx_alive, tx_dying],
-            dist_tx,
-            Arc::new(AtomicI64::new(0)),
-            Arc::clone(&counters),
-            ScanStall::new(2),
-            8,
-        );
-        let coord = std::thread::spawn(move || coordinator.run());
-
-        let (rt, _res) = dummy_runtime(0);
-        let (ack_tx, ack_rx) = bounded(1);
-        inbox_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
-                runtime: rt,
-                fact_predicate: None,
-                snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
-                ack: Some(ack_tx),
-            }))
-            .unwrap();
-        ack_rx.recv().unwrap(); // install succeeded, both workers reachable
-
-        // Both segments report their pass, but one worker dies first.
-        drop(rx_dying);
-        for segment in 0..2 {
-            inbox_tx
-                .send(ScanMessage::SegmentPassDone {
-                    segment,
-                    query: QueryId(0),
-                })
-                .unwrap();
-        }
-        // Without the probe this would deadlock in stall(); with it the
-        // coordinator shuts down and joins.
-        coord.join().unwrap();
-        let saw_end = std::iter::from_fn(|| dist_rx.try_recv().ok())
-            .any(|m| matches!(m, Message::Control(ControlTuple::QueryEnd(_))));
-        assert!(!saw_end, "no end tuple may be emitted without the barrier");
-    }
-
-    /// Full sharded front-end harness: N segment workers + coordinator threads
-    /// over in-memory channels, with a consumer emulating the filter stages and
-    /// the Distributor (drains data, decrements in-flight, records per-bit tuple
+    /// The whole front-end at widths 1 and 3 — scan worker threads over
+    /// in-memory channels, with a consumer emulating the filter stages and the
+    /// Distributor (drains data, decrements in-flight, records per-bit tuple
     /// counts and control ordering).
     #[test]
-    fn sharded_front_end_delivers_exactly_one_pass_and_ordered_controls() {
+    fn front_end_delivers_exactly_one_pass_and_ordered_controls() {
         const ROWS: i64 = 95;
-        const WORKERS: usize = 3;
-        let config = CjoinConfig::default()
-            .with_max_concurrency(8)
-            .with_batch_size(10)
-            .with_scan_workers(WORKERS);
-        let table = fact_table(ROWS);
-        let (inbox_tx, inbox_rx) = unbounded();
-        let (stage_tx, stage_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded::<Message>();
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let counters = SharedCounters::new();
-        let stall = ScanStall::new(WORKERS);
+        for width in [1, 3] {
+            let config = CjoinConfig::default()
+                .with_max_concurrency(8)
+                .with_batch_size(10)
+                .with_scan_workers(width);
+            let table = fact_table(ROWS);
+            let (stage_tx, stage_rx) = unbounded();
+            let (dist_tx, dist_rx) = unbounded::<Message>();
+            let in_flight = Arc::new(AtomicI64::new(0));
+            let counters = SharedCounters::new();
+            let stall = ScanStall::new(width);
 
-        let ranges = segment_ranges(table.len() as u64, table.rows_per_page(), WORKERS);
-        let mut worker_txs = Vec::new();
-        let mut worker_handles = Vec::new();
-        for (w, &(start, end)) in ranges.iter().enumerate() {
-            let scan = ContinuousScan::new(Arc::clone(&table))
-                .with_batch_rows(config.batch_size)
-                .with_segment(start, end);
-            let (wtx, wrx) = unbounded();
-            worker_txs.push(wtx);
-            let ctx = PreprocessorContext {
-                stage_tx: stage_tx.clone(),
-                distributor_tx: dist_tx.clone(),
-                in_flight: Arc::clone(&in_flight),
-                pool: BatchPool::new(8),
-                slot_count: Arc::new(AtomicUsize::new(0)),
-                chain: Arc::new(FilterChain::new()),
-                counters: Arc::clone(&counters),
-                worker_counters: Arc::new(ScanWorkerCounters::default()),
-                config: config.clone(),
-                partition_scheme: None,
-                poison: Arc::new(AtomicBool::new(false)),
+            let ranges = segment_ranges(table.len() as u64, table.rows_per_page(), width);
+            let (cmd_tx, cmd_rx) = unbounded();
+            let (mut sibling_txs, sibling_rxs): (Vec<_>, Vec<_>) =
+                (1..width).map(|_| unbounded()).unzip();
+            let mut command_rxs = vec![cmd_rx];
+            command_rxs.extend(sibling_rxs);
+            let mut worker_handles = Vec::new();
+            for (w, (&(start, end), commands)) in ranges.iter().zip(command_rxs).enumerate() {
+                let scan = ContinuousScan::new(Arc::clone(&table))
+                    .with_batch_rows(config.batch_size)
+                    .with_segment(start, end);
+                let mut ctx = context(
+                    &config,
+                    stage_tx.clone(),
+                    dist_tx.clone(),
+                    Arc::clone(&in_flight),
+                );
+                ctx.worker = w;
+                ctx.siblings = std::mem::take(&mut sibling_txs); // all to worker 0
+                ctx.stall = Arc::clone(&stall);
+                ctx.counters = Arc::clone(&counters);
+                let mut worker = Preprocessor::new(ScanKind::Row(scan), commands, ctx);
+                worker_handles.push(std::thread::spawn(move || worker.run()));
+            }
+            drop((stage_tx, dist_tx));
+
+            // Consumer thread: emulates stages + Distributor (decrements in-flight
+            // per batch, counts per-bit tuples, checks start-before-data-before-end).
+            //
+            // The ordering assertions are sound even though data and control ride
+            // different channels: a data tuple carrying a bit implies its
+            // query-start is already *enqueued* (worker 0 sends it before any
+            // worker installs the query), so draining the control queue on demand
+            // must surface it; and a query-end is only enqueued once in-flight hit
+            // zero — which, with this consumer being the sole decrementer, means
+            // every prior data batch was already consumed, so any data seen after
+            // the end tuple was produced after it and cannot carry the ended bit.
+            let consumer = {
+                let in_flight = Arc::clone(&in_flight);
+                std::thread::spawn(move || {
+                    let mut tuples_per_bit = [0u64; 8];
+                    let mut started = [false; 8];
+                    let mut ends = [0u32; 8];
+                    loop {
+                        let drain_control = |started: &mut [bool; 8], ends: &mut [u32; 8]| {
+                            while let Ok(msg) = dist_rx.try_recv() {
+                                match msg {
+                                    Message::Control(ControlTuple::QueryStart(rt)) => {
+                                        started[rt.id.index()] = true;
+                                    }
+                                    Message::Control(ControlTuple::QueryEnd(id)) => {
+                                        ends[id.index()] += 1;
+                                    }
+                                    other => panic!("unexpected control-path message {other:?}"),
+                                }
+                            }
+                        };
+                        drain_control(&mut started, &mut ends);
+                        while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
+                            for t in &batch {
+                                for bit in t.bits.iter() {
+                                    if !started[bit] {
+                                        drain_control(&mut started, &mut ends);
+                                    }
+                                    assert!(started[bit], "data before query-start for bit {bit}");
+                                    assert_eq!(ends[bit], 0, "data after query-end for bit {bit}");
+                                    tuples_per_bit[bit] += 1;
+                                }
+                            }
+                            in_flight.fetch_sub(1, Ordering::AcqRel);
+                        }
+                        if ends[0] > 0 && ends[1] > 0 {
+                            return (tuples_per_bit, ends, dist_rx);
+                        }
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                })
             };
-            let mut worker = Preprocessor::segment_worker(
-                scan,
-                wrx,
-                ctx,
-                w,
-                inbox_tx.clone(),
-                Arc::clone(&stall),
+
+            // Two queries: one immediately, one mid-scan.
+            let mut trackers = Vec::new();
+            for bit in 0..2 {
+                let (rt, _res) = dummy_runtime(bit);
+                trackers.push(Arc::clone(&rt.progress));
+                install(&cmd_tx, rt).recv().unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+
+            let (tuples_per_bit, mut ends, dist_rx) = consumer.join().unwrap();
+            assert_eq!(
+                tuples_per_bit[0], ROWS as u64,
+                "width {width}: query 0 sees each fact row exactly once across segments"
             );
-            worker_handles.push(std::thread::spawn(move || worker.run()));
-        }
-        let mut coordinator = ScanCoordinator::new(
-            inbox_rx,
-            worker_txs,
-            dist_tx.clone(),
-            Arc::clone(&in_flight),
-            Arc::clone(&counters),
-            Arc::clone(&stall),
-            config.max_concurrency,
-        );
-        let coord_handle = std::thread::spawn(move || coordinator.run());
+            assert_eq!(
+                tuples_per_bit[1], ROWS as u64,
+                "width {width}: the mid-scan query sees each fact row exactly once"
+            );
+            assert_eq!(
+                in_flight.load(Ordering::Acquire),
+                0,
+                "width {width}: quiesced after both queries ended"
+            );
+            for tracker in &trackers {
+                assert!(tracker.is_completed());
+                assert_eq!(
+                    (tracker.segments_completed(), tracker.segments_total()),
+                    (width as u64, width as u64)
+                );
+            }
 
-        // Consumer thread: emulates stages + Distributor (decrements in-flight per
-        // batch, counts per-bit tuples, checks start-before-data-before-end).
-        //
-        // The ordering assertions are sound even though data and control ride
-        // different channels: a data tuple carrying a bit implies its query-start
-        // is already *enqueued* (the coordinator sends it before any worker learns
-        // of the query), so draining the control queue on demand must surface it;
-        // and a query-end is only enqueued once in-flight hit zero — which, with
-        // this consumer being the sole decrementer, means every prior data batch
-        // was already consumed, so any data seen after the end tuple was produced
-        // after it and cannot carry the ended bit.
-        let consumer = {
-            let in_flight = Arc::clone(&in_flight);
-            std::thread::spawn(move || {
-                let mut tuples_per_bit = [0u64; 8];
-                let mut started = [false; 8];
-                let mut ended = [false; 8];
-                loop {
-                    let drain_control = |started: &mut [bool; 8], ended: &mut [bool; 8]| {
-                        while let Ok(msg) = dist_rx.try_recv() {
-                            match msg {
-                                Message::Control(ControlTuple::QueryStart(rt)) => {
-                                    started[rt.id.index()] = true;
-                                }
-                                Message::Control(ControlTuple::QueryEnd(id)) => {
-                                    ended[id.index()] = true;
-                                }
-                                other => panic!("unexpected control-path message {other:?}"),
-                            }
-                        }
-                    };
-                    drain_control(&mut started, &mut ended);
-                    while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                        for t in &batch {
-                            for bit in t.bits.iter() {
-                                if !started[bit] {
-                                    drain_control(&mut started, &mut ended);
-                                }
-                                assert!(started[bit], "data before query-start for bit {bit}");
-                                assert!(!ended[bit], "data after query-end for bit {bit}");
-                                tuples_per_bit[bit] += 1;
-                            }
-                        }
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    if ended[0] && ended[1] {
-                        return tuples_per_bit;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
+            cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
+            for h in worker_handles {
+                h.join().unwrap();
+            }
+            for msg in dist_rx.try_iter() {
+                match msg {
+                    Message::Control(ControlTuple::QueryEnd(id)) => ends[id.index()] += 1,
+                    other => panic!("width {width}: stray message at shutdown: {other:?}"),
                 }
-            })
-        };
-
-        // Two queries: one immediately, one mid-scan.
-        let (rt0, _r0) = dummy_runtime(0);
-        let (ack_tx, ack_rx) = bounded(1);
-        inbox_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
-                runtime: rt0,
-                fact_predicate: None,
-                snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
-                ack: Some(ack_tx),
-            }))
-            .unwrap();
-        ack_rx.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        let (rt1, _r1) = dummy_runtime(1);
-        let (ack_tx, ack_rx) = bounded(1);
-        inbox_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
-                runtime: rt1,
-                fact_predicate: None,
-                snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
-                ack: Some(ack_tx),
-            }))
-            .unwrap();
-        ack_rx.recv().unwrap();
-
-        let tuples_per_bit = consumer.join().unwrap();
-        assert_eq!(
-            tuples_per_bit[0], ROWS as u64,
-            "query 0 sees each fact row exactly once across segments"
-        );
-        assert_eq!(
-            tuples_per_bit[1], ROWS as u64,
-            "the mid-scan query sees each fact row exactly once across segments"
-        );
-        assert_eq!(
-            in_flight.load(Ordering::Acquire),
-            0,
-            "quiesced after both queries ended"
-        );
-
-        inbox_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Shutdown))
-            .unwrap();
-        coord_handle.join().unwrap();
-        for h in worker_handles {
-            h.join().unwrap();
+            }
+            assert_eq!(ends[..2], [1, 1], "width {width}: one end tuple per query");
+            assert_eq!(
+                counters.control_barriers.load(Ordering::Relaxed),
+                2,
+                "width {width}: one drain per end tuple"
+            );
+            assert_eq!(counters.queries_admitted.load(Ordering::Relaxed), 2);
         }
     }
 
@@ -2901,7 +2666,7 @@ mod tests {
         (runtime, fact_predicate)
     }
 
-    /// A classic columnar Preprocessor over `catalog`'s fact table sharing
+    /// A one-worker columnar front-end over `catalog`'s fact table sharing
     /// `chain` with whoever plays the Stage.
     #[allow(clippy::type_complexity)]
     fn columnar_harness(
@@ -2910,7 +2675,7 @@ mod tests {
         chain: &Arc<FilterChain>,
     ) -> (
         Preprocessor,
-        Sender<ScanMessage>,
+        Sender<PreprocessorCommand>,
         Receiver<Message>,
         Receiver<Message>,
         Arc<AtomicI64>,
@@ -2928,22 +2693,22 @@ mod tests {
         let mut ctx = context(config, stage_tx, dist_tx, Arc::clone(&in_flight));
         ctx.chain = Arc::clone(chain);
         ctx.slot_count = Arc::new(AtomicUsize::new(2));
-        let pre = Preprocessor::new_columnar(cursor, cmd_rx, ctx);
+        let pre = Preprocessor::new(ScanKind::Columnar(cursor), cmd_rx, ctx);
         (pre, cmd_tx, stage_rx, dist_rx, in_flight)
     }
 
     fn install_with(
-        cmd_tx: &Sender<ScanMessage>,
+        cmd_tx: &Sender<PreprocessorCommand>,
         (runtime, fact_predicate): (Arc<QueryRuntime>, Option<BoundPredicate>),
     ) {
         cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Install {
+            .send(PreprocessorCommand::Install {
                 runtime,
                 fact_predicate,
                 snapshot: SnapshotId::INITIAL,
                 partition: Vec::new(),
                 ack: None,
-            }))
+            })
             .unwrap();
     }
 
@@ -3115,9 +2880,7 @@ mod tests {
             std::thread::yield_now();
         }
         let elapsed = started.elapsed();
-        cmd_tx
-            .send(ScanMessage::Command(PreprocessorCommand::Shutdown))
-            .unwrap();
+        cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
         scan.join().unwrap();
 
         let scanned = counters.tuples_scanned.load(Ordering::Relaxed);

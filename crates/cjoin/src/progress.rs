@@ -16,21 +16,26 @@ use std::time::{Duration, Instant};
 
 /// Progress of one registered query.
 ///
-/// With a sharded scan front-end (`CjoinConfig::scan_workers > 1`) the pass is
-/// split across segment workers: each worker advances `rows_seen` by the rows of
-/// its own segment (the segment rows sum to the table, so [`QueryProgress::fraction`]
+/// The pass is split across the front-end's `CjoinConfig::scan_workers`
+/// segment workers: each worker advances `rows_seen` by the rows of its own
+/// segment (the segment rows sum to the table, so [`QueryProgress::fraction`]
 /// stays exact) and marks its segment's pass complete when its cursor wraps the
-/// query's per-segment starting tuple. The query completes once every segment
-/// has finished one pass since admission.
+/// query's per-segment starting tuple. The worker whose mark is the last one
+/// outstanding closes the query (see [`crate::preprocessor`]).
+///
+/// The tracker describes the pass of the *current install*: a query carried
+/// across a pipeline swap is re-installed and starts a new pass, so the install
+/// [`restart`](QueryProgress::restart)s the counts at the new front-end's width.
 #[derive(Debug)]
 pub struct QueryProgress {
     /// Fact rows the scan has produced since the query was installed.
     rows_seen: AtomicU64,
     /// Fact rows one full pass needs to cover (table size at admission).
     rows_total: u64,
-    /// Scan segments one full pass is split across (1 for the classic scan).
-    segments_total: u64,
-    /// Segments that have completed their pass since the query was installed.
+    /// Scan segments the current install's pass is split across.
+    segments_total: AtomicU64,
+    /// Segments that have completed their pass since the query was installed;
+    /// doubles as the front-end's per-install count of segments still to report.
     segments_completed: AtomicU64,
     /// Set when the query's end-of-query control tuple has been emitted.
     completed: AtomicBool,
@@ -44,18 +49,25 @@ impl QueryProgress {
         Self {
             rows_seen: AtomicU64::new(0),
             rows_total,
-            segments_total: 1,
+            segments_total: AtomicU64::new(1),
             segments_completed: AtomicU64::new(0),
             completed: AtomicBool::new(false),
             started: Instant::now(),
         }
     }
 
-    /// Splits the pass across `segments` scan segments (builder-style, called at
-    /// admission before the tracker is shared).
-    pub fn with_segments(mut self, segments: u64) -> Self {
-        self.segments_total = segments.max(1);
-        self
+    /// Starts the tracker over for a pass split across `segments` scan
+    /// segments. Called by the front-end when it installs the query, before any
+    /// worker can advance or mark it: on a fresh admission this only sets the
+    /// width; on a re-install after a pipeline swap it also discards the
+    /// abandoned pass's rows and segment marks.
+    pub fn restart(&self, segments: u64) {
+        self.rows_seen.store(0, Ordering::Relaxed);
+        self.segments_total
+            .store(segments.max(1), Ordering::Relaxed);
+        // Release: pairs with the AcqRel mark below, so a worker's mark counts
+        // against this install's width.
+        self.segments_completed.store(0, Ordering::Release);
     }
 
     /// Records that the scan produced `rows` more fact rows for this query.
@@ -65,19 +77,25 @@ impl QueryProgress {
     }
 
     /// Records that one scan segment completed its pass for this query (by wrap-
-    /// around or partition exhaustion).
-    pub fn mark_segment_completed(&self) {
-        self.segments_completed.fetch_add(1, Ordering::Relaxed);
+    /// around, partition exhaustion or cancellation). Returns whether it was the
+    /// last segment outstanding — exactly one caller per install sees `true`.
+    ///
+    /// AcqRel: the caller that sees `true` has acquired every earlier marker's
+    /// writes, in particular the in-flight counts of the batches they flushed
+    /// before marking.
+    pub fn mark_segment_completed(&self) -> bool {
+        let done = self.segments_completed.fetch_add(1, Ordering::AcqRel) + 1;
+        done == self.segments_total()
     }
 
-    /// Scan segments a full pass is split across.
+    /// Scan segments the current install's pass is split across.
     pub fn segments_total(&self) -> u64 {
-        self.segments_total
+        self.segments_total.load(Ordering::Relaxed)
     }
 
-    /// Segments that have completed their pass since admission.
+    /// Segments that have completed their pass since the query was installed.
     pub fn segments_completed(&self) -> u64 {
-        self.segments_completed.load(Ordering::Relaxed)
+        self.segments_completed.load(Ordering::Acquire)
     }
 
     /// Marks the query as completed.
@@ -181,23 +199,43 @@ mod tests {
     }
 
     #[test]
-    fn segment_completion_is_tracked_per_pass() {
-        let p = QueryProgress::new(100).with_segments(4);
+    fn segment_completion_is_tracked_per_install() {
+        let p = QueryProgress::new(100);
+        p.restart(4);
         assert_eq!(p.segments_total(), 4);
         assert_eq!(p.segments_completed(), 0);
         for done in 1..=4 {
-            p.mark_segment_completed();
+            assert_eq!(
+                p.mark_segment_completed(),
+                done == 4,
+                "only the last mark closes"
+            );
             assert_eq!(p.segments_completed(), done);
         }
-        assert!(
-            !p.is_completed(),
-            "only the coordinator completes the query"
-        );
+        assert!(!p.is_completed(), "marking segments does not complete");
         p.mark_completed();
         assert!(p.is_completed());
-        // The classic scan defaults to a single segment; zero clamps to one.
+        // A tracker starts at a single segment; zero clamps to one.
         assert_eq!(QueryProgress::new(10).segments_total(), 1);
-        assert_eq!(QueryProgress::new(10).with_segments(0).segments_total(), 1);
+        assert!(QueryProgress::new(10).mark_segment_completed());
+        p.restart(0);
+        assert_eq!(p.segments_total(), 1);
+    }
+
+    #[test]
+    fn restart_discards_the_abandoned_pass() {
+        let p = QueryProgress::new(100);
+        p.restart(2);
+        p.advance(90);
+        assert!(!p.mark_segment_completed());
+        // Re-installed on a pipeline of width 4: a whole new pass is to run.
+        p.restart(4);
+        assert_eq!(
+            (p.rows_seen(), p.segments_completed(), p.segments_total()),
+            (0, 0, 4)
+        );
+        assert_eq!(p.fraction(), 0.0);
+        assert!(p.estimated_remaining().is_none());
     }
 
     #[test]

@@ -91,6 +91,15 @@ impl Axis {
         }
     }
 
+    /// The [`CjoinConfig`] field that holds this axis's width.
+    pub fn width_in(self, config: &mut CjoinConfig) -> &mut usize {
+        match self {
+            Axis::ScanWorkers => &mut config.scan_workers,
+            Axis::StageWorkers => &mut config.worker_threads,
+            Axis::DistributorShards => &mut config.distributor_shards,
+        }
+    }
+
     /// Display name used in logs and over the stats RPC.
     pub fn label(self) -> &'static str {
         match self {
@@ -465,11 +474,9 @@ impl StageScheduler {
         }
         let governed = |axis: Axis| self.governed[axis.index()];
         let width = |axis: Axis| widths[axis.index()];
-        // Rough thread demand: the three axis widths plus the coordinator/
-        // merger side-threads a widened front- or back-end brings along.
-        let demand = widths.iter().sum::<usize>()
-            + usize::from(width(Axis::ScanWorkers) > 1)
-            + usize::from(width(Axis::DistributorShards) > 1);
+        // Rough thread demand: the three axis widths plus the router thread
+        // that more than one distributor shard brings along.
+        let demand = widths.iter().sum::<usize>() + usize::from(width(Axis::DistributorShards) > 1);
         let headroom = demand < self.cores;
 
         // 1. More threads than cores: shrink the widest governed axis.

@@ -51,7 +51,7 @@ pub struct SharedCounters {
     /// sat idle mid-pass does not inflate the next deadline quote.
     pub last_pass_ns: AtomicU64,
     /// Rows the most recently completed scan pass covered (the reporting
-    /// worker's segment; the whole table on the classic path). Together with
+    /// worker's segment; the whole table with one scan worker). Together with
     /// a live in-pass rate this turns `last_pass_ns` into a rate-based cycle
     /// estimate instead of a stale wall-clock sample.
     pub cycle_rows: AtomicU64,
@@ -123,17 +123,16 @@ impl ShardCounters {
 /// [`SharedCounters`] totals, so for any quiesced pipeline the per-worker values
 /// sum exactly to the global `tuples_scanned` / `batches_sent` / `scan_passes`
 /// counters — the front-end mirror of the [`ShardCounters`] invariant, pinned
-/// down by `tests/scan_parallelism.rs`. The classic single-threaded Preprocessor
-/// owns the single entry of a one-element vector, so the stats shape is uniform
-/// across `scan_workers` settings.
+/// down by `tests/scan_parallelism.rs`. One entry per scan worker, so the stats
+/// shape is uniform across `scan_workers` settings.
 #[derive(Debug, Default)]
 pub struct ScanWorkerCounters {
     /// Fact tuples this worker read from its segment cursor.
     pub tuples_scanned: AtomicU64,
     /// Data batches this worker pushed into the filter stage(s).
     pub batches_sent: AtomicU64,
-    /// Completed passes over this worker's segment (whole-table passes for the
-    /// classic single worker).
+    /// Completed passes over this worker's segment (whole-table passes for a
+    /// single worker).
     pub segment_passes: AtomicU64,
 }
 

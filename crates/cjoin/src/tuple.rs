@@ -301,7 +301,7 @@ pub struct QueryRuntime {
     /// result on success, or a typed [`cjoin_query::QueryError`] when the
     /// supervisor fails the query, a deadline fires, or the client cancels.
     pub result_tx: Sender<QueryOutcome>,
-    /// First-wins resolution latch: set by whichever of {Distributor/merger,
+    /// First-wins resolution latch: set by whichever of {Distributor shard,
     /// supervisor, deadline reaper, client cancel} gets there first. A late
     /// Distributor result for an already-failed query is silently discarded.
     pub resolved: AtomicBool,

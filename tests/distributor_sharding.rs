@@ -13,7 +13,7 @@
 //!    are observable as: every result matches the oracle (a tuple reaching a shard
 //!    before its query-start would be silently dropped from the aggregate), and
 //!    every shard emitted exactly one partial per completed query (a query-end
-//!    finalizes only after *all* shards passed the merge barrier). Post-quiesce,
+//!    finalizes only once *all* shards have folded theirs into the merge slot). Post-quiesce,
 //!    the admitted/completed counters balance and the in-flight batch counter is
 //!    back to zero.
 //! 3. **Counter consistency** — for a deterministic (sequential) workload the

@@ -6,6 +6,12 @@
 //! *how* they evaluate (shared always-on pipeline vs. per-query plans), never in
 //! *what* they answer. Adding a new engine to the workspace means adding one
 //! constructor to `engines_under_test` — the assertions don't change.
+//!
+//! The CJOIN points of the matrix: `scan_workers` {1,2,4} × `distributor_shards`
+//! {1,4} × `StageLayout` {H,V}; per-tuple probing at the widest point;
+//! `columnar_scan` {off,on} × `scan_workers` {1,4}; and an engine with every axis
+//! left to the elastic scheduler. A red cell names its configuration in the
+//! engine's `name()`.
 
 use std::sync::Arc;
 
@@ -26,13 +32,12 @@ fn cjoin_config() -> CjoinConfig {
 
 /// Constructs every engine under test over the same catalog, boxed behind the
 /// shared trait. CJOIN appears once per point of the `scan_workers` ×
-/// `distributor_shards` × `StageLayout` matrix (both hot-path layouts, classic
-/// and sharded scan front-end, single and sharded aggregation), plus one
-/// per-tuple-probing + fully-sharded configuration so the equivalence contract
-/// covers both filter implementations against the sharded front- and back-end,
-/// plus the compressed columnar front-end (`columnar_scan`) against the classic
-/// and sharded scan layouts — the bit-identical-results contract of the
-/// storage-layout knob.
+/// `distributor_shards` × `StageLayout` matrix (both hot-path layouts, one and
+/// several scan workers, one and several aggregation shards), plus one
+/// per-tuple-probing configuration at the widest point so the equivalence
+/// contract covers both filter implementations there, plus the compressed
+/// columnar front-end (`columnar_scan`) at one and at four scan workers — the
+/// bit-identical-results contract of the storage-layout knob.
 fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
     let mut engines: Vec<Box<dyn JoinEngine>> = vec![
         Box::new(BaselineEngine::new(

@@ -188,9 +188,9 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
                     // The engine must stay serviceable after the fault: a fresh
                     // query on the (possibly degraded) pipeline is still exact.
                     // If the one-shot fault only reaches its trigger event now
-                    // (e.g. the merger's per-query merge counter), this very
-                    // query absorbs it — the fault latch guarantees the retry
-                    // runs on a clean pipeline.
+                    // (e.g. a shard that had seen fewer than three messages),
+                    // this very query absorbs it — the fault latch guarantees
+                    // the retry runs on a clean pipeline.
                     let fresh_start = Instant::now();
                     let fresh = loop {
                         let outcome = wait_bounded(
@@ -466,12 +466,8 @@ fn resize_with_queries_in_flight(
         Err(other) => panic!("{what} ({phase}): unexpected error {other}"),
     };
 
-    // The scan delay keeps the queries in flight across the resize; the
-    // coordinator delay (segmented front-end only) spaces the re-installs out
-    // so scan events fall between them.
-    let mut plan = FaultPlan::seeded(panic_at.unwrap_or(0))
-        .delay(FaultSite::ScanWorker, 300)
-        .delay(FaultSite::ScanCoordinator, 3_000);
+    // The scan delay keeps the queries in flight across the resize.
+    let mut plan = FaultPlan::seeded(panic_at.unwrap_or(0)).delay(FaultSite::ScanWorker, 300);
     if let Some(event) = panic_at {
         plan = plan.panic_at_event(FaultSite::ScanWorker, event);
     }
@@ -584,10 +580,8 @@ fn resize_with_queries_in_flight(
 /// so it lands before the drain, on the old incarnation's last events, on the
 /// new incarnation's first events, and just after.
 ///
-/// The segmented front-end installs one query per coordinator message, so its
-/// re-install window spans many ScanWorker events and the sweep must land
-/// inside it. The classic front-end drains every queued re-install in one
-/// command sweep: its window is a single event boundary, which the sweep
+/// Worker 0 drains every queued re-install in one command sweep, at either
+/// width: the re-install window is a single event boundary, which the sweep
 /// brackets but cannot pin.
 #[test]
 fn scan_worker_death_around_a_resize_reinstall_is_owned_by_the_supervisor() {
@@ -614,18 +608,9 @@ fn scan_worker_death_around_a_resize_reinstall_is_owned_by_the_supervisor() {
             let (before, after) = run(scan_workers, columnar, None);
             let (lo, hi) = (before.saturating_sub(2), after + 2);
             let stride = ((hi - lo) / 6).max(1) as usize;
-            let mut inside = 0;
             for panic_at in (lo..=hi).step_by(stride) {
-                let (before, after) = run(scan_workers, columnar, Some(panic_at));
-                if (before..after).contains(&panic_at) {
-                    inside += 1;
-                }
+                run(scan_workers, columnar, Some(panic_at));
             }
-            assert!(
-                scan_workers == 1 || inside > 0,
-                "scan_workers={scan_workers} columnar={columnar}: no panic in {lo}..={hi} \
-                 landed inside the resize"
-            );
         }
     }
 }

@@ -19,6 +19,11 @@
 //!   committed snapshot — never a partially applied batch.
 //! * Columnar tail compaction (the pipeline swap that folds the row-store
 //!   tail back into the replica) never changes an answer.
+//! * A query's snapshot stays pinned across a dimension re-keying mid-pass.
+//!
+//! Every sync policy is covered, and recovery is checked at every byte offset
+//! of the log against shadow warehouses. The WAL byte-format unit tests ride
+//! the workspace suite (`crates/storage/src/wal.rs`).
 
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;

@@ -348,3 +348,126 @@ fn baseline_contention_grows_with_concurrency_while_cjoin_stays_flat() {
         "CJOIN scan volume should stay nearly flat in n (grew {cjoin_growth:.1}x)"
     );
 }
+
+/// Thread census (Linux): the live `cjoin-*` threads of an engine are exactly
+/// the ones its [`StagePlan`] names — scan workers, Stage workers, shards, a
+/// router iff there is more than one shard — plus manager, supervisor and (with
+/// a governed axis) tuner. Query lifecycle has no thread of its own at any
+/// width. Runs [`thread_census_in_a_process_of_its_own`] in a child process:
+/// the other tests of this binary run engines on sibling threads, and a census
+/// cannot tell whose `cjoin-scan-w0` it is looking at.
+#[cfg(target_os = "linux")]
+#[test]
+fn thread_census_matches_the_stage_plan() {
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["thread_census_in_a_process_of_its_own", "--exact"])
+        .args(["--ignored", "--test-threads=1", "--nocapture"])
+        .output()
+        .unwrap();
+    assert!(
+        child.status.success(),
+        "census failed:\n{}\n{}",
+        String::from_utf8_lossy(&child.stdout),
+        String::from_utf8_lossy(&child.stderr)
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "needs the process to itself; run by thread_census_matches_the_stage_plan"]
+fn thread_census_in_a_process_of_its_own() {
+    use cjoin_repro::cjoin::pipeline::RoleKind;
+    use cjoin_repro::cjoin::Axis;
+
+    /// The kernel keeps 15 bytes of a thread name.
+    fn comm(name: &str) -> String {
+        name[..name.len().min(15)].to_string()
+    }
+    fn live() -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .filter(|name| name.starts_with("cjoin-"))
+            .collect();
+        names.sort();
+        names
+    }
+    fn census(engine: &CjoinEngine, widths: (usize, usize, usize)) {
+        let plan = engine.stage_plan();
+        let (scan, _, shards) = widths;
+        assert_eq!(
+            (
+                plan.scan_workers,
+                plan.total_threads(),
+                plan.distributor_shards
+            ),
+            widths
+        );
+        assert_eq!(plan.scan_threads(), scan);
+        assert_eq!(plan.aggregation_threads(), shards + usize::from(shards > 1));
+
+        let mut roles: Vec<RoleKind> = (0..scan).map(RoleKind::ScanWorker).collect();
+        for (stage, &threads) in plan.threads_per_stage.iter().enumerate() {
+            roles.extend((0..threads).map(|worker| RoleKind::StageWorker { stage, worker }));
+        }
+        roles.extend((0..shards).map(RoleKind::DistributorShard));
+        if shards > 1 {
+            roles.push(RoleKind::ShardRouter);
+        }
+        roles.push(RoleKind::Manager);
+        let mut expected: Vec<String> = roles.iter().map(|r| comm(&r.thread_name())).collect();
+        expected.push(comm("cjoin-supervisor"));
+        let scheduler = engine.scheduler_stats();
+        if scheduler.auto_tune && scheduler.governed.contains(&true) {
+            expected.push(comm("cjoin-tuner"));
+        }
+        expected.sort();
+
+        // A thread names itself as it starts, just after `spawn` returns.
+        let start = std::time::Instant::now();
+        while live() != expected && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(live(), expected, "widths {widths:?}");
+        for name in live() {
+            assert!(
+                !name.starts_with("cjoin-scan-coor") && !name.starts_with("cjoin-dist-merg"),
+                "a lifecycle thread is back: {name}"
+            );
+        }
+    }
+
+    let data = SsbDataSet::generate(SsbConfig::for_tests(0.001, 309));
+    let catalog = data.catalog();
+
+    // Governed axes (a tuner exists), resized explicitly to each shape.
+    let engine = CjoinEngine::start(
+        Arc::clone(&catalog),
+        CjoinConfig::default().with_max_concurrency(16),
+    )
+    .unwrap();
+    for width in [1, 2] {
+        for axis in Axis::ALL {
+            engine.request_resize(axis, width).unwrap();
+        }
+        census(&engine, (width, width, width));
+    }
+    engine.shutdown();
+    assert_eq!(live(), Vec::<String>::new(), "shutdown joins every thread");
+
+    // The same shapes pinned by the builders (nothing to tune: no tuner).
+    for width in [1, 2] {
+        let engine = CjoinEngine::start(
+            Arc::clone(&catalog),
+            CjoinConfig::default()
+                .with_max_concurrency(16)
+                .with_scan_workers(width)
+                .with_worker_threads(width)
+                .with_distributor_shards(width),
+        )
+        .unwrap();
+        census(&engine, (width, width, width));
+        engine.shutdown();
+    }
+}

@@ -1,7 +1,9 @@
-//! Oracle-backed test matrix for the sharded scan front-end
-//! (`CjoinConfig::scan_workers`).
+//! Oracle-backed test matrix for the scan front-end's width
+//! (`CjoinConfig::scan_workers`), run beside `tests/engine_equivalence.rs`'s
+//! `scan_workers` {1,2,4} × `distributor_shards` {1,4} × `StageLayout` {H,V}
+//! oracle matrix so a red front-end is attributable at a glance.
 //!
-//! Three suites pin down the segmented Preprocessor:
+//! Three suites pin down the segment scan workers:
 //!
 //! 1. **Exactly-one-pass under churn** — queries admitted mid-scan (while other
 //!    queries keep every segment cursor busy at unrelated offsets) must see every
@@ -11,9 +13,8 @@
 //!    exactly-once oracle.
 //! 2. **Counter consistency** — per-worker `ScanWorkerCounters` must sum to the
 //!    pipeline totals, and a deterministic sequential workload must distribute
-//!    exactly the same tuples under 4 scan workers as under the classic single
-//!    Preprocessor (the front-end only changes *who* scans, never *what* a query
-//!    sees).
+//!    exactly the same tuples under 4 scan workers as under one (the width
+//!    only changes *who* scans, never *what* a query sees).
 //! 3. **Lifecycle/quiesce** — concurrent admission waves across the scan-workers
 //!    × distributor-shards grid leave no residue: admitted == completed, ids are
 //!    recycled, `batches_in_flight` returns to zero, and every query observed all

@@ -7,7 +7,12 @@
 //! protocol any complete pass over the snapshot yields the exact answer, so
 //! COUNT/SUM aggregates must stay oracle-identical across forced upscales and
 //! downscales, and the pipeline must quiesce to `batches_in_flight == 0`
-//! afterwards.
+//! afterwards. Beside that: host-derived startup sizing, pinned-knob
+//! bit-identity, refused resize requests, and the progress handle of a
+//! re-installed query. The engine with every axis scheduler-governed also rides
+//! in `tests/engine_equivalence.rs`; supervision composition (panic downscale
+//! then scheduler upscale, a scan-worker death swept across a resize
+//! re-install) lives in `tests/fault_injection.rs`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -141,6 +146,85 @@ fn mid_flight_resizes_never_drop_or_duplicate_tuples() {
         ),
         (1, stage0, 1)
     );
+    engine.shutdown();
+}
+
+/// A query carried across a resize starts a new pass on the new incarnation,
+/// and its progress handle says so: the tracker restarts at the new front-end's
+/// width instead of reporting the abandoned pass's rows and segments against
+/// the width the query was submitted to.
+#[test]
+fn progress_restarts_with_the_pass_when_a_resize_reinstalls_the_query() {
+    let data = test_data();
+    let catalog = data.catalog();
+    let query = test_queries(&data, 1, 93).remove(0);
+    let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
+
+    // 3 ms per scan batch holds the query mid-pass across the resize. The scan
+    // axis is pinned so only the explicit request below resizes it.
+    let config = CjoinConfig {
+        max_concurrency: 16,
+        batch_size: 128,
+        ..CjoinConfig::default()
+    }
+    .with_scan_workers(1)
+    .with_fault_plan(
+        FaultPlan::seeded(19)
+            .delay(FaultSite::ScanWorker, 3_000)
+            .build(),
+    );
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+    let handle = engine.submit(query.clone()).unwrap();
+    let progress = Arc::clone(handle.progress());
+    let sample = |what: &str| {
+        let (done, total) = (progress.segments_completed(), progress.segments_total());
+        assert!(
+            done <= total,
+            "{what}: {done} of {total} segments completed"
+        );
+        progress.rows_seen()
+    };
+    assert_eq!(progress.segments_total(), 1);
+
+    let start = Instant::now();
+    while sample("first pass") < progress.rows_total() / 2 {
+        assert!(start.elapsed() < RESOLVE_TIMEOUT, "scan never advanced");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let before = sample("before the resize");
+    assert!(
+        !progress.is_completed(),
+        "the delay must hold the query mid-pass"
+    );
+    engine.request_resize(Axis::ScanWorkers, 2).unwrap();
+    let after = sample("after the resize");
+    assert!(
+        after < before,
+        "rows_seen kept the abandoned pass: {before} before the resize, {after} after"
+    );
+    assert_eq!(progress.segments_total(), 2);
+    assert!(progress.fraction() < 1.0 && !progress.is_completed());
+
+    let result = loop {
+        sample("second pass");
+        if let Some(outcome) = handle.try_result() {
+            break outcome.unwrap();
+        }
+        assert!(start.elapsed() < RESOLVE_TIMEOUT, "query never resolved");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        result.approx_eq(&expected),
+        "{} diverged from oracle across the resize: {:?}",
+        query.name,
+        result.diff(&expected)
+    );
+    assert!(progress.is_completed());
+    assert_eq!(
+        (progress.segments_completed(), progress.segments_total()),
+        (2, 2)
+    );
+    assert_quiesces(&engine, "post-resize quiesce");
     engine.shutdown();
 }
 

@@ -5,7 +5,8 @@
 //! response is still possible, answers a *typed* protocol error while staying
 //! fully serviceable. On top of that, per-tenant admission is observable:
 //! shed-vs-queue decisions, backpressure queueing, deadline sheds at the front
-//! door, and wire-level cancellation.
+//! door, wire-level cancellation, and clean shutdown with every server thread
+//! joined (a leak hangs the suite).
 
 use std::io::Write;
 use std::net::TcpStream;
