@@ -1,9 +1,10 @@
 //! Encoded-predicate kernel for the compressed columnar scan front-end (§5,
 //! Column Stores / Compressed Tables).
 //!
-//! When `CjoinConfig::columnar_scan` is on, the Preprocessor's continuous scan
-//! runs over a read-optimised [`ColumnarTable`] replica instead of the row
-//! store. This module provides the two pieces the Preprocessor composes:
+//! When `CjoinConfig::columnar_scan` is on, the engine builds a read-optimised
+//! [`ColumnarTable`] replica of the fact table and each scan worker reads the
+//! chunks of its continuous scan that the replica covers from it. This module
+//! provides the two pieces the Preprocessor composes:
 //!
 //! * [`EncodedFactPredicate`] — a query's fact predicate compiled, at install
 //!   time, into a form evaluable directly over encoded column data: integer
@@ -13,11 +14,11 @@
 //!   the scan path. Each compiled predicate can also be tested against a row
 //!   group's [`ZoneMap`]s, yielding a [`ZoneVerdict`] that lets the scan skip
 //!   whole groups (`Never`) or skip per-row evaluation (`Always`).
-//! * [`ColumnarScanCursor`] — the pipeline-side scan cursor. It mirrors
-//!   [`cjoin_storage::ContinuousScan`]'s segment/wrap semantics exactly
-//!   (including the hybrid tail: rows appended to the source table after the
-//!   replica was built are served from the live row store), so the §3.3
-//!   admission and completion protocol is unchanged.
+//! * [`ReplicaScan`] — a scan worker's handle on the replica: the encoded
+//!   data, the byte accounting, and the per-row-group checksum verdicts that
+//!   decide whether a chunk may be read encoded. It holds no position; the
+//!   §3.3 admission and completion protocol runs on the worker's one
+//!   [`cjoin_storage::ContinuousScan`] whether or not a replica exists.
 //!
 //! ## Why encoded evaluation is exact
 //!
@@ -26,8 +27,8 @@
 //! NULL operand is `false`, and `Not` is plain negation, so `Not(cmp)` *does*
 //! match NULL rows) and the derived cross-type `Value` ordering
 //! (`Int < Str < Null` by variant). Cross-type and NULL literals therefore
-//! compile to constant nodes ([`matches nothing`](PredNode::Const) or
-//! [`matches every non-NULL row`](PredNode::NonNull)) rather than being
+//! compile to constant nodes (`PredNode::Const`, matching nothing, or
+//! `PredNode::NonNull`, matching every non-NULL row) rather than being
 //! rejected. Any shape that cannot be translated exactly makes `compile`
 //! return `None`, and the Preprocessor falls back to evaluating the stored
 //! `BoundPredicate` on fully materialised rows — slower, never wrong.
@@ -36,8 +37,8 @@ use std::sync::Arc;
 
 use cjoin_query::{CompareOp, Predicate};
 use cjoin_storage::{
-    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, ScanVolume, Schema, Table,
-    Value, ZoneCodes, ZoneMap,
+    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, ScanVolume, Schema, Value,
+    ZoneCodes, ZoneMap,
 };
 
 /// What a row group's zone maps prove about a compiled predicate.
@@ -654,109 +655,72 @@ fn eval_node(
 }
 
 // ---------------------------------------------------------------------------
-// The pipeline-side columnar scan cursor
+// The replica side of a scan worker
 // ---------------------------------------------------------------------------
 
-/// The columnar scan cursor the Preprocessor drives when
-/// `CjoinConfig::columnar_scan` is on.
+/// What a scan worker holds of the compressed replica, when the engine built
+/// one (`CjoinConfig::columnar_scan`).
 ///
-/// Mirrors [`cjoin_storage::ContinuousScan`]'s position/segment/wrap semantics
-/// over the *live* source table length, so the §3.3 lifecycle (admission at
-/// batch boundaries, wrap-around completion, segment partitioning) is
-/// identical to the row-store path. Rows `< replica.len()` are served from the
-/// encoded replica; rows appended after the replica was built (the hybrid
-/// tail) are read from the row store with their live visibility metadata.
+/// The replica is a prefix of the live fact table, frozen when it was built.
+/// It has no cursor of its own: the worker's [`cjoin_storage::ContinuousScan`]
+/// owns position, segment and wrap-around, and a chunk of that scan is read
+/// from the replica when it lies inside a row group whose checksum verified —
+/// every other row (appended since the build, or in a quarantined group) comes
+/// from the row store.
 #[derive(Debug)]
-pub struct ColumnarScanCursor {
-    /// The encoded replica (prefix of the live table, frozen at build time).
+pub struct ReplicaScan {
+    /// The encoded replica.
     pub(crate) replica: Arc<ColumnarTable>,
-    /// The live source table (authoritative length + hybrid tail rows).
-    pub(crate) table: Arc<Table>,
     /// Scan-volume accounting shared with the engine's stats.
     pub(crate) volume: Arc<ScanVolume>,
-    /// Next row position the scan will produce.
-    pub(crate) position: u64,
-    /// First row of this cursor's segment.
-    pub(crate) segment_start: u64,
-    /// One past the last row of the segment; `None` = runs to the live end.
-    pub(crate) segment_end: Option<u64>,
-    /// Completed passes over the segment.
-    pub(crate) passes: u64,
     /// Average encoded bytes per row of each column (for volume accounting).
     pub(crate) col_bytes_per_row: Vec<u64>,
-    /// Per-row-group checksum verdicts, lazily filled on first touch
-    /// ([`GROUP_UNVERIFIED`] / [`GROUP_VERIFIED`] / [`GROUP_QUARANTINED`]).
-    pub(crate) group_state: Vec<u8>,
+    /// Per-row-group checksum verdicts: `None` until this worker first touches
+    /// the group, then whether it verified.
+    group_verified: Vec<Option<bool>>,
 }
 
-/// The cursor has not yet touched this row group.
-pub(crate) const GROUP_UNVERIFIED: u8 = 0;
-/// The group's checksum verified; its encoded columns and zone maps are trusted.
-pub(crate) const GROUP_VERIFIED: u8 = 1;
-/// The group failed verification; its rows are served from the row store.
-pub(crate) const GROUP_QUARANTINED: u8 = 2;
-
-impl ColumnarScanCursor {
-    /// Creates a whole-table cursor.
-    pub fn new(replica: Arc<ColumnarTable>, table: Arc<Table>, volume: Arc<ScanVolume>) -> Self {
+impl ReplicaScan {
+    /// Wraps `replica` for one scan worker, recording what it reads into `volume`.
+    pub fn new(replica: Arc<ColumnarTable>, volume: Arc<ScanVolume>) -> Self {
         let arity = replica.schema().arity();
         let rows = replica.len().max(1) as u64;
         let col_bytes_per_row = (0..arity)
             .map(|c| replica.column_encoded_bytes(c).div_ceil(rows).max(1))
             .collect();
-        let group_state = vec![GROUP_UNVERIFIED; replica.row_groups().len()];
+        let group_verified = vec![None; replica.row_groups().len()];
         Self {
             replica,
-            table,
             volume,
-            position: 0,
-            segment_start: 0,
-            segment_end: None,
-            passes: 0,
             col_bytes_per_row,
-            group_state,
+            group_verified,
         }
     }
 
-    /// Restricts the cursor to `[start, end)` (`end = None` runs to the live
-    /// table end), the same contract as [`cjoin_storage::ContinuousScan::with_segment`].
-    pub fn with_segment(mut self, start: u64, end: Option<u64>) -> Self {
-        self.segment_start = start;
-        self.segment_end = end;
-        self.position = start;
-        self
-    }
-
-    /// Current segment bounds clamped to the live table length.
-    pub(crate) fn current_bounds(&self) -> (u64, u64) {
-        let len = self.table.len() as u64;
-        let end = self.segment_end.unwrap_or(len).min(len);
-        (self.segment_start.min(end), end)
-    }
-
-    /// The position folded into the segment (matches
-    /// [`cjoin_storage::ContinuousScan::normalized_position`]): a cursor past
-    /// the end — or before the start — reports the segment start, because that
-    /// is where the next batch will begin.
-    pub fn normalized_position(&self) -> u64 {
-        let (start, end) = self.current_bounds();
-        if self.position >= end || self.position < start {
-            start
-        } else {
-            self.position
-        }
-    }
-
-    /// Completed passes over the segment.
-    pub fn passes(&self) -> u64 {
-        self.passes
+    /// Checksum gate: verifies row group `g` the first time this worker touches
+    /// it, before its encoded columns or zone maps are trusted. A group that
+    /// fails is quarantined — its rows are served from the row store — for the
+    /// life of this worker. Returns whether the group may be read from the
+    /// replica.
+    pub(crate) fn group_verified(&mut self, g: usize) -> bool {
+        *self.group_verified[g].get_or_insert_with(|| {
+            let verified = self.replica.verify_group(g);
+            if !verified {
+                self.volume.record_group_quarantined();
+                eprintln!(
+                    "cjoin: columnar row group {g} failed its checksum; \
+                     serving its rows from the row store"
+                );
+            }
+            verified
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cjoin_storage::{Column, CompressionPolicy, Row, SnapshotId};
+    use cjoin_storage::{Column, CompressionPolicy, Row, SnapshotId, Table};
 
     fn fact_table(rows: i64) -> Table {
         let schema = Schema::new(
@@ -957,20 +921,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cursor_mirrors_row_scan_segment_semantics() {
-        let table = Arc::new(fact_table(100));
-        let rep = replica(&table);
-        let volume = Arc::new(ScanVolume::new());
-        let cursor = ColumnarScanCursor::new(Arc::clone(&rep), Arc::clone(&table), volume)
-            .with_segment(32, Some(64));
-        assert_eq!(cursor.normalized_position(), 32);
-        assert_eq!(cursor.current_bounds(), (32, 64));
-        let mut past = cursor;
-        past.position = 64;
-        assert_eq!(past.normalized_position(), 32);
-        assert_eq!(past.passes(), 0);
     }
 }

@@ -82,16 +82,18 @@ pub struct CjoinConfig {
     /// the others; the worker that completes the query's pass last emits the
     /// single end-of-query control tuple.
     pub scan_workers: usize,
-    /// Enable the compressed columnar scan front-end (§5, Column Stores /
-    /// Compressed Tables): the continuous scan runs over a read-optimised
-    /// columnar replica of the fact table, evaluating fact predicates and
-    /// snapshot visibility directly on encoded data (one probe per RLE run,
-    /// dictionary predicates pre-translated to code comparisons at install),
-    /// skipping row groups whose zone maps no active query can match, and
-    /// materialising only the union of columns the admitted queries' join
-    /// keys, group-bys, and aggregates need (late materialization). Results
-    /// are bit-identical to the row-store scan; rows appended after engine
-    /// start are served from the row store by a hybrid tail path.
+    /// Build and scan a compressed replica (§5, Column Stores / Compressed
+    /// Tables): every pipeline incarnation builds a read-optimised columnar
+    /// replica of the fact table, and the continuous scan reads the chunks the
+    /// replica covers from it — evaluating fact predicates and snapshot
+    /// visibility directly on encoded data (one probe per RLE run, dictionary
+    /// predicates pre-translated to code comparisons at install), skipping
+    /// row groups whose zone maps no active query can match, and materialising
+    /// only the union of columns the admitted queries' join keys, group-bys,
+    /// and aggregates need (late materialization). Rows it does not cover
+    /// (appended since it was built, or in a row group that failed its
+    /// checksum) come from the row store; results are bit-identical either
+    /// way. Off, no replica exists and every row comes from the row store.
     pub columnar_scan: bool,
     /// Enable partition-based early query termination (§5, Fact Table Partitioning):
     /// queries whose fact predicate restricts the partitioning column finish as soon
@@ -244,9 +246,9 @@ impl CjoinConfig {
         self
     }
 
-    /// Convenience: a configuration with the compressed columnar scan enabled or
-    /// disabled (the storage-layout A/B knob used by the `abl_columnar_scan`
-    /// ablation).
+    /// Convenience: a configuration that builds (or does not build) the
+    /// compressed replica the scan reads covered chunks from (the
+    /// storage-layout knob used by the `abl_columnar_scan` ablation).
     pub fn with_columnar_scan(mut self, enabled: bool) -> Self {
         self.columnar_scan = enabled;
         self

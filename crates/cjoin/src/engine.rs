@@ -29,7 +29,7 @@
 //!    [`QueryRuntime`] guarantees a poison-released barrier can never surface a
 //!    truncated result as `Ok`,
 //! 3. tears the old pipeline down without ever blocking on a dead consumer
-//!    (see [`teardown_core`]),
+//!    (see `teardown_core`),
 //! 4. steps the failed axis down to width 1 — fewer threads running the same
 //!    code (scan workers, distributor shards, stage workers in the horizontal
 //!    layout); a scan worker that dies at width 1 falls back from the columnar
@@ -39,7 +39,7 @@
 //! Two liveness rules keep the supervisor itself unblockable. First, no client
 //! thread ever sleeps while holding the core lock: [`CjoinEngine::submit`]
 //! registers the query under the lock but waits for the installation ack
-//! outside it, with a polling wait ([`await_install_ack`]) that detects both a
+//! outside it, with a polling wait (`await_install_ack`) that detects both a
 //! supervisor-resolved outcome and a dead command receiver (a queued install
 //! is *retained* when its receiver dies — the ack sender inside it never drops,
 //! so a blocking `recv` would hang forever). Second, resolution of every
@@ -91,7 +91,7 @@ use cjoin_storage::{
     DEFAULT_ROW_GROUP_ROWS,
 };
 
-use crate::colscan::ColumnarScanCursor;
+use crate::colscan::ReplicaScan;
 use crate::config::{CjoinConfig, StageLayout};
 use crate::dimension::DimensionTable;
 use crate::distributor::{Distributor, MergeSlots, ShardRouter};
@@ -103,7 +103,7 @@ use crate::pipeline::{
 };
 use crate::pool::BatchPool;
 use crate::preprocessor::{
-    PartitionPlan, Preprocessor, PreprocessorCommand, PreprocessorContext, ScanKind, ScanStall,
+    PartitionPlan, Preprocessor, PreprocessorCommand, PreprocessorContext, ScanStall,
 };
 use crate::progress::QueryProgress;
 use crate::queue::{ShardQueues, TupleQueue};
@@ -463,9 +463,9 @@ impl CjoinEngine {
             + shards * (QUEUE_CAPACITY + 1);
         let pool = BatchPool::new(pool_capacity);
 
-        // The compressed columnar front-end scans a read-optimised replica of the
-        // fact table built once at engine start; rows appended later are served
-        // from the row store by the hybrid tail path (see `crate::colscan`).
+        // `columnar_scan`: a read-optimised replica of the fact table, built once
+        // per pipeline incarnation; the scan reads the chunks it covers from it
+        // and every other row (appended later, or quarantined) from the row store.
         let columnar = if config.columnar_scan {
             let mut replica = ColumnarTable::from_table(&fact, CompressionPolicy::Adaptive)?;
             // Deterministic fault injection: flip bits in the configured row
@@ -485,9 +485,9 @@ impl CjoinEngine {
 
         // The fact table's page range is split into one static segment per scan
         // worker; the last segment's end is open so appended rows are picked up on
-        // the next pass. The columnar front-end aligns segment boundaries to row
-        // groups instead of heap pages, so zone-map skipping never has to split a
-        // group between two workers.
+        // the next pass. With a replica the boundaries are aligned to row groups
+        // instead of heap pages, so zone-map skipping never has to split a group
+        // between two workers.
         let segment_unit = if columnar.is_some() {
             DEFAULT_ROW_GROUP_ROWS
         } else {
@@ -561,22 +561,11 @@ impl CjoinEngine {
                 partition_scheme: partition_scheme.clone(),
                 poison: Arc::clone(&poison),
             };
-            let scan = match &columnar {
-                Some((replica, volume)) => ScanKind::Columnar(
-                    ColumnarScanCursor::new(
-                        Arc::clone(replica),
-                        Arc::clone(&fact),
-                        Arc::clone(volume),
-                    )
-                    .with_segment(start, end),
-                ),
-                None => ScanKind::Row(
-                    ContinuousScan::new(Arc::clone(&fact))
-                        .with_batch_rows(config.batch_size)
-                        .with_segment(start, end),
-                ),
-            };
-            let mut preprocessor = Preprocessor::new(scan, commands, context);
+            let scan = ContinuousScan::new(Arc::clone(&fact)).with_segment(start, end);
+            let replica = columnar
+                .as_ref()
+                .map(|(replica, volume)| ReplicaScan::new(Arc::clone(replica), Arc::clone(volume)));
+            let mut preprocessor = Preprocessor::new(scan, replica, commands, context);
             scan_worker_handles.push(spawn_supervised(
                 RoleKind::ScanWorker(worker),
                 failure_tx.clone(),
@@ -907,15 +896,6 @@ impl CjoinEngine {
             }
         }
 
-        // ---- Partition pruning plans (§5), one per scan worker ------------------
-        let partition = partition_plans(core.partition_info.as_ref(), &bound);
-
-        // ---- Algorithm 1, lines 17–22: install in Preprocessor & Distributor ----
-        let fact_predicate = if bound.fact_predicate_is_true {
-            None
-        } else {
-            Some(bound.fact_predicate.clone())
-        };
         let (result_tx, result_rx) = bounded(1);
         let progress = Arc::new(QueryProgress::new(
             self.shared.catalog.fact_table()?.len() as u64
@@ -937,6 +917,8 @@ impl CjoinEngine {
             .registered
             .insert(id.0, Registered { referenced_dims });
         admission.runtimes.insert(id.0, Arc::clone(&runtime));
+        // ---- Algorithm 1, lines 17–22: install in Preprocessor & Distributor ----
+        let (install, ack_rx) = install_command(core, &runtime);
         let cmd_tx = core.cmd_tx.clone();
         drop(admission);
         // Release the core lock BEFORE waiting for the installation ack. The
@@ -947,14 +929,6 @@ impl CjoinEngine {
         // lock, this thread blocked on an ack only the supervisor can unblock.
         drop(core_guard);
 
-        let (ack_tx, ack_rx) = bounded(1);
-        let install = PreprocessorCommand::Install {
-            runtime: Arc::clone(&runtime),
-            fact_predicate,
-            snapshot,
-            partition,
-            ack: Some(ack_tx),
-        };
         // An install that is never acked is NOT rolled back here: the query is
         // in the runtimes registry, so whoever broke the install owns it — the
         // supervisor resolves and cleans every registered query after a role
@@ -1214,8 +1188,8 @@ impl Drop for CjoinEngine {
 /// 2. a fresh *pending* epoch is allocated from the snapshot manager — pending
 ///    epochs are invisible: no query can be admitted at one,
 /// 3. the records are appended to the WAL under that epoch and the epoch's
-///    commit marker is made durable per the configured [`SyncPolicy`]
-///    (`cjoin_storage::SyncPolicy`),
+///    commit marker is made durable per the configured
+///    [`cjoin_storage::SyncPolicy`],
 /// 4. only then are the mutations applied to the tables (`xmin` = the epoch)
 ///    and the epoch published through the snapshot manager's committed
 ///    watermark.
@@ -1778,22 +1752,10 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
     let cmd_tx = new_core.cmd_tx.clone();
     let mut acks = Vec::with_capacity(pending.len());
     for runtime in pending {
-        let partition = partition_plans(new_core.partition_info.as_ref(), &runtime.bound);
-        let fact_predicate = if runtime.bound.fact_predicate_is_true {
-            None
-        } else {
-            Some(runtime.bound.fact_predicate.clone())
-        };
-        let (ack_tx, ack_rx) = bounded(1);
-        // A failed send drops the install and with it `ack_tx`, which the
-        // wait below sees as a disconnect.
-        let _ = cmd_tx.send(PreprocessorCommand::Install {
-            runtime: Arc::clone(&runtime),
-            fact_predicate,
-            snapshot: runtime.snapshot,
-            partition,
-            ack: Some(ack_tx),
-        });
+        let (install, ack_rx) = install_command(&new_core, &runtime);
+        // A failed send drops the install and with it the ack sender, which
+        // the wait below sees as a disconnect.
+        let _ = cmd_tx.send(install);
         acks.push((runtime, ack_rx));
     }
     *core_guard = Some(new_core);
@@ -1804,6 +1766,26 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
         await_install_ack(&cmd_tx, &ack_rx, &runtime);
     }
     Ok(())
+}
+
+/// The install of `runtime` on pipeline incarnation `core` (Algorithm 1, lines
+/// 17–22) — its fact predicate unless trivially true, its snapshot, one
+/// partition pruning plan (§5) per scan worker of `core` — and the receiver of
+/// its ack, for [`await_install_ack`].
+fn install_command(
+    core: &PipelineCore,
+    runtime: &Arc<QueryRuntime>,
+) -> (PreprocessorCommand, Receiver<()>) {
+    let bound = &runtime.bound;
+    let (ack_tx, ack_rx) = bounded(1);
+    let install = PreprocessorCommand::Install {
+        runtime: Arc::clone(runtime),
+        fact_predicate: (!bound.fact_predicate_is_true).then(|| bound.fact_predicate.clone()),
+        snapshot: runtime.snapshot,
+        partition: partition_plans(core.partition_info.as_ref(), bound),
+        ack: Some(ack_tx),
+    };
+    (install, ack_rx)
 }
 
 /// Waits for the scan front-end to ack an install sent on `cmd_tx`, returning
@@ -2500,30 +2482,40 @@ mod tests {
 
     #[test]
     fn progress_reaches_completion_and_is_monotonic() {
-        let catalog = small_catalog(5_000);
-        let engine = CjoinEngine::start(Arc::clone(&catalog), test_config()).unwrap();
-        let handle = engine.submit(red_sum_query("tracked")).unwrap();
-        let progress = Arc::clone(handle.progress());
-        assert_eq!(progress.rows_total(), 5_000);
+        for columnar_scan in [false, true] {
+            let catalog = small_catalog(5_000);
+            let config = test_config().with_columnar_scan(columnar_scan);
+            let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+            let handle = engine.submit(red_sum_query("tracked")).unwrap();
+            let progress = Arc::clone(handle.progress());
+            assert_eq!(progress.rows_total(), 5_000);
 
-        let mut last = 0.0f64;
-        for _ in 0..200 {
-            let f = progress.fraction();
-            assert!(
-                f >= last - 1e-9,
-                "progress must not go backwards ({f} < {last})"
-            );
-            last = f;
-            if progress.is_completed() {
-                break;
+            let mut last = 0.0f64;
+            for _ in 0..200 {
+                let f = progress.fraction();
+                assert!(
+                    f >= last - 1e-9,
+                    "progress must not go backwards ({f} < {last})"
+                );
+                last = f;
+                if progress.is_completed() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(200));
             }
-            std::thread::sleep(Duration::from_micros(200));
+            let _ = handle.wait().unwrap();
+            assert!(progress.is_completed());
+            assert_eq!(progress.fraction(), 1.0);
+            assert_eq!(progress.estimated_remaining(), Some(Duration::ZERO));
+            // The chunk in which the wrap-around is detected is not the
+            // query's: it was retired before that chunk was counted.
+            assert_eq!(
+                progress.rows_seen(),
+                progress.rows_total(),
+                "columnar_scan {columnar_scan}: one pass is exactly the table"
+            );
+            engine.shutdown();
         }
-        let _ = handle.wait().unwrap();
-        assert!(progress.is_completed());
-        assert_eq!(progress.fraction(), 1.0);
-        assert_eq!(progress.estimated_remaining(), Some(Duration::ZERO));
-        engine.shutdown();
     }
 
     #[test]

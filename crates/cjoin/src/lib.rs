@@ -47,7 +47,7 @@
 //! | module | paper section | responsibility |
 //! |--------|---------------|----------------|
 //! | [`config`] | §4 | pipeline configuration (maxConc, threads, stage layout, batching) |
-//! | [`tuple`] | §3.1 | in-flight fact tuples, control tuples, batches |
+//! | [`mod@tuple`] | §3.1 | in-flight fact tuples, control tuples, batches |
 //! | [`pool`] | §4 | pooled batch allocator ("specialized allocator for fact tuples") |
 //! | [`queue`] | §4 | bounded batched tuple queues linking pipeline threads |
 //! | [`dimension`] | §3.2.1 | dimension hash tables with per-entry query bit-vectors |

@@ -1,13 +1,13 @@
 //! Pooled batch allocator.
 //!
-//! §4 notes that CJOIN "reduce[s] the cost of memory management synchronization by
+//! §4 notes that CJOIN "reduce\[s\] the cost of memory management synchronization by
 //! using a specialized allocator for fact tuples": all in-flight tuple structures are
 //! preallocated and recycled. The pool implements that in two layers:
 //!
 //! 1. **Batch recycling** — the Distributor returns spent batches to a lock-free
 //!    pool and the Preprocessor reuses them, so the backing vectors circulate
 //!    instead of being reallocated.
-//! 2. **Tuple recycling** — a recycled batch keeps its [`InFlightTuple`]s as
+//! 2. **Tuple recycling** — a recycled batch keeps its [`InFlightTuple`](crate::tuple::InFlightTuple)s as
 //!    *spares* (see [`Batch::recycle`]): their per-tuple bit-vector words and
 //!    dimension-slot vectors stay allocated and are reinitialised in place by
 //!    [`InFlightTuple::reset`](crate::tuple::InFlightTuple::reset) on the next

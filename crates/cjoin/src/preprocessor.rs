@@ -9,25 +9,25 @@
 //! 2. detects query completion: when the scan wraps around a query's starting tuple,
 //!    the query's bit is switched off and an *end-of-query* control tuple is emitted
 //!    ahead of that tuple (§3.3.2);
-//! 3. applies pending admissions: a newly registered query is installed at a batch
-//!    boundary — its starting position is recorded, its bit joins the active mask,
+//! 3. applies pending admissions: a newly registered query is installed between
+//!    two chunks — its starting position is recorded, its bit joins the active mask,
 //!    and a *query-start* control tuple is emitted (§3.3.1, Algorithm 1 lines 17–22);
 //! 4. batches surviving tuples and pushes them into the filter stage.
 //!
 //! The scan loop is allocation-free at steady state: the per-row bit-vector is
 //! computed in a Preprocessor-owned scratch `QuerySet` (as is the list of queries
-//! ending at a row), and surviving rows are written into recycled in-flight tuples
-//! obtained from the [`BatchPool`] via [`Batch::next_slot`] +
+//! ending at a chunk start), and surviving rows are written into recycled
+//! in-flight tuples obtained from the [`BatchPool`] via [`Batch::next_slot`] +
 //! [`InFlightTuple::reset`](crate::tuple::InFlightTuple::reset), reusing their
 //! bit-vector words and dimension-slot vectors in place (§4's specialized
 //! allocator). The `tuples_allocated` / `tuples_recycled` counters expose this.
 //!
 //! It is also O(1) per row in the number of active queries: starting positions are
-//! indexed in an ordered `position → bits` map ([`Preprocessor::starts_at`]), so
-//! each scan batch performs one range query over the row ids it covers and the
-//! per-row work degenerates to a single integer comparison against the next known
-//! boundary — instead of rescanning every active query per row for wrap-around
-//! detection and `passed_start` flipping.
+//! indexed in an ordered `position → bits` map (`Preprocessor::starts_at`), and
+//! the scan advances in chunks that never contain one (see "Chunks" below), so
+//! wrap-around detection and `passed_start` flipping cost one lookup and one
+//! range query per chunk and nothing per row — instead of rescanning every
+//! active query per row.
 //!
 //! ## Scan workers (`CjoinConfig::scan_workers`)
 //!
@@ -74,16 +74,44 @@
 //!   the closer emits nothing for the truncated scan. A worker that leaves its
 //!   loop in an orderly way opens the gate itself on the way out.
 //!
-//! ## Columnar front-end (`CjoinConfig::columnar_scan`)
+//! ## Chunks
 //!
-//! With the columnar scan on, each scan worker drives a [`ColumnarScanCursor`] over a compressed replica of the fact table
-//! instead of a [`ContinuousScan`] over the row store. The scan advances in
-//! *chunks* cut so that query-start boundaries, row-group edges, the replica/
-//! row-store frontier and the segment end all fall on chunk starts; the §3.3
-//! lifecycle steps (admission at boundaries, wrap-around completion, drain
-//! barriers) therefore run at chunk starts with the exact same ordering as the
-//! row path's per-row boundary checks. See [`crate::colscan`] for why encoded
-//! evaluation and late materialisation are exact.
+//! Every scan worker runs one lifecycle over one cursor, a
+//! [`ContinuousScan`] restricted to its segment: fold the cursor into the
+//! segment (a wrap-around starts a pass and is counted), retire the queries
+//! whose starting tuple is the cursor's position and that have passed it
+//! before, mark the others there as having passed it, produce one *chunk* of
+//! rows, advance. Admission happens between two chunks, so a query's starting
+//! position is always a chunk start. `Preprocessor::process_next_chunk` is
+//! that step.
+//!
+//! A chunk starts at the cursor and ends at the nearest of: `batch_size` rows
+//! on, the segment's end, the next query-start position, and — where a
+//! replica covers the cursor — the edge of the replica's row group (the last
+//! group ends at the replica's frontier). So a chunk never contains a
+//! starting tuple, never straddles two row groups and never straddles the
+//! frontier.
+//!
+//! How a chunk's rows are read is decided per chunk from what the worker can
+//! observe, not from a mode: a chunk inside a row group of a replica
+//! (`CjoinConfig::columnar_scan` builds one) whose checksum verified is read
+//! from the encoded data, in the four phases below; any other chunk — there
+//! is no replica, the rows were appended after it was built, or the group is
+//! quarantined — is read from the row store with
+//! [`Table::read_range`](cjoin_storage::Table::read_range) and each row gets
+//! its `bτ` from the active mask, snapshot visibility and the fact predicates
+//! in turn (`Preprocessor::emit_materialized_rows`). The replica is a frozen
+//! prefix of the row store, so both give the same tuples; see
+//! [`crate::colscan`] for why encoded evaluation and late materialisation are
+//! exact.
+//!
+//! Without a replica only batch size, segment end and query starts cut chunks,
+//! and a query start is itself a chunk start of an earlier pass — the segment
+//! start plus a multiple of `batch_size`, unless an append moved the end of
+//! that pass. So the chunks are the batches [`ContinuousScan::next_batch`]
+//! would return, in the same order, except where such a starting tuple falls
+//! inside one: that chunk ends there and the next begins with the query's
+//! retirement.
 //!
 //! A chunk inside a verified row group is processed a phase at a time, and a
 //! row exists only once something wants it:
@@ -113,7 +141,7 @@
 //!    ([`Batch::mark_filter_applied`]) with the slot of the Filter that probed
 //!    it, so the Stages run the *rest* of the chain and never probe it again
 //!    (the argument for chains that change between chunk and Stage is in
-//!    [`crate::pipeline::run_stage_worker`]).
+//!    `crate::pipeline::run_stage_worker`).
 //!
 //! **Why only the leading Filter.** The paper drops tuples as early as possible
 //! (§3.2.2) and names tuple materialisation as the cost its allocator exists to
@@ -126,8 +154,7 @@
 //! cannot run — the chain is empty, no active query references the leading
 //! dimension, or its foreign key is not a non-null integer column of the
 //! replica — phase 4 materialises the whole selection unmarked and the Stage
-//! probes as before. Hybrid-tail and quarantined chunks take the row-at-a-time
-//! path (`emit_materialized_rows`), also unmarked.
+//! probes it. Chunks read from the row store are unmarked too.
 //!
 //! **Lock discipline.** The probe guard is the read lock of the dimension's
 //! hash table, and a Stage needs the same lock to make progress. Phase 3 takes
@@ -176,13 +203,10 @@ use cjoin_query::star::ColumnSource;
 use cjoin_query::{BoundPredicate, BoundStarQuery};
 use cjoin_storage::{
     ColumnId, ColumnarTable, ContinuousScan, EncodedColumn, PartitionScheme, Row, RowGroup, RowId,
-    RowVersion, ScanBatch, ScanVolume, SnapshotId,
+    RowVersion, ScanStep, ScanVolume, SnapshotId,
 };
 
-use crate::colscan::{
-    ColumnarScanCursor, EncodedFactPredicate, ZoneVerdict, GROUP_QUARANTINED, GROUP_UNVERIFIED,
-    GROUP_VERIFIED,
-};
+use crate::colscan::{EncodedFactPredicate, ReplicaScan, ZoneVerdict};
 use crate::config::CjoinConfig;
 use crate::dimension::{DimEntry, DimensionTable};
 use crate::fault::{self, FaultSite};
@@ -271,8 +295,8 @@ pub struct PreprocessorContext {
     pub pool: Arc<BatchPool>,
     /// Number of dimension slots currently allocated (for tuple sizing).
     pub slot_count: Arc<AtomicUsize>,
-    /// The filter chain the Stages run. The columnar front-end probes its
-    /// leading Filter itself, before it materialises a row.
+    /// The filter chain the Stages run. An encoded chunk probes its leading
+    /// Filter itself, before it materialises a row.
     pub chain: Arc<FilterChain>,
     /// Global pipeline counters.
     pub counters: Arc<SharedCounters>,
@@ -290,38 +314,17 @@ pub struct PreprocessorContext {
     pub partition_scheme: Option<(PartitionScheme, usize)>,
 }
 
-/// The scan source a Preprocessor drives: the row-store continuous scan, or
-/// the compressed columnar cursor when `CjoinConfig::columnar_scan` is on.
-/// Either covers the worker's segment of the fact table.
-pub enum ScanKind {
-    /// The row-store continuous scan (the default).
-    Row(ContinuousScan),
-    /// The compressed columnar scan cursor.
-    Columnar(ColumnarScanCursor),
-}
-
-impl ScanKind {
-    /// The cursor position folded into the scan's segment — where the next
-    /// produced row will come from (a query's starting position at install).
-    fn normalized_position(&self) -> u64 {
-        match self {
-            ScanKind::Row(scan) => scan.normalized_position(),
-            ScanKind::Columnar(cursor) => cursor.normalized_position(),
-        }
-    }
-}
-
 /// Per-query state kept by the Preprocessor while the query is active.
 #[derive(Debug)]
 struct ActiveQuery {
     progress: Arc<QueryProgress>,
     fact_predicate: Option<BoundPredicate>,
     /// The fact predicate compiled for evaluation over encoded column data
-    /// (columnar mode only; `None` falls back to `fact_predicate` on
+    /// (only with a replica; `None` falls back to `fact_predicate` on
     /// materialised replica rows — slower, never wrong).
     encoded_predicate: Option<EncodedFactPredicate>,
     /// Fact columns this query's join keys, group-bys and aggregate inputs
-    /// read (columnar mode only): the refcounted inputs to the
+    /// read (only with a replica): the refcounted inputs to the
     /// late-materialization projection.
     needs: Vec<ColumnId>,
     snapshot: SnapshotId,
@@ -362,15 +365,16 @@ enum Joined {
     Versions(Vec<Arc<DimEntry>>),
 }
 
-/// Reusable buffers of the columnar front-end's chunk phases. Every vector is
-/// cleared, never shrunk, so the steady state allocates nothing.
+/// Reusable buffers of a chunk: the rows read from the row store, and the
+/// phases of an encoded chunk. Every vector is cleared, never shrunk, so the
+/// steady state allocates nothing.
 #[derive(Debug, Default)]
 struct ChunkScratch {
     /// Match bitmaps of the encoded predicate kernels, one per `RowTest::Buf`.
     match_bufs: Vec<Vec<bool>>,
     /// Columns whose encoded bytes this chunk read for all of its rows.
     touched: Vec<bool>,
-    /// Hybrid-tail / quarantined rows read from the row store.
+    /// The chunk's rows, when it is read from the row store.
     tail_rows: Vec<(RowId, Row, RowVersion)>,
     /// Phase 1: the per-row tests still owed, `(query bit, test)`.
     tests: Vec<(usize, RowTest)>,
@@ -412,7 +416,7 @@ struct ChunkVerdicts {
 }
 
 /// The fact columns `bound`'s join keys, group-bys and aggregate inputs read —
-/// the set the columnar scan must materialise for tuples carrying its bit.
+/// the set an encoded chunk must materialise for tuples carrying its bit.
 fn query_column_needs(bound: &BoundStarQuery) -> Vec<ColumnId> {
     let mut needs: Vec<ColumnId> = bound.dimensions.iter().map(|d| d.fact_fk_column).collect();
     let refs = bound
@@ -432,7 +436,11 @@ fn query_column_needs(bound: &BoundStarQuery) -> Vec<ColumnId> {
 /// One scan worker: owns a continuous scan over its segment of the fact table
 /// and the active-query bookkeeping for it.
 pub struct Preprocessor {
-    scan: ScanKind,
+    /// The one cursor: position, segment bounds, wrap-around, passes.
+    scan: ContinuousScan,
+    /// The compressed replica, when the engine built one; chunks it covers are
+    /// read encoded.
+    replica: Option<ReplicaScan>,
     commands: Receiver<PreprocessorCommand>,
     worker: usize,
     siblings: Vec<Sender<PreprocessorCommand>>,
@@ -460,9 +468,9 @@ pub struct Preprocessor {
 
     active_mask: QuerySet,
     queries: Vec<Option<ActiveQuery>>,
-    /// Ordered index `start position → bits starting there`: one range query per
-    /// scan batch replaces the per-row scans over all active queries for both
-    /// wrap-around detection and `passed_start` flipping.
+    /// Ordered index `start position → bits starting there`: one lookup and one
+    /// range query per chunk replace the per-row scans over all active queries
+    /// for both wrap-around detection and `passed_start` flipping.
     starts_at: BTreeMap<u64, Vec<usize>>,
     /// Bits of queries with a fact predicate, a non-default snapshot or a partition
     /// plan — the slow path of bit initialisation.
@@ -470,45 +478,43 @@ pub struct Preprocessor {
     /// `special_index[bit]` = position of `bit` in `special_bits`, so finalize
     /// removes a special bit with one swap instead of an O(specials) retain.
     special_index: Vec<Option<usize>>,
-    scan_buffer: ScanBatch,
     /// Scratch bit-vector the per-row `bτ` is computed in before being copied into a
     /// (usually recycled) in-flight tuple — reused across rows, never reallocated.
     bits_scratch: QuerySet,
-    /// Scratch list of queries ending at the current row — reused across rows.
+    /// Scratch list of queries ending at the current chunk start — reused across
+    /// chunks.
     ending_scratch: Vec<usize>,
-    /// Scratch list of `(position, bit)` boundaries within the current scan batch,
-    /// materialised once per batch from `starts_at` — reused across batches.
-    boundary_scratch: Vec<(u64, usize)>,
     /// `col_needs[c]` = number of active queries reading fact column `c`
-    /// (columnar mode only); the late-materialization projection is the set of
-    /// columns with a non-zero count.
+    /// (empty without a replica); the late-materialization projection is the
+    /// set of columns with a non-zero count.
     col_needs: Vec<usize>,
     /// Cached sorted union of the active queries' needed columns.
     projection: Vec<ColumnId>,
-    /// Buffers of the columnar chunk phases (unused by the row front-end).
+    /// Buffers of the chunk being processed.
     chunk: ChunkScratch,
     shutdown: bool,
 }
 
 impl Preprocessor {
     /// Creates scan worker `ctx.worker` over `scan`, which must cover that
-    /// worker's segment (see [`ContinuousScan::with_segment`] /
-    /// [`ColumnarScanCursor::with_segment`]; columnar segment bounds should be
-    /// row-group-aligned so zone-map chunks do not straddle workers). Worker 0
-    /// receives the engine's commands on `commands`; every other worker
-    /// receives worker 0's relays.
+    /// worker's segment (see [`ContinuousScan::with_segment`]; with a `replica`,
+    /// row-group-aligned segment bounds keep a group's zone maps with one
+    /// worker). Chunks are cut by `ctx.config.batch_size`, not by the scan's own
+    /// batch length. Worker 0 receives the engine's commands on `commands`;
+    /// every other worker receives worker 0's relays.
     pub fn new(
-        scan: ScanKind,
+        scan: ContinuousScan,
+        replica: Option<ReplicaScan>,
         commands: Receiver<PreprocessorCommand>,
         ctx: PreprocessorContext,
     ) -> Self {
         let max = ctx.config.max_concurrency;
-        let col_needs = match &scan {
-            ScanKind::Columnar(cursor) => vec![0; cursor.replica.schema().arity()],
-            ScanKind::Row(_) => Vec::new(),
-        };
+        let col_needs = replica
+            .as_ref()
+            .map_or_else(Vec::new, |r| vec![0; r.replica.schema().arity()]);
         Self {
             scan,
+            replica,
             commands,
             worker: ctx.worker,
             siblings: ctx.siblings,
@@ -531,10 +537,8 @@ impl Preprocessor {
             starts_at: BTreeMap::new(),
             special_bits: Vec::new(),
             special_index: vec![None; max],
-            scan_buffer: ScanBatch::default(),
             bits_scratch: QuerySet::new(max),
             ending_scratch: Vec::new(),
-            boundary_scratch: Vec::new(),
             col_needs,
             projection: Vec::new(),
             chunk: ChunkScratch::default(),
@@ -570,10 +574,7 @@ impl Preprocessor {
                 continue;
             }
             let step_started = Instant::now();
-            match self.scan {
-                ScanKind::Row(_) => self.process_next_scan_batch(),
-                ScanKind::Columnar(_) => self.process_next_columnar_chunk(),
-            }
+            self.process_next_chunk();
             self.note_busy(step_started.elapsed());
         }
     }
@@ -706,9 +707,9 @@ impl Preprocessor {
         relayed
     }
 
-    /// Installs a query on this worker's segment at the current batch boundary:
-    /// tuples produced from here on carry its bit, until the cursor is back at
-    /// this position.
+    /// Installs a query on this worker's segment between two chunks: tuples
+    /// produced from here on carry its bit, until the cursor is back at this
+    /// position.
     fn install_query(
         &mut self,
         runtime: Arc<QueryRuntime>,
@@ -721,17 +722,17 @@ impl Preprocessor {
         let special =
             fact_predicate.is_some() || snapshot != SnapshotId::INITIAL || partition.is_some();
         let segment_irrelevant = partition.as_ref().is_some_and(|p| p.remaining_rows == 0);
-        // Columnar mode: compile the fact predicate for encoded evaluation and
-        // register the query's column needs with the late-materialization
+        // With a replica: compile the fact predicate for encoded evaluation
+        // and register the query's column needs with the late-materialization
         // projection — both before any tuple can carry the new bit.
         let mut encoded_predicate = None;
         let mut needs = Vec::new();
-        if let ScanKind::Columnar(cursor) = &self.scan {
+        if let Some(r) = &self.replica {
             if fact_predicate.is_some() {
                 encoded_predicate = EncodedFactPredicate::compile(
                     &runtime.bound.fact_predicate_raw,
-                    cursor.replica.schema(),
-                    &cursor.replica,
+                    r.replica.schema(),
+                    &r.replica,
                 );
             }
             needs = query_column_needs(&runtime.bound);
@@ -848,152 +849,6 @@ impl Preprocessor {
         }
     }
 
-    fn process_next_scan_batch(&mut self) {
-        let mut scan_buffer = std::mem::take(&mut self.scan_buffer);
-        let ScanKind::Row(scan) = &mut self.scan else {
-            unreachable!("the row batch path runs only over a row scan");
-        };
-        scan.next_batch(&mut scan_buffer);
-        if scan_buffer.wrapped {
-            SharedCounters::add(&self.counters.scan_passes, 1);
-            SharedCounters::add(&self.worker_counters.segment_passes, 1);
-            self.record_pass_time();
-        }
-        if scan_buffer.is_empty() {
-            // Empty fact table (or empty segment): nothing will ever complete the
-            // registered queries by wrap-around, so finalize them all immediately
-            // (their results — or this segment's contributions — are empty).
-            let bits: Vec<usize> = self.active_mask.iter().collect();
-            for bit in bits {
-                self.finalize_query(bit);
-            }
-            self.scan_buffer = scan_buffer;
-            std::thread::sleep(IDLE_SLEEP);
-            return;
-        }
-        self.note_rows_scanned(scan_buffer.len() as u64);
-
-        // One ordered range query per batch finds every query whose starting tuple
-        // lies in the batch's (consecutive, ascending) row range; the per-row loop
-        // below then only compares against the next such boundary. This is the
-        // O(1)-per-row replacement for rescanning all active queries per row.
-        let mut boundaries = std::mem::take(&mut self.boundary_scratch);
-        boundaries.clear();
-        let first = scan_buffer.rows.first().map(|(id, _, _)| id.0).unwrap_or(0);
-        let last = scan_buffer.rows.last().map(|(id, _, _)| id.0).unwrap_or(0);
-        boundaries.extend(
-            self.starts_at
-                .range(first..=last)
-                .flat_map(|(&pos, bits)| bits.iter().map(move |&bit| (pos, bit))),
-        );
-        let mut next_boundary = 0usize;
-
-        let num_slots = self.slot_count.load(Ordering::Acquire);
-        let mut out: Batch = self.pool.take(self.config.batch_size);
-        // Queries that exhausted their needed partitions on this batch; finalized
-        // after their last relevant tuple has been emitted.
-        let mut partition_done: Vec<usize> = Vec::new();
-        // Tuple-recycling statistics accumulate locally and flush once per scan
-        // batch (same batch-local-counter discipline as the Filter stats).
-        let mut tuples_recycled = 0u64;
-        let mut tuples_allocated = 0u64;
-
-        for (row_id, row, version) in scan_buffer.rows.drain(..) {
-            let position = row_id.0;
-            if next_boundary < boundaries.len() && boundaries[next_boundary].0 == position {
-                // A starting tuple: queries that already passed it end right here
-                // (wrap-around, §3.3.2); the rest pass it now. The scratch list is
-                // reused across rows (taken/restored around `finalize_query`,
-                // which needs `&mut self`).
-                let from = next_boundary;
-                while next_boundary < boundaries.len() && boundaries[next_boundary].0 == position {
-                    next_boundary += 1;
-                }
-                let mut ending = std::mem::take(&mut self.ending_scratch);
-                ending.clear();
-                ending.extend(
-                    boundaries[from..next_boundary]
-                        .iter()
-                        .filter_map(|&(_, bit)| {
-                            self.queries[bit]
-                                .as_ref()
-                                .is_some_and(|q| q.passed_start)
-                                .then_some(bit)
-                        }),
-                );
-                if !ending.is_empty() {
-                    // Flush tuples produced so far so the barrier covers them.
-                    out = self.flush(out);
-                    for &bit in &ending {
-                        self.finalize_query(bit);
-                    }
-                }
-                self.ending_scratch = ending;
-                if self.active_mask.is_empty() {
-                    // No query left; the rest of the scan batch is irrelevant.
-                    break;
-                }
-                for &(_, bit) in &boundaries[from..next_boundary] {
-                    if let Some(q) = &mut self.queries[bit] {
-                        if q.start_position == position {
-                            q.passed_start = true;
-                        }
-                    }
-                }
-            }
-
-            // Initialise the row's bit-vector in the reusable scratch (no per-row
-            // allocation), then copy it into a pooled tuple only if it survives.
-            self.bits_scratch.copy_from(&self.active_mask);
-            if version != RowVersion::ALWAYS_VISIBLE {
-                // The row carries update history: snapshot visibility is a virtual
-                // fact predicate for every registered query (§3.5).
-                for bit in self.active_mask.iter() {
-                    if let Some(q) = &self.queries[bit] {
-                        if !version.visible_at(q.snapshot) {
-                            self.bits_scratch.unset(bit);
-                        }
-                    }
-                }
-            }
-            if !self.special_bits.is_empty() {
-                self.apply_special_predicates(&row, &mut partition_done);
-            }
-
-            if !self.bits_scratch.is_empty() {
-                // Zero-allocation steady state: the slot reuses a spare tuple's
-                // bit-vector words and dimension-slot vector in place.
-                let (slot, recycled) = out.next_slot(self.config.max_concurrency);
-                slot.reset(row_id, row, &self.bits_scratch, num_slots);
-                if recycled {
-                    tuples_recycled += 1;
-                } else {
-                    tuples_allocated += 1;
-                }
-                if out.len() >= self.config.batch_size {
-                    out = self.flush(out);
-                }
-            }
-
-            if !partition_done.is_empty() {
-                out = self.flush(out);
-                for bit in partition_done.drain(..) {
-                    self.finalize_query(bit);
-                }
-            }
-        }
-        self.boundary_scratch = boundaries;
-        if tuples_recycled > 0 {
-            SharedCounters::add(&self.counters.tuples_recycled, tuples_recycled);
-        }
-        if tuples_allocated > 0 {
-            SharedCounters::add(&self.counters.tuples_allocated, tuples_allocated);
-        }
-        let leftover = self.flush(out);
-        self.pool.put(leftover);
-        self.scan_buffer = scan_buffer;
-    }
-
     /// Recomputes the cached late-materialization projection from the per-column
     /// refcounts (called whenever a query's needs are added or removed).
     fn rebuild_projection(&mut self) {
@@ -1006,156 +861,107 @@ impl Preprocessor {
         );
     }
 
-    // ------------------------------------------------------------------
-    // Columnar scan processing
-    // ------------------------------------------------------------------
-
-    /// Advances the columnar cursor by one chunk: the §3.3 lifecycle steps at
-    /// the chunk start, then the chunk's rows — from the row store for the
-    /// hybrid tail and quarantined groups, through the four encoded-region
-    /// phases ([`Preprocessor::scan_encoded_chunk`]) otherwise.
-    ///
-    /// Chunks are cut so that every query-start boundary, row-group edge, the
-    /// replica/row-store frontier and the segment end fall on a chunk *start*:
-    /// boundary bookkeeping (wrap-around finalization, `passed_start` flips)
-    /// then runs once per chunk instead of once per row, and a chunk is always
-    /// either fully inside one row group (so its zone maps apply) or fully in
-    /// the hybrid tail (served from the row store).
-    fn process_next_columnar_chunk(&mut self) {
-        let ScanKind::Columnar(cursor) = &self.scan else {
-            unreachable!("the columnar chunk path runs only over a columnar cursor");
+    /// Advances the scan by one chunk: the §3.3 lifecycle steps at the chunk
+    /// start, then the chunk's rows — through the four encoded phases
+    /// ([`Preprocessor::scan_encoded_chunk`]) when the chunk lies in a verified
+    /// row group of a replica, from the row store otherwise. See the module
+    /// doc's "Chunks" section for where the chunk's edges come from.
+    fn process_next_chunk(&mut self) {
+        let step = self.scan.step();
+        if step.is_none_or(|step| step.wrapped) {
+            // A pass starts (including the first; an empty segment reports one
+            // per visit).
+            SharedCounters::add(&self.counters.scan_passes, 1);
+            SharedCounters::add(&self.worker_counters.segment_passes, 1);
+            self.record_pass_time();
+        }
+        let Some(ScanStep { position, end, .. }) = step else {
+            // Empty fact table (or empty segment): nothing will ever complete the
+            // registered queries by wrap-around, so finalize them all immediately
+            // (their results — or this segment's contributions — are empty) and
+            // idle instead of spinning.
+            let bits: Vec<usize> = self.active_mask.iter().collect();
+            for bit in bits {
+                self.finalize_query(bit);
+            }
+            std::thread::sleep(IDLE_SLEEP);
+            return;
         };
-        let replica = Arc::clone(&cursor.replica);
-        let table = Arc::clone(&cursor.table);
-        let volume = Arc::clone(&cursor.volume);
-        let (start, end) = cursor.current_bounds();
-        let mut position = cursor.position;
-        let mut passes = cursor.passes;
+
+        // Query-start positions only ever coincide with chunk starts (the
+        // extent clamp below guarantees it): queries that already passed this
+        // one end here (wrap-around, §3.3.2) — everything produced so far was
+        // flushed at the previous chunk's end, so the drain barrier inside
+        // finalize covers it — and the rest pass it now.
+        let mut ending = std::mem::take(&mut self.ending_scratch);
+        ending.clear();
+        for &bit in self.starts_at.get(&position).into_iter().flatten() {
+            if let Some(q) = &mut self.queries[bit] {
+                if q.passed_start {
+                    ending.push(bit);
+                } else {
+                    q.passed_start = true;
+                }
+            }
+        }
+        for bit in ending.drain(..) {
+            self.finalize_query(bit);
+        }
+        self.ending_scratch = ending;
+        if self.active_mask.is_empty() {
+            return;
+        }
+
         // Taken out so `&mut self` methods stay callable; put back below.
         let mut chunk = std::mem::take(&mut self.chunk);
+        let mut replica = self.replica.take();
 
-        'chunk: {
-            if start >= end {
-                // Empty table or empty segment: mirror the row scan's
-                // empty-batch behaviour — report a wrap, finalize everything
-                // (their results here are empty), idle instead of spinning.
-                SharedCounters::add(&self.counters.scan_passes, 1);
-                SharedCounters::add(&self.worker_counters.segment_passes, 1);
-                let bits: Vec<usize> = self.active_mask.iter().collect();
-                for bit in bits {
-                    self.finalize_query(bit);
-                }
-                std::thread::sleep(IDLE_SLEEP);
-                break 'chunk;
+        // Chunk extent: the batch size and the segment end clamp it; inside a
+        // replica so does the row group's edge (the last group ends at the
+        // replica's frontier), whose checksum then decides how the chunk is
+        // read; and the next query-start position always does.
+        let mut chunk_end = (position + self.config.batch_size as u64).min(end);
+        let mut encoded = None;
+        if let Some(r) = replica
+            .as_mut()
+            .filter(|r| position < r.replica.len() as u64)
+        {
+            let g = r.replica.group_of(position);
+            let group = &r.replica.row_groups()[g];
+            chunk_end = chunk_end.min(group.start + group.len);
+            if r.group_verified(g) {
+                encoded = Some(&*r);
             }
-            if position >= end || position < start {
-                // Wrap around: a pass just completed.
-                position = start;
-                passes += 1;
-            }
-            if position == start {
-                // A pass starts (including the first), matching
-                // `ScanBatch::wrapped` accounting on the row path.
-                SharedCounters::add(&self.counters.scan_passes, 1);
-                SharedCounters::add(&self.worker_counters.segment_passes, 1);
-                self.record_pass_time();
-            }
+        }
+        if let Some((&boundary, _)) = self.starts_at.range(position + 1..chunk_end).next() {
+            chunk_end = boundary;
+        }
+        let chunk_len = (chunk_end - position) as usize;
 
-            // Query-start boundaries only ever coincide with chunk starts (the
-            // chunk-extent clamp below guarantees it): queries that already
-            // passed this position end here (wrap-around, §3.3.2) — everything
-            // produced so far was flushed at the previous chunk's end, so the
-            // drain barrier inside finalize covers it — and the rest pass it now.
-            if self.starts_at.contains_key(&position) {
-                let mut ending = std::mem::take(&mut self.ending_scratch);
-                ending.clear();
-                ending.extend(self.starts_at[&position].iter().copied());
-                let mut i = 0;
-                while i < ending.len() {
-                    match self.queries[ending[i]].as_mut() {
-                        Some(q) if q.passed_start => i += 1,
-                        Some(q) => {
-                            q.passed_start = true;
-                            ending.swap_remove(i);
-                        }
-                        None => {
-                            ending.swap_remove(i);
-                        }
-                    }
-                }
-                for bit in ending.drain(..) {
-                    self.finalize_query(bit);
-                }
-                self.ending_scratch = ending;
-                if self.active_mask.is_empty() {
-                    break 'chunk;
-                }
-            }
-
-            // Chunk extent: batch size, segment end, the replica/row-store
-            // frontier, the current row group's edge, and the next query-start
-            // boundary all clamp it.
-            let replica_len = replica.len() as u64;
-            let mut chunk_end = (position + self.config.batch_size as u64).min(end);
-            if position < replica_len {
-                chunk_end = chunk_end.min(replica_len);
-                let group = &replica.row_groups()[replica.group_of(position)];
-                chunk_end = chunk_end.min(group.start + group.len);
-            }
-            if let Some((&boundary, _)) = self.starts_at.range(position + 1..chunk_end).next() {
-                chunk_end = boundary;
-            }
-            let chunk_len = (chunk_end - position) as usize;
-
-            // Hybrid tail (rows appended after the replica was built) and
-            // quarantined groups are served from the live row store with the
-            // full per-row path; the replica is a frozen prefix of the row
-            // store, so a quarantined group's rows (and results) are identical,
-            // just slower. Chunks never cross a group edge, so the whole chunk
-            // shares one checksum verdict.
-            if position >= replica_len || !self.group_verified(replica.group_of(position)) {
+        let covered = match encoded {
+            Some(r) => self.scan_encoded_chunk(r, position, chunk_len, &mut chunk),
+            None => {
+                // No replica, a row beyond its frontier (appended after it was
+                // built) or a quarantined group: the live row store, a row at a
+                // time. The replica is a frozen prefix of the row store, so a
+                // quarantined group's rows (and results) are identical, just
+                // slower.
                 self.note_rows_scanned(chunk_len as u64);
                 chunk.tail_rows.clear();
-                table.read_range(position, chunk_len, &mut chunk.tail_rows);
+                self.scan
+                    .table()
+                    .read_range(position, chunk_len, &mut chunk.tail_rows);
                 self.emit_materialized_rows(&mut chunk.tail_rows);
-                let bytes = chunk_len as u64 * 8 * replica.schema().arity() as u64;
-                volume.record_scan(chunk_len as u64, bytes);
-                position = chunk_end;
-                break 'chunk;
+                if let Some(r) = &replica {
+                    let bytes = chunk_len as u64 * 8 * r.replica.schema().arity() as u64;
+                    r.volume.record_scan(chunk_len as u64, bytes);
+                }
+                chunk_len as u64
             }
-
-            position += self.scan_encoded_chunk(&replica, &volume, position, chunk_len, &mut chunk);
-        }
-
+        };
+        self.scan.advance(covered);
+        self.replica = replica;
         self.chunk = chunk;
-        let ScanKind::Columnar(cursor) = &mut self.scan else {
-            unreachable!("scan kind cannot change mid-call");
-        };
-        cursor.position = position;
-        cursor.passes = passes;
-    }
-
-    /// Checksum gate: verifies row group `g` the first time the cursor touches
-    /// it, before its encoded columns or zone maps are trusted. A group that
-    /// fails is quarantined for the life of this cursor. Returns whether the
-    /// group may be read from the replica.
-    fn group_verified(&mut self, g: usize) -> bool {
-        let ScanKind::Columnar(cursor) = &mut self.scan else {
-            unreachable!("row groups exist only under a columnar cursor");
-        };
-        if cursor.group_state.get(g).copied() == Some(GROUP_UNVERIFIED) {
-            if cursor.replica.verify_group(g) {
-                cursor.group_state[g] = GROUP_VERIFIED;
-            } else {
-                cursor.group_state[g] = GROUP_QUARANTINED;
-                cursor.volume.record_group_quarantined();
-                eprintln!(
-                    "cjoin: columnar row group {g} failed its checksum; \
-                     serving its rows from the row store"
-                );
-            }
-        }
-        cursor.group_state.get(g).copied() != Some(GROUP_QUARANTINED)
     }
 
     /// Counts `rows` scanned rows: every active query sees every scanned row
@@ -1180,12 +986,12 @@ impl Preprocessor {
     /// query is finalized before the next row is looked at.
     fn scan_encoded_chunk(
         &mut self,
-        replica: &ColumnarTable,
-        volume: &ScanVolume,
+        r: &ReplicaScan,
         position: u64,
         chunk_len: usize,
         chunk: &mut ChunkScratch,
     ) -> u64 {
+        let (replica, volume) = (&*r.replica, &*r.volume);
         let at = position as usize;
         let group = &replica.row_groups()[replica.group_of(position)];
 
@@ -1214,16 +1020,13 @@ impl Preprocessor {
         // Byte accounting: each column read for the whole chunk (predicates,
         // the probed foreign key) is billed once over the chunk;
         // materialisation bills the projected columns per row it built.
-        let ScanKind::Columnar(cursor) = &self.scan else {
-            unreachable!("the encoded region exists only under a columnar cursor");
-        };
         let mut chunk_bytes = 0u64;
         let whole = chunk.touched.iter().enumerate().filter(|(_, t)| **t);
         let billed = whole
             .map(|(c, _)| (c, covered as u64))
             .chain(self.projection.iter().map(|&c| (c, materialised)));
         for (c, rows) in billed {
-            let bytes = cursor.col_bytes_per_row[c] * rows;
+            let bytes = r.col_bytes_per_row[c] * rows;
             volume.record_column(c, bytes);
             chunk_bytes += bytes;
         }
@@ -1347,9 +1150,9 @@ impl Preprocessor {
             Some(wanted)
         };
         // Partition coverage counts *seen* rows whether or not a predicate
-        // dropped them (same rule as the row path); the partition column is
-        // read from the encoded data because the projected tuple may not
-        // carry it.
+        // dropped them (as in `apply_special_predicates`); the partition
+        // column is read from the encoded data because the projected tuple
+        // may not carry it.
         let partition = match &self.partition_scheme {
             Some((scheme, column)) if verdicts.any_partition => {
                 values.clear();
@@ -1581,12 +1384,10 @@ impl Preprocessor {
         self.flush(batch)
     }
 
-    /// Runs the full row-at-a-time path (visibility, special predicates,
-    /// emission) over already-materialised rows — the hybrid-tail rows the
-    /// columnar replica does not cover. Mirrors the per-row body of
-    /// [`Preprocessor::process_next_scan_batch`] minus boundary handling, which
-    /// the columnar chunking has already done at the chunk start.
-    fn emit_materialized_rows(&mut self, rows: &mut Vec<(RowId, cjoin_storage::Row, RowVersion)>) {
+    /// The per-row body of a chunk read from the row store: initialise `bτ`
+    /// from the active mask, snapshot visibility and the special predicates,
+    /// and copy the rows some query still wants into pooled tuples.
+    fn emit_materialized_rows(&mut self, rows: &mut Vec<(RowId, Row, RowVersion)>) {
         let num_slots = self.slot_count.load(Ordering::Acquire);
         let mut out: Batch = self.pool.take(self.config.batch_size);
         let mut partition_done: Vec<usize> = Vec::new();
@@ -1856,16 +1657,46 @@ mod tests {
     use crossbeam::channel::{bounded, unbounded};
     use std::time::Instant;
 
+    /// `fact(fk, v)`, 16 rows a page, holding rows `0..rows` (`fk = i % 3`,
+    /// `v = i`) at the initial snapshot.
     fn fact_table(rows: i64) -> Arc<Table> {
         let t = Table::with_rows_per_page(
             Schema::new("fact", vec![Column::int("fk"), Column::int("v")]),
             16,
         );
-        t.insert_batch_unchecked(
-            (0..rows).map(|i| Row::new(vec![Value::int(i % 3), Value::int(i)])),
-            SnapshotId::INITIAL,
-        );
+        append_rows(&t, 0..rows, SnapshotId::INITIAL);
         Arc::new(t)
+    }
+
+    fn append_rows(table: &Table, rows: std::ops::Range<i64>, snapshot: SnapshotId) {
+        table.insert_batch_unchecked(
+            rows.map(|i| Row::new(vec![Value::int(i % 3), Value::int(i)])),
+            snapshot,
+        );
+    }
+
+    /// A compressed replica of `table` as it is now.
+    fn replica_of(table: &Table) -> Arc<ColumnarTable> {
+        Arc::new(
+            ColumnarTable::from_table(table, cjoin_storage::CompressionPolicy::Adaptive).unwrap(),
+        )
+    }
+
+    /// A scan worker over `segment` of `table`, reading what `replica` (if
+    /// any) covers from it.
+    fn scan_worker(
+        table: &Arc<Table>,
+        replica: Option<&Arc<ColumnarTable>>,
+        segment: (u64, Option<u64>),
+        commands: Receiver<PreprocessorCommand>,
+        ctx: PreprocessorContext,
+    ) -> Preprocessor {
+        let scan = ContinuousScan::new(Arc::clone(table)).with_segment(segment.0, segment.1);
+        let replica = replica.map(|r| {
+            let volume = Arc::new(ScanVolume::with_columns(table.schema().arity()));
+            ReplicaScan::new(Arc::clone(r), volume)
+        });
+        Preprocessor::new(scan, replica, commands, ctx)
     }
 
     /// The context of a one-worker front-end; tests of wider ones overwrite
@@ -1894,12 +1725,13 @@ mod tests {
         }
     }
 
-    /// Builds a one-worker front-end wired to in-memory channels, returning the
-    /// pieces the test drives directly.
+    /// Builds a one-worker front-end over `table` (and `replica`, if any) wired
+    /// to in-memory channels, returning the pieces the test drives directly.
     #[allow(clippy::type_complexity)]
     fn harness(
-        rows: i64,
-        config: CjoinConfig,
+        table: Arc<Table>,
+        replica: Option<Arc<ColumnarTable>>,
+        config: &CjoinConfig,
     ) -> (
         Preprocessor,
         Sender<PreprocessorCommand>,
@@ -1907,14 +1739,12 @@ mod tests {
         Receiver<Message>,
         Arc<AtomicI64>,
     ) {
-        let table = fact_table(rows);
-        let scan = ContinuousScan::new(table).with_batch_rows(config.batch_size);
         let (cmd_tx, cmd_rx) = unbounded();
         let (stage_tx, stage_rx) = unbounded();
         let (dist_tx, dist_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(0));
-        let ctx = context(&config, stage_tx, dist_tx, Arc::clone(&in_flight));
-        let pre = Preprocessor::new(ScanKind::Row(scan), cmd_rx, ctx);
+        let ctx = context(config, stage_tx, dist_tx, Arc::clone(&in_flight));
+        let pre = scan_worker(&table, replica.as_ref(), (0, None), cmd_rx, ctx);
         (pre, cmd_tx, stage_rx, dist_rx, in_flight)
     }
 
@@ -1970,7 +1800,7 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, _stage_rx, dist_rx, _) = harness(25, config);
+        let (mut pre, cmd_tx, _stage_rx, dist_rx, _) = harness(fact_table(25), None, &config);
         let (rt, _res) = dummy_runtime(0);
         install(&cmd_tx, rt);
         pre.apply_commands();
@@ -1986,7 +1816,8 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(25, config);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
+            harness(fact_table(25), None, &config);
         let (rt, _res) = dummy_runtime(0);
         install(&cmd_tx, rt);
         pre.apply_commands();
@@ -1997,7 +1828,7 @@ mod tests {
         let mut data_tuples = 0usize;
         let mut saw_end = false;
         for _ in 0..10 {
-            pre.process_next_scan_batch();
+            pre.process_next_chunk();
             while let Ok(msg) = stage_rx.try_recv() {
                 if let Message::Data(batch) = msg {
                     data_tuples += batch.len();
@@ -2019,102 +1850,9 @@ mod tests {
     }
 
     #[test]
-    fn query_registered_mid_scan_sees_exactly_one_pass() {
-        let config = CjoinConfig::default()
-            .with_max_concurrency(8)
-            .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(30, config);
-
-        // First query keeps the scan busy.
-        let (rt0, _r0) = dummy_runtime(0);
-        install(&cmd_tx, rt0);
-        pre.apply_commands();
-        let _ = dist_rx.try_recv();
-        pre.process_next_scan_batch(); // rows 0..10 for q0
-
-        // Second query arrives mid-scan (position 10).
-        let (rt1, _r1) = dummy_runtime(1);
-        install(&cmd_tx, rt1);
-        pre.apply_commands();
-        let _ = dist_rx.try_recv();
-
-        let mut q1_tuples = 0usize;
-        let mut q1_ended = false;
-        for _ in 0..20 {
-            pre.process_next_scan_batch();
-            while let Ok(msg) = stage_rx.try_recv() {
-                if let Message::Data(batch) = msg {
-                    q1_tuples += batch.iter().filter(|t| t.bits.get(1)).count();
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            while let Ok(msg) = dist_rx.try_recv() {
-                if let Message::Control(ControlTuple::QueryEnd(QueryId(1))) = msg {
-                    q1_ended = true;
-                }
-            }
-            if q1_ended {
-                break;
-            }
-        }
-        assert!(q1_ended);
-        assert_eq!(
-            q1_tuples, 30,
-            "the mid-scan query sees each fact tuple exactly once"
-        );
-    }
-
-    #[test]
-    fn fact_predicate_clears_bits() {
-        let config = CjoinConfig::default()
-            .with_max_concurrency(8)
-            .with_batch_size(100);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(30, config);
-        let (rt, _r) = dummy_runtime(0);
-        // Predicate: fk = 1 (10 of 30 rows).
-        let catalog = Catalog::new();
-        let fact = Table::new(Schema::new(
-            "fact",
-            vec![Column::int("fk"), Column::int("v")],
-        ));
-        catalog.add_fact_table(Arc::new(fact));
-        let pred = cjoin_query::Predicate::eq("fk", 1)
-            .bind(catalog.fact_table().unwrap().schema())
-            .unwrap();
-        let (ack_tx, _ack) = bounded(1);
-        cmd_tx
-            .send(PreprocessorCommand::Install {
-                runtime: rt,
-                fact_predicate: Some(pred),
-                snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
-                ack: Some(ack_tx),
-            })
-            .unwrap();
-        pre.apply_commands();
-        let _ = dist_rx.try_recv();
-
-        let mut relevant = 0usize;
-        for _ in 0..3 {
-            pre.process_next_scan_batch();
-            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                relevant += batch.len();
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
-            if pre.active_queries() == 0 {
-                break;
-            }
-        }
-        assert_eq!(
-            relevant, 10,
-            "only rows satisfying the fact predicate are forwarded"
-        );
-    }
-
-    #[test]
     fn shutdown_command_stops_the_loop() {
         let config = CjoinConfig::default().with_max_concurrency(4);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, _) = harness(5, config);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, _) = harness(fact_table(5), None, &config);
         cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
         pre.run(); // returns instead of scanning forever
         assert!(
@@ -2128,66 +1866,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_visibility_is_a_virtual_predicate() {
-        let config = CjoinConfig::default()
-            .with_max_concurrency(8)
-            .with_batch_size(100);
-        // Build a table where 5 rows are visible at snapshot 0 and 5 more at snapshot 1.
-        let t = Table::new(Schema::new(
-            "fact",
-            vec![Column::int("fk"), Column::int("v")],
-        ));
-        for i in 0..5 {
-            t.insert(vec![Value::int(i), Value::int(i)], SnapshotId(0))
-                .unwrap();
-        }
-        for i in 5..10 {
-            t.insert(vec![Value::int(i), Value::int(i)], SnapshotId(1))
-                .unwrap();
-        }
-        let scan = ContinuousScan::new(Arc::new(t)).with_batch_rows(100);
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (stage_tx, stage_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded();
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let ctx = context(&config, stage_tx, dist_tx, Arc::clone(&in_flight));
-        let mut pre = Preprocessor::new(ScanKind::Row(scan), cmd_rx, ctx);
-        // Query pinned at snapshot 0 must only see the first 5 rows.
-        let (rt, _r) = dummy_runtime(0);
-        let (ack_tx, _ack) = bounded(1);
-        cmd_tx
-            .send(PreprocessorCommand::Install {
-                runtime: rt,
-                fact_predicate: None,
-                snapshot: SnapshotId(0),
-                partition: Vec::new(),
-                ack: Some(ack_tx),
-            })
-            .unwrap();
-        pre.apply_commands();
-        let _ = dist_rx.try_recv();
-        let mut forwarded = 0usize;
-        for _ in 0..3 {
-            pre.process_next_scan_batch();
-            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                forwarded += batch.len();
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
-            if pre.active_queries() == 0 {
-                break;
-            }
-        }
-        assert_eq!(forwarded, 5);
-    }
-
-    #[test]
     fn many_active_queries_share_one_boundary_lookup_per_batch() {
         // Regression shape for the O(active-queries)-per-row loops: all queries
         // installed at position 0 must still end after exactly one pass each.
         let config = CjoinConfig::default()
             .with_max_concurrency(16)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(30, config);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
+            harness(fact_table(30), None, &config);
         let runtimes: Vec<_> = (0..8).map(dummy_runtime).collect();
         for (rt, _) in &runtimes {
             install(&cmd_tx, Arc::clone(rt));
@@ -2198,7 +1884,7 @@ mod tests {
 
         let mut ended = 0usize;
         for _ in 0..10 {
-            pre.process_next_scan_batch();
+            pre.process_next_chunk();
             while let Ok(msg) = stage_rx.try_recv() {
                 if let Message::Data(_) = msg {
                     in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -2425,8 +2111,7 @@ mod tests {
         ctx.siblings = vec![dead_tx];
         ctx.stall = ScanStall::new(2);
         let counters = Arc::clone(&ctx.counters);
-        let scan = ContinuousScan::new(fact_table(25)).with_batch_rows(config.batch_size);
-        let mut lead = Preprocessor::new(ScanKind::Row(scan), cmd_rx, ctx);
+        let mut lead = scan_worker(&fact_table(25), None, (0, None), cmd_rx, ctx);
 
         let (rt, _res) = dummy_runtime(0);
         let ack_rx = install(&cmd_tx, rt);
@@ -2454,16 +2139,23 @@ mod tests {
     /// The whole front-end at widths 1 and 3 — scan worker threads over
     /// in-memory channels, with a consumer emulating the filter stages and the
     /// Distributor (drains data, decrements in-flight, records per-bit tuple
-    /// counts and control ordering).
+    /// counts and control ordering) — without a replica, with one frozen at row
+    /// 40 (its frontier inside a segment at either width) and with a full one.
     #[test]
     fn front_end_delivers_exactly_one_pass_and_ordered_controls() {
         const ROWS: i64 = 95;
-        for width in [1, 3] {
+        let cases = [None, Some(40), Some(ROWS)]
+            .into_iter()
+            .flat_map(|frontier| [(frontier, 1), (frontier, 3)]);
+        for (frontier, width) in cases {
+            let case = format!("replica {frontier:?}, width {width}");
             let config = CjoinConfig::default()
                 .with_max_concurrency(8)
                 .with_batch_size(10)
                 .with_scan_workers(width);
-            let table = fact_table(ROWS);
+            let table = fact_table(frontier.unwrap_or(ROWS));
+            let replica = frontier.map(|_| replica_of(&table));
+            append_rows(&table, table.len() as i64..ROWS, SnapshotId::INITIAL);
             let (stage_tx, stage_rx) = unbounded();
             let (dist_tx, dist_rx) = unbounded::<Message>();
             let in_flight = Arc::new(AtomicI64::new(0));
@@ -2477,10 +2169,7 @@ mod tests {
             let mut command_rxs = vec![cmd_rx];
             command_rxs.extend(sibling_rxs);
             let mut worker_handles = Vec::new();
-            for (w, (&(start, end), commands)) in ranges.iter().zip(command_rxs).enumerate() {
-                let scan = ContinuousScan::new(Arc::clone(&table))
-                    .with_batch_rows(config.batch_size)
-                    .with_segment(start, end);
+            for (w, (&segment, commands)) in ranges.iter().zip(command_rxs).enumerate() {
                 let mut ctx = context(
                     &config,
                     stage_tx.clone(),
@@ -2491,7 +2180,7 @@ mod tests {
                 ctx.siblings = std::mem::take(&mut sibling_txs); // all to worker 0
                 ctx.stall = Arc::clone(&stall);
                 ctx.counters = Arc::clone(&counters);
-                let mut worker = Preprocessor::new(ScanKind::Row(scan), commands, ctx);
+                let mut worker = scan_worker(&table, replica.as_ref(), segment, commands, ctx);
                 worker_handles.push(std::thread::spawn(move || worker.run()));
             }
             drop((stage_tx, dist_tx));
@@ -2561,16 +2250,16 @@ mod tests {
             let (tuples_per_bit, mut ends, dist_rx) = consumer.join().unwrap();
             assert_eq!(
                 tuples_per_bit[0], ROWS as u64,
-                "width {width}: query 0 sees each fact row exactly once across segments"
+                "{case}: query 0 sees each fact row exactly once across segments"
             );
             assert_eq!(
                 tuples_per_bit[1], ROWS as u64,
-                "width {width}: the mid-scan query sees each fact row exactly once"
+                "{case}: the mid-scan query sees each fact row exactly once"
             );
             assert_eq!(
                 in_flight.load(Ordering::Acquire),
                 0,
-                "width {width}: quiesced after both queries ended"
+                "{case}: quiesced after both queries ended"
             );
             for tracker in &trackers {
                 assert!(tracker.is_completed());
@@ -2587,17 +2276,154 @@ mod tests {
             for msg in dist_rx.try_iter() {
                 match msg {
                     Message::Control(ControlTuple::QueryEnd(id)) => ends[id.index()] += 1,
-                    other => panic!("width {width}: stray message at shutdown: {other:?}"),
+                    other => panic!("{case}: stray message at shutdown: {other:?}"),
                 }
             }
-            assert_eq!(ends[..2], [1, 1], "width {width}: one end tuple per query");
+            assert_eq!(ends[..2], [1, 1], "{case}: one end tuple per query");
             assert_eq!(
                 counters.control_barriers.load(Ordering::Relaxed),
                 2,
-                "width {width}: one drain per end tuple"
+                "{case}: one drain per end tuple"
             );
             assert_eq!(counters.queries_admitted.load(Ordering::Relaxed), 2);
         }
+    }
+
+    /// What a worker emitted, in emission order.
+    #[derive(Debug, PartialEq)]
+    enum Emitted {
+        /// A data batch: each tuple's row id and set bits.
+        Batch(Vec<(u64, Vec<usize>)>),
+        Start(QueryId),
+        End(QueryId),
+    }
+
+    /// One scripted run of a width-1 worker — appends, a mid-pass install, a
+    /// fact predicate, a non-initial snapshot, a partition plan that completes
+    /// mid-chunk, two wrap-arounds — checked two ways. Each query must get
+    /// exactly the rows it selects, once, in scan order from its starting
+    /// tuple, and one end tuple. And a scan without a replica is the scan whose
+    /// replica covers nothing: a worker with no replica and one whose replica
+    /// was built while the table was empty must emit the same batches and
+    /// control tuples in the same order.
+    #[test]
+    fn an_empty_replica_emits_what_no_replica_does() {
+        let run = |with_replica: bool| -> Vec<Emitted> {
+            let table = fact_table(0);
+            let replica = with_replica.then(|| replica_of(&table));
+            append_rows(&table, 0..70, SnapshotId::INITIAL);
+            let catalog = Catalog::new();
+            catalog.add_fact_table(Arc::clone(&table));
+            let config = CjoinConfig::default()
+                .with_max_concurrency(8)
+                .with_batch_size(10);
+
+            // Data and control share one channel, so its order is the emission
+            // order. The consumer stands in for the Stages and the Distributor.
+            let (tx, rx) = unbounded();
+            let (cmd_tx, cmd_rx) = unbounded();
+            let in_flight = Arc::new(AtomicI64::new(0));
+            let mut ctx = context(&config, tx.clone(), tx, Arc::clone(&in_flight));
+            // Partitions of `v`: [..30), [30, 55), [55..).
+            ctx.partition_scheme = Some((PartitionScheme::new(1, vec![30, 55]).unwrap(), 1));
+            let mut pre = scan_worker(&table, replica.as_ref(), (0, None), cmd_rx, ctx);
+            let consumer = std::thread::spawn(move || {
+                let mut emitted = Vec::new();
+                for msg in &rx {
+                    emitted.push(match msg {
+                        Message::Data(batch) => {
+                            in_flight.fetch_sub(1, Ordering::AcqRel);
+                            let tuples =
+                                batch.iter().map(|t| (t.row_id.0, t.bits.iter().collect()));
+                            Emitted::Batch(tuples.collect())
+                        }
+                        Message::Control(ControlTuple::QueryStart(rt)) => Emitted::Start(rt.id),
+                        Message::Control(ControlTuple::QueryEnd(id)) => Emitted::End(id),
+                        other => panic!("unexpected message {other:?}"),
+                    });
+                }
+                emitted
+            });
+
+            let install = |pre: &mut Preprocessor, bit, predicate, snapshot, plan| {
+                let query = StarQuery::builder(format!("q{bit}"))
+                    .fact_predicate(predicate)
+                    .aggregate(AggregateSpec::count_star())
+                    .build();
+                install_with(&cmd_tx, star_runtime(&catalog, bit, query), snapshot, plan);
+                pre.apply_commands();
+            };
+            use cjoin_query::Predicate;
+
+            install(
+                &mut pre,
+                0,
+                Predicate::eq("fk", 1),
+                SnapshotId::INITIAL,
+                None,
+            );
+            for _ in 0..3 {
+                pre.process_next_chunk();
+            }
+            // Mid-pass, at row 30: a later snapshot, and a plan over the middle
+            // partition, whose last row (54) is inside a chunk.
+            install(&mut pre, 1, Predicate::True, SnapshotId(2), None);
+            let plan = PartitionPlan {
+                needed: vec![false, true, false],
+                remaining_rows: 25,
+            };
+            install(
+                &mut pre,
+                2,
+                Predicate::True,
+                SnapshotId::INITIAL,
+                Some(plan),
+            );
+            pre.process_next_chunk();
+            // The pass grows under the scan; only query 1 sees these rows.
+            append_rows(&table, 70..95, SnapshotId(2));
+            let mut installed_last = false;
+            for _ in 0..100 {
+                pre.process_next_chunk();
+                if !installed_last && pre.scan.passes() == 1 && pre.scan.position() == 10 {
+                    install(&mut pre, 3, Predicate::True, SnapshotId::INITIAL, None);
+                    installed_last = true;
+                }
+            }
+            assert!(installed_last);
+            assert_eq!(pre.active_queries(), 0, "all four queries ended");
+            assert_eq!(pre.scan.passes(), 2, "the last one in the third pass");
+            assert_eq!(
+                pre.counters.tuples_scanned.load(Ordering::Relaxed),
+                95 + 95 + 10
+            );
+            drop(pre);
+            consumer.join().unwrap()
+        };
+        let without = run(false);
+        let ends = |id| {
+            without
+                .iter()
+                .filter(|e| **e == Emitted::End(QueryId(id)))
+                .count()
+        };
+        assert_eq!([ends(0), ends(1), ends(2), ends(3)], [1; 4]);
+        let tuples_of = |bit: usize| -> Vec<u64> {
+            let batches = without.iter().filter_map(|e| match e {
+                Emitted::Batch(tuples) => Some(tuples),
+                _ => None,
+            });
+            let tuples = batches.flatten().filter(|(_, bits)| bits.contains(&bit));
+            tuples.map(|(row, _)| *row).collect()
+        };
+        assert_eq!(
+            tuples_of(0),
+            (0..70).filter(|i| i % 3 == 1).collect::<Vec<_>>()
+        );
+        assert_eq!(tuples_of(1), (30..95).chain(0..30).collect::<Vec<_>>());
+        assert_eq!(tuples_of(2), (30..55).collect::<Vec<_>>());
+        assert_eq!(tuples_of(3), (10..70).chain(0..10).collect::<Vec<_>>());
+        assert_eq!(run(true), without);
     }
 
     // ------------------------------------------------------------------
@@ -2666,47 +2492,18 @@ mod tests {
         (runtime, fact_predicate)
     }
 
-    /// A one-worker columnar front-end over `catalog`'s fact table sharing
-    /// `chain` with whoever plays the Stage.
-    #[allow(clippy::type_complexity)]
-    fn columnar_harness(
-        catalog: &Catalog,
-        config: &CjoinConfig,
-        chain: &Arc<FilterChain>,
-    ) -> (
-        Preprocessor,
-        Sender<PreprocessorCommand>,
-        Receiver<Message>,
-        Receiver<Message>,
-        Arc<AtomicI64>,
-    ) {
-        let fact = catalog.fact_table().unwrap();
-        let replica = Arc::new(
-            ColumnarTable::from_table(&fact, cjoin_storage::CompressionPolicy::Adaptive).unwrap(),
-        );
-        let volume = Arc::new(ScanVolume::with_columns(fact.schema().arity()));
-        let cursor = ColumnarScanCursor::new(replica, fact, volume);
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (stage_tx, stage_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded();
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let mut ctx = context(config, stage_tx, dist_tx, Arc::clone(&in_flight));
-        ctx.chain = Arc::clone(chain);
-        ctx.slot_count = Arc::new(AtomicUsize::new(2));
-        let pre = Preprocessor::new(ScanKind::Columnar(cursor), cmd_rx, ctx);
-        (pre, cmd_tx, stage_rx, dist_rx, in_flight)
-    }
-
     fn install_with(
         cmd_tx: &Sender<PreprocessorCommand>,
         (runtime, fact_predicate): (Arc<QueryRuntime>, Option<BoundPredicate>),
+        snapshot: SnapshotId,
+        plan: Option<PartitionPlan>,
     ) {
         cmd_tx
             .send(PreprocessorCommand::Install {
                 runtime,
                 fact_predicate,
-                snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
+                snapshot,
+                partition: vec![plan],
                 ack: None,
             })
             .unwrap();
@@ -2756,18 +2553,28 @@ mod tests {
             .aggregate(AggregateSpec::count_star())
             .build();
 
+        // The front-end reads a full replica and shares `chain` with the Stage.
+        let fact = catalog.fact_table().unwrap();
+        let replica = replica_of(&fact);
         let (mut pre, cmd_tx, stage_rx, _dist_rx, _in_flight) =
-            columnar_harness(&catalog, &config, &chain);
-        install_with(&cmd_tx, star_runtime(&catalog, 0, query));
+            harness(fact, Some(replica), &config);
+        pre.chain = Arc::clone(&chain);
+        pre.slot_count = Arc::new(AtomicUsize::new(2));
+        install_with(
+            &cmd_tx,
+            star_runtime(&catalog, 0, query),
+            SnapshotId::INITIAL,
+            None,
+        );
         pre.apply_commands();
 
         // Chunks 0 and 1 under [a, b], chunks 2 and 3 under [b, a]; nothing
         // has been taken off the Stage queue yet.
-        pre.process_next_columnar_chunk();
-        pre.process_next_columnar_chunk();
+        pre.process_next_chunk();
+        pre.process_next_chunk();
         assert!(chain.reorder(&["b".into(), "a".into()]));
-        pre.process_next_columnar_chunk();
-        pre.process_next_columnar_chunk();
+        pre.process_next_chunk();
+        pre.process_next_chunk();
 
         let fks = |i: i64| (i * 7 % 4, i / 3 % 3);
         let half = ROWS / 2;
@@ -2822,9 +2629,9 @@ mod tests {
         }
     }
 
-    /// Timing probe for the columnar front-end alone: a date-clustered replica,
-    /// eight registered 90-day-window queries joining one dimension at 5 %
-    /// selectivity, `Preprocessor::run` into a receiver that only drains.
+    /// Timing probe for the front-end alone over encoded chunks: a
+    /// date-clustered replica, eight registered 90-day-window queries joining
+    /// one dimension at 5 % selectivity, `Preprocessor::run` into a receiver that only drains.
     /// `cargo test --release -p cjoin-core columnar_probe_before_materialise_timing -- --ignored --nocapture`
     #[test]
     #[ignore = "timing probe; run with --ignored --nocapture"]
@@ -2844,8 +2651,11 @@ mod tests {
             &QuerySet::new(QUERIES as usize),
         ));
         chain.push(Arc::clone(&dim));
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
-            columnar_harness(&catalog, &config, &chain);
+        let fact = catalog.fact_table().unwrap();
+        let replica = replica_of(&fact);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(fact, Some(replica), &config);
+        pre.chain = Arc::clone(&chain);
+        pre.slot_count = Arc::new(AtomicUsize::new(2));
         let counters = Arc::clone(&pre.counters);
 
         let days = ROWS / 100;
@@ -2863,7 +2673,12 @@ mod tests {
                 .join_dimension("a", "fk_a", "k", cjoin_query::Predicate::True)
                 .aggregate(AggregateSpec::count_star())
                 .build();
-            install_with(&cmd_tx, star_runtime(&catalog, q, query));
+            install_with(
+                &cmd_tx,
+                star_runtime(&catalog, q, query),
+                SnapshotId::INITIAL,
+                None,
+            );
         }
 
         let started = Instant::now();

@@ -9,7 +9,7 @@
 //! Control tuples (`query start` / `query end`, §3.3) carry query lifecycle events
 //! from the Preprocessor to the Distributor. The pipeline guarantees they are never
 //! reordered relative to data tuples (§3.3.3); see
-//! [`Pipeline`](crate::pipeline::Pipeline) for how that ordering is enforced.
+//! [`crate::pipeline`] for how that ordering is enforced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -13,14 +13,14 @@
 //! * [`GalaxyQuery`] — a two-sided query: each [`SideSpec`] is a star sub-query (fact
 //!   table, dimension joins, predicates) plus the foreign-key column used as the
 //!   fact-to-fact pivot; group-by columns and aggregates reference one side each.
-//! * [`GalaxyQuery::decompose`] — rewrites the query into two [`StarQuery`]s whose
+//! * [`GalaxyQuery::decompose`] — rewrites the query into two [`cjoin_query::StarQuery`]s whose
 //!   per-group output is *partially aggregated by pivot key* (sum/count/min/max per
 //!   pivot value plus the group's row multiplicity) together with a [`MergePlan`].
-//! * [`GalaxyEngine`] — owns one [`CjoinEngine`] per fact table, registers the two
+//! * [`GalaxyEngine`] — owns one [`cjoin_core::CjoinEngine`] per fact table, registers the two
 //!   star sub-queries concurrently (they share those engines' always-on pipelines
 //!   with every other in-flight star query) and runs the fact-to-fact join operator
 //!   ([`merge::merge_results`]) over their outputs.
-//! * [`reference`] — an independent nested-loop/hash-join oracle used by the tests to
+//! * [`mod@reference`] — an independent nested-loop/hash-join oracle used by the tests to
 //!   check that the decomposition is answer-preserving.
 //!
 //! The partial-aggregation-through-the-join rewrite is the standard "eager group-by"

@@ -45,7 +45,7 @@
 //! Hashing by reference is sound because hash and equality are defined on values,
 //! never on addresses: `Value`'s derived `Hash` covers an integer's bits or a
 //! string's bytes, so the values a tuple refers to hash exactly like the clones a
-//! group stores, and [`same_value`] compares contents (`Arc::ptr_eq` is only a
+//! group stores, and `same_value` compares contents (`Arc::ptr_eq` is only a
 //! shortcut that skips the byte comparison when both sides share an allocation).
 //! Two equal strings in different allocations — what re-versioning a dimension
 //! row under ingest produces — land in one group. Which slot or group id a key

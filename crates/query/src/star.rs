@@ -5,7 +5,7 @@
 //! predicate per referenced dimension (`c_ij`), an optional fact predicate (`c_i0`),
 //! a GROUP BY list, and a list of aggregates. Queries are written against table and
 //! column *names*; [`StarQuery::bind`] resolves them against a
-//! [`Catalog`](cjoin_storage::Catalog) into a [`BoundStarQuery`] whose evaluation
+//! [`cjoin_storage::Catalog`] into a [`BoundStarQuery`] whose evaluation
 //! requires only integer column indices — the form consumed by the CJOIN pipeline,
 //! the query-at-a-time baseline, and the reference oracle alike.
 

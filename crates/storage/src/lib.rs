@@ -52,7 +52,7 @@ pub use compress::{BitPackedVec, DeltaVec, DictColumn, Dictionary, RleVec, RunCu
 pub use io::{AccessKind, IoModel, IoStats};
 pub use partition::{PartitionId, PartitionScheme};
 pub use row::{Row, RowId};
-pub use scan::{segment_ranges, ContinuousScan, ScanBatch, TableScan};
+pub use scan::{segment_ranges, ContinuousScan, ScanBatch, ScanStep, TableScan};
 pub use schema::{Column, ColumnId, ColumnType, Schema};
 pub use snapshot::{RowVersion, SnapshotId, SnapshotManager};
 pub use table::Table;

@@ -180,6 +180,19 @@ pub fn segment_ranges(table_len: u64, rows_per_page: usize, n: usize) -> Vec<(u6
     ranges
 }
 
+/// Where the next rows of a [`ContinuousScan`] come from: its cursor folded
+/// into the segment (see [`ContinuousScan::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanStep {
+    /// Position of the next row.
+    pub position: u64,
+    /// One past the last row of the current pass: the segment end clamped to
+    /// the live table length.
+    pub end: u64,
+    /// True if `position` starts a new pass (it is the segment start).
+    pub wrapped: bool,
+}
+
 /// The circular fact-table scan feeding the CJOIN pipeline.
 ///
 /// The scan has no notion of "end": every call to [`ContinuousScan::next_batch`]
@@ -292,38 +305,62 @@ impl ContinuousScan {
         (self.segment_start.min(end), end)
     }
 
-    /// Fills `batch` with the next run of rows.
+    /// Folds the cursor into the segment and reports where the next rows come
+    /// from, or `None` if the table (or segment) is empty. A cursor at or
+    /// beyond the segment end wraps to the segment start here, lazily, and
+    /// that is when the finished pass is counted; the pass's length is the
+    /// one sampled by this call, so rows appended mid-pass extend it and a
+    /// pass is always one well-defined full scan.
     ///
-    /// `batch.wrapped` is set when this batch starts a new pass (the segment
-    /// start; position 0 for a whole-table scan). The batch never crosses the wrap
-    /// point. The snapshot length of the current pass is sampled when the pass
-    /// starts wrapping, so rows appended mid-pass are picked up on the next pass —
-    /// matching the paper's requirement that each query sees one well-defined full
-    /// scan.
-    pub fn next_batch(&mut self, batch: &mut ScanBatch) {
-        batch.clear();
+    /// The cursor does not move until [`ContinuousScan::advance`]: a caller
+    /// reads any run of rows in `position..end` itself and then advances past
+    /// it, which is how the Preprocessor cuts its chunks.
+    pub fn step(&mut self) -> Option<ScanStep> {
         let (start, end) = self.current_bounds();
         if start >= end {
-            // Empty table or empty segment: report a wrap, never spin.
-            batch.wrapped = true;
-            return;
+            return None;
         }
         if self.position >= end || self.position < start {
-            // Wrap around: a pass just completed.
             self.position = start;
             self.passes += 1;
         }
-        batch.wrapped = self.position == start;
-        let remaining = (end - self.position) as usize;
-        let to_read = remaining.min(self.batch_rows);
+        Some(ScanStep {
+            position: self.position,
+            end,
+            wrapped: self.position == start,
+        })
+    }
+
+    /// Moves the cursor past `rows` rows of the run the last
+    /// [`ContinuousScan::step`] reported.
+    pub fn advance(&mut self, rows: u64) {
+        self.position += rows;
+    }
+
+    /// Fills `batch` with the next run of rows: one [`ContinuousScan::step`],
+    /// up to `batch_rows` rows read from its position, the cursor advanced
+    /// past them.
+    ///
+    /// `batch.wrapped` is set when this batch starts a new pass (the segment
+    /// start; position 0 for a whole-table scan) and on the empty batch of an
+    /// empty table or segment, so callers never spin. The batch never crosses
+    /// the wrap point.
+    pub fn next_batch(&mut self, batch: &mut ScanBatch) {
+        batch.clear();
+        let Some(step) = self.step() else {
+            batch.wrapped = true;
+            return;
+        };
+        batch.wrapped = step.wrapped;
+        let to_read = ((step.end - step.position) as usize).min(self.batch_rows);
         let read = self
             .table
-            .read_range(self.position, to_read, &mut batch.rows);
+            .read_range(step.position, to_read, &mut batch.rows);
         if let Some(io) = &self.io {
             let pages = (read as u64).div_ceil(self.table.rows_per_page() as u64);
             io.record(AccessKind::Sequential, pages);
         }
-        self.position += read as u64;
+        self.advance(read as u64);
     }
 }
 
@@ -624,6 +661,51 @@ mod tests {
         scan.next_batch(&mut batch);
         assert!(batch.wrapped);
         assert_eq!(batch.len(), 15, "next pass sees the grown segment");
+    }
+
+    /// `next_batch` is `step` + `read_range` + `advance`: a caller that takes the
+    /// steps itself (as the Preprocessor does) visits the same
+    /// `(position, len, wrapped)` sequence over a segmented, growing table.
+    #[test]
+    fn stepping_by_hand_visits_the_batches_next_batch_does() {
+        for (start, end) in [(0, None), (10, Some(40)), (30, None), (20, Some(20))] {
+            let t = fact_table(50);
+            let mut batched = ContinuousScan::new(Arc::clone(&t))
+                .with_batch_rows(7)
+                .with_segment(start, end);
+            let mut stepped = ContinuousScan::new(Arc::clone(&t)).with_segment(start, end);
+            let mut batch = ScanBatch::default();
+            let mut rows = Vec::new();
+            for round in 0..40 {
+                if round == 9 || round == 23 {
+                    // Mid-pass growth: extends an open-ended segment's current pass.
+                    let len = t.len() as i64;
+                    t.insert_batch_unchecked(
+                        (len..len + 11).map(|i| Row::new(vec![Value::int(i), Value::int(0)])),
+                        SnapshotId(1),
+                    );
+                }
+                assert_eq!(stepped.normalized_position(), batched.normalized_position());
+                batched.next_batch(&mut batch);
+                let by_batch = (
+                    batch.rows.first().map(|(id, _, _)| id.0),
+                    batch.len(),
+                    batch.wrapped,
+                );
+                let by_hand = match stepped.step() {
+                    None => (None, 0, true),
+                    Some(step) => {
+                        let len = ((step.end - step.position) as usize).min(7);
+                        rows.clear();
+                        assert_eq!(t.read_range(step.position, len, &mut rows), len);
+                        stepped.advance(len as u64);
+                        (Some(step.position), len, step.wrapped)
+                    }
+                };
+                assert_eq!(by_hand, by_batch, "segment {start}..{end:?}, round {round}");
+                assert_eq!(stepped.passes(), batched.passes());
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | [`galaxy`] | `cjoin-galaxy` | fact-to-fact join queries over two CJOIN pipelines (§5) |
 //! | [`server`] | `cjoin-server` | TCP front door: wire protocol, multi-tenant admission |
 //! | [`client`] | `cjoin-client` | `RemoteEngine`: a `JoinEngine` over the wire |
-//! | [`bench`] | `cjoin-bench` | experiment harness (figures 4–8, tables 1–3, ablations) |
+//! | [`mod@bench`] | `cjoin-bench` | experiment harness (figures 4–8, tables 1–3, ablations) |
 //!
 //! See `README.md` for a quickstart, the workspace layout, and how to reproduce
 //! the paper's evaluation with the `experiments` binary.

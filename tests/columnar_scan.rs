@@ -22,8 +22,11 @@
 //!    outcome of that scan-side probe — a referencing query that selected no
 //!    dimension row, a query that ignores the leading dimension, a key carrying
 //!    two content versions, and the two fallbacks that bypass it (a quarantined
-//!    row group, the hybrid tail) — must leave results bit-identical to
-//!    `reference::evaluate`, with one scan worker and with four.
+//!    row group, rows appended after the replica was built) — must leave
+//!    results bit-identical to `reference::evaluate`, with one scan worker and
+//!    with four; so must a pass that crosses from encoded chunks over the
+//!    replica's frontier into row-store chunks and around the wrap, which must
+//!    also agree with an engine that has no replica.
 
 use std::sync::Arc;
 
@@ -443,6 +446,100 @@ fn quarantined_groups_and_the_hybrid_tail_bypass_the_scan_side_probe() {
             "group 1 was never quarantined"
         );
         engine.shutdown();
+    }
+}
+
+/// One pass over everything a chunk can be. The table outgrows the replica by
+/// many row groups before the first queries and by more than another one
+/// while queries are in flight, so a pass runs through encoded chunks, over
+/// the replica's frontier, through row-store chunks (some of which were not
+/// there when it started) and around the wrap; queries are installed while
+/// the cursor is inside the replica and while it is beyond the frontier. Every answer is
+/// bit-identical to the reference and to an engine without a replica that is
+/// fed the same queries over the same catalog.
+#[test]
+fn one_pass_crosses_the_frontier_with_queries_installed_on_both_sides() {
+    for scan_workers in [1, 4] {
+        let catalog = two_dimension_warehouse();
+        // Slow every chunk a little so the script below happens mid-pass.
+        let slowed = |config: CjoinConfig| {
+            let plan = FaultPlan::seeded(9)
+                .delay(FaultSite::ScanWorker, 2_000)
+                .build();
+            CjoinEngine::start(Arc::clone(&catalog), config.with_fault_plan(plan)).unwrap()
+        };
+        let with_replica = slowed(small_config(scan_workers));
+        let without = slowed(small_config(scan_workers).with_columnar_scan(false));
+        // Submits `queries` to the engine with the replica, calls `then`, and
+        // submits them to the other engine (at the same snapshot: nothing is
+        // committed in between).
+        let submit = |queries: &[&StarQuery], then: &dyn Fn()| {
+            let snapshot = catalog.snapshots().current();
+            let handles: Vec<_> = queries
+                .iter()
+                .map(|q| with_replica.submit((*q).clone()).unwrap())
+                .collect();
+            then();
+            let mirrored = queries.iter().zip(handles).map(|(q, handle)| {
+                let expected = reference::evaluate(&catalog, q, snapshot).unwrap();
+                (expected, handle, without.submit((*q).clone()).unwrap())
+            });
+            mirrored.collect::<Vec<_>>()
+        };
+        let append = |rows: std::ops::Range<i64>| {
+            let mut session = with_replica.ingest_session();
+            for i in rows {
+                session.append_fact(vec![
+                    Value::int(i % 4 + 1),
+                    Value::int(i % 3 + 1),
+                    Value::int(1_000_000 + i),
+                ]);
+            }
+            session.commit().unwrap();
+        };
+        let mix = probe_mix();
+
+        append(0..20_000);
+        // The first query of an idle engine is installed at each segment's
+        // start — inside the replica — so the rows it has seen say where the
+        // cursors are.
+        let mut submitted = submit(&[&mix[5], &mix[0], &mix[2]], &|| ());
+        let cursor = Arc::clone(submitted[0].1.progress());
+        // Every segment but the last lies inside the replica's 5 000 rows, so
+        // beyond that count the last worker's cursor is past the frontier.
+        while cursor.rows_seen() <= 5_000 && !cursor.is_completed() {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        submitted.extend(submit(&[&mix[1]], &|| {
+            assert!(
+                !cursor.is_completed(),
+                "scan_workers={scan_workers}: the first pass must still be in the \
+                 appended rows when the next query is installed"
+            )
+        }));
+        // The pass grows under the queries in flight.
+        append(20_000..22_000);
+        submitted.extend(submit(&[&mix[3], &mix[4]], &|| ()));
+
+        for (expected, with_replica, without) in submitted {
+            let name = with_replica.name().to_string();
+            assert_eq!(
+                with_replica.wait().unwrap(),
+                expected,
+                "scan_workers={scan_workers}, with a replica: {name}"
+            );
+            assert_eq!(
+                without.wait().unwrap(),
+                expected,
+                "scan_workers={scan_workers}, without one: {name}"
+            );
+        }
+        let stats = with_replica.stats();
+        let volume = stats.columnar.expect("columnar stats present");
+        assert!(volume.rows_scanned > 0);
+        assert!(without.stats().columnar.is_none());
+        with_replica.shutdown();
+        without.shutdown();
     }
 }
 
