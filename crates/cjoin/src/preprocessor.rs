@@ -78,12 +78,12 @@
 //!
 //! Every scan worker runs one lifecycle over one cursor, a
 //! [`ContinuousScan`] restricted to its segment: fold the cursor into the
-//! segment (a wrap-around starts a pass and is counted), retire the queries
-//! whose starting tuple is the cursor's position and that have passed it
-//! before, mark the others there as having passed it, produce one *chunk* of
-//! rows, advance. Admission happens between two chunks, so a query's starting
-//! position is always a chunk start. `Preprocessor::process_next_chunk` is
-//! that step.
+//! segment (a wrap-around starts a pass), retire the queries whose starting
+//! tuple is the cursor's position and that have passed it before, mark the
+//! others there as having passed it, produce one *chunk* of rows (the one
+//! produced from the segment's start counts the pass), advance. Admission
+//! happens between two chunks, so a query's starting position is always a
+//! chunk start. `Preprocessor::process_next_chunk` is that step.
 //!
 //! A chunk starts at the cursor and ends at the nearest of: `batch_size` rows
 //! on, the segment's end, the next query-start position, and — where a
@@ -499,9 +499,10 @@ impl Preprocessor {
     /// Creates scan worker `ctx.worker` over `scan`, which must cover that
     /// worker's segment (see [`ContinuousScan::with_segment`]; with a `replica`,
     /// row-group-aligned segment bounds keep a group's zone maps with one
-    /// worker). Chunks are cut by `ctx.config.batch_size`, not by the scan's own
-    /// batch length. Worker 0 receives the engine's commands on `commands`;
-    /// every other worker receives worker 0's relays.
+    /// worker). The scan's batch length is set to `ctx.config.batch_size`
+    /// here, so its steps are the one source of a chunk's longest extent.
+    /// Worker 0 receives the engine's commands on `commands`; every other
+    /// worker receives worker 0's relays.
     pub fn new(
         scan: ContinuousScan,
         replica: Option<ReplicaScan>,
@@ -513,7 +514,7 @@ impl Preprocessor {
             .as_ref()
             .map_or_else(Vec::new, |r| vec![0; r.replica.schema().arity()]);
         Self {
-            scan,
+            scan: scan.with_batch_rows(ctx.config.batch_size),
             replica,
             commands,
             worker: ctx.worker,
@@ -828,6 +829,13 @@ impl Preprocessor {
     // Scan processing
     // ------------------------------------------------------------------
 
+    /// Counts one pass start (including the first): once per chunk produced
+    /// from the segment start, and once per visit of an empty segment.
+    fn count_pass_start(&self) {
+        SharedCounters::add(&self.counters.scan_passes, 1);
+        SharedCounters::add(&self.worker_counters.segment_passes, 1);
+    }
+
     /// Publishes the *busy* time and row count of the pass that just wrapped
     /// so admission can pre-shed queries whose deadline cannot survive one
     /// more pass (the measured flavour of the paper's completion-time
@@ -869,17 +877,21 @@ impl Preprocessor {
     fn process_next_chunk(&mut self) {
         let step = self.scan.step();
         if step.is_none_or(|step| step.wrapped) {
-            // A pass starts (including the first; an empty segment reports one
-            // per visit).
-            SharedCounters::add(&self.counters.scan_passes, 1);
-            SharedCounters::add(&self.worker_counters.segment_passes, 1);
+            // The finished pass's cost is published as soon as the cursor is
+            // back at the start (a no-op when no rows were scanned since).
             self.record_pass_time();
         }
-        let Some(ScanStep { position, end, .. }) = step else {
+        let Some(ScanStep {
+            position,
+            end,
+            wrapped,
+        }) = step
+        else {
             // Empty fact table (or empty segment): nothing will ever complete the
             // registered queries by wrap-around, so finalize them all immediately
             // (their results — or this segment's contributions — are empty) and
-            // idle instead of spinning.
+            // idle instead of spinning. Each visit reports a pass.
+            self.count_pass_start();
             let bits: Vec<usize> = self.active_mask.iter().collect();
             for bit in bits {
                 self.finalize_query(bit);
@@ -909,18 +921,24 @@ impl Preprocessor {
         }
         self.ending_scratch = ending;
         if self.active_mask.is_empty() {
+            // The cursor stays where it is, so the next query installed starts
+            // here and its first chunk reports the same start again: a pass is
+            // counted below, by the chunk that actually begins it.
             return;
+        }
+        if wrapped {
+            self.count_pass_start();
         }
 
         // Taken out so `&mut self` methods stay callable; put back below.
         let mut chunk = std::mem::take(&mut self.chunk);
         let mut replica = self.replica.take();
 
-        // Chunk extent: the batch size and the segment end clamp it; inside a
-        // replica so does the row group's edge (the last group ends at the
+        // Chunk extent: the scan's step clamped it to the batch size and the
+        // segment end; inside a replica so does the row group's edge (the last group ends at the
         // replica's frontier), whose checksum then decides how the chunk is
         // read; and the next query-start position always does.
-        let mut chunk_end = (position + self.config.batch_size as u64).min(end);
+        let mut chunk_end = end;
         let mut encoded = None;
         if let Some(r) = replica
             .as_mut()
@@ -1849,6 +1867,139 @@ mod tests {
         assert_eq!(pre.active_queries(), 0);
     }
 
+    /// The last query retiring at the segment start leaves the cursor there, and
+    /// the next query's first chunk revisits it: one pass start per real pass,
+    /// with or without a replica.
+    #[test]
+    fn serial_queries_count_one_pass_start_each() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(10);
+        let table = fact_table(25);
+        for replica in [None, Some(replica_of(&table))] {
+            let (mut pre, cmd_tx, stage_rx, _dist_rx, in_flight) =
+                harness(Arc::clone(&table), replica, &config);
+            for serial in 1..=3u64 {
+                let (rt, _res) = dummy_runtime(0);
+                install(&cmd_tx, rt);
+                pre.apply_commands();
+                let mut chunks = 0;
+                while pre.active_queries() > 0 {
+                    pre.process_next_chunk();
+                    chunks += 1;
+                    while let Ok(Message::Data(_)) = stage_rx.try_recv() {
+                        in_flight.fetch_sub(1, Ordering::AcqRel);
+                    }
+                }
+                assert_eq!(chunks, 4, "three chunks of rows, then the retirement");
+                let passes = pre.counters.scan_passes.load(Ordering::Relaxed);
+                assert_eq!(passes, serial);
+                let segment = &pre.worker_counters.segment_passes;
+                assert_eq!(segment.load(Ordering::Relaxed), serial);
+                assert_eq!(
+                    pre.counters.cycle_rows.load(Ordering::Relaxed),
+                    25,
+                    "the finished pass is published at the wrap, not at the next query"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn query_registered_mid_scan_sees_exactly_one_pass() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(10);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
+            harness(fact_table(30), None, &config);
+
+        // First query keeps the scan busy.
+        let (rt0, _r0) = dummy_runtime(0);
+        install(&cmd_tx, rt0);
+        pre.apply_commands();
+        let _ = dist_rx.try_recv();
+        pre.process_next_chunk(); // rows 0..10 for q0
+
+        // Second query arrives mid-scan (position 10).
+        let (rt1, _r1) = dummy_runtime(1);
+        install(&cmd_tx, rt1);
+        pre.apply_commands();
+        let _ = dist_rx.try_recv();
+
+        let mut q1_tuples = 0usize;
+        let mut q1_ended = false;
+        for _ in 0..20 {
+            pre.process_next_chunk();
+            while let Ok(msg) = stage_rx.try_recv() {
+                if let Message::Data(batch) = msg {
+                    q1_tuples += batch.iter().filter(|t| t.bits.get(1)).count();
+                    in_flight.fetch_sub(1, Ordering::AcqRel);
+                }
+            }
+            while let Ok(msg) = dist_rx.try_recv() {
+                if let Message::Control(ControlTuple::QueryEnd(QueryId(1))) = msg {
+                    q1_ended = true;
+                }
+            }
+            if q1_ended {
+                break;
+            }
+        }
+        assert!(q1_ended);
+        assert_eq!(
+            q1_tuples, 30,
+            "the mid-scan query sees each fact tuple exactly once"
+        );
+    }
+
+    #[test]
+    fn fact_predicate_clears_bits() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(100);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
+            harness(fact_table(30), None, &config);
+        let (rt, _r) = dummy_runtime(0);
+        // Predicate: fk = 1 (10 of 30 rows).
+        let catalog = Catalog::new();
+        let fact = Table::new(Schema::new(
+            "fact",
+            vec![Column::int("fk"), Column::int("v")],
+        ));
+        catalog.add_fact_table(Arc::new(fact));
+        let pred = cjoin_query::Predicate::eq("fk", 1)
+            .bind(catalog.fact_table().unwrap().schema())
+            .unwrap();
+        let (ack_tx, _ack) = bounded(1);
+        cmd_tx
+            .send(PreprocessorCommand::Install {
+                runtime: rt,
+                fact_predicate: Some(pred),
+                snapshot: SnapshotId::INITIAL,
+                partition: Vec::new(),
+                ack: Some(ack_tx),
+            })
+            .unwrap();
+        pre.apply_commands();
+        let _ = dist_rx.try_recv();
+
+        let mut relevant = 0usize;
+        for _ in 0..3 {
+            pre.process_next_chunk();
+            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
+                relevant += batch.len();
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+            }
+            if pre.active_queries() == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            relevant, 10,
+            "only rows satisfying the fact predicate are forwarded"
+        );
+    }
+
     #[test]
     fn shutdown_command_stops_the_loop() {
         let config = CjoinConfig::default().with_max_concurrency(4);
@@ -1863,6 +2014,53 @@ mod tests {
             dist_rx.try_recv().is_err(),
             "no control produced after shutdown"
         );
+    }
+
+    #[test]
+    fn snapshot_visibility_is_a_virtual_predicate() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(100);
+        // Build a table where 5 rows are visible at snapshot 0 and 5 more at snapshot 1.
+        let t = Table::new(Schema::new(
+            "fact",
+            vec![Column::int("fk"), Column::int("v")],
+        ));
+        for i in 0..5 {
+            t.insert(vec![Value::int(i), Value::int(i)], SnapshotId(0))
+                .unwrap();
+        }
+        for i in 5..10 {
+            t.insert(vec![Value::int(i), Value::int(i)], SnapshotId(1))
+                .unwrap();
+        }
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(Arc::new(t), None, &config);
+        // Query pinned at snapshot 0 must only see the first 5 rows.
+        let (rt, _r) = dummy_runtime(0);
+        let (ack_tx, _ack) = bounded(1);
+        cmd_tx
+            .send(PreprocessorCommand::Install {
+                runtime: rt,
+                fact_predicate: None,
+                snapshot: SnapshotId(0),
+                partition: Vec::new(),
+                ack: Some(ack_tx),
+            })
+            .unwrap();
+        pre.apply_commands();
+        let _ = dist_rx.try_recv();
+        let mut forwarded = 0usize;
+        for _ in 0..3 {
+            pre.process_next_chunk();
+            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
+                forwarded += batch.len();
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+            }
+            if pre.active_queries() == 0 {
+                break;
+            }
+        }
+        assert_eq!(forwarded, 5);
     }
 
     #[test]

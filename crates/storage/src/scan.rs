@@ -186,8 +186,9 @@ pub fn segment_ranges(table_len: u64, rows_per_page: usize, n: usize) -> Vec<(u6
 pub struct ScanStep {
     /// Position of the next row.
     pub position: u64,
-    /// One past the last row of the current pass: the segment end clamped to
-    /// the live table length.
+    /// One past the last row the caller may take from `position`: at most
+    /// `batch_rows` rows on, clamped to the segment end (itself clamped to the
+    /// live table length).
     pub end: u64,
     /// True if `position` starts a new pass (it is the segment start).
     pub wrapped: bool,
@@ -313,8 +314,9 @@ impl ContinuousScan {
     /// pass is always one well-defined full scan.
     ///
     /// The cursor does not move until [`ContinuousScan::advance`]: a caller
-    /// reads any run of rows in `position..end` itself and then advances past
-    /// it, which is how the Preprocessor cuts its chunks.
+    /// reads any run of rows in `position..end` (at most `batch_rows` of them)
+    /// itself and then advances past it, which is how the Preprocessor cuts
+    /// its chunks.
     pub fn step(&mut self) -> Option<ScanStep> {
         let (start, end) = self.current_bounds();
         if start >= end {
@@ -326,7 +328,7 @@ impl ContinuousScan {
         }
         Some(ScanStep {
             position: self.position,
-            end,
+            end: end.min(self.position + self.batch_rows as u64),
             wrapped: self.position == start,
         })
     }
@@ -338,8 +340,7 @@ impl ContinuousScan {
     }
 
     /// Fills `batch` with the next run of rows: one [`ContinuousScan::step`],
-    /// up to `batch_rows` rows read from its position, the cursor advanced
-    /// past them.
+    /// the whole run it reports read, the cursor advanced past it.
     ///
     /// `batch.wrapped` is set when this batch starts a new pass (the segment
     /// start; position 0 for a whole-table scan) and on the empty batch of an
@@ -352,7 +353,7 @@ impl ContinuousScan {
             return;
         };
         batch.wrapped = step.wrapped;
-        let to_read = ((step.end - step.position) as usize).min(self.batch_rows);
+        let to_read = (step.end - step.position) as usize;
         let read = self
             .table
             .read_range(step.position, to_read, &mut batch.rows);
@@ -673,7 +674,9 @@ mod tests {
             let mut batched = ContinuousScan::new(Arc::clone(&t))
                 .with_batch_rows(7)
                 .with_segment(start, end);
-            let mut stepped = ContinuousScan::new(Arc::clone(&t)).with_segment(start, end);
+            let mut stepped = ContinuousScan::new(Arc::clone(&t))
+                .with_batch_rows(7)
+                .with_segment(start, end);
             let mut batch = ScanBatch::default();
             let mut rows = Vec::new();
             for round in 0..40 {
@@ -695,7 +698,7 @@ mod tests {
                 let by_hand = match stepped.step() {
                     None => (None, 0, true),
                     Some(step) => {
-                        let len = ((step.end - step.position) as usize).min(7);
+                        let len = (step.end - step.position) as usize;
                         rows.clear();
                         assert_eq!(t.read_range(step.position, len, &mut rows), len);
                         stepped.advance(len as u64);
