@@ -1,9 +1,10 @@
 //! Ablation — Distributor sharding (the `distributor_shards` knob): the final
-//! aggregation stage as a single Distributor shard versus a router plus 2 or 4
-//! parallel aggregation shards that merge their partials at query end. Each sample
-//! drives a fig5-style closed-loop workload through a full `CjoinEngine`, so the
-//! measurement includes the routing and merge overhead, not just the shard
-//! workers. The oracle-backed equivalence of all shard counts is asserted by
+//! aggregation stage as a single Distributor shard versus 2 or 4 parallel
+//! aggregation shards, each fed whole batches by the Stage workers in rotation,
+//! that merge their partials at query end. Each sample drives a fig5-style
+//! closed-loop workload through a full `CjoinEngine`, so the measurement
+//! includes the dispatch and merge overhead, not just the shard workers. The
+//! oracle-backed equivalence of all shard counts is asserted by
 //! `tests/distributor_sharding.rs`; this bench only measures.
 
 use std::sync::Arc;

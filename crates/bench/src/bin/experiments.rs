@@ -1,7 +1,7 @@
 //! Command-line entry point that regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <all|fig4|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io> [options]
+//! experiments <all|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io> [options]
 //!
 //! Options:
 //!   --scale <f64>          SSB scale factor              (default 0.01)
@@ -15,9 +15,9 @@ use std::env;
 use std::process::ExitCode;
 
 use cjoin_bench::experiments::{
-    ablations, fig4_pipeline_config, fig5_concurrency_scaleup, fig6_predictability,
-    fig7_selectivity, fig8_data_scale, modelled_io_comparison, tab1_submission_vs_concurrency,
-    tab2_submission_vs_selectivity, tab3_submission_vs_sf, ExperimentParams,
+    ablations, fig5_concurrency_scaleup, fig6_predictability, fig7_selectivity, fig8_data_scale,
+    modelled_io_comparison, tab1_submission_vs_concurrency, tab2_submission_vs_selectivity,
+    tab3_submission_vs_sf, ExperimentParams,
 };
 use cjoin_bench::Table;
 use cjoin_common::Result;
@@ -101,13 +101,6 @@ fn run(options: &Options) -> Result<Vec<Table>> {
     let experiment = options.experiment.as_str();
     let want = |name: &str| experiment == "all" || experiment == name;
 
-    if want("fig4") {
-        tables.push(fig4_pipeline_config(
-            p,
-            &[1, 2, 3, 4, 5],
-            32.min(mid_concurrency * 2),
-        )?);
-    }
     if want("fig5") {
         tables.push(fig5_concurrency_scaleup(p, n)?);
     }
@@ -148,7 +141,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: experiments <all|fig4|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io> \
+                "usage: experiments <all|fig5|fig6|fig7|fig8|tab1|tab2|tab3|ablations|io> \
                  [--scale F] [--selectivity S] [--threads T] [--concurrency 1,32,...] [--markdown]"
             );
             return ExitCode::FAILURE;

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use cjoin_baseline::{BaselineConfig, BaselineEngine};
 use cjoin_common::Result;
-use cjoin_core::{CjoinConfig, CjoinEngine, StageLayout};
+use cjoin_core::{CjoinConfig, CjoinEngine};
 use cjoin_query::StarQuery;
 use cjoin_ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
 use cjoin_storage::{Catalog, IoModel};
@@ -92,45 +92,6 @@ fn start_cjoin(catalog: Arc<Catalog>, config: CjoinConfig) -> Result<CjoinEngine
 fn modelled_scan_time(catalog: &Catalog, passes: f64, io: &IoModel) -> Duration {
     let pages = catalog.fact_table().map(|t| t.num_pages()).unwrap_or(0) as f64;
     Duration::from_secs_f64(pages * passes * io.sequential_page_us / 1e6)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 — pipeline configuration
-// ---------------------------------------------------------------------------
-
-/// Figure 4: query throughput of the horizontal vs. vertical pipeline configuration
-/// as a function of the number of Stage threads.
-///
-/// # Errors
-/// Propagates engine errors.
-pub fn fig4_pipeline_config(
-    params: &ExperimentParams,
-    thread_counts: &[usize],
-    concurrency: usize,
-) -> Result<Table> {
-    let data = params.data();
-    let catalog = data.catalog();
-    let workload = params.workload(&data, concurrency * params.queries_per_level_factor);
-
-    let mut table = Table::new(
-        "Figure 4: pipeline configuration (queries/hour)",
-        vec!["threads", "horizontal", "vertical"],
-    );
-    for &threads in thread_counts {
-        let mut row = vec![threads.to_string()];
-        for layout in [StageLayout::Horizontal, StageLayout::Vertical] {
-            let config = params
-                .cjoin_config(concurrency)
-                .with_worker_threads(threads)
-                .with_stage_layout(layout);
-            let engine = start_cjoin(Arc::clone(&catalog), config)?;
-            let report = run_closed_loop(&engine, workload.queries(), concurrency)?;
-            engine.shutdown();
-            row.push(fmt_f64(report.throughput_qph()));
-        }
-        table.push_row(row);
-    }
-    Ok(table)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 //! Experiment harness for the CJOIN reproduction.
 //!
-//! The paper's evaluation (§6) consists of four figures and three tables plus the
-//! pipeline-configuration study; this crate contains the code that regenerates each
-//! of them at laptop scale:
+//! The paper's evaluation (§6) consists of four figures and three tables; this
+//! crate contains the code that regenerates each of them at laptop scale:
 //!
 //! | experiment | paper | function |
 //! |------------|-------|----------|
-//! | Pipeline configuration (horizontal vs. vertical × threads) | Figure 4 | [`experiments::fig4_pipeline_config`] |
 //! | Throughput vs. number of concurrent queries | Figure 5 | [`experiments::fig5_concurrency_scaleup`] |
 //! | Predictability of Q4.2 response time vs. concurrency | Figure 6 | [`experiments::fig6_predictability`] |
 //! | Submission time vs. concurrency | Table 1 | [`experiments::tab1_submission_vs_concurrency`] |

@@ -8,22 +8,6 @@ use cjoin_storage::SyncPolicy;
 
 use crate::fault::FaultPlan;
 
-/// How Filters are boxed into Stages and Stages into threads (§4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StageLayout {
-    /// One Stage containing the entire Filter sequence; `worker_threads` threads all
-    /// run the whole sequence on disjoint batches. This is the configuration the
-    /// paper converges on (Figure 4) and the default.
-    Horizontal,
-    /// One Stage per Filter, each with one thread; tuples are handed from stage to
-    /// stage through queues. Exists to reproduce Figure 4's comparison.
-    Vertical,
-    /// Explicit grouping: `groups[i]` is the number of consecutive Filters boxed into
-    /// Stage `i`; each stage gets one thread. Groups are matched to the filter chain
-    /// in order; a trailing group absorbs any extra filters.
-    Hybrid(Vec<usize>),
-}
-
 /// Which parallelism knobs were set explicitly (through the builder methods)
 /// rather than left at their defaults.
 ///
@@ -37,7 +21,7 @@ pub enum StageLayout {
 pub struct PinnedAxes {
     /// `scan_workers` was set explicitly.
     pub scan_workers: bool,
-    /// `worker_threads` or `stage_layout` was set explicitly.
+    /// `worker_threads` (the Stage's width) was set explicitly.
     pub worker_threads: bool,
     /// `distributor_shards` was set explicitly.
     pub distributor_shards: bool,
@@ -49,10 +33,10 @@ pub struct CjoinConfig {
     /// Maximum number of concurrently registered queries (the paper's `maxConc`).
     /// Determines the width of every query bit-vector.
     pub max_concurrency: usize,
-    /// Number of worker threads executing Filter work.
+    /// Number of Stage worker threads. The Stage holds the whole Filter
+    /// sequence, and every worker runs all of it on disjoint batches — the
+    /// paper's *horizontal* layout (§4).
     pub worker_threads: usize,
-    /// Stage layout (horizontal / vertical / hybrid).
-    pub stage_layout: StageLayout,
     /// Number of fact tuples per batch handed between pipeline threads.
     pub batch_size: usize,
     /// How often (in milliseconds) the pipeline manager re-evaluates the filter
@@ -67,12 +51,13 @@ pub struct CjoinConfig {
     /// to the per-tuple probe path (the reference the batched path is tested
     /// against).
     pub batched_probing: bool,
-    /// Number of parallel aggregation (Distributor) shards. A single shard reads
-    /// the pipeline's output queue itself — the paper's Distributor; `N > 1` adds
-    /// a routing thread that splits each surviving batch across the `N` shards by
-    /// a hash of the tuple's group-by key (round-robin for ungrouped queries). At
-    /// query end every shard folds its partial aggregate into a shared merge
-    /// slot and the last one to do so delivers the result.
+    /// Number of parallel aggregation (Distributor) shards, each reading its own
+    /// queue. With one shard that queue is the pipeline's output — the paper's
+    /// Distributor; with `N > 1` each Stage worker hands every filtered batch,
+    /// whole, to the next shard in its own rotation, and the scan broadcasts
+    /// control tuples to all `N`. At query end every shard folds its partial
+    /// aggregate into a shared merge slot and the last one to do so delivers
+    /// the result.
     pub distributor_shards: usize,
     /// Number of parallel continuous-scan (Preprocessor) workers. The fact
     /// table's page range is split into that many static segments (one — the
@@ -136,7 +121,6 @@ impl Default for CjoinConfig {
         Self {
             max_concurrency: 512,
             worker_threads: 4,
-            stage_layout: StageLayout::Horizontal,
             batch_size: 1024,
             reorder_interval_ms: 50,
             early_skip: true,
@@ -184,13 +168,6 @@ impl CjoinConfig {
         if self.scan_workers > 64 {
             return Err(Error::invalid_config("scan_workers must be at most 64"));
         }
-        if let StageLayout::Hybrid(groups) = &self.stage_layout {
-            if groups.is_empty() || groups.contains(&0) {
-                return Err(Error::invalid_config(
-                    "hybrid stage groups must be non-empty and positive",
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -198,14 +175,6 @@ impl CjoinConfig {
     /// (pins the stage-worker axis against the elastic scheduler).
     pub fn with_worker_threads(mut self, n: usize) -> Self {
         self.worker_threads = n;
-        self.pinned.worker_threads = true;
-        self
-    }
-
-    /// Convenience: a configuration with the given stage layout (pins the
-    /// stage-worker axis against the elastic scheduler).
-    pub fn with_stage_layout(mut self, layout: StageLayout) -> Self {
-        self.stage_layout = layout;
         self.pinned.worker_threads = true;
         self
     }
@@ -293,10 +262,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid_and_horizontal() {
+    fn default_is_valid() {
         let c = CjoinConfig::default();
         c.validate().unwrap();
-        assert_eq!(c.stage_layout, StageLayout::Horizontal);
         assert!(
             c.max_concurrency >= 256,
             "paper evaluates up to 256 queries"
@@ -347,24 +315,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(CjoinConfig {
-            stage_layout: StageLayout::Hybrid(vec![]),
-            ..CjoinConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CjoinConfig {
-            stage_layout: StageLayout::Hybrid(vec![2, 0]),
-            ..CjoinConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CjoinConfig {
-            stage_layout: StageLayout::Hybrid(vec![2, 2]),
-            ..CjoinConfig::default()
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]
@@ -373,14 +323,12 @@ mod tests {
             .with_worker_threads(2)
             .with_max_concurrency(64)
             .with_batch_size(128)
-            .with_stage_layout(StageLayout::Vertical)
             .with_batched_probing(false)
             .with_distributor_shards(4)
             .with_scan_workers(2);
         assert_eq!(c.worker_threads, 2);
         assert_eq!(c.max_concurrency, 64);
         assert_eq!(c.batch_size, 128);
-        assert_eq!(c.stage_layout, StageLayout::Vertical);
         assert!(!c.batched_probing);
         assert_eq!(c.distributor_shards, 4);
         assert_eq!(c.scan_workers, 2);
@@ -430,8 +378,6 @@ mod tests {
             .with_distributor_shards(1);
         assert!(c.pinned.worker_threads && c.pinned.distributor_shards);
         assert!(!c.pinned.scan_workers);
-        let c = CjoinConfig::default().with_stage_layout(StageLayout::Vertical);
-        assert!(c.pinned.worker_threads);
     }
 
     #[test]

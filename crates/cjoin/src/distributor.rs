@@ -8,12 +8,12 @@
 //!
 //! The stage is `CjoinConfig::distributor_shards` [`Distributor`] shard workers,
 //! each owning its *own* per-query [`GroupedAggregator`] partials, over one shared
-//! array of [`MergeSlots`] in which a finished query's partials meet. With one
-//! shard (the default) that worker reads the pipeline's output queue directly and
-//! owns all per-query aggregation state — the paper's original design. With
-//! `N > 1` a [`ShardRouter`] thread sits in front of the shards: it consumes the
-//! pipeline's output queue and splits every surviving batch into per-shard
-//! sub-batches.
+//! array of [`MergeSlots`] in which a finished query's partials meet. Each shard
+//! reads its own queue, fed by two sides: the Stage workers hand it filtered
+//! batches, whole, and the scan front-end broadcasts control tuples to every
+//! shard queue. With one shard (the default) that queue is the pipeline's output
+//! and the shard owns all per-query aggregation state — the paper's original
+//! design.
 //!
 //! ## Query-major batches
 //!
@@ -41,32 +41,39 @@
 //!
 //! ## Routing
 //!
-//! Hash aggregation is commutative and associative, so *any* tuple→shard assignment
-//! is correct as long as each surviving tuple reaches exactly one shard. The router
-//! therefore picks shards for load balance and merge locality: a tuple is routed by
-//! an [`FxHasher`] hash of its **group-by key** (the group-by values of the first
-//! registered grouped query whose bit it carries, read through the attached
-//! dimension rows), so all tuples of one group land on one shard and the final
-//! merge mostly concatenates disjoint group maps. Tuples claimed only by ungrouped
-//! (scalar) queries fall back to round-robin — a scalar partial is a single row per
-//! shard, so locality does not matter.
+//! Hash aggregation is commutative and associative, so *any* tuple→shard
+//! assignment is correct as long as each surviving tuple reaches exactly one
+//! shard. Each Stage worker sends every batch it filtered, whole, to the next
+//! shard in its own rotation (see [`crate::pipeline::run_stage_worker`]), so
+//! the Stage is the last hop and dispatch costs one queue send per batch. The
+//! price is locality: one group's tuples can land on several shards, so the
+//! shards' partials of a query overlap, and [`MergeSlots`] merges them once per
+//! query end — O(N × groups), the same merge that folds disjoint partials
+//! (`end_barrier_waits_for_every_shard_and_the_last_one_delivers` feeds one
+//! group to two shards).
+//!
+//! Why not route by group: hashing each surviving tuple's group-by key to pick
+//! its shard keeps every group on one shard, but it copies every survivor into
+//! a per-shard sub-batch, in a thread of its own — O(survivors) per batch, to
+//! save a merge that costs O(N × groups) per query.
 //!
 //! ## Control tuples and the end-barrier
 //!
 //! Control tuples drive query lifecycle and reach **every** shard (every shard
-//! owns partial state for every query; the router broadcasts them):
+//! owns partial state for every query; the scan front-end broadcasts them):
 //!
 //! * *query start* creates the shard-local aggregation operator. The scan
-//!   front-end enqueues the start tuple before any data carrying the query's bit
-//!   exists, the router broadcasts it before routing any later batch, and each
-//!   shard queue is FIFO — so no shard can see a query's tuple before its start
-//!   tuple (invariant 1, asserted by `tests/distributor_sharding.rs`).
+//!   front-end enqueues the start tuple on every shard queue before any worker
+//!   installs the query — so before any data carrying the query's bit exists —
+//!   and each shard queue is FIFO, so no shard can see a query's tuple before
+//!   its start tuple (invariant 1, asserted by `tests/distributor_sharding.rs`).
 //! * *query end* is only enqueued by the scan front-end after its drain barrier
-//!   observed the in-flight batch counter at zero — and the router adds every
-//!   sub-batch it creates to that counter *before* acknowledging the parent batch,
-//!   so "in-flight = 0" covers routed sub-batches too. When the end tuple reaches a
-//!   shard, the shard has already drained every tuple of that query; it detaches
-//!   its partial and folds it into the query's merge slot. The shard whose
+//!   observed the in-flight batch counter at zero. A batch is one in-flight unit
+//!   from the scan worker that sends it to the shard that drains it, so
+//!   "in-flight = 0" means every batch that can carry the query's bit has been
+//!   accumulated. When the end tuple reaches a shard, the shard has already
+//!   drained every tuple of that query; it detaches its partial and folds it
+//!   into the query's merge slot. The shard whose
 //!   contribution is the `N`-th — the **end-barrier** — takes the merged state
 //!   out of the slot, finalizes it, counts the completion, delivers the result
 //!   and notifies the manager, in that order (invariant 2). With one shard the
@@ -75,8 +82,8 @@
 //!   leaves the slot empty, so a recycled id can never collide with an
 //!   unfinished merge.
 //!
-//! Shutdown flows the same way: the router broadcasts it to the shards and each
-//! shard exits.
+//! Shutdown flows the same way: the engine sends one shutdown message to each
+//! shard queue, after the Stage workers have exited, and each shard exits.
 //!
 //! ## Failure and barrier release
 //!
@@ -97,22 +104,20 @@
 //! delivery goes through [`QueryRuntime::resolve`], which silently discards the
 //! loser.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use cjoin_common::{FxHasher, QueryId};
+use cjoin_common::QueryId;
 use cjoin_query::GroupedAggregator;
 use cjoin_storage::Row;
 
 use crate::fault::{self, FaultPlan, FaultSite};
 use crate::pool::BatchPool;
-use crate::queue::ShardSenders;
 use crate::stats::{ShardCounters, SharedCounters};
-use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
+use crate::tuple::{Batch, ControlTuple, Message, QueryRuntime};
 
 /// One shard's aggregation state of one registered query.
 struct QueryAggregation {
@@ -187,8 +192,7 @@ pub struct Distributor {
 
 impl Distributor {
     /// Creates one shard of a stage whose shards share `merge`. `input` is the
-    /// shard's own queue — the pipeline's output queue when the stage has one
-    /// shard, the router's per-shard queue otherwise.
+    /// shard's own queue.
     pub fn new(
         input: Receiver<Message>,
         in_flight: Arc<AtomicI64>,
@@ -318,176 +322,10 @@ impl Distributor {
     }
 }
 
-/// Routing metadata for one active query, tracked by the [`ShardRouter`] as
-/// control tuples pass through it.
-struct RouteInfo {
-    runtime: Arc<QueryRuntime>,
-    grouped: bool,
-}
-
-/// The router of an aggregation stage of more than one shard: consumes the
-/// pipeline's output queue, broadcasts control tuples, and splits each surviving
-/// data batch into per-shard sub-batches (see the module docs for the routing
-/// policy).
-pub struct ShardRouter {
-    input: Receiver<Message>,
-    /// Sender-only handle: the shard workers are the sole receivers of their
-    /// queues, so a dead shard surfaces here as a send error (handled in
-    /// [`route_batch`](ShardRouter::route_batch)) instead of a blocked queue.
-    shards: ShardSenders,
-    in_flight: Arc<AtomicI64>,
-    pool: Arc<BatchPool>,
-    batch_size: usize,
-    routes: Vec<Option<RouteInfo>>,
-    /// Round-robin cursor for tuples claimed only by ungrouped queries.
-    rr: usize,
-    /// Reusable per-shard sub-batch slots (`None` between batches), so routing a
-    /// batch allocates no bookkeeping at steady state.
-    subs: Vec<Option<Batch>>,
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl ShardRouter {
-    /// Creates a router feeding `shards`.
-    pub fn new(
-        input: Receiver<Message>,
-        shards: ShardSenders,
-        in_flight: Arc<AtomicI64>,
-        pool: Arc<BatchPool>,
-        batch_size: usize,
-        max_concurrency: usize,
-    ) -> Self {
-        let num_shards = shards.num_shards();
-        Self {
-            input,
-            shards,
-            in_flight,
-            pool,
-            batch_size,
-            routes: (0..max_concurrency).map(|_| None).collect(),
-            rr: 0,
-            subs: (0..num_shards).map(|_| None).collect(),
-            faults: None,
-        }
-    }
-
-    /// Attaches a fault-injection plan (supervision tests only).
-    pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Runs the router loop until shutdown, then tears the shards down too.
-    pub fn run(&mut self) {
-        while let Ok(msg) = self.input.recv() {
-            fault::inject(&self.faults, FaultSite::ShardRouter);
-            match msg {
-                Message::Data(batch) => self.route_batch(batch),
-                Message::Control(control) => {
-                    self.observe_control(&control);
-                    self.shards.broadcast_control(&control);
-                }
-                Message::Shutdown => break,
-            }
-        }
-        // Either an explicit shutdown or every producer hung up: stop the shards.
-        self.shards.broadcast_shutdown();
-    }
-
-    /// Tracks query lifecycle for routing decisions (the shard workers keep the
-    /// authoritative aggregation state; the router only needs group-by metadata).
-    fn observe_control(&mut self, control: &ControlTuple) {
-        match control {
-            ControlTuple::QueryStart(runtime) => {
-                let grouped = !runtime.bound.group_by.is_empty();
-                self.routes[runtime.id.index()] = Some(RouteInfo {
-                    runtime: Arc::clone(runtime),
-                    grouped,
-                });
-            }
-            ControlTuple::QueryEnd(id) => {
-                self.routes[id.index()] = None;
-            }
-        }
-    }
-
-    /// Splits one surviving batch across the shards. The in-flight counter is
-    /// raised by the number of sub-batches *before* the parent batch is
-    /// acknowledged, so the scan front-end's drain barrier (in-flight = 0) never
-    /// fires while routed work is still pending. Routing bookkeeping (the
-    /// per-shard slots and the dims scratch) is reused, so the loop allocates
-    /// nothing per tuple at steady state — the sub-batch tuples themselves come
-    /// recycled from the [`BatchPool`].
-    fn route_batch(&mut self, batch: Batch) {
-        let n = self.shards.num_shards();
-        let mut dims_scratch: Vec<Option<&Row>> = Vec::new();
-        for tuple in &batch {
-            let shard = self.shard_of(tuple, n, &mut dims_scratch);
-            let sub = match &mut self.subs[shard] {
-                Some(sub) => sub,
-                none => none.insert(self.pool.take(self.batch_size)),
-            };
-            let (slot, _) = sub.next_slot(tuple.bits.capacity());
-            slot.copy_from_tuple(tuple);
-        }
-        let outgoing = self.subs.iter().filter(|s| s.is_some()).count() as i64;
-        self.in_flight.fetch_add(outgoing, Ordering::AcqRel);
-        for (shard, slot) in self.subs.iter_mut().enumerate() {
-            let Some(sub) = slot.take() else { continue };
-            if let Err(unsent) = self.shards.send_to(shard, Message::Data(sub)) {
-                // Shard gone (teardown or a dead worker); undo its in-flight slot
-                // so barriers don't hang, and recycle the unsent sub-batch.
-                self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                if let Message::Data(sub) = unsent.0 {
-                    self.pool.put(sub);
-                }
-            }
-        }
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        self.pool.put(batch);
-    }
-
-    /// Picks the destination shard for one tuple (module docs: group-key hash of
-    /// the first registered grouped query claiming the tuple, else round-robin).
-    /// `dims_scratch` is the caller's reusable clause→row mapping buffer.
-    fn shard_of<'t>(
-        &mut self,
-        tuple: &'t InFlightTuple,
-        n: usize,
-        dims_scratch: &mut Vec<Option<&'t Row>>,
-    ) -> usize {
-        for bit in tuple.bits.iter() {
-            let Some(Some(route)) = self.routes.get(bit) else {
-                continue;
-            };
-            if !route.grouped {
-                continue;
-            }
-            let runtime = &route.runtime;
-            // Map the query's dimension clauses to attached rows, borrowing
-            // straight from the tuple — no per-tuple `Row` clones on this path.
-            dims_scratch.clear();
-            dims_scratch.extend(
-                runtime
-                    .slot_map
-                    .iter()
-                    .map(|&slot| tuple.dims.get(slot).and_then(Option::as_ref)),
-            );
-            let mut hasher = FxHasher::default();
-            for col in &runtime.bound.group_by {
-                col.value(&tuple.row, dims_scratch).hash(&mut hasher);
-            }
-            return (hasher.finish() % n as u64) as usize;
-        }
-        self.rr = (self.rr + 1) % n;
-        self.rr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::ShardQueues;
+    use crate::tuple::InFlightTuple;
     use cjoin_common::QuerySet;
     use cjoin_query::{AggFunc, AggValue, AggregateSpec, ColumnRef, Predicate, StarQuery};
     use cjoin_storage::{Catalog, Column, RowId, Schema, SnapshotId, Table, Value};
@@ -864,115 +702,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Router and end-barrier
+    // End-barrier
     // ------------------------------------------------------------------
-
-    fn router_harness(
-        shards: usize,
-    ) -> (ShardRouter, Sender<Message>, ShardQueues, Arc<AtomicI64>) {
-        let (tx, rx) = unbounded();
-        let queues = ShardQueues::new(shards, 16);
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let router = ShardRouter::new(
-            rx,
-            queues.senders(),
-            Arc::clone(&in_flight),
-            BatchPool::new(16),
-            64,
-            8,
-        );
-        (router, tx, queues, in_flight)
-    }
-
-    /// Invariant 1 at the unit level: the query-start broadcast reaches every shard
-    /// before any data the router routes afterwards, and routing covers each tuple
-    /// exactly once.
-    #[test]
-    fn router_broadcasts_start_before_routed_data_and_partitions_tuples() {
-        let catalog = catalog();
-        let (mut router, tx, queues, in_flight) = router_harness(3);
-        let (rt, _res) = runtime(&catalog, 0, true);
-        tx.send(Message::Control(ControlTuple::QueryStart(rt)))
-            .unwrap();
-        in_flight.fetch_add(1, Ordering::AcqRel);
-        let names = ["red", "green", "red", "green", "red"];
-        tx.send(Message::Data(
-            names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let mut t = tuple(&[0], (i % 2 + 1) as i64, i as i64, Some(name));
-                    t.row_id = RowId(i as u64);
-                    t
-                })
-                .collect(),
-        ))
-        .unwrap();
-        tx.send(Message::Shutdown).unwrap();
-        router.run();
-
-        let mut routed = 0usize;
-        let mut group_shards: std::collections::BTreeMap<
-            String,
-            std::collections::BTreeSet<usize>,
-        > = std::collections::BTreeMap::new();
-        for s in 0..3 {
-            // First message on every shard queue is the broadcast start tuple.
-            match queues.shard(s).recv().unwrap() {
-                Message::Control(ControlTuple::QueryStart(rt)) => assert_eq!(rt.id, QueryId(0)),
-                other => panic!("shard {s}: expected QueryStart first, got {other:?}"),
-            }
-            loop {
-                match queues.shard(s).recv().unwrap() {
-                    Message::Data(batch) => {
-                        routed += batch.len();
-                        for t in &batch {
-                            // Dimension rows attached upstream survive the routing copy.
-                            let name = t.dims[0].as_ref().unwrap().get(1);
-                            group_shards.entry(format!("{name}")).or_default().insert(s);
-                        }
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    Message::Shutdown => break,
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
-        assert_eq!(routed, names.len(), "each tuple routed exactly once");
-        // Group-key routing: every tuple of one group lands on one shard.
-        assert_eq!(group_shards.len(), 2);
-        for (group, shards) in &group_shards {
-            assert_eq!(shards.len(), 1, "group {group} split across shards");
-        }
-        assert_eq!(in_flight.load(Ordering::Acquire), 0, "accounting balanced");
-    }
-
-    #[test]
-    fn router_spreads_ungrouped_tuples_round_robin() {
-        let catalog = catalog();
-        let (mut router, tx, queues, in_flight) = router_harness(2);
-        let (rt, _res) = runtime(&catalog, 0, false); // scalar query: no group-by
-        tx.send(Message::Control(ControlTuple::QueryStart(rt)))
-            .unwrap();
-        in_flight.fetch_add(1, Ordering::AcqRel);
-        tx.send(Message::Data(
-            (0..6).map(|i| tuple(&[0], 1, i, Some("red"))).collect(),
-        ))
-        .unwrap();
-        tx.send(Message::Shutdown).unwrap();
-        router.run();
-        let mut per_shard = [0usize; 2];
-        for (s, count) in per_shard.iter_mut().enumerate() {
-            while let Some(msg) = queues.shard(s).recv() {
-                match msg {
-                    Message::Data(b) => *count += b.len(),
-                    Message::Shutdown => break,
-                    Message::Control(_) => {}
-                }
-            }
-        }
-        assert_eq!(per_shard, [3, 3], "round-robin balances scalar tuples");
-    }
 
     /// Invariant 2 at the unit level, for stages of 1, 2 and 4 shards: nothing is
     /// delivered before the last shard's contribution, that shard delivers the

@@ -1,12 +1,13 @@
 //! The public CJOIN engine: query admission, finalization and pipeline lifecycle.
 //!
 //! [`CjoinEngine::start`] builds the always-on pipeline (continuous scan →
-//! Preprocessor → Stages → aggregation stage) and the manager thread. The scan
+//! Preprocessor → Stage → aggregation stage) and the manager thread. The scan
 //! front-end is `CjoinConfig::scan_workers` scan workers, one by default, each
 //! over its own segment of the fact table (see [`crate::preprocessor`]). The
-//! aggregation stage is `CjoinConfig::distributor_shards` aggregation shards,
-//! one by default, behind a router when there are several (see
-//! [`crate::distributor`]). Queries are
+//! Stage is `CjoinConfig::worker_threads` workers, each running the whole
+//! Filter chain (see [`crate::pipeline`]). The aggregation stage is
+//! `CjoinConfig::distributor_shards` aggregation shards, one by default, each
+//! fed whole batches by the Stage workers (see [`crate::distributor`]). Queries are
 //! registered at any time with [`CjoinEngine::submit`], which performs Algorithm 1 of
 //! the paper on the caller's thread (the Pipeline Manager work runs concurrently with
 //! the pipeline, which keeps flowing while dimension hash tables are updated) and
@@ -31,9 +32,9 @@
 //! 3. tears the old pipeline down without ever blocking on a dead consumer
 //!    (see `teardown_core`),
 //! 4. steps the failed axis down to width 1 — fewer threads running the same
-//!    code (scan workers, distributor shards, stage workers in the horizontal
-//!    layout); a scan worker that dies at width 1 falls back from the columnar
-//!    replica to the row store — and
+//!    code (scan workers, Stage workers, distributor shards); a scan worker
+//!    that dies at width 1 falls back from the columnar replica to the row
+//!    store — and
 //! 5. respawns the pipeline, leaving the engine serviceable for fresh queries.
 //!
 //! Two liveness rules keep the supervisor itself unblockable. First, no client
@@ -92,9 +93,9 @@ use cjoin_storage::{
 };
 
 use crate::colscan::ReplicaScan;
-use crate::config::{CjoinConfig, StageLayout};
+use crate::config::CjoinConfig;
 use crate::dimension::DimensionTable;
-use crate::distributor::{Distributor, MergeSlots, ShardRouter};
+use crate::distributor::{Distributor, MergeSlots};
 use crate::fault::{inject, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
@@ -106,7 +107,7 @@ use crate::preprocessor::{
     PartitionPlan, Preprocessor, PreprocessorCommand, PreprocessorContext, ScanStall,
 };
 use crate::progress::QueryProgress;
-use crate::queue::{ShardQueues, TupleQueue};
+use crate::queue::{ShardQueues, ShardSenders, TupleQueue};
 use crate::scheduler::{Axis, ResizeReason, SchedulerTick, StageScheduler};
 use crate::stats::{
     ColumnarScanStats, FilterStatsSnapshot, IngestCounters, PipelineStats, ScanWorkerCounters,
@@ -246,9 +247,8 @@ impl QueryHandle {
 struct PipelineThreads {
     /// Scan front-end: one thread per scan worker.
     scan_workers: Vec<JoinHandle<()>>,
-    workers: Vec<Vec<JoinHandle<()>>>,
-    /// The aggregation-stage router (only with more than one shard).
-    router: Option<JoinHandle<()>>,
+    /// The Stage: one thread per Stage worker.
+    stage_workers: Vec<JoinHandle<()>>,
     /// Aggregation stage: one thread per shard.
     distributors: Vec<JoinHandle<()>>,
     manager: JoinHandle<()>,
@@ -260,8 +260,10 @@ struct PipelineThreads {
 /// tables, admission registry, global counters) lives in [`EngineShared`].
 struct PipelineCore {
     cmd_tx: Sender<PreprocessorCommand>,
-    stage_queues: Vec<TupleQueue>,
-    distributor_queue: TupleQueue,
+    stage_queue: TupleQueue,
+    /// Sender-only handle to the shard queues: each shard worker is the sole
+    /// receiver of its own.
+    shards: ShardSenders,
     stage_plan: StagePlan,
     partition_info: Option<PartitionInfo>,
     in_flight: Arc<AtomicI64>,
@@ -431,8 +433,8 @@ impl CjoinEngine {
     /// everything spawned here (threads, queues, scan layout, per-core
     /// counters) belongs to the returned [`PipelineCore`] and dies with it.
     fn spawn_pipeline(shared: &Arc<EngineShared>, config: &CjoinConfig) -> Result<PipelineCore> {
-        /// Capacity, in batches, of every inter-thread queue (Stage inputs,
-        /// the Distributor's input, each shard's input).
+        /// Capacity, in batches, of every inter-thread queue (the Stage's
+        /// input, each shard's input).
         const QUEUE_CAPACITY: usize = 8;
 
         // The scheduler owns the effective width of every governed axis;
@@ -443,11 +445,12 @@ impl CjoinEngine {
         let fact = shared.catalog.fact_table()?;
         let failure_tx = shared.failure_tx.clone();
 
-        let stage_plan = StagePlan::derive(&config.stage_layout, config.worker_threads)
-            .with_distributor_shards(config.distributor_shards)
-            .with_scan_workers(config.scan_workers);
-        let shards = stage_plan.distributor_shards;
-        let scan_workers = stage_plan.scan_workers;
+        let stage_plan = StagePlan::of(config);
+        let StagePlan {
+            scan_workers,
+            stage_workers,
+            distributor_shards: shards,
+        } = stage_plan;
         let chain = Arc::clone(&shared.chain);
         let counters = Arc::clone(&shared.counters);
         let shard_counters = ShardCounters::new_vec(shards);
@@ -455,12 +458,11 @@ impl CjoinEngine {
         let in_flight = Arc::new(AtomicI64::new(0));
         let poison = Arc::new(AtomicBool::new(false));
         // Enough pooled batches for every queue position plus the threads working on
-        // one, including each shard's queue and sub-batch and each scan worker's
-        // working/leftover batches.
-        let pool_capacity = (stage_plan.num_stages() + 1) * QUEUE_CAPACITY
-            + stage_plan.total_threads()
-            + 2 * scan_workers
-            + shards * (QUEUE_CAPACITY + 1);
+        // one: the Stage queue plus one queue's worth of slack, the Stage
+        // workers, each scan worker's working/leftover batches, and each shard's
+        // queue and the batch it drains.
+        let pool_capacity =
+            2 * QUEUE_CAPACITY + stage_workers + 2 * scan_workers + shards * (QUEUE_CAPACITY + 1);
         let pool = BatchPool::new(pool_capacity);
 
         // `columnar_scan`: a read-optimised replica of the fact table, built once
@@ -526,11 +528,13 @@ impl CjoinEngine {
             .as_ref()
             .map(|p| (p.scheme.clone(), p.scheme.column));
 
-        // Queues: one per stage plus the distributor's.
-        let stage_queues: Vec<TupleQueue> = (0..stage_plan.num_stages())
-            .map(|_| TupleQueue::new(QUEUE_CAPACITY))
-            .collect();
-        let distributor_queue = TupleQueue::new(QUEUE_CAPACITY);
+        // Queues: the Stage's, and one per shard. The shard queues' receivers go
+        // to the shard workers alone (`shard_queues` drops at the end of this
+        // function), so a dead shard surfaces to its producers as a send error
+        // rather than a blocked send.
+        let stage_queue = TupleQueue::new(QUEUE_CAPACITY);
+        let shard_queues = ShardQueues::new(shards, QUEUE_CAPACITY);
+        let shard_txs = shard_queues.senders();
 
         // Scan front-end: one worker per scan range. Worker 0 owns the
         // engine-facing command channel and relays to its siblings' queues.
@@ -549,8 +553,8 @@ impl CjoinEngine {
                 // Worker 0 takes them all; the others get the emptied vector.
                 siblings: std::mem::take(&mut sibling_txs),
                 stall: Arc::clone(&stall),
-                stage_tx: stage_queues[0].sender(),
-                distributor_tx: distributor_queue.sender(),
+                stage_tx: stage_queue.sender(),
+                distributor_tx: shard_txs.clone(),
                 in_flight: Arc::clone(&in_flight),
                 pool: Arc::clone(&pool),
                 slot_count: Arc::clone(&shared.slot_count),
@@ -573,79 +577,33 @@ impl CjoinEngine {
             ));
         }
 
-        // Stage worker threads.
-        let num_stages = stage_plan.num_stages();
-        let mut workers: Vec<Vec<JoinHandle<()>>> = Vec::with_capacity(num_stages);
-        for (stage_index, &threads) in stage_plan.threads_per_stage.iter().enumerate() {
-            let mut stage_workers = Vec::with_capacity(threads);
-            for worker_index in 0..threads {
-                let input = stage_queues[stage_index].receiver();
-                let output = if stage_index + 1 < num_stages {
-                    stage_queues[stage_index + 1].sender()
-                } else {
-                    distributor_queue.sender()
-                };
+        // The Stage: every worker runs the whole chain and hands each batch to a
+        // shard.
+        let stage_worker_handles = (0..stage_workers)
+            .map(|worker| {
+                let input = stage_queue.receiver();
+                let output = shard_txs.clone();
                 let chain = Arc::clone(&chain);
                 let early_skip = config.early_skip;
                 let batched_probing = config.batched_probing;
                 let faults = config.fault_plan.clone();
-                let handle = spawn_supervised(
-                    RoleKind::StageWorker {
-                        stage: stage_index,
-                        worker: worker_index,
-                    },
+                spawn_supervised(
+                    RoleKind::StageWorker(worker),
                     failure_tx.clone(),
                     move || {
-                        run_stage_worker(
-                            stage_index,
-                            num_stages,
-                            input,
-                            output,
-                            chain,
-                            early_skip,
-                            batched_probing,
-                            faults,
-                        )
+                        run_stage_worker(input, output, chain, early_skip, batched_probing, faults)
                     },
-                );
-                stage_workers.push(handle);
-            }
-            workers.push(stage_workers);
-        }
+                )
+            })
+            .collect();
 
-        // Aggregation stage: the shards, over one set of merge slots. A single
-        // shard reads the Distributor queue itself; several read their own queues
-        // behind a router that splits it.
+        // Aggregation stage: the shards, over one set of merge slots.
         let (finished_tx, finished_rx) = unbounded();
         let merge = MergeSlots::new(config.max_concurrency, shards);
-        let (shard_inputs, router_handle) = if stage_plan.has_router() {
-            let shard_queues = ShardQueues::new(shards, QUEUE_CAPACITY);
-            // The router gets a sender-only handle; `shard_queues` drops at the end
-            // of this block, leaving each shard as the sole receiver of its queue
-            // so a dead shard surfaces as a send error rather than a blocked send.
-            let mut router = ShardRouter::new(
-                distributor_queue.receiver(),
-                shard_queues.senders(),
-                Arc::clone(&in_flight),
-                Arc::clone(&pool),
-                config.batch_size,
-                config.max_concurrency,
-            )
-            .with_faults(config.fault_plan.clone());
-            let handle = spawn_supervised(RoleKind::ShardRouter, failure_tx.clone(), move || {
-                router.run()
-            });
-            let inputs = (0..shards).map(|s| shard_queues.shard(s).receiver());
-            (inputs.collect(), Some(handle))
-        } else {
-            (vec![distributor_queue.receiver()], None)
-        };
         let mut distributor_handles = Vec::with_capacity(shards);
-        for (shard, (input, shard_counter)) in
-            shard_inputs.into_iter().zip(&shard_counters).enumerate()
-        {
+        for (shard, shard_counter) in shard_counters.iter().enumerate() {
             let mut distributor = Distributor::new(
-                input,
+                shard_queues.shard(shard).receiver(),
                 Arc::clone(&in_flight),
                 Arc::clone(&pool),
                 Arc::clone(&counters),
@@ -685,8 +643,8 @@ impl CjoinEngine {
 
         Ok(PipelineCore {
             cmd_tx,
-            stage_queues,
-            distributor_queue,
+            stage_queue,
+            shards: shard_txs,
             stage_plan,
             partition_info,
             in_flight,
@@ -698,8 +656,7 @@ impl CjoinEngine {
             poison,
             threads: PipelineThreads {
                 scan_workers: scan_worker_handles,
-                workers,
-                router: router_handle,
+                stage_workers: stage_worker_handles,
                 distributors: distributor_handles,
                 manager: manager_handle,
             },
@@ -1163,12 +1120,7 @@ impl CjoinEngine {
             .lock()
             .as_ref()
             .map(|c| c.stage_plan.clone())
-            .unwrap_or_else(|| {
-                let config = self.shared.config.lock();
-                StagePlan::derive(&config.stage_layout, config.worker_threads)
-                    .with_distributor_shards(config.distributor_shards)
-                    .with_scan_workers(config.scan_workers)
-            })
+            .unwrap_or_else(|| StagePlan::of(&self.shared.config.lock()))
     }
 }
 
@@ -1601,10 +1553,10 @@ fn run_tuner(shared: Arc<EngineShared>) {
                 scan_passes: counters.scan_passes.load(Ordering::Relaxed),
                 last_pass_ns: counters.last_pass_ns.load(Ordering::Relaxed),
                 barrier_wait_ns: counters.barrier_wait_ns.load(Ordering::Relaxed),
-                stage_queue_len: core.stage_queues.first().map_or(0, |q| q.len()),
-                stage_queue_capacity: core.stage_queues.first().map_or(0, |q| q.capacity()),
-                distributor_queue_len: core.distributor_queue.len(),
-                distributor_queue_capacity: core.distributor_queue.capacity(),
+                stage_queue_len: core.stage_queue.len(),
+                stage_queue_capacity: core.stage_queue.capacity(),
+                distributor_queue_len: core.shards.deepest_len(),
+                distributor_queue_capacity: core.shards.capacity(),
                 active_queries,
                 batches_in_flight: core.in_flight.load(Ordering::Acquire),
             }
@@ -1682,7 +1634,7 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
         SwapIntent::Resize { axis, width, .. } => {
             let current = match axis {
                 Axis::ScanWorkers => core.stage_plan.scan_workers,
-                Axis::StageWorkers => core.stage_plan.total_threads(),
+                Axis::StageWorkers => core.stage_plan.stage_workers,
                 Axis::DistributorShards => core.stage_plan.distributor_shards,
             };
             if current == *width {
@@ -1704,13 +1656,7 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
         reason,
     } = &intent
     {
-        {
-            let mut config = shared.config.lock();
-            if *axis == Axis::StageWorkers {
-                config.stage_layout = StageLayout::Horizontal;
-            }
-            *axis.width_in(&mut config) = *width;
-        }
+        *axis.width_in(&mut shared.config.lock()) = *width;
         let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
         shared.scheduler.commit_resize(*axis, *width, *reason, pass);
     }
@@ -1983,14 +1929,9 @@ fn handle_failure(
 fn degrade(config: &mut CjoinConfig, role: &RoleKind) -> Option<String> {
     let axis = role.axis()?;
     let from = *axis.width_in(config);
-    let relayout = axis == Axis::StageWorkers && config.stage_layout != StageLayout::Horizontal;
-    if from > 1 || relayout {
-        if relayout {
-            config.stage_layout = StageLayout::Horizontal;
-        }
+    if from > 1 {
         *axis.width_in(config) = 1;
-        let layout = if relayout { ", horizontal layout" } else { "" };
-        Some(format!("{} {from} → 1{layout}", axis.label()))
+        Some(format!("{} {from} → 1", axis.label()))
     } else if axis == Axis::ScanWorkers && config.columnar_scan {
         config.columnar_scan = false;
         Some("fell back from the columnar replica scan to the row store".into())
@@ -2052,8 +1993,8 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
 fn teardown_core(core: PipelineCore, poisoned: bool) {
     let PipelineCore {
         cmd_tx,
-        stage_queues,
-        distributor_queue,
+        stage_queue,
+        shards,
         stall,
         poison,
         threads,
@@ -2070,31 +2011,26 @@ fn teardown_core(core: PipelineCore, poisoned: bool) {
     // The graceful path keeps the queues, to carry the shutdown messages; the
     // failure path drops them here, and every role exits on its upstream's
     // disconnect instead.
-    let queues = (!poisoned).then_some((stage_queues, distributor_queue));
+    let queues = (!poisoned).then_some((stage_queue, shards));
     // A panicked thread's `Err` join result is discarded throughout: its
     // payload already travelled to the supervisor as a [`RoleFailure`].
     for handle in threads.scan_workers {
         let _ = handle.join();
     }
-    // Stop each stage in order; downstream stages are still draining while
-    // upstream workers finish their last batches.
-    for (stage_index, stage_workers) in threads.workers.into_iter().enumerate() {
-        if let Some((stage_queues, _)) = &queues {
-            for _ in 0..stage_workers.len() {
-                let _ = stage_queues[stage_index].send(Message::Shutdown);
-            }
-        }
-        for handle in stage_workers {
-            let _ = handle.join();
+    // One shutdown per Stage worker; the shards keep draining meanwhile.
+    if let Some((stage_queue, _)) = &queues {
+        for _ in 0..threads.stage_workers.len() {
+            let _ = stage_queue.send(Message::Shutdown);
         }
     }
-    // One shutdown message stops the whole aggregation stage: a single shard
-    // consumes it directly; the router consumes it and broadcasts it to every
-    // shard.
-    if let Some((_, distributor_queue)) = &queues {
-        let _ = distributor_queue.send(Message::Shutdown);
+    for handle in threads.stage_workers {
+        let _ = handle.join();
     }
-    for handle in threads.router.into_iter().chain(threads.distributors) {
+    // Then one per shard: nothing can send data behind it any more.
+    if let Some((_, shards)) = &queues {
+        shards.broadcast_shutdown();
+    }
+    for handle in threads.distributors {
         let _ = handle.join();
     }
     // The aggregation stage dropping its side of the finished-query channel lets
@@ -2320,9 +2256,11 @@ mod tests {
     }
 
     #[test]
-    fn vertical_layout_produces_identical_results() {
+    fn three_stage_workers_over_two_shards_produce_identical_results() {
         let catalog = small_catalog(400);
-        let config = test_config().with_stage_layout(crate::config::StageLayout::Vertical);
+        let config = test_config()
+            .with_worker_threads(3)
+            .with_distributor_shards(2);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
         let query = StarQuery::builder("two_dims")
             .join_dimension("color", "colorkey", "k", Predicate::eq("name", "green"))
@@ -2333,7 +2271,8 @@ mod tests {
         let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
         let result = engine.execute(query).unwrap();
         assert!(result.approx_eq(&expected), "{:?}", result.diff(&expected));
-        assert_eq!(engine.stage_plan().num_stages(), 2);
+        let plan = engine.stage_plan();
+        assert_eq!((plan.stage_workers, plan.distributor_shards), (3, 2));
         engine.shutdown();
     }
 

@@ -36,8 +36,6 @@ pub enum FaultSite {
     ScanWorker,
     /// A filter Stage worker.
     StageWorker,
-    /// The distributor shard router.
-    ShardRouter,
     /// A distributor aggregation shard.
     DistributorShard,
     /// A WAL record append on the durable ingestion path.
@@ -50,10 +48,9 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, for matrix tests.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::ScanWorker,
         FaultSite::StageWorker,
-        FaultSite::ShardRouter,
         FaultSite::DistributorShard,
         FaultSite::WalAppend,
         FaultSite::WalSync,
@@ -64,11 +61,10 @@ impl FaultSite {
         match self {
             FaultSite::ScanWorker => 0,
             FaultSite::StageWorker => 1,
-            FaultSite::ShardRouter => 2,
-            FaultSite::DistributorShard => 3,
-            FaultSite::WalAppend => 4,
-            FaultSite::WalSync => 5,
-            FaultSite::WalReplay => 6,
+            FaultSite::DistributorShard => 2,
+            FaultSite::WalAppend => 3,
+            FaultSite::WalSync => 4,
+            FaultSite::WalReplay => 5,
         }
     }
 }
@@ -78,7 +74,6 @@ impl fmt::Display for FaultSite {
         let name = match self {
             FaultSite::ScanWorker => "scan-worker",
             FaultSite::StageWorker => "stage-worker",
-            FaultSite::ShardRouter => "shard-router",
             FaultSite::DistributorShard => "distributor-shard",
             FaultSite::WalAppend => "wal-append",
             FaultSite::WalSync => "wal-sync",
@@ -286,19 +281,19 @@ mod tests {
     #[test]
     fn panic_fires_exactly_once_at_seeded_event() {
         let plan = FaultPlan::seeded(7)
-            .panic_at(FaultSite::ShardRouter)
+            .panic_at(FaultSite::DistributorShard)
             .build();
         // seed 7 -> trigger at event 3.
         for _ in 0..3 {
-            plan.hit(FaultSite::ShardRouter);
+            plan.hit(FaultSite::DistributorShard);
         }
         let p = plan.clone();
-        let err = std::panic::catch_unwind(move || p.hit(FaultSite::ShardRouter)).unwrap_err();
+        let err = std::panic::catch_unwind(move || p.hit(FaultSite::DistributorShard)).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("shard-router"), "{msg}");
+        assert!(msg.contains("distributor-shard"), "{msg}");
         // The latch prevents a second panic at the same site.
-        plan.hit(FaultSite::ShardRouter);
-        assert_eq!(plan.hits(FaultSite::ShardRouter), 5);
+        plan.hit(FaultSite::DistributorShard);
+        assert_eq!(plan.hits(FaultSite::DistributorShard), 5);
     }
 
     #[test]
@@ -313,17 +308,17 @@ mod tests {
 
     #[test]
     fn disabled_plan_injects_nothing() {
-        inject(&None, FaultSite::ShardRouter);
+        inject(&None, FaultSite::DistributorShard);
         let plan = FaultPlan::seeded(1).build();
-        inject(&Some(Arc::clone(&plan)), FaultSite::ShardRouter);
-        assert_eq!(plan.hits(FaultSite::ShardRouter), 1);
+        inject(&Some(Arc::clone(&plan)), FaultSite::DistributorShard);
+        assert_eq!(plan.hits(FaultSite::DistributorShard), 1);
     }
 
     #[test]
     fn plans_compare_by_schedule_not_runtime_state() {
         let a = FaultPlan::seeded(3).panic_at(FaultSite::StageWorker);
         let b = FaultPlan::seeded(3).panic_at(FaultSite::StageWorker);
-        a.hit(FaultSite::ShardRouter);
+        a.hit(FaultSite::DistributorShard);
         assert_eq!(a, b);
         let c = FaultPlan::seeded(4).panic_at(FaultSite::StageWorker);
         assert_ne!(a, c);
@@ -331,7 +326,7 @@ mod tests {
 
     #[test]
     fn wal_sites_are_injectable_and_displayed() {
-        assert_eq!(FaultSite::ALL.len(), 7);
+        assert_eq!(FaultSite::ALL.len(), 6);
         let plan = FaultPlan::seeded(0).panic_at(FaultSite::WalSync).build();
         plan.hit(FaultSite::WalAppend);
         plan.hit(FaultSite::WalReplay);

@@ -313,7 +313,8 @@ impl FilterChain {
     /// preserved by both paths.
     ///
     /// This is the body of a Stage worker: it is deliberately a free function over a
-    /// snapshot of the order so that vertical configurations can run a sub-sequence.
+    /// snapshot of the order so that the Stage can leave out the Filter the scan
+    /// front-end already probed.
     pub fn process_batch(
         filters: &[Arc<DimensionTable>],
         batch: &mut Batch,

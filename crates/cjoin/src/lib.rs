@@ -46,7 +46,7 @@
 //!
 //! | module | paper section | responsibility |
 //! |--------|---------------|----------------|
-//! | [`config`] | §4 | pipeline configuration (maxConc, threads, stage layout, batching) |
+//! | [`config`] | §4 | pipeline configuration (maxConc, thread widths, batching) |
 //! | [`mod@tuple`] | §3.1 | in-flight fact tuples, control tuples, batches |
 //! | [`pool`] | §4 | pooled batch allocator ("specialized allocator for fact tuples") |
 //! | [`queue`] | §4 | bounded batched tuple queues linking pipeline threads |
@@ -55,9 +55,9 @@
 //! | [`preprocessor`] | §3.2.2, §3.3 | bit-vector initialisation, query start/end detection; sharded segment-scan front-end |
 //! | [`colscan`] | §5 | compressed columnar scan: encoded-predicate kernel, zone-map skipping, late materialization |
 //! | [`progress`] | §3.2.3 | per-query progress / estimated completion from the scan position |
-//! | [`distributor`] | §3.2.2 | routing to per-query aggregation operators |
+//! | [`distributor`] | §3.2.2 | routing to per-query aggregation operators, sharded |
 //! | [`optimizer`] | §3.4 | run-time filter reordering from observed selectivities |
-//! | [`pipeline`] | §4 | thread layout (horizontal / vertical / hybrid stages) |
+//! | [`pipeline`] | §4 | thread layout: scan workers, one horizontal Stage, aggregation shards |
 //! | [`engine`] | §3.3 | public API: admission (Algorithm 1), finalization (Algorithm 2) |
 //! | [`scheduler`] | §4 | elastic stage scheduler: self-tuning scan/stage/shard widths |
 //! | [`fault`] | — | deterministic fault injection for supervision tests |
@@ -83,7 +83,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod tuple;
 
-pub use config::{CjoinConfig, PinnedAxes, StageLayout};
+pub use config::{CjoinConfig, PinnedAxes};
 pub use engine::{CjoinEngine, IngestSession, QueryHandle};
 pub use fault::{FaultPlan, FaultSite};
 pub use progress::QueryProgress;

@@ -1,33 +1,31 @@
-//! Stage layout and worker threads (§4).
+//! The Stage and its worker threads (§4).
 //!
-//! The Filters of the CJOIN pipeline are boxed into *Stages*; each Stage has its own
-//! input queue and one or more worker threads. The paper studies three layouts:
+//! The Filters of the CJOIN pipeline are boxed into *Stages*. The paper studies
+//! three layouts — *horizontal* (one Stage holding the whole Filter sequence,
+//! every worker thread running all of it on disjoint batches), *vertical* (one
+//! Stage per Filter) and hybrids between them — and measures the horizontal one
+//! best (Figure 4). This pipeline has that layout only: one Stage, with
+//! `CjoinConfig::worker_threads` workers over one input queue. Because queries
+//! (and therefore Filters) come and go at run time, a worker owns no fixed set
+//! of Filters; it snapshots the current filter chain per batch and runs all of
+//! it.
 //!
-//! * **horizontal** — a single Stage containing the whole Filter sequence, with all
-//!   worker threads assigned to it (each thread runs every Filter on disjoint
-//!   batches). Best in the paper's measurements (Figure 4) and our default.
-//! * **vertical** — one Stage per Filter with one thread each; batches hop from queue
-//!   to queue, trading cache locality of the hash tables for inter-thread traffic.
-//! * **hybrid** — several Stages, each covering a contiguous run of Filters.
-//!
-//! Because queries (and therefore Filters) come and go at run time, a Stage does not
-//! own a fixed set of Filters; instead each worker snapshots the current filter chain
-//! per batch and processes the contiguous slice assigned to its Stage. With a single
-//! Stage this is the entire chain.
-//!
-//! Upstream of the Filter Stages sits the **scan front-end**:
+//! Upstream of the Stage sits the **scan front-end**:
 //! `CjoinConfig::scan_workers` scan worker threads, each over its own segment of
 //! the fact table (see [`crate::preprocessor`]). Downstream sits the
 //! **aggregation stage**: `CjoinConfig::distributor_shards` aggregation shard
-//! threads and, when there is more than one of them, a router thread in front
-//! (see [`crate::distributor`]). The [`StagePlan`] records all three parts of the
-//! thread layout so diagnostics and tests can reason about the whole pipeline.
+//! threads, each reading its own queue (see [`crate::distributor`]). The Stage
+//! is the last hop before aggregation, so each Stage worker hands every batch it
+//! filtered, whole, to the next shard in its own rotation, and the scan
+//! front-end broadcasts control tuples to every shard queue itself. The
+//! [`StagePlan`] records the three widths so diagnostics and tests can reason
+//! about the whole pipeline.
 //!
-//! The supervised roles are therefore five ([`RoleKind`]): scan worker, Stage
-//! worker, shard router, distributor shard, and the manager. Query lifecycle has
-//! no thread of its own — worker 0 of the front-end emits a query's start tuple,
-//! the scan worker that finishes the query's pass last emits its end tuple, and
-//! the shard that drains that end tuple last delivers the result.
+//! The supervised roles are therefore four ([`RoleKind`]): scan worker, Stage
+//! worker, distributor shard, and the manager. Query lifecycle has no thread of
+//! its own — worker 0 of the front-end emits a query's start tuple, the scan
+//! worker that finishes the query's pass last emits its end tuple, and the
+//! shard that drains that end tuple last delivers the result.
 //!
 //! # Supervision and barrier release on failure
 //!
@@ -65,10 +63,10 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use crate::config::StageLayout;
-use crate::dimension::DimensionTable;
+use crate::config::CjoinConfig;
 use crate::fault::{self, FaultPlan, FaultSite};
 use crate::filter::FilterChain;
+use crate::queue::ShardSenders;
 use crate::scheduler::Axis;
 use crate::tuple::Message;
 
@@ -78,15 +76,8 @@ use crate::tuple::Message;
 pub enum RoleKind {
     /// Scan worker `i`.
     ScanWorker(usize),
-    /// Worker `worker` of filter Stage `stage`.
-    StageWorker {
-        /// Stage index in the [`StagePlan`].
-        stage: usize,
-        /// Worker index within the Stage.
-        worker: usize,
-    },
-    /// The distributor shard router (only with more than one shard).
-    ShardRouter,
+    /// Stage worker `i`.
+    StageWorker(usize),
     /// Distributor aggregation shard `i`.
     DistributorShard(usize),
     /// The pipeline manager (filter reordering, query cleanup).
@@ -98,8 +89,7 @@ impl RoleKind {
     pub fn thread_name(&self) -> String {
         match self {
             RoleKind::ScanWorker(i) => format!("cjoin-scan-w{i}"),
-            RoleKind::StageWorker { stage, worker } => format!("cjoin-stage{stage}-w{worker}"),
-            RoleKind::ShardRouter => "cjoin-dist-router".into(),
+            RoleKind::StageWorker(i) => format!("cjoin-stage-w{i}"),
             RoleKind::DistributorShard(i) => format!("cjoin-distributor-s{i}"),
             RoleKind::Manager => "cjoin-manager".into(),
         }
@@ -111,8 +101,7 @@ impl RoleKind {
     pub fn fault_site(&self) -> Option<FaultSite> {
         match self {
             RoleKind::ScanWorker(_) => Some(FaultSite::ScanWorker),
-            RoleKind::StageWorker { .. } => Some(FaultSite::StageWorker),
-            RoleKind::ShardRouter => Some(FaultSite::ShardRouter),
+            RoleKind::StageWorker(_) => Some(FaultSite::StageWorker),
             RoleKind::DistributorShard(_) => Some(FaultSite::DistributorShard),
             RoleKind::Manager => None,
         }
@@ -123,8 +112,8 @@ impl RoleKind {
     pub fn axis(&self) -> Option<Axis> {
         match self {
             RoleKind::ScanWorker(_) => Some(Axis::ScanWorkers),
-            RoleKind::StageWorker { .. } => Some(Axis::StageWorkers),
-            RoleKind::ShardRouter | RoleKind::DistributorShard(_) => Some(Axis::DistributorShards),
+            RoleKind::StageWorker(_) => Some(Axis::StageWorkers),
+            RoleKind::DistributorShard(_) => Some(Axis::DistributorShards),
             RoleKind::Manager => None,
         }
     }
@@ -134,10 +123,7 @@ impl std::fmt::Display for RoleKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RoleKind::ScanWorker(i) => write!(f, "scan-worker-{i}"),
-            RoleKind::StageWorker { stage, worker } => {
-                write!(f, "stage-{stage}-worker-{worker}")
-            }
-            RoleKind::ShardRouter => f.write_str("shard-router"),
+            RoleKind::StageWorker(i) => write!(f, "stage-worker-{i}"),
             RoleKind::DistributorShard(i) => write!(f, "distributor-shard-{i}"),
             RoleKind::Manager => f.write_str("manager"),
         }
@@ -209,122 +195,51 @@ pub fn spawn_supervised(
         .expect("failed to spawn pipeline thread")
 }
 
-/// The thread layout derived from a [`StageLayout`].
+/// The thread layout of one pipeline incarnation: the width of each axis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
-    /// Number of worker threads per Stage; `threads_per_stage.len()` is the number of
-    /// Stages.
-    pub threads_per_stage: Vec<usize>,
-    /// Number of parallel aggregation (Distributor) shards downstream of the Stages.
-    pub distributor_shards: usize,
-    /// Number of parallel continuous-scan (Preprocessor) workers upstream of the
-    /// Stages.
+    /// Continuous-scan (Preprocessor) workers upstream of the Stage.
     pub scan_workers: usize,
+    /// Worker threads of the Stage, each running the whole Filter chain.
+    pub stage_workers: usize,
+    /// Aggregation (Distributor) shards downstream of the Stage.
+    pub distributor_shards: usize,
 }
 
 impl StagePlan {
-    /// Derives the plan from the configured layout and total worker-thread budget,
-    /// with one aggregation shard and one scan worker.
-    pub fn derive(layout: &StageLayout, worker_threads: usize) -> Self {
-        let threads_per_stage = match layout {
-            StageLayout::Horizontal => vec![worker_threads.max(1)],
-            StageLayout::Vertical => vec![1; worker_threads.max(1)],
-            StageLayout::Hybrid(groups) => {
-                if groups.is_empty() {
-                    vec![worker_threads.max(1)]
-                } else {
-                    groups.clone()
-                }
-            }
-        };
+    /// The plan a pipeline spawned from `config` has: every width as
+    /// configured, and at least 1.
+    pub fn of(config: &CjoinConfig) -> Self {
         Self {
-            threads_per_stage,
-            distributor_shards: 1,
-            scan_workers: 1,
+            scan_workers: config.scan_workers.max(1),
+            stage_workers: config.worker_threads.max(1),
+            distributor_shards: config.distributor_shards.max(1),
         }
     }
-
-    /// The same plan with `shards` aggregation shards.
-    pub fn with_distributor_shards(mut self, shards: usize) -> Self {
-        self.distributor_shards = shards.max(1);
-        self
-    }
-
-    /// The same plan with `workers` scan workers.
-    pub fn with_scan_workers(mut self, workers: usize) -> Self {
-        self.scan_workers = workers.max(1);
-        self
-    }
-
-    /// Number of Stages.
-    pub fn num_stages(&self) -> usize {
-        self.threads_per_stage.len()
-    }
-
-    /// Total number of Filter worker threads.
-    pub fn total_threads(&self) -> usize {
-        self.threads_per_stage.iter().sum()
-    }
-
-    /// Whether the aggregation stage has a router: a single shard reads the
-    /// pipeline's output queue itself, several need a thread that splits it.
-    pub fn has_router(&self) -> bool {
-        self.distributor_shards > 1
-    }
-
-    /// Threads spawned for the aggregation stage: one per shard, plus the router.
-    pub fn aggregation_threads(&self) -> usize {
-        self.distributor_shards + usize::from(self.has_router())
-    }
-
-    /// Threads spawned for the scan front-end: one per scan worker.
-    pub fn scan_threads(&self) -> usize {
-        self.scan_workers
-    }
-}
-
-/// Returns the contiguous slice of the filter chain snapshot that Stage
-/// `stage_index` (of `num_stages`) is responsible for.
-pub fn stage_slice(
-    filters: &[Arc<DimensionTable>],
-    stage_index: usize,
-    num_stages: usize,
-) -> &[Arc<DimensionTable>] {
-    let len = filters.len();
-    if num_stages <= 1 {
-        return filters;
-    }
-    let lo = stage_index * len / num_stages;
-    let hi = ((stage_index + 1) * len / num_stages).min(len);
-    &filters[lo..hi]
 }
 
 /// Body of one Stage worker thread.
 ///
-/// Data batches are run through the Stage's slice of the filter chain and forwarded —
-/// even when they end up empty, so the Distributor's in-flight accounting (used by
-/// the control-tuple drain barrier) stays exact. Control tuples do not travel through
-/// Stages (they take the direct Preprocessor → Distributor path) but are forwarded
-/// defensively if ever seen. A `Shutdown` message stops the worker without being
-/// forwarded; the engine shuts each Stage down explicitly.
+/// Each data batch is run through the filter chain and handed, whole, to the
+/// next aggregation shard in this worker's rotation — even when it ends up
+/// empty, so the shards' in-flight accounting (used by the control-tuple drain
+/// barrier) stays exact: a batch is one in-flight unit from the scan to the
+/// shard that drains it. Control tuples do not travel through the Stage (the
+/// scan front-end broadcasts them to the shard queues itself) but are broadcast
+/// defensively if ever seen. A `Shutdown` message stops the worker without
+/// being forwarded; the engine shuts the shards down explicitly. A shard whose
+/// receiver is gone (it exited or died) stops the worker instead of blocking it.
 ///
-/// # One tracked path
+/// # The scan's mark
 ///
-/// A batch can meet a different filter chain at every hop. Query admission and
-/// the run-time optimizer grow, shrink and reorder the chain *while the batch
-/// travels*: between two Stages of a multi-Stage layout — where slice boundaries
-/// computed from one snapshot need not line up with the next, so naive slicing
-/// could apply a Filter twice or, worse, never — and, in every layout, between
-/// the columnar scan front-end and the first Stage, because that front-end
-/// probes the chain's leading Filter itself before it materialises a row (see
-/// [`crate::preprocessor`]). Each batch therefore records which Filters already
-/// processed it, by dimension slot ([`Batch::mark_filter_applied`]): whoever
-/// probes a Filter marks the batch with the slot of the Filter *that actually
-/// probed it*, every Stage skips marked Filters, and the **final Stage applies
-/// every unmarked Filter of its snapshot** rather than just its slice, so no
-/// Filter present at the end of the pipe is ever missed and none runs twice.
-/// There is no untracked variant: a single-Stage layout is the final Stage of a
-/// one-Stage pipe.
+/// A batch can meet a different filter chain at the Stage than at the scan.
+/// Query admission and the run-time optimizer grow, shrink and reorder the
+/// chain *while the batch travels*, and the columnar scan front-end probes the
+/// chain's leading Filter itself before it materialises a row (see
+/// [`crate::preprocessor`]). That front-end marks each batch with the slot of
+/// the Filter *that actually probed it* ([`Batch::mark_filter_applied`]), and
+/// the Stage applies every Filter of its own snapshot except the marked one, so
+/// no Filter present at the end of the pipe is ever missed and none runs twice.
 ///
 /// A Filter that enters the chain after a batch was produced (or after the scan
 /// side chose that chunk's leading Filter) may run on the batch or not; both are
@@ -343,51 +258,29 @@ pub fn stage_slice(
 /// admitted after the batch was produced — has nothing to do on it.
 ///
 /// [`Batch::mark_filter_applied`]: crate::tuple::Batch::mark_filter_applied
-#[allow(clippy::too_many_arguments)]
 pub fn run_stage_worker(
-    stage_index: usize,
-    num_stages: usize,
     input: Receiver<Message>,
-    output: Sender<Message>,
+    output: ShardSenders,
     chain: Arc<FilterChain>,
     early_skip: bool,
     batched_probing: bool,
     faults: Option<Arc<FaultPlan>>,
 ) {
-    // Worker-local scratch, reused across batches so per-batch bookkeeping
-    // allocates nothing at steady state.
-    let mut todo_scratch: Vec<Arc<DimensionTable>> = Vec::new();
+    let mut next_shard = 0;
     while let Ok(msg) = input.recv() {
         match msg {
             Message::Data(mut batch) => {
                 fault::inject(&faults, FaultSite::StageWorker);
-                let filters = chain.snapshot();
-                let last = stage_index + 1 == num_stages;
-                let candidates: &[Arc<DimensionTable>] = if last {
-                    &filters
-                } else {
-                    stage_slice(&filters, stage_index, num_stages)
-                };
-                todo_scratch.clear();
-                todo_scratch.extend(
-                    candidates
-                        .iter()
-                        .filter(|f| !batch.filter_applied(f.slot))
-                        .cloned(),
-                );
-                for f in &todo_scratch {
-                    batch.mark_filter_applied(f.slot);
-                }
-                FilterChain::process_batch(&todo_scratch, &mut batch, early_skip, batched_probing);
-                if output.send(Message::Data(batch)).is_err() {
+                let mut filters = chain.snapshot();
+                filters.retain(|f| !batch.filter_applied(f.slot));
+                FilterChain::process_batch(&filters, &mut batch, early_skip, batched_probing);
+                let shard = next_shard;
+                next_shard = (next_shard + 1) % output.num_shards();
+                if output.send_to(shard, Message::Data(batch)).is_err() {
                     return;
                 }
             }
-            Message::Control(control) => {
-                if output.send(Message::Control(control)).is_err() {
-                    return;
-                }
-            }
+            Message::Control(control) => output.broadcast_control(&control),
             Message::Shutdown => return,
         }
     }
@@ -396,98 +289,52 @@ pub fn run_stage_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::{Batch, InFlightTuple};
+    use crate::dimension::DimensionTable;
+    use crate::queue::ShardQueues;
+    use crate::tuple::{Batch, ControlTuple, InFlightTuple, QueryRuntime};
     use cjoin_common::{QueryId, QuerySet};
-    use cjoin_storage::{Row, RowId, Value};
-    use crossbeam::channel::unbounded;
+    use cjoin_query::{AggregateSpec, StarQuery};
+    use cjoin_storage::{Catalog, Column, Row, RowId, Schema, SnapshotId, Table, Value};
+    use crossbeam::channel::{bounded, unbounded};
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+    use std::time::Instant;
 
-    #[test]
-    fn horizontal_plan_has_one_stage() {
-        let p = StagePlan::derive(&StageLayout::Horizontal, 5);
-        assert_eq!(p.num_stages(), 1);
-        assert_eq!(p.total_threads(), 5);
+    /// A single-shard output over `tx`.
+    fn one_shard(tx: Sender<Message>) -> ShardSenders {
+        std::iter::once(tx).collect()
     }
 
     #[test]
-    fn vertical_plan_has_one_thread_per_stage() {
-        let p = StagePlan::derive(&StageLayout::Vertical, 4);
-        assert_eq!(p.num_stages(), 4);
-        assert_eq!(p.threads_per_stage, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn hybrid_plan_uses_explicit_groups() {
-        let p = StagePlan::derive(&StageLayout::Hybrid(vec![2, 3]), 99);
-        assert_eq!(p.num_stages(), 2);
-        assert_eq!(p.total_threads(), 5);
-        // Degenerate empty hybrid falls back to horizontal.
-        let p = StagePlan::derive(&StageLayout::Hybrid(vec![]), 3);
-        assert_eq!(p.num_stages(), 1);
-        assert_eq!(p.total_threads(), 3);
-    }
-
-    #[test]
-    fn zero_threads_still_yields_a_worker() {
-        let p = StagePlan::derive(&StageLayout::Horizontal, 0);
-        assert_eq!(p.total_threads(), 1);
-    }
-
-    #[test]
-    fn aggregation_thread_budget_tracks_sharding() {
-        let solo = StagePlan::derive(&StageLayout::Horizontal, 2);
-        assert_eq!(solo.distributor_shards, 1);
-        assert_eq!(solo.aggregation_threads(), 1, "one shard, no router");
-        let sharded = StagePlan::derive(&StageLayout::Horizontal, 2).with_distributor_shards(4);
-        assert_eq!(sharded.distributor_shards, 4);
-        assert_eq!(sharded.aggregation_threads(), 5, "4 shards + router");
-        // Degenerate zero clamps to the single-shard plan.
-        let clamped = StagePlan::derive(&StageLayout::Horizontal, 2).with_distributor_shards(0);
-        assert_eq!(clamped.distributor_shards, 1);
-    }
-
-    #[test]
-    fn scan_thread_budget_tracks_the_front_end_sharding() {
-        let solo = StagePlan::derive(&StageLayout::Horizontal, 2);
-        assert_eq!(solo.scan_workers, 1);
-        assert_eq!(solo.scan_threads(), 1);
-        let sharded = StagePlan::derive(&StageLayout::Horizontal, 2).with_scan_workers(4);
-        assert_eq!(sharded.scan_workers, 4);
-        assert_eq!(sharded.scan_threads(), 4, "one thread per scan worker");
-        // Degenerate zero clamps to one worker.
-        let clamped = StagePlan::derive(&StageLayout::Horizontal, 2).with_scan_workers(0);
-        assert_eq!(clamped.scan_workers, 1);
-    }
-
-    #[test]
-    fn stage_slices_partition_the_chain() {
-        let filters: Vec<Arc<DimensionTable>> = (0..5)
-            .map(|i| {
-                Arc::new(DimensionTable::new(
-                    format!("d{i}"),
-                    i,
-                    0,
-                    0,
-                    4,
-                    &QuerySet::new(4),
-                ))
-            })
-            .collect();
-        // Union of slices over all stages covers the chain exactly once, in order.
-        for num_stages in 1..=6 {
-            let mut covered = Vec::new();
-            for s in 0..num_stages {
-                covered.extend(
-                    stage_slice(&filters, s, num_stages)
-                        .iter()
-                        .map(|f| f.name.clone()),
-                );
-            }
-            assert_eq!(
-                covered,
-                vec!["d0", "d1", "d2", "d3", "d4"],
-                "stages={num_stages}"
-            );
-        }
+    fn plan_is_the_configured_widths_each_at_least_one() {
+        let config = CjoinConfig::default()
+            .with_scan_workers(4)
+            .with_worker_threads(5)
+            .with_distributor_shards(2);
+        let plan = StagePlan::of(&config);
+        assert_eq!(
+            (
+                plan.scan_workers,
+                plan.stage_workers,
+                plan.distributor_shards
+            ),
+            (4, 5, 2)
+        );
+        let zero = CjoinConfig {
+            scan_workers: 0,
+            worker_threads: 0,
+            distributor_shards: 0,
+            ..CjoinConfig::default()
+        };
+        let plan = StagePlan::of(&zero);
+        assert_eq!(
+            (
+                plan.scan_workers,
+                plan.stage_workers,
+                plan.distributor_shards
+            ),
+            (1, 1, 1),
+            "degenerate zeros clamp to the classic single-thread shape"
+        );
     }
 
     #[test]
@@ -503,7 +350,7 @@ mod tests {
         let worker = {
             let chain = Arc::clone(&chain);
             std::thread::spawn(move || {
-                run_stage_worker(0, 1, in_rx, out_tx, chain, true, true, None)
+                run_stage_worker(in_rx, one_shard(out_tx), chain, true, true, None)
             })
         };
 
@@ -537,18 +384,17 @@ mod tests {
         assert!(out_rx.try_recv().is_err(), "shutdown is not forwarded");
     }
 
-    /// Regression for the layout/shard matrix flake: with a vertical layout, a
-    /// batch that passed Stage 0 while the chain had one Filter must still be
-    /// processed by a Filter admitted (or reordered in) before it reaches the
-    /// final Stage — the final Stage sweeps every not-yet-applied Filter instead
-    /// of trusting its slice boundaries.
+    /// The scan probed Filter A for a batch and marked it; before the batch
+    /// reaches the Stage, a second query's admission grows the chain by Filter
+    /// B. The Stage applies B and skips A: A's counters do not move, and a
+    /// tuple A would drop survives, because A already ran where it was marked.
     #[test]
-    fn final_stage_applies_filters_missed_by_shifted_slices() {
+    fn stage_applies_the_grown_chain_except_the_scan_marked_filter() {
         let chain = Arc::new(FilterChain::new());
         // Filter A (slot 0, fact column 0) keeps only fk0 == 42 for query 0.
-        let a = DimensionTable::new("a", 0, 0, 0, 4, &QuerySet::new(4));
+        let a = Arc::new(DimensionTable::new("a", 0, 0, 0, 4, &QuerySet::new(4)));
         a.register_query(QueryId(0), &[(42, Row::new(vec![Value::int(42)]))]);
-        chain.push(Arc::new(a));
+        chain.push(Arc::clone(&a));
 
         let tuple = |id: u64, k0: i64, k1: i64| {
             InFlightTuple::new(
@@ -558,44 +404,32 @@ mod tests {
                 2,
             )
         };
-        // t0 is dropped by A, t1 by B (added below), t2 survives both.
-        let batch = Batch::from(vec![tuple(0, 1, 7), tuple(1, 42, 1), tuple(2, 42, 7)]);
+        // t0 would be dropped by A, t1 is dropped by B, t2 passes both.
+        let mut batch = Batch::from(vec![tuple(0, 1, 7), tuple(1, 42, 1), tuple(2, 42, 7)]);
+        batch.mark_filter_applied(a.slot);
 
-        // Stage 0 of 2: with a one-Filter chain its slice is empty, so the batch
-        // passes through untouched (the pre-fix behavior as well).
-        let (in0, rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
-        let worker0 = {
-            let chain = Arc::clone(&chain);
-            std::thread::spawn(move || run_stage_worker(0, 2, rx0, tx1, chain, true, true, None))
-        };
-        in0.send(Message::Data(batch)).unwrap();
-        in0.send(Message::Shutdown).unwrap();
-        worker0.join().unwrap();
-
-        // Between the Stages a second query's admission grows the chain: Filter B
-        // (slot 1, fact column 1) keeps only fk1 == 7 for query 0.
-        let b = DimensionTable::new("b", 1, 1, 0, 4, &QuerySet::new(4));
+        // Filter B (slot 1, fact column 1) keeps only fk1 == 7 for query 0.
+        let b = Arc::new(DimensionTable::new("b", 1, 1, 0, 4, &QuerySet::new(4)));
         b.register_query(QueryId(0), &[(7, Row::new(vec![Value::int(7)]))]);
-        chain.push(Arc::new(b));
+        chain.push(Arc::clone(&b));
 
-        // Stage 1 of 2 (the final Stage): its slice under the new snapshot is
-        // [B] only, but it must also apply A, which the shifted slices skipped.
-        let (tx2, rx2) = unbounded();
-        let worker1 = {
-            let chain = Arc::clone(&chain);
-            std::thread::spawn(move || run_stage_worker(1, 2, rx1, tx2, chain, true, true, None))
-        };
-        worker1.join().unwrap();
+        let (in_tx, in_rx) = unbounded();
+        let (out_tx, out_rx) = unbounded();
+        in_tx.send(Message::Data(batch)).unwrap();
+        in_tx.send(Message::Shutdown).unwrap();
+        run_stage_worker(in_rx, one_shard(out_tx), chain, true, true, None);
 
-        match rx2.try_recv().unwrap() {
+        match out_rx.try_recv().unwrap() {
             Message::Data(batch) => {
-                assert_eq!(batch.len(), 1, "both Filters must have processed the batch");
-                assert_eq!(batch[0].row_id, RowId(2));
-                assert!(batch.filter_applied(0) && batch.filter_applied(1));
+                let ids: Vec<RowId> = batch.iter().map(|t| t.row_id).collect();
+                assert_eq!(ids, [RowId(0), RowId(2)], "B applied, A skipped");
+                assert!(batch.filter_applied(a.slot) && !batch.filter_applied(b.slot));
             }
             other => panic!("expected data, got {other:?}"),
         }
+        assert_eq!(a.stats.snapshot(), (0, 0, 0, 0), "A never probed here");
+        let (b_in, b_dropped, b_probes, _) = b.stats.snapshot();
+        assert_eq!((b_in, b_dropped, b_probes), (3, 1, 3));
     }
 
     #[test]
@@ -607,7 +441,7 @@ mod tests {
         let (in_tx, in_rx) = unbounded();
         let (out_tx, out_rx) = unbounded();
         let worker = std::thread::spawn(move || {
-            run_stage_worker(0, 1, in_rx, out_tx, chain, true, true, None)
+            run_stage_worker(in_rx, one_shard(out_tx), chain, true, true, None)
         });
         let miss = InFlightTuple::new(
             RowId(0),
@@ -622,5 +456,131 @@ mod tests {
             matches!(out_rx.try_recv().unwrap(), Message::Data(b) if b.is_empty()),
             "empty batch still forwarded"
         );
+    }
+
+    /// A scalar COUNT(*) query's runtime, for control tuples.
+    fn runtime(bit: u32) -> Arc<QueryRuntime> {
+        let catalog = Catalog::new();
+        let fact = Table::new(Schema::new("fact", vec![Column::int("fk")]));
+        catalog.add_fact_table(Arc::new(fact));
+        let bound = StarQuery::builder(format!("q{bit}"))
+            .aggregate(AggregateSpec::count_star())
+            .build()
+            .bind(&catalog)
+            .unwrap();
+        Arc::new(QueryRuntime {
+            id: QueryId(bit),
+            name: format!("q{bit}"),
+            bound: Arc::new(bound),
+            slot_map: Vec::new(),
+            result_tx: bounded(1).0,
+            resolved: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
+            deadline_at: None,
+            admitted_at: Instant::now(),
+            snapshot: SnapshotId::INITIAL,
+            progress: Arc::new(crate::progress::QueryProgress::new(0)),
+        })
+    }
+
+    /// Stage-side dispatch: with the query's start
+    /// already broadcast to three shard queues, six batches through one Stage
+    /// worker each arrive whole on exactly one queue, behind the start, spread
+    /// over more than one shard — and each is one in-flight unit, the one the
+    /// scan counted, which the draining shard settles.
+    #[test]
+    fn stage_worker_dispatches_whole_batches_behind_the_broadcast_start() {
+        let queues = ShardQueues::new(3, 16);
+        let senders = queues.senders();
+        senders.broadcast_control(&ControlTuple::QueryStart(runtime(0)));
+        let (in_tx, in_rx) = unbounded();
+        let in_flight = AtomicI64::new(0);
+        for b in 0..6u64 {
+            let batch: Batch = (0..2)
+                .map(|t| {
+                    InFlightTuple::new(
+                        RowId(2 * b + t),
+                        Row::new(vec![Value::int(1)]),
+                        QuerySet::from_bits(4, [0]),
+                        0,
+                    )
+                })
+                .collect();
+            in_flight.fetch_add(1, Ordering::AcqRel); // the scan's count
+            in_tx.send(Message::Data(batch)).unwrap();
+        }
+        in_tx.send(Message::Shutdown).unwrap();
+        run_stage_worker(
+            in_rx,
+            senders,
+            Arc::new(FilterChain::new()),
+            true,
+            true,
+            None,
+        );
+        assert_eq!(
+            in_flight.load(Ordering::Acquire),
+            6,
+            "the Stage re-accounts nothing"
+        );
+
+        let mut seen = Vec::new();
+        let mut used = 0;
+        for s in 0..3 {
+            let shard = queues.shard(s);
+            match shard.recv_timeout(std::time::Duration::ZERO) {
+                Ok(Some(Message::Control(ControlTuple::QueryStart(rt)))) => {
+                    assert_eq!(rt.id, QueryId(0));
+                }
+                other => panic!("shard {s}: expected QueryStart first, got {other:?}"),
+            }
+            let before = seen.len();
+            while let Ok(Some(msg)) = shard.recv_timeout(std::time::Duration::ZERO) {
+                let Message::Data(batch) = msg else {
+                    panic!("shard {s}: only data after the start");
+                };
+                let ids: Vec<u64> = batch.iter().map(|t| t.row_id.0).collect();
+                assert_eq!(ids.len(), 2, "batches arrive whole");
+                assert_eq!(ids[1], ids[0] + 1);
+                seen.extend(ids);
+                in_flight.fetch_sub(1, Ordering::AcqRel); // the shard's ack
+            }
+            used += usize::from(seen.len() > before);
+        }
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..12).collect::<Vec<u64>>(),
+            "every batch on one queue"
+        );
+        assert!(used >= 2, "batches spread over {used} shard(s)");
+        assert_eq!(in_flight.load(Ordering::Acquire), 0, "one unit per batch");
+    }
+
+    /// A shard whose receiver is gone stops the Stage worker, which would
+    /// otherwise block on (or silently lose batches to) a dead consumer.
+    #[test]
+    fn stage_worker_exits_when_a_shard_receiver_is_dropped() {
+        let queues = ShardQueues::new(2, 16);
+        let senders = queues.senders();
+        let live = queues.shard(0).receiver();
+        drop(queues); // shard 1's only receiver
+        let (in_tx, in_rx) = unbounded();
+        for id in 0..4 {
+            let tuple =
+                InFlightTuple::new(RowId(id), Row::new(vec![]), QuerySet::from_bits(4, [0]), 0);
+            in_tx.send(Message::Data(Batch::from(vec![tuple]))).unwrap();
+        }
+        // No shutdown: the worker must return on its own.
+        run_stage_worker(
+            in_rx,
+            senders,
+            Arc::new(FilterChain::new()),
+            true,
+            true,
+            None,
+        );
+        assert_eq!(live.len(), 1, "the first batch reached shard 0");
+        assert_eq!(in_tx.len(), 2, "the worker stopped at the dead shard");
     }
 }

@@ -35,19 +35,20 @@
 //! ([`cjoin_storage::segment_ranges`]; one segment, the whole table, for
 //! `N = 1`); each segment is owned by one worker — a [`Preprocessor`] on its own
 //! thread — running the full per-row path above over its own circular segment
-//! cursor, feeding the filter stages concurrently with its siblings. No thread
+//! cursor, feeding the Stage concurrently with its siblings. No thread
 //! owns the query lifecycle; the workers keep the paper's §3.3 guarantees among
 //! themselves:
 //!
 //! * **Admission** — worker 0 owns the engine-facing command channel. On an
-//!   install it emits the query-start control tuple *first*, then relays the
-//!   install (with sibling *i*'s partition plan) to each sibling's FIFO command
-//!   queue, then installs the query itself and acks; cancels and shutdown are
-//!   relayed the same way. Each worker installs the query at its own
-//!   segment-batch boundary, recording the query's starting position within
-//!   its segment. Any data tuple carrying the new bit is therefore produced
-//!   strictly after the start tuple was enqueued, so the Distributor's FIFO
-//!   queue observes start-before-data (invariant 1) with no global pause.
+//!   install it broadcasts the query-start control tuple to every shard queue
+//!   *first*, then relays the install (with sibling *i*'s partition plan) to
+//!   each sibling's FIFO command queue, then installs the query itself and
+//!   acks; cancels and shutdown are relayed the same way. Each worker installs
+//!   the query at its own segment-batch boundary, recording the query's
+//!   starting position within its segment. Any data tuple carrying the new bit
+//!   is therefore produced strictly after the start tuple was enqueued, so every
+//!   shard's FIFO queue observes start-before-data (invariant 1) with no global
+//!   pause.
 //! * **Exactly one pass** — each worker independently retires the query's bit the
 //!   moment its segment cursor wraps the per-segment starting tuple (or its
 //!   partition plan is exhausted): from then on the worker never sets the bit, so
@@ -132,14 +133,14 @@
 //!    encoded foreign-key column: one bulk gather
 //!    ([`IntEncoding::gather`](cjoin_storage::IntEncoding::gather)), one
 //!    [`ProbeGuard`](crate::dimension::ProbeGuard) for the chunk, the §3.2.2
-//!    early skip honoured, bits ANDed in place by the kernel the Stages use
+//!    early skip honoured, bits ANDed in place by the kernel the Stage uses
 //!    (`filter::probe_bits`), the selection compacted to the survivors.
 //! 4. **Materialisation.** `project_row` + `reset` for the survivors only — the
 //!    union of columns the active queries' join keys, group-bys and aggregates
 //!    read, positions preserved, the rest NULL — with the joined dimension row
 //!    attached and every emitted batch marked
 //!    ([`Batch::mark_filter_applied`]) with the slot of the Filter that probed
-//!    it, so the Stages run the *rest* of the chain and never probe it again
+//!    it, so the Stage runs the *rest* of the chain and never probes it again
 //!    (the argument for chains that change between chunk and Stage is in
 //!    `crate::pipeline::run_stage_worker`).
 //!
@@ -174,7 +175,7 @@
 //!
 //! §3.3.3 requires that a control tuple enqueued before (after) a fact tuple is never
 //! processed by the Distributor after (before) that tuple. Data tuples travel through
-//! the worker stages while control tuples take a direct path to the Distributor's
+//! the Stage while control tuples take a direct path to every Distributor shard's
 //! queue, so ordering is enforced with a *drain barrier*: before emitting an
 //! end-of-query control tuple the closing worker waits until every batch already
 //! sent has been fully processed by the Distributor (an atomic in-flight counter
@@ -213,6 +214,7 @@ use crate::fault::{self, FaultSite};
 use crate::filter::{combine_versions, probe_bits, BatchLocalStats, FilterChain, ProbeOutcome};
 use crate::pool::BatchPool;
 use crate::progress::QueryProgress;
+use crate::queue::ShardSenders;
 use crate::stats::{ScanWorkerCounters, SharedCounters};
 use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
 
@@ -287,15 +289,15 @@ pub struct PreprocessorContext {
     pub stall: Arc<ScanStall>,
     /// Queue into the first filter Stage.
     pub stage_tx: Sender<Message>,
-    /// Direct path for control tuples to the aggregation stage.
-    pub distributor_tx: Sender<Message>,
+    /// Direct path for control tuples to every aggregation shard's queue.
+    pub distributor_tx: ShardSenders,
     /// Batches in flight between the front-end and the aggregation stage.
     pub in_flight: Arc<AtomicI64>,
     /// Pooled batch allocator.
     pub pool: Arc<BatchPool>,
     /// Number of dimension slots currently allocated (for tuple sizing).
     pub slot_count: Arc<AtomicUsize>,
-    /// The filter chain the Stages run. An encoded chunk probes its leading
+    /// The filter chain the Stage runs. An encoded chunk probes its leading
     /// Filter itself, before it materialises a row.
     pub chain: Arc<FilterChain>,
     /// Global pipeline counters.
@@ -446,7 +448,7 @@ pub struct Preprocessor {
     siblings: Vec<Sender<PreprocessorCommand>>,
     stall: Arc<ScanStall>,
     stage_tx: Sender<Message>,
-    distributor_tx: Sender<Message>,
+    distributor_tx: ShardSenders,
     in_flight: Arc<AtomicI64>,
     pool: Arc<BatchPool>,
     slot_count: Arc<AtomicUsize>,
@@ -555,7 +557,7 @@ impl Preprocessor {
     /// Runs the Preprocessor loop until shutdown.
     ///
     /// On shutdown the Preprocessor simply stops producing; the engine is responsible
-    /// for shutting down the downstream stages and the Distributor afterwards.
+    /// for shutting down the Stage and the Distributor shards afterwards.
     pub fn run(&mut self) {
         loop {
             self.stall.park_if_requested();
@@ -690,11 +692,8 @@ impl Preprocessor {
         // Before the relay: a sibling may mark its segment complete the moment
         // it has the install.
         runtime.progress.restart(self.siblings.len() as u64 + 1);
-        let _ = self
-            .distributor_tx
-            .send(Message::Control(ControlTuple::QueryStart(Arc::clone(
-                runtime,
-            ))));
+        self.distributor_tx
+            .broadcast_control(&ControlTuple::QueryStart(Arc::clone(runtime)));
         let relayed = self.relay(|| PreprocessorCommand::Install {
             runtime: Arc::clone(runtime),
             fact_predicate: fact_predicate.clone(),
@@ -816,11 +815,8 @@ impl Preprocessor {
         // tuple is owed for the truncated scan (and the run loop stops next).
         if !self.poison.load(Ordering::Acquire) {
             progress.mark_completed();
-            let _ = self
-                .distributor_tx
-                .send(Message::Control(ControlTuple::QueryEnd(QueryId(
-                    bit as u32,
-                ))));
+            self.distributor_tx
+                .broadcast_control(&ControlTuple::QueryEnd(QueryId(bit as u32)));
         }
         self.stall.release();
     }
@@ -1730,7 +1726,7 @@ mod tests {
             siblings: Vec::new(),
             stall: ScanStall::new(1),
             stage_tx,
-            distributor_tx: dist_tx,
+            distributor_tx: std::iter::once(dist_tx).collect(),
             in_flight,
             pool: BatchPool::new(8),
             slot_count: Arc::new(AtomicUsize::new(1)),
@@ -2788,7 +2784,8 @@ mod tests {
             let chain = Arc::clone(&chain);
             let input = stage_rx.clone();
             std::thread::spawn(move || {
-                crate::pipeline::run_stage_worker(0, 1, input, out_tx, chain, true, true, None)
+                let output = std::iter::once(out_tx).collect();
+                crate::pipeline::run_stage_worker(input, output, chain, true, true, None)
             })
         };
         pre.stage_tx.send(Message::Shutdown).unwrap();
@@ -2800,8 +2797,8 @@ mod tests {
         while let Ok(Message::Data(batch)) = out_rx.try_recv() {
             batches += 1;
             assert!(
-                batch.filter_applied(0) && batch.filter_applied(1),
-                "both Filters processed every batch"
+                batch.filter_applied(0) != batch.filter_applied(1),
+                "the scan marked the one Filter it probed"
             );
             for tuple in batch.iter() {
                 let (fk_a, fk_b) = fks(tuple.row_id.0 as i64);

@@ -75,8 +75,7 @@ impl TupleQueue {
         self.rx.recv().ok()
     }
 
-    /// A clone of the sending half (e.g. for the Preprocessor to push control tuples
-    /// directly to the Distributor's queue).
+    /// A clone of the sending half (e.g. for each scan worker feeding the Stage).
     pub fn sender(&self) -> Sender<Message> {
         self.tx.clone()
     }
@@ -89,17 +88,19 @@ impl TupleQueue {
 
 /// One bounded queue per Distributor shard.
 ///
-/// Data batches are *routed* (each sub-batch goes to exactly one shard) while
-/// control tuples are *broadcast* (every shard owns partial aggregation state for
-/// every query, so each must observe the query's start and end). Because each
+/// Two sides feed these queues. The Stage workers *dispatch* data: each
+/// filtered batch goes, whole, to exactly one shard. The scan front-end
+/// *broadcasts* control tuples: every shard owns partial aggregation state for
+/// every query, so each must observe the query's start and end. Because each
 /// shard's queue is FIFO, a broadcast control tuple can never overtake — or be
-/// overtaken by — data the router sent to that shard earlier or later.
+/// overtaken by — data enqueued on that shard's queue before or after it.
 ///
 /// `ShardQueues` is a construction-time handle: the engine hands each shard
-/// worker its [`receiver`](TupleQueue::receiver), hands the router a sender-only
-/// [`ShardSenders`], and then drops this struct — leaving each worker as the
-/// *sole* receiver of its queue, so a dead shard surfaces to the router as a
-/// send error instead of a silently blocked queue.
+/// worker its [`receiver`](TupleQueue::receiver), hands the Stage workers, the
+/// scan workers and the pipeline core sender-only [`ShardSenders`], and then
+/// drops this struct — leaving each worker as the *sole* receiver of its
+/// queue, so a dead shard surfaces to its producers as a send error instead
+/// of a silently blocked queue.
 #[derive(Debug)]
 pub struct ShardQueues {
     queues: Vec<TupleQueue>,
@@ -115,28 +116,30 @@ impl ShardQueues {
         }
     }
 
-    /// Number of shard queues.
-    pub fn num_shards(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The queue feeding shard `shard`.
     pub fn shard(&self, shard: usize) -> &TupleQueue {
         &self.queues[shard]
     }
 
-    /// The sending halves of every shard queue, for the router.
+    /// The sending halves of every shard queue, in shard order.
     pub fn senders(&self) -> ShardSenders {
-        ShardSenders {
-            txs: self.queues.iter().map(TupleQueue::sender).collect(),
-        }
+        self.queues.iter().map(TupleQueue::sender).collect()
     }
 }
 
-/// The router's sender-only handle to the per-shard queues (see [`ShardQueues`]).
+/// A sender-only handle to the per-shard queues (see [`ShardQueues`]), in
+/// shard order. Collecting a single sender gives the one-shard handle.
 #[derive(Debug, Clone)]
 pub struct ShardSenders {
     txs: Vec<Sender<Message>>,
+}
+
+impl FromIterator<Sender<Message>> for ShardSenders {
+    fn from_iter<I: IntoIterator<Item = Sender<Message>>>(iter: I) -> Self {
+        Self {
+            txs: iter.into_iter().collect(),
+        }
+    }
 }
 
 impl ShardSenders {
@@ -145,7 +148,17 @@ impl ShardSenders {
         self.txs.len()
     }
 
-    /// Sends a data message to one shard, blocking while its queue is full.
+    /// Depth, in messages, of the deepest shard queue.
+    pub fn deepest_len(&self) -> usize {
+        self.txs.iter().map(Sender::len).max().unwrap_or(0)
+    }
+
+    /// Capacity, in messages, of one shard queue (0 when unbounded).
+    pub fn capacity(&self) -> usize {
+        self.txs.first().and_then(Sender::capacity).unwrap_or(0)
+    }
+
+    /// Sends a message to one shard, blocking while its queue is full.
     ///
     /// # Errors
     /// Returns the message back if the shard's receiver has been dropped (the
@@ -252,9 +265,10 @@ mod tests {
     fn shard_queues_broadcast_control_and_route_data() {
         let shards = ShardQueues::new(3, 4);
         let senders = shards.senders();
-        assert_eq!(shards.num_shards(), 3);
         assert_eq!(senders.num_shards(), 3);
+        assert_eq!(senders.capacity(), 4);
         senders.send_to(1, data_message(2)).unwrap();
+        assert_eq!(senders.deepest_len(), 1);
         senders.broadcast_control(&ControlTuple::QueryEnd(QueryId(5)));
         senders.broadcast_shutdown();
         for s in 0..3 {
@@ -289,8 +303,8 @@ mod tests {
 
     #[test]
     fn dropping_the_sole_receiver_makes_sends_fail() {
-        // The failure mode the sender-only router handle exists for: once the shard
-        // worker (sole receiver) is gone, the router must see an error, not block.
+        // The failure mode the sender-only handle exists for: once the shard
+        // worker (sole receiver) is gone, its producers see an error, not a block.
         let shards = ShardQueues::new(1, 1);
         let senders = shards.senders();
         let rx = shards.shard(0).receiver();

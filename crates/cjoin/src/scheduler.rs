@@ -68,8 +68,7 @@ use crate::config::CjoinConfig;
 pub enum Axis {
     /// Continuous-scan (Preprocessor) workers — `CjoinConfig::scan_workers`.
     ScanWorkers,
-    /// Filter-stage worker threads — `CjoinConfig::worker_threads` under the
-    /// horizontal layout.
+    /// Stage worker threads — `CjoinConfig::worker_threads`.
     StageWorkers,
     /// Aggregation (Distributor) shards — `CjoinConfig::distributor_shards`.
     DistributorShards,
@@ -118,9 +117,9 @@ pub enum BottleneckVerdict {
     /// Queues run empty while queries are active: the scan cannot feed the
     /// pipeline fast enough.
     ScanStarved,
-    /// The filter-stage input queue is persistently deep.
+    /// The Stage's input queue is persistently deep.
     StageSaturated,
-    /// The Distributor input queue is persistently deep.
+    /// A Distributor shard queue is persistently deep.
     DistributorSaturated,
     /// Drain-barrier wait grew out of proportion to the pass: the fan-out is
     /// coordination overhead, not useful parallelism.
@@ -183,13 +182,13 @@ pub struct SchedulerTick {
     pub last_pass_ns: u64,
     /// Cumulative drain-barrier wait, nanoseconds.
     pub barrier_wait_ns: u64,
-    /// Current depth of the first filter-stage input queue, in batches.
+    /// Current depth of the Stage's input queue, in batches.
     pub stage_queue_len: usize,
     /// Capacity of that queue, in batches.
     pub stage_queue_capacity: usize,
-    /// Current depth of the Distributor input queue, in batches.
+    /// Current depth of the deepest Distributor shard queue, in batches.
     pub distributor_queue_len: usize,
-    /// Capacity of that queue, in batches.
+    /// Capacity of one shard queue, in batches.
     pub distributor_queue_capacity: usize,
     /// Queries currently registered.
     pub active_queries: usize,
@@ -291,16 +290,13 @@ impl StageScheduler {
         let cores = cores.max(1);
         let defaults = CjoinConfig::default();
         // Governed = auto-tune on, not pinned by a builder call, and still at
-        // the default value (catches struct-update assignments). The stage
-        // axis additionally requires the default horizontal layout — vertical
-        // and hybrid layouts encode an explicit thread shape.
+        // the default value (catches struct-update assignments).
         let governed = [
             config.auto_tune
                 && !config.pinned.scan_workers
                 && config.scan_workers == defaults.scan_workers,
             config.auto_tune
                 && !config.pinned.worker_threads
-                && config.stage_layout == defaults.stage_layout
                 && config.worker_threads == defaults.worker_threads,
             config.auto_tune
                 && !config.pinned.distributor_shards
@@ -474,9 +470,8 @@ impl StageScheduler {
         }
         let governed = |axis: Axis| self.governed[axis.index()];
         let width = |axis: Axis| widths[axis.index()];
-        // Rough thread demand: the three axis widths plus the router thread
-        // that more than one distributor shard brings along.
-        let demand = widths.iter().sum::<usize>() + usize::from(width(Axis::DistributorShards) > 1);
+        // Rough thread demand: one thread per unit of each axis's width.
+        let demand = widths.iter().sum::<usize>();
         let headroom = demand < self.cores;
 
         // 1. More threads than cores: shrink the widest governed axis.
@@ -719,6 +714,27 @@ mod tests {
         assert_eq!(axis, Axis::StageWorkers);
         assert_eq!(target, 2);
         assert_eq!(verdict, BottleneckVerdict::CoresScarce);
+    }
+
+    /// Thread demand counts the threads a shape spawns: one per scan worker,
+    /// Stage worker and shard. Four of them on four cores is not scarce.
+    #[test]
+    fn thread_demand_counts_each_shard_once() {
+        let s = StageScheduler::with_cores(&unpinned(), 4);
+        s.commit_resize(Axis::StageWorkers, 1, ResizeReason::Forced, 0);
+        s.commit_resize(Axis::DistributorShards, 2, ResizeReason::Forced, 0);
+        assert_eq!(s.widths(), (1, 1, 2));
+        let steady = SchedulerTick {
+            scan_passes: 1,
+            stage_queue_len: 2,
+            stage_queue_capacity: 8,
+            distributor_queue_len: 2,
+            distributor_queue_capacity: 8,
+            active_queries: 2,
+            ..SchedulerTick::default()
+        };
+        assert!(tick_with(&s, steady, 1 + COOLDOWN_TICKS + VERDICT_STREAK + 1).is_none());
+        assert_eq!(s.snapshot().last_verdict, Some(BottleneckVerdict::Balanced));
     }
 
     #[test]

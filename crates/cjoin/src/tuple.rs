@@ -7,9 +7,10 @@
 //! batches to amortise queue synchronisation (§4).
 //!
 //! Control tuples (`query start` / `query end`, §3.3) carry query lifecycle events
-//! from the Preprocessor to the Distributor. The pipeline guarantees they are never
-//! reordered relative to data tuples (§3.3.3); see
-//! [`crate::pipeline`] for how that ordering is enforced.
+//! from the Preprocessor straight to every Distributor shard's queue. The pipeline
+//! guarantees they are never reordered relative to data tuples (§3.3.3); see
+//! [`crate::preprocessor`] (the drain barrier) and [`crate::distributor`] (the
+//! per-shard FIFO argument) for how that ordering is enforced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -85,22 +86,6 @@ impl InFlightTuple {
             self.dims.resize(num_slots, None);
         }
     }
-
-    /// Reinitialises a recycled tuple in place as a copy of `src`, including the
-    /// dimension rows the Filters attached (`Row` clones are cheap `Arc` bumps).
-    /// Used by the shard router to split a surviving batch across shard sub-batches
-    /// without per-tuple heap allocation at steady state.
-    pub fn copy_from_tuple(&mut self, src: &InFlightTuple) {
-        self.row_id = src.row_id;
-        self.row = src.row.clone();
-        if self.bits.capacity() == src.bits.capacity() {
-            self.bits.copy_from(&src.bits);
-        } else {
-            self.bits = src.bits.clone();
-        }
-        self.dims.clear();
-        self.dims.extend(src.dims.iter().cloned());
-    }
 }
 
 /// A batch of data tuples with zero-allocation recycling.
@@ -120,14 +105,13 @@ pub struct Batch {
     tuples: Vec<InFlightTuple>,
     /// Number of live tuples at the front of `tuples`.
     live: usize,
-    /// Slots of the dimension Filters that have already processed this batch,
-    /// set by whoever ran the Filter: a Stage worker, or the columnar scan
-    /// front-end, which probes the chain's leading Filter before it materialises
-    /// the batch's tuples. Every Stage skips the Filters recorded here, because
-    /// the chain can grow, shrink or be reordered while the batch travels (see
-    /// [`crate::pipeline::run_stage_worker`], which also argues why a re-created
-    /// Filter inheriting its dimension's slot is safe).
-    applied_filters: Vec<usize>,
+    /// Slot of the dimension Filter the columnar scan front-end already probed
+    /// for this batch, before it materialised the batch's tuples. The Stage
+    /// skips that Filter, because the chain can grow, shrink or be reordered
+    /// between the chunk and the Stage (see [`crate::pipeline::run_stage_worker`],
+    /// which also argues why a re-created Filter inheriting its dimension's slot
+    /// is safe).
+    applied_filter: Option<usize>,
 }
 
 impl Batch {
@@ -141,7 +125,7 @@ impl Batch {
         Self {
             tuples: Vec::with_capacity(capacity),
             live: 0,
-            applied_filters: Vec::new(),
+            applied_filter: None,
         }
     }
 
@@ -204,21 +188,19 @@ impl Batch {
     /// pool-recycling entry point: nothing is deallocated.
     pub fn recycle(&mut self) {
         self.live = 0;
-        self.applied_filters.clear();
+        self.applied_filter = None;
     }
 
-    /// Records that the Filter occupying dimension slot `slot` has processed this
-    /// batch.
+    /// Records that the scan front-end probed the Filter occupying dimension
+    /// slot `slot` for this batch.
     pub fn mark_filter_applied(&mut self, slot: usize) {
-        if !self.applied_filters.contains(&slot) {
-            self.applied_filters.push(slot);
-        }
+        self.applied_filter = Some(slot);
     }
 
     /// Whether the Filter occupying dimension slot `slot` already processed this
     /// batch.
     pub fn filter_applied(&self, slot: usize) -> bool {
-        self.applied_filters.contains(&slot)
+        self.applied_filter == Some(slot)
     }
 
     /// Swaps two live tuples (the filter loop's in-place survivor compaction).
@@ -264,7 +246,7 @@ impl From<Vec<InFlightTuple>> for Batch {
         Self {
             live: tuples.len(),
             tuples,
-            applied_filters: Vec::new(),
+            applied_filter: None,
         }
     }
 }
@@ -354,9 +336,10 @@ impl QueryRuntime {
 
 /// A lifecycle event travelling from the Preprocessor to the Distributor.
 ///
-/// Control tuples are `Clone` because the shard router *broadcasts* them: every
-/// aggregation shard must set up (query start) or flush (query end) its own
-/// partial state for the query. Cloning a `QueryStart` is an `Arc` bump.
+/// Control tuples are `Clone` because the scan front-end *broadcasts* them to
+/// every aggregation shard's queue: each shard must set up (query start) or
+/// flush (query end) its own partial state for the query. Cloning a
+/// `QueryStart` is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub enum ControlTuple {
     /// A new query has been installed; the Distributor must set up its aggregation
@@ -444,25 +427,6 @@ mod tests {
         t.reset(RowId(8), row(), &QuerySet::from_bits(16, [9]), 1);
         assert_eq!(t.bits.capacity(), 16);
         assert!(t.bits.get(9));
-    }
-
-    #[test]
-    fn copy_from_tuple_replicates_bits_and_attached_dims() {
-        let mut src = InFlightTuple::new(RowId(9), row(), QuerySet::from_bits(8, [1, 4]), 2);
-        src.dims[1] = Some(row());
-        // A recycled spare with stale contents takes on the source's state in place.
-        let mut dst = InFlightTuple::new(RowId(0), row(), QuerySet::from_bits(8, [0]), 3);
-        dst.dims[0] = Some(row());
-        dst.copy_from_tuple(&src);
-        assert_eq!(dst.row_id, RowId(9));
-        assert_eq!(dst.bits.iter().collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(dst.dims.len(), 2);
-        assert!(dst.dims[0].is_none() && dst.dims[1].is_some());
-        // Capacity mismatch (never within one engine) falls back to a clone.
-        let mut wide = InFlightTuple::new(RowId(0), row(), QuerySet::new(16), 0);
-        wide.copy_from_tuple(&src);
-        assert_eq!(wide.bits.capacity(), 8);
-        assert!(wide.bits.get(4));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! constructor to `engines_under_test` — the assertions don't change.
 //!
 //! The CJOIN points of the matrix: `scan_workers` {1,2,4} × `distributor_shards`
-//! {1,4} × `StageLayout` {H,V}; per-tuple probing at the widest point;
+//! {1,4} × Stage width `worker_threads` {1,3}; per-tuple probing at the widest point;
 //! `columnar_scan` {off,on} × `scan_workers` {1,4}; and an engine with every axis
 //! left to the elastic scheduler. A red cell names its configuration in the
 //! engine's `name()`.
@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use cjoin_repro::baseline::{BaselineConfig, BaselineEngine};
-use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine, StageLayout};
+use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
 use cjoin_repro::galaxy::{GalaxyEngine, Side};
 use cjoin_repro::query::{reference, JoinEngine, Predicate};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
@@ -32,8 +32,9 @@ fn cjoin_config() -> CjoinConfig {
 
 /// Constructs every engine under test over the same catalog, boxed behind the
 /// shared trait. CJOIN appears once per point of the `scan_workers` ×
-/// `distributor_shards` × `StageLayout` matrix (both hot-path layouts, one and
-/// several scan workers, one and several aggregation shards), plus one
+/// `distributor_shards` × `worker_threads` matrix (one and several scan
+/// workers, one and several aggregation shards, one Stage worker and several
+/// rotating their batches over the shards), plus one
 /// per-tuple-probing configuration at the widest point so the equivalence
 /// contract covers both filter implementations there, plus the compressed
 /// columnar front-end (`columnar_scan`) at one and at four scan workers — the
@@ -49,14 +50,14 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             BaselineConfig::postgres_like(),
         )),
     ];
-    for layout in [StageLayout::Horizontal, StageLayout::Vertical] {
+    for stage_workers in [1usize, 3] {
         for shards in [1usize, 4] {
             for scan_workers in [1usize, 2, 4] {
                 engines.push(Box::new(
                     CjoinEngine::start(
                         Arc::clone(catalog),
                         cjoin_config()
-                            .with_stage_layout(layout.clone())
+                            .with_worker_threads(stage_workers)
                             .with_distributor_shards(shards)
                             .with_scan_workers(scan_workers),
                     )

@@ -8,9 +8,10 @@
 //! quiescing afterwards must leave no batch accounting residue.
 //!
 //! The matrix crosses every [`FaultSite`] with the parallelism axes that change
-//! which threads exist ({scan_workers 1,4} x {distributor_shards 1,4} x
-//! {columnar on,off}). Sites that do not exist under a given configuration
-//! (e.g. `ShardRouter` with a single distributor shard) simply never fire; the
+//! how many threads each role has ({scan_workers 1,4} x {distributor_shards
+//! 1,4} x {columnar on,off}). Every pipeline role — scan worker, Stage worker,
+//! distributor shard — exists in every cell, so its site must fire there; the
+//! WAL sites have no role in an engine without a log and never fire, and the
 //! queries then must resolve `Ok` and match the oracle, which the harness
 //! asserts rather than skips.
 
@@ -134,7 +135,7 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
                         .with_scan_workers(scan_workers)
                         .with_distributor_shards(distributor_shards)
                         .with_columnar_scan(columnar)
-                        .with_fault_plan(plan);
+                        .with_fault_plan(Arc::clone(&plan));
                     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
 
                     // A submit that lands in the restart window is refused
@@ -212,6 +213,18 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
 
                     assert_quiesces(&engine, &what);
                     engine.shutdown();
+                    // The one-shot panic fires at the site's fourth event.
+                    let hosted = matches!(
+                        site,
+                        FaultSite::ScanWorker
+                            | FaultSite::StageWorker
+                            | FaultSite::DistributorShard
+                    );
+                    assert_eq!(
+                        plan.hits(site) > 3,
+                        hosted,
+                        "{what}: the site fires iff its role exists"
+                    );
                 }
             }
         }

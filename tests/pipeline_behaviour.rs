@@ -350,12 +350,12 @@ fn baseline_contention_grows_with_concurrency_while_cjoin_stays_flat() {
 }
 
 /// Thread census (Linux): the live `cjoin-*` threads of an engine are exactly
-/// the ones its [`StagePlan`] names — scan workers, Stage workers, shards, a
-/// router iff there is more than one shard — plus manager, supervisor and (with
-/// a governed axis) tuner. Query lifecycle has no thread of its own at any
-/// width. Runs [`thread_census_in_a_process_of_its_own`] in a child process:
-/// the other tests of this binary run engines on sibling threads, and a census
-/// cannot tell whose `cjoin-scan-w0` it is looking at.
+/// the ones its [`StagePlan`] names — scan workers, Stage workers, shards —
+/// plus manager, supervisor and (with a governed axis) tuner. Query lifecycle
+/// has no thread of its own at any width, and no thread sits between the Stage
+/// and the shards. Runs [`thread_census_in_a_process_of_its_own`] in a child
+/// process: the other tests of this binary run engines on sibling threads, and
+/// a census cannot tell whose `cjoin-scan-w0` it is looking at.
 #[cfg(target_os = "linux")]
 #[test]
 fn thread_census_matches_the_stage_plan() {
@@ -395,26 +395,19 @@ fn thread_census_in_a_process_of_its_own() {
     }
     fn census(engine: &CjoinEngine, widths: (usize, usize, usize)) {
         let plan = engine.stage_plan();
-        let (scan, _, shards) = widths;
+        let (scan, stage, shards) = widths;
         assert_eq!(
             (
                 plan.scan_workers,
-                plan.total_threads(),
+                plan.stage_workers,
                 plan.distributor_shards
             ),
             widths
         );
-        assert_eq!(plan.scan_threads(), scan);
-        assert_eq!(plan.aggregation_threads(), shards + usize::from(shards > 1));
 
         let mut roles: Vec<RoleKind> = (0..scan).map(RoleKind::ScanWorker).collect();
-        for (stage, &threads) in plan.threads_per_stage.iter().enumerate() {
-            roles.extend((0..threads).map(|worker| RoleKind::StageWorker { stage, worker }));
-        }
+        roles.extend((0..stage).map(RoleKind::StageWorker));
         roles.extend((0..shards).map(RoleKind::DistributorShard));
-        if shards > 1 {
-            roles.push(RoleKind::ShardRouter);
-        }
         roles.push(RoleKind::Manager);
         let mut expected: Vec<String> = roles.iter().map(|r| comm(&r.thread_name())).collect();
         expected.push(comm("cjoin-supervisor"));
@@ -432,8 +425,10 @@ fn thread_census_in_a_process_of_its_own() {
         assert_eq!(live(), expected, "widths {widths:?}");
         for name in live() {
             assert!(
-                !name.starts_with("cjoin-scan-coor") && !name.starts_with("cjoin-dist-merg"),
-                "a lifecycle thread is back: {name}"
+                !name.starts_with("cjoin-scan-coor")
+                    && !name.starts_with("cjoin-dist-merg")
+                    && !name.starts_with("cjoin-dist-rout"),
+                "a lifecycle or routing thread is back: {name}"
             );
         }
     }

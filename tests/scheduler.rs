@@ -268,7 +268,7 @@ fn startup_sizing_collapses_to_classic_shape_when_cores_are_scarce() {
     }
     // The spawned pipeline actually has the scheduler's shape.
     let plan = engine.stage_plan();
-    assert_eq!(plan.total_threads(), expected_stage);
+    assert_eq!(plan.stage_workers, expected_stage);
 
     // The summary is visible through the engine-independent trait (and hence
     // the server stats RPC, which forwards it verbatim).

@@ -6,13 +6,13 @@
 //! Because `RemoteEngine` implements `JoinEngine`, the assertions are the same
 //! ones `tests/engine_equivalence.rs` makes; only the transport differs. A
 //! reduced engine matrix keeps the suite fast while still covering both
-//! baselines, both CJOIN stage layouts, the sharded front-/back-end, per-tuple
-//! probing, and the columnar scan.
+//! baselines, one and several Stage workers, the sharded front-/back-end,
+//! per-tuple probing, and the columnar scan.
 
 use std::sync::Arc;
 
 use cjoin_repro::baseline::{BaselineConfig, BaselineEngine};
-use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine, StageLayout};
+use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
 use cjoin_repro::client::RemoteEngine;
 use cjoin_repro::query::{reference, JoinEngine};
 use cjoin_repro::server::{CjoinServer, ServerConfig};
@@ -28,7 +28,8 @@ fn cjoin_config() -> CjoinConfig {
 }
 
 /// A reduced slice of the engine-equivalence matrix: every *kind* of engine
-/// and hot-path layout, without the full cartesian sweep.
+/// and hot path, and several Stage workers over several shards, without the
+/// full cartesian sweep.
 fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
     vec![
         Box::new(BaselineEngine::new(
@@ -44,7 +45,6 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             CjoinEngine::start(
                 Arc::clone(catalog),
                 cjoin_config()
-                    .with_stage_layout(StageLayout::Horizontal)
                     .with_distributor_shards(4)
                     .with_scan_workers(2),
             )
@@ -54,7 +54,7 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             CjoinEngine::start(
                 Arc::clone(catalog),
                 cjoin_config()
-                    .with_stage_layout(StageLayout::Vertical)
+                    .with_worker_threads(3)
                     .with_distributor_shards(4)
                     .with_scan_workers(4),
             )
