@@ -1,30 +1,31 @@
 //! Pipeline configuration.
+//!
+//! The engine's current [`CjoinConfig`] is the one source of the pipeline's
+//! three widths (`scan_workers`, `worker_threads`, `distributor_shards`). A
+//! width set explicitly, through a builder or struct update, is used as given;
+//! the Stage's default is sized from the host once ([`stage_width_for`]).
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cjoin_common::{Error, Result};
 use cjoin_storage::SyncPolicy;
 
 use crate::fault::FaultPlan;
 
-/// Which parallelism knobs were set explicitly (through the builder methods)
-/// rather than left at their defaults.
-///
-/// The elastic stage scheduler (see [`crate::scheduler`]) only governs axes
-/// that are *not* pinned: an explicit `with_scan_workers(4)` is a fixed
-/// override the scheduler never touches, so every existing configuration
-/// behaves bit-identically whether `auto_tune` is on or off. Axes set through
-/// struct-update syntax are caught by a second rule — the scheduler also
-/// treats any non-default value as pinned.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PinnedAxes {
-    /// `scan_workers` was set explicitly.
-    pub scan_workers: bool,
-    /// `worker_threads` (the Stage's width) was set explicitly.
-    pub worker_threads: bool,
-    /// `distributor_shards` was set explicitly.
-    pub distributor_shards: bool,
+/// The default Stage width on a host with `cores` cores: one core each is
+/// left for the scan and the aggregation stage, never fewer than one worker
+/// (on up to three cores the pipeline is the paper's classic one thread per
+/// stage), never more than four.
+pub fn stage_width_for(cores: usize) -> usize {
+    cores.saturating_sub(2).clamp(1, 4)
+}
+
+/// `std::thread::available_parallelism()`, read once per process so every
+/// default configuration and every engine sees the same count.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Configuration of a [`CjoinEngine`](crate::engine::CjoinEngine).
@@ -35,7 +36,8 @@ pub struct CjoinConfig {
     pub max_concurrency: usize,
     /// Number of Stage worker threads. The Stage holds the whole Filter
     /// sequence, and every worker runs all of it on disjoint batches — the
-    /// paper's *horizontal* layout (§4).
+    /// paper's *horizontal* layout (§4). Defaults to [`stage_width_for`] the
+    /// host's `available_parallelism()`.
     pub worker_threads: usize,
     /// Number of fact tuples per batch handed between pipeline threads.
     pub batch_size: usize,
@@ -87,14 +89,6 @@ pub struct CjoinConfig {
     /// Deterministic fault schedule for supervision tests; `None` (the default)
     /// makes every injection point a single untaken branch. See [`FaultPlan`].
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Enable the elastic stage scheduler (default on): parallelism axes left
-    /// at their defaults (`scan_workers`, `worker_threads`, and
-    /// `distributor_shards` — see [`PinnedAxes`]) are sized at startup from
-    /// `std::thread::available_parallelism()` and re-sized at runtime from
-    /// live pipeline counters through a hysteresis-guarded policy (see
-    /// [`crate::scheduler`]). Explicitly configured knob values remain fixed
-    /// overrides the scheduler never touches.
-    pub auto_tune: bool,
     /// Path of the write-ahead log behind the durable ingestion path. `None`
     /// (the default) disables durability: `IngestSession` commits mutate the
     /// catalog in memory only and nothing survives a restart. With a path set,
@@ -112,15 +106,13 @@ pub struct CjoinConfig {
     /// compressed scan re-absorbs the tail. `0` disables compaction. Ignored
     /// unless `columnar_scan` is enabled.
     pub tail_compaction_rows: usize,
-    /// Which knobs were pinned by explicit builder calls; see [`PinnedAxes`].
-    pub pinned: PinnedAxes,
 }
 
 impl Default for CjoinConfig {
     fn default() -> Self {
         Self {
             max_concurrency: 512,
-            worker_threads: 4,
+            worker_threads: stage_width_for(host_cores()),
             batch_size: 1024,
             reorder_interval_ms: 50,
             early_skip: true,
@@ -130,11 +122,9 @@ impl Default for CjoinConfig {
             columnar_scan: false,
             partition_pruning: false,
             fault_plan: None,
-            auto_tune: true,
             wal_path: None,
             wal_sync: SyncPolicy::OnCommit,
             tail_compaction_rows: 8192,
-            pinned: PinnedAxes::default(),
         }
     }
 }
@@ -171,11 +161,10 @@ impl CjoinConfig {
         Ok(())
     }
 
-    /// Convenience: a configuration with the given number of worker threads
-    /// (pins the stage-worker axis against the elastic scheduler).
+    /// Convenience: a configuration with the given number of Stage worker
+    /// threads.
     pub fn with_worker_threads(mut self, n: usize) -> Self {
         self.worker_threads = n;
-        self.pinned.worker_threads = true;
         self
     }
 
@@ -199,19 +188,17 @@ impl CjoinConfig {
 
     /// Convenience: a configuration with the given number of Distributor shards
     /// (the aggregation-stage knob used by the `abl_distributor_sharding`
-    /// ablation; pins the axis against the elastic scheduler).
+    /// ablation).
     pub fn with_distributor_shards(mut self, n: usize) -> Self {
         self.distributor_shards = n;
-        self.pinned.distributor_shards = true;
         self
     }
 
     /// Convenience: a configuration with the given number of continuous-scan
     /// workers (the front-end knob used by the `abl_scan_parallelism`
-    /// ablation; pins the axis against the elastic scheduler).
+    /// ablation).
     pub fn with_scan_workers(mut self, n: usize) -> Self {
         self.scan_workers = n;
-        self.pinned.scan_workers = true;
         self
     }
 
@@ -226,13 +213,6 @@ impl CjoinConfig {
     /// Convenience: a configuration carrying a deterministic fault schedule.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Convenience: a configuration with the elastic stage scheduler enabled
-    /// or disabled.
-    pub fn with_auto_tune(mut self, enabled: bool) -> Self {
-        self.auto_tune = enabled;
         self
     }
 
@@ -359,25 +339,16 @@ mod tests {
     }
 
     #[test]
-    fn auto_tune_defaults_on_with_no_pins() {
-        let c = CjoinConfig::default();
-        assert!(c.auto_tune);
-        assert_eq!(c.pinned, PinnedAxes::default());
-        assert!(!c.with_auto_tune(false).auto_tune);
-    }
-
-    #[test]
-    fn builders_pin_their_axes() {
-        // Pinning is about *explicitness*, not the value: re-stating a default
-        // still pins the axis against the scheduler.
-        let c = CjoinConfig::default().with_scan_workers(1);
-        assert!(c.pinned.scan_workers);
-        assert!(!c.pinned.worker_threads && !c.pinned.distributor_shards);
-        let c = CjoinConfig::default()
-            .with_worker_threads(4)
-            .with_distributor_shards(1);
-        assert!(c.pinned.worker_threads && c.pinned.distributor_shards);
-        assert!(!c.pinned.scan_workers);
+    fn stage_width_leaves_two_cores_and_stays_within_one_to_four() {
+        let widths: Vec<usize> = [1, 2, 3, 4, 6, 16]
+            .into_iter()
+            .map(stage_width_for)
+            .collect();
+        assert_eq!(widths, [1, 1, 1, 2, 4, 4]);
+        assert_eq!(
+            CjoinConfig::default().worker_threads,
+            stage_width_for(host_cores())
+        );
     }
 
     #[test]

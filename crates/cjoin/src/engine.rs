@@ -56,25 +56,20 @@
 //! shorter than the last observed full scan pass
 //! ([`QueryError::ShedAtAdmission`]).
 //!
-//! # Elastic scheduling
+//! # Resizing
 //!
-//! With `CjoinConfig::auto_tune` (the default) the engine owns a
-//! [`StageScheduler`]: parallelism knobs left at their defaults are sized at
-//! start from `available_parallelism()` and re-sized at runtime by a tuner
-//! thread that feeds live pipeline counters into the scheduler's hysteresis
-//! policy (see [`crate::scheduler`] for the policy and its stability
-//! argument). A resize is a *pipeline swap at a quiescent point*: under the
-//! core lock the current incarnation is drained gracefully (every in-flight
-//! batch settles, the manager finishes its cleanup backlog), a new core is
-//! spawned at the new width, and every still-unresolved query is re-installed
-//! on it at its original snapshot. Re-installed queries restart a full pass —
-//! §3.3's wrap protocol makes any complete pass over the snapshot produce the
-//! exact answer, so a resize can never drop or duplicate a tuple in a result;
-//! it only costs the restarted portion of the scan. Explicit resizes are
-//! available through [`CjoinEngine::request_resize`] (any axis, pinned or
-//! not), and supervision composes: a degradation is recorded against the
-//! scheduler as a forced downscale, and respawns consult the scheduler's
-//! effective widths.
+//! The engine's current configuration is the one source of every width (see
+//! [`crate::scheduler`]), and two things change it at run time: an explicit
+//! [`CjoinEngine::request_resize`], and the supervisor stepping a failed axis
+//! down. A resize is a *pipeline swap at a quiescent point*: under the core
+//! lock the current incarnation is drained gracefully (every in-flight batch
+//! settles, the manager finishes its cleanup backlog), a new core is spawned
+//! at the new width, and every still-unresolved query is re-installed on it at
+//! its original snapshot. Re-installed queries restart a full pass — §3.3's
+//! wrap protocol makes any complete pass over the snapshot produce the exact
+//! answer, so a resize can never drop or duplicate a tuple in a result; it
+//! only costs the restarted portion of the scan. Both kinds of change are
+//! recorded in one bounded resize log.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -93,7 +88,7 @@ use cjoin_storage::{
 };
 
 use crate::colscan::ReplicaScan;
-use crate::config::CjoinConfig;
+use crate::config::{host_cores, stage_width_for, CjoinConfig};
 use crate::dimension::DimensionTable;
 use crate::distributor::{Distributor, MergeSlots};
 use crate::fault::{inject, FaultSite};
@@ -108,7 +103,7 @@ use crate::preprocessor::{
 };
 use crate::progress::QueryProgress;
 use crate::queue::{ShardQueues, ShardSenders, TupleQueue};
-use crate::scheduler::{Axis, ResizeReason, SchedulerTick, StageScheduler};
+use crate::scheduler::{Axis, ResizeEvent, ResizeLog, ResizeReason, SchedulerStats};
 use crate::stats::{
     ColumnarScanStats, FilterStatsSnapshot, IngestCounters, PipelineStats, ScanWorkerCounters,
     ShardCounters, SharedCounters,
@@ -128,7 +123,7 @@ struct AdmissionState {
     allocator: QueryIdAllocator,
     registered: FxHashMap<u32, Registered>,
     /// Active queries' runtimes, for the supervisor (fail them all on a role
-    /// death), the deadline reaper, and elastic resizes (re-install them all
+    /// death), the deadline reaper, and resizes (re-install them all
     /// on the new pipeline incarnation).
     runtimes: FxHashMap<u32, Arc<QueryRuntime>>,
     /// `dim_slots[s]` = name of the dimension that owns in-flight-tuple slot
@@ -295,8 +290,15 @@ struct EngineShared {
     slot_count: Arc<AtomicUsize>,
     counters: Arc<SharedCounters>,
     admission: Arc<Mutex<AdmissionState>>,
-    /// The current — possibly degraded — configuration used for (re)spawns.
+    /// The current — possibly resized or degraded — configuration: the one
+    /// source of the widths every (re)spawn uses.
     config: Mutex<CjoinConfig>,
+    /// Every width change since start. Lock order: after config.
+    resizes: Mutex<ResizeLog>,
+    /// `available_parallelism()` at engine start.
+    cores: usize,
+    /// Whether the engine started at the host-derived Stage width.
+    host_sized_stage: bool,
     /// The live pipeline; `None` while the supervisor is replacing it (or if a
     /// respawn failed, in which case submissions report the engine down).
     core: Mutex<Option<PipelineCore>>,
@@ -304,9 +306,6 @@ struct EngineShared {
     failure_tx: Sender<SupervisorEvent>,
     /// Human-readable log of degradations the supervisor applied.
     degradations: Mutex<Vec<String>>,
-    /// The elastic stage scheduler: source of truth for the effective width of
-    /// every governed parallelism axis (see [`crate::scheduler`]).
-    scheduler: StageScheduler,
     /// The write-ahead log behind the durable ingestion path (`None` without
     /// `CjoinConfig::wal_path`). Serializes ingestion batches: exactly one
     /// commit is in flight at a time, which is the single-writer premise of
@@ -322,9 +321,6 @@ struct EngineShared {
 pub struct CjoinEngine {
     shared: Arc<EngineShared>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
-    /// The elastic tuner thread (`None` when auto-tune is off or nothing is
-    /// governed).
-    tuner: Mutex<Option<JoinHandle<()>>>,
 }
 
 #[derive(Debug, Clone)]
@@ -369,7 +365,7 @@ impl CjoinEngine {
             None
         };
         let (failure_tx, failure_rx) = unbounded();
-        let scheduler = StageScheduler::new(&config);
+        let cores = host_cores();
         let shared = Arc::new(EngineShared {
             max_concurrency: config.max_concurrency,
             chain: Arc::new(FilterChain::new()),
@@ -382,11 +378,13 @@ impl CjoinEngine {
                 dim_slots: Vec::new(),
             })),
             config: Mutex::new(config.clone()),
+            resizes: Mutex::new(ResizeLog::default()),
+            cores,
+            host_sized_stage: config.worker_threads == stage_width_for(cores),
             core: Mutex::new(None),
             shutdown_flag: Arc::new(AtomicBool::new(false)),
             failure_tx,
             degradations: Mutex::new(Vec::new()),
-            scheduler,
             catalog,
             ingest: Mutex::new(ingest_log),
             ingest_counters: IngestCounters::default(),
@@ -404,24 +402,9 @@ impl CjoinEngine {
                 .spawn(move || run_supervisor(shared, failure_rx))
                 .map_err(|e| Error::invalid_state(format!("failed to spawn supervisor: {e}")))?
         };
-        // The tuner only runs when there is something to tune: auto-tune on
-        // and at least one axis left at its default for the scheduler to
-        // govern. Fully pinned engines never pay for the thread.
-        let tuner = if shared.scheduler.any_governed() {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("cjoin-tuner".into())
-                    .spawn(move || run_tuner(shared))
-                    .map_err(|e| Error::invalid_state(format!("failed to spawn tuner: {e}")))?,
-            )
-        } else {
-            None
-        };
         Ok(Self {
             shared,
             supervisor: Mutex::new(Some(supervisor)),
-            tuner: Mutex::new(tuner),
         })
     }
 
@@ -437,11 +420,6 @@ impl CjoinEngine {
         /// input, each shard's input).
         const QUEUE_CAPACITY: usize = 8;
 
-        // The scheduler owns the effective width of every governed axis;
-        // pinned axes keep their (possibly supervisor-degraded) config values.
-        // Shadowing here means every spawn site — start, supervisor respawn,
-        // elastic resize — derives the same shape from the same source.
-        let config = &shared.scheduler.effective_config(config);
         let fact = shared.catalog.fact_table()?;
         let failure_tx = shared.failure_tx.clone();
 
@@ -1014,45 +992,41 @@ impl CjoinEngine {
                     predicate_rows: volume.predicate_rows(),
                     column_bytes: volume.column_bytes(),
                 }),
-            scheduler: self.shared.scheduler.snapshot(),
+            scheduler: self.scheduler_stats(),
             ingest: self.shared.ingest_counters.snapshot(),
         }
     }
 
-    /// The elastic stage scheduler's snapshot: current per-axis widths,
-    /// governed axes, resize events and the tuning policy's last verdict.
-    pub fn scheduler_stats(&self) -> crate::scheduler::SchedulerStats {
-        self.shared.scheduler.snapshot()
+    /// The current per-axis widths, the resize log and the host they were
+    /// sized on.
+    pub fn scheduler_stats(&self) -> SchedulerStats {
+        let config = self.config();
+        SchedulerStats {
+            auto_tune: self.shared.host_sized_stage,
+            available_parallelism: self.shared.cores,
+            scan_workers: config.scan_workers,
+            stage_workers: config.worker_threads,
+            distributor_shards: config.distributor_shards,
+            resizes: self.shared.resizes.lock().events(),
+        }
     }
 
     /// Explicitly resizes one parallelism axis to `width` at the next pass
     /// boundary: the current pipeline incarnation is drained gracefully, a new
     /// one is spawned at the new width, and every in-flight query is
     /// re-installed on it at its original snapshot (restarting its pass, which
-    /// by the wrap protocol changes nothing about its answer). Works on pinned
-    /// axes too — an explicit request outranks both the builder pin and the
-    /// tuning policy, and resets the policy's hysteresis clock.
+    /// by the wrap protocol changes nothing about its answer). A request for
+    /// the running width changes and records nothing.
     ///
     /// # Errors
-    /// Fails if `width` is zero or exceeds the axis's hard cap (64 scan
-    /// workers, 256 distributor shards), if the engine is shut down, or if the
+    /// Fails if the configuration with `width` on `axis` does not pass
+    /// [`CjoinConfig::validate`], if the engine is shut down, or if the
     /// replacement pipeline could not be spawned.
     pub fn request_resize(&self, axis: Axis, width: usize) -> Result<()> {
-        if width == 0 {
-            return Err(Error::invalid_state("axis width must be at least 1"));
-        }
-        let cap = match axis {
-            Axis::ScanWorkers => 64,
-            Axis::StageWorkers => usize::MAX,
-            Axis::DistributorShards => 256,
-        };
-        if width > cap {
-            return Err(Error::invalid_state(format!(
-                "{} width {width} exceeds the hard cap of {cap}",
-                axis.label()
-            )));
-        }
-        apply_resize(&self.shared, axis, width, ResizeReason::Forced)
+        let mut resized = self.config();
+        *axis.width_in(&mut resized) = width;
+        resized.validate()?;
+        swap_pipeline(&self.shared, SwapIntent::Resize { axis, width })
     }
 
     /// The read-optimised columnar replica of the fact table, when the engine
@@ -1089,13 +1063,9 @@ impl CjoinEngine {
         if let Some(core) = core {
             teardown_core(core, false);
         }
-        // The supervisor and the tuner observe the shutdown flag within one
-        // tick each.
+        // The supervisor observes the shutdown flag within one tick.
         if let Some(supervisor) = self.supervisor.lock().take() {
             let _ = supervisor.join();
-        }
-        if let Some(tuner) = self.tuner.lock().take() {
-            let _ = tuner.join();
         }
         // Resolve queries that were still in flight so their handles don't
         // block on a registry-pinned result channel (first-wins latch: queries
@@ -1112,8 +1082,9 @@ impl CjoinEngine {
         }
     }
 
-    /// The derived stage plan (diagnostics / tests; reflects the current —
-    /// possibly supervisor-degraded — pipeline incarnation).
+    /// The derived stage plan (diagnostics / tests): the running pipeline
+    /// incarnation's, or — between incarnations — the configured widths the
+    /// next one spawns with.
     pub fn stage_plan(&self) -> StagePlan {
         self.shared
             .core
@@ -1409,7 +1380,7 @@ impl cjoin_query::JoinEngine for CjoinEngine {
     }
 
     fn scheduler_summary(&self) -> Option<cjoin_query::SchedulerSummary> {
-        let s = self.shared.scheduler.snapshot();
+        let s = self.scheduler_stats();
         Some(cjoin_query::SchedulerSummary {
             auto_tune: s.auto_tune,
             available_parallelism: s.available_parallelism as u64,
@@ -1417,10 +1388,6 @@ impl cjoin_query::JoinEngine for CjoinEngine {
             stage_workers: s.stage_workers as u64,
             distributor_shards: s.distributor_shards as u64,
             resizes: s.resizes.len() as u64,
-            last_verdict: s
-                .last_verdict
-                .map(|v| v.label().to_string())
-                .unwrap_or_default(),
         })
     }
 
@@ -1494,7 +1461,7 @@ fn cleanup_query(id: QueryId, chain: &Arc<FilterChain>, admission: &Arc<Mutex<Ad
 
 /// Derives a query's per-scan-worker partition pruning plans (§5) against one
 /// pipeline incarnation's partition layout. Shared between fresh admission and
-/// elastic re-installation, so a query resized onto a pipeline with a
+/// re-installation after a resize, so a query resized onto a pipeline with a
 /// different scan-worker count gets plans that match the new segments.
 fn partition_plans(
     info: Option<&PartitionInfo>,
@@ -1526,93 +1493,11 @@ fn partition_plans(
     .unwrap_or_default()
 }
 
-/// The elastic tuner thread body: roughly every 100ms, sample the live
-/// pipeline into a [`SchedulerTick`], feed it to the scheduler's policy, and
-/// apply whatever resize survives its hysteresis. Sampling takes the core
-/// lock only long enough to read queue depths and counters; the (rare) resize
-/// itself is the heavyweight pipeline swap in [`apply_resize`].
-fn run_tuner(shared: Arc<EngineShared>) {
-    const SLICE: Duration = Duration::from_millis(25);
-    const SLICES_PER_TICK: u32 = 4;
-    loop {
-        for _ in 0..SLICES_PER_TICK {
-            if shared.shutdown_flag.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(SLICE);
-        }
-        let sample = {
-            let core_guard = shared.core.lock();
-            let Some(core) = core_guard.as_ref() else {
-                continue;
-            };
-            let counters = &shared.counters;
-            // Lock order: core before admission, as everywhere.
-            let active_queries = shared.admission.lock().registered.len();
-            SchedulerTick {
-                scan_passes: counters.scan_passes.load(Ordering::Relaxed),
-                last_pass_ns: counters.last_pass_ns.load(Ordering::Relaxed),
-                barrier_wait_ns: counters.barrier_wait_ns.load(Ordering::Relaxed),
-                stage_queue_len: core.stage_queue.len(),
-                stage_queue_capacity: core.stage_queue.capacity(),
-                distributor_queue_len: core.shards.deepest_len(),
-                distributor_queue_capacity: core.shards.capacity(),
-                active_queries,
-                batches_in_flight: core.in_flight.load(Ordering::Acquire),
-            }
-        };
-        if let Some((axis, width, verdict)) = shared.scheduler.tick(sample) {
-            if let Err(e) = apply_resize(&shared, axis, width, ResizeReason::Policy(verdict)) {
-                eprintln!(
-                    "cjoin: elastic resize of {} to {width} failed: {e}",
-                    axis.label()
-                );
-            }
-        }
-    }
-}
-
-/// Swaps the pipeline to a new incarnation with `axis` at `width`, carrying
-/// every in-flight query across.
-///
-/// Under the core lock: drain the current core gracefully (a quiescent point —
-/// every in-flight batch settles and the manager finishes its cleanup
-/// backlog), update the config and scheduler widths, spawn the new core, and
-/// send a re-install for every still-unresolved registered query at its
-/// original snapshot. The installs are *sent* under the lock — the new core
-/// has processed nothing yet and submissions/reaper/supervisor all serialize
-/// on the same lock, so no id can complete-and-recycle between collection and
-/// re-installation. The ack waits happen outside the lock, through the same
-/// [`await_install_ack`] as `submit`.
-///
-/// Re-installed queries restart a full pass at their original snapshot; the
-/// old incarnation's partial routing state died with it, and §3.3's wrap
-/// protocol computes each answer over exactly one complete pass, so a resize
-/// can never drop or duplicate a tuple in a result.
-fn apply_resize(
-    shared: &Arc<EngineShared>,
-    axis: Axis,
-    width: usize,
-    reason: ResizeReason,
-) -> Result<()> {
-    swap_pipeline(
-        shared,
-        SwapIntent::Resize {
-            axis,
-            width,
-            reason,
-        },
-    )
-}
-
 /// Why [`swap_pipeline`] is replacing the pipeline incarnation.
+#[derive(Clone, Copy)]
 enum SwapIntent {
-    /// An elastic or forced resize of one parallelism axis.
-    Resize {
-        axis: Axis,
-        width: usize,
-        reason: ResizeReason,
-    },
+    /// A [`CjoinEngine::request_resize`] of one parallelism axis.
+    Resize { axis: Axis, width: usize },
     /// Columnar tail compaction: same widths, but `spawn_pipeline` rebuilds
     /// the columnar replica from the current fact table, re-absorbing the
     /// row-store tail appended since the replica was last built. The graceful
@@ -1622,6 +1507,23 @@ enum SwapIntent {
     TailCompaction,
 }
 
+/// Swaps the pipeline to a new incarnation for `intent`, carrying every
+/// in-flight query across.
+///
+/// Under the core lock: drain the current core gracefully (a quiescent point —
+/// every in-flight batch settles and the manager finishes its cleanup
+/// backlog), update the config width and record the resize, spawn the new
+/// core, and send a re-install for every still-unresolved registered query at
+/// its original snapshot. The installs are *sent* under the lock — the new
+/// core has processed nothing yet and submissions/reaper/supervisor all
+/// serialize on the same lock, so no id can complete-and-recycle between
+/// collection and re-installation. The ack waits happen outside the lock,
+/// through the same [`await_install_ack`] as `submit`.
+///
+/// Re-installed queries restart a full pass at their original snapshot; the
+/// old incarnation's partial routing state died with it, and §3.3's wrap
+/// protocol computes each answer over exactly one complete pass, so a resize
+/// can never drop or duplicate a tuple in a result.
 fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
     if shared.shutdown_flag.load(Ordering::Acquire) {
         return Err(Error::invalid_state("engine is shut down"));
@@ -1630,37 +1532,29 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
     let Some(core) = core_guard.take() else {
         return Err(Error::invalid_state("pipeline is not running"));
     };
-    match &intent {
-        SwapIntent::Resize { axis, width, .. } => {
-            let current = match axis {
-                Axis::ScanWorkers => core.stage_plan.scan_workers,
-                Axis::StageWorkers => core.stage_plan.stage_workers,
-                Axis::DistributorShards => core.stage_plan.distributor_shards,
-            };
-            if current == *width {
-                *core_guard = Some(core);
-                return Ok(());
-            }
-        }
-        SwapIntent::TailCompaction => {
-            if core.columnar.is_none() {
-                *core_guard = Some(core);
-                return Ok(());
-            }
-        }
+    let unchanged = match intent {
+        SwapIntent::Resize { axis, width } => *axis.width_in(&mut shared.config.lock()) == width,
+        SwapIntent::TailCompaction => core.columnar.is_none(),
+    };
+    if unchanged {
+        *core_guard = Some(core);
+        return Ok(());
     }
     teardown_core(core, false);
-    if let SwapIntent::Resize {
-        axis,
-        width,
-        reason,
-    } = &intent
-    {
-        *axis.width_in(&mut shared.config.lock()) = *width;
-        let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
-        shared.scheduler.commit_resize(*axis, *width, *reason, pass);
-    }
-    let config = shared.config.lock().clone();
+    let config = {
+        let mut config = shared.config.lock();
+        if let SwapIntent::Resize { axis, width } = intent {
+            let from = std::mem::replace(axis.width_in(&mut config), width);
+            shared.resizes.lock().push(ResizeEvent {
+                axis,
+                from,
+                to: width,
+                reason: ResizeReason::Forced,
+                pass: shared.counters.scan_passes.load(Ordering::Relaxed),
+            });
+        }
+        config.clone()
+    };
     let new_core = match CjoinEngine::spawn_pipeline(shared, &config) {
         Ok(core) => core,
         Err(e) => {
@@ -1669,8 +1563,8 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
             // submissions report the engine down).
             fail_all_in_flight(
                 shared,
-                "scheduler",
-                &format!("pipeline respawn failed during resize: {e}"),
+                "pipeline-swap",
+                &format!("pipeline respawn failed during a swap: {e}"),
             );
             return Err(e);
         }
@@ -1887,23 +1781,23 @@ fn handle_failure(
     // Step each failed axis down and respawn.
     let config = {
         let mut config = shared.config.lock();
+        let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
         for role in &roles {
-            if let Some(note) = degrade(&mut config, role) {
+            let Some(axis) = role.axis() else {
+                continue;
+            };
+            let from = *axis.width_in(&mut config);
+            if let Some(note) = degrade(&mut config, axis) {
                 eprintln!("cjoin: degrading after '{role}' failure: {note}");
                 shared.degradations.lock().push(note);
             }
-            // A degradation is a forced downscale as far as the scheduler is
-            // concerned: commit the degraded width so the respawn below (and
-            // every future one) spawns the degraded shape even on a governed
-            // axis, record the event, and reset the tuning policy's
-            // hysteresis clock. Same-width commits record nothing.
-            if let Some(axis) = role.axis() {
-                let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
-                let width = *axis.width_in(&mut config);
-                shared
-                    .scheduler
-                    .commit_resize(axis, width, ResizeReason::Degraded, pass);
-            }
+            shared.resizes.lock().push(ResizeEvent {
+                axis,
+                from,
+                to: *axis.width_in(&mut config),
+                reason: ResizeReason::Degraded,
+                pass,
+            });
         }
         config.clone()
     };
@@ -1921,13 +1815,12 @@ fn handle_failure(
     }
 }
 
-/// Steps the axis hosting `role` down to width 1 — fewer threads, the same
-/// code. A scan worker that dies at width 1 falls back from the columnar
-/// replica to the row store instead. Returns a description of the applied
-/// step, or `None` if there is nothing left to step down (the role is
+/// Steps `axis`, which hosted a failed role, down to width 1 — fewer threads,
+/// the same code. A scan worker that dies at width 1 falls back from the
+/// columnar replica to the row store instead. Returns a description of the
+/// applied step, or `None` if there is nothing left to step down (the role is
 /// respawned as-is).
-fn degrade(config: &mut CjoinConfig, role: &RoleKind) -> Option<String> {
-    let axis = role.axis()?;
+fn degrade(config: &mut CjoinConfig, axis: Axis) -> Option<String> {
     let from = *axis.width_in(config);
     if from > 1 {
         *axis.width_in(config) = 1;

@@ -59,7 +59,7 @@
 //! | [`optimizer`] | §3.4 | run-time filter reordering from observed selectivities |
 //! | [`pipeline`] | §4 | thread layout: scan workers, one horizontal Stage, aggregation shards |
 //! | [`engine`] | §3.3 | public API: admission (Algorithm 1), finalization (Algorithm 2) |
-//! | [`scheduler`] | §4 | elastic stage scheduler: self-tuning scan/stage/shard widths |
+//! | [`scheduler`] | §4 | the resizable scan/stage/shard axes and the log of width changes |
 //! | [`fault`] | — | deterministic fault injection for supervision tests |
 //! | [`stats`] | §6 | operator statistics used by the experiments |
 
@@ -83,12 +83,9 @@ pub mod scheduler;
 pub mod stats;
 pub mod tuple;
 
-pub use config::{CjoinConfig, PinnedAxes};
+pub use config::{stage_width_for, CjoinConfig};
 pub use engine::{CjoinEngine, IngestSession, QueryHandle};
 pub use fault::{FaultPlan, FaultSite};
 pub use progress::QueryProgress;
-pub use scheduler::{
-    Axis, BottleneckVerdict, ResizeEvent, ResizeReason, SchedulerStats, SchedulerTick,
-    StageScheduler,
-};
+pub use scheduler::{Axis, ResizeEvent, ResizeReason, SchedulerStats};
 pub use stats::{IngestStats, PipelineStats};

@@ -20,23 +20,13 @@ pub struct Disconnected;
 pub struct TupleQueue {
     tx: Sender<Message>,
     rx: Receiver<Message>,
-    capacity: usize,
 }
 
 impl TupleQueue {
     /// Creates a queue that holds at most `capacity` messages (batches).
     pub fn new(capacity: usize) -> Self {
         let (tx, rx) = bounded(capacity.max(1));
-        Self {
-            tx,
-            rx,
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The queue's capacity in messages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        Self { tx, rx }
     }
 
     /// Number of messages currently queued.
@@ -148,16 +138,6 @@ impl ShardSenders {
         self.txs.len()
     }
 
-    /// Depth, in messages, of the deepest shard queue.
-    pub fn deepest_len(&self) -> usize {
-        self.txs.iter().map(Sender::len).max().unwrap_or(0)
-    }
-
-    /// Capacity, in messages, of one shard queue (0 when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.txs.first().and_then(Sender::capacity).unwrap_or(0)
-    }
-
     /// Sends a message to one shard, blocking while its queue is full.
     ///
     /// # Errors
@@ -222,9 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn len_and_capacity() {
+    fn len_and_is_empty() {
         let q = TupleQueue::new(3);
-        assert_eq!(q.capacity(), 3);
         assert!(q.is_empty());
         q.send(data_message(1)).unwrap();
         assert_eq!(q.len(), 1);
@@ -266,9 +245,7 @@ mod tests {
         let shards = ShardQueues::new(3, 4);
         let senders = shards.senders();
         assert_eq!(senders.num_shards(), 3);
-        assert_eq!(senders.capacity(), 4);
         senders.send_to(1, data_message(2)).unwrap();
-        assert_eq!(senders.deepest_len(), 1);
         senders.broadcast_control(&ControlTuple::QueryEnd(QueryId(5)));
         senders.broadcast_shutdown();
         for s in 0..3 {

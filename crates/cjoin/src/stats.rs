@@ -359,8 +359,8 @@ pub struct PipelineStats {
     /// Compressed columnar scan statistics (`None` unless the engine runs with
     /// `CjoinConfig::columnar_scan` enabled).
     pub columnar: Option<ColumnarScanStats>,
-    /// Elastic stage-scheduler snapshot: current per-axis widths, governed
-    /// axes, resize events and the tuning policy's last bottleneck verdict.
+    /// Current per-axis widths, the resize log (forced resizes and
+    /// degradations) and the host core count they were sized on.
     pub scheduler: crate::scheduler::SchedulerStats,
     /// Durable ingestion statistics (all zero unless the engine runs with a
     /// WAL configured via `CjoinConfig::wal_path`).

@@ -169,17 +169,16 @@ pub struct EngineStats {
     pub fact_tuples_scanned: u64,
 }
 
-/// A point-in-time summary of an engine's elastic stage scheduler, when it has
-/// one: the current parallelism widths per pipeline axis, how they were chosen,
-/// and the last bottleneck verdict the tuning policy reached.
+/// A point-in-time summary of an engine's parallelism widths, when it has
+/// them: the current width per pipeline axis, whether the Stage started at the
+/// host-derived default, and how many times a width changed.
 ///
 /// Lives here (not in the CJOIN crate) so the server can report it over the
 /// stats RPC through `&dyn JoinEngine` without depending on engine internals,
 /// mirroring [`EngineStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerSummary {
-    /// Whether self-tuning is enabled (axes left at their defaults are sized
-    /// from the host and re-sized from live pipeline counters).
+    /// Whether the engine started at the host-derived Stage width.
     pub auto_tune: bool,
     /// `std::thread::available_parallelism()` as observed at engine start.
     pub available_parallelism: u64,
@@ -189,12 +188,9 @@ pub struct SchedulerSummary {
     pub stage_workers: u64,
     /// Current number of aggregation (Distributor) shards.
     pub distributor_shards: u64,
-    /// Total resize events since engine start (startup sizing, policy
-    /// decisions, forced resizes and supervision degradations).
+    /// Total resize events since engine start (forced resizes and
+    /// supervision degradations).
     pub resizes: u64,
-    /// Display name of the last bottleneck verdict the tuning policy reached
-    /// (empty until the policy has observed a tick).
-    pub last_verdict: String,
 }
 
 /// One dimension row inserted or replaced by key (the row's `key_column`
@@ -291,10 +287,9 @@ pub trait JoinEngine: Send + Sync {
         None
     }
 
-    /// The engine's elastic-scheduler summary: current per-axis parallelism
-    /// widths and the last bottleneck verdict. `None` for engines without a
-    /// stage scheduler (the baseline, remote engines talking to an old
-    /// server).
+    /// The engine's width summary: current per-axis parallelism widths and
+    /// the number of resizes. `None` for engines without resizable axes (the
+    /// baseline, remote engines talking to an old server).
     fn scheduler_summary(&self) -> Option<SchedulerSummary> {
         None
     }

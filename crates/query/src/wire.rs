@@ -731,8 +731,8 @@ pub struct ServerStats {
     pub engine: EngineStats,
     /// One entry per tenant that has contacted the server.
     pub tenants: Vec<TenantStats>,
-    /// The engine's elastic-scheduler summary (current per-axis widths and the
-    /// last bottleneck verdict); `None` for engines without one.
+    /// The engine's width summary (current per-axis widths and the number of
+    /// resizes); `None` for engines without one.
     pub scheduler: Option<SchedulerSummary>,
 }
 
@@ -761,7 +761,6 @@ fn encode_server_stats(buf: &mut Vec<u8>, s: &ServerStats) {
             put_u64(buf, sched.stage_workers);
             put_u64(buf, sched.distributor_shards);
             put_u64(buf, sched.resizes);
-            put_str(buf, &sched.last_verdict);
         }
     }
 }
@@ -795,7 +794,6 @@ fn decode_server_stats(cur: &mut Cursor<'_>) -> Result<ServerStats, WireError> {
             stage_workers: cur.u64()?,
             distributor_shards: cur.u64()?,
             resizes: cur.u64()?,
-            last_verdict: cur.str()?,
         }),
         tag => {
             return Err(WireError::UnknownTag {
@@ -1376,7 +1374,6 @@ mod tests {
                     stage_workers: 2,
                     distributor_shards: 1,
                     resizes: 3,
-                    last_verdict: "stage-saturated".into(),
                 }),
             }),
             Response::Stats(ServerStats::default()),

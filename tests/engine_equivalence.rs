@@ -9,8 +9,8 @@
 //!
 //! The CJOIN points of the matrix: `scan_workers` {1,2,4} × `distributor_shards`
 //! {1,4} × Stage width `worker_threads` {1,3}; per-tuple probing at the widest point;
-//! `columnar_scan` {off,on} × `scan_workers` {1,4}; and an engine with every axis
-//! left to the elastic scheduler. A red cell names its configuration in the
+//! `columnar_scan` {off,on} × `scan_workers` {1,4}; and an engine at the
+//! host-derived default widths. A red cell names its configuration in the
 //! engine's `name()`.
 
 use std::sync::Arc;
@@ -87,9 +87,8 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             .unwrap(),
         ));
     }
-    // The elastic scheduler: all parallelism knobs left at their defaults so
-    // the scheduler governs every axis, sizes them from the host at start and
-    // may resize them mid-workload — results must stay oracle-identical.
+    // Host-derived default widths: every parallelism knob left at its
+    // default, so the Stage is as wide as `stage_width_for` the host.
     engines.push(Box::new(
         CjoinEngine::start(
             Arc::clone(catalog),

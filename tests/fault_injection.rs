@@ -4,8 +4,9 @@
 //! client ticket ever hangs**. A panic in any pipeline role must resolve every
 //! affected in-flight query with a typed [`QueryError::StageFailed`] (or let it
 //! complete correctly if the role died after the query's answer was sealed),
-//! the engine must degrade the failed axis and keep serving fresh queries, and
-//! quiescing afterwards must leave no batch accounting residue.
+//! the engine must step the failed axis down from the width that was running
+//! (its configuration is the one source of widths) and keep serving fresh
+//! queries, and quiescing afterwards must leave no batch accounting residue.
 //!
 //! The matrix crosses every [`FaultSite`] with the parallelism axes that change
 //! how many threads each role has ({scan_workers 1,4} x {distributor_shards
@@ -20,7 +21,9 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
-use cjoin_repro::cjoin::{Axis, CjoinConfig, CjoinEngine, QueryHandle, ResizeReason};
+use cjoin_repro::cjoin::{
+    stage_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle, ResizeEvent, ResizeReason,
+};
 use cjoin_repro::query::{reference, QueryError, QueryOutcome, QueryResult};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
 use cjoin_repro::{SnapshotId, StarQuery};
@@ -367,21 +370,45 @@ fn corrupt_row_group_is_quarantined_and_answers_stay_exact() {
     engine.shutdown();
 }
 
-/// Supervision composed with the elastic scheduler: a Stage panic forces the
-/// supervisor to downscale the stage axis (the degradation is committed to the
-/// scheduler so respawns keep the degraded shape), after which a scheduler
-/// upscale via `request_resize` re-grows the axis — and the engine must serve
-/// an oracle-exact query on the re-grown pipeline.
+/// Waits (bounded) until the supervisor has recorded a role failure and
+/// finished the respawn it owns.
+fn await_restart(engine: &CjoinEngine, what: &str) {
+    let start = Instant::now();
+    loop {
+        let stats = engine.stats();
+        if stats.role_failures >= 1 && stats.pipeline_restarts >= 1 {
+            return;
+        }
+        assert!(
+            start.elapsed() < RESOLVE_TIMEOUT,
+            "{what}: no role failure + restart was recorded"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The `Degraded` events of the engine's resize log.
+fn degraded_events(engine: &CjoinEngine) -> Vec<ResizeEvent> {
+    engine
+        .scheduler_stats()
+        .resizes
+        .into_iter()
+        .filter(|e| e.reason == ResizeReason::Degraded)
+        .collect()
+}
+
+/// A Stage panic at Stage width 2 makes the supervisor step the axis down to
+/// 1, logged once as a note and once as a `Degraded` event; an explicit
+/// `request_resize` then re-grows the axis, and the engine must serve an
+/// oracle-exact query on the re-grown pipeline.
 #[test]
 fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
     let data = test_data();
     let catalog = data.catalog();
     let doomed = test_queries(&data, 51).remove(0);
 
-    // Governed config: every parallelism knob is left at its default so the
-    // scheduler owns the widths; the fault plan kills a Stage worker on its
-    // second processed batch while the scan is slowed enough to keep the
-    // query in flight.
+    // The fault plan kills a Stage worker on its second processed batch while
+    // the scan is slowed enough to keep the query in flight.
     let plan = FaultPlan::seeded(11)
         .delay(FaultSite::ScanWorker, 500)
         .panic_at_event(FaultSite::StageWorker, 2)
@@ -391,9 +418,10 @@ fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
         batch_size: 128,
         ..CjoinConfig::default()
     }
+    .with_worker_threads(2)
     .with_fault_plan(plan);
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-    assert!(engine.scheduler_stats().governed.iter().all(|&g| g));
+    assert_eq!(engine.stage_plan().stage_workers, 2);
 
     // The doomed query resolves with StageFailed (or completes, if the panic
     // landed after its answer was sealed) — bounded either way.
@@ -401,17 +429,17 @@ fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
         Ok(_) | Err(QueryError::StageFailed { .. }) => {}
         other => panic!("expected Ok or StageFailed, got {other:?}"),
     }
-    let start = Instant::now();
-    while engine.degradations().is_empty() {
-        assert!(
-            start.elapsed() < RESOLVE_TIMEOUT,
-            "stage death never recorded a degradation step"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_restart(&engine, "stage death");
+    assert_eq!(engine.degradations(), ["stage-workers 2 → 1"]);
+    let degraded = degraded_events(&engine);
+    assert_eq!(degraded.len(), 1, "{degraded:?}");
+    assert_eq!(
+        (degraded[0].axis, degraded[0].from, degraded[0].to),
+        (Axis::StageWorkers, 2, 1)
+    );
+    assert_eq!(engine.stage_plan().stage_workers, 1);
 
-    // The supervisor's downscale collapsed the stage axis to one worker; an
-    // explicit scheduler upscale now re-grows it past the degraded width.
+    // An explicit upscale now re-grows the axis past the degraded width.
     let start = Instant::now();
     loop {
         match engine.request_resize(Axis::StageWorkers, 2) {
@@ -447,6 +475,57 @@ fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
     .unwrap();
     assert_matches_oracle(&result, &expected, "post-upscale probe");
     assert_quiesces(&engine, "post-upscale quiesce");
+    engine.shutdown();
+}
+
+/// The supervisor steps down the width that was running. A default-config
+/// engine runs its Stage at [`stage_width_for`] the host, so where that is 1
+/// a Stage death has nothing to step down: the role is respawned as-is and
+/// neither a note nor an event is logged.
+#[test]
+fn stage_death_degrades_the_width_that_was_running() {
+    let data = test_data();
+    let catalog = data.catalog();
+    let doomed = test_queries(&data, 53).remove(0);
+
+    let plan = FaultPlan::seeded(13)
+        .delay(FaultSite::ScanWorker, 500)
+        .panic_at_event(FaultSite::StageWorker, 2)
+        .build();
+    let config = CjoinConfig {
+        max_concurrency: 8,
+        batch_size: 128,
+        ..CjoinConfig::default()
+    }
+    .with_fault_plan(plan);
+    let running = config.worker_threads;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(running, stage_width_for(cores));
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+
+    match wait_bounded(&engine.submit(doomed).unwrap(), "doomed ticket") {
+        Ok(_) | Err(QueryError::StageFailed { .. }) => {}
+        other => panic!("expected Ok or StageFailed, got {other:?}"),
+    }
+    await_restart(&engine, "stage death");
+    let expected: Vec<String> = if running > 1 {
+        vec![format!("stage-workers {running} → 1")]
+    } else {
+        Vec::new()
+    };
+    assert_eq!(engine.degradations(), expected);
+    assert_eq!(degraded_events(&engine).len(), expected.len());
+    assert_eq!(engine.stage_plan().stage_workers, 1);
+
+    let probe = test_queries(&data, 54).remove(0);
+    let expected = reference::evaluate(&catalog, &probe, SnapshotId::INITIAL).unwrap();
+    let result = wait_bounded(
+        &submit_with_retry(&engine, &probe, "post-restart probe"),
+        "post-restart probe",
+    )
+    .unwrap();
+    assert_matches_oracle(&result, &expected, "post-restart probe");
+    assert_quiesces(&engine, "post-restart quiesce");
     engine.shutdown();
 }
 
@@ -534,17 +613,7 @@ fn resize_with_queries_in_flight(
                 "{what}: fault never fired"
             );
         }
-        loop {
-            let stats = engine.stats();
-            if stats.role_failures >= 1 && stats.pipeline_restarts >= 1 {
-                break;
-            }
-            assert!(
-                start.elapsed() < RESOLVE_TIMEOUT,
-                "{what}: scan worker died but no role failure + restart was recorded"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        await_restart(&engine, &what);
     }
     assert_quiesces(&engine, &what);
 

@@ -351,9 +351,9 @@ fn baseline_contention_grows_with_concurrency_while_cjoin_stays_flat() {
 
 /// Thread census (Linux): the live `cjoin-*` threads of an engine are exactly
 /// the ones its [`StagePlan`] names — scan workers, Stage workers, shards —
-/// plus manager, supervisor and (with a governed axis) tuner. Query lifecycle
-/// has no thread of its own at any width, and no thread sits between the Stage
-/// and the shards. Runs [`thread_census_in_a_process_of_its_own`] in a child
+/// plus manager and supervisor. Query lifecycle has no thread of its own at
+/// any width, no thread sits between the Stage and the shards, and nothing
+/// samples the pipeline to re-size it. Runs [`thread_census_in_a_process_of_its_own`] in a child
 /// process: the other tests of this binary run engines on sibling threads, and
 /// a census cannot tell whose `cjoin-scan-w0` it is looking at.
 #[cfg(target_os = "linux")]
@@ -411,10 +411,6 @@ fn thread_census_in_a_process_of_its_own() {
         roles.push(RoleKind::Manager);
         let mut expected: Vec<String> = roles.iter().map(|r| comm(&r.thread_name())).collect();
         expected.push(comm("cjoin-supervisor"));
-        let scheduler = engine.scheduler_stats();
-        if scheduler.auto_tune && scheduler.governed.contains(&true) {
-            expected.push(comm("cjoin-tuner"));
-        }
         expected.sort();
 
         // A thread names itself as it starts, just after `spawn` returns.
@@ -427,8 +423,9 @@ fn thread_census_in_a_process_of_its_own() {
             assert!(
                 !name.starts_with("cjoin-scan-coor")
                     && !name.starts_with("cjoin-dist-merg")
-                    && !name.starts_with("cjoin-dist-rout"),
-                "a lifecycle or routing thread is back: {name}"
+                    && !name.starts_with("cjoin-dist-rout")
+                    && !name.starts_with("cjoin-tuner"),
+                "a lifecycle, routing or tuning thread is back: {name}"
             );
         }
     }
@@ -436,7 +433,7 @@ fn thread_census_in_a_process_of_its_own() {
     let data = SsbDataSet::generate(SsbConfig::for_tests(0.001, 309));
     let catalog = data.catalog();
 
-    // Governed axes (a tuner exists), resized explicitly to each shape.
+    // Default widths, resized explicitly to each shape.
     let engine = CjoinEngine::start(
         Arc::clone(&catalog),
         CjoinConfig::default().with_max_concurrency(16),
@@ -451,7 +448,7 @@ fn thread_census_in_a_process_of_its_own() {
     engine.shutdown();
     assert_eq!(live(), Vec::<String>::new(), "shutdown joins every thread");
 
-    // The same shapes pinned by the builders (nothing to tune: no tuner).
+    // The same shapes set by the builders.
     for width in [1, 2] {
         let engine = CjoinEngine::start(
             Arc::clone(&catalog),

@@ -1,4 +1,4 @@
-//! Elastic stage-scheduler integration tests.
+//! Resize integration tests.
 //!
 //! The invariant under attack: **a mid-flight resize never drops or duplicates
 //! a tuple in any query's answer**. A resize drains the current pipeline
@@ -7,18 +7,20 @@
 //! protocol any complete pass over the snapshot yields the exact answer, so
 //! COUNT/SUM aggregates must stay oracle-identical across forced upscales and
 //! downscales, and the pipeline must quiesce to `batches_in_flight == 0`
-//! afterwards. Beside that: host-derived startup sizing, pinned-knob
-//! bit-identity, refused resize requests, and the progress handle of a
-//! re-installed query. The engine with every axis scheduler-governed also rides
-//! in `tests/engine_equivalence.rs`; supervision composition (panic downscale
-//! then scheduler upscale, a scan-worker death swept across a resize
-//! re-install) lives in `tests/fault_injection.rs`.
+//! afterwards. Beside that: the host-derived default Stage width, explicit
+//! widths used as given, refused resize requests, and the progress handle of a
+//! re-installed query. The engine at host-derived default widths also rides in
+//! `tests/engine_equivalence.rs`; supervision composition (panic downscale then
+//! explicit upscale, a scan-worker death swept across a resize re-install)
+//! lives in `tests/fault_injection.rs`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
-use cjoin_repro::cjoin::{Axis, CjoinConfig, CjoinEngine, QueryHandle, ResizeReason};
+use cjoin_repro::cjoin::{
+    stage_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle, ResizeReason,
+};
 use cjoin_repro::query::{reference, JoinEngine, QueryOutcome};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
 use cjoin_repro::{SnapshotId, StarQuery};
@@ -79,8 +81,8 @@ fn mid_flight_resizes_never_drop_or_duplicate_tuples() {
         .collect();
 
     // Slow the scan so the queries are reliably still mid-pass when the
-    // resizes land; all axes left at their defaults so the scheduler governs
-    // them (max_concurrency/batch_size are not axes).
+    // resizes land; all axes left at their defaults (max_concurrency and
+    // batch_size are not axes).
     let config = CjoinConfig {
         max_concurrency: 16,
         batch_size: 128,
@@ -93,7 +95,7 @@ fn mid_flight_resizes_never_drop_or_duplicate_tuples() {
     );
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
     let baseline = engine.scheduler_stats();
-    assert!(baseline.governed.iter().all(|&g| g), "all axes governed");
+    assert!(baseline.resizes.is_empty(), "{:?}", baseline.resizes);
     let stage0 = baseline.stage_workers;
 
     let handles: Vec<_> = queries
@@ -103,7 +105,7 @@ fn mid_flight_resizes_never_drop_or_duplicate_tuples() {
 
     // Forced upscale on every axis mid-flight (scan and shards start at the
     // classic width 1 whatever the host; the stage axis grows one past its
-    // startup size), then back down again.
+    // host-derived default), then back down again.
     engine.request_resize(Axis::ScanWorkers, 2).unwrap();
     engine
         .request_resize(Axis::StageWorkers, stage0 + 1)
@@ -160,8 +162,7 @@ fn progress_restarts_with_the_pass_when_a_resize_reinstalls_the_query() {
     let query = test_queries(&data, 1, 93).remove(0);
     let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
 
-    // 3 ms per scan batch holds the query mid-pass across the resize. The scan
-    // axis is pinned so only the explicit request below resizes it.
+    // 3 ms per scan batch holds the query mid-pass across the resize.
     let config = CjoinConfig {
         max_concurrency: 16,
         batch_size: 128,
@@ -228,60 +229,58 @@ fn progress_restarts_with_the_pass_when_a_resize_reinstalls_the_query() {
     engine.shutdown();
 }
 
-/// Startup sizing derives from the host: the scan and aggregation axes start
-/// at the classic width 1, the stage axis at `min(cores - 2, default)` but
-/// never below 1 — on a 1-core host the whole pipeline collapses to the
-/// paper's classic single-threaded shape.
+/// The Stage's default width is sized from the host once, by
+/// [`stage_width_for`]; the scan and aggregation axes default to the classic
+/// width 1. On up to three cores the whole pipeline is the paper's classic one
+/// thread per stage. The width is configured, not resized: no event is logged.
 #[test]
 fn startup_sizing_collapses_to_classic_shape_when_cores_are_scarce() {
     let data = test_data();
     let catalog = data.catalog();
-    let engine = CjoinEngine::start(
-        Arc::clone(&catalog),
-        CjoinConfig {
-            max_concurrency: 16,
-            ..CjoinConfig::default()
-        },
-    )
-    .unwrap();
-
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let config = CjoinConfig {
+        max_concurrency: 16,
+        ..CjoinConfig::default()
+    };
+    assert_eq!(config.worker_threads, stage_width_for(cores));
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+
     let stats = engine.scheduler_stats();
     assert!(stats.auto_tune);
     assert_eq!(stats.available_parallelism, cores);
-    assert_eq!(stats.scan_workers, 1);
-    assert_eq!(stats.distributor_shards, 1);
-    let expected_stage = cores
-        .saturating_sub(2)
-        .clamp(1, CjoinConfig::default().worker_threads);
-    assert_eq!(stats.stage_workers, expected_stage);
-    if cores == 1 {
-        assert_eq!(
-            (
-                stats.scan_workers,
-                stats.stage_workers,
-                stats.distributor_shards
-            ),
-            (1, 1, 1),
-            "1-core host runs the classic single-threaded shape"
-        );
+    assert!(stats.resizes.is_empty(), "{:?}", stats.resizes);
+    let shape = (
+        stats.scan_workers,
+        stats.stage_workers,
+        stats.distributor_shards,
+    );
+    assert_eq!(shape, (1, stage_width_for(cores), 1));
+    if cores <= 3 {
+        assert_eq!(shape, (1, 1, 1), "classic one thread per stage");
     }
-    // The spawned pipeline actually has the scheduler's shape.
+    // The spawned pipeline actually has that shape.
     let plan = engine.stage_plan();
-    assert_eq!(plan.stage_workers, expected_stage);
+    assert_eq!(
+        (
+            plan.scan_workers,
+            plan.stage_workers,
+            plan.distributor_shards
+        ),
+        shape
+    );
 
     // The summary is visible through the engine-independent trait (and hence
     // the server stats RPC, which forwards it verbatim).
     let summary = (&engine as &dyn JoinEngine).scheduler_summary().unwrap();
     assert!(summary.auto_tune);
     assert_eq!(summary.available_parallelism, cores as u64);
-    assert_eq!(summary.stage_workers, expected_stage as u64);
+    assert_eq!(summary.stage_workers, stage_width_for(cores) as u64);
+    assert_eq!(summary.resizes, 0);
     engine.shutdown();
 }
 
-/// Explicitly configured knobs are fixed overrides: the scheduler governs
-/// nothing, records nothing, and the pipeline spawns bit-identically to the
-/// pre-scheduler engine.
+/// Explicitly configured widths are used as given: the pipeline spawns exactly
+/// that shape and nothing is logged until a resize is requested.
 #[test]
 fn pinned_knobs_behave_bit_identically() {
     let data = test_data();
@@ -298,8 +297,7 @@ fn pinned_knobs_behave_bit_identically() {
     .unwrap();
 
     let stats = engine.scheduler_stats();
-    assert!(stats.governed.iter().all(|&g| !g), "nothing governed");
-    assert!(stats.resizes.is_empty(), "no startup resize on pinned axes");
+    assert!(stats.resizes.is_empty(), "no resize on explicit widths");
     assert_eq!(
         (
             stats.scan_workers,
@@ -309,11 +307,17 @@ fn pinned_knobs_behave_bit_identically() {
         (2, 2, 2)
     );
     let plan = engine.stage_plan();
-    assert_eq!(plan.scan_workers, 2);
-    assert_eq!(plan.distributor_shards, 2);
+    assert_eq!(
+        (
+            plan.scan_workers,
+            plan.stage_workers,
+            plan.distributor_shards
+        ),
+        (2, 2, 2)
+    );
 
-    // A forced resize still works on pinned axes — an explicit request
-    // outranks the builder pin — and answers stay exact afterwards.
+    // A forced resize works on explicit widths too, and answers stay exact
+    // afterwards.
     engine.request_resize(Axis::DistributorShards, 1).unwrap();
     assert_eq!(engine.scheduler_stats().distributor_shards, 1);
     for query in &queries {
@@ -321,17 +325,18 @@ fn pinned_knobs_behave_bit_identically() {
         let result = wait_bounded(&engine.submit(query.clone()).unwrap(), &query.name).unwrap();
         assert!(
             result.approx_eq(&expected),
-            "{} diverged after pinned-axis resize: {:?}",
+            "{} diverged after an explicit-width resize: {:?}",
             query.name,
             result.diff(&expected)
         );
     }
-    assert_quiesces(&engine, "pinned-axis quiesce");
+    assert_quiesces(&engine, "explicit-width quiesce");
     engine.shutdown();
 }
 
-/// Invalid resize requests are refused with typed errors and leave the
-/// pipeline untouched.
+/// Invalid resize requests are refused by the configuration's own validation
+/// and leave the widths and the resize log untouched; a request for the
+/// running width is accepted and records nothing.
 #[test]
 fn invalid_resize_requests_are_refused() {
     let data = test_data();
@@ -344,9 +349,29 @@ fn invalid_resize_requests_are_refused() {
         },
     )
     .unwrap();
-    assert!(engine.request_resize(Axis::ScanWorkers, 0).is_err());
-    assert!(engine.request_resize(Axis::ScanWorkers, 65).is_err());
-    assert!(engine.request_resize(Axis::DistributorShards, 257).is_err());
+    let before = engine.scheduler_stats();
+    for (axis, width) in [
+        (Axis::ScanWorkers, 0),
+        (Axis::ScanWorkers, 65),
+        (Axis::StageWorkers, 0),
+        (Axis::DistributorShards, 0),
+        (Axis::DistributorShards, 257),
+    ] {
+        assert!(
+            engine.request_resize(axis, width).is_err(),
+            "{axis:?} to {width} accepted"
+        );
+        assert_eq!(engine.scheduler_stats(), before, "{axis:?} to {width}");
+    }
+    for axis in Axis::ALL {
+        let running = *axis.width_in(&mut engine.config());
+        engine.request_resize(axis, running).unwrap();
+    }
+    assert_eq!(
+        engine.scheduler_stats(),
+        before,
+        "same-width requests record no event"
+    );
     let queries = test_queries(&data, 1, 93);
     let expected = reference::evaluate(&catalog, &queries[0], SnapshotId::INITIAL).unwrap();
     let result = engine.execute(queries[0].clone()).unwrap();
