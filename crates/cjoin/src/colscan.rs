@@ -19,6 +19,11 @@
 //!   decide whether a chunk may be read encoded. It holds no position; the
 //!   §3.3 admission and completion protocol runs on the worker's one
 //!   [`cjoin_storage::ContinuousScan`] whether or not a replica exists.
+//! * `pass_end` — where a query's pass over a segment can end: after the
+//!   last row group, in pass order, whose zone verdict is not `Never`. This is
+//!   §5's fact-table partitioning without declared partitions: on a column the
+//!   table is clustered by, groups have disjoint zones, so a range query's
+//!   pass ends once the scan has covered the groups its range overlaps.
 //!
 //! ## Why encoded evaluation is exact
 //!
@@ -33,6 +38,7 @@
 //! return `None`, and the Preprocessor falls back to evaluating the stored
 //! `BoundPredicate` on fully materialised rows — slower, never wrong.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cjoin_query::{CompareOp, Predicate};
@@ -715,11 +721,107 @@ impl ReplicaScan {
             verified
         })
     }
+
+    /// [`pass_end`] for `predicate` over this worker's `segment`, from `start`.
+    /// A group may match unless its zone verdict is `Never` *and* its checksum
+    /// verifies: zone maps are trusted only for a verified group, and a
+    /// quarantined group is read from the row store.
+    pub(crate) fn pass_end(
+        &mut self,
+        predicate: &EncodedFactPredicate,
+        segment: Range<u64>,
+        start: u64,
+    ) -> PassEnd {
+        let replica = Arc::clone(&self.replica);
+        let can_match = |g: usize| {
+            predicate.zone_verdict(&replica.row_groups()[g].zones) != ZoneVerdict::Never
+                || !self.group_verified(g)
+        };
+        pass_end(
+            can_match,
+            replica.group_rows() as u64,
+            replica.len() as u64,
+            segment,
+            start,
+        )
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Where a query ends
+// ---------------------------------------------------------------------------
+
+/// Where a query's pass over one scan segment ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PassEnd {
+    /// At this position, short of the wrap: the query retires the first time
+    /// the cursor starts a chunk here.
+    At(u64),
+    /// At the starting position, one full pass later (§3.3.2).
+    Wrap,
+    /// Nowhere: no row of the segment can match, so the query retires at
+    /// install.
+    Nothing,
+}
+
+/// Where a pass over `segment` that starts at `start` ends, for a query whose
+/// snapshot cannot see rows appended after `segment` was sampled.
+///
+/// The pass reads `start..segment.end`, then `segment.start..start`. Rows below
+/// `frontier` lie in row groups of `group_rows` rows (group `g` starts at
+/// `g * group_rows`), and `can_match(g)` says whether group `g` may hold a row
+/// the query wants. Rows from `frontier` on are the row-store tail, which
+/// always may. The pass ends at the end of the last group (or the tail), in
+/// pass order, that may: the walk goes backwards from the end of the pass and
+/// calls `can_match` only for the groups it passes over and the one it stops
+/// at.
+///
+/// `start`'s own group counts last when `start` lies inside it, because its
+/// rows before `start` are read last; if it is the last group that may match,
+/// the end is the ordinary [`PassEnd::Wrap`]. So is a last match that ends at
+/// the segment's end when the pass began at the segment's start. A last match
+/// that ends at the segment's end otherwise ends the pass at the segment start,
+/// where the cursor goes next.
+pub(crate) fn pass_end(
+    mut can_match: impl FnMut(usize) -> bool,
+    group_rows: u64,
+    frontier: u64,
+    segment: Range<u64>,
+    start: u64,
+) -> PassEnd {
+    if segment.is_empty() {
+        return PassEnd::Nothing;
+    }
+    debug_assert!(segment.contains(&start), "{start} outside {segment:?}");
+    // The half read last is walked first.
+    for (first, mut end) in [(segment.start, start), (start, segment.end)] {
+        while end > first {
+            let last = end - 1;
+            let (piece, may_match) = if last >= frontier {
+                (frontier, true)
+            } else {
+                let g = last / group_rows;
+                (g * group_rows, can_match(g as usize))
+            };
+            if may_match {
+                return if end == start || (end == segment.end && segment.start == start) {
+                    PassEnd::Wrap
+                } else if end == segment.end {
+                    PassEnd::At(segment.start)
+                } else {
+                    PassEnd::At(end)
+                };
+            }
+            end = piece.max(first);
+        }
+    }
+    PassEnd::Nothing
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cjoin_common::splitmix64;
     use cjoin_storage::{Column, CompressionPolicy, Row, SnapshotId, Table};
 
     fn fact_table(rows: i64) -> Table {
@@ -921,5 +1023,157 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The oracle of [`pass_end`]: the last row of the pass that may match,
+    /// found row by row, rounded up to the end of its group (or of the tail)
+    /// in pass order.
+    fn pass_end_oracle(
+        may_match: &[bool],
+        group_rows: u64,
+        frontier: u64,
+        segment: Range<u64>,
+        start: u64,
+    ) -> PassEnd {
+        let may = |r: u64| r >= frontier || may_match[(r / group_rows) as usize];
+        let mut pass = (start..segment.end).chain(segment.start..start);
+        let Some(last) = pass.rfind(|&r| may(r)) else {
+            return PassEnd::Nothing;
+        };
+        let piece_end = if last >= frontier {
+            u64::MAX
+        } else {
+            ((last / group_rows + 1) * group_rows).min(frontier)
+        };
+        let end = piece_end.min(if last < start { start } else { segment.end });
+        if end == start || (end == segment.end && segment.start == start) {
+            PassEnd::Wrap
+        } else if end == segment.end {
+            PassEnd::At(segment.start)
+        } else {
+            PassEnd::At(end)
+        }
+    }
+
+    /// `pass_end` over `may_match`, checking that the walk only asks about
+    /// groups the segment overlaps.
+    fn walk(
+        may_match: &[bool],
+        group_rows: u64,
+        frontier: u64,
+        segment: Range<u64>,
+        start: u64,
+    ) -> PassEnd {
+        let can_match = |g: usize| {
+            let first = g as u64 * group_rows;
+            assert!(
+                first < segment.end && first + group_rows > segment.start,
+                "group {g} lies outside {segment:?}"
+            );
+            may_match[g]
+        };
+        pass_end(can_match, group_rows, frontier, segment.clone(), start)
+    }
+
+    #[test]
+    fn pass_end_matches_the_row_by_row_oracle() {
+        use PassEnd::{At, Nothing, Wrap};
+        // Groups of 4 rows; 5 groups, the last one short (frontier 18), then a
+        // tail up to 22.
+        let (rows, frontier) = (4, 18);
+        let only = |g: usize| -> [bool; 5] { std::array::from_fn(|i| i == g) };
+        let cases = [
+            // Only group 1 may match, from the segment start: end of group 1.
+            (only(1), 0..18, 0, At(8)),
+            // The same from inside group 3: past the end, back to group 1.
+            (only(1), 0..18, 13, At(8)),
+            // A start inside the only group that may match: the wrap.
+            (only(1), 0..18, 6, Wrap),
+            // ...but a start at its first row reads it first.
+            (only(1), 0..18, 4, At(8)),
+            // A last match ending at the segment end: back at the start.
+            (only(4), 0..18, 5, At(0)),
+            (only(4), 0..18, 0, Wrap),
+            // A non-empty tail always may match.
+            (only(1), 0..22, 2, At(0)),
+            // A start in the tail: its rows before the start are read last.
+            (only(2), 0..22, 20, Wrap),
+            // A segment inside the replica, its bounds inside groups.
+            ([true, false, true, false, false], 6..14, 6, At(12)),
+            // All Never, no tail: nothing to read.
+            ([false; 5], 0..18, 9, Nothing),
+        ];
+        for (may, segment, start, expected) in cases {
+            let case = format!("{may:?} over {segment:?} from {start}");
+            let got = walk(&may, rows, frontier, segment.clone(), start);
+            assert_eq!(got, expected, "{case}");
+            assert_eq!(
+                pass_end_oracle(&may, rows, frontier, segment, start),
+                expected,
+                "oracle: {case}"
+            );
+        }
+        // An empty segment reads nothing.
+        assert_eq!(walk(&[true; 5], rows, frontier, 8..8, 8), Nothing);
+
+        // Seeded random verdicts, replicas and segments whose bounds lie
+        // inside the replica, at its ends and in the tail.
+        let mut rng = 2909;
+        for round in 0..20_000 {
+            let group_rows = 1 + splitmix64(&mut rng) % 6;
+            let groups = 1 + splitmix64(&mut rng) % 7;
+            let frontier = groups * group_rows - splitmix64(&mut rng) % group_rows;
+            let len = frontier + [0, 0, 1, 5][(splitmix64(&mut rng) % 4) as usize];
+            let density = splitmix64(&mut rng) % 4; // 0: every group Never
+            let may: Vec<bool> = (0..groups)
+                .map(|_| splitmix64(&mut rng) % 8 < density)
+                .collect();
+            let bound = |rng: &mut u64| match splitmix64(rng) % 4 {
+                0 => 0,
+                1 => frontier,
+                2 => len,
+                _ => splitmix64(rng) % (len + 1),
+            };
+            let (a, b) = (bound(&mut rng), bound(&mut rng));
+            let segment = a.min(b)..a.max(b);
+            let start = if segment.is_empty() {
+                segment.start
+            } else {
+                segment.start + splitmix64(&mut rng) % (segment.end - segment.start)
+            };
+            assert_eq!(
+                walk(&may, group_rows, frontier, segment.clone(), start),
+                pass_end_oracle(&may, group_rows, frontier, segment.clone(), start),
+                "round {round}: {may:?}, {group_rows}-row groups, frontier {frontier}, \
+                 segment {segment:?}, start {start}"
+            );
+        }
+    }
+
+    /// Through a real replica: a `Never` group whose checksum fails may match
+    /// (its rows come from the row store), and is counted as quarantined.
+    #[test]
+    fn a_quarantined_group_keeps_the_pass_running() {
+        let table = fact_table(4096);
+        let build = || {
+            ColumnarTable::from_table_with_row_groups(&table, CompressionPolicy::Adaptive, 1024)
+                .unwrap()
+        };
+        let mut replica = build();
+        let pred = Predicate::eq("lo_orderkey", 100);
+        let compiled = EncodedFactPredicate::compile(&pred, table.schema(), &replica).unwrap();
+        let volume = Arc::new(ScanVolume::new());
+        let mut clean = ReplicaScan::new(Arc::new(build()), Arc::clone(&volume));
+        assert_eq!(clean.pass_end(&compiled, 0..4096, 0), PassEnd::At(1024));
+        assert_eq!(clean.pass_end(&compiled, 0..4096, 2048), PassEnd::At(1024));
+        assert_eq!(volume.groups_quarantined(), 0);
+
+        assert!(replica.corrupt_group(2));
+        let mut scan = ReplicaScan::new(Arc::new(replica), Arc::clone(&volume));
+        assert_eq!(scan.pass_end(&compiled, 0..4096, 0), PassEnd::At(3072));
+        assert_eq!(volume.groups_quarantined(), 1);
+        // Verified once: asking again costs no second verdict.
+        assert_eq!(scan.pass_end(&compiled, 0..4096, 0), PassEnd::At(3072));
+        assert_eq!(volume.groups_quarantined(), 1);
     }
 }

@@ -80,12 +80,11 @@ pub struct CjoinConfig {
     /// and aggregates need (late materialization). Rows it does not cover
     /// (appended since it was built, or in a row group that failed its
     /// checksum) come from the row store; results are bit-identical either
-    /// way. Off, no replica exists and every row comes from the row store.
+    /// way. The zone maps also end each query's pass at its last row group
+    /// that can match (§5, Fact Table Partitioning, without declared
+    /// partitions). Off, no replica exists, every row comes from the row store
+    /// and every query runs its full pass.
     pub columnar_scan: bool,
-    /// Enable partition-based early query termination (§5, Fact Table Partitioning):
-    /// queries whose fact predicate restricts the partitioning column finish as soon
-    /// as the scan has covered every partition they need.
-    pub partition_pruning: bool,
     /// Deterministic fault schedule for supervision tests; `None` (the default)
     /// makes every injection point a single untaken branch. See [`FaultPlan`].
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -120,7 +119,6 @@ impl Default for CjoinConfig {
             distributor_shards: 1,
             scan_workers: 1,
             columnar_scan: false,
-            partition_pruning: false,
             fault_plan: None,
             wal_path: None,
             wal_sync: SyncPolicy::OnCommit,

@@ -80,11 +80,10 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use parking_lot::Mutex;
 
 use cjoin_common::{Error, FxHashMap, QueryId, QueryIdAllocator, QuerySet, Result};
-use cjoin_query::{BoundStarQuery, QueryError, QueryOutcome, QueryResult, StarQuery};
+use cjoin_query::{QueryError, QueryOutcome, QueryResult, StarQuery};
 use cjoin_storage::{
-    apply_record, segment_ranges, Catalog, ColumnarTable, CompressionPolicy, ContinuousScan,
-    PartitionScheme, Row, ScanVolume, SnapshotId, Value, WalRecord, WarehouseLog,
-    DEFAULT_ROW_GROUP_ROWS,
+    apply_record, segment_ranges, Catalog, ColumnarTable, CompressionPolicy, ContinuousScan, Row,
+    ScanVolume, Value, WalRecord, WarehouseLog, DEFAULT_ROW_GROUP_ROWS,
 };
 
 use crate::colscan::ReplicaScan;
@@ -98,9 +97,7 @@ use crate::pipeline::{
     run_stage_worker, spawn_supervised, RoleFailure, RoleKind, StagePlan, SupervisorEvent,
 };
 use crate::pool::BatchPool;
-use crate::preprocessor::{
-    PartitionPlan, Preprocessor, PreprocessorCommand, PreprocessorContext, ScanStall,
-};
+use crate::preprocessor::{Preprocessor, PreprocessorCommand, PreprocessorContext, ScanStall};
 use crate::progress::QueryProgress;
 use crate::queue::{ShardQueues, ShardSenders, TupleQueue};
 use crate::scheduler::{Axis, ResizeEvent, ResizeLog, ResizeReason, SchedulerStats};
@@ -260,7 +257,6 @@ struct PipelineCore {
     /// receiver of its own.
     shards: ShardSenders,
     stage_plan: StagePlan,
-    partition_info: Option<PartitionInfo>,
     in_flight: Arc<AtomicI64>,
     pool: Arc<BatchPool>,
     shard_counters: Vec<Arc<ShardCounters>>,
@@ -321,15 +317,6 @@ struct EngineShared {
 pub struct CjoinEngine {
     shared: Arc<EngineShared>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
-}
-
-#[derive(Debug, Clone)]
-struct PartitionInfo {
-    scheme: PartitionScheme,
-    column_name: String,
-    /// `rows_per_partition[w][p]` = rows of partition `p` that lie in scan worker
-    /// `w`'s segment, so per-worker pruning plans sum to the whole-table plan.
-    rows_per_partition: Vec<Vec<u64>>,
 }
 
 impl CjoinEngine {
@@ -475,37 +462,6 @@ impl CjoinEngine {
         };
         let scan_ranges = segment_ranges(fact.len() as u64, segment_unit, scan_workers);
 
-        // Partition pruning needs per-partition row counts — per scan segment, so
-        // each worker knows when it has covered all the partitions a query cares
-        // about within its own segment.
-        let partition_info = if config.partition_pruning {
-            shared.catalog.fact_partitioning().map(|scheme| {
-                let column_name = fact.schema().column(scheme.column).name.clone();
-                let mut rows_per_partition =
-                    vec![vec![0u64; scheme.num_partitions()]; scan_ranges.len()];
-                fact.for_each_visible(SnapshotId(u64::MAX), |row_id, row| {
-                    let pid = scheme.partition_of(row.int(scheme.column)).index();
-                    // Segment starts are sorted and contiguous from 0, so the
-                    // owning segment is the last one starting at or before the
-                    // row — a binary search, not a linear scan per row.
-                    let segment = scan_ranges
-                        .partition_point(|&(start, _)| start <= row_id.0)
-                        .saturating_sub(1);
-                    rows_per_partition[segment][pid] += 1;
-                });
-                PartitionInfo {
-                    scheme,
-                    column_name,
-                    rows_per_partition,
-                }
-            })
-        } else {
-            None
-        };
-        let partition_scheme = partition_info
-            .as_ref()
-            .map(|p| (p.scheme.clone(), p.scheme.column));
-
         // Queues: the Stage's, and one per shard. The shard queues' receivers go
         // to the shard workers alone (`shard_queues` drops at the end of this
         // function), so a dead shard surfaces to its producers as a send error
@@ -540,7 +496,7 @@ impl CjoinEngine {
                 counters: Arc::clone(&counters),
                 worker_counters: Arc::clone(&scan_worker_counters[worker]),
                 config: config.clone(),
-                partition_scheme: partition_scheme.clone(),
+                snapshots: Arc::clone(shared.catalog.snapshots()),
                 poison: Arc::clone(&poison),
             };
             let scan = ContinuousScan::new(Arc::clone(&fact)).with_segment(start, end);
@@ -624,7 +580,6 @@ impl CjoinEngine {
             stage_queue,
             shards: shard_txs,
             stage_plan,
-            partition_info,
             in_flight,
             pool,
             shard_counters,
@@ -853,7 +808,7 @@ impl CjoinEngine {
             .insert(id.0, Registered { referenced_dims });
         admission.runtimes.insert(id.0, Arc::clone(&runtime));
         // ---- Algorithm 1, lines 17–22: install in Preprocessor & Distributor ----
-        let (install, ack_rx) = install_command(core, &runtime);
+        let (install, ack_rx) = install_command(&runtime);
         let cmd_tx = core.cmd_tx.clone();
         drop(admission);
         // Release the core lock BEFORE waiting for the installation ack. The
@@ -1459,40 +1414,6 @@ fn cleanup_query(id: QueryId, chain: &Arc<FilterChain>, admission: &Arc<Mutex<Ad
     let _ = admission.allocator.release(id);
 }
 
-/// Derives a query's per-scan-worker partition pruning plans (§5) against one
-/// pipeline incarnation's partition layout. Shared between fresh admission and
-/// re-installation after a resize, so a query resized onto a pipeline with a
-/// different scan-worker count gets plans that match the new segments.
-fn partition_plans(
-    info: Option<&PartitionInfo>,
-    bound: &BoundStarQuery,
-) -> Vec<Option<PartitionPlan>> {
-    info.and_then(|info| {
-        let (lo, hi) = bound.fact_column_range(&info.column_name)?;
-        let covering = info.scheme.covering(lo, hi);
-        let mut needed = vec![false; info.scheme.num_partitions()];
-        for pid in &covering {
-            needed[pid.index()] = true;
-        }
-        // Each worker's plan counts only the needed-partition rows of its
-        // own segment; the per-worker remainders sum to the whole-table
-        // remainder.
-        Some(
-            info.rows_per_partition
-                .iter()
-                .map(|segment_rows| {
-                    let remaining_rows = covering.iter().map(|pid| segment_rows[pid.index()]).sum();
-                    Some(PartitionPlan {
-                        needed: needed.clone(),
-                        remaining_rows,
-                    })
-                })
-                .collect(),
-        )
-    })
-    .unwrap_or_default()
-}
-
 /// Why [`swap_pipeline`] is replacing the pipeline incarnation.
 #[derive(Clone, Copy)]
 enum SwapIntent {
@@ -1592,7 +1513,7 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
     let cmd_tx = new_core.cmd_tx.clone();
     let mut acks = Vec::with_capacity(pending.len());
     for runtime in pending {
-        let (install, ack_rx) = install_command(&new_core, &runtime);
+        let (install, ack_rx) = install_command(&runtime);
         // A failed send drops the install and with it the ack sender, which
         // the wait below sees as a disconnect.
         let _ = cmd_tx.send(install);
@@ -1608,21 +1529,16 @@ fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
     Ok(())
 }
 
-/// The install of `runtime` on pipeline incarnation `core` (Algorithm 1, lines
-/// 17–22) — its fact predicate unless trivially true, its snapshot, one
-/// partition pruning plan (§5) per scan worker of `core` — and the receiver of
-/// its ack, for [`await_install_ack`].
-fn install_command(
-    core: &PipelineCore,
-    runtime: &Arc<QueryRuntime>,
-) -> (PreprocessorCommand, Receiver<()>) {
+/// The install of `runtime` (Algorithm 1, lines 17–22) — its fact predicate
+/// unless trivially true, and its snapshot — and the receiver of its ack, for
+/// [`await_install_ack`].
+fn install_command(runtime: &Arc<QueryRuntime>) -> (PreprocessorCommand, Receiver<()>) {
     let bound = &runtime.bound;
     let (ack_tx, ack_rx) = bounded(1);
     let install = PreprocessorCommand::Install {
         runtime: Arc::clone(runtime),
         fact_predicate: (!bound.fact_predicate_is_true).then(|| bound.fact_predicate.clone()),
         snapshot: runtime.snapshot,
-        partition: partition_plans(core.partition_info.as_ref(), bound),
         ack: Some(ack_tx),
     };
     (install, ack_rx)
@@ -1935,7 +1851,7 @@ fn teardown_core(core: PipelineCore, poisoned: bool) {
 mod tests {
     use super::*;
     use cjoin_query::{reference, AggFunc, AggValue, AggregateSpec, ColumnRef, Predicate};
-    use cjoin_storage::{Column, Schema, Table, Value};
+    use cjoin_storage::{Column, Schema, SnapshotId, Table, Value};
 
     /// A small synthetic star schema: fact(sales) with two dimensions.
     fn small_catalog(fact_rows: i64) -> Arc<Catalog> {

@@ -22,12 +22,12 @@
 //! bit-vector words and dimension-slot vectors in place (§4's specialized
 //! allocator). The `tuples_allocated` / `tuples_recycled` counters expose this.
 //!
-//! It is also O(1) per row in the number of active queries: starting positions are
-//! indexed in an ordered `position → bits` map (`Preprocessor::starts_at`), and
-//! the scan advances in chunks that never contain one (see "Chunks" below), so
-//! wrap-around detection and `passed_start` flipping cost one lookup and one
-//! range query per chunk and nothing per row — instead of rescanning every
-//! active query per row.
+//! It is also O(1) per row in the number of active queries: the positions where
+//! queries end are indexed in an ordered `position → bits` map
+//! (`Preprocessor::ends_at`), and the scan advances in chunks that never contain
+//! one (see "Chunks" below), so end detection and `passed_start` flipping cost
+//! one lookup and one range query per chunk and nothing per row — instead of
+//! rescanning every active query per row.
 //!
 //! ## Scan workers (`CjoinConfig::scan_workers`)
 //!
@@ -41,20 +41,21 @@
 //!
 //! * **Admission** — worker 0 owns the engine-facing command channel. On an
 //!   install it broadcasts the query-start control tuple to every shard queue
-//!   *first*, then relays the install (with sibling *i*'s partition plan) to
-//!   each sibling's FIFO command queue, then installs the query itself and
-//!   acks; cancels and shutdown are relayed the same way. Each worker installs
-//!   the query at its own segment-batch boundary, recording the query's
-//!   starting position within its segment. Any data tuple carrying the new bit
-//!   is therefore produced strictly after the start tuple was enqueued, so every
-//!   shard's FIFO queue observes start-before-data (invariant 1) with no global
-//!   pause.
+//!   *first*, then relays the install to each sibling's FIFO command queue,
+//!   then installs the query itself and acks; cancels and shutdown are relayed
+//!   the same way. Each worker installs the query at its own segment-batch
+//!   boundary, recording where the query's pass over its segment ends. Any
+//!   data tuple carrying the new bit is therefore produced strictly after the
+//!   start tuple was enqueued, so every shard's FIFO queue observes
+//!   start-before-data (invariant 1) with no global pause.
 //! * **Exactly one pass** — each worker independently retires the query's bit the
-//!   moment its segment cursor wraps the per-segment starting tuple (or its
-//!   partition plan is exhausted): from then on the worker never sets the bit, so
-//!   no segment row is seen twice; and because every segment installs the bit at
-//!   a boundary it was not yet produced past, no row is missed. The segment
-//!   ranges partition the table, so the union over workers is exactly one pass.
+//!   moment its segment cursor reaches the query's end in its segment: the
+//!   starting tuple, one wrap later, or earlier, after the last row group that
+//!   can match (see "Where a query ends"). From then on the worker never sets
+//!   the bit, so no segment row is seen twice; and because every segment
+//!   installs the bit at a boundary it was not yet produced past, no row the
+//!   query can want is missed. The segment ranges partition the table, so the
+//!   union over workers is at most one pass.
 //! * **Completion** — a worker that retires a bit flushes what can still carry
 //!   it and marks its segment complete on the query's [`QueryProgress`], whose
 //!   count worker 0 restarted at `N` before relaying the install. The worker
@@ -79,19 +80,32 @@
 //!
 //! Every scan worker runs one lifecycle over one cursor, a
 //! [`ContinuousScan`] restricted to its segment: fold the cursor into the
-//! segment (a wrap-around starts a pass), retire the queries whose starting
-//! tuple is the cursor's position and that have passed it before, mark the
-//! others there as having passed it, produce one *chunk* of rows (the one
-//! produced from the segment's start counts the pass), advance. Admission
-//! happens between two chunks, so a query's starting position is always a
-//! chunk start. `Preprocessor::process_next_chunk` is that step.
+//! segment (a wrap-around starts a pass), retire the queries whose pass ends
+//! at the cursor's position, mark the queries that start there as having
+//! passed their start, produce one *chunk* of rows (the one produced from the
+//! segment's start counts the pass), advance. Admission happens between two
+//! chunks, so a query's starting position is always a chunk start.
+//! `Preprocessor::process_next_chunk` is that step.
 //!
 //! A chunk starts at the cursor and ends at the nearest of: `batch_size` rows
-//! on, the segment's end, the next query-start position, and — where a
+//! on, the segment's end, the next position where a query ends, and — where a
 //! replica covers the cursor — the edge of the replica's row group (the last
-//! group ends at the replica's frontier). So a chunk never contains a
-//! starting tuple, never straddles two row groups and never straddles the
-//! frontier.
+//! group ends at the replica's frontier). So a chunk never contains a query's
+//! end, never straddles two row groups and never straddles the frontier.
+//!
+//! **Where a query ends.** Each worker decides at install, for its own
+//! segment (`colscan::pass_end`). Without a replica, or when the query's fact
+//! predicate did not compile for it, the query ends where it started, one
+//! wrap later (§3.3.2). With one, it ends at the end of the last row group,
+//! in pass order from the start, whose zone verdict is not `Never` — the
+//! row-store tail and a group whose checksum fails always count as able to
+//! match — or, if no row of the segment can match, at install. That end is
+//! final only because rows appended after the install are invisible to the
+//! query: its snapshot was already committed, and every later append carries
+//! a larger `xmin`. A query pinned to a snapshot past the committed watermark
+//! keeps the wrap. The end goes into `ends_at` where a wrapping query's start
+//! goes, already passed, so the chunk-start step above retires the query the
+//! first time the cursor gets there, and the chunk extent stops there.
 //!
 //! How a chunk's rows are read is decided per chunk from what the worker can
 //! observe, not from a mode: a chunk inside a row group of a replica
@@ -106,13 +120,13 @@
 //! [`crate::colscan`] for why encoded evaluation and late materialisation are
 //! exact.
 //!
-//! Without a replica only batch size, segment end and query starts cut chunks,
-//! and a query start is itself a chunk start of an earlier pass — the segment
-//! start plus a multiple of `batch_size`, unless an append moved the end of
-//! that pass. So the chunks are the batches [`ContinuousScan::next_batch`]
-//! would return, in the same order, except where such a starting tuple falls
-//! inside one: that chunk ends there and the next begins with the query's
-//! retirement.
+//! Without a replica every query ends where it started, so only batch size,
+//! segment end and query starts cut chunks, and a query start is itself a
+//! chunk start of an earlier pass — the segment start plus a multiple of
+//! `batch_size`, unless an append moved the end of that pass. So the chunks
+//! are the batches [`ContinuousScan::next_batch`] would return, in the same
+//! order, except where such a starting tuple falls inside one: that chunk ends
+//! there and the next begins with the query's retirement.
 //!
 //! A chunk inside a verified row group is processed a phase at a time, and a
 //! row exists only once something wants it:
@@ -203,11 +217,11 @@ use cjoin_common::{QueryId, QuerySet};
 use cjoin_query::star::ColumnSource;
 use cjoin_query::{BoundPredicate, BoundStarQuery};
 use cjoin_storage::{
-    ColumnId, ColumnarTable, ContinuousScan, EncodedColumn, PartitionScheme, Row, RowGroup, RowId,
-    RowVersion, ScanStep, ScanVolume, SnapshotId,
+    ColumnId, ColumnarTable, ContinuousScan, EncodedColumn, Row, RowGroup, RowId, RowVersion,
+    ScanStep, ScanVolume, SnapshotId, SnapshotManager,
 };
 
-use crate::colscan::{EncodedFactPredicate, ReplicaScan, ZoneVerdict};
+use crate::colscan::{EncodedFactPredicate, PassEnd, ReplicaScan, ZoneVerdict};
 use crate::config::CjoinConfig;
 use crate::dimension::{DimEntry, DimensionTable};
 use crate::fault::{self, FaultSite};
@@ -222,19 +236,6 @@ use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
 /// an empty segment): the operator is always on but must not spin.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// Partition-pruning plan attached to a query at admission (§5, Fact Table
-/// Partitioning): the set of partitions the query needs and how many fact rows of
-/// those partitions remain to be seen. Each scan worker carries its own plan
-/// whose `remaining_rows` counts only the rows of its segment, so the
-/// per-worker plans sum to the whole-table plan.
-#[derive(Debug, Clone)]
-pub struct PartitionPlan {
-    /// `needed[p]` is true iff partition `p` overlaps the query's fact-predicate range.
-    pub needed: Vec<bool>,
-    /// Rows of needed partitions not yet seen since the query was installed.
-    pub remaining_rows: u64,
-}
-
 /// A command to a scan worker: from the engine (acting as the Pipeline Manager)
 /// to worker 0, and from worker 0 — which relays installs, cancels and shutdown
 /// — to each of its siblings.
@@ -248,9 +249,6 @@ pub enum PreprocessorCommand {
         fact_predicate: Option<BoundPredicate>,
         /// Snapshot the query reads.
         snapshot: SnapshotId,
-        /// Partition-pruning plans, the receiving worker's first, then one per
-        /// sibling it relays to (empty when partition pruning does not apply).
-        partition: Vec<Option<PartitionPlan>>,
         /// Acknowledged once the query-start control tuple has been enqueued,
         /// the install has been relayed to every sibling's FIFO command queue
         /// and worker 0 has installed the query itself; the elapsed time up to
@@ -311,9 +309,10 @@ pub struct PreprocessorContext {
     pub poison: Arc<AtomicBool>,
     /// Engine configuration.
     pub config: CjoinConfig,
-    /// The fact table's partitioning metadata together with the fact column it
-    /// partitions on, when partition pruning is enabled.
-    pub partition_scheme: Option<(PartitionScheme, usize)>,
+    /// The catalog's snapshots. A query whose snapshot is committed at install
+    /// cannot see a row appended after it, which is what lets the replica's
+    /// zone maps end its pass early.
+    pub snapshots: Arc<SnapshotManager>,
 }
 
 /// Per-query state kept by the Preprocessor while the query is active.
@@ -330,14 +329,14 @@ struct ActiveQuery {
     /// late-materialization projection.
     needs: Vec<ColumnId>,
     snapshot: SnapshotId,
-    /// Row position at which the query entered the operator (within this worker's
-    /// segment); the query's segment pass completes when the cursor next reaches
-    /// this position.
-    start_position: u64,
-    /// False until the scan has produced the starting tuple once (the moment of
-    /// registration), true afterwards; the second encounter is the wrap-around.
+    /// Row position (within this worker's segment) at which the query's
+    /// segment pass completes: where it entered the operator, for a query
+    /// that runs to the wrap, or the end of its last row group that can match.
+    end_position: u64,
+    /// False until the scan has produced the starting tuple once, for a query
+    /// that ends where it started (the second encounter is the wrap-around);
+    /// true from install for a query that ends elsewhere.
     passed_start: bool,
-    partition: Option<PartitionPlan>,
 }
 
 /// A per-row test phase 2 still owes one query after the chunk-level verdicts
@@ -384,8 +383,7 @@ struct ChunkScratch {
     base: Vec<u64>,
     /// Phase 2: OR of the match buffers, when every active query has one.
     wanted: Vec<bool>,
-    /// One encoded integer column decoded for the chunk: the partition column
-    /// in phase 2, then the leading Filter's foreign keys in phase 3.
+    /// Phase 3: the leading Filter's foreign keys, decoded for the selection.
     values: Vec<i64>,
     /// Phase 2: the selection vector — chunk offsets of the rows whose `bτ` is
     /// non-zero — compacted by phase 3 to the probe's survivors.
@@ -395,8 +393,6 @@ struct ChunkScratch {
     /// Phase 3: per surviving row, what to attach once it is materialised
     /// (empty when the leading Filter was not probed scan-side).
     joined: Vec<Joined>,
-    /// Queries whose partition plan completed on the chunk's last row.
-    partition_done: Vec<usize>,
 }
 
 #[inline]
@@ -411,8 +407,6 @@ struct ChunkVerdicts {
     /// predicate, the zone maps prove its predicate over the whole group, or
     /// its predicate must be evaluated row by row.
     unconditional: bool,
-    /// Some active query carries a partition plan (rows must be counted).
-    any_partition: bool,
     /// Some predicate did not compile and is evaluated on materialised rows.
     any_row_eval: bool,
 }
@@ -457,7 +451,7 @@ pub struct Preprocessor {
     worker_counters: Arc<ScanWorkerCounters>,
     poison: Arc<AtomicBool>,
     config: CjoinConfig,
-    partition_scheme: Option<(PartitionScheme, usize)>,
+    snapshots: Arc<SnapshotManager>,
     /// Busy time accumulated in the current scan pass, published to
     /// `SharedCounters::last_pass_ns` at each wrap, feeding admission's
     /// deadline ETA (the paper's predictability, measured rather than
@@ -470,12 +464,13 @@ pub struct Preprocessor {
 
     active_mask: QuerySet,
     queries: Vec<Option<ActiveQuery>>,
-    /// Ordered index `start position → bits starting there`: one lookup and one
-    /// range query per chunk replace the per-row scans over all active queries
-    /// for both wrap-around detection and `passed_start` flipping.
-    starts_at: BTreeMap<u64, Vec<usize>>,
-    /// Bits of queries with a fact predicate, a non-default snapshot or a partition
-    /// plan — the slow path of bit initialisation.
+    /// Ordered index `end position → bits ending there` (a query that runs to
+    /// the wrap ends at its start): one lookup and one range query per chunk
+    /// replace the per-row scans over all active queries for both end
+    /// detection and `passed_start` flipping.
+    ends_at: BTreeMap<u64, Vec<usize>>,
+    /// Bits of queries with a fact predicate or a non-default snapshot — the
+    /// slow path of bit initialisation.
     special_bits: Vec<usize>,
     /// `special_index[bit]` = position of `bit` in `special_bits`, so finalize
     /// removes a special bit with one swap instead of an O(specials) retain.
@@ -532,12 +527,12 @@ impl Preprocessor {
             worker_counters: ctx.worker_counters,
             poison: ctx.poison,
             config: ctx.config,
-            partition_scheme: ctx.partition_scheme,
+            snapshots: ctx.snapshots,
             pass_busy: Duration::ZERO,
             pass_rows_seen: 0,
             active_mask: QuerySet::new(max),
             queries: (0..max).map(|_| None).collect(),
-            starts_at: BTreeMap::new(),
+            ends_at: BTreeMap::new(),
             special_bits: Vec::new(),
             special_index: vec![None; max],
             bits_scratch: QuerySet::new(max),
@@ -617,17 +612,14 @@ impl Preprocessor {
                     runtime,
                     fact_predicate,
                     snapshot,
-                    partition,
                     ack,
                 }) => {
-                    let mut plans = partition.into_iter();
-                    let own = plans.next().flatten();
-                    if self.leads() && !self.admit(&runtime, &fact_predicate, snapshot, plans) {
+                    if self.leads() && !self.admit(&runtime, &fact_predicate, snapshot) {
                         // The ack sender drops unsent, so the submitter observes
                         // the failure instead of an admission that cannot complete.
                         return;
                     }
-                    self.install_query(runtime, fact_predicate, snapshot, own);
+                    self.install_query(runtime, fact_predicate, snapshot);
                     if let Some(ack) = ack {
                         let _ = ack.send(());
                     }
@@ -671,8 +663,8 @@ impl Preprocessor {
 
     /// Worker 0's half of an install, ahead of installing the query on its own
     /// segment: restart the progress tracker at this front-end's width, emit the
-    /// query-start control tuple, relay the install to every sibling with that
-    /// sibling's partition plan. Returns false if a sibling is unreachable.
+    /// query-start control tuple, relay the install to every sibling. Returns
+    /// false if a sibling is unreachable.
     ///
     /// Invariant 1 (§3.3.1): the query-start control tuple enters the
     /// Distributor's queue before any worker has installed the query, so no
@@ -687,7 +679,6 @@ impl Preprocessor {
         runtime: &Arc<QueryRuntime>,
         fact_predicate: &Option<BoundPredicate>,
         snapshot: SnapshotId,
-        mut plans: impl Iterator<Item = Option<PartitionPlan>>,
     ) -> bool {
         // Before the relay: a sibling may mark its segment complete the moment
         // it has the install.
@@ -698,7 +689,6 @@ impl Preprocessor {
             runtime: Arc::clone(runtime),
             fact_predicate: fact_predicate.clone(),
             snapshot,
-            partition: vec![plans.next().flatten()],
             ack: None,
         });
         if relayed {
@@ -708,20 +698,17 @@ impl Preprocessor {
     }
 
     /// Installs a query on this worker's segment between two chunks: tuples
-    /// produced from here on carry its bit, until the cursor is back at this
-    /// position.
+    /// produced from here on carry its bit, until the cursor reaches the
+    /// query's end (see "Where a query ends" in the module doc).
     fn install_query(
         &mut self,
         runtime: Arc<QueryRuntime>,
         fact_predicate: Option<BoundPredicate>,
         snapshot: SnapshotId,
-        partition: Option<PartitionPlan>,
     ) {
         let bit = runtime.id.index();
-        let start_position = self.scan.normalized_position();
-        let special =
-            fact_predicate.is_some() || snapshot != SnapshotId::INITIAL || partition.is_some();
-        let segment_irrelevant = partition.as_ref().is_some_and(|p| p.remaining_rows == 0);
+        let start = self.scan.normalized_position();
+        let special = fact_predicate.is_some() || snapshot != SnapshotId::INITIAL;
         // With a replica: compile the fact predicate for encoded evaluation
         // and register the query's column needs with the late-materialization
         // projection — both before any tuple can carry the new bit.
@@ -737,31 +724,44 @@ impl Preprocessor {
             }
             needs = query_column_needs(&runtime.bound);
         }
+        // The watermark is read before the segment's length: every row the
+        // snapshot can see was appended before its epoch was committed, so it
+        // lies inside the bounds sampled here.
+        let end = match (&mut self.replica, &encoded_predicate) {
+            (Some(r), Some(predicate)) if snapshot <= self.snapshots.current() => {
+                let (first, past_last) = self.scan.bounds();
+                r.pass_end(predicate, first..past_last, start)
+            }
+            _ => PassEnd::Wrap,
+        };
         for &c in &needs {
             self.col_needs[c] += 1;
         }
         if !needs.is_empty() {
             self.rebuild_projection();
         }
+        let end_position = match end {
+            PassEnd::At(position) => position,
+            PassEnd::Wrap | PassEnd::Nothing => start,
+        };
         self.queries[bit] = Some(ActiveQuery {
             progress: Arc::clone(&runtime.progress),
             fact_predicate,
             encoded_predicate,
             needs,
             snapshot,
-            start_position,
-            passed_start: false,
-            partition,
+            end_position,
+            passed_start: end_position != start,
         });
         self.active_mask.set(bit);
-        self.starts_at.entry(start_position).or_default().push(bit);
+        self.ends_at.entry(end_position).or_default().push(bit);
         if special {
             self.special_index[bit] = Some(self.special_bits.len());
             self.special_bits.push(bit);
         }
-        if segment_irrelevant {
-            // This segment holds no rows of the partitions the query needs: its
-            // pass is trivially complete, before any of its bits were produced.
+        if end == PassEnd::Nothing {
+            // No row of this segment can match: its pass is trivially
+            // complete, before any of its bits were produced.
             self.finalize_query(bit);
         }
     }
@@ -781,10 +781,10 @@ impl Preprocessor {
             self.rebuild_projection();
         }
         self.active_mask.unset(bit);
-        if let Some(entry) = self.starts_at.get_mut(&query.start_position) {
+        if let Some(entry) = self.ends_at.get_mut(&query.end_position) {
             entry.retain(|&b| b != bit);
             if entry.is_empty() {
-                self.starts_at.remove(&query.start_position);
+                self.ends_at.remove(&query.end_position);
             }
         }
         if let Some(pos) = self.special_index[bit].take() {
@@ -896,14 +896,15 @@ impl Preprocessor {
             return;
         };
 
-        // Query-start positions only ever coincide with chunk starts (the
-        // extent clamp below guarantees it): queries that already passed this
-        // one end here (wrap-around, §3.3.2) — everything produced so far was
-        // flushed at the previous chunk's end, so the drain barrier inside
-        // finalize covers it — and the rest pass it now.
+        // Registered end positions only ever coincide with chunk starts (the
+        // extent clamp below guarantees it): queries that already passed their
+        // start end here (at the wrap-around, §3.3.2, or after their last row
+        // group that can match) — everything produced so far was flushed at
+        // the previous chunk's end, so the drain barrier inside finalize
+        // covers it — and the queries starting here pass their start now.
         let mut ending = std::mem::take(&mut self.ending_scratch);
         ending.clear();
-        for &bit in self.starts_at.get(&position).into_iter().flatten() {
+        for &bit in self.ends_at.get(&position).into_iter().flatten() {
             if let Some(q) = &mut self.queries[bit] {
                 if q.passed_start {
                     ending.push(bit);
@@ -931,9 +932,9 @@ impl Preprocessor {
         let mut replica = self.replica.take();
 
         // Chunk extent: the scan's step clamped it to the batch size and the
-        // segment end; inside a replica so does the row group's edge (the last group ends at the
-        // replica's frontier), whose checksum then decides how the chunk is
-        // read; and the next query-start position always does.
+        // segment end; inside a replica so does the row group's edge (the last
+        // group ends at the replica's frontier), whose checksum then decides
+        // how the chunk is read; and the next registered end always does.
         let mut chunk_end = end;
         let mut encoded = None;
         if let Some(r) = replica
@@ -947,12 +948,12 @@ impl Preprocessor {
                 encoded = Some(&*r);
             }
         }
-        if let Some((&boundary, _)) = self.starts_at.range(position + 1..chunk_end).next() {
+        if let Some((&boundary, _)) = self.ends_at.range(position + 1..chunk_end).next() {
             chunk_end = boundary;
         }
         let chunk_len = (chunk_end - position) as usize;
 
-        let covered = match encoded {
+        match encoded {
             Some(r) => self.scan_encoded_chunk(r, position, chunk_len, &mut chunk),
             None => {
                 // No replica, a row beyond its frontier (appended after it was
@@ -970,10 +971,9 @@ impl Preprocessor {
                     let bytes = chunk_len as u64 * 8 * r.replica.schema().arity() as u64;
                     r.volume.record_scan(chunk_len as u64, bytes);
                 }
-                chunk_len as u64
             }
-        };
-        self.scan.advance(covered);
+        }
+        self.scan.advance(chunk_len as u64);
         self.replica = replica;
         self.chunk = chunk;
     }
@@ -994,39 +994,34 @@ impl Preprocessor {
     }
 
     /// The encoded region: rows `position..position + chunk_len` of one
-    /// verified row group, in the four phases of the module doc. Returns how
-    /// many rows the chunk covered — all of them, unless a partition plan
-    /// completed mid-chunk, in which case the chunk ends on that row so the
-    /// query is finalized before the next row is looked at.
+    /// verified row group, in the four phases of the module doc.
     fn scan_encoded_chunk(
         &mut self,
         r: &ReplicaScan,
         position: u64,
         chunk_len: usize,
         chunk: &mut ChunkScratch,
-    ) -> u64 {
+    ) {
         let (replica, volume) = (&*r.replica, &*r.volume);
         let at = position as usize;
         let group = &replica.row_groups()[replica.group_of(position)];
+        self.note_rows_scanned(chunk_len as u64);
 
         // Phase 1: one verdict per query for the whole chunk.
         let Some(verdicts) = self.chunk_verdicts(replica, volume, group, at, chunk_len, chunk)
         else {
             // Zone-map chunk skip: every active query's predicate is provably
-            // false over this group, and no partition plan needs the rows
-            // counted towards its coverage.
-            self.note_rows_scanned(chunk_len as u64);
+            // false over this group.
             volume.record_group_skip(chunk_len as u64);
-            return chunk_len as u64;
+            return;
         };
 
         // Phase 2: the rows some query still wants, with their bit-vectors.
-        let covered = self.select_rows(replica, group, at, chunk_len, &verdicts, chunk);
-        self.note_rows_scanned(covered as u64);
+        self.select_rows(replica, group, at, chunk_len, &verdicts, chunk);
 
         // Phase 3: the leading Filter, before any row exists. Its read lock is
         // released inside; nothing below blocks while holding it.
-        let probed = self.probe_leading(replica, at, covered, chunk);
+        let probed = self.probe_leading(replica, at, chunk_len, chunk);
 
         // Phase 4: rows for the survivors only.
         let materialised = self.materialise_selected(replica, position, probed, chunk);
@@ -1037,21 +1032,14 @@ impl Preprocessor {
         let mut chunk_bytes = 0u64;
         let whole = chunk.touched.iter().enumerate().filter(|(_, t)| **t);
         let billed = whole
-            .map(|(c, _)| (c, covered as u64))
+            .map(|(c, _)| (c, chunk_len as u64))
             .chain(self.projection.iter().map(|&c| (c, materialised)));
         for (c, rows) in billed {
             let bytes = r.col_bytes_per_row[c] * rows;
             volume.record_column(c, bytes);
             chunk_bytes += bytes;
         }
-        volume.record_scan(covered as u64, chunk_bytes);
-
-        // Everything the chunk produced has been flushed: the drain barrier
-        // inside finalize covers it.
-        while let Some(bit) = chunk.partition_done.pop() {
-            self.finalize_query(bit);
-        }
-        covered as u64
+        volume.record_scan(chunk_len as u64, chunk_bytes);
     }
 
     /// Phase 1. Resolves each active fact predicate once for the whole chunk:
@@ -1079,7 +1067,6 @@ impl Preprocessor {
             let Some(q) = &self.queries[bit] else {
                 continue;
             };
-            verdicts.any_partition |= q.partition.is_some();
             if q.fact_predicate.is_none() {
                 verdicts.unconditional = true;
                 continue;
@@ -1109,7 +1096,7 @@ impl Preprocessor {
                 }
             }
         }
-        if !verdicts.unconditional && bufs_used == 0 && !verdicts.any_partition {
+        if !verdicts.unconditional && bufs_used == 0 {
             return None;
         }
         if verdicts.any_row_eval {
@@ -1123,18 +1110,16 @@ impl Preprocessor {
     /// non-zero after the owed row tests and snapshot visibility, with their
     /// bit-vectors side by side in `chunk.sel_bits`. When every active query
     /// owns a match buffer, a row none of them matched costs its share of one
-    /// OR over the buffers and nothing else. Partition coverage is counted
-    /// here, for every row seen; returns the rows covered (see
-    /// [`Preprocessor::scan_encoded_chunk`]).
+    /// OR over the buffers and nothing else.
     fn select_rows(
-        &mut self,
+        &self,
         replica: &ColumnarTable,
         group: &RowGroup,
         at: usize,
         chunk_len: usize,
         verdicts: &ChunkVerdicts,
         chunk: &mut ChunkScratch,
-    ) -> usize {
+    ) {
         chunk.sel.clear();
         chunk.sel_bits.clear();
         let ChunkScratch {
@@ -1142,10 +1127,8 @@ impl Preprocessor {
             tests,
             base,
             wanted,
-            values,
             sel,
             sel_bits,
-            partition_done,
             ..
         } = chunk;
 
@@ -1162,21 +1145,6 @@ impl Preprocessor {
                 }
             }
             Some(wanted)
-        };
-        // Partition coverage counts *seen* rows whether or not a predicate
-        // dropped them (as in `apply_special_predicates`); the partition
-        // column is read from the encoded data because the projected tuple
-        // may not carry it.
-        let partition = match &self.partition_scheme {
-            Some((scheme, column)) if verdicts.any_partition => {
-                values.clear();
-                match replica.encoded_column(*column) {
-                    EncodedColumn::Int { data, .. } => data.decode_range(at, chunk_len, values),
-                    EncodedColumn::Str { .. } => values.resize(chunk_len, 0),
-                }
-                Some(scheme)
-            }
-            _ => None,
         };
         let check_visibility = !group.all_always_visible;
 
@@ -1223,28 +1191,7 @@ impl Preprocessor {
                     sel.push(j as u32);
                 }
             }
-            if let Some(scheme) = partition {
-                let pid = scheme.partition_of(values[j]).index();
-                for &bit in &self.special_bits {
-                    let Some(plan) = self.queries[bit]
-                        .as_mut()
-                        .and_then(|q| q.partition.as_mut())
-                    else {
-                        continue;
-                    };
-                    if plan.needed.get(pid).copied().unwrap_or(false) {
-                        plan.remaining_rows = plan.remaining_rows.saturating_sub(1);
-                        if plan.remaining_rows == 0 {
-                            partition_done.push(bit);
-                        }
-                    }
-                }
-                if !partition_done.is_empty() {
-                    return j + 1;
-                }
-            }
         }
-        chunk_len
     }
 
     /// Phase 3. Runs the chain's *leading* Filter — whichever Filter is first
@@ -1263,7 +1210,7 @@ impl Preprocessor {
         &self,
         replica: &ColumnarTable,
         at: usize,
-        covered: usize,
+        chunk_len: usize,
         chunk: &mut ChunkScratch,
     ) -> Option<(Arc<DimensionTable>, BatchLocalStats)> {
         chunk.joined.clear();
@@ -1279,8 +1226,8 @@ impl Preprocessor {
             return None;
         };
         chunk.values.clear();
-        if chunk.sel.len() == covered {
-            data.decode_range(at, covered, &mut chunk.values);
+        if chunk.sel.len() == chunk_len {
+            data.decode_range(at, chunk_len, &mut chunk.values);
         } else {
             data.gather(at, &chunk.sel, &mut chunk.values);
         }
@@ -1404,7 +1351,6 @@ impl Preprocessor {
     fn emit_materialized_rows(&mut self, rows: &mut Vec<(RowId, Row, RowVersion)>) {
         let num_slots = self.slot_count.load(Ordering::Acquire);
         let mut out: Batch = self.pool.take(self.config.batch_size);
-        let mut partition_done: Vec<usize> = Vec::new();
         let mut tuples_recycled = 0u64;
         let mut tuples_allocated = 0u64;
         for (row_id, row, version) in rows.drain(..) {
@@ -1419,7 +1365,7 @@ impl Preprocessor {
                 }
             }
             if !self.special_bits.is_empty() {
-                self.apply_special_predicates(&row, &mut partition_done);
+                self.apply_special_predicates(&row);
             }
             if !self.bits_scratch.is_empty() {
                 let (slot, recycled) = out.next_slot(self.config.max_concurrency);
@@ -1433,12 +1379,6 @@ impl Preprocessor {
                     out = self.flush(out);
                 }
             }
-            if !partition_done.is_empty() {
-                out = self.flush(out);
-                for bit in partition_done.drain(..) {
-                    self.finalize_query(bit);
-                }
-            }
         }
         if tuples_recycled > 0 {
             SharedCounters::add(&self.counters.tuples_recycled, tuples_recycled);
@@ -1450,36 +1390,16 @@ impl Preprocessor {
         self.pool.put(leftover);
     }
 
-    /// Applies fact predicates and partition accounting for the queries that need
-    /// them (snapshot visibility has already been handled by the caller). Operates
-    /// on `self.bits_scratch`, the reusable per-row bit-vector.
-    fn apply_special_predicates(
-        &mut self,
-        row: &cjoin_storage::Row,
-        partition_done: &mut Vec<usize>,
-    ) {
-        let partition_of = self
-            .partition_scheme
-            .as_ref()
-            .map(|(scheme, column)| scheme.partition_of(row.int(*column)).index());
+    /// Applies fact predicates for the queries that have them (snapshot
+    /// visibility has already been handled by the caller). Operates on
+    /// `self.bits_scratch`, the reusable per-row bit-vector.
+    fn apply_special_predicates(&mut self, row: &Row) {
         for &bit in &self.special_bits {
-            let Some(q) = &mut self.queries[bit] else {
+            let Some(q) = &self.queries[bit] else {
                 continue;
             };
-            if let Some(pred) = &q.fact_predicate {
-                if !pred.eval(row) {
-                    self.bits_scratch.unset(bit);
-                    // Note: the row still counts towards partition coverage below —
-                    // coverage is about having *seen* the partition's rows.
-                }
-            }
-            if let (Some(plan), Some(pid)) = (&mut q.partition, partition_of) {
-                if plan.needed.get(pid).copied().unwrap_or(false) {
-                    plan.remaining_rows = plan.remaining_rows.saturating_sub(1);
-                    if plan.remaining_rows == 0 {
-                        partition_done.push(bit);
-                    }
-                }
+            if q.fact_predicate.as_ref().is_some_and(|p| !p.eval(row)) {
+                self.bits_scratch.unset(bit);
             }
         }
     }
@@ -1735,7 +1655,7 @@ mod tests {
             worker_counters: Arc::new(ScanWorkerCounters::default()),
             poison: Arc::new(AtomicBool::new(false)),
             config: config.clone(),
-            partition_scheme: None,
+            snapshots: Arc::new(SnapshotManager::new()),
         }
     }
 
@@ -1802,7 +1722,6 @@ mod tests {
                 runtime,
                 fact_predicate: None,
                 snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
                 ack: Some(ack_tx),
             })
             .unwrap();
@@ -1972,7 +1891,6 @@ mod tests {
                 runtime: rt,
                 fact_predicate: Some(pred),
                 snapshot: SnapshotId::INITIAL,
-                partition: Vec::new(),
                 ack: Some(ack_tx),
             })
             .unwrap();
@@ -2039,7 +1957,6 @@ mod tests {
                 runtime: rt,
                 fact_predicate: None,
                 snapshot: SnapshotId(0),
-                partition: Vec::new(),
                 ack: Some(ack_tx),
             })
             .unwrap();
@@ -2492,9 +2409,9 @@ mod tests {
         End(QueryId),
     }
 
-    /// One scripted run of a width-1 worker — appends, a mid-pass install, a
-    /// fact predicate, a non-initial snapshot, a partition plan that completes
-    /// mid-chunk, two wrap-arounds — checked two ways. Each query must get
+    /// One scripted run of a width-1 worker — appends, a mid-pass install, two
+    /// queries starting at one position, a fact predicate, a non-initial
+    /// snapshot, two wrap-arounds — checked two ways. Each query must get
     /// exactly the rows it selects, once, in scan order from its starting
     /// tuple, and one end tuple. And a scan without a replica is the scan whose
     /// replica covers nothing: a worker with no replica and one whose replica
@@ -2517,9 +2434,7 @@ mod tests {
             let (tx, rx) = unbounded();
             let (cmd_tx, cmd_rx) = unbounded();
             let in_flight = Arc::new(AtomicI64::new(0));
-            let mut ctx = context(&config, tx.clone(), tx, Arc::clone(&in_flight));
-            // Partitions of `v`: [..30), [30, 55), [55..).
-            ctx.partition_scheme = Some((PartitionScheme::new(1, vec![30, 55]).unwrap(), 1));
+            let ctx = context(&config, tx.clone(), tx, Arc::clone(&in_flight));
             let mut pre = scan_worker(&table, replica.as_ref(), (0, None), cmd_rx, ctx);
             let consumer = std::thread::spawn(move || {
                 let mut emitted = Vec::new();
@@ -2539,40 +2454,23 @@ mod tests {
                 emitted
             });
 
-            let install = |pre: &mut Preprocessor, bit, predicate, snapshot, plan| {
+            let install = |pre: &mut Preprocessor, bit, predicate, snapshot| {
                 let query = StarQuery::builder(format!("q{bit}"))
                     .fact_predicate(predicate)
                     .aggregate(AggregateSpec::count_star())
                     .build();
-                install_with(&cmd_tx, star_runtime(&catalog, bit, query), snapshot, plan);
+                install_with(&cmd_tx, star_runtime(&catalog, bit, query), snapshot);
                 pre.apply_commands();
             };
             use cjoin_query::Predicate;
 
-            install(
-                &mut pre,
-                0,
-                Predicate::eq("fk", 1),
-                SnapshotId::INITIAL,
-                None,
-            );
+            install(&mut pre, 0, Predicate::eq("fk", 1), SnapshotId::INITIAL);
             for _ in 0..3 {
                 pre.process_next_chunk();
             }
-            // Mid-pass, at row 30: a later snapshot, and a plan over the middle
-            // partition, whose last row (54) is inside a chunk.
-            install(&mut pre, 1, Predicate::True, SnapshotId(2), None);
-            let plan = PartitionPlan {
-                needed: vec![false, true, false],
-                remaining_rows: 25,
-            };
-            install(
-                &mut pre,
-                2,
-                Predicate::True,
-                SnapshotId::INITIAL,
-                Some(plan),
-            );
+            // Mid-pass, at row 30: two queries, one at a later snapshot.
+            install(&mut pre, 1, Predicate::True, SnapshotId(2));
+            install(&mut pre, 2, Predicate::True, SnapshotId::INITIAL);
             pre.process_next_chunk();
             // The pass grows under the scan; only query 1 sees these rows.
             append_rows(&table, 70..95, SnapshotId(2));
@@ -2580,13 +2478,15 @@ mod tests {
             for _ in 0..100 {
                 pre.process_next_chunk();
                 if !installed_last && pre.scan.passes() == 1 && pre.scan.position() == 10 {
-                    install(&mut pre, 3, Predicate::True, SnapshotId::INITIAL, None);
+                    install(&mut pre, 3, Predicate::True, SnapshotId::INITIAL);
                     installed_last = true;
                 }
             }
             assert!(installed_last);
             assert_eq!(pre.active_queries(), 0, "all four queries ended");
             assert_eq!(pre.scan.passes(), 2, "the last one in the third pass");
+            // Queries 1 and 2 keep the scan going until it is back at row 30,
+            // and query 3 from there to row 10 of the third pass.
             assert_eq!(
                 pre.counters.tuples_scanned.load(Ordering::Relaxed),
                 95 + 95 + 10
@@ -2615,7 +2515,7 @@ mod tests {
             (0..70).filter(|i| i % 3 == 1).collect::<Vec<_>>()
         );
         assert_eq!(tuples_of(1), (30..95).chain(0..30).collect::<Vec<_>>());
-        assert_eq!(tuples_of(2), (30..55).collect::<Vec<_>>());
+        assert_eq!(tuples_of(2), (30..70).chain(0..30).collect::<Vec<_>>());
         assert_eq!(tuples_of(3), (10..70).chain(0..10).collect::<Vec<_>>());
         assert_eq!(run(true), without);
     }
@@ -2690,14 +2590,12 @@ mod tests {
         cmd_tx: &Sender<PreprocessorCommand>,
         (runtime, fact_predicate): (Arc<QueryRuntime>, Option<BoundPredicate>),
         snapshot: SnapshotId,
-        plan: Option<PartitionPlan>,
     ) {
         cmd_tx
             .send(PreprocessorCommand::Install {
                 runtime,
                 fact_predicate,
                 snapshot,
-                partition: vec![plan],
                 ack: None,
             })
             .unwrap();
@@ -2758,7 +2656,6 @@ mod tests {
             &cmd_tx,
             star_runtime(&catalog, 0, query),
             SnapshotId::INITIAL,
-            None,
         );
         pre.apply_commands();
 
@@ -2872,7 +2769,6 @@ mod tests {
                 &cmd_tx,
                 star_runtime(&catalog, q, query),
                 SnapshotId::INITIAL,
-                None,
             );
         }
 

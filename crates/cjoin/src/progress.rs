@@ -1,9 +1,10 @@
 //! Per-query progress tracking (§3.2.3).
 //!
-//! Because a CJOIN query completes exactly when the continuous scan wraps around its
-//! starting tuple, the scan position is a reliable progress indicator: the fraction of
-//! the fact table seen since registration is the fraction of the query that is done,
-//! and the current processing rate gives an estimated time to completion. The paper
+//! Because a CJOIN query completes at the latest when the continuous scan wraps around
+//! its starting tuple, the scan position is a reliable progress indicator: the fraction
+//! of the fact table seen since registration is at most the fraction of the query that
+//! is done (a query the replica's zone maps end early completes sooner), and the
+//! current processing rate gives an estimated time to completion. The paper
 //! highlights this as a practical benefit for long-running ad-hoc analytics ("both of
 //! these metrics can provide valuable feedback to users").
 //!
@@ -19,8 +20,8 @@ use std::time::{Duration, Instant};
 /// The pass is split across the front-end's `CjoinConfig::scan_workers`
 /// segment workers: each worker advances `rows_seen` by the rows of its own
 /// segment (the segment rows sum to the table, so [`QueryProgress::fraction`]
-/// stays exact) and marks its segment's pass complete when its cursor wraps the
-/// query's per-segment starting tuple. The worker whose mark is the last one
+/// stays exact) and marks its segment's pass complete when its cursor reaches
+/// the query's end in that segment. The worker whose mark is the last one
 /// outstanding closes the query (see [`crate::preprocessor`]).
 ///
 /// The tracker describes the pass of the *current install*: a query carried
@@ -76,8 +77,9 @@ impl QueryProgress {
         self.rows_seen.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Records that one scan segment completed its pass for this query (by wrap-
-    /// around, partition exhaustion or cancellation). Returns whether it was the
+    /// Records that one scan segment completed its pass for this query (by
+    /// wrap-around, by reaching its last row group that can match, or by
+    /// cancellation). Returns whether it was the
     /// last segment outstanding — exactly one caller per install sees `true`.
     ///
     /// AcqRel: the caller that sees `true` has acquired every earlier marker's
@@ -119,7 +121,8 @@ impl QueryProgress {
     }
 
     /// Progress as a fraction in `[0, 1]`. Returns 1 once completed (also for
-    /// partition-pruned queries that finish before seeing the whole table).
+    /// queries the replica's zone maps end before they have seen the whole
+    /// table).
     pub fn fraction(&self) -> f64 {
         if self.is_completed() {
             return 1.0;

@@ -38,11 +38,6 @@ pub fn split_catalog(source: &Arc<Catalog>, fact_table: &str) -> Result<Arc<Cata
         }
     }
     view.add_fact_table(fact);
-    if let Some(scheme) = source.fact_partitioning() {
-        if source.fact_table_name().as_deref() == Some(fact_table) {
-            view.set_fact_partitioning(scheme);
-        }
-    }
     Ok(Arc::new(view))
 }
 

@@ -398,7 +398,8 @@ pub struct BoundStarQuery {
     pub fact_predicate: BoundPredicate,
     /// Whether the fact predicate is trivially TRUE.
     pub fact_predicate_is_true: bool,
-    /// The unbound fact predicate, kept for partition-pruning analysis.
+    /// The unbound fact predicate, kept so a scan over a compressed replica can
+    /// compile it against that replica's encodings.
     pub fact_predicate_raw: Predicate,
     /// Bound dimension clauses, in the order given by the query.
     pub dimensions: Vec<BoundDimensionClause>,
@@ -412,53 +413,6 @@ impl BoundStarQuery {
     /// Returns the index of the clause joining `table`, if any.
     pub fn dimension_index(&self, table: &str) -> Option<usize> {
         self.dimensions.iter().position(|d| d.table == table)
-    }
-
-    /// Extracts a `[min, max]` bound that the fact predicate imposes on `column`
-    /// (by fact-schema column index), if it imposes one.
-    ///
-    /// Used by the §5 partitioning extension to decide which fact-table partitions a
-    /// query needs to scan. Only conjunctions of comparisons/BETWEENs on the column
-    /// are analysed; anything else conservatively returns `None` ("all partitions").
-    pub fn fact_column_range(&self, column_name: &str) -> Option<(i64, i64)> {
-        fn analyse(pred: &Predicate, column: &str) -> Option<(i64, i64)> {
-            match pred {
-                Predicate::Between {
-                    column: c,
-                    low,
-                    high,
-                } if c == column => Some((low.as_int().ok()?, high.as_int().ok()?)),
-                Predicate::Compare {
-                    column: c,
-                    op,
-                    value,
-                } if c == column => {
-                    let v = value.as_int().ok()?;
-                    match op {
-                        crate::expr::CompareOp::Eq => Some((v, v)),
-                        crate::expr::CompareOp::Le => Some((i64::MIN, v)),
-                        crate::expr::CompareOp::Lt => Some((i64::MIN, v - 1)),
-                        crate::expr::CompareOp::Ge => Some((v, i64::MAX)),
-                        crate::expr::CompareOp::Gt => Some((v + 1, i64::MAX)),
-                        crate::expr::CompareOp::Ne => None,
-                    }
-                }
-                Predicate::And(ps) => {
-                    let mut range: Option<(i64, i64)> = None;
-                    for p in ps {
-                        if let Some((lo, hi)) = analyse(p, column) {
-                            range = Some(match range {
-                                None => (lo, hi),
-                                Some((l, h)) => (l.max(lo), h.min(hi)),
-                            });
-                        }
-                    }
-                    range
-                }
-                _ => None,
-            }
-        }
-        analyse(&self.fact_predicate_raw, column_name)
     }
 }
 
@@ -636,51 +590,6 @@ mod tests {
         // Missing dimension row reads as NULL rather than panicking.
         assert!(b.group_by[0].value(&fact_row, &[None]).is_null());
         assert!(b.group_by[0].value(&fact_row, &[]).is_null());
-    }
-
-    #[test]
-    fn fact_column_range_extraction() {
-        let c = catalog();
-        let b = query().bind(&c).unwrap();
-        assert_eq!(
-            b.fact_column_range("lo_orderdate"),
-            Some((19940101, 19941231))
-        );
-        assert_eq!(b.fact_column_range("lo_revenue"), None);
-
-        let q2 = StarQuery::builder("range2")
-            .fact_predicate(
-                Predicate::Compare {
-                    column: "lo_orderdate".into(),
-                    op: crate::expr::CompareOp::Ge,
-                    value: Value::int(19950000),
-                }
-                .and(Predicate::Compare {
-                    column: "lo_orderdate".into(),
-                    op: crate::expr::CompareOp::Lt,
-                    value: Value::int(19960000),
-                }),
-            )
-            .aggregate(AggregateSpec::count_star())
-            .build()
-            .bind(&c)
-            .unwrap();
-        assert_eq!(
-            q2.fact_column_range("lo_orderdate"),
-            Some((19950000, 19959999))
-        );
-
-        // Disjunctions are not analysed: conservatively None.
-        let q3 = StarQuery::builder("range3")
-            .fact_predicate(Predicate::Or(vec![
-                Predicate::eq("lo_orderdate", 19940101),
-                Predicate::eq("lo_orderdate", 19950101),
-            ]))
-            .aggregate(AggregateSpec::count_star())
-            .build()
-            .bind(&c)
-            .unwrap();
-        assert_eq!(q3.fact_column_range("lo_orderdate"), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cjoin_storage::{Catalog, PartitionScheme, Row, SnapshotId, Table, Value};
+use cjoin_storage::{Catalog, Row, SnapshotId, Table, Value};
 
 use crate::dates::{date_range, CivilDate, MONTH_NAMES, WEEKDAY_NAMES};
 use crate::schema;
@@ -124,8 +124,9 @@ pub struct SsbConfig {
     /// Rows per storage page of the fact table (drives I/O accounting).
     pub fact_rows_per_page: usize,
     /// Physically cluster `lineorder` by `lo_orderdate`, as a warehouse whose fact
-    /// table is range-partitioned by load date would (enables meaningful partition
-    /// pruning, §5 of the paper).
+    /// table is range-partitioned by load date would (§5 of the paper): row
+    /// groups then cover disjoint date ranges, so a date-restricted query skips
+    /// most of them and ends at the last one it can match.
     pub cluster_by_orderdate: bool,
 }
 
@@ -239,16 +240,6 @@ impl SsbDataSet {
         Self::generate_supplier(&catalog, &config, &mut rng);
         Self::generate_part(&catalog, &config, &mut rng);
         Self::generate_lineorder(&catalog, &config, &date_keys, &mut rng);
-
-        // Declare the natural range partitioning on the order date (one partition per
-        // calendar year), used by the §5 partitioning extension.
-        let orderdate_col = schema::lineorder_schema()
-            .column_index("lo_orderdate")
-            .expect("schema");
-        let boundaries = (1993..=1998).map(|y| y * 10_000 + 101).collect();
-        catalog.set_fact_partitioning(
-            PartitionScheme::new(orderdate_col, boundaries).expect("valid boundaries"),
-        );
 
         Self {
             config,
@@ -625,15 +616,6 @@ mod tests {
             assert!(cat.starts_with(&mfgr), "{cat} starts with {mfgr}");
             assert!(brand.starts_with(&cat), "{brand} starts with {cat}");
         });
-    }
-
-    #[test]
-    fn fact_partitioning_is_declared_per_year() {
-        let ds = tiny();
-        let scheme = ds.catalog().fact_partitioning().unwrap();
-        assert_eq!(scheme.num_partitions(), 7);
-        assert_eq!(scheme.partition_of(19920615).0, 0);
-        assert_eq!(scheme.partition_of(19980101).0, 6);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use parking_lot::RwLock;
 
 use cjoin_common::{Error, Result};
 
-use crate::partition::PartitionScheme;
 use crate::snapshot::SnapshotManager;
 use crate::table::Table;
 
@@ -21,7 +20,6 @@ use crate::table::Table;
 pub struct Catalog {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
     fact_table: RwLock<Option<String>>,
-    fact_partitioning: RwLock<Option<PartitionScheme>>,
     snapshots: Arc<SnapshotManager>,
 }
 
@@ -40,17 +38,6 @@ impl Catalog {
     pub fn add_fact_table(&self, table: Arc<Table>) {
         *self.fact_table.write() = Some(table.name().to_string());
         self.add_table(table);
-    }
-
-    /// Declares the fact table's range-partitioning scheme (optional; used by the §5
-    /// partitioning extension).
-    pub fn set_fact_partitioning(&self, scheme: PartitionScheme) {
-        *self.fact_partitioning.write() = Some(scheme);
-    }
-
-    /// Returns the fact table's partitioning scheme, if declared.
-    pub fn fact_partitioning(&self) -> Option<PartitionScheme> {
-        self.fact_partitioning.read().clone()
     }
 
     /// Looks up a table by name.
@@ -136,15 +123,6 @@ mod tests {
         assert_eq!(c.fact_table().unwrap().name(), "lineorder");
         assert_eq!(c.fact_table_name().as_deref(), Some("lineorder"));
         assert_eq!(c.dimension_names(), vec!["customer"]);
-    }
-
-    #[test]
-    fn partitioning_roundtrip() {
-        let c = Catalog::new();
-        assert!(c.fact_partitioning().is_none());
-        let scheme = PartitionScheme::equal_width(5, 0, 100, 4).unwrap();
-        c.set_fact_partitioning(scheme.clone());
-        assert_eq!(c.fact_partitioning().unwrap(), scheme);
     }
 
     #[test]

@@ -661,8 +661,9 @@ impl ColumnarTable {
     /// Recomputes group `g`'s checksum over the decoded values and compares it
     /// with the checksum stored at build time. `false` means the group's encoded
     /// data (or its stored checksum) was corrupted after the build and its zone
-    /// maps must not be trusted; callers should serve the group from the row
-    /// store instead. Out-of-range groups verify trivially.
+    /// maps must not be trusted — neither to skip the group nor to end a scan
+    /// before it — so callers should serve the group from the row store
+    /// instead. Out-of-range groups verify trivially.
     pub fn verify_group(&self, g: usize) -> bool {
         let Some(group) = self.groups.get(g) else {
             return true;

@@ -13,15 +13,15 @@
 //!   table on spinning disks; we run in memory and *account* for the I/O that each
 //!   access pattern would have generated, so the experiment harness can report
 //!   modelled scan times alongside measured CPU times (see the `io` module docs).
-//! * [`PartitionScheme`] — range partitioning of the fact table, used by the §5
-//!   "Fact Table Partitioning" extension (queries scan only the partitions they need).
 //! * [`SnapshotManager`] — snapshot-isolation bookkeeping for the §3.5 mixed
 //!   query/update workloads.
 //! * [`Catalog`] — a named collection of tables shared by the engines.
 //! * [`ColumnarTable`] / [`ColumnarContinuousScan`] — the §5 "Column Stores" and
 //!   "Compressed Tables" extensions: a read-optimised columnar replica with
 //!   dictionary/RLE compression and a projected continuous scan that only touches the
-//!   columns the current query mix accesses.
+//!   columns the current query mix accesses. Its row groups' zone maps also stand in
+//!   for §5's "Fact Table Partitioning": a clustered column's groups have disjoint
+//!   zones, so they tell a scan where a range-restricted query can stop.
 //! * [`WarehouseLog`] — the write-ahead log behind the durable ingestion path:
 //!   checksummed, epoch-stamped records with group commit, torn-tail-tolerant
 //!   replay, and the snapshot commit protocol that makes each ingestion batch
@@ -34,7 +34,6 @@ pub mod catalog;
 pub mod columnar;
 pub mod compress;
 pub mod io;
-pub mod partition;
 pub mod row;
 pub mod scan;
 pub mod schema;
@@ -50,7 +49,6 @@ pub use columnar::{
 };
 pub use compress::{BitPackedVec, DeltaVec, DictColumn, Dictionary, RleVec, RunCursor};
 pub use io::{AccessKind, IoModel, IoStats};
-pub use partition::{PartitionId, PartitionScheme};
 pub use row::{Row, RowId};
 pub use scan::{segment_ranges, ContinuousScan, ScanBatch, ScanStep, TableScan};
 pub use schema::{Column, ColumnId, ColumnType, Schema};

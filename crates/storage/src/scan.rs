@@ -285,7 +285,7 @@ impl ContinuousScan {
     /// (or beyond) the segment end awaiting its lazy wrap. This is the position
     /// the Preprocessor records as a query's starting tuple.
     pub fn normalized_position(&self) -> u64 {
-        let (start, end) = self.current_bounds();
+        let (start, end) = self.bounds();
         if self.position >= end || self.position < start {
             start
         } else {
@@ -299,8 +299,9 @@ impl ContinuousScan {
     }
 
     /// The segment's current effective bounds `[start, end)`, clamped to the live
-    /// table length.
-    fn current_bounds(&self) -> (u64, u64) {
+    /// table length: what a pass starting now covers, unless rows are appended
+    /// to an open-ended segment before it wraps.
+    pub fn bounds(&self) -> (u64, u64) {
         let len = self.table.len() as u64;
         let end = self.segment_end.unwrap_or(len).min(len);
         (self.segment_start.min(end), end)
@@ -318,7 +319,7 @@ impl ContinuousScan {
     /// itself and then advances past it, which is how the Preprocessor cuts
     /// its chunks.
     pub fn step(&mut self) -> Option<ScanStep> {
-        let (start, end) = self.current_bounds();
+        let (start, end) = self.bounds();
         if start >= end {
             return None;
         }

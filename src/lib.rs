@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`common`] | `cjoin-common` | query bit-vectors, fast hashing, ids, errors |
-//! | [`storage`] | `cjoin-storage` | row store, continuous scan, snapshots, partitions, I/O model |
+//! | [`storage`] | `cjoin-storage` | row store, continuous scan, snapshots, I/O model |
 //! | [`query`] | `cjoin-query` | star-query model, predicates, aggregates, reference oracle |
 //! | [`ssb`] | `cjoin-ssb` | Star Schema Benchmark generator, templates, workloads |
 //! | [`cjoin`] | `cjoin-core` | the CJOIN operator and engine |
@@ -33,7 +33,7 @@ pub mod common {
     pub use cjoin_common::*;
 }
 
-/// Row-store substrate: tables, continuous scans, snapshots, partitions, I/O model.
+/// Row-store substrate: tables, continuous scans, snapshots, I/O model.
 pub mod storage {
     pub use cjoin_storage::*;
 }

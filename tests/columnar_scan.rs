@@ -1,12 +1,13 @@
 //! Oracle-backed tests for the compressed columnar scan front-end
 //! (`CjoinConfig::columnar_scan`).
 //!
-//! Four suites pin down the in-pipeline columnar path:
+//! Six suites pin down the in-pipeline columnar path:
 //!
 //! 1. **Zone-map skip oracle** — an independently computed per-group min/max
 //!    over the raw fact rows predicts *exactly* how many rows a clustered range
-//!    query must skip via zone maps; the engine's `rows_predicate_skipped`
-//!    counter must match it row for row over a single scan pass.
+//!    query must skip via zone maps, and where its pass ends (after the last
+//!    group its range overlaps); the engine's `rows_predicate_skipped` and
+//!    `rows_scanned` counters must match it row for row.
 //! 2. **Per-run predicate evaluation** — on a run-length-encoded column, the
 //!    kernel answers whole runs with one probe, so `predicate_rows /
 //!    predicate_probes` must be far above 1 (the row path's implicit ratio).
@@ -27,15 +28,26 @@
 //!    with four; so must a pass that crosses from encoded chunks over the
 //!    replica's frontier into row-store chunks and around the wrap, which must
 //!    also agree with an engine that has no replica.
+//! 6. **Where a query ends** — a clustered date window ends at its last row
+//!    group that can match, short of the wrap, with the oracle's answer; a
+//!    quarantined group after the window keeps it running and changes nothing;
+//!    a query that can match everywhere runs exactly one pass; and a window
+//!    admitted after an ingest commit still sees the appended rows, with and
+//!    without a replica.
 
 use std::sync::Arc;
 
 use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
 use cjoin_repro::query::reference;
+use cjoin_repro::query::CompareOp;
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
-use cjoin_repro::storage::{Catalog, Column, Row, Schema, Table, Value, DEFAULT_ROW_GROUP_ROWS};
-use cjoin_repro::{AggFunc, AggregateSpec, ColumnRef, Predicate, SnapshotId, StarQuery};
+use cjoin_repro::storage::{
+    Catalog, Column, Row, RowId, Schema, Table, Value, DEFAULT_ROW_GROUP_ROWS,
+};
+use cjoin_repro::{
+    AggFunc, AggregateSpec, ColumnRef, Predicate, QueryResult, SnapshotId, StarQuery,
+};
 
 fn config(scan_workers: usize) -> CjoinConfig {
     CjoinConfig::default()
@@ -69,32 +81,36 @@ fn zone_map_skipping_matches_the_min_max_oracle_exactly() {
     let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
 
     // Independent oracle: per DEFAULT_ROW_GROUP_ROWS-row group, the min/max of
-    // lo_orderdate over the raw rows decides skippability; every row of a
-    // disjoint group must be skipped, every other row must be scanned.
+    // lo_orderdate over the raw rows decides skippability. The pass ends after
+    // the last group that is not disjoint; before that, every row of a
+    // disjoint group must be skipped and every other row must be scanned.
     let date_col = fact.schema().column_index("lo_orderdate").unwrap();
     let mut dates = Vec::with_capacity(fact.len());
     fact.for_each_visible(SnapshotId(u64::MAX), |_, row| {
         dates.push(row.int(date_col));
     });
-    let expected_skipped: u64 = dates
+    let groups: Vec<(u64, bool)> = dates
         .chunks(DEFAULT_ROW_GROUP_ROWS)
         .map(|group| {
             let min = *group.iter().min().unwrap();
             let max = *group.iter().max().unwrap();
-            if max < lo || min > hi {
-                group.len() as u64
-            } else {
-                0
-            }
+            (group.len() as u64, max < lo || min > hi)
         })
+        .collect();
+    let read = groups.iter().rposition(|&(_, disjoint)| !disjoint).unwrap() + 1;
+    let expected_end: u64 = groups[..read].iter().map(|&(len, _)| len).sum();
+    let expected_skipped: u64 = groups[..read]
+        .iter()
+        .filter(|&&(_, disjoint)| disjoint)
+        .map(|&(len, _)| len)
         .sum();
     assert!(
-        expected_skipped > 0,
-        "test setup must produce skippable groups"
+        expected_skipped > 0 && expected_end < fact.len() as u64,
+        "test setup must produce skippable groups on both sides of the range"
     );
 
     // A fresh engine idles at scan position 0 until the query is admitted and
-    // stops scanning once it finalizes, so the counters cover exactly one pass.
+    // stops scanning once it finalizes, so the counters cover exactly its pass.
     let engine = CjoinEngine::start(Arc::clone(&catalog), config(1)).unwrap();
     let result = engine.execute(query).unwrap();
     assert!(result.approx_eq(&expected), "{:?}", result.diff(&expected));
@@ -107,8 +123,9 @@ fn zone_map_skipping_matches_the_min_max_oracle_exactly() {
     assert!(columnar.row_groups_skipped > 0);
     assert_eq!(
         columnar.rows_scanned + columnar.rows_predicate_skipped,
-        fact.len() as u64,
-        "scanned and skipped rows partition the single pass"
+        expected_end,
+        "scanned and skipped rows partition the pass, which ends after the \
+         last group that can match"
     );
     engine.shutdown();
 }
@@ -543,14 +560,51 @@ fn one_pass_crosses_the_frontier_with_queries_installed_on_both_sides() {
     }
 }
 
-/// A partition plan that completes in the middle of a chunk ends the chunk on
-/// that row: the query is finalized before the next row is looked at, sees
-/// every row of its partitions exactly once, and the scan stops early.
+// ---------------------------------------------------------------------------
+// 6. Where a query ends
+// ---------------------------------------------------------------------------
+
+/// COUNT(*) and SUM(lo_revenue) of the 1995 orders, by a fact predicate only.
+fn orders_of_1995(name: &str) -> StarQuery {
+    StarQuery::builder(name)
+        .fact_predicate(Predicate::between("lo_orderdate", 19_950_101, 19_951_231))
+        .aggregate(AggregateSpec::count_star())
+        .aggregate(AggregateSpec::over(
+            AggFunc::Sum,
+            ColumnRef::fact("lo_revenue"),
+        ))
+        .build()
+}
+
+/// Runs `query` alone on a fresh engine (so its pass is the only one the
+/// counters see) and returns the answer, `tuples_scanned` and the number of
+/// quarantined row groups.
+fn run_alone(
+    catalog: &Arc<Catalog>,
+    config: CjoinConfig,
+    query: &StarQuery,
+) -> (QueryResult, u64, u64) {
+    let engine = CjoinEngine::start(Arc::clone(catalog), config).unwrap();
+    let result = engine.execute(query.clone()).unwrap();
+    let stats = engine.stats();
+    let quarantined = stats.columnar.map_or(0, |c| c.groups_quarantined);
+    engine.shutdown();
+    (result, stats.tuples_scanned, quarantined)
+}
+
+/// A date window over date-clustered data ends at its last row group that can
+/// match: the answer is the oracle's, with fewer rows scanned than one pass.
+/// Without the replica the same query runs its full pass, and with it a
+/// query that can match in every group still runs exactly one. A quarantined
+/// group right after the window has untrusted zone maps, so the pass runs on
+/// through it, and the answer does not change.
 #[test]
-fn partition_pruning_cuts_the_columnar_pass_short_without_changing_the_answer() {
+fn a_clustered_window_ends_at_its_last_group() {
     let data = SsbDataSet::generate(SsbConfig::for_tests(0.004, 606).with_clustering());
     let catalog = data.catalog();
-    let query = StarQuery::builder("year_1995")
+    let fact = catalog.fact_table().unwrap();
+    let rows = fact.len() as u64;
+    let window = StarQuery::builder("year_1995")
         .fact_predicate(Predicate::between("lo_orderdate", 19_950_101, 19_951_231))
         .join_dimension(
             "date",
@@ -565,28 +619,104 @@ fn partition_pruning_cuts_the_columnar_pass_short_without_changing_the_answer() 
         ))
         .aggregate(AggregateSpec::count_star())
         .build();
-    let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
+    let everywhere = StarQuery::builder("from_1992")
+        .fact_predicate(Predicate::Compare {
+            column: "lo_orderdate".into(),
+            op: CompareOp::Ge,
+            value: Value::int(19_920_101),
+        })
+        .aggregate(AggregateSpec::count_star())
+        .build();
+    let expected = reference::evaluate(&catalog, &window, SnapshotId::INITIAL).unwrap();
+    let expected_everywhere =
+        reference::evaluate(&catalog, &everywhere, SnapshotId::INITIAL).unwrap();
+    // The group right after the window's last 1995 row.
+    let date_col = fact.schema().column_index("lo_orderdate").unwrap();
+    let last_in_window = (0..rows)
+        .rev()
+        .find(|&i| fact.row(RowId(i)).unwrap().int(date_col) <= 19_951_231)
+        .unwrap();
+    let after_window = (last_in_window / DEFAULT_ROW_GROUP_ROWS as u64 + 1) as usize;
+    assert!(
+        (after_window as u64 + 1) * (DEFAULT_ROW_GROUP_ROWS as u64) < rows,
+        "test setup must leave groups after the one after the window"
+    );
 
     for scan_workers in [1, 4] {
-        let run = |pruning: bool| {
-            let config = CjoinConfig {
-                partition_pruning: pruning,
-                ..config(scan_workers)
-            };
-            let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-            let result = engine.execute(query.clone()).unwrap();
-            let scanned = engine.stats().tuples_scanned;
-            engine.shutdown();
-            (result, scanned)
-        };
-        let (full_result, full_scanned) = run(false);
-        let (pruned_result, pruned_scanned) = run(true);
-        assert_eq!(full_result, expected, "scan_workers={scan_workers}");
-        assert_eq!(pruned_result, expected, "scan_workers={scan_workers}");
+        let case = format!("scan_workers={scan_workers}");
+        let (result, scanned, _) = run_alone(&catalog, config(scan_workers), &window);
+        assert_eq!(result, expected, "{case}");
+        assert!(scanned < rows, "{case}: {scanned} of {rows} rows scanned");
+
+        let row_store = config(scan_workers).with_columnar_scan(false);
+        let (result, full_pass, _) = run_alone(&catalog, row_store, &window);
+        assert_eq!(result, expected, "{case}, no replica");
         assert!(
-            pruned_scanned < full_scanned,
-            "scan_workers={scan_workers}: pruning should end the pass early \
-             ({pruned_scanned} vs {full_scanned} rows)"
+            full_pass >= rows,
+            "{case}, no replica: {full_pass} of {rows} rows"
         );
+
+        let (result, one_pass, _) = run_alone(&catalog, config(scan_workers), &everywhere);
+        assert_eq!(result, expected_everywhere, "{case}, every group");
+        assert_eq!(
+            one_pass, rows,
+            "{case}: a query every group can match runs one pass"
+        );
+
+        let plan = FaultPlan::seeded(29)
+            .corrupt_row_group(after_window)
+            .build();
+        let corrupt = config(scan_workers).with_fault_plan(plan);
+        let (result, longer, quarantined) = run_alone(&catalog, corrupt, &window);
+        assert_eq!(result, expected, "{case}, group {after_window} quarantined");
+        assert!(
+            quarantined >= 1,
+            "{case}: group {after_window} was never quarantined"
+        );
+        assert!(
+            longer > scanned && longer < rows,
+            "{case}: the pass runs through the quarantined group and no further \
+             ({longer} rows vs {scanned} without it, {rows} in all)"
+        );
+    }
+}
+
+/// A window admitted after an ingest commit sees the rows that commit
+/// appended: they are part of its snapshot, so no early end may stop short of
+/// them, whether they sit in the row-store tail behind a replica or there is
+/// no replica at all.
+#[test]
+fn a_window_admitted_after_an_ingest_commit_sees_the_appended_rows() {
+    for columnar in [false, true] {
+        for scan_workers in [1, 4] {
+            let case = format!("columnar_scan={columnar}, scan_workers={scan_workers}");
+            // A fresh warehouse per cell: each one appends to its fact table.
+            let data = SsbDataSet::generate(SsbConfig::for_tests(0.004, 304).with_clustering());
+            let catalog = data.catalog();
+            let fact = catalog.fact_table().unwrap();
+            let date_col = fact.schema().column_index("lo_orderdate").unwrap();
+            let (_, row_of_1995) = fact
+                .select(SnapshotId::INITIAL, |row| {
+                    (19_950_101..=19_951_231).contains(&row.int(date_col))
+                })
+                .into_iter()
+                .next()
+                .expect("an order of 1995");
+            let config = config(scan_workers)
+                .with_columnar_scan(columnar)
+                .with_tail_compaction_rows(0);
+            let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+            let mut session = engine.ingest_session();
+            for _ in 0..300 {
+                session.append_fact(row_of_1995.values().to_vec());
+            }
+            session.commit().unwrap();
+
+            let query = orders_of_1995("after_ingest");
+            let expected =
+                reference::evaluate(&catalog, &query, catalog.snapshots().current()).unwrap();
+            assert_eq!(engine.execute(query).unwrap(), expected, "{case}");
+            engine.shutdown();
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! Behavioural integration tests of the shared pipeline: work sharing, predictability,
-//! run-time optimisation, partition pruning and mixed query/update workloads.
+//! run-time optimisation, ending a query early and mixed query/update workloads.
+//! The rule for where a query ends over a compressed replica is covered in
+//! depth by `tests/columnar_scan.rs`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -139,8 +141,11 @@ fn filter_order_adapts_to_the_query_mix() {
     engine.shutdown();
 }
 
+/// The same 1995 window over date-clustered data, with the replica's zone maps
+/// and without: the replica ends the query at its last row group that can
+/// match, so it scans fewer rows for the same answer.
 #[test]
-fn partition_pruning_reduces_scanned_tuples_and_matches_results() {
+fn early_end_reduces_scanned_tuples_and_matches_results() {
     let data = SsbDataSet::generate(SsbConfig::for_tests(0.004, 304).with_clustering());
     let catalog = data.catalog();
 
@@ -162,11 +167,8 @@ fn partition_pruning_reduces_scanned_tuples_and_matches_results() {
         .build();
     let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
 
-    let run = |pruning: bool| {
-        let config = CjoinConfig {
-            partition_pruning: pruning,
-            ..engine_config()
-        };
+    let run = |replica: bool| {
+        let config = engine_config().with_columnar_scan(replica);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
         let result = engine.execute(query.clone()).unwrap();
         let scanned = engine.stats().tuples_scanned;
@@ -174,17 +176,17 @@ fn partition_pruning_reduces_scanned_tuples_and_matches_results() {
         (result, scanned)
     };
     let (full_result, full_scanned) = run(false);
-    let (pruned_result, pruned_scanned) = run(true);
+    let (early_result, early_scanned) = run(true);
 
     assert!(full_result.approx_eq(&expected));
     assert!(
-        pruned_result.approx_eq(&expected),
-        "pruning changed the answer: {:?}",
-        pruned_result.diff(&expected)
+        early_result.approx_eq(&expected),
+        "ending early changed the answer: {:?}",
+        early_result.diff(&expected)
     );
     assert!(
-        pruned_scanned < full_scanned,
-        "pruning should terminate the query early ({pruned_scanned} vs {full_scanned} tuples)"
+        early_scanned < full_scanned,
+        "the replica should end the query early ({early_scanned} vs {full_scanned} tuples)"
     );
 }
 
