@@ -2,15 +2,37 @@
 //!
 //! Each dimension table `Dj` referenced by at least one in-flight query is mapped to
 //! a [`DimensionTable`]: a hash table keyed by the dimension's primary key that
-//! stores the **union** of the dimension tuples selected by any registered query.
-//! Every stored tuple carries a query bit-vector `bδ` (`bδ[i] = 1` iff query `i`
-//! selects the tuple, or does not reference `Dj` at all), and the table keeps one
-//! complement bitmap `bDj` (`bDj[i] = 1` iff query `i` does **not** reference `Dj`) —
-//! the bit-vector implicitly associated with every dimension tuple *not* present in
-//! the hash table.
+//! stores the **union** of the dimension tuples selected by any live query. The
+//! table keeps one complement bitmap `bDj` (`bDj[i] = 1` iff query `i` does **not**
+//! reference `Dj`) — the bit-vector implicitly associated with every dimension
+//! tuple *not* present in the hash table.
 //!
-//! The filtering step (§3.2.2) is therefore: probe by foreign key; if found, AND the
-//! fact tuple's bit-vector with the entry's `bδ`, otherwise with `bDj`.
+//! ## Selecting queries only
+//!
+//! The paper's stored tuple carries `bδ` with `bδ[i] = 1` iff query `i` selects the
+//! tuple **or** does not reference `Dj` at all. Here a stored entry's
+//! [`DimEntry::bits`] holds only the first half — the queries whose `σ_cij(Dj)`
+//! selected it — and the second half is `bDj` itself, so the paper's vector is
+//! `bits | bDj`. The two encodings agree bit for bit on every query that has one:
+//! a selecting query is in `bits` and never in `bDj`, an ignoring query is in `bDj`
+//! and never in `bits`. The Filter (§3.2.2) therefore probes by foreign key and, on
+//! a hit, ANDs the fact tuple's bit-vector with `bits | bDj`; on a miss, with `bDj`
+//! — one more load of the complement word the early skip already reads.
+//!
+//! What the encoding buys is on the Pipeline Manager's side:
+//!
+//! - Algorithm 1 line 10 ([`DimensionTable::register_unreferencing_query`]) is one
+//!   atomic bit set on `bDj`, where the paper walks every stored tuple.
+//! - Algorithm 1 lines 11–16 ([`DimensionTable::register_query`]) touch the
+//!   query's selected rows, and record their keys under the query's id.
+//! - Algorithm 2 ([`DimensionTable::unregister_query`]) clears the id's bit on
+//!   exactly those keys: O(selected rows), O(1) for a query that ignores `Dj`.
+//! - An entry dies with its last *selecting* query, so the table holds the union
+//!   of the live selections and no more. Under the paper's vector some ignoring
+//!   query is nearly always live, and its bit kept every tuple ever selected.
+//!   The only observable difference is that a key no live query selects now
+//!   misses instead of hitting a stale entry: the ignoring queries keep the
+//!   tuple either way, and they never read the row a hit would have attached.
 //!
 //! ## Snapshot-versioned entries (PR 10)
 //!
@@ -21,11 +43,11 @@
 //! appended rather than overwriting — so a query admitted before the upsert keeps
 //! joining against exactly the attribute values its snapshot selected, and a query
 //! admitted after it sees only the new ones. A query's bit appears on **at most one
-//! version per key** (the content its snapshot's `σ_cij(Dj)` returned); bits of
-//! queries that do not reference the dimension ride on every version, which is
-//! harmless because those queries never read the attached row. The single-version
-//! case — by far the common one — takes the exact pre-versioning hot path; the
-//! multi-version combine is in
+//! version per key** (the content its snapshot's `σ_cij(Dj)` returned); `bDj` is
+//! ORed into every version, so the queries that do not reference the dimension
+//! accept each one, which is harmless because they never read the attached row.
+//! The single-version case — by far the common one — takes the exact
+//! pre-versioning hot path; the multi-version combine is in
 //! [`FilterChain::process_batch`](crate::filter::FilterChain::process_batch).
 //!
 //! Concurrency: entries are inserted/removed only by the Pipeline Manager (query
@@ -39,8 +61,13 @@
 //! the complement bitmap are atomic and require no lock, mirroring the paper's
 //! argument that concurrent bit updates are safe because a query's bit only appears
 //! in fact-tuple bit-vectors after the query is installed in the Preprocessor
-//! (§3.3.1). Holding the read lock across a batch does not change Algorithm 1/2
-//! semantics: the manager's writes simply serialize at batch boundaries instead of
+//! (§3.3.1). That argument is also why `register_unreferencing_query` can be a
+//! single `bDj` bit: the install follows the bit set, so every probe of a tuple
+//! carrying the new query's bit ORs in a `bDj` that already holds it. At clean-up
+//! the drain barrier has run before the query's end tuple, so no tuple carries the
+//! bit while Algorithm 2 clears it, and the id is recycled only afterwards.
+//! Holding the read lock across a batch does not change Algorithm 1/2 semantics:
+//! the manager's writes simply serialize at batch boundaries instead of
 //! tuple boundaries, and a Filter already applies one point-in-time table state to
 //! each tuple it processes. (The legacy per-tuple [`DimensionTable::probe`] is kept
 //! for the `batched_probing = false` ablation baseline.)
@@ -58,8 +85,20 @@ use cjoin_storage::{ColumnId, Row};
 pub struct DimEntry {
     /// The dimension row (shared with in-flight fact tuples that join with it).
     pub row: Row,
-    /// `bδ`: which queries select this tuple (or do not reference the dimension).
+    /// The queries whose `σ_cij(Dj)` selected this version. The paper's `bδ`,
+    /// which also holds every query that ignores the dimension, is `bits | bDj`
+    /// (see the module docs); [`DimensionTable::entry_bits`] returns it.
     pub bits: AtomicQuerySet,
+}
+
+/// What the entries lock guards: the content versions per key, oldest first,
+/// and per query id the keys it selected, so that Algorithm 2 visits only those.
+#[derive(Debug)]
+struct Entries {
+    /// A key's vector is never empty while stored.
+    by_key: FxHashMap<i64, Vec<Arc<DimEntry>>>,
+    /// Indexed by query id; empty for an id that selected nothing here.
+    keys_of: Vec<Vec<i64>>,
 }
 
 /// Statistics of one Filter, used for run-time ordering (§3.4) and the experiments.
@@ -125,9 +164,9 @@ pub struct DimensionTable {
     /// zero dimension rows leaves no trace in `entries` — yet its Filter must stay in
     /// the pipeline to clear the query's bit from every fact tuple.
     referencing: AtomicQuerySet,
-    /// Content versions per key, oldest first (see the module docs on snapshot
-    /// versioning). A key's vector is never empty while stored.
-    entries: RwLock<FxHashMap<i64, Vec<Arc<DimEntry>>>>,
+    /// Content versions per key (see the module docs on snapshot versioning) and
+    /// each query's selected keys.
+    entries: RwLock<Entries>,
     /// Per-filter statistics.
     pub stats: FilterStats,
     max_concurrency: usize,
@@ -156,7 +195,10 @@ impl DimensionTable {
             dim_key_column,
             complement,
             referencing: AtomicQuerySet::new(max_concurrency),
-            entries: RwLock::new(FxHashMap::default()),
+            entries: RwLock::new(Entries {
+                by_key: FxHashMap::default(),
+                keys_of: vec![Vec::new(); max_concurrency],
+            }),
             stats: FilterStats::default(),
             max_concurrency,
         }
@@ -167,14 +209,14 @@ impl DimensionTable {
         self.max_concurrency
     }
 
-    /// Number of stored dimension tuples.
+    /// Number of stored dimension tuples: the keys some live query selects.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.read().by_key.len()
     }
 
     /// Whether no dimension tuple is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.entries.read().by_key.is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -189,21 +231,23 @@ impl DimensionTable {
     /// version is appended (the key was upserted between the two queries'
     /// snapshots) — never overwritten, so concurrent queries each keep joining
     /// against the attribute values their own snapshot selected.
+    ///
+    /// A new version's bits start at `{id}`: the queries that ignore this
+    /// dimension accept it through `bDj`, which the probe ORs in. The selected
+    /// keys are recorded under `id` for [`DimensionTable::unregister_query`].
     pub fn register_query(&self, id: QueryId, rows: &[(i64, Row)]) {
         // The query references Dj, so it must not be in the complement bitmap.
         self.complement.unset(id.index());
         self.referencing.set(id.index());
         let mut entries = self.entries.write();
+        let Entries { by_key, keys_of } = &mut *entries;
+        let keys = &mut keys_of[id.index()];
         for (key, row) in rows {
-            let versions = entries.entry(*key).or_default();
+            let versions = by_key.entry(*key).or_default();
             match versions.iter().find(|v| v.row == *row) {
                 Some(version) => version.bits.set(id.index()),
                 None => {
-                    // New version: bits start as bDj (queries that ignore this
-                    // dimension accept every version), plus the registering
-                    // query's bit. Referencing queries' bits never leak in:
-                    // the complement holds only non-referencing queries.
-                    let bits = self.complement.clone();
+                    let bits = AtomicQuerySet::new(self.max_concurrency);
                     bits.set(id.index());
                     versions.push(Arc::new(DimEntry {
                         row: row.clone(),
@@ -211,57 +255,55 @@ impl DimensionTable {
                     }));
                 }
             }
+            keys.push(*key);
         }
     }
 
     /// Registers that query `id` does **not** reference this dimension
     /// (Algorithm 1 line 10): every tuple of `Dj` is implicitly acceptable to it.
+    /// That is one bit of `bDj`, which the probe ORs into every stored version.
     pub fn register_unreferencing_query(&self, id: QueryId) {
         self.complement.set(id.index());
-        // Existing entries (every version of every key) must also accept the query,
-        // otherwise fact tuples joining with a stored dimension tuple would wrongly
-        // drop the query's bit.
-        let entries = self.entries.read();
-        for versions in entries.values() {
-            for entry in versions {
-                entry.bits.set(id.index());
-            }
-        }
     }
 
-    /// Removes query `id` from this dimension table (Algorithm 2). Entries whose
-    /// bit-vector becomes empty are garbage-collected. Returns `true` if the Filter
-    /// can be removed from the pipeline: no stored entries *and* no live query
-    /// references the dimension. The second condition matters when a referencing
-    /// query's predicate selected zero dimension rows — its hash-table footprint is
-    /// empty but its Filter must keep clearing the query's bit from fact tuples
-    /// until the query finishes.
+    /// Removes query `id` from this dimension table (Algorithm 2). Returns `true`
+    /// if the Filter can be removed from the pipeline: no stored entries *and* no
+    /// live query references the dimension. The second condition matters when a
+    /// referencing query's predicate selected zero dimension rows — its hash-table
+    /// footprint is empty but its Filter must keep clearing the query's bit from
+    /// fact tuples until the query finishes.
     ///
-    /// The freed id's bit is cleared everywhere — in the complement bitmap *and* in
-    /// every stored entry — so that entries inserted while the id is unused never
-    /// inherit it and a later query reusing the id starts from a clean slate.
-    /// (The paper's Algorithm 2 sets `bDj[n] = 1` instead, treating a freed id as
-    /// "does not reference"; that convention leaks the bit into entries inserted
-    /// before the id is reused by a query that *does* reference the dimension, so we
-    /// use the all-zero convention — equivalent while the id is unused, because no
-    /// fact tuple carries the bit, and safe at reuse.)
+    /// The id's bit is cleared on the versions of the keys it selected only, and
+    /// versions — and keys — left with no bits are garbage-collected: O(selected
+    /// rows), and O(1) for a query that ignored the dimension. The keys are walked
+    /// whatever `referenced` says, so a wrong flag cannot leave a stale bit for the
+    /// next query that reuses the id.
+    ///
+    /// The freed id's bit is also cleared from the complement bitmap, so a later
+    /// query reusing the id starts from a clean slate. (The paper's Algorithm 2
+    /// sets `bDj[n] = 1` instead, treating a freed id as "does not reference"; the
+    /// all-zero convention is equivalent while the id is unused, because no fact
+    /// tuple carries the bit, and needs nothing undone at reuse.)
     pub fn unregister_query(&self, id: QueryId, referenced: bool) -> bool {
         self.complement.unset(id.index());
         if referenced {
             self.referencing.unset(id.index());
         }
         let mut entries = self.entries.write();
-        // Clear the id's bit from every version of every key (a referencing query
-        // set it on at most one version per key; an unreferencing query set it on
-        // all of them) and garbage-collect versions — and keys — left with no bits.
-        entries.retain(|_, versions| {
+        let Entries { by_key, keys_of } = &mut *entries;
+        for key in std::mem::take(&mut keys_of[id.index()]) {
+            let Some(versions) = by_key.get_mut(&key) else {
+                continue;
+            };
             versions.retain(|entry| {
                 entry.bits.unset(id.index());
                 !entry.bits.is_empty()
             });
-            !versions.is_empty()
-        });
-        entries.is_empty() && self.referencing.is_empty()
+            if versions.is_empty() {
+                by_key.remove(&key);
+            }
+        }
+        by_key.is_empty() && self.referencing.is_empty()
     }
 
     /// Number of live queries that reference this dimension (diagnostics/tests).
@@ -281,8 +323,8 @@ impl DimensionTable {
     /// batch and borrows entries without cloning; this method remains as the
     /// `batched_probing = false` ablation baseline and for point lookups in tests.
     ///
-    /// The caller combines the fact tuple's bit-vector with the entry's `bδ` (hit) or
-    /// with [`DimensionTable::complement`] (miss) — see
+    /// The caller combines the fact tuple's bit-vector with the entry's `bits |
+    /// bDj` (hit) or with [`DimensionTable::complement`] (miss) — see
     /// [`FilterChain::process_batch`](crate::filter::FilterChain::process_batch).
     ///
     /// Returns the **newest** content version of the key; point lookups that must
@@ -291,6 +333,7 @@ impl DimensionTable {
     pub fn probe(&self, key: i64) -> Option<Arc<DimEntry>> {
         self.entries
             .read()
+            .by_key
             .get(&key)
             .and_then(|v| v.last().cloned())
     }
@@ -300,12 +343,17 @@ impl DimensionTable {
     /// borrows the versions through [`DimensionTable::probe_batch`] instead.
     #[inline]
     pub fn probe_versions(&self, key: i64) -> Vec<Arc<DimEntry>> {
-        self.entries.read().get(&key).cloned().unwrap_or_default()
+        self.entries
+            .read()
+            .by_key
+            .get(&key)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Number of stored content versions for `key` (diagnostics / tests).
     pub fn version_count(&self, key: i64) -> usize {
-        self.entries.read().get(&key).map_or(0, Vec::len)
+        self.entries.read().by_key.get(&key).map_or(0, Vec::len)
     }
 
     /// Acquires the entries read lock **once** and returns a [`ProbeGuard`] for
@@ -325,14 +373,20 @@ impl DimensionTable {
         }
     }
 
-    /// Returns a point-in-time snapshot of the newest version's bit-vector (test
+    /// Returns a point-in-time snapshot of the newest version's effective
+    /// bit-vector, the paper's `bδ`: its selecting queries plus `bDj` (test
     /// helper).
     pub fn entry_bits(&self, key: i64) -> Option<QuerySet> {
-        self.entries
+        let mut bits = self
+            .entries
             .read()
-            .get(&key)
-            .and_then(|v| v.last())
-            .map(|e| e.bits.snapshot())
+            .by_key
+            .get(&key)?
+            .last()?
+            .bits
+            .snapshot();
+        bits.or_assign(&self.complement.snapshot());
+        Some(bits)
     }
 }
 
@@ -343,7 +397,7 @@ impl DimensionTable {
 /// cloning the entry `Arc` per tuple — the per-probe cost is one hash lookup, with
 /// zero reference-count traffic and zero lock operations.
 pub struct ProbeGuard<'a> {
-    entries: RwLockReadGuard<'a, FxHashMap<i64, Vec<Arc<DimEntry>>>>,
+    entries: RwLockReadGuard<'a, Entries>,
 }
 
 impl ProbeGuard<'_> {
@@ -352,17 +406,17 @@ impl ProbeGuard<'_> {
     /// single-version case it has length 1.
     #[inline]
     pub fn get(&self, key: i64) -> Option<&[Arc<DimEntry>]> {
-        self.entries.get(&key).map(Vec::as_slice)
+        self.entries.by_key.get(&key).map(Vec::as_slice)
     }
 
     /// Number of stored entries visible to this guard.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.by_key.len()
     }
 
     /// Whether the guarded table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.by_key.is_empty()
     }
 }
 
@@ -370,6 +424,7 @@ impl ProbeGuard<'_> {
 mod tests {
     use super::*;
     use cjoin_storage::Value;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn row(key: i64, name: &str) -> Row {
         Row::new(vec![Value::int(key), Value::str(name)])
@@ -377,6 +432,13 @@ mod tests {
 
     fn table_with_no_queries() -> DimensionTable {
         DimensionTable::new("color", 0, 1, 0, 8, &QuerySet::new(8))
+    }
+
+    /// The paper's `bδ` of one stored version: its selecting queries plus `bDj`.
+    fn effective(t: &DimensionTable, entry: &DimEntry) -> Vec<usize> {
+        let mut bits = entry.bits.snapshot();
+        bits.or_assign(&t.complement.snapshot());
+        bits.iter().collect()
     }
 
     #[test]
@@ -418,10 +480,10 @@ mod tests {
         t.register_unreferencing_query(QueryId(1));
         assert!(t.complement.get(1));
         assert!(!t.complement.get(0));
-        // Existing entry must also carry query 1's bit.
+        // The existing entry's effective bits carry query 1's bit through bDj.
         let bits = t.entry_bits(1).unwrap();
         assert!(bits.get(0) && bits.get(1));
-        // New entries inserted later also carry it (they clone the complement).
+        // So do entries inserted later.
         t.register_query(QueryId(2), &[(5, row(5, "cyan"))]);
         let bits5 = t.entry_bits(5).unwrap();
         assert!(
@@ -437,7 +499,7 @@ mod tests {
 
     #[test]
     fn new_entry_bits_follow_paper_initialisation() {
-        // Paper: bδ ← bDj; bδ[n] ← 1.
+        // Paper: bδ ← bDj; bδ[n] ← 1. The effective bits are the same vector.
         let t = table_with_no_queries();
         t.register_unreferencing_query(QueryId(3));
         t.register_query(QueryId(4), &[(9, row(9, "x"))]);
@@ -464,6 +526,23 @@ mod tests {
         let empty = t.unregister_query(QueryId(1), true);
         assert!(empty);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn an_entry_dies_with_its_last_selecting_query() {
+        // Query 1 ignores the dimension. Under the paper's layout its bit kept
+        // key 1 stored after query 0, the only query selecting it, finished.
+        let t = table_with_no_queries();
+        t.register_query(QueryId(0), &[(1, row(1, "red"))]);
+        t.register_unreferencing_query(QueryId(1));
+        assert!(
+            t.unregister_query(QueryId(0), true),
+            "no live query references the dimension, so its Filter can go"
+        );
+        assert_eq!(t.len(), 0, "no live query selects key 1");
+        assert!(t.probe(1).is_none());
+        assert!(t.probe_batch().get(1).is_none(), "a probe of key 1 misses");
+        assert!(t.complement.get(1), "query 1 still accepts every tuple");
     }
 
     #[test]
@@ -548,9 +627,15 @@ mod tests {
         assert!(Arc::ptr_eq(a, b), "borrows of the same entry alias");
         assert_eq!(a.row.get(1).as_str().unwrap(), "red");
         assert!(guard.get(99).is_none());
-        // Atomic bit updates are visible through the guard (no lock needed for them).
+        // Atomic bit updates are visible through the guard (no lock needed for
+        // them): the ignoring query joins the entry through bDj.
         t.register_unreferencing_query(QueryId(3));
-        assert!(guard.get(2).unwrap()[0].bits.get(3));
+        let entry = &guard.get(2).unwrap()[0];
+        assert_eq!(effective(&t, entry), vec![0, 3]);
+        assert!(
+            !entry.bits.get(3),
+            "the entry stores its selecting queries only"
+        );
     }
 
     #[test]
@@ -592,12 +677,12 @@ mod tests {
         assert_eq!(t.version_count(1), 2, "two content versions");
         let guard = t.probe_batch();
         let versions = guard.get(1).unwrap();
+        // Each version's effective bits hold its own selecting query plus the
+        // ignoring query 1, which accepts every version through bDj.
         assert_eq!(versions[0].row.get(1).as_str().unwrap(), "red");
-        assert!(versions[0].bits.get(0) && !versions[0].bits.get(2));
+        assert_eq!(effective(&t, &versions[0]), vec![0, 1]);
         assert_eq!(versions[1].row.get(1).as_str().unwrap(), "crimson");
-        assert!(versions[1].bits.get(2) && !versions[1].bits.get(0));
-        // The ignoring query's bit rides on every version.
-        assert!(versions[0].bits.get(1) && versions[1].bits.get(1));
+        assert_eq!(effective(&t, &versions[1]), vec![1, 2]);
         drop(guard);
         // probe() returns the newest version.
         assert_eq!(t.probe(1).unwrap().row.get(1).as_str().unwrap(), "crimson");
@@ -686,5 +771,165 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(t.len(), 5);
+    }
+
+    /// What a query id is doing in [`PaperModel`].
+    #[derive(Clone)]
+    enum Live {
+        Free,
+        Ignoring,
+        /// Selecting these `(key, content)` rows.
+        Selecting(Vec<(i64, i64)>),
+    }
+
+    /// The paper's §3.2.1 layout, kept plainly: every stored version's `bδ` holds
+    /// its selecting queries *and* every query that ignores the dimension.
+    struct PaperModel {
+        complement: BTreeSet<usize>,
+        /// Per key, `(content, bδ)` oldest first.
+        versions: BTreeMap<i64, Vec<(i64, BTreeSet<usize>)>>,
+        live: Vec<Live>,
+    }
+
+    impl PaperModel {
+        fn register(&mut self, id: usize, rows: &[(i64, i64)]) {
+            self.complement.remove(&id);
+            for &(key, content) in rows {
+                let versions = self.versions.entry(key).or_default();
+                match versions.iter_mut().find(|(c, _)| *c == content) {
+                    Some((_, bits)) => {
+                        bits.insert(id);
+                    }
+                    None => {
+                        let mut bits = self.complement.clone();
+                        bits.insert(id);
+                        versions.push((content, bits));
+                    }
+                }
+            }
+            self.live[id] = Live::Selecting(rows.to_vec());
+        }
+
+        fn register_unreferencing(&mut self, id: usize) {
+            self.complement.insert(id);
+            for (_, bits) in self.versions.values_mut().flatten() {
+                bits.insert(id);
+            }
+            self.live[id] = Live::Ignoring;
+        }
+
+        /// Algorithm 2. Returns whether the Filter can go: no live query
+        /// references the dimension, so whatever the table still stores carries
+        /// `bDj` and nothing else.
+        fn unregister(&mut self, id: usize) -> bool {
+            self.complement.remove(&id);
+            self.versions.retain(|_, versions| {
+                versions.retain_mut(|(_, bits)| {
+                    bits.remove(&id);
+                    !bits.is_empty()
+                });
+                !versions.is_empty()
+            });
+            self.live[id] = Live::Free;
+            !self.live.iter().any(|q| matches!(q, Live::Selecting(_)))
+        }
+
+        /// Checks `t` against the model: every version some live query selects
+        /// is stored with the model's `bδ` as its effective bits, in any order
+        /// (a version only ignoring queries kept is collected by `t`, so one
+        /// re-selected later is appended), and nothing else is stored.
+        fn check(&self, t: &DimensionTable, keys: i64, at: (u64, usize)) {
+            let guard = t.probe_batch();
+            let complement = t.complement.snapshot();
+            for key in 0..keys {
+                let mut got: Vec<(i64, Vec<usize>)> = guard
+                    .get(key)
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|v| {
+                        let mut bits = v.bits.snapshot();
+                        bits.or_assign(&complement);
+                        (v.row.get(1).as_int().unwrap(), bits.iter().collect())
+                    })
+                    .collect();
+                got.sort();
+                let mut want: Vec<(i64, Vec<usize>)> = self
+                    .versions
+                    .get(&key)
+                    .into_iter()
+                    .flatten()
+                    .filter(|(_, bits)| !bits.is_subset(&self.complement))
+                    .map(|(content, bits)| (*content, bits.iter().copied().collect()))
+                    .collect();
+                want.sort();
+                assert_eq!(got, want, "(seed, step) {at:?}: key {key}");
+            }
+            let selected: BTreeSet<i64> = self
+                .live
+                .iter()
+                .filter_map(|q| match q {
+                    Live::Selecting(rows) => Some(rows.iter().map(|&(key, _)| key)),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            drop(guard);
+            assert_eq!(t.len(), selected.len(), "(seed, step) {at:?}: stored keys");
+        }
+    }
+
+    #[test]
+    fn effective_bits_match_the_papers_layout_under_random_churn() {
+        const MAXC: usize = 16;
+        const KEYS: i64 = 12;
+        for seed in 0..20u64 {
+            let mut rng = 0x5E1E_C7ED ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut draw = |n: u64| cjoin_common::splitmix64(&mut rng) % n;
+            let t = DimensionTable::new("d", 0, 0, 0, MAXC, &QuerySet::new(MAXC));
+            let mut m = PaperModel {
+                complement: BTreeSet::new(),
+                versions: BTreeMap::new(),
+                live: vec![Live::Free; MAXC],
+            };
+            for step in 0..5_000 {
+                let id = draw(MAXC as u64) as usize;
+                let qid = QueryId(id as u32);
+                let at = (seed, step);
+                let referenced = matches!(m.live[id], Live::Selecting(_));
+                match m.live[id] {
+                    Live::Ignoring | Live::Selecting(_) => {
+                        let removable = t.unregister_query(qid, referenced);
+                        assert_eq!(removable, m.unregister(id), "(seed, step) {at:?}");
+                    }
+                    // Admission's roll-back unregisters ids a table never saw.
+                    Live::Free if draw(20) == 0 => {
+                        let removable = t.unregister_query(qid, false);
+                        assert_eq!(removable, m.unregister(id), "(seed, step) {at:?}");
+                    }
+                    Live::Free if draw(3) == 0 => {
+                        t.register_unreferencing_query(qid);
+                        m.register_unreferencing(id);
+                    }
+                    Live::Free => {
+                        // Mostly the current contents; now and then an upserted
+                        // one, so that keys collect several versions.
+                        let mut rows: Vec<(i64, i64)> = Vec::new();
+                        for key in 0..KEYS {
+                            if draw(3) == 0 {
+                                let content = if draw(5) == 0 { 1 + draw(3) } else { 0 };
+                                rows.push((key, content as i64));
+                            }
+                        }
+                        let dim_rows: Vec<(i64, Row)> = rows
+                            .iter()
+                            .map(|&(key, c)| (key, Row::new(vec![Value::int(key), Value::int(c)])))
+                            .collect();
+                        t.register_query(qid, &dim_rows);
+                        m.register(id, &rows);
+                    }
+                }
+                m.check(&t, KEYS, at);
+            }
+        }
     }
 }

@@ -779,7 +779,7 @@ impl CjoinEngine {
             return Err(e);
         }
         // Dimensions in the pipeline that this query does not reference implicitly
-        // accept every tuple for it.
+        // accept every tuple for it: one bit of each one's `bDj`, no entry walk.
         for dim in self.shared.chain.snapshot() {
             if !referenced_dims.contains(&dim.name) {
                 dim.register_unreferencing_query(id);
@@ -1398,6 +1398,12 @@ fn run_manager(
 
 /// Algorithm 2: remove a finished query from every dimension hash table, drop empty
 /// Filters, recycle the query id and drop the supervisor's runtime registration.
+///
+/// Each table clears the id's bit on the rows the query selected there and on
+/// nothing else, so the admission lock is held for O(the query's selected rows):
+/// a table the query ignored costs one `bDj` bit (see [`crate::dimension`]). A
+/// Filter goes once no live query references its dimension, whether or not some
+/// live query ignores it.
 fn cleanup_query(id: QueryId, chain: &Arc<FilterChain>, admission: &Arc<Mutex<AdmissionState>>) {
     let mut admission = admission.lock();
     admission.runtimes.remove(&id.0);

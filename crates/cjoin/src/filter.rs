@@ -2,9 +2,12 @@
 //!
 //! A Filter takes a batch of in-flight fact tuples and, for each tuple, probes its
 //! dimension hash table with the tuple's foreign key, combines the tuple's bit-vector
-//! with the matching entry's bit-vector (or with the dimension's complement bitmap on
-//! a miss), attaches the joining dimension row for downstream aggregation, and drops
-//! the tuple if its bit-vector became zero.
+//! with the matching entry's effective bit-vector `bits | bDj` (or with the
+//! dimension's complement bitmap `bDj` alone on a miss), attaches the joining
+//! dimension row for downstream aggregation, and drops the tuple if its bit-vector
+//! became zero. An entry stores only the queries that select it; the queries that
+//! ignore the dimension join every stored version through `bDj`, which the hit arm
+//! ORs in (see [`crate::dimension`]).
 //!
 //! [`FilterChain`] holds the current *order* of Filters. The order is shared by all
 //! worker threads and can be changed at run time by the optimizer (§3.4); workers
@@ -54,28 +57,29 @@ use crate::tuple::{Batch, InFlightTuple};
 /// [`crate::dimension`]).
 ///
 /// Claimed-split: walking versions oldest-first, each version takes the tuple bits
-/// it carries that no earlier version claimed (a referencing query's bit lives on
-/// exactly one version; an ignoring query's bit lives on all versions and is
-/// claimed by the first, whose attached row it never reads). The first version
-/// with a non-empty take keeps the tuple in place; every later take becomes a
-/// **split** — a clone of the tuple carrying that version's row in `dims[slot]` —
-/// so no downstream consumer ever sees one tuple mixing two versions' attribute
-/// values. Bits claimed by no version are dropped, exactly as a probe miss drops
-/// them. Returns whether the in-place tuple survives; splits (which always
-/// survive) are appended to `splits` and must be routed through the *remaining*
-/// filters by the caller.
+/// of its effective vector `version.bits | bDj` that no earlier version claimed (a
+/// referencing query's bit lives on exactly one version; an ignoring query's bit is
+/// in `bDj`, so every version offers it and the first claims it, whose attached row
+/// it never reads). The first version with a non-empty take keeps the tuple in
+/// place; every later take becomes a **split** — a clone of the tuple carrying
+/// that version's row in `dims[slot]` — so no downstream consumer ever sees one
+/// tuple mixing two versions' attribute values. Bits claimed by no version are
+/// dropped, exactly as a probe miss drops them. Returns whether the in-place
+/// tuple survives; splits (which always survive) are appended to `splits` and
+/// must be routed through the *remaining* filters by the caller.
 pub(crate) fn combine_versions(
+    dim: &DimensionTable,
     versions: &[Arc<DimEntry>],
-    slot: usize,
     tuple: &mut InFlightTuple,
     splits: &mut Vec<InFlightTuple>,
 ) -> bool {
     debug_assert!(versions.len() > 1);
+    let slot = dim.slot;
     let mut claimed = QuerySet::new(tuple.bits.capacity());
     let mut first: Option<(usize, QuerySet)> = None;
     for (vi, version) in versions.iter().enumerate() {
         let mut take = tuple.bits.clone();
-        version.bits.and_into(&mut take);
+        version.bits.and_or_into(&dim.complement, &mut take);
         take.and_not_assign(&claimed);
         if take.is_empty() {
             continue;
@@ -124,9 +128,10 @@ pub(crate) enum ProbeOutcome<'g> {
 
 /// One Filter applied to one bit-vector held as bare words: the §3.2.2 early
 /// skip, then a probe of `guard` with the foreign key (`fk` is only called when
-/// the probe happens), then the AND with the hit's `bδ` or, on a miss, with
-/// `bDj`. Probe, skip and drop counts accumulate in `stats`; `tuples_in` is the
-/// caller's, who knows the batch size.
+/// the probe happens), then the AND with the hit's effective `bδ`, its selecting
+/// queries ORed with `bDj`, or, on a miss, with `bDj` alone. Both arms load the
+/// complement words the early skip already read. Probe, skip and drop counts
+/// accumulate in `stats`; `tuples_in` is the caller's, who knows the batch size.
 #[inline]
 pub(crate) fn probe_bits<'g>(
     dim: &DimensionTable,
@@ -142,7 +147,10 @@ pub(crate) fn probe_bits<'g>(
     }
     stats.probes += 1;
     let (emptied, outcome) = match guard.get(fk()) {
-        Some([entry]) => (entry.bits.and_words(bits), ProbeOutcome::Joined(entry)),
+        Some([entry]) => (
+            entry.bits.and_or_words(&dim.complement, bits),
+            ProbeOutcome::Joined(entry),
+        ),
         Some(versions) => return ProbeOutcome::Versions(versions),
         None => (dim.complement.and_words(bits), ProbeOutcome::Kept),
     };
@@ -196,7 +204,7 @@ pub fn apply_filter(
             }
         }
         [entry] => {
-            entry.bits.and_into(&mut tuple.bits);
+            entry.bits.and_or_into(&dim.complement, &mut tuple.bits);
             if tuple.bits.is_empty() {
                 stats.tuples_dropped.fetch_add(1, Ordering::Relaxed);
                 false
@@ -207,7 +215,7 @@ pub fn apply_filter(
             }
         }
         versions => {
-            if combine_versions(versions, dim.slot, tuple, splits) {
+            if combine_versions(dim, versions, tuple, splits) {
                 true
             } else {
                 stats.tuples_dropped.fetch_add(1, Ordering::Relaxed);
@@ -375,7 +383,7 @@ impl FilterChain {
                         true
                     }
                     ProbeOutcome::Versions(versions) => {
-                        let survives = combine_versions(versions, slot, tuple, &mut splits);
+                        let survives = combine_versions(dim, versions, tuple, &mut splits);
                         stats.tuples_dropped += u64::from(!survives);
                         survives
                     }

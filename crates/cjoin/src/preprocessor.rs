@@ -1302,7 +1302,10 @@ impl Preprocessor {
                         tuple.dims[dim.slot] = Some(row);
                     }
                     Joined::Versions(versions) => {
-                        if !combine_versions(&versions, dim.slot, tuple, &mut splits) {
+                        // `bDj` is read after phase 3's guard was dropped. Its
+                        // bits change only for queries this tuple carries no
+                        // bit of, so the combine sees what phase 3 would have.
+                        if !combine_versions(dim, &versions, tuple, &mut splits) {
                             stats.tuples_dropped += 1;
                             out.truncate_live(out.len() - 1);
                         }

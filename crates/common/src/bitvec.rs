@@ -410,6 +410,37 @@ impl AtomicQuerySet {
         any == 0
     }
 
+    /// ANDs the union of this vector and `other` into `target` (`target &= self |
+    /// other`) without materialising the union. A dimension entry stores only the
+    /// queries that select it; the Filter's hit arm ORs in the complement `bDj`
+    /// here, one extra load per word.
+    #[inline]
+    pub fn and_or_into(&self, other: &AtomicQuerySet, target: &mut QuerySet) {
+        assert_eq!(self.capacity, target.capacity, "QuerySet capacity mismatch");
+        self.and_or_words(other, &mut target.words);
+    }
+
+    /// [`AtomicQuerySet::and_or_into`] over a bit-vector held as bare words,
+    /// reporting in the same pass whether `target` became (or already was) empty.
+    ///
+    /// # Panics
+    /// Panics if `other` or `target` is not exactly this vector's word count.
+    #[inline]
+    pub fn and_or_words(&self, other: &AtomicQuerySet, target: &mut [u64]) -> bool {
+        assert_eq!(self.words.len(), target.len(), "QuerySet width mismatch");
+        assert_eq!(
+            self.words.len(),
+            other.words.len(),
+            "QuerySet width mismatch"
+        );
+        let mut any = 0u64;
+        for ((t, s), o) in target.iter_mut().zip(&self.words).zip(&other.words) {
+            *t &= s.load(Ordering::Acquire) | o.load(Ordering::Acquire);
+            any |= *t;
+        }
+        any == 0
+    }
+
     /// Copies the atomic contents into `target`, overwriting it.
     #[inline]
     pub fn load_into(&self, target: &mut QuerySet) {
@@ -453,12 +484,6 @@ impl AtomicQuerySet {
         for (dst, src) in self.words.iter().zip(source.words()) {
             dst.store(*src, Ordering::Release);
         }
-    }
-}
-
-impl Clone for AtomicQuerySet {
-    fn clone(&self) -> Self {
-        Self::from_query_set(&self.snapshot())
     }
 }
 
@@ -610,6 +635,21 @@ mod tests {
     }
 
     #[test]
+    fn atomic_and_or_ands_with_the_union() {
+        let selecting = AtomicQuerySet::from_query_set(&QuerySet::from_bits(130, [3, 129]));
+        let ignoring = AtomicQuerySet::from_query_set(&QuerySet::from_bits(130, [64]));
+        let mut target = QuerySet::from_bits(130, [3, 5, 64, 100, 129]);
+        selecting.and_or_into(&ignoring, &mut target);
+        assert_eq!(target.iter().collect::<Vec<_>>(), vec![3, 64, 129]);
+        let mut disjoint = QuerySet::from_bits(130, [5, 100]);
+        assert!(selecting.and_or_words(&ignoring, disjoint.words_mut()));
+        assert!(disjoint.is_empty());
+        let mut kept = QuerySet::from_bits(130, [64, 100]);
+        assert!(!selecting.and_or_words(&ignoring, kept.words_mut()));
+        assert_eq!(kept.iter().collect::<Vec<_>>(), vec![64]);
+    }
+
+    #[test]
     #[should_panic(expected = "capacity mismatch")]
     fn and_assign_capacity_mismatch_panics() {
         let mut a = QuerySet::new(64);
@@ -671,13 +711,11 @@ mod tests {
     }
 
     #[test]
-    fn atomic_from_query_set_and_clone() {
+    fn atomic_from_query_set() {
         let src = QuerySet::from_bits(65, [64]);
         let a = AtomicQuerySet::from_query_set(&src);
         assert!(a.get(64));
-        let b = a.clone();
-        assert!(b.get(64));
-        assert_eq!(b.capacity(), 65);
+        assert_eq!(a.capacity(), 65);
     }
 
     #[test]

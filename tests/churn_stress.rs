@@ -116,7 +116,8 @@ fn sustained_query_churn_with_interleaved_updates_stays_correct() {
 /// (bits only ever shrink, survivors are non-empty, survivor order is stable);
 /// after the mutator quiesces, one batch processed under *both* settings of the
 /// `batched_probing` knob must exactly match a single-threaded `apply_filter`
-/// oracle over the final registered state.
+/// oracle over the final registered state, and once every registration is
+/// undone every table must be empty.
 #[test]
 fn probe_batch_under_concurrent_registration_matches_oracle() {
     const MAXC: usize = 32;
@@ -282,5 +283,23 @@ fn probe_batch_under_concurrent_registration_matches_oracle() {
             .map(|t| (t.row_id.0, t.bits.iter().collect()))
             .collect();
         assert_eq!(got, oracle, "batched={batched} diverges from the oracle");
+    }
+
+    // Undo the stable registrations too: with every registration undone, no
+    // table may still store a key. A bit left behind on a key the unregister
+    // walk missed would keep it stored.
+    for dim in &dims {
+        for q in 0..STABLE_QUERIES {
+            let removable = dim.unregister_query(QueryId(q), true);
+            assert_eq!(removable, q + 1 == STABLE_QUERIES, "{}", dim.name);
+        }
+        assert!(
+            dim.is_empty(),
+            "{} still stores {} keys",
+            dim.name,
+            dim.len()
+        );
+        let guard = dim.probe_batch();
+        assert!((0..KEYS * 2).all(|key| guard.get(key).is_none()));
     }
 }
