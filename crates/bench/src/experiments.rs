@@ -74,9 +74,10 @@ impl ExperimentParams {
     }
 
     fn cjoin_config(&self, concurrency: usize) -> CjoinConfig {
-        // Give the id allocator headroom above the driver's concurrency level: query
-        // ids are recycled asynchronously by the manager thread after completion, so
-        // a client can submit its next query slightly before the previous id is freed.
+        // The id allocator keeps headroom above the driver's concurrency level.
+        // A query's id is freed before its result is delivered, so `concurrency`
+        // ids would do; the headroom keeps the bit-vector widths the experiments
+        // have always run with.
         CjoinConfig::default()
             .with_worker_threads(self.worker_threads)
             .with_max_concurrency((concurrency * 2 + 16).max(32))

@@ -41,9 +41,6 @@ pub struct CjoinConfig {
     pub worker_threads: usize,
     /// Number of fact tuples per batch handed between pipeline threads.
     pub batch_size: usize,
-    /// How often (in milliseconds) the pipeline manager re-evaluates the filter
-    /// order from observed drop rates (§3.4).
-    pub reorder_interval_ms: u64,
     /// Enable the early-skip optimisation (`bτ AND ¬bDj == 0` avoids the probe, §3.2.2).
     pub early_skip: bool,
     /// Enable the batch-vectorized Filter hot path: the dimension hash-table read
@@ -113,7 +110,6 @@ impl Default for CjoinConfig {
             max_concurrency: 512,
             worker_threads: stage_width_for(host_cores()),
             batch_size: 1024,
-            reorder_interval_ms: 50,
             early_skip: true,
             batched_probing: true,
             distributor_shards: 1,

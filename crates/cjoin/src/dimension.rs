@@ -56,7 +56,7 @@
 //! [`DimensionTable::probe_batch`], which returns a [`ProbeGuard`]. The guard hands
 //! out *borrowed* `&DimEntry` references — no per-tuple `Arc` clone on the probe
 //! path — and its lifetime bounds every borrow, so an entry can never be observed
-//! after the manager garbage-collects it: removal requires the write lock, which
+//! after Algorithm 2 garbage-collects it: removal requires the write lock, which
 //! cannot be acquired while any guard is alive. Bit flips on existing entries and on
 //! the complement bitmap are atomic and require no lock, mirroring the paper's
 //! argument that concurrent bit updates are safe because a query's bit only appears
@@ -67,7 +67,7 @@
 //! the drain barrier has run before the query's end tuple, so no tuple carries the
 //! bit while Algorithm 2 clears it, and the id is recycled only afterwards.
 //! Holding the read lock across a batch does not change Algorithm 1/2 semantics:
-//! the manager's writes simply serialize at batch boundaries instead of
+//! admission's and clean-up's writes simply serialize at batch boundaries instead of
 //! tuple boundaries, and a Filter already applies one point-in-time table state to
 //! each tuple it processes. (The legacy per-tuple [`DimensionTable::probe`] is kept
 //! for the `batched_probing = false` ablation baseline.)

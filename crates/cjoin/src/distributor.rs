@@ -73,17 +73,32 @@
 //!   "in-flight = 0" means every batch that can carry the query's bit has been
 //!   accumulated. When the end tuple reaches a shard, the shard has already
 //!   drained every tuple of that query; it detaches its partial and folds it
-//!   into the query's merge slot. The shard whose
-//!   contribution is the `N`-th — the **end-barrier** — takes the merged state
-//!   out of the slot, finalizes it, counts the completion, delivers the result
-//!   and notifies the manager, in that order (invariant 2). With one shard the
-//!   first contribution is the last and the partial comes straight back. Query
-//!   ids are recycled strictly after that notification, and the closing shard
-//!   leaves the slot empty, so a recycled id can never collide with an
+//!   into the query's merge slot. The shard whose contribution is the `N`-th —
+//!   the **end-barrier** — takes the merged state out of the slot, finalizes
+//!   it, counts the completion, cleans the query up (the engine's [`Cleanup`],
+//!   Algorithm 2, which frees the id) and delivers the result, in that order
+//!   (invariant 2), so an `Ok` result means the query is already cleaned up.
+//!   With one shard the first contribution is the last and the partial comes
+//!   straight back. The slot is left empty and every other shard has dropped
+//!   its state for the query, so a query reusing the id never meets an
 //!   unfinished merge.
 //!
 //! Shutdown flows the same way: the engine sends one shutdown message to each
 //! shard queue, after the Stage workers have exited, and each shard exits.
+//!
+//! ## Lock order
+//!
+//! Clean-up makes a shard take the engine's admission mutex and then each
+//! Filter's entries write lock, and a shard waiting for either drains nothing.
+//! So no thread holds either lock while it blocks on a shard queue, the Stage
+//! queue, the drain barrier or the stall gate: `submit` evaluates σ_cij(Dj)
+//! before it takes admission and sends the install after releasing it; the
+//! deadline reaper and `fail_all_in_flight` hold admission only for
+//! bookkeeping and clean-ups; `swap_pipeline` joins the old shards under the
+//! core lock alone, which no shard takes; and the entries read lock — a Stage
+//! worker's [`ProbeGuard`](crate::dimension::ProbeGuard), the scan's
+//! `probe_leading` guard — is dropped before its holder sends a batch or
+//! finalizes a query.
 //!
 //! ## Failure and barrier release
 //!
@@ -107,7 +122,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
 use cjoin_common::QueryId;
@@ -118,6 +133,11 @@ use crate::fault::{self, FaultPlan, FaultSite};
 use crate::pool::BatchPool;
 use crate::stats::{ShardCounters, SharedCounters};
 use crate::tuple::{Batch, ControlTuple, Message, QueryRuntime};
+
+/// Algorithm 2 for a finished query, as the engine hands it to every shard:
+/// the shard that completes the query's end-barrier runs it before it delivers
+/// the result.
+pub type Cleanup = Arc<dyn Fn(QueryId) + Send + Sync>;
 
 /// One shard's aggregation state of one registered query.
 struct QueryAggregation {
@@ -182,7 +202,7 @@ pub struct Distributor {
     counters: Arc<SharedCounters>,
     shard_counters: Arc<ShardCounters>,
     merge: Arc<MergeSlots>,
-    finished_tx: Sender<QueryId>,
+    cleanup: Cleanup,
     queries: Vec<Option<QueryAggregation>>,
     /// Scratch: bits of the registered queries the current batch carries, in order
     /// of first appearance; empty between batches.
@@ -192,7 +212,7 @@ pub struct Distributor {
 
 impl Distributor {
     /// Creates one shard of a stage whose shards share `merge`. `input` is the
-    /// shard's own queue.
+    /// shard's own queue; `cleanup` runs for each query this shard finishes.
     pub fn new(
         input: Receiver<Message>,
         in_flight: Arc<AtomicI64>,
@@ -200,7 +220,7 @@ impl Distributor {
         counters: Arc<SharedCounters>,
         shard_counters: Arc<ShardCounters>,
         merge: Arc<MergeSlots>,
-        finished_tx: Sender<QueryId>,
+        cleanup: Cleanup,
     ) -> Self {
         Self {
             input,
@@ -210,7 +230,7 @@ impl Distributor {
             shard_counters,
             queries: (0..merge.slots.len()).map(|_| None).collect(),
             merge,
-            finished_tx,
+            cleanup,
             carried: Vec::new(),
             faults: None,
         }
@@ -307,16 +327,15 @@ impl Distributor {
                     return;
                 };
                 let result = merged.finalize();
-                // Count completion before delivering the result: a client
+                // Count and clean up before delivering the result: a client
                 // that wakes on the result channel must observe its own
-                // query in `queries_completed`.
+                // query in `queries_completed`, and its id already free.
                 SharedCounters::add(&self.counters.queries_completed, 1);
+                (self.cleanup)(id);
                 // First-wins delivery: if the supervisor or the deadline
                 // reaper already failed this query, the Ok outcome is
-                // dropped here. The lifecycle (finished notification, id
-                // recycling) still completes either way.
+                // dropped here. The clean-up above ran either way.
                 state.runtime.resolve(Ok(result));
-                let _ = self.finished_tx.send(id);
             }
         }
     }
@@ -329,8 +348,15 @@ mod tests {
     use cjoin_common::QuerySet;
     use cjoin_query::{AggFunc, AggValue, AggregateSpec, ColumnRef, Predicate, StarQuery};
     use cjoin_storage::{Catalog, Column, RowId, Schema, SnapshotId, Table, Value};
-    use crossbeam::channel::{bounded, unbounded};
+    use crossbeam::channel::{bounded, unbounded, Sender};
     use std::time::Instant;
+
+    /// A [`Cleanup`] that records the ids it runs for, in order.
+    fn recorder() -> (Cleanup, Arc<Mutex<Vec<QueryId>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        (Arc::new(move |id| record.lock().push(id)), seen)
+    }
 
     /// Catalog: fact(fk, amount) + dim color(k, name).
     fn catalog() -> Catalog {
@@ -399,15 +425,9 @@ mod tests {
         t
     }
 
-    #[allow(clippy::type_complexity)]
-    fn harness() -> (
-        Distributor,
-        Sender<Message>,
-        Receiver<QueryId>,
-        Arc<AtomicI64>,
-    ) {
+    /// A one-shard Distributor over a fresh queue that runs `cleanup`.
+    fn harness_with(cleanup: Cleanup) -> (Distributor, Sender<Message>, Arc<AtomicI64>) {
         let (tx, rx) = unbounded();
-        let (fin_tx, fin_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(0));
         let d = Distributor::new(
             rx,
@@ -416,16 +436,40 @@ mod tests {
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
             MergeSlots::new(8, 1),
-            fin_tx,
+            cleanup,
         );
-        (d, tx, fin_rx, in_flight)
+        (d, tx, in_flight)
     }
 
+    /// [`harness_with`] a [`recorder`], whose record it also returns.
+    #[allow(clippy::type_complexity)]
+    fn harness() -> (
+        Distributor,
+        Sender<Message>,
+        Arc<Mutex<Vec<QueryId>>>,
+        Arc<AtomicI64>,
+    ) {
+        let (cleanup, cleaned) = recorder();
+        let (d, tx, in_flight) = harness_with(cleanup);
+        (d, tx, cleaned, in_flight)
+    }
+
+    /// The shard that delivers a result has already cleaned its query up: the
+    /// clean-up runs while the outcome is still unresolved.
     #[test]
     fn routes_tuples_to_registered_queries_and_finalizes() {
         let catalog = catalog();
-        let (mut d, tx, fin_rx, in_flight) = harness();
         let (rt, result_rx) = runtime(&catalog, 0, true);
+        let cleaned = Arc::new(Mutex::new(Vec::new()));
+        let cleanup: Cleanup = {
+            let (rt, cleaned) = (Arc::clone(&rt), Arc::clone(&cleaned));
+            Arc::new(move |id| {
+                cleaned
+                    .lock()
+                    .push((id, rt.resolved.load(Ordering::Acquire)))
+            })
+        };
+        let (mut d, tx, in_flight) = harness_with(cleanup);
 
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
             .unwrap();
@@ -451,7 +495,11 @@ mod tests {
             result.aggregate_for(&[Value::str("green")]).unwrap()[0],
             AggValue::Int(20)
         );
-        assert_eq!(fin_rx.try_recv().unwrap(), QueryId(0));
+        assert_eq!(
+            *cleaned.lock(),
+            [(QueryId(0), false)],
+            "cleaned up once, before delivery"
+        );
         assert_eq!(
             in_flight.load(Ordering::Acquire),
             0,
@@ -462,7 +510,7 @@ mod tests {
     #[test]
     fn tuples_for_unregistered_bits_are_ignored() {
         let catalog = catalog();
-        let (mut d, tx, _fin_rx, in_flight) = harness();
+        let (mut d, tx, _cleaned, in_flight) = harness();
         let (rt, result_rx) = runtime(&catalog, 1, false);
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
             .unwrap();
@@ -507,7 +555,7 @@ mod tests {
     #[test]
     fn multiple_concurrent_queries_share_one_tuple() {
         let catalog = catalog();
-        let (mut d, tx, fin_rx, in_flight) = harness();
+        let (mut d, tx, cleaned, in_flight) = harness();
         let (rt0, rx0) = runtime(&catalog, 0, false);
         let (rt1, rx1) = runtime(&catalog, 1, true);
         let (rt3, rx3) = runtime(&catalog, 3, true);
@@ -552,8 +600,7 @@ mod tests {
         assert_eq!(q3.num_rows(), 2);
         assert_eq!(by_name(&q3, "red"), AggValue::Int(3));
         assert_eq!(by_name(&q3, "green"), AggValue::Int(27));
-        let finished: Vec<_> = fin_rx.try_iter().collect();
-        assert_eq!(finished, vec![QueryId(0), QueryId(1), QueryId(3)]);
+        assert_eq!(*cleaned.lock(), [QueryId(0), QueryId(1), QueryId(3)]);
 
         // The counters the rig's `routings_per_tuple` and the sharding suite's
         // sum invariants read: one routing per (tuple, registered bit), one
@@ -579,7 +626,6 @@ mod tests {
     ) -> (Distributor, Vec<Receiver<cjoin_query::QueryOutcome>>) {
         let catalog = catalog();
         let (tx, rx) = unbounded();
-        let (fin_tx, _fin_rx) = unbounded();
         let in_flight = Arc::new(AtomicI64::new(batches as i64));
         let d = Distributor::new(
             rx,
@@ -588,7 +634,7 @@ mod tests {
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
             MergeSlots::new(queries, 1),
-            fin_tx,
+            Arc::new(|_| {}),
         );
         let mut results = Vec::new();
         for bit in 0..queries {
@@ -660,7 +706,7 @@ mod tests {
     #[test]
     fn query_with_no_matching_tuples_still_delivers_a_result() {
         let catalog = catalog();
-        let (mut d, tx, _fin, _in_flight) = harness();
+        let (mut d, tx, _cleaned, _in_flight) = harness();
         let (rt, result_rx) = runtime(&catalog, 0, true);
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
             .unwrap();
@@ -678,7 +724,7 @@ mod tests {
     #[test]
     fn dropped_result_receiver_does_not_wedge_the_pipeline() {
         let catalog = catalog();
-        let (mut d, tx, fin_rx, _in_flight) = harness();
+        let (mut d, tx, cleaned, _in_flight) = harness();
         let (rt, result_rx) = runtime(&catalog, 0, false);
         drop(result_rx);
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
@@ -687,16 +733,12 @@ mod tests {
             .unwrap();
         tx.send(Message::Shutdown).unwrap();
         d.run();
-        assert_eq!(
-            fin_rx.try_recv().unwrap(),
-            QueryId(0),
-            "cleanup still notified"
-        );
+        assert_eq!(*cleaned.lock(), [QueryId(0)], "cleanup still runs");
     }
 
     #[test]
     fn exits_when_senders_disconnect() {
-        let (mut d, tx, _fin, _inf) = harness();
+        let (mut d, tx, _cleaned, _inf) = harness();
         drop(tx);
         d.run(); // must return immediately rather than block forever
     }
@@ -707,7 +749,7 @@ mod tests {
 
     /// Invariant 2 at the unit level, for stages of 1, 2 and 4 shards: nothing is
     /// delivered before the last shard's contribution, that shard delivers the
-    /// exact global result (counted, resolved, manager notified), and the slot is
+    /// exact global result (counted, cleaned up, resolved), and the slot is
     /// left ready for the id's next query.
     #[test]
     fn end_barrier_waits_for_every_shard_and_the_last_one_delivers() {
@@ -723,7 +765,7 @@ mod tests {
         for shards in [1, 2, 4] {
             let merge = MergeSlots::new(8, shards);
             let counters = SharedCounters::new();
-            let (fin_tx, fin_rx) = unbounded();
+            let (cleanup, cleaned) = recorder();
             let in_flight = Arc::new(AtomicI64::new(0));
             for round in 0..2 {
                 let (rt, result_rx) = runtime(&catalog, 3, true);
@@ -743,7 +785,7 @@ mod tests {
                         Arc::clone(&counters),
                         Arc::clone(&shard_counters),
                         Arc::clone(&merge),
-                        fin_tx.clone(),
+                        Arc::clone(&cleanup),
                     );
                     tx.send(Message::Control(ControlTuple::QueryStart(Arc::clone(&rt))))
                         .unwrap();
@@ -771,7 +813,7 @@ mod tests {
                         round,
                         "{shards} shards: not counted before the barrier completes"
                     );
-                    assert!(fin_rx.try_recv().is_err());
+                    assert_eq!(cleaned.lock().len() as u64, round, "not cleaned up yet");
                     worker.run();
                     assert_eq!(shard_counters.partials_emitted.load(Ordering::Relaxed), 1);
                     assert_eq!(
@@ -792,8 +834,11 @@ mod tests {
                     counters.queries_completed.load(Ordering::Relaxed),
                     round + 1
                 );
-                assert_eq!(fin_rx.try_recv().unwrap(), QueryId(3));
-                assert!(fin_rx.try_recv().is_err(), "one notification per query");
+                assert_eq!(
+                    *cleaned.lock(),
+                    vec![QueryId(3); round as usize + 1],
+                    "one clean-up per query"
+                );
             }
             assert_eq!(in_flight.load(Ordering::Acquire), 0);
             assert_eq!(

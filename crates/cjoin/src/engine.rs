@@ -1,7 +1,7 @@
 //! The public CJOIN engine: query admission, finalization and pipeline lifecycle.
 //!
 //! [`CjoinEngine::start`] builds the always-on pipeline (continuous scan →
-//! Preprocessor → Stage → aggregation stage) and the manager thread. The scan
+//! Preprocessor → Stage → aggregation stage) and the supervisor thread. The scan
 //! front-end is `CjoinConfig::scan_workers` scan workers, one by default, each
 //! over its own segment of the fact table (see [`crate::preprocessor`]). The
 //! Stage is `CjoinConfig::worker_threads` workers, each running the whole
@@ -14,9 +14,12 @@
 //! returns a [`QueryHandle`] whose [`QueryHandle::wait`] blocks until the continuous
 //! scan has wrapped around the query's starting tuple and its result is complete.
 //!
-//! The manager thread performs the asynchronous work of §3.3.2 and §3.4: cleaning up
-//! dimension hash tables after queries finish (Algorithm 2), recycling query ids, and
-//! periodically re-optimising the Filter order from observed selectivities.
+//! The paper's Pipeline Manager has no thread here. Its clean-up after a
+//! finished query (§3.3.2, Algorithm 2: dimension hash tables, Filters, the
+//! query id) runs on the aggregation shard that delivers the result, just
+//! before it delivers, so an `Ok` result means the query is already cleaned
+//! up. Its run-time re-optimisation of the Filter order from observed
+//! selectivities (§3.4) runs on the supervisor's timer.
 //!
 //! # Supervision
 //!
@@ -63,7 +66,7 @@
 //! [`CjoinEngine::request_resize`], and the supervisor stepping a failed axis
 //! down. A resize is a *pipeline swap at a quiescent point*: under the core
 //! lock the current incarnation is drained gracefully (every in-flight batch
-//! settles, the manager finishes its cleanup backlog), a new core is spawned
+//! settles, and every query it finished is cleaned up), a new core is spawned
 //! at the new width, and every still-unresolved query is re-installed on it at
 //! its original snapshot. Re-installed queries restart a full pass — §3.3's
 //! wrap protocol makes any complete pass over the snapshot produce the exact
@@ -89,7 +92,7 @@ use cjoin_storage::{
 use crate::colscan::ReplicaScan;
 use crate::config::{host_cores, stage_width_for, CjoinConfig};
 use crate::dimension::DimensionTable;
-use crate::distributor::{Distributor, MergeSlots};
+use crate::distributor::{Cleanup, Distributor, MergeSlots};
 use crate::fault::{inject, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
@@ -113,8 +116,9 @@ struct Registered {
     referenced_dims: Vec<String>,
 }
 
-/// State shared between admissions (caller threads), the manager thread and the
-/// supervisor.
+/// State shared between admissions (caller threads), the shards that clean
+/// finished queries up and the supervisor. Lock order: after the core lock,
+/// before every Filter's entries lock (see [`crate::distributor`]).
 #[derive(Debug)]
 struct AdmissionState {
     allocator: QueryIdAllocator,
@@ -243,7 +247,6 @@ struct PipelineThreads {
     stage_workers: Vec<JoinHandle<()>>,
     /// Aggregation stage: one thread per shard.
     distributors: Vec<JoinHandle<()>>,
-    manager: JoinHandle<()>,
 }
 
 /// One incarnation of the always-on pipeline: its threads, queues, per-core
@@ -531,9 +534,14 @@ impl CjoinEngine {
             })
             .collect();
 
-        // Aggregation stage: the shards, over one set of merge slots.
-        let (finished_tx, finished_rx) = unbounded();
+        // Aggregation stage: the shards, over one set of merge slots. The shard
+        // that finishes a query runs Algorithm 2 for it.
         let merge = MergeSlots::new(config.max_concurrency, shards);
+        let cleanup: Cleanup = {
+            let chain = Arc::clone(&chain);
+            let admission = Arc::clone(&shared.admission);
+            Arc::new(move |id| cleanup_query(id, &chain, &admission))
+        };
         let mut distributor_handles = Vec::with_capacity(shards);
         for (shard, shard_counter) in shard_counters.iter().enumerate() {
             let mut distributor = Distributor::new(
@@ -543,7 +551,7 @@ impl CjoinEngine {
                 Arc::clone(&counters),
                 Arc::clone(shard_counter),
                 Arc::clone(&merge),
-                finished_tx.clone(),
+                Arc::clone(&cleanup),
             )
             .with_faults(config.fault_plan.clone());
             distributor_handles.push(spawn_supervised(
@@ -552,28 +560,6 @@ impl CjoinEngine {
                 move || distributor.run(),
             ));
         }
-        // The manager must observe the channel disconnect once every shard
-        // exits, so the engine keeps no sender of its own.
-        drop(finished_tx);
-
-        // Manager thread: Algorithm 2 cleanup + run-time filter ordering.
-        let manager_handle = {
-            let chain = Arc::clone(&chain);
-            let admission = Arc::clone(&shared.admission);
-            let counters = Arc::clone(&counters);
-            let config = config.clone();
-            let shutdown_flag = Arc::clone(&shared.shutdown_flag);
-            spawn_supervised(RoleKind::Manager, failure_tx, move || {
-                run_manager(
-                    finished_rx,
-                    chain,
-                    admission,
-                    counters,
-                    config,
-                    shutdown_flag,
-                )
-            })
-        };
 
         Ok(PipelineCore {
             cmd_tx,
@@ -591,7 +577,6 @@ impl CjoinEngine {
                 scan_workers: scan_worker_handles,
                 stage_workers: stage_worker_handles,
                 distributors: distributor_handles,
-                manager: manager_handle,
             },
         })
     }
@@ -701,6 +686,22 @@ impl CjoinEngine {
             }
         }
 
+        // ---- Algorithm 1, lines 11–16, first half: evaluate σ_cij(Dj) ----------
+        // Before any lock: the snapshot is fixed above, so the rows are the ones
+        // the locks would see, the shards' clean-ups never wait on a dimension
+        // scan, and a failed lookup returns before any id is allocated.
+        let mut selections = Vec::with_capacity(bound.dimensions.len());
+        for clause in &bound.dimensions {
+            let dimension = self.shared.catalog.table(&clause.table)?;
+            let rows: Vec<(i64, Row)> = dimension
+                .select(snapshot, |row| clause.predicate.eval(row))
+                .into_iter()
+                .map(|(_, row)| (row.int(clause.dim_key_column), row))
+                .collect();
+            selections.push(rows);
+        }
+        let fact_rows = self.shared.catalog.fact_table()?.len() as u64;
+
         // Hold the core lock across admission + registration (NOT across the
         // installation ack wait — see below). Registering under the lock means
         // a concurrent supervisor restart either finishes strictly before this
@@ -726,7 +727,7 @@ impl CjoinEngine {
         let mut referenced_dims = Vec::with_capacity(bound.dimensions.len());
         let mut slot_map = Vec::with_capacity(bound.dimensions.len());
         let mut admit = || -> Result<()> {
-            for clause in &bound.dimensions {
+            for (clause, rows) in bound.dimensions.iter().zip(&selections) {
                 let dim_table = match self.shared.chain.find(&clause.table) {
                     Some(existing) => {
                         if existing.fact_fk_column != clause.fact_fk_column
@@ -753,14 +754,7 @@ impl CjoinEngine {
                         table
                     }
                 };
-                // Evaluate σ_cij(Dj) against the dimension table and load the result.
-                let dimension = self.shared.catalog.table(&clause.table)?;
-                let rows: Vec<(i64, Row)> = dimension
-                    .select(snapshot, |row| clause.predicate.eval(row))
-                    .into_iter()
-                    .map(|(_, row)| (row.int(clause.dim_key_column), row))
-                    .collect();
-                dim_table.register_query(id, &rows);
+                dim_table.register_query(id, rows);
                 referenced_dims.push(clause.table.clone());
                 slot_map.push(dim_table.slot);
             }
@@ -787,9 +781,7 @@ impl CjoinEngine {
         }
 
         let (result_tx, result_rx) = bounded(1);
-        let progress = Arc::new(QueryProgress::new(
-            self.shared.catalog.fact_table()?.len() as u64
-        ));
+        let progress = Arc::new(QueryProgress::new(fact_rows));
         let runtime = Arc::new(QueryRuntime {
             id,
             name: query.name.clone(),
@@ -1365,39 +1357,11 @@ impl cjoin_query::JoinEngine for CjoinEngine {
     }
 }
 
-/// The manager thread body: query cleanup (Algorithm 2) and run-time filter ordering (§3.4).
-fn run_manager(
-    finished_rx: Receiver<QueryId>,
-    chain: Arc<FilterChain>,
-    admission: Arc<Mutex<AdmissionState>>,
-    counters: Arc<SharedCounters>,
-    config: CjoinConfig,
-    shutdown_flag: Arc<AtomicBool>,
-) {
-    let interval = Duration::from_millis(config.reorder_interval_ms.max(1));
-    let mut last_reorder = Instant::now();
-    loop {
-        match finished_rx.recv_timeout(interval) {
-            Ok(id) => cleanup_query(id, &chain, &admission),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        if shutdown_flag.load(Ordering::Acquire) {
-            // Drain any remaining notifications before exiting so ids are recycled.
-            while let Ok(id) = finished_rx.try_recv() {
-                cleanup_query(id, &chain, &admission);
-            }
-            break;
-        }
-        if last_reorder.elapsed() >= interval {
-            reorder_filters(&chain, &counters);
-            last_reorder = Instant::now();
-        }
-    }
-}
-
 /// Algorithm 2: remove a finished query from every dimension hash table, drop empty
 /// Filters, recycle the query id and drop the supervisor's runtime registration.
+/// Run by the shard that finishes the query (see [`crate::distributor`]), and by
+/// the supervisor and pipeline swaps for queries no pipeline will finish.
+/// Idempotent: a second call for the same id finds nothing registered.
 ///
 /// Each table clears the id's bit on the rows the query selected there and on
 /// nothing else, so the admission lock is held for O(the query's selected rows):
@@ -1438,8 +1402,8 @@ enum SwapIntent {
 /// in-flight query across.
 ///
 /// Under the core lock: drain the current core gracefully (a quiescent point —
-/// every in-flight batch settles and the manager finishes its cleanup
-/// backlog), update the config width and record the resize, spawn the new
+/// every in-flight batch settles, and every query the shards finish is cleaned
+/// up before they exit), update the config width and record the resize, spawn the new
 /// core, and send a re-install for every still-unresolved registered query at
 /// its original snapshot. The installs are *sent* under the lock — the new
 /// core has processed nothing yet and submissions/reaper/supervisor all
@@ -1581,19 +1545,25 @@ fn await_install_ack(
     }
 }
 
-/// The supervisor thread body: reacts to role deaths with [`handle_failure`]
-/// and runs the deadline reaper at a *bounded* interval.
+/// How often the supervisor re-derives the Filter order (§3.4).
+const REORDER_EVERY: Duration = Duration::from_millis(50);
+
+/// The supervisor thread body: reacts to role deaths with [`handle_failure`],
+/// runs the deadline reaper at a *bounded* interval, and re-derives the Filter
+/// order from observed drop rates (§3.4) every [`REORDER_EVERY`]. The scan
+/// thread, the busiest of the pipeline, does none of that work.
 ///
 /// The bound is the fix for reaper starvation: the loop used to reap only on
 /// the `recv_timeout` Timeout arm, so every received event reset the 10ms
 /// window and a sustained event stream (admission nudges, failure cascades)
 /// could postpone reaping indefinitely while overdue queries sat unresolved.
-/// Now `next_reap` is an absolute deadline — events shorten the wait but never
-/// push the reap back, so no channel traffic pattern can delay it beyond one
-/// tick.
+/// Now `next_reap` and `next_reorder` are absolute deadlines — events shorten
+/// the wait but never push either back, so no channel traffic pattern can
+/// delay them beyond one tick.
 fn run_supervisor(shared: Arc<EngineShared>, failure_rx: Receiver<SupervisorEvent>) {
     const TICK: Duration = Duration::from_millis(10);
     let mut next_reap = Instant::now() + TICK;
+    let mut next_reorder = Instant::now() + REORDER_EVERY;
     loop {
         if shared.shutdown_flag.load(Ordering::Acquire) {
             return;
@@ -1603,7 +1573,13 @@ fn run_supervisor(shared: Arc<EngineShared>, failure_rx: Receiver<SupervisorEven
             reap_deadlines(&shared);
             next_reap = now + TICK;
         }
-        let wait = next_reap.saturating_duration_since(Instant::now());
+        if now >= next_reorder {
+            reorder_filters(&shared.chain, &shared.counters);
+            next_reorder = now + REORDER_EVERY;
+        }
+        let wait = next_reap
+            .min(next_reorder)
+            .saturating_duration_since(Instant::now());
         match failure_rx.recv_timeout(wait) {
             Ok(SupervisorEvent::Failure(failure)) => handle_failure(&shared, failure, &failure_rx),
             // A deadline query was admitted: nothing to do beyond waking up —
@@ -1705,9 +1681,7 @@ fn handle_failure(
         let mut config = shared.config.lock();
         let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
         for role in &roles {
-            let Some(axis) = role.axis() else {
-                continue;
-            };
+            let axis = role.axis();
             let from = *axis.width_in(&mut config);
             if let Some(note) = degrade(&mut config, axis) {
                 eprintln!("cjoin: degrading after '{role}' failure: {note}");
@@ -1758,7 +1732,7 @@ fn degrade(config: &mut CjoinConfig, axis: Axis) -> Option<String> {
 /// The deadline reaper (one supervisor tick): resolves overdue queries to
 /// [`QueryError::DeadlineExceeded`] and retires them from the scan through the
 /// normal cancel path, so partial state is released with exactly-once
-/// bookkeeping and the id recycles through the manager as usual.
+/// bookkeeping and the id recycles through the closing shard as usual.
 fn reap_deadlines(shared: &Arc<EngineShared>) {
     let now = Instant::now();
     // Lock order everywhere: core before admission.
@@ -1803,8 +1777,8 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
 /// channel disconnect once the dead consumer's receiver is gone instead of
 /// waiting forever. Surviving consumers keep draining until their upstream
 /// disconnects, which preserves the join order's termination argument stage by
-/// stage; the manager exits last, when the aggregation stage drops the
-/// finished-query channel.
+/// stage. Every query a shard finished was cleaned up before the shard moved
+/// on, so nothing is left to do once the shards are joined.
 fn teardown_core(core: PipelineCore, poisoned: bool) {
     let PipelineCore {
         cmd_tx,
@@ -1848,9 +1822,6 @@ fn teardown_core(core: PipelineCore, poisoned: bool) {
     for handle in threads.distributors {
         let _ = handle.join();
     }
-    // The aggregation stage dropping its side of the finished-query channel lets
-    // the manager observe the disconnect and exit.
-    let _ = threads.manager.join();
 }
 
 #[cfg(test)]
@@ -1980,8 +1951,7 @@ mod tests {
                 result.diff(&expected)
             );
         }
-        // After completion the manager cleans everything up.
-        std::thread::sleep(Duration::from_millis(100));
+        // Each query was cleaned up before its result was delivered.
         assert_eq!(engine.active_queries(), 0);
         let stats = engine.stats();
         assert_eq!(stats.queries_admitted, 4);
@@ -2002,11 +1972,29 @@ mod tests {
         for i in 0..5 {
             let result = engine.execute(red_sum_query(&format!("q{i}"))).unwrap();
             assert_eq!(result.num_rows(), 1);
-            // Allow the manager to clean up before the next submission needs an id.
-            let deadline = Instant::now() + Duration::from_secs(2);
-            while engine.active_queries() > 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        }
+        engine.shutdown();
+    }
+
+    /// The shard that delivers a result has already run Algorithm 2: with
+    /// `maxConc` 1, back-to-back queries find the id free and the Filter gone
+    /// the moment the previous result arrives, with nothing to wait for.
+    #[test]
+    fn an_ok_result_means_the_query_is_already_cleaned_up() {
+        let catalog = small_catalog(120);
+        let config = test_config()
+            .with_max_concurrency(1)
+            .with_worker_threads(1)
+            .with_batch_size(32);
+        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+        for round in 0..200 {
+            let result = engine.execute(red_sum_query(&format!("q{round}")));
+            assert_eq!(result.unwrap().num_rows(), 1, "round {round}");
+            assert_eq!(engine.active_queries(), 0, "round {round}: id still held");
+            assert!(
+                engine.filter_order().is_empty(),
+                "round {round}: Filter still in the chain"
+            );
         }
         engine.shutdown();
     }
@@ -2024,17 +2012,11 @@ mod tests {
             reference::evaluate(&catalog, &red_sum_query("red"), SnapshotId::INITIAL).unwrap();
         for round in 0..100 {
             // The query alone references `color`: its Filter is created at
-            // admission and retired by the manager once the query is cleaned up.
+            // admission and retired when the query is cleaned up, before its
+            // result is delivered.
             let result = engine.execute(red_sum_query(&format!("q{round}"))).unwrap();
             assert_eq!(result, expected, "round {round}");
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while !engine.filter_order().is_empty() {
-                assert!(
-                    Instant::now() < deadline,
-                    "round {round}: Filter never retired"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            assert!(engine.filter_order().is_empty(), "round {round}");
         }
         assert_eq!(engine.shared.slot_count.load(Ordering::Acquire), 1);
         assert_eq!(engine.shared.admission.lock().dim_slots, ["color"]);

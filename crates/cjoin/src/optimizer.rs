@@ -9,7 +9,8 @@
 //!
 //! Every Filter has identical cost (one hash probe + one bitwise AND), so the
 //! rank-ordering rule reduces to sorting Filters by decreasing observed drop rate.
-//! The decision runs periodically in the engine's manager thread; applying it is a
+//! The decision runs every 50 ms on the engine's supervisor thread, which is
+//! awake on that timer anyway and is off the scan's hot path; applying it is a
 //! single swap of the shared [`FilterChain`] order, picked up by workers at their
 //! next batch.
 

@@ -21,11 +21,13 @@
 //! [`StagePlan`] records the three widths so diagnostics and tests can reason
 //! about the whole pipeline.
 //!
-//! The supervised roles are therefore four ([`RoleKind`]): scan worker, Stage
-//! worker, distributor shard, and the manager. Query lifecycle has no thread of
-//! its own — worker 0 of the front-end emits a query's start tuple, the scan
-//! worker that finishes the query's pass last emits its end tuple, and the
-//! shard that drains that end tuple last delivers the result.
+//! The supervised roles are therefore three ([`RoleKind`]): scan worker, Stage
+//! worker and distributor shard. Query lifecycle has no thread of its own —
+//! worker 0 of the front-end emits a query's start tuple, the scan worker that
+//! finishes the query's pass last emits its end tuple, and the shard that
+//! drains that end tuple last cleans the query up (Algorithm 2) and delivers
+//! the result. The engine's supervisor thread, outside the pipeline, re-derives
+//! the Filter order (§3.4) on its timer.
 //!
 //! # Supervision and barrier release on failure
 //!
@@ -80,8 +82,6 @@ pub enum RoleKind {
     StageWorker(usize),
     /// Distributor aggregation shard `i`.
     DistributorShard(usize),
-    /// The pipeline manager (filter reordering, query cleanup).
-    Manager,
 }
 
 impl RoleKind {
@@ -91,30 +91,16 @@ impl RoleKind {
             RoleKind::ScanWorker(i) => format!("cjoin-scan-w{i}"),
             RoleKind::StageWorker(i) => format!("cjoin-stage-w{i}"),
             RoleKind::DistributorShard(i) => format!("cjoin-distributor-s{i}"),
-            RoleKind::Manager => "cjoin-manager".into(),
-        }
-    }
-
-    /// The fault-injection site the role hosts ([`FaultSite`] is coarser than
-    /// `RoleKind`: it does not distinguish worker indices, and the manager has
-    /// no injection site).
-    pub fn fault_site(&self) -> Option<FaultSite> {
-        match self {
-            RoleKind::ScanWorker(_) => Some(FaultSite::ScanWorker),
-            RoleKind::StageWorker(_) => Some(FaultSite::StageWorker),
-            RoleKind::DistributorShard(_) => Some(FaultSite::DistributorShard),
-            RoleKind::Manager => None,
         }
     }
 
     /// The parallelism axis the role belongs to — the one the supervisor steps
-    /// down after the role dies (the manager belongs to none).
-    pub fn axis(&self) -> Option<Axis> {
+    /// down after the role dies.
+    pub fn axis(&self) -> Axis {
         match self {
-            RoleKind::ScanWorker(_) => Some(Axis::ScanWorkers),
-            RoleKind::StageWorker(_) => Some(Axis::StageWorkers),
-            RoleKind::DistributorShard(_) => Some(Axis::DistributorShards),
-            RoleKind::Manager => None,
+            RoleKind::ScanWorker(_) => Axis::ScanWorkers,
+            RoleKind::StageWorker(_) => Axis::StageWorkers,
+            RoleKind::DistributorShard(_) => Axis::DistributorShards,
         }
     }
 }
@@ -125,7 +111,6 @@ impl std::fmt::Display for RoleKind {
             RoleKind::ScanWorker(i) => write!(f, "scan-worker-{i}"),
             RoleKind::StageWorker(i) => write!(f, "stage-worker-{i}"),
             RoleKind::DistributorShard(i) => write!(f, "distributor-shard-{i}"),
-            RoleKind::Manager => f.write_str("manager"),
         }
     }
 }
@@ -144,9 +129,9 @@ pub struct RoleFailure {
 ///
 /// The channel carries more than failures so the supervisor loop is the one
 /// place that decides how to interleave recovery with housekeeping (the
-/// deadline reaper). Benign traffic must never be able to starve the reaper:
-/// the supervisor bounds its inter-reap interval regardless of how fast events
-/// arrive (see `engine::run_supervisor`).
+/// deadline reaper, the Filter reordering). Benign traffic must never be able
+/// to starve either: the supervisor keeps both on absolute deadlines regardless
+/// of how fast events arrive (see `engine::run_supervisor`).
 #[derive(Debug, Clone)]
 pub enum SupervisorEvent {
     /// A supervised role died by panic; triggers resolve/teardown/respawn.

@@ -259,10 +259,13 @@ pub enum PreprocessorCommand {
     /// Cancel an in-flight query: finalize it immediately (retire its bit,
     /// emit the end-of-query control tuple behind the usual drain barrier) so
     /// its partial state is released through the normal lifecycle machinery.
-    /// The canceller resolves the query's outcome *before* sending this, so the
-    /// Distributor's eventual result for the truncated scan is discarded by the
-    /// first-wins latch — exactly-once accounting is preserved because the
-    /// control-tuple protocol is unchanged.
+    /// The canceller marks the query cancelled and resolves its outcome
+    /// *before* sending this, so the Distributor's eventual result for the
+    /// truncated scan is discarded by the first-wins latch — exactly-once
+    /// accounting is preserved because the control-tuple protocol is unchanged.
+    /// The send happens without any lock, so by the time it arrives the query
+    /// may have finished and a new one may run under the same id: a worker
+    /// retires only a query whose runtime is marked cancelled.
     Cancel {
         /// The query to cancel.
         id: QueryId,
@@ -318,7 +321,8 @@ pub struct PreprocessorContext {
 /// Per-query state kept by the Preprocessor while the query is active.
 #[derive(Debug)]
 struct ActiveQuery {
-    progress: Arc<QueryProgress>,
+    /// The installed query (progress tracker, cancellation flag).
+    runtime: Arc<QueryRuntime>,
     fact_predicate: Option<BoundPredicate>,
     /// The fact predicate compiled for evaluation over encoded column data
     /// (only with a replica; `None` falls back to `fact_predicate` on
@@ -631,8 +635,11 @@ impl Preprocessor {
                     if !self.relay(|| PreprocessorCommand::Cancel { id }) {
                         return;
                     }
+                    // A stale cancel names a query that already finished; the
+                    // id's current query, if any, was never cancelled.
                     let bit = id.index();
-                    if self.queries.get(bit).is_some_and(Option::is_some) {
+                    let query = self.queries.get(bit).and_then(Option::as_ref);
+                    if query.is_some_and(|q| q.runtime.is_cancelled()) {
                         self.finalize_query(bit);
                     }
                 }
@@ -745,7 +752,7 @@ impl Preprocessor {
             PassEnd::Wrap | PassEnd::Nothing => start,
         };
         self.queries[bit] = Some(ActiveQuery {
-            progress: Arc::clone(&runtime.progress),
+            runtime,
             fact_predicate,
             encoded_predicate,
             needs,
@@ -794,8 +801,8 @@ impl Preprocessor {
                 self.special_index[moved] = Some(pos);
             }
         }
-        if query.progress.mark_segment_completed() {
-            self.close_query(bit, &query.progress);
+        if query.runtime.progress.mark_segment_completed() {
+            self.close_query(bit, &query.runtime.progress);
         }
     }
 
@@ -988,7 +995,7 @@ impl Preprocessor {
         self.pass_rows_seen += rows;
         for bit in self.active_mask.iter() {
             if let Some(q) = &self.queries[bit] {
-                q.progress.advance(rows);
+                q.runtime.progress.advance(rows);
             }
         }
     }
@@ -1783,6 +1790,58 @@ mod tests {
             "exactly one pass worth of tuples had the query's bit"
         );
         assert_eq!(pre.active_queries(), 0);
+    }
+
+    /// A `Cancel` is sent without a lock, so it can arrive after its query
+    /// finished and a new query took the id. That query was never cancelled:
+    /// the worker ignores the stale cancel and the query still ends after its
+    /// full pass. A query that *was* cancelled retires at once.
+    #[test]
+    fn a_stale_cancel_does_not_truncate_the_ids_next_query() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(10);
+        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
+            harness(fact_table(25), None, &config);
+        let (rt, _res) = dummy_runtime(0);
+        install(&cmd_tx, rt);
+        pre.apply_commands();
+        let _ = dist_rx.try_recv(); // QueryStart
+        pre.process_next_chunk(); // rows 0..10
+        let mut data_tuples = 0usize;
+        while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
+            data_tuples += batch.len();
+            in_flight.fetch_sub(1, Ordering::AcqRel);
+        }
+        cmd_tx
+            .send(PreprocessorCommand::Cancel { id: QueryId(0) })
+            .unwrap();
+        pre.apply_commands();
+        assert_eq!(pre.active_queries(), 1, "the stale cancel retired nothing");
+
+        let mut ended = false;
+        for _ in 0..10 {
+            pre.process_next_chunk();
+            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
+                data_tuples += batch.len();
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+            }
+            if let Ok(Message::Control(ControlTuple::QueryEnd(_))) = dist_rx.try_recv() {
+                ended = true;
+                break;
+            }
+        }
+        assert!(ended, "the query ends at its wrap");
+        assert_eq!(data_tuples, 25, "after one full pass");
+
+        let (rt, _res) = dummy_runtime(0);
+        rt.mark_cancelled();
+        install(&cmd_tx, rt);
+        cmd_tx
+            .send(PreprocessorCommand::Cancel { id: QueryId(0) })
+            .unwrap();
+        pre.apply_commands();
+        assert_eq!(pre.active_queries(), 0, "a cancelled query retires at once");
     }
 
     /// The last query retiring at the segment start leaves the cursor there, and

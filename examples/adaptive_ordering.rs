@@ -3,8 +3,9 @@
 //! The optimal order of CJOIN's Filters depends on the *current* query mix: the most
 //! selective dimension should filter fact tuples first. This example registers a
 //! skewed query mix — every query places a highly selective predicate on `part` but
-//! barely filters `date` — and shows the pipeline manager reordering the filter chain
-//! from the observed drop rates while queries are running.
+//! barely filters `date` — and shows the engine reordering the filter chain from the
+//! observed drop rates while queries are running (its supervisor thread re-derives
+//! the order every 50 ms).
 //!
 //! ```text
 //! cargo run --release --example adaptive_ordering
@@ -46,40 +47,39 @@ fn main() -> cjoin_repro::Result<()> {
     let data = SsbDataSet::generate(SsbConfig::new(0.05, 17));
     let catalog = data.catalog();
 
-    // React quickly so the effect is visible within a short run.
-    let config = CjoinConfig {
-        reorder_interval_ms: 20,
-        ..CjoinConfig::default()
-    };
-    let engine = CjoinEngine::start(Arc::clone(&catalog), config)?;
+    let engine = CjoinEngine::start(Arc::clone(&catalog), CjoinConfig::default())?;
 
-    // Register a wave of skewed queries and observe the initial (admission) order.
-    let wave: Vec<_> = (0..16)
-        .map(|i| engine.submit(skewed_query(i, data.num_parts(), data.date_keys())))
-        .collect::<cjoin_repro::Result<_>>()?;
-    let admission_order = engine.filter_order();
-    println!("filter order right after admission: {admission_order:?}");
-
-    // Watch the order while the queries are still in flight; capture the per-filter
-    // statistics mid-run, before completed queries are garbage-collected.
-    let mut optimised_order = admission_order.clone();
+    // Register waves of skewed queries and watch the order while they are in
+    // flight, capturing the per-filter statistics mid-run, before completed queries
+    // are garbage-collected. The optimizer decides only once every Filter has seen a
+    // few hundred tuples, and the last one sees only what `part` lets through, so a
+    // wave can end before the first decision: then the next wave runs.
+    let mut admission_order = None;
+    let mut optimised_order = Vec::new();
     let mut mid_run_stats = engine.stats();
-    for _ in 0..40 {
-        std::thread::sleep(Duration::from_millis(10));
-        if engine.active_queries() == 0 {
+    for _ in 0..5 {
+        let wave: Vec<_> = (0..16)
+            .map(|i| engine.submit(skewed_query(i, data.num_parts(), data.date_keys())))
+            .collect::<cjoin_repro::Result<_>>()?;
+        admission_order.get_or_insert_with(|| engine.filter_order());
+        while engine.active_queries() > 0 {
+            std::thread::sleep(Duration::from_millis(10));
+            let stats = engine.stats();
+            if !stats.filters.is_empty() {
+                mid_run_stats = stats;
+                optimised_order = engine.filter_order();
+            }
+        }
+        for handle in wave {
+            let _ = handle.wait()?;
+        }
+        if optimised_order.first().map(String::as_str) == Some("part") {
             break;
         }
-        mid_run_stats = engine.stats();
-        let current = engine.filter_order();
-        if current != optimised_order && !current.is_empty() {
-            optimised_order = current;
-        }
     }
+    let admission_order = admission_order.unwrap_or_default();
+    println!("filter order right after admission: {admission_order:?}");
     println!("filter order after run-time optimisation: {optimised_order:?}");
-
-    for handle in wave {
-        let _ = handle.wait()?;
-    }
 
     println!("\nper-filter statistics observed mid-run:");
     for f in &mid_run_stats.filters {
@@ -92,7 +92,7 @@ fn main() -> cjoin_repro::Result<()> {
         );
     }
     println!(
-        "\nfilter reorders applied by the pipeline manager: {}",
+        "\nfilter reorders applied at run time: {}",
         engine.stats().filter_reorders
     );
     println!("(the most selective dimension — part, one key per query — should now sit first)");

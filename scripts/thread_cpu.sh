@@ -42,7 +42,8 @@ sample() {
     done
 }
 
-until grep -qsx 'cjoin-manager' /proc/"$pid"/task/*/comm; do
+# The engine's supervisor thread; the kernel keeps 15 bytes of a thread name.
+until grep -qsx 'cjoin-superviso' /proc/"$pid"/task/*/comm; do
     if ! kill -0 "$pid" 2>/dev/null; then
         echo "rig exited before the engine started" >&2
         exit 1

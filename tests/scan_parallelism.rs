@@ -21,7 +21,6 @@
 //!    of its segment passes (`segments_completed == segments_total`).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine, PipelineStats};
 use cjoin_repro::query::reference;
@@ -35,14 +34,6 @@ fn config(scan_workers: usize) -> CjoinConfig {
         .with_max_concurrency(32)
         .with_batch_size(256)
         .with_scan_workers(scan_workers)
-}
-
-/// Waits until the manager finished Algorithm 2 for every query (ids recycled).
-fn await_quiesce(engine: &CjoinEngine) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while engine.active_queries() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// A full-table aggregate whose exact value detects any duplicated or missed
@@ -121,7 +112,6 @@ fn run_sequential(scan_workers: usize, seed: u64) -> PipelineStats {
         let result = engine.execute(query.clone()).unwrap();
         assert!(result.approx_eq(&expected), "{}", query.name);
     }
-    await_quiesce(&engine);
     let stats = engine.stats();
     engine.shutdown();
     stats
@@ -231,7 +221,6 @@ fn lifecycle_churn_across_the_scan_grid_quiesces_cleanly() {
             }
         }
 
-        await_quiesce(&engine);
         let stats = engine.stats();
         let total = WAVES * PER_WAVE as u64;
         assert_eq!(stats.queries_admitted, total);
