@@ -667,8 +667,10 @@ fn eval_node(
 /// What a scan worker holds of the compressed replica, when the engine built
 /// one (`CjoinConfig::columnar_scan`).
 ///
-/// The replica is a prefix of the live fact table, frozen when it was built.
-/// It has no cursor of its own: the worker's [`cjoin_storage::ContinuousScan`]
+/// The replica is a prefix of the live fact table, frozen when it was built;
+/// a tail compaction hands the worker a longer one, which replaces this
+/// handle between two chunks. It has no cursor of its own: the worker's
+/// [`cjoin_storage::ContinuousScan`]
 /// owns position, segment and wrap-around, and a chunk of that scan is read
 /// from the replica when it lies inside a row group whose checksum verified —
 /// every other row (appended since the build, or in a quarantined group) comes

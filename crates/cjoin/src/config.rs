@@ -67,8 +67,8 @@ pub struct CjoinConfig {
     /// single end-of-query control tuple.
     pub scan_workers: usize,
     /// Build and scan a compressed replica (§5, Column Stores / Compressed
-    /// Tables): every pipeline incarnation builds a read-optimised columnar
-    /// replica of the fact table, and the continuous scan reads the chunks the
+    /// Tables): the pipeline builds a read-optimised columnar replica of the
+    /// fact table when it spawns, and the continuous scan reads the chunks the
     /// replica covers from it — evaluating fact predicates and snapshot
     /// visibility directly on encoded data (one probe per RLE run, dictionary
     /// predicates pre-translated to code comparisons at install), skipping
@@ -98,9 +98,10 @@ pub struct CjoinConfig {
     /// ingestion batch).
     pub wal_sync: SyncPolicy,
     /// Row-store tail length (rows appended since the columnar replica was
-    /// built) at which an ingestion commit rebuilds the replica so the
-    /// compressed scan re-absorbs the tail. `0` disables compaction. Ignored
-    /// unless `columnar_scan` is enabled.
+    /// built) at which an ingestion commit rebuilds the replica and hands it
+    /// to the running scan workers, so the compressed scan re-absorbs the
+    /// tail. `0` disables compaction. Ignored unless `columnar_scan` is
+    /// enabled.
     pub tail_compaction_rows: usize,
 }
 

@@ -94,9 +94,9 @@
 //! queue, the drain barrier or the stall gate: `submit` evaluates σ_cij(Dj)
 //! before it takes admission and sends the install after releasing it; the
 //! deadline reaper and `fail_all_in_flight` hold admission only for
-//! bookkeeping and clean-ups; `swap_pipeline` joins the old shards under the
-//! core lock alone, which no shard takes; and the entries read lock — a Stage
-//! worker's [`ProbeGuard`](crate::dimension::ProbeGuard), the scan's
+//! bookkeeping and clean-ups; the supervisor joins a dead pipeline's shards
+//! under the core lock alone, which no shard takes; and the entries read lock
+//! — a Stage worker's [`ProbeGuard`](crate::dimension::ProbeGuard), the scan's
 //! `probe_leading` guard — is dropped before its holder sends a batch or
 //! finalizes a query.
 //!

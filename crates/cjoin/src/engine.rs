@@ -59,20 +59,20 @@
 //! shorter than the last observed full scan pass
 //! ([`QueryError::ShedAtAdmission`]).
 //!
-//! # Resizing
+//! # Widths and the replica
 //!
 //! The engine's current configuration is the one source of every width (see
-//! [`crate::scheduler`]), and two things change it at run time: an explicit
-//! [`CjoinEngine::request_resize`], and the supervisor stepping a failed axis
-//! down. A resize is a *pipeline swap at a quiescent point*: under the core
-//! lock the current incarnation is drained gracefully (every in-flight batch
-//! settles, and every query it finished is cleaned up), a new core is spawned
-//! at the new width, and every still-unresolved query is re-installed on it at
-//! its original snapshot. Re-installed queries restart a full pass — §3.3's
-//! wrap protocol makes any complete pass over the snapshot produce the exact
-//! answer, so a resize can never drop or duplicate a tuple in a result; it
-//! only costs the restarted portion of the scan. Both kinds of change are
-//! recorded in one bounded resize log.
+//! [`crate::scheduler`]). Only the supervisor changes it at run time, by
+//! stepping a failed axis down before it respawns the pipeline; the change is
+//! recorded in a bounded resize log. A running pipeline is never replaced for
+//! any other reason.
+//!
+//! With `CjoinConfig::columnar_scan`, rows appended after the columnar replica
+//! was built are read from the row store. Once that tail reaches
+//! `CjoinConfig::tail_compaction_rows`, the committing thread rebuilds the
+//! replica off the pipeline and hands it to the running scan workers, which
+//! adopt it between two chunks (see [`crate::preprocessor`]). In-flight
+//! queries keep their pass, their progress and their place in the scan.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -86,14 +86,14 @@ use cjoin_common::{Error, FxHashMap, QueryId, QueryIdAllocator, QuerySet, Result
 use cjoin_query::{QueryError, QueryOutcome, QueryResult, StarQuery};
 use cjoin_storage::{
     apply_record, segment_ranges, Catalog, ColumnarTable, CompressionPolicy, ContinuousScan, Row,
-    ScanVolume, Value, WalRecord, WarehouseLog, DEFAULT_ROW_GROUP_ROWS,
+    ScanVolume, Table, Value, WalRecord, WarehouseLog, DEFAULT_ROW_GROUP_ROWS,
 };
 
 use crate::colscan::ReplicaScan;
 use crate::config::{host_cores, stage_width_for, CjoinConfig};
 use crate::dimension::DimensionTable;
 use crate::distributor::{Cleanup, Distributor, MergeSlots};
-use crate::fault::{inject, FaultSite};
+use crate::fault::{inject, FaultPlan, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
 use crate::pipeline::{
@@ -103,7 +103,7 @@ use crate::pool::BatchPool;
 use crate::preprocessor::{Preprocessor, PreprocessorCommand, PreprocessorContext, ScanStall};
 use crate::progress::QueryProgress;
 use crate::queue::{ShardQueues, ShardSenders, TupleQueue};
-use crate::scheduler::{Axis, ResizeEvent, ResizeLog, ResizeReason, SchedulerStats};
+use crate::scheduler::{Axis, ResizeEvent, ResizeLog, SchedulerStats};
 use crate::stats::{
     ColumnarScanStats, FilterStatsSnapshot, IngestCounters, PipelineStats, ScanWorkerCounters,
     ShardCounters, SharedCounters,
@@ -124,8 +124,7 @@ struct AdmissionState {
     allocator: QueryIdAllocator,
     registered: FxHashMap<u32, Registered>,
     /// Active queries' runtimes, for the supervisor (fail them all on a role
-    /// death), the deadline reaper, and resizes (re-install them all
-    /// on the new pipeline incarnation).
+    /// death) and the deadline reaper.
     runtimes: FxHashMap<u32, Arc<QueryRuntime>>,
     /// `dim_slots[s]` = name of the dimension that owns in-flight-tuple slot
     /// `s`. A dimension is given a slot the first time a query joins it and
@@ -264,8 +263,9 @@ struct PipelineCore {
     pool: Arc<BatchPool>,
     shard_counters: Vec<Arc<ShardCounters>>,
     scan_worker_counters: Vec<Arc<ScanWorkerCounters>>,
-    /// The compressed columnar scan front-end's replica and byte-accounting
-    /// counters (`None` unless `CjoinConfig::columnar_scan` is enabled).
+    /// The compressed columnar scan front-end's replica — the one last handed
+    /// to the scan workers — and byte-accounting counters (`None` unless
+    /// `CjoinConfig::columnar_scan` is enabled).
     columnar: Option<(Arc<ColumnarTable>, Arc<ScanVolume>)>,
     /// The scan front-end's stall gate, opened by the failure-path teardown so a
     /// worker parked behind — or closing a query and waiting for — a dead sibling
@@ -289,7 +289,7 @@ struct EngineShared {
     slot_count: Arc<AtomicUsize>,
     counters: Arc<SharedCounters>,
     admission: Arc<Mutex<AdmissionState>>,
-    /// The current — possibly resized or degraded — configuration: the one
+    /// The current — possibly degraded — configuration: the one
     /// source of the widths every (re)spawn uses.
     config: Mutex<CjoinConfig>,
     /// Every width change since start. Lock order: after config.
@@ -308,9 +308,8 @@ struct EngineShared {
     /// The write-ahead log behind the durable ingestion path (`None` without
     /// `CjoinConfig::wal_path`). Serializes ingestion batches: exactly one
     /// commit is in flight at a time, which is the single-writer premise of
-    /// the log's concurrency argument. Lock order: ingest before core — the
-    /// commit path may trigger a tail-compaction pipeline swap, and nothing
-    /// takes this lock while holding the core lock.
+    /// the log's concurrency argument. Nothing takes this lock while holding
+    /// the core lock.
     ingest: Mutex<Option<WarehouseLog>>,
     /// Durable-ingestion counters surfaced through [`PipelineStats::ingest`].
     ingest_counters: IngestCounters,
@@ -433,22 +432,12 @@ impl CjoinEngine {
             2 * QUEUE_CAPACITY + stage_workers + 2 * scan_workers + shards * (QUEUE_CAPACITY + 1);
         let pool = BatchPool::new(pool_capacity);
 
-        // `columnar_scan`: a read-optimised replica of the fact table, built once
-        // per pipeline incarnation; the scan reads the chunks it covers from it
-        // and every other row (appended later, or quarantined) from the row store.
+        // `columnar_scan`: a read-optimised replica of the fact table; the scan
+        // reads the chunks it covers from it and every other row (appended
+        // later, or quarantined) from the row store.
         let columnar = if config.columnar_scan {
-            let mut replica = ColumnarTable::from_table(&fact, CompressionPolicy::Adaptive)?;
-            // Deterministic fault injection: flip bits in the configured row
-            // groups before the replica is shared, so their checksums fail on
-            // first decode and the scan quarantines them onto the row store.
-            if let Some(plan) = &config.fault_plan {
-                for &group in plan.corrupt_groups() {
-                    replica.corrupt_group(group);
-                }
-            }
-            let replica = Arc::new(replica);
             let volume = Arc::new(ScanVolume::with_columns(fact.schema().arity()));
-            Some((replica, volume))
+            Some((build_replica(&fact, config.fault_plan.as_deref())?, volume))
         } else {
             None
         };
@@ -800,7 +789,14 @@ impl CjoinEngine {
             .insert(id.0, Registered { referenced_dims });
         admission.runtimes.insert(id.0, Arc::clone(&runtime));
         // ---- Algorithm 1, lines 17–22: install in Preprocessor & Distributor ----
-        let (install, ack_rx) = install_command(&runtime);
+        let (ack_tx, ack_rx) = bounded(1);
+        let install = PreprocessorCommand::Install {
+            runtime: Arc::clone(&runtime),
+            fact_predicate: (!runtime.bound.fact_predicate_is_true)
+                .then(|| runtime.bound.fact_predicate.clone()),
+            snapshot,
+            ack: Some(ack_tx),
+        };
         let cmd_tx = core.cmd_tx.clone();
         drop(admission);
         // Release the core lock BEFORE waiting for the installation ack. The
@@ -814,10 +810,9 @@ impl CjoinEngine {
         // An install that is never acked is NOT rolled back here: the query is
         // in the runtimes registry, so whoever broke the install owns it — the
         // supervisor resolves and cleans every registered query after a role
-        // death, a resize re-installs it on the new incarnation, shutdown
-        // resolves it. Rolling back here too would release the id twice,
-        // corrupting whichever later query recycled it. The returned handle
-        // resolves with the owner's outcome.
+        // death, shutdown resolves it. Rolling back here too would release the
+        // id twice, corrupting whichever later query recycled it. The returned
+        // handle resolves with the owner's outcome.
         let acked = cmd_tx.send(install).is_ok() && await_install_ack(&cmd_tx, &ack_rx, &runtime);
         let submission_time = submitted_at.elapsed();
 
@@ -958,27 +953,9 @@ impl CjoinEngine {
         }
     }
 
-    /// Explicitly resizes one parallelism axis to `width` at the next pass
-    /// boundary: the current pipeline incarnation is drained gracefully, a new
-    /// one is spawned at the new width, and every in-flight query is
-    /// re-installed on it at its original snapshot (restarting its pass, which
-    /// by the wrap protocol changes nothing about its answer). A request for
-    /// the running width changes and records nothing.
-    ///
-    /// # Errors
-    /// Fails if the configuration with `width` on `axis` does not pass
-    /// [`CjoinConfig::validate`], if the engine is shut down, or if the
-    /// replacement pipeline could not be spawned.
-    pub fn request_resize(&self, axis: Axis, width: usize) -> Result<()> {
-        let mut resized = self.config();
-        *axis.width_in(&mut resized) = width;
-        resized.validate()?;
-        swap_pipeline(&self.shared, SwapIntent::Resize { axis, width })
-    }
-
-    /// The read-optimised columnar replica of the fact table, when the engine
-    /// runs with `CjoinConfig::columnar_scan` (for compression-ratio reporting
-    /// by the experiment harness).
+    /// The read-optimised columnar replica of the fact table last handed to the
+    /// scan workers, when the engine runs with `CjoinConfig::columnar_scan`
+    /// (for compression-ratio reporting by the experiment harness).
     pub fn columnar_replica(&self) -> Option<Arc<ColumnarTable>> {
         let core = self.shared.core.lock();
         core.as_ref()
@@ -1139,7 +1116,7 @@ impl IngestSession<'_> {
     /// errors.
     ///
     /// # Panics
-    /// A configured [`FaultPlan`](crate::fault::FaultPlan) torn write or
+    /// A configured [`FaultPlan`] torn write or
     /// scheduled panic at a WAL site panics here by design, simulating a crash
     /// mid-commit; the batch is not visible and recovery discards its torn
     /// tail.
@@ -1252,43 +1229,78 @@ fn validate_record(catalog: &Catalog, record: &WalRecord) -> Result<()> {
     Ok(())
 }
 
-/// Rebuilds the columnar replica (a [`SwapIntent::TailCompaction`] pipeline
-/// swap) when the row-store tail has outgrown
-/// `CjoinConfig::tail_compaction_rows`. Failure is not an error for the
-/// triggering commit — the tail is still served correctly by the hybrid scan
-/// path, and the next commit retries.
+/// A columnar replica of `fact` as it is now. A configured fault plan's
+/// corrupt row groups have their bits flipped before the replica is shared, so
+/// their checksums fail on first decode and the scan quarantines them onto the
+/// row store.
+fn build_replica(fact: &Table, faults: Option<&FaultPlan>) -> Result<Arc<ColumnarTable>> {
+    let mut replica = ColumnarTable::from_table(fact, CompressionPolicy::Adaptive)?;
+    if let Some(plan) = faults {
+        for &group in plan.corrupt_groups() {
+            replica.corrupt_group(group);
+        }
+    }
+    Ok(Arc::new(replica))
+}
+
+/// Tail compaction: once the row-store tail has reached
+/// `CjoinConfig::tail_compaction_rows`, rebuilds the columnar replica on the
+/// committing thread, outside every lock, and hands it to the running scan
+/// workers, which adopt it between two chunks. Failure is not an error for the
+/// triggering commit — the tail is still served correctly from the row store,
+/// and the next commit retries.
 fn maybe_compact(shared: &Arc<EngineShared>) {
-    let threshold = {
+    let (threshold, faults) = {
         let config = shared.config.lock();
         if !config.columnar_scan || config.tail_compaction_rows == 0 {
             return;
         }
-        config.tail_compaction_rows
+        (config.tail_compaction_rows, config.fault_plan.clone())
     };
     let Ok(fact) = shared.catalog.fact_table() else {
         return;
     };
-    let tail = {
+    let frontier = {
         let core_guard = shared.core.lock();
-        let Some(core) = core_guard.as_ref() else {
+        let Some((replica, _)) = core_guard.as_ref().and_then(|c| c.columnar.as_ref()) else {
             return;
         };
-        let Some((replica, _)) = core.columnar.as_ref() else {
-            return;
-        };
-        fact.len().saturating_sub(replica.len())
+        replica.len()
     };
-    if tail < threshold {
+    if fact.len().saturating_sub(frontier) < threshold {
         return;
     }
-    match swap_pipeline(shared, SwapIntent::TailCompaction) {
-        Ok(()) => {
-            shared
-                .ingest_counters
-                .tail_compactions
-                .fetch_add(1, Ordering::Relaxed);
+    let replica = match build_replica(&fact, faults.as_deref()) {
+        Ok(replica) => replica,
+        Err(e) => {
+            eprintln!("cjoin: columnar tail compaction deferred: {e}");
+            return;
         }
-        Err(e) => eprintln!("cjoin: columnar tail compaction deferred: {e}"),
+    };
+    let mut core_guard = shared.core.lock();
+    let Some(core) = core_guard.as_mut() else {
+        return;
+    };
+    // A concurrent commit may have handed over a longer replica meanwhile,
+    // and a core respawned meanwhile built its own.
+    let Some((current, _)) = core
+        .columnar
+        .as_mut()
+        .filter(|(r, _)| r.len() < replica.len())
+    else {
+        return;
+    };
+    // A dead worker 0 drops the replica unsent; the supervisor owns that core.
+    if core
+        .cmd_tx
+        .send(PreprocessorCommand::Replica(Arc::clone(&replica)))
+        .is_ok()
+    {
+        *current = replica;
+        shared
+            .ingest_counters
+            .tail_compactions
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1360,7 +1372,7 @@ impl cjoin_query::JoinEngine for CjoinEngine {
 /// Algorithm 2: remove a finished query from every dimension hash table, drop empty
 /// Filters, recycle the query id and drop the supervisor's runtime registration.
 /// Run by the shard that finishes the query (see [`crate::distributor`]), and by
-/// the supervisor and pipeline swaps for queries no pipeline will finish.
+/// the supervisor for queries no pipeline will finish.
 /// Idempotent: a second call for the same id finds nothing registered.
 ///
 /// Each table clears the id's bit on the rows the query selected there and on
@@ -1382,136 +1394,6 @@ fn cleanup_query(id: QueryId, chain: &Arc<FilterChain>, admission: &Arc<Mutex<Ad
         }
     }
     let _ = admission.allocator.release(id);
-}
-
-/// Why [`swap_pipeline`] is replacing the pipeline incarnation.
-#[derive(Clone, Copy)]
-enum SwapIntent {
-    /// A [`CjoinEngine::request_resize`] of one parallelism axis.
-    Resize { axis: Axis, width: usize },
-    /// Columnar tail compaction: same widths, but `spawn_pipeline` rebuilds
-    /// the columnar replica from the current fact table, re-absorbing the
-    /// row-store tail appended since the replica was last built. The graceful
-    /// drain is the pass boundary: re-installed queries restart their pass at
-    /// their original snapshot, which by the wrap protocol changes nothing
-    /// about their answers.
-    TailCompaction,
-}
-
-/// Swaps the pipeline to a new incarnation for `intent`, carrying every
-/// in-flight query across.
-///
-/// Under the core lock: drain the current core gracefully (a quiescent point —
-/// every in-flight batch settles, and every query the shards finish is cleaned
-/// up before they exit), update the config width and record the resize, spawn the new
-/// core, and send a re-install for every still-unresolved registered query at
-/// its original snapshot. The installs are *sent* under the lock — the new
-/// core has processed nothing yet and submissions/reaper/supervisor all
-/// serialize on the same lock, so no id can complete-and-recycle between
-/// collection and re-installation. The ack waits happen outside the lock,
-/// through the same [`await_install_ack`] as `submit`.
-///
-/// Re-installed queries restart a full pass at their original snapshot; the
-/// old incarnation's partial routing state died with it, and §3.3's wrap
-/// protocol computes each answer over exactly one complete pass, so a resize
-/// can never drop or duplicate a tuple in a result.
-fn swap_pipeline(shared: &Arc<EngineShared>, intent: SwapIntent) -> Result<()> {
-    if shared.shutdown_flag.load(Ordering::Acquire) {
-        return Err(Error::invalid_state("engine is shut down"));
-    }
-    let mut core_guard = shared.core.lock();
-    let Some(core) = core_guard.take() else {
-        return Err(Error::invalid_state("pipeline is not running"));
-    };
-    let unchanged = match intent {
-        SwapIntent::Resize { axis, width } => *axis.width_in(&mut shared.config.lock()) == width,
-        SwapIntent::TailCompaction => core.columnar.is_none(),
-    };
-    if unchanged {
-        *core_guard = Some(core);
-        return Ok(());
-    }
-    teardown_core(core, false);
-    let config = {
-        let mut config = shared.config.lock();
-        if let SwapIntent::Resize { axis, width } = intent {
-            let from = std::mem::replace(axis.width_in(&mut config), width);
-            shared.resizes.lock().push(ResizeEvent {
-                axis,
-                from,
-                to: width,
-                reason: ResizeReason::Forced,
-                pass: shared.counters.scan_passes.load(Ordering::Relaxed),
-            });
-        }
-        config.clone()
-    };
-    let new_core = match CjoinEngine::spawn_pipeline(shared, &config) {
-        Ok(core) => core,
-        Err(e) => {
-            // No pipeline to carry the queries to: fail them all, exactly as a
-            // failed supervisor respawn leaves the engine (core stays `None`,
-            // submissions report the engine down).
-            fail_all_in_flight(
-                shared,
-                "pipeline-swap",
-                &format!("pipeline respawn failed during a swap: {e}"),
-            );
-            return Err(e);
-        }
-    };
-    // Collect the queries to carry over: unresolved runtimes re-install on the
-    // new core; resolved-but-still-registered ones (cancelled or reaped
-    // queries whose finalize died with the old core) are cleaned up here so
-    // their maxConc slots don't leak.
-    let (pending, orphans) = {
-        let admission = shared.admission.lock();
-        let mut pending = Vec::new();
-        let mut orphans = Vec::new();
-        for (id, runtime) in &admission.runtimes {
-            if runtime.resolved.load(Ordering::Acquire) {
-                orphans.push(QueryId(*id));
-            } else {
-                pending.push(Arc::clone(runtime));
-            }
-        }
-        (pending, orphans)
-    };
-    for id in orphans {
-        cleanup_query(id, &shared.chain, &shared.admission);
-    }
-    let cmd_tx = new_core.cmd_tx.clone();
-    let mut acks = Vec::with_capacity(pending.len());
-    for runtime in pending {
-        let (install, ack_rx) = install_command(&runtime);
-        // A failed send drops the install and with it the ack sender, which
-        // the wait below sees as a disconnect.
-        let _ = cmd_tx.send(install);
-        acks.push((runtime, ack_rx));
-    }
-    *core_guard = Some(new_core);
-    drop(core_guard);
-    // Ack waits outside the lock. A re-install that dies mid-flight is owned
-    // by the supervisor, like any other in-flight query of a dead pipeline.
-    for (runtime, ack_rx) in acks {
-        await_install_ack(&cmd_tx, &ack_rx, &runtime);
-    }
-    Ok(())
-}
-
-/// The install of `runtime` (Algorithm 1, lines 17–22) — its fact predicate
-/// unless trivially true, and its snapshot — and the receiver of its ack, for
-/// [`await_install_ack`].
-fn install_command(runtime: &Arc<QueryRuntime>) -> (PreprocessorCommand, Receiver<()>) {
-    let bound = &runtime.bound;
-    let (ack_tx, ack_rx) = bounded(1);
-    let install = PreprocessorCommand::Install {
-        runtime: Arc::clone(runtime),
-        fact_predicate: (!bound.fact_predicate_is_true).then(|| bound.fact_predicate.clone()),
-        snapshot: runtime.snapshot,
-        ack: Some(ack_tx),
-    };
-    (install, ack_rx)
 }
 
 /// Waits for the scan front-end to ack an install sent on `cmd_tx`, returning
@@ -1691,7 +1573,6 @@ fn handle_failure(
                 axis,
                 from,
                 to: *axis.width_in(&mut config),
-                reason: ResizeReason::Degraded,
                 pass,
             });
         }

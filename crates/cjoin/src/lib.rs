@@ -59,7 +59,7 @@
 //! | [`optimizer`] | §3.4 | run-time filter reordering from observed selectivities |
 //! | [`pipeline`] | §4 | thread layout: scan workers, one horizontal Stage, aggregation shards |
 //! | [`engine`] | §3.3 | public API: admission (Algorithm 1), finalization (Algorithm 2) |
-//! | [`scheduler`] | §4 | the resizable scan/stage/shard axes and the log of width changes |
+//! | [`scheduler`] | §4 | the scan/stage/shard width axes and the log of width changes |
 //! | [`fault`] | — | deterministic fault injection for supervision tests |
 //! | [`stats`] | §6 | operator statistics used by the experiments |
 
@@ -87,5 +87,5 @@ pub use config::{stage_width_for, CjoinConfig};
 pub use engine::{CjoinEngine, IngestSession, QueryHandle};
 pub use fault::{FaultPlan, FaultSite};
 pub use progress::QueryProgress;
-pub use scheduler::{Axis, ResizeEvent, ResizeReason, SchedulerStats};
+pub use scheduler::{Axis, ResizeEvent, SchedulerStats};
 pub use stats::{IngestStats, PipelineStats};

@@ -120,6 +120,19 @@
 //! [`crate::colscan`] for why encoded evaluation and late materialisation are
 //! exact.
 //!
+//! **The replica handoff.** A tail compaction rebuilds the replica from the
+//! row store as it is then and sends it on the command channel
+//! ([`PreprocessorCommand::Replica`]); worker 0 relays it like an install, and
+//! each worker adopts it at its next command boundary, between two chunks.
+//! The cursor, the active queries and where they end stay as they are. Both
+//! replicas are prefixes of the same append-only row store, so a chunk reads
+//! the same tuples from either; the longer one only moves rows from the row
+//! store to the encoded side. An end decided against the old replica stays
+//! exact: the rows it ruled out are the same rows under the new one, and the
+//! rows it had to read as tail are simply read encoded now. Only the encoded
+//! predicates are compiled again, because string codes belong to one replica's
+//! dictionaries, and each row group's checksum is verified afresh.
+//!
 //! Without a replica every query ends where it started, so only batch size,
 //! segment end and query starts cut chunks, and a query start is itself a
 //! chunk start of an earlier pass — the segment start plus a multiple of
@@ -270,6 +283,10 @@ pub enum PreprocessorCommand {
         /// The query to cancel.
         id: QueryId,
     },
+    /// A tail compaction's rebuilt replica: relayed like an install, and
+    /// adopted by each worker between two chunks (see "The replica handoff"
+    /// in the module doc).
+    Replica(Arc<ColumnarTable>),
     /// Shut the pipeline down: forward shutdown messages and exit.
     Shutdown,
     /// Liveness probe: ignored. A sender waiting on an install ack sends one
@@ -643,6 +660,12 @@ impl Preprocessor {
                         self.finalize_query(bit);
                     }
                 }
+                Ok(PreprocessorCommand::Replica(replica)) => {
+                    if !self.relay(|| PreprocessorCommand::Replica(Arc::clone(&replica))) {
+                        return;
+                    }
+                    self.adopt_replica(replica);
+                }
                 Ok(PreprocessorCommand::Probe) => {}
                 Ok(PreprocessorCommand::Shutdown) | Err(TryRecvError::Disconnected) => {
                     self.relay(|| PreprocessorCommand::Shutdown);
@@ -669,9 +692,9 @@ impl Preprocessor {
     }
 
     /// Worker 0's half of an install, ahead of installing the query on its own
-    /// segment: restart the progress tracker at this front-end's width, emit the
-    /// query-start control tuple, relay the install to every sibling. Returns
-    /// false if a sibling is unreachable.
+    /// segment: split the progress tracker across this front-end's width, emit
+    /// the query-start control tuple, relay the install to every sibling.
+    /// Returns false if a sibling is unreachable.
     ///
     /// Invariant 1 (§3.3.1): the query-start control tuple enters the
     /// Distributor's queue before any worker has installed the query, so no
@@ -689,7 +712,7 @@ impl Preprocessor {
     ) -> bool {
         // Before the relay: a sibling may mark its segment complete the moment
         // it has the install.
-        runtime.progress.restart(self.siblings.len() as u64 + 1);
+        runtime.progress.split(self.siblings.len() as u64 + 1);
         self.distributor_tx
             .broadcast_control(&ControlTuple::QueryStart(Arc::clone(runtime)));
         let relayed = self.relay(|| PreprocessorCommand::Install {
@@ -770,6 +793,28 @@ impl Preprocessor {
             // No row of this segment can match: its pass is trivially
             // complete, before any of its bits were produced.
             self.finalize_query(bit);
+        }
+    }
+
+    /// Takes over a tail compaction's rebuilt replica between two chunks. Each
+    /// active query's fact predicate is compiled again for it: the rebuilt
+    /// dictionaries may code strings differently. Where each query ends stays
+    /// as it was decided at install (see "The replica handoff" in the module
+    /// doc). A worker that has no replica — it fell back to the row store —
+    /// ignores the handoff.
+    fn adopt_replica(&mut self, replica: Arc<ColumnarTable>) {
+        let Some(r) = &mut self.replica else {
+            return;
+        };
+        *r = ReplicaScan::new(replica, Arc::clone(&r.volume));
+        for q in self.queries.iter_mut().flatten() {
+            if q.fact_predicate.is_some() {
+                q.encoded_predicate = EncodedFactPredicate::compile(
+                    &q.runtime.bound.fact_predicate_raw,
+                    r.replica.schema(),
+                    &r.replica,
+                );
+            }
         }
     }
 
@@ -2580,6 +2625,98 @@ mod tests {
         assert_eq!(tuples_of(2), (30..70).chain(0..30).collect::<Vec<_>>());
         assert_eq!(tuples_of(3), (10..70).chain(0..10).collect::<Vec<_>>());
         assert_eq!(run(true), without);
+    }
+
+    /// A tail compaction hands a width-1 worker a longer replica mid-pass.
+    /// Query 0's string predicate matches only rows the first replica did not
+    /// cover, so its code exists only in the rebuilt dictionary; query 1 is
+    /// installed after the handoff. Each query must get the rows, the order
+    /// and the end tuple it gets with no handoff and with no replica at all.
+    #[test]
+    fn a_replica_handoff_mid_pass_changes_no_querys_rows() {
+        use cjoin_query::Predicate;
+        // `fact(fk, v, tag)`: rows 0..40 are tagged "old", rows 40..70 "new".
+        let table = Arc::new(Table::with_rows_per_page(
+            Schema::new(
+                "fact",
+                vec![Column::int("fk"), Column::int("v"), Column::str("tag")],
+            ),
+            16,
+        ));
+        let append = |rows: std::ops::Range<i64>| {
+            table.insert_batch_unchecked(
+                rows.map(|i| {
+                    let tag = if i < 40 { "old" } else { "new" };
+                    Row::new(vec![Value::int(i % 3), Value::int(i), Value::str(tag)])
+                }),
+                SnapshotId::INITIAL,
+            );
+        };
+        append(0..40);
+        let first = replica_of(&table);
+        append(40..70);
+        let rebuilt = replica_of(&table);
+        let catalog = Catalog::new();
+        catalog.add_fact_table(Arc::clone(&table));
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(10);
+
+        // Per query: its rows in emission order, then the number of its end
+        // tuples.
+        let run = |replica: Option<&Arc<ColumnarTable>>, handoff: Option<&Arc<ColumnarTable>>| {
+            let (tx, rx) = unbounded();
+            let (cmd_tx, cmd_rx) = unbounded();
+            let in_flight = Arc::new(AtomicI64::new(0));
+            let ctx = context(&config, tx.clone(), tx, Arc::clone(&in_flight));
+            let mut pre = scan_worker(&table, replica, (0, None), cmd_rx, ctx);
+            let install = |pre: &mut Preprocessor, bit, predicate| {
+                let query = StarQuery::builder(format!("q{bit}"))
+                    .fact_predicate(predicate)
+                    .aggregate(AggregateSpec::count_star())
+                    .build();
+                let runtime = star_runtime(&catalog, bit, query);
+                install_with(&cmd_tx, runtime, SnapshotId::INITIAL);
+                pre.apply_commands();
+            };
+            install(&mut pre, 0, Predicate::eq("tag", "new"));
+            pre.process_next_chunk();
+            pre.process_next_chunk();
+            if let Some(rebuilt) = handoff {
+                cmd_tx
+                    .send(PreprocessorCommand::Replica(Arc::clone(rebuilt)))
+                    .unwrap();
+                pre.apply_commands();
+                let adopted = pre.replica.as_ref().map(|r| r.replica.len());
+                assert_eq!(adopted, Some(70), "the worker reads the rebuilt replica");
+            }
+            install(&mut pre, 1, Predicate::True);
+            let mut seen: [(Vec<u64>, usize); 2] = Default::default();
+            for _ in 0..100 {
+                pre.process_next_chunk();
+                for msg in rx.try_iter() {
+                    match msg {
+                        Message::Data(batch) => {
+                            for t in &batch {
+                                for bit in t.bits.iter() {
+                                    seen[bit].0.push(t.row_id.0);
+                                }
+                            }
+                            in_flight.fetch_sub(1, Ordering::AcqRel);
+                        }
+                        Message::Control(ControlTuple::QueryEnd(id)) => seen[id.index()].1 += 1,
+                        _ => {}
+                    }
+                }
+            }
+            assert_eq!(pre.active_queries(), 0, "both queries ended");
+            seen
+        };
+        let plain = run(None, None);
+        assert_eq!(plain[0], ((40..70).collect::<Vec<_>>(), 1));
+        assert_eq!(plain[1], ((20..70).chain(0..20).collect::<Vec<_>>(), 1));
+        assert_eq!(run(Some(&first), None), plain, "first replica, kept");
+        assert_eq!(run(Some(&first), Some(&rebuilt)), plain, "handed over");
     }
 
     // ------------------------------------------------------------------

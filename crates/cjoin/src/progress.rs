@@ -23,20 +23,16 @@ use std::time::{Duration, Instant};
 /// stays exact) and marks its segment's pass complete when its cursor reaches
 /// the query's end in that segment. The worker whose mark is the last one
 /// outstanding closes the query (see [`crate::preprocessor`]).
-///
-/// The tracker describes the pass of the *current install*: a query carried
-/// across a pipeline swap is re-installed and starts a new pass, so the install
-/// [`restart`](QueryProgress::restart)s the counts at the new front-end's width.
 #[derive(Debug)]
 pub struct QueryProgress {
     /// Fact rows the scan has produced since the query was installed.
     rows_seen: AtomicU64,
     /// Fact rows one full pass needs to cover (table size at admission).
     rows_total: u64,
-    /// Scan segments the current install's pass is split across.
+    /// Scan segments the pass is split across.
     segments_total: AtomicU64,
-    /// Segments that have completed their pass since the query was installed;
-    /// doubles as the front-end's per-install count of segments still to report.
+    /// Segments that have completed their pass; doubles as the front-end's
+    /// count of segments still to report.
     segments_completed: AtomicU64,
     /// Set when the query's end-of-query control tuple has been emitted.
     completed: AtomicBool,
@@ -57,18 +53,13 @@ impl QueryProgress {
         }
     }
 
-    /// Starts the tracker over for a pass split across `segments` scan
-    /// segments. Called by the front-end when it installs the query, before any
-    /// worker can advance or mark it: on a fresh admission this only sets the
-    /// width; on a re-install after a pipeline swap it also discards the
-    /// abandoned pass's rows and segment marks.
-    pub fn restart(&self, segments: u64) {
-        self.rows_seen.store(0, Ordering::Relaxed);
+    /// Splits the pass across `segments` scan segments. Called once, by the
+    /// front-end's worker 0 when it installs the query, before it relays the
+    /// install to the other workers: the relay orders this store before any
+    /// worker can advance or mark the query.
+    pub fn split(&self, segments: u64) {
         self.segments_total
             .store(segments.max(1), Ordering::Relaxed);
-        // Release: pairs with the AcqRel mark below, so a worker's mark counts
-        // against this install's width.
-        self.segments_completed.store(0, Ordering::Release);
     }
 
     /// Records that the scan produced `rows` more fact rows for this query.
@@ -80,7 +71,7 @@ impl QueryProgress {
     /// Records that one scan segment completed its pass for this query (by
     /// wrap-around, by reaching its last row group that can match, or by
     /// cancellation). Returns whether it was the
-    /// last segment outstanding — exactly one caller per install sees `true`.
+    /// last segment outstanding — exactly one caller sees `true`.
     ///
     /// AcqRel: the caller that sees `true` has acquired every earlier marker's
     /// writes, in particular the in-flight counts of the batches they flushed
@@ -90,12 +81,12 @@ impl QueryProgress {
         done == self.segments_total()
     }
 
-    /// Scan segments the current install's pass is split across.
+    /// Scan segments the pass is split across.
     pub fn segments_total(&self) -> u64 {
         self.segments_total.load(Ordering::Relaxed)
     }
 
-    /// Segments that have completed their pass since the query was installed.
+    /// Segments that have completed their pass.
     pub fn segments_completed(&self) -> u64 {
         self.segments_completed.load(Ordering::Acquire)
     }
@@ -202,9 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn segment_completion_is_tracked_per_install() {
+    fn segment_completion_is_tracked_per_segment() {
         let p = QueryProgress::new(100);
-        p.restart(4);
+        p.split(4);
         assert_eq!(p.segments_total(), 4);
         assert_eq!(p.segments_completed(), 0);
         for done in 1..=4 {
@@ -221,24 +212,9 @@ mod tests {
         // A tracker starts at a single segment; zero clamps to one.
         assert_eq!(QueryProgress::new(10).segments_total(), 1);
         assert!(QueryProgress::new(10).mark_segment_completed());
-        p.restart(0);
-        assert_eq!(p.segments_total(), 1);
-    }
-
-    #[test]
-    fn restart_discards_the_abandoned_pass() {
-        let p = QueryProgress::new(100);
-        p.restart(2);
-        p.advance(90);
-        assert!(!p.mark_segment_completed());
-        // Re-installed on a pipeline of width 4: a whole new pass is to run.
-        p.restart(4);
-        assert_eq!(
-            (p.rows_seen(), p.segments_completed(), p.segments_total()),
-            (0, 0, 4)
-        );
-        assert_eq!(p.fraction(), 0.0);
-        assert!(p.estimated_remaining().is_none());
+        let q = QueryProgress::new(10);
+        q.split(0);
+        assert_eq!(q.segments_total(), 1);
     }
 
     #[test]

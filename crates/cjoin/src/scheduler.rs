@@ -1,20 +1,19 @@
-//! Parallelism widths: the three resizable axes and the log of width changes.
+//! Parallelism widths: the three axes and the log of width changes.
 //!
 //! Every width lives in one place, the engine's current
 //! [`CjoinConfig`]. The Stage's default width is sized from the host once,
 //! when the configuration is built ([`crate::config::stage_width_for`]); the
 //! scan and aggregation axes default to the classic width 1. Nothing changes a
-//! width at run time except an explicit
-//! [`crate::engine::CjoinEngine::request_resize`] and the supervisor stepping
-//! a failed axis down. Each such change is recorded as a [`ResizeEvent`], and
-//! [`SchedulerStats`] — in [`crate::stats::PipelineStats`] and, summarised,
-//! over the server stats RPC — reports the current widths beside that log.
+//! width at run time except the supervisor stepping a failed axis down. Each
+//! such change is recorded as a [`ResizeEvent`], and [`SchedulerStats`] — in
+//! [`crate::stats::PipelineStats`] and, summarised, over the server stats RPC —
+//! reports the current widths beside that log.
 
 use std::collections::VecDeque;
 
 use crate::config::CjoinConfig;
 
-/// A resizable parallelism axis of the pipeline.
+/// A parallelism axis of the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
     /// Continuous-scan (Preprocessor) workers — `CjoinConfig::scan_workers`.
@@ -26,13 +25,6 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// All axes, in scan→stage→distributor pipeline order.
-    pub const ALL: [Axis; 3] = [
-        Axis::ScanWorkers,
-        Axis::StageWorkers,
-        Axis::DistributorShards,
-    ];
-
     /// The [`CjoinConfig`] field that holds this axis's width.
     pub fn width_in(self, config: &mut CjoinConfig) -> &mut usize {
         match self {
@@ -52,16 +44,8 @@ impl Axis {
     }
 }
 
-/// Why a width changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResizeReason {
-    /// An explicit [`crate::engine::CjoinEngine::request_resize`] call.
-    Forced,
-    /// The supervisor degraded the axis after a role failure.
-    Degraded,
-}
-
-/// One recorded width change.
+/// One recorded width change: the supervisor degraded the axis after a role
+/// failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResizeEvent {
     /// The axis that changed.
@@ -70,8 +54,6 @@ pub struct ResizeEvent {
     pub from: usize,
     /// Width after the change.
     pub to: usize,
-    /// Why it changed.
-    pub reason: ResizeReason,
     /// `scan_passes` when the change was applied.
     pub pass: u64,
 }
@@ -130,7 +112,6 @@ mod tests {
             axis: Axis::ScanWorkers,
             from: 1,
             to,
-            reason: ResizeReason::Forced,
             pass: 0,
         };
         let mut log = ResizeLog::default();

@@ -271,7 +271,8 @@ pub struct IngestCounters {
     /// Logs truncated during crash recovery because a torn or corrupt record
     /// was found (0 or 1 per engine start; summed across restarts).
     pub recovery_truncations: AtomicU64,
-    /// Columnar replica rebuilds triggered by row-store tail growth.
+    /// Columnar replicas rebuilt from row-store tail growth and handed to the
+    /// running scan workers.
     pub tail_compactions: AtomicU64,
 }
 
@@ -299,7 +300,8 @@ pub struct IngestStats {
     pub sync_ns: u64,
     /// Logs truncated during crash recovery (torn tail / corrupt record).
     pub recovery_truncations: u64,
-    /// Columnar replica rebuilds triggered by row-store tail growth.
+    /// Columnar replicas rebuilt from row-store tail growth and handed to the
+    /// running scan workers.
     pub tail_compactions: u64,
 }
 
@@ -359,7 +361,7 @@ pub struct PipelineStats {
     /// Compressed columnar scan statistics (`None` unless the engine runs with
     /// `CjoinConfig::columnar_scan` enabled).
     pub columnar: Option<ColumnarScanStats>,
-    /// Current per-axis widths, the resize log (forced resizes and
+    /// Current per-axis widths, the resize log (the supervisor's
     /// degradations) and the host core count they were sized on.
     pub scheduler: crate::scheduler::SchedulerStats,
     /// Durable ingestion statistics (all zero unless the engine runs with a

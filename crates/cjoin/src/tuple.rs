@@ -296,10 +296,7 @@ pub struct QueryRuntime {
     pub deadline_at: Option<Instant>,
     /// When the query was admitted (start of Algorithm 1), for statistics.
     pub admitted_at: Instant,
-    /// The storage snapshot the query was admitted against. A resize
-    /// re-installs in-flight queries on the new pipeline incarnation at this
-    /// same snapshot, so the restarted pass sees exactly the rows the original
-    /// admission saw.
+    /// The storage snapshot the query was admitted against.
     pub snapshot: SnapshotId,
     /// Progress tracker shared with the query's [`QueryHandle`](crate::engine::QueryHandle).
     pub progress: Arc<QueryProgress>,

@@ -188,8 +188,7 @@ pub struct SchedulerSummary {
     pub stage_workers: u64,
     /// Current number of aggregation (Distributor) shards.
     pub distributor_shards: u64,
-    /// Total resize events since engine start (forced resizes and
-    /// supervision degradations).
+    /// Total resize events since engine start (supervision degradations).
     pub resizes: u64,
 }
 

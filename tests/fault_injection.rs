@@ -21,11 +21,10 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
-use cjoin_repro::cjoin::{
-    stage_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle, ResizeEvent, ResizeReason,
-};
+use cjoin_repro::cjoin::{stage_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle};
 use cjoin_repro::query::{reference, QueryError, QueryOutcome, QueryResult};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
+use cjoin_repro::storage::RowId;
 use cjoin_repro::{SnapshotId, StarQuery};
 
 /// Generous bound on how long a ticket may take to resolve. The point is not
@@ -387,22 +386,11 @@ fn await_restart(engine: &CjoinEngine, what: &str) {
     }
 }
 
-/// The `Degraded` events of the engine's resize log.
-fn degraded_events(engine: &CjoinEngine) -> Vec<ResizeEvent> {
-    engine
-        .scheduler_stats()
-        .resizes
-        .into_iter()
-        .filter(|e| e.reason == ResizeReason::Degraded)
-        .collect()
-}
-
 /// A Stage panic at Stage width 2 makes the supervisor step the axis down to
-/// 1, logged once as a note and once as a `Degraded` event; an explicit
-/// `request_resize` then re-grows the axis, and the engine must serve an
-/// oracle-exact query on the re-grown pipeline.
+/// 1, logged once as a note and once as a resize event, and the engine must
+/// serve an oracle-exact query on the degraded pipeline.
 #[test]
-fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
+fn stage_death_at_width_two_is_logged_and_serves_exact_answers() {
     let data = test_data();
     let catalog = data.catalog();
     let doomed = test_queries(&data, 51).remove(0);
@@ -431,50 +419,26 @@ fn scheduler_upscale_after_panic_downscale_serves_exact_answers() {
     }
     await_restart(&engine, "stage death");
     assert_eq!(engine.degradations(), ["stage-workers 2 → 1"]);
-    let degraded = degraded_events(&engine);
+    let degraded = engine.scheduler_stats().resizes;
     assert_eq!(degraded.len(), 1, "{degraded:?}");
     assert_eq!(
         (degraded[0].axis, degraded[0].from, degraded[0].to),
         (Axis::StageWorkers, 2, 1)
     );
     assert_eq!(engine.stage_plan().stage_workers, 1);
+    assert_eq!(engine.scheduler_stats().stage_workers, 1);
 
-    // An explicit upscale now re-grows the axis past the degraded width.
-    let start = Instant::now();
-    loop {
-        match engine.request_resize(Axis::StageWorkers, 2) {
-            Ok(()) => break,
-            // A submit/resize during the supervisor's restart window is
-            // refused with a typed error, never hung — retry, bounded.
-            Err(err) => assert!(
-                start.elapsed() < RESOLVE_TIMEOUT,
-                "upscale kept failing: {err}"
-            ),
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let stats = engine.scheduler_stats();
-    assert_eq!(stats.stage_workers, 2, "upscale took effect");
-    assert!(
-        stats
-            .resizes
-            .iter()
-            .any(|e| e.axis == Axis::StageWorkers && e.reason == ResizeReason::Forced && e.to == 2),
-        "forced upscale recorded: {:?}",
-        stats.resizes
-    );
-
-    // The re-grown pipeline serves fresh queries oracle-exactly. The fault
+    // The degraded pipeline serves fresh queries oracle-exactly. The fault
     // plan's one-shot panic already fired, so these run clean.
     let probe = test_queries(&data, 52).remove(0);
     let expected = reference::evaluate(&catalog, &probe, SnapshotId::INITIAL).unwrap();
     let result = wait_bounded(
-        &submit_with_retry(&engine, &probe, "post-upscale probe"),
-        "post-upscale probe",
+        &submit_with_retry(&engine, &probe, "post-restart probe"),
+        "post-restart probe",
     )
     .unwrap();
-    assert_matches_oracle(&result, &expected, "post-upscale probe");
-    assert_quiesces(&engine, "post-upscale quiesce");
+    assert_matches_oracle(&result, &expected, "post-restart probe");
+    assert_quiesces(&engine, "post-restart quiesce");
     engine.shutdown();
 }
 
@@ -514,7 +478,7 @@ fn stage_death_degrades_the_width_that_was_running() {
         Vec::new()
     };
     assert_eq!(engine.degradations(), expected);
-    assert_eq!(degraded_events(&engine).len(), expected.len());
+    assert_eq!(engine.scheduler_stats().resizes.len(), expected.len());
     assert_eq!(engine.stage_plan().stage_workers, 1);
 
     let probe = test_queries(&data, 54).remove(0);
@@ -533,22 +497,24 @@ fn stage_death_degrades_the_width_that_was_running() {
 /// `idle_time_does_not_inflate_the_deadline_quote` allows over an honest quote.
 const QUOTE_TOLERANCE: Duration = Duration::from_millis(150);
 
-/// One engine lifetime of the resize-under-fault scenario: a warm-up query
-/// (so `quote_eta` has a pre-fault value), then `queries` in flight across a
-/// `request_resize`, with a scan worker scheduled to panic at ScanWorker event
-/// `panic_at` (`None` = fault-free calibration run). Asserts the contract at
-/// every step and returns the ScanWorker event counts read just before and
-/// just after the resize call — the window the caller sweeps `panic_at` over.
-fn resize_with_queries_in_flight(
+/// One engine lifetime of the handoff-under-fault scenario: a warm-up query
+/// (so `quote_eta` has a pre-fault value), then `queries` in flight across an
+/// ingestion commit whose tail compaction hands the scan workers a rebuilt
+/// replica, with a scan worker scheduled to panic at ScanWorker event
+/// `panic_at` (`None` = fault-free calibration run). Every query reads the
+/// initial snapshot, so the appended rows change no expected answer. Asserts
+/// the contract at every step and returns the ScanWorker event counts read
+/// just before and just after the commit — the window the caller sweeps
+/// `panic_at` over.
+fn handoff_with_queries_in_flight(
     catalog: &Arc<cjoin_repro::Catalog>,
     queries: &[StarQuery],
     expected: &[QueryResult],
     scan_workers: usize,
-    columnar: bool,
     panic_at: Option<u64>,
 ) -> (u64, u64) {
     const MAX_CONCURRENCY: usize = 8;
-    let what = format!("scan_workers={scan_workers} columnar={columnar} panic_at={panic_at:?}");
+    let what = format!("scan_workers={scan_workers} panic_at={panic_at:?}");
     let check = |outcome: QueryOutcome, i: usize, phase: &str| match outcome {
         Ok(result) => assert_matches_oracle(&result, &expected[i], &format!("{what} ({phase})")),
         Err(QueryError::StageFailed { role, detail }) => assert!(
@@ -558,7 +524,7 @@ fn resize_with_queries_in_flight(
         Err(other) => panic!("{what} ({phase}): unexpected error {other}"),
     };
 
-    // The scan delay keeps the queries in flight across the resize.
+    // The scan delay keeps the queries in flight across the handoff.
     let mut plan = FaultPlan::seeded(panic_at.unwrap_or(0)).delay(FaultSite::ScanWorker, 300);
     if let Some(event) = panic_at {
         plan = plan.panic_at_event(FaultSite::ScanWorker, event);
@@ -569,7 +535,8 @@ fn resize_with_queries_in_flight(
         .with_max_concurrency(MAX_CONCURRENCY)
         .with_batch_size(128)
         .with_scan_workers(scan_workers)
-        .with_columnar_scan(columnar)
+        .with_columnar_scan(true)
+        .with_tail_compaction_rows(1)
         .with_fault_plan(Arc::clone(&plan));
     let engine = CjoinEngine::start(Arc::clone(catalog), config).unwrap();
 
@@ -581,22 +548,23 @@ fn resize_with_queries_in_flight(
         .iter()
         .map(|q| submit_with_retry(&engine, q, &what))
         .collect();
+    // One appended row reaches the one-row threshold: the commit rebuilds the
+    // replica and hands it over. A commit needs no pipeline, so it succeeds
+    // even while the supervisor is mid-restart.
+    let row = catalog.fact_table().unwrap().row(RowId(0)).unwrap();
     let events_before = plan.hits(FaultSite::ScanWorker);
-    let start = Instant::now();
-    // Refused (typed, never hung) while the supervisor is mid-restart.
-    while let Err(err) = engine.request_resize(Axis::DistributorShards, 2) {
-        assert!(
-            start.elapsed() < RESOLVE_TIMEOUT,
-            "{what}: resize kept failing: {err}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let mut session = engine.ingest_session();
+    session.append_fact(row.values().to_vec());
+    session.commit().unwrap();
     let events_after = plan.hits(FaultSite::ScanWorker);
+    if panic_at.is_none() {
+        assert_eq!(engine.stats().ingest.tail_compactions, 1, "{what}");
+    }
     for (i, handle) in handles.iter().enumerate() {
         check(
             wait_bounded(handle, &what),
             i,
-            "in flight across the resize",
+            "in flight across the handoff",
         );
     }
 
@@ -654,45 +622,39 @@ fn resize_with_queries_in_flight(
     (events_before, events_after)
 }
 
-/// A scan worker dying while a resize re-installs in-flight queries is owned
-/// by the supervisor alone — neither `submit` nor the swap resolves or rolls
-/// back a query whose install was never acked. Per front-end shape, a
-/// fault-free run measures which ScanWorker event ordinals the resize call
-/// spans; the panic is then swept across that span and a margin either side,
-/// so it lands before the drain, on the old incarnation's last events, on the
-/// new incarnation's first events, and just after.
-///
-/// Worker 0 drains every queued re-install in one command sweep, at either
-/// width: the re-install window is a single event boundary, which the sweep
-/// brackets but cannot pin.
+/// A scan worker dying around a replica handoff is owned by the supervisor
+/// alone: every query in flight across the tail compaction resolves — `Ok`
+/// and oracle-exact, or `StageFailed` — no id leaks, and the respawned
+/// pipeline serves a full `maxConc` of fresh queries exactly. Per front-end
+/// width, a fault-free run measures which ScanWorker event ordinals the
+/// commit spans; the panic is then swept across that span and a margin either
+/// side, so it lands before the handoff, while the workers adopt the rebuilt
+/// replica, and just after.
 #[test]
-fn scan_worker_death_around_a_resize_reinstall_is_owned_by_the_supervisor() {
+fn scan_worker_death_around_a_replica_handoff_is_owned_by_the_supervisor() {
     let data = test_data();
     let catalog = data.catalog();
-    let queries = test_queries(&data, 61);
+    let queries: Vec<StarQuery> = test_queries(&data, 61)
+        .into_iter()
+        .map(|mut q| {
+            q.snapshot = Some(SnapshotId::INITIAL);
+            q
+        })
+        .collect();
     let expected: Vec<_> = queries
         .iter()
         .map(|q| reference::evaluate(&catalog, q, SnapshotId::INITIAL).unwrap())
         .collect();
-    let run = |scan_workers, columnar, panic_at| {
-        resize_with_queries_in_flight(
-            &catalog,
-            &queries,
-            &expected,
-            scan_workers,
-            columnar,
-            panic_at,
-        )
+    let run = |scan_workers, panic_at| {
+        handoff_with_queries_in_flight(&catalog, &queries, &expected, scan_workers, panic_at)
     };
 
     for scan_workers in [1usize, 2] {
-        for columnar in [false, true] {
-            let (before, after) = run(scan_workers, columnar, None);
-            let (lo, hi) = (before.saturating_sub(2), after + 2);
-            let stride = ((hi - lo) / 6).max(1) as usize;
-            for panic_at in (lo..=hi).step_by(stride) {
-                run(scan_workers, columnar, Some(panic_at));
-            }
+        let (before, after) = run(scan_workers, None);
+        let (lo, hi) = (before.saturating_sub(2), after + 2);
+        let stride = ((hi - lo) / 6).max(1) as usize;
+        for panic_at in (lo..=hi).step_by(stride) {
+            run(scan_workers, Some(panic_at));
         }
     }
 }

@@ -17,8 +17,9 @@
 //! * Under sustained ingest concurrent with query churn, across the
 //!   parallelism matrix, no ticket hangs and every answer corresponds to a
 //!   committed snapshot — never a partially applied batch.
-//! * Columnar tail compaction (the pipeline swap that folds the row-store
-//!   tail back into the replica) never changes an answer.
+//! * Columnar tail compaction (a rebuilt replica, handed to the running scan
+//!   workers, that folds the row-store tail back in) never changes an answer
+//!   and never restarts a query in flight.
 //! * A query's snapshot stays pinned across a dimension re-keying mid-pass.
 //!
 //! Every sync policy is covered, and recovery is checked at every byte offset
@@ -55,8 +56,8 @@ fn wait_bounded(handle: &QueryHandle, what: &str) -> QueryOutcome {
     }
 }
 
-/// Submits with bounded retry: a submit refused during a compaction swap or
-/// supervisor restart window is a typed error, never a hang.
+/// Submits with bounded retry: a submit refused during a supervisor restart
+/// window is a typed error, never a hang.
 fn submit_with_retry(engine: &CjoinEngine, query: &StarQuery, what: &str) -> QueryHandle {
     let start = Instant::now();
     loop {
@@ -522,7 +523,7 @@ fn sustained_ingest_with_query_churn_never_hangs_and_stays_prefix_consistent() {
 
 /// Tail compaction equivalence: with a tiny threshold, sustained appends must
 /// trigger replica rebuilds (counted in `tail_compactions`) — and answers
-/// before, across and after the swap stay oracle-exact.
+/// before, across and after each handoff stay oracle-exact.
 #[test]
 fn tail_compaction_preserves_answers_and_is_counted() {
     let path = temp_wal("compaction");
@@ -554,6 +555,93 @@ fn tail_compaction_preserves_answers_and_is_counted() {
     assert!(stats.columnar.is_some(), "columnar replica active");
     engine.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// A tail compaction leaves a query in flight alone: the committing thread
+/// hands the running scan workers a rebuilt replica, so the query keeps its
+/// pass — its progress never goes back — and answers exactly at its
+/// snapshot, with no pipeline restart. The scan's byte accounting carries
+/// across the handoff.
+#[test]
+fn a_tail_compaction_hands_the_running_scan_a_rebuilt_replica() {
+    const FACTS: usize = 20_000;
+    let catalog = warehouse(FACTS);
+    // Slow each scan batch so the query is reliably mid-pass at the commit.
+    let plan = FaultPlan::seeded(5)
+        .delay(FaultSite::ScanWorker, 1_000)
+        .build();
+    let config = wal_config()
+        .with_columnar_scan(true)
+        .with_tail_compaction_rows(4)
+        .with_fault_plan(plan);
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+    let expected = oracle(&catalog, catalog.snapshots().current());
+    let handle = submit_with_retry(&engine, &red_sum_query(), "in flight");
+    let progress = Arc::clone(handle.progress());
+    let start = Instant::now();
+    while progress.rows_seen() < progress.rows_total() / 4 {
+        assert!(start.elapsed() < RESOLVE_TIMEOUT, "scan never advanced");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        !progress.is_completed(),
+        "the delay must hold the query mid-pass"
+    );
+    let mut last = progress.rows_seen();
+
+    let mut session = engine.ingest_session();
+    for amount in 0..4 {
+        session.append_fact(vec![Value::int(1), Value::int(amount)]);
+    }
+    session.commit().unwrap();
+    let at_commit = engine.stats();
+    assert_eq!(at_commit.ingest.tail_compactions, 1);
+    let replica = engine.columnar_replica().expect("columnar replica active");
+    assert_eq!(
+        replica.len(),
+        FACTS + 4,
+        "the rebuilt replica covers the tail"
+    );
+
+    let outcome = loop {
+        let seen = progress.rows_seen();
+        assert!(
+            seen >= last,
+            "rows_seen went back from {last} to {seen}: the pass restarted"
+        );
+        last = seen;
+        if let Some(outcome) = handle.try_result() {
+            break outcome;
+        }
+        assert!(start.elapsed() < RESOLVE_TIMEOUT, "query never resolved");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    match outcome {
+        Ok(result) => assert_same(&result, &expected, "in flight across the compaction"),
+        Err(err) => panic!("query in flight across the compaction failed: {err}"),
+    }
+    let after = engine.stats();
+    assert_eq!(after.pipeline_restarts, 0);
+    assert!(after.scheduler.resizes.is_empty(), "{:?}", after.scheduler);
+    let scanned = |stats: &cjoin_repro::cjoin::PipelineStats| {
+        stats
+            .columnar
+            .as_ref()
+            .expect("columnar stats")
+            .rows_scanned
+    };
+    assert!(
+        scanned(&after) >= scanned(&at_commit),
+        "the byte accounting restarted at the handoff"
+    );
+
+    // A query admitted after the commit sees the appended rows.
+    assert_same(
+        &ask(&engine, "after the compaction"),
+        &oracle(&catalog, catalog.snapshots().current()),
+        "after the compaction",
+    );
+    engine.shutdown();
 }
 
 /// Snapshot isolation across dimension churn: a query admitted before an

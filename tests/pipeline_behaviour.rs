@@ -373,7 +373,6 @@ fn thread_census_matches_the_stage_plan() {
 #[ignore = "needs the process to itself; run by thread_census_matches_the_stage_plan"]
 fn thread_census_in_a_process_of_its_own() {
     use cjoin_repro::cjoin::pipeline::RoleKind;
-    use cjoin_repro::cjoin::Axis;
 
     /// The kernel keeps 15 bytes of a thread name.
     fn comm(name: &str) -> String {
@@ -429,22 +428,6 @@ fn thread_census_in_a_process_of_its_own() {
     let data = SsbDataSet::generate(SsbConfig::for_tests(0.001, 309));
     let catalog = data.catalog();
 
-    // Default widths, resized explicitly to each shape.
-    let engine = CjoinEngine::start(
-        Arc::clone(&catalog),
-        CjoinConfig::default().with_max_concurrency(16),
-    )
-    .unwrap();
-    for width in [1, 2] {
-        for axis in Axis::ALL {
-            engine.request_resize(axis, width).unwrap();
-        }
-        census(&engine, (width, width, width));
-    }
-    engine.shutdown();
-    assert_eq!(live(), Vec::<String>::new(), "shutdown joins every thread");
-
-    // The same shapes set by the builders.
     for width in [1, 2] {
         let engine = CjoinEngine::start(
             Arc::clone(&catalog),
@@ -457,5 +440,6 @@ fn thread_census_in_a_process_of_its_own() {
         .unwrap();
         census(&engine, (width, width, width));
         engine.shutdown();
+        assert_eq!(live(), Vec::<String>::new(), "shutdown joins every thread");
     }
 }
