@@ -87,9 +87,7 @@ fn bench(c: &mut Criterion) {
     for columnar in [false, true] {
         let engine = CjoinEngine::start(
             clustered.catalog(),
-            CjoinConfig::default()
-                .with_worker_threads(2)
-                .with_columnar_scan(columnar),
+            CjoinConfig::default().with_columnar_scan(columnar),
         )
         .unwrap();
         let name = if columnar {

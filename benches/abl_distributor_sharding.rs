@@ -1,7 +1,7 @@
-//! Ablation — Distributor sharding (the `distributor_shards` knob): the final
-//! aggregation stage as a single Distributor shard versus 2 or 4 parallel
-//! aggregation shards, each fed whole batches by the Stage workers in rotation,
-//! that merge their partials at query end. Each sample drives a fig5-style
+//! Ablation — Distributor sharding (the `distributor_shards` knob): a single
+//! Distributor shard versus 2 or 4 parallel shards, each fed whole batches by
+//! the scan workers in rotation, each running the Filter chain and the
+//! aggregation, that merge their partials at query end. Each sample drives a fig5-style
 //! closed-loop workload through a full `CjoinEngine`, so the measurement
 //! includes the dispatch and merge overhead, not just the shard workers. The
 //! oracle-backed equivalence of all shard counts is asserted by
@@ -31,7 +31,6 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("shards_{shards}"), |b| {
             b.iter(|| {
                 let config = CjoinConfig::default()
-                    .with_worker_threads(2)
                     .with_max_concurrency(32)
                     .with_distributor_shards(shards);
                 let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();

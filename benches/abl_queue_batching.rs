@@ -28,7 +28,6 @@ fn bench(c: &mut Criterion) {
             |b, &batch_size| {
                 b.iter(|| {
                     let config = CjoinConfig::default()
-                        .with_worker_threads(4)
                         .with_max_concurrency(32)
                         .with_batch_size(batch_size);
                     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();

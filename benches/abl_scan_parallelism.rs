@@ -2,8 +2,8 @@
 //! front-end as one scan worker versus 2 or 4 segment scan workers, at both a
 //! 1-shard and a 4-shard aggregation stage. Each sample drives a fig5-style
 //! closed-loop workload through a full `CjoinEngine`, so the measurement
-//! includes install relays, stall-gate parking and the end-of-query drain
-//! barrier, not just the raw segment cursors. The oracle-backed equivalence of all
+//! includes install relays and the in-band end-of-query broadcasts, not just
+//! the raw segment cursors. The oracle-backed equivalence of all
 //! `scan_workers` settings is asserted by `tests/scan_parallelism.rs` and
 //! `tests/engine_equivalence.rs`; this bench only measures.
 
@@ -32,7 +32,6 @@ fn bench(c: &mut Criterion) {
             group.bench_function(format!("scan_{scan_workers}_shards_{shards}"), |b| {
                 b.iter(|| {
                     let config = CjoinConfig::default()
-                        .with_worker_threads(2)
                         .with_max_concurrency(32)
                         .with_scan_workers(scan_workers)
                         .with_distributor_shards(shards);

@@ -28,9 +28,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let engine = CjoinEngine::start(
                     Arc::clone(&catalog),
-                    CjoinConfig::default()
-                        .with_worker_threads(4)
-                        .with_max_concurrency(n.max(4)),
+                    CjoinConfig::default().with_max_concurrency(n.max(4)),
                 )
                 .unwrap();
                 let report = run_closed_loop(&engine, workload.queries(), n).unwrap();

@@ -28,9 +28,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let engine = CjoinEngine::start(
                     Arc::clone(&catalog),
-                    CjoinConfig::default()
-                        .with_worker_threads(4)
-                        .with_max_concurrency(32),
+                    CjoinConfig::default().with_max_concurrency(32),
                 )
                 .unwrap();
                 let report = run_closed_loop(&engine, workload.queries(), CONCURRENCY).unwrap();

@@ -35,9 +35,7 @@ fn bench(c: &mut Criterion) {
                 // measure the admission latency of additional Q4.2 queries.
                 let engine = CjoinEngine::start(
                     Arc::clone(&catalog),
-                    CjoinConfig::default()
-                        .with_worker_threads(2)
-                        .with_max_concurrency(already_registered + 64),
+                    CjoinConfig::default().with_max_concurrency(already_registered + 64),
                 )
                 .unwrap();
                 let _background: Vec<_> = background

@@ -28,9 +28,7 @@ fn bench(c: &mut Criterion) {
             |b, _| {
                 let engine = CjoinEngine::start(
                     Arc::clone(&catalog),
-                    CjoinConfig::default()
-                        .with_worker_threads(2)
-                        .with_max_concurrency(256),
+                    CjoinConfig::default().with_max_concurrency(256),
                 )
                 .unwrap();
                 let mut next = 0usize;

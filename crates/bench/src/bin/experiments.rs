@@ -6,7 +6,7 @@
 //! Options:
 //!   --scale <f64>          SSB scale factor              (default 0.01)
 //!   --selectivity <f64>    predicate selectivity s       (default 0.01)
-//!   --threads <usize>      CJOIN worker threads          (default 4)
+//!   --threads <usize>      CJOIN shard threads           (default 4)
 //!   --concurrency <list>   comma-separated n values      (default 1,32,64,128,256)
 //!   --markdown             print Markdown tables instead of plain text
 //! ```
@@ -53,7 +53,7 @@ fn parse_args() -> std::result::Result<Options, String> {
                     .map_err(|e| format!("invalid --selectivity: {e}"))?;
             }
             "--threads" => {
-                params.worker_threads = args
+                params.distributor_shards = args
                     .next()
                     .ok_or("--threads needs a value")?
                     .parse()
@@ -152,7 +152,7 @@ fn main() -> ExitCode {
         options.experiment,
         options.params.scale_factor,
         options.params.selectivity,
-        options.params.worker_threads,
+        options.params.distributor_shards,
         options.concurrency
     );
     match run(&options) {

@@ -190,9 +190,7 @@ mod tests {
         let baseline = BaselineEngine::new(Arc::clone(&catalog), BaselineConfig::default());
         let cjoin = CjoinEngine::start(
             Arc::clone(&catalog),
-            CjoinConfig::default()
-                .with_worker_threads(2)
-                .with_max_concurrency(16),
+            CjoinConfig::default().with_max_concurrency(16),
         )
         .unwrap();
         // Drive both engines through the shared trait, the way the harness does.

@@ -28,8 +28,9 @@ pub struct ExperimentParams {
     pub scale_factor: f64,
     /// Predicate selectivity `s` of generated workload queries.
     pub selectivity: f64,
-    /// Worker threads given to the CJOIN pipeline.
-    pub worker_threads: usize,
+    /// Distributor shards given to the CJOIN pipeline: the threads that run
+    /// the Filter chain and the aggregation.
+    pub distributor_shards: usize,
     /// Number of queries executed per measured point, as a multiple of the
     /// concurrency level (the paper runs 2× the concurrency to reach steady state).
     pub queries_per_level_factor: usize,
@@ -42,7 +43,7 @@ impl Default for ExperimentParams {
         Self {
             scale_factor: 0.01,
             selectivity: 0.01,
-            worker_threads: 4,
+            distributor_shards: 4,
             queries_per_level_factor: 2,
             seed: 0xC70,
         }
@@ -55,7 +56,7 @@ impl ExperimentParams {
         Self {
             scale_factor: 0.002,
             selectivity: 0.02,
-            worker_threads: 2,
+            distributor_shards: 2,
             queries_per_level_factor: 1,
             seed: 0xC70,
         }
@@ -79,7 +80,7 @@ impl ExperimentParams {
         // ids would do; the headroom keeps the bit-vector widths the experiments
         // have always run with.
         CjoinConfig::default()
-            .with_worker_threads(self.worker_threads)
+            .with_distributor_shards(self.distributor_shards)
             .with_max_concurrency((concurrency * 2 + 16).max(32))
     }
 }
@@ -463,8 +464,8 @@ pub fn fig8_data_scale(
 // Design ablations
 // ---------------------------------------------------------------------------
 
-/// Ablations of CJOIN design choices called out in §3–§4: the early-skip
-/// optimisation and the number of Filter worker threads.
+/// Ablation of a CJOIN design choice called out in §4: the number of threads
+/// that run the Filter chain (here, the Distributor shards).
 ///
 /// # Errors
 /// Propagates engine errors.
@@ -479,14 +480,9 @@ pub fn ablations(params: &ExperimentParams, concurrency: usize) -> Result<Table>
     );
     let variants: Vec<(&str, CjoinConfig)> = vec![
         ("full design", params.cjoin_config(concurrency)),
-        ("no early skip", {
-            let mut c = params.cjoin_config(concurrency);
-            c.early_skip = false;
-            c
-        }),
         (
-            "single worker thread",
-            params.cjoin_config(concurrency).with_worker_threads(1),
+            "single shard",
+            params.cjoin_config(concurrency).with_distributor_shards(1),
         ),
     ];
     for (name, config) in variants {
@@ -597,7 +593,7 @@ mod tests {
     fn ablations_quick_run() {
         let p = ExperimentParams::quick();
         let table = ablations(&p, 4).unwrap();
-        assert_eq!(table.num_rows(), 3);
+        assert_eq!(table.num_rows(), 2);
         for row in &table.rows {
             assert!(row[1].parse::<f64>().unwrap() > 0.0);
         }

@@ -1,9 +1,9 @@
 //! Pipeline configuration.
 //!
 //! The engine's current [`CjoinConfig`] is the one source of the pipeline's
-//! three widths (`scan_workers`, `worker_threads`, `distributor_shards`). A
-//! width set explicitly, through a builder or struct update, is used as given;
-//! the Stage's default is sized from the host once ([`stage_width_for`]).
+//! two widths (`scan_workers`, `distributor_shards`). A width set explicitly,
+//! through a builder or struct update, is used as given; the shards' default
+//! is sized from the host once ([`shard_width_for`]).
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -13,12 +13,12 @@ use cjoin_storage::SyncPolicy;
 
 use crate::fault::FaultPlan;
 
-/// The default Stage width on a host with `cores` cores: one core each is
-/// left for the scan and the aggregation stage, never fewer than one worker
-/// (on up to three cores the pipeline is the paper's classic one thread per
-/// stage), never more than four.
-pub fn stage_width_for(cores: usize) -> usize {
-    cores.saturating_sub(2).clamp(1, 4)
+/// The default shard width on a host with `cores` cores: every core but the
+/// scan's and one more, between two and five shards. Each shard runs the
+/// Filter chain and aggregates its own batches, so on up to three cores there
+/// are two, and a second shard keeps a core busy beside the scan.
+pub fn shard_width_for(cores: usize) -> usize {
+    cores.saturating_sub(2).clamp(1, 4) + 1
 }
 
 /// `std::thread::available_parallelism()`, read once per process so every
@@ -34,29 +34,16 @@ pub struct CjoinConfig {
     /// Maximum number of concurrently registered queries (the paper's `maxConc`).
     /// Determines the width of every query bit-vector.
     pub max_concurrency: usize,
-    /// Number of Stage worker threads. The Stage holds the whole Filter
-    /// sequence, and every worker runs all of it on disjoint batches — the
-    /// paper's *horizontal* layout (§4). Defaults to [`stage_width_for`] the
-    /// host's `available_parallelism()`.
-    pub worker_threads: usize,
     /// Number of fact tuples per batch handed between pipeline threads.
     pub batch_size: usize,
-    /// Enable the early-skip optimisation (`bτ AND ¬bDj == 0` avoids the probe, §3.2.2).
-    pub early_skip: bool,
-    /// Enable the batch-vectorized Filter hot path: the dimension hash-table read
-    /// lock is taken once per (batch, filter) with entries borrowed rather than
-    /// `Arc`-cloned, filter statistics accumulate in batch-local counters flushed
-    /// once per batch, and survivors are compacted in place. Disable to fall back
-    /// to the per-tuple probe path (the reference the batched path is tested
-    /// against).
-    pub batched_probing: bool,
-    /// Number of parallel aggregation (Distributor) shards, each reading its own
-    /// queue. With one shard that queue is the pipeline's output — the paper's
-    /// Distributor; with `N > 1` each Stage worker hands every filtered batch,
-    /// whole, to the next shard in its own rotation, and the scan broadcasts
-    /// control tuples to all `N`. At query end every shard folds its partial
-    /// aggregate into a shared merge slot and the last one to do so delivers
-    /// the result.
+    /// Number of Distributor shards, each reading its own lane and running the
+    /// whole join for the batches on it: the Filter chain (§3.2.2, early skip
+    /// and the batched kernel always on), then aggregation. Each scan worker
+    /// hands every batch, whole, to the next shard in its own rotation and
+    /// broadcasts control tuples to all `N`. At query end every shard folds its
+    /// partial aggregate into a shared merge slot and the last one to do so
+    /// delivers the result. Defaults to [`shard_width_for`] the host's
+    /// `available_parallelism()`.
     pub distributor_shards: usize,
     /// Number of parallel continuous-scan (Preprocessor) workers. The fact
     /// table's page range is split into that many static segments (one — the
@@ -64,7 +51,7 @@ pub struct CjoinConfig {
     /// worker that runs the full per-row path over its own segment cursor.
     /// Worker 0 emits a query's start control tuple and relays the install to
     /// the others; the worker that completes the query's pass last emits the
-    /// single end-of-query control tuple.
+    /// single end-of-query control tuple, in-band behind the data.
     pub scan_workers: usize,
     /// Build and scan a compressed replica (§5, Column Stores / Compressed
     /// Tables): the pipeline builds a read-optimised columnar replica of the
@@ -109,11 +96,8 @@ impl Default for CjoinConfig {
     fn default() -> Self {
         Self {
             max_concurrency: 512,
-            worker_threads: stage_width_for(host_cores()),
             batch_size: 1024,
-            early_skip: true,
-            batched_probing: true,
-            distributor_shards: 1,
+            distributor_shards: shard_width_for(host_cores()),
             scan_workers: 1,
             columnar_scan: false,
             fault_plan: None,
@@ -132,9 +116,6 @@ impl CjoinConfig {
     pub fn validate(&self) -> Result<()> {
         if self.max_concurrency == 0 {
             return Err(Error::invalid_config("max_concurrency must be positive"));
-        }
-        if self.worker_threads == 0 {
-            return Err(Error::invalid_config("worker_threads must be positive"));
         }
         if self.batch_size == 0 {
             return Err(Error::invalid_config("batch_size must be positive"));
@@ -156,13 +137,6 @@ impl CjoinConfig {
         Ok(())
     }
 
-    /// Convenience: a configuration with the given number of Stage worker
-    /// threads.
-    pub fn with_worker_threads(mut self, n: usize) -> Self {
-        self.worker_threads = n;
-        self
-    }
-
     /// Convenience: a configuration with the given `maxConc`.
     pub fn with_max_concurrency(mut self, n: usize) -> Self {
         self.max_concurrency = n;
@@ -172,12 +146,6 @@ impl CjoinConfig {
     /// Convenience: a configuration with the given batch size.
     pub fn with_batch_size(mut self, n: usize) -> Self {
         self.batch_size = n;
-        self
-    }
-
-    /// Convenience: a configuration with batched probing enabled or disabled.
-    pub fn with_batched_probing(mut self, enabled: bool) -> Self {
-        self.batched_probing = enabled;
         self
     }
 
@@ -255,12 +223,6 @@ mod tests {
         .validate()
         .is_err());
         assert!(CjoinConfig {
-            worker_threads: 0,
-            ..CjoinConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CjoinConfig {
             batch_size: 0,
             ..CjoinConfig::default()
         }
@@ -295,29 +257,15 @@ mod tests {
     #[test]
     fn builder_style_setters() {
         let c = CjoinConfig::default()
-            .with_worker_threads(2)
             .with_max_concurrency(64)
             .with_batch_size(128)
-            .with_batched_probing(false)
             .with_distributor_shards(4)
             .with_scan_workers(2);
-        assert_eq!(c.worker_threads, 2);
         assert_eq!(c.max_concurrency, 64);
         assert_eq!(c.batch_size, 128);
-        assert!(!c.batched_probing);
         assert_eq!(c.distributor_shards, 4);
         assert_eq!(c.scan_workers, 2);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn batched_probing_defaults_on() {
-        assert!(CjoinConfig::default().batched_probing);
-    }
-
-    #[test]
-    fn distributor_defaults_to_a_single_shard() {
-        assert_eq!(CjoinConfig::default().distributor_shards, 1);
     }
 
     #[test]
@@ -334,15 +282,15 @@ mod tests {
     }
 
     #[test]
-    fn stage_width_leaves_two_cores_and_stays_within_one_to_four() {
+    fn shard_width_is_two_on_small_hosts_and_stays_within_two_to_five() {
         let widths: Vec<usize> = [1, 2, 3, 4, 6, 16]
             .into_iter()
-            .map(stage_width_for)
+            .map(shard_width_for)
             .collect();
-        assert_eq!(widths, [1, 1, 1, 2, 4, 4]);
+        assert_eq!(widths, [2, 2, 2, 3, 5, 5]);
         assert_eq!(
-            CjoinConfig::default().worker_threads,
-            stage_width_for(host_cores())
+            CjoinConfig::default().distributor_shards,
+            shard_width_for(host_cores())
         );
     }
 

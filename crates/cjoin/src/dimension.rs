@@ -64,13 +64,15 @@
 //! (§3.3.1). That argument is also why `register_unreferencing_query` can be a
 //! single `bDj` bit: the install follows the bit set, so every probe of a tuple
 //! carrying the new query's bit ORs in a `bDj` that already holds it. At clean-up
-//! the drain barrier has run before the query's end tuple, so no tuple carries the
-//! bit while Algorithm 2 clears it, and the id is recycled only afterwards.
+//! the query's end tuple has reached every shard behind all of its data, so no
+//! tuple carries the bit while Algorithm 2 clears it, and the id is recycled only
+//! afterwards.
 //! Holding the read lock across a batch does not change Algorithm 1/2 semantics:
 //! admission's and clean-up's writes simply serialize at batch boundaries instead of
 //! tuple boundaries, and a Filter already applies one point-in-time table state to
-//! each tuple it processes. (The legacy per-tuple [`DimensionTable::probe`] is kept
-//! for the `batched_probing = false` ablation baseline.)
+//! each tuple it processes. (The per-tuple [`DimensionTable::probe`] is kept for
+//! the per-tuple reference path of
+//! [`FilterChain::process_batch`](crate::filter::FilterChain::process_batch).)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -321,7 +323,7 @@ impl DimensionTable {
     /// `Arc` for every call. The batched hot path uses
     /// [`DimensionTable::probe_batch`] instead, which amortises the lock over a whole
     /// batch and borrows entries without cloning; this method remains as the
-    /// `batched_probing = false` ablation baseline and for point lookups in tests.
+    /// per-tuple reference path and for point lookups in tests.
     ///
     /// The caller combines the fact tuple's bit-vector with the entry's `bits |
     /// bDj` (hit) or with [`DimensionTable::complement`] (miss) — see

@@ -1,19 +1,34 @@
-//! The Distributor (§3.2.2), sharded into parallel aggregation workers.
+//! The Distributor (§3.2.2), sharded into workers that each run the whole join.
 //!
-//! The Distributor consumes the pipeline's output: for each surviving fact tuple it
-//! inspects the query bit-vector and routes the tuple to the aggregation operator of
-//! every query whose bit is set. Group-by columns and aggregate inputs that live on
-//! dimension tables are read through the dimension rows the Filters attached to the
-//! tuple, so no re-probing is necessary.
+//! A shard consumes one lane of the pipeline. For each batch it first runs the
+//! Filter chain ([`FilterChain::process_batch`], early skip and the batched
+//! kernel always on), then, for each surviving fact tuple, inspects the query
+//! bit-vector and routes the tuple to the aggregation operator of every query
+//! whose bit is set. Group-by columns and aggregate inputs that live on
+//! dimension tables are read through the dimension rows the Filters attached to
+//! the tuple, so no re-probing is necessary.
 //!
 //! The stage is `CjoinConfig::distributor_shards` [`Distributor`] shard workers,
 //! each owning its *own* per-query [`GroupedAggregator`] partials, over one shared
 //! array of [`MergeSlots`] in which a finished query's partials meet. Each shard
-//! reads its own queue, fed by two sides: the Stage workers hand it filtered
-//! batches, whole, and the scan front-end broadcasts control tuples to every
-//! shard queue. With one shard (the default) that queue is the pipeline's output
-//! and the shard owns all per-query aggregation state — the paper's original
-//! design.
+//! reads its own lane, fed by the scan workers: each hands it whole batches in
+//! its own rotation and broadcasts control tuples to every lane. Each shard
+//! thus runs the paper's horizontal Stage (§4, Figure 4) and its Distributor
+//! on its own batches, one thread hop after the scan.
+//!
+//! ## The Filter step and the scan's mark
+//!
+//! A batch can meet a different filter chain at the shard than at the scan.
+//! Query admission and the run-time optimizer grow, shrink and reorder the
+//! chain *while the batch waits in its lane*, and the columnar scan front-end
+//! probes the chain's leading Filter itself before it materialises a row (see
+//! [`crate::preprocessor`]). That front-end marks each batch with the slot of
+//! the Filter *that actually probed it* ([`Batch::mark_filter_applied`]), and
+//! the shard applies every Filter of its own snapshot except the marked one, so
+//! no Filter present when the batch is drained is ever missed and none runs
+//! twice. Why a Filter that entered or left the chain in between, or one that
+//! inherited a retired Filter's slot, changes nothing for the batch is argued
+//! under "Control-tuple ordering" in [`crate::preprocessor`].
 //!
 //! ## Query-major batches
 //!
@@ -43,9 +58,8 @@
 //!
 //! Hash aggregation is commutative and associative, so *any* tuple→shard
 //! assignment is correct as long as each surviving tuple reaches exactly one
-//! shard. Each Stage worker sends every batch it filtered, whole, to the next
-//! shard in its own rotation (see [`crate::pipeline::run_stage_worker`]), so
-//! the Stage is the last hop and dispatch costs one queue send per batch. The
+//! shard. Each scan worker sends every batch it flushes, whole, to the next
+//! shard in its own rotation, so dispatch costs one lane send per batch. The
 //! price is locality: one group's tuples can land on several shards, so the
 //! shards' partials of a query overlap, and [`MergeSlots`] merges them once per
 //! query end — O(N × groups), the same merge that folds disjoint partials
@@ -53,9 +67,8 @@
 //! group to two shards).
 //!
 //! Why not route by group: hashing each surviving tuple's group-by key to pick
-//! its shard keeps every group on one shard, but it copies every survivor into
-//! a per-shard sub-batch, in a thread of its own — O(survivors) per batch, to
-//! save a merge that costs O(N × groups) per query.
+//! its shard keeps every group on one shard, but the key exists only after the
+//! Filters attached the dimension rows, which happens on the shard itself.
 //!
 //! ## Control tuples and the end-barrier
 //!
@@ -63,63 +76,63 @@
 //! owns partial state for every query; the scan front-end broadcasts them):
 //!
 //! * *query start* creates the shard-local aggregation operator. The scan
-//!   front-end enqueues the start tuple on every shard queue before any worker
+//!   front-end enqueues the start tuple on every lane before any worker
 //!   installs the query — so before any data carrying the query's bit exists —
-//!   and each shard queue is FIFO, so no shard can see a query's tuple before
-//!   its start tuple (invariant 1, asserted by `tests/distributor_sharding.rs`).
-//! * *query end* is only enqueued by the scan front-end after its drain barrier
-//!   observed the in-flight batch counter at zero. A batch is one in-flight unit
-//!   from the scan worker that sends it to the shard that drains it, so
-//!   "in-flight = 0" means every batch that can carry the query's bit has been
-//!   accumulated. When the end tuple reaches a shard, the shard has already
-//!   drained every tuple of that query; it detaches its partial and folds it
-//!   into the query's merge slot. The shard whose contribution is the `N`-th —
-//!   the **end-barrier** — takes the merged state out of the slot, finalizes
-//!   it, counts the completion, cleans the query up (the engine's [`Cleanup`],
-//!   Algorithm 2, which frees the id) and delivers the result, in that order
-//!   (invariant 2), so an `Ok` result means the query is already cleaned up.
-//!   With one shard the first contribution is the last and the partial comes
-//!   straight back. The slot is left empty and every other shard has dropped
-//!   its state for the query, so a query reusing the id never meets an
-//!   unfinished merge.
+//!   and each lane is FIFO, so no shard can see a query's tuple before its
+//!   start tuple (invariant 1).
+//! * *query end* is enqueued on every lane by the scan worker whose segment
+//!   finished the query's pass last, after every scan worker flushed each batch
+//!   that can carry the bit (see "Control-tuple ordering" in
+//!   [`crate::preprocessor`]). So when the end tuple reaches a shard, the shard
+//!   has already drained every tuple of that query on its lane; it detaches
+//!   its partial and folds it into the query's merge slot. The shard whose
+//!   contribution is the `N`-th — the **end-barrier** — takes the merged state
+//!   out of the slot, finalizes it, counts the completion, cleans the query up
+//!   (the engine's [`Cleanup`], Algorithm 2, which frees the id) and delivers
+//!   the result, in that order (invariant 2), so an `Ok` result means the
+//!   query is already cleaned up. With one shard the first contribution is the
+//!   last and the partial comes straight back. The slot is left empty and
+//!   every other shard has dropped its state for the query, so a query reusing
+//!   the id never meets an unfinished merge.
 //!
 //! Shutdown flows the same way: the engine sends one shutdown message to each
-//! shard queue, after the Stage workers have exited, and each shard exits.
+//! lane, after the scan workers have exited, and each shard exits.
 //!
 //! ## Lock order
 //!
-//! Clean-up makes a shard take the engine's admission mutex and then each
-//! Filter's entries write lock, and a shard waiting for either drains nothing.
-//! So no thread holds either lock while it blocks on a shard queue, the Stage
-//! queue, the drain barrier or the stall gate: `submit` evaluates σ_cij(Dj)
-//! before it takes admission and sends the install after releasing it; the
-//! deadline reaper and `fail_all_in_flight` hold admission only for
-//! bookkeeping and clean-ups; the supervisor joins a dead pipeline's shards
-//! under the core lock alone, which no shard takes; and the entries read lock
-//! — a Stage worker's [`ProbeGuard`](crate::dimension::ProbeGuard), the scan's
-//! `probe_leading` guard — is dropped before its holder sends a batch or
-//! finalizes a query.
+//! A shard takes each Filter's entries read lock to probe it — one
+//! [`ProbeGuard`](crate::dimension::ProbeGuard) per Filter per batch, dropped
+//! before the next Filter — and, when it finishes a query, the engine's
+//! admission mutex and then each Filter's entries write lock to clean it up. A
+//! shard waiting for either drains nothing, and it never holds either while it
+//! blocks: a shard sends nothing into the pipeline. Every other holder keeps
+//! the same rule: `submit` evaluates σ_cij(Dj) before it takes admission and
+//! sends the install after releasing it; the deadline reaper and
+//! `fail_all_in_flight` hold admission only for bookkeeping and clean-ups; the
+//! supervisor joins a dead pipeline's shards under the core lock alone, which
+//! no shard takes; and the scan's `probe_leading` guard is dropped before the
+//! scan flushes into a lane. So the order is: core, then admission, then one
+//! Filter's entries lock at a time, and a lane send under none of them.
 //!
-//! ## Failure and barrier release
+//! ## Failure
 //!
-//! Two barriers in this stage can wait forever if a role dies: the scan
-//! front-end's drain barrier (a dead shard never decrements the in-flight
-//! counter) and the end-barrier (a dead shard never contributes its partial, so
-//! `received` never reaches `N`). Neither barrier polls a failure flag itself —
-//! instead the supervisor (see [`crate::pipeline`]) first resolves every
-//! in-flight query's outcome with a typed `StageFailed` error through the
-//! [`QueryRuntime`]'s first-wins latch, *then* poisons the drain barrier and
-//! tears the stage down. Nobody blocks on the end-barrier — a contributing shard
-//! leaves its partial in the slot and moves on — so a half-filled slot holds no
+//! The end-barrier can wait forever if a role dies: a dead shard never
+//! contributes its partial, so `received` never reaches `N`, and a dead scan
+//! worker never marks its segment, so the end tuple is never sent. The barrier
+//! polls no failure flag — instead the supervisor (see [`crate::pipeline`])
+//! first resolves every in-flight query's outcome with a typed `StageFailed`
+//! error through the [`QueryRuntime`]'s first-wins latch, *then* tears the
+//! stage down. Nobody blocks on the end-barrier — a contributing shard leaves
+//! its partial in the slot and moves on — so a half-filled slot holds no
 //! thread; it dies with the pipeline incarnation that owns the [`MergeSlots`],
-//! and the respawned stage starts with empty ones. Poisoning unblocks the drain
-//! barrier, and dropping the shard queues disconnects the surviving roles'
-//! `recv` loops so they exit and can be joined. Because the outcome latch was
-//! already taken, a partially-merged result can never be delivered — result
-//! delivery goes through [`QueryRuntime::resolve`], which silently discards the
-//! loser.
+//! and the respawned stage starts with empty ones. Dropping the lanes
+//! disconnects the surviving roles so they exit and can be joined. Because the
+//! outcome latch was already taken, a partially-merged result can never be
+//! delivered — result delivery goes through [`QueryRuntime::resolve`], which
+//! silently discards the loser.
+//!
+//! [`Batch::mark_filter_applied`]: crate::tuple::Batch::mark_filter_applied
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
@@ -130,6 +143,7 @@ use cjoin_query::GroupedAggregator;
 use cjoin_storage::Row;
 
 use crate::fault::{self, FaultPlan, FaultSite};
+use crate::filter::FilterChain;
 use crate::pool::BatchPool;
 use crate::stats::{ShardCounters, SharedCounters};
 use crate::tuple::{Batch, ControlTuple, Message, QueryRuntime};
@@ -194,10 +208,18 @@ impl MergeSlots {
     }
 }
 
-/// An aggregation worker: one shard of the aggregation stage.
+/// A shard's Filter step: every Filter of the chain as it is now, in order,
+/// except the one the scan marked as already applied (see the module docs).
+pub(crate) fn run_filters(chain: &FilterChain, batch: &mut Batch) {
+    let mut filters = chain.snapshot();
+    filters.retain(|f| !batch.filter_applied(f.slot));
+    FilterChain::process_batch(&filters, batch, true, true);
+}
+
+/// One shard: the Filter chain, then aggregation, for the batches on its lane.
 pub struct Distributor {
     input: Receiver<Message>,
-    in_flight: Arc<AtomicI64>,
+    chain: Arc<FilterChain>,
     pool: Arc<BatchPool>,
     counters: Arc<SharedCounters>,
     shard_counters: Arc<ShardCounters>,
@@ -212,10 +234,11 @@ pub struct Distributor {
 
 impl Distributor {
     /// Creates one shard of a stage whose shards share `merge`. `input` is the
-    /// shard's own queue; `cleanup` runs for each query this shard finishes.
+    /// shard's own lane, `chain` the Filters it runs on every batch; `cleanup`
+    /// runs for each query this shard finishes.
     pub fn new(
         input: Receiver<Message>,
-        in_flight: Arc<AtomicI64>,
+        chain: Arc<FilterChain>,
         pool: Arc<BatchPool>,
         counters: Arc<SharedCounters>,
         shard_counters: Arc<ShardCounters>,
@@ -224,7 +247,7 @@ impl Distributor {
     ) -> Self {
         Self {
             input,
-            in_flight,
+            chain,
             pool,
             counters,
             shard_counters,
@@ -255,17 +278,21 @@ impl Distributor {
         }
     }
 
-    /// Routes one surviving batch, query-major (see the module docs): one pass
-    /// buckets tuple indices by registered query, the second walks each carried
-    /// query's bucket.
-    fn handle_batch(&mut self, batch: Batch) {
+    /// Runs one batch through the Filter chain except the Filter the scan
+    /// marked (see the module docs), then routes the survivors query-major: one
+    /// pass buckets tuple indices by registered query, the second walks each
+    /// carried query's bucket.
+    fn handle_batch(&mut self, mut batch: Batch) {
+        run_filters(&self.chain, &mut batch);
         SharedCounters::add(&self.counters.tuples_distributed, batch.len() as u64);
         SharedCounters::add(&self.shard_counters.tuples_distributed, batch.len() as u64);
         SharedCounters::add(&self.shard_counters.batches_drained, 1);
+        let mut stray = 0u64;
         for (index, tuple) in batch.iter().enumerate() {
             for bit in tuple.bits.iter() {
-                // A bit nobody registered (or past `maxConc`) routes nowhere.
+                // A bit of no started query (or past `maxConc`) routes nowhere.
                 let Some(Some(state)) = self.queries.get_mut(bit) else {
+                    stray += 1;
                     continue;
                 };
                 if state.routed.is_empty() {
@@ -300,7 +327,9 @@ impl Distributor {
         }
         SharedCounters::add(&self.counters.routings, routings);
         SharedCounters::add(&self.shard_counters.routings, routings);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        if stray > 0 {
+            SharedCounters::add(&self.shard_counters.stray_bits, stray);
+        }
         self.pool.put(batch);
     }
 
@@ -349,6 +378,7 @@ mod tests {
     use cjoin_query::{AggFunc, AggValue, AggregateSpec, ColumnRef, Predicate, StarQuery};
     use cjoin_storage::{Catalog, Column, RowId, Schema, SnapshotId, Table, Value};
     use crossbeam::channel::{bounded, unbounded, Sender};
+    use std::sync::atomic::Ordering;
     use std::time::Instant;
 
     /// A [`Cleanup`] that records the ids it runs for, in order.
@@ -425,33 +455,27 @@ mod tests {
         t
     }
 
-    /// A one-shard Distributor over a fresh queue that runs `cleanup`.
-    fn harness_with(cleanup: Cleanup) -> (Distributor, Sender<Message>, Arc<AtomicI64>) {
+    /// A one-shard Distributor with an empty chain over a fresh lane that
+    /// runs `cleanup`.
+    fn harness_with(cleanup: Cleanup) -> (Distributor, Sender<Message>) {
         let (tx, rx) = unbounded();
-        let in_flight = Arc::new(AtomicI64::new(0));
         let d = Distributor::new(
             rx,
-            Arc::clone(&in_flight),
+            Arc::new(FilterChain::new()),
             BatchPool::new(4),
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
             MergeSlots::new(8, 1),
             cleanup,
         );
-        (d, tx, in_flight)
+        (d, tx)
     }
 
     /// [`harness_with`] a [`recorder`], whose record it also returns.
-    #[allow(clippy::type_complexity)]
-    fn harness() -> (
-        Distributor,
-        Sender<Message>,
-        Arc<Mutex<Vec<QueryId>>>,
-        Arc<AtomicI64>,
-    ) {
+    fn harness() -> (Distributor, Sender<Message>, Arc<Mutex<Vec<QueryId>>>) {
         let (cleanup, cleaned) = recorder();
-        let (d, tx, in_flight) = harness_with(cleanup);
-        (d, tx, cleaned, in_flight)
+        let (d, tx) = harness_with(cleanup);
+        (d, tx, cleaned)
     }
 
     /// The shard that delivers a result has already cleaned its query up: the
@@ -469,11 +493,10 @@ mod tests {
                     .push((id, rt.resolved.load(Ordering::Acquire)))
             })
         };
-        let (mut d, tx, in_flight) = harness_with(cleanup);
+        let (mut d, tx) = harness_with(cleanup);
 
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
             .unwrap();
-        in_flight.fetch_add(1, Ordering::AcqRel);
         tx.send(Message::Data(Batch::from(vec![
             tuple(&[0], 1, 10, Some("red")),
             tuple(&[0], 2, 20, Some("green")),
@@ -500,21 +523,15 @@ mod tests {
             [(QueryId(0), false)],
             "cleaned up once, before delivery"
         );
-        assert_eq!(
-            in_flight.load(Ordering::Acquire),
-            0,
-            "data batch acknowledged"
-        );
     }
 
     #[test]
     fn tuples_for_unregistered_bits_are_ignored() {
         let catalog = catalog();
-        let (mut d, tx, _cleaned, in_flight) = harness();
+        let (mut d, tx, _cleaned) = harness();
         let (rt, result_rx) = runtime(&catalog, 1, false);
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
             .unwrap();
-        in_flight.fetch_add(3, Ordering::AcqRel);
         // An empty batch, a batch carrying only bits nobody registered (bit 5, and
         // bit 40 of a bit-vector wider than this worker's `maxConc` of 8), and a
         // tuple shared by bit 5 and the registered bit 1.
@@ -539,8 +556,7 @@ mod tests {
         d.run();
         let result = result_rx.try_recv().unwrap().unwrap();
         assert_eq!(result.rows().next().unwrap().1[0], AggValue::Int(7));
-        // Every batch is acknowledged and recycled, whatever it carried ...
-        assert_eq!(in_flight.load(Ordering::Acquire), 0);
+        // Every batch is recycled, whatever it carried ...
         for _ in 0..3 {
             d.pool.take(1);
         }
@@ -549,13 +565,15 @@ mod tests {
         // registered queries.
         assert_eq!(d.counters.tuples_distributed.load(Ordering::Relaxed), 3);
         assert_eq!(d.counters.routings.load(Ordering::Relaxed), 1);
-        assert_eq!(d.shard_counters.snapshot(0).batches_drained, 3);
+        let shard = d.shard_counters.snapshot(0);
+        assert_eq!(shard.batches_drained, 3);
+        assert_eq!(shard.stray_bits, 3, "bit 5 twice, bit 40 once");
     }
 
     #[test]
     fn multiple_concurrent_queries_share_one_tuple() {
         let catalog = catalog();
-        let (mut d, tx, cleaned, in_flight) = harness();
+        let (mut d, tx, cleaned) = harness();
         let (rt0, rx0) = runtime(&catalog, 0, false);
         let (rt1, rx1) = runtime(&catalog, 1, true);
         let (rt3, rx3) = runtime(&catalog, 3, true);
@@ -563,7 +581,6 @@ mod tests {
             tx.send(Message::Control(ControlTuple::QueryStart(rt)))
                 .unwrap();
         }
-        in_flight.fetch_add(1, Ordering::AcqRel);
         // One batch, the three queries' bits interleaved across its tuples; bit 5
         // is carried but was never registered.
         let tuples = vec![
@@ -611,7 +628,6 @@ mod tests {
         assert_eq!(shard.routings, registered_bits);
         assert_eq!(shard.tuples_distributed, 6);
         assert_eq!(shard.batches_drained, 1);
-        assert_eq!(in_flight.load(Ordering::Acquire), 0);
     }
 
     /// A `queries`-wide Distributor whose input already holds: the start of
@@ -626,10 +642,9 @@ mod tests {
     ) -> (Distributor, Vec<Receiver<cjoin_query::QueryOutcome>>) {
         let catalog = catalog();
         let (tx, rx) = unbounded();
-        let in_flight = Arc::new(AtomicI64::new(batches as i64));
         let d = Distributor::new(
             rx,
-            in_flight,
+            Arc::new(FilterChain::new()),
             BatchPool::new(4),
             SharedCounters::new(),
             Arc::new(ShardCounters::default()),
@@ -669,7 +684,6 @@ mod tests {
     fn many_queries_with_one_bit_per_tuple() {
         let (mut d, results) = one_bit_per_tuple(256, 2, 1024);
         d.run();
-        assert_eq!(d.in_flight.load(Ordering::Acquire), 0);
         assert_eq!(d.counters.routings.load(Ordering::Relaxed), 2 * 1024);
         assert_eq!(
             d.counters.tuples_distributed.load(Ordering::Relaxed),
@@ -706,7 +720,7 @@ mod tests {
     #[test]
     fn query_with_no_matching_tuples_still_delivers_a_result() {
         let catalog = catalog();
-        let (mut d, tx, _cleaned, _in_flight) = harness();
+        let (mut d, tx, _cleaned) = harness();
         let (rt, result_rx) = runtime(&catalog, 0, true);
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
             .unwrap();
@@ -724,7 +738,7 @@ mod tests {
     #[test]
     fn dropped_result_receiver_does_not_wedge_the_pipeline() {
         let catalog = catalog();
-        let (mut d, tx, cleaned, _in_flight) = harness();
+        let (mut d, tx, cleaned) = harness();
         let (rt, result_rx) = runtime(&catalog, 0, false);
         drop(result_rx);
         tx.send(Message::Control(ControlTuple::QueryStart(rt)))
@@ -738,9 +752,49 @@ mod tests {
 
     #[test]
     fn exits_when_senders_disconnect() {
-        let (mut d, tx, _cleaned, _inf) = harness();
+        let (mut d, tx, _cleaned) = harness();
         drop(tx);
         d.run(); // must return immediately rather than block forever
+    }
+
+    /// The scan probed Filter A for a batch and marked it; before the shard
+    /// drains the batch, a second query's admission grows the chain by Filter
+    /// B. The shard's Filter step applies B and skips A: A's counters do not
+    /// move, and a tuple A would drop survives, because A already ran where it
+    /// was marked.
+    #[test]
+    fn shard_applies_the_grown_chain_except_the_scan_marked_filter() {
+        use crate::dimension::DimensionTable;
+        let chain = FilterChain::new();
+        // Filter A (slot 0, fact column 0) keeps only fk0 == 42 for query 0.
+        let a = Arc::new(DimensionTable::new("a", 0, 0, 0, 4, &QuerySet::new(4)));
+        a.register_query(QueryId(0), &[(42, Row::new(vec![Value::int(42)]))]);
+        chain.push(Arc::clone(&a));
+
+        let tuple = |id: u64, k0: i64, k1: i64| {
+            InFlightTuple::new(
+                RowId(id),
+                Row::new(vec![Value::int(k0), Value::int(k1)]),
+                QuerySet::from_bits(4, [0]),
+                2,
+            )
+        };
+        // t0 would be dropped by A, t1 is dropped by B, t2 passes both.
+        let mut batch = Batch::from(vec![tuple(0, 1, 7), tuple(1, 42, 1), tuple(2, 42, 7)]);
+        batch.mark_filter_applied(a.slot);
+
+        // Filter B (slot 1, fact column 1) keeps only fk1 == 7 for query 0.
+        let b = Arc::new(DimensionTable::new("b", 1, 1, 0, 4, &QuerySet::new(4)));
+        b.register_query(QueryId(0), &[(7, Row::new(vec![Value::int(7)]))]);
+        chain.push(Arc::clone(&b));
+
+        run_filters(&chain, &mut batch);
+        let ids: Vec<RowId> = batch.iter().map(|t| t.row_id).collect();
+        assert_eq!(ids, [RowId(0), RowId(2)], "B applied, A skipped");
+        assert!(batch.filter_applied(a.slot) && !batch.filter_applied(b.slot));
+        assert_eq!(a.stats.snapshot(), (0, 0, 0, 0), "A never probed here");
+        let (b_in, b_dropped, b_probes, _) = b.stats.snapshot();
+        assert_eq!((b_in, b_dropped, b_probes), (3, 1, 3));
     }
 
     // ------------------------------------------------------------------
@@ -766,7 +820,6 @@ mod tests {
             let merge = MergeSlots::new(8, shards);
             let counters = SharedCounters::new();
             let (cleanup, cleaned) = recorder();
-            let in_flight = Arc::new(AtomicI64::new(0));
             for round in 0..2 {
                 let (rt, result_rx) = runtime(&catalog, 3, true);
                 let mut expected = std::collections::BTreeMap::new();
@@ -780,7 +833,7 @@ mod tests {
                     let shard_counters = Arc::new(ShardCounters::default());
                     let mut worker = Distributor::new(
                         rx,
-                        Arc::clone(&in_flight),
+                        Arc::new(FilterChain::new()),
                         BatchPool::new(4),
                         Arc::clone(&counters),
                         Arc::clone(&shard_counters),
@@ -789,7 +842,6 @@ mod tests {
                     );
                     tx.send(Message::Control(ControlTuple::QueryStart(Arc::clone(&rt))))
                         .unwrap();
-                    in_flight.fetch_add(1, Ordering::AcqRel);
                     tx.send(Message::Data(
                         shard_rows
                             .iter()
@@ -840,7 +892,6 @@ mod tests {
                     "one clean-up per query"
                 );
             }
-            assert_eq!(in_flight.load(Ordering::Acquire), 0);
             assert_eq!(
                 counters.tuples_distributed.load(Ordering::Relaxed),
                 2 * rows[..shards - 1]

@@ -1,13 +1,13 @@
 //! The public CJOIN engine: query admission, finalization and pipeline lifecycle.
 //!
 //! [`CjoinEngine::start`] builds the always-on pipeline (continuous scan →
-//! Preprocessor → Stage → aggregation stage) and the supervisor thread. The scan
+//! Preprocessor → Distributor shards) and the supervisor thread. The scan
 //! front-end is `CjoinConfig::scan_workers` scan workers, one by default, each
 //! over its own segment of the fact table (see [`crate::preprocessor`]). The
-//! Stage is `CjoinConfig::worker_threads` workers, each running the whole
-//! Filter chain (see [`crate::pipeline`]). The aggregation stage is
-//! `CjoinConfig::distributor_shards` aggregation shards, one by default, each
-//! fed whole batches by the Stage workers (see [`crate::distributor`]). Queries are
+//! shards are `CjoinConfig::distributor_shards` threads, sized from the host by
+//! default, each fed whole batches by the scan workers and running the whole
+//! Filter chain and the aggregation on them (see [`crate::pipeline`] and
+//! [`crate::distributor`]). Queries are
 //! registered at any time with [`CjoinEngine::submit`], which performs Algorithm 1 of
 //! the paper on the caller's thread (the Pipeline Manager work runs concurrently with
 //! the pipeline, which keeps flowing while dimension hash tables are updated) and
@@ -29,13 +29,13 @@
 //!
 //! 1. takes the pipeline out of service (no new query can install against it),
 //! 2. resolves every in-flight query to [`QueryError::StageFailed`] — *before*
-//!    any blocked drain barrier is released, so the first-wins latch in
-//!    [`QueryRuntime`] guarantees a poison-released barrier can never surface a
-//!    truncated result as `Ok`,
+//!    the teardown, so the first-wins latch in [`QueryRuntime`] guarantees an
+//!    end tuple that still reaches a shard can never surface a truncated result
+//!    as `Ok`,
 //! 3. tears the old pipeline down without ever blocking on a dead consumer
 //!    (see `teardown_core`),
 //! 4. steps the failed axis down to width 1 — fewer threads running the same
-//!    code (scan workers, Stage workers, distributor shards); a scan worker
+//!    code (scan workers, distributor shards); a scan worker
 //!    that dies at width 1 falls back from the columnar replica to the row
 //!    store — and
 //! 5. respawns the pipeline, leaving the engine serviceable for fresh queries.
@@ -74,7 +74,7 @@
 //! adopt it between two chunks (see [`crate::preprocessor`]). In-flight
 //! queries keep their pass, their progress and their place in the scan.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,25 +90,23 @@ use cjoin_storage::{
 };
 
 use crate::colscan::ReplicaScan;
-use crate::config::{host_cores, stage_width_for, CjoinConfig};
+use crate::config::{host_cores, shard_width_for, CjoinConfig};
 use crate::dimension::DimensionTable;
 use crate::distributor::{Cleanup, Distributor, MergeSlots};
 use crate::fault::{inject, FaultPlan, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
-use crate::pipeline::{
-    run_stage_worker, spawn_supervised, RoleFailure, RoleKind, StagePlan, SupervisorEvent,
-};
+use crate::pipeline::{spawn_supervised, RoleFailure, RoleKind, StagePlan, SupervisorEvent};
 use crate::pool::BatchPool;
-use crate::preprocessor::{Preprocessor, PreprocessorCommand, PreprocessorContext, ScanStall};
+use crate::preprocessor::{Preprocessor, PreprocessorCommand, PreprocessorContext};
 use crate::progress::QueryProgress;
-use crate::queue::{ShardQueues, ShardSenders, TupleQueue};
+use crate::queue::{ShardQueues, ShardSenders};
 use crate::scheduler::{Axis, ResizeEvent, ResizeLog, SchedulerStats};
 use crate::stats::{
     ColumnarScanStats, FilterStatsSnapshot, IngestCounters, PipelineStats, ScanWorkerCounters,
     ShardCounters, SharedCounters,
 };
-use crate::tuple::{Message, QueryRuntime};
+use crate::tuple::QueryRuntime;
 
 /// A registered query's admission-side bookkeeping (used by Algorithm 2 at cleanup).
 #[derive(Debug)]
@@ -132,7 +130,8 @@ struct AdmissionState {
     /// and re-created, so the slot count — and with it every pooled tuple's
     /// `dims` vector — is bounded by the number of distinct dimensions ever
     /// joined instead of growing with Filter churn. (Why a re-created Filter
-    /// may inherit the slot: [`crate::pipeline::run_stage_worker`].)
+    /// may inherit the slot: "Control-tuple ordering" in
+    /// [`crate::preprocessor`].)
     dim_slots: Vec<String>,
 }
 
@@ -242,9 +241,7 @@ impl QueryHandle {
 struct PipelineThreads {
     /// Scan front-end: one thread per scan worker.
     scan_workers: Vec<JoinHandle<()>>,
-    /// The Stage: one thread per Stage worker.
-    stage_workers: Vec<JoinHandle<()>>,
-    /// Aggregation stage: one thread per shard.
+    /// Distributor shards: one thread per shard.
     distributors: Vec<JoinHandle<()>>,
 }
 
@@ -254,12 +251,10 @@ struct PipelineThreads {
 /// tables, admission registry, global counters) lives in [`EngineShared`].
 struct PipelineCore {
     cmd_tx: Sender<PreprocessorCommand>,
-    stage_queue: TupleQueue,
-    /// Sender-only handle to the shard queues: each shard worker is the sole
+    /// Sender-only handle to the shard lanes: each shard worker is the sole
     /// receiver of its own.
     shards: ShardSenders,
     stage_plan: StagePlan,
-    in_flight: Arc<AtomicI64>,
     pool: Arc<BatchPool>,
     shard_counters: Vec<Arc<ShardCounters>>,
     scan_worker_counters: Vec<Arc<ScanWorkerCounters>>,
@@ -267,14 +262,6 @@ struct PipelineCore {
     /// to the scan workers — and byte-accounting counters (`None` unless
     /// `CjoinConfig::columnar_scan` is enabled).
     columnar: Option<(Arc<ColumnarTable>, Arc<ScanVolume>)>,
-    /// The scan front-end's stall gate, opened by the failure-path teardown so a
-    /// worker parked behind — or closing a query and waiting for — a dead sibling
-    /// can observe shutdown.
-    stall: Arc<ScanStall>,
-    /// Failure poison: set by the supervisor *after* it resolved every
-    /// in-flight query, releasing drain barriers that would otherwise wait
-    /// forever on batches a dead role will never drain.
-    poison: Arc<AtomicBool>,
     threads: PipelineThreads,
 }
 
@@ -296,8 +283,8 @@ struct EngineShared {
     resizes: Mutex<ResizeLog>,
     /// `available_parallelism()` at engine start.
     cores: usize,
-    /// Whether the engine started at the host-derived Stage width.
-    host_sized_stage: bool,
+    /// Whether the engine started at the host-derived shard width.
+    host_sized_shards: bool,
     /// The live pipeline; `None` while the supervisor is replacing it (or if a
     /// respawn failed, in which case submissions report the engine down).
     core: Mutex<Option<PipelineCore>>,
@@ -369,7 +356,7 @@ impl CjoinEngine {
             config: Mutex::new(config.clone()),
             resizes: Mutex::new(ResizeLog::default()),
             cores,
-            host_sized_stage: config.worker_threads == stage_width_for(cores),
+            host_sized_shards: config.distributor_shards == shard_width_for(cores),
             core: Mutex::new(None),
             shutdown_flag: Arc::new(AtomicBool::new(false)),
             failure_tx,
@@ -405,8 +392,7 @@ impl CjoinEngine {
     /// everything spawned here (threads, queues, scan layout, per-core
     /// counters) belongs to the returned [`PipelineCore`] and dies with it.
     fn spawn_pipeline(shared: &Arc<EngineShared>, config: &CjoinConfig) -> Result<PipelineCore> {
-        /// Capacity, in batches, of every inter-thread queue (the Stage's
-        /// input, each shard's input).
+        /// Capacity, in messages, of each shard's lane.
         const QUEUE_CAPACITY: usize = 8;
 
         let fact = shared.catalog.fact_table()?;
@@ -415,21 +401,16 @@ impl CjoinEngine {
         let stage_plan = StagePlan::of(config);
         let StagePlan {
             scan_workers,
-            stage_workers,
             distributor_shards: shards,
         } = stage_plan;
         let chain = Arc::clone(&shared.chain);
         let counters = Arc::clone(&shared.counters);
         let shard_counters = ShardCounters::new_vec(shards);
         let scan_worker_counters = ScanWorkerCounters::new_vec(scan_workers);
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let poison = Arc::new(AtomicBool::new(false));
-        // Enough pooled batches for every queue position plus the threads working on
-        // one: the Stage queue plus one queue's worth of slack, the Stage
-        // workers, each scan worker's working/leftover batches, and each shard's
-        // queue and the batch it drains.
-        let pool_capacity =
-            2 * QUEUE_CAPACITY + stage_workers + 2 * scan_workers + shards * (QUEUE_CAPACITY + 1);
+        // Enough pooled batches for every lane position plus the threads working
+        // on one: each scan worker's working/leftover batches, and each shard's
+        // lane and the batch it drains.
+        let pool_capacity = 2 * scan_workers + shards * (QUEUE_CAPACITY + 1);
         let pool = BatchPool::new(pool_capacity);
 
         // `columnar_scan`: a read-optimised replica of the fact table; the scan
@@ -454,11 +435,9 @@ impl CjoinEngine {
         };
         let scan_ranges = segment_ranges(fact.len() as u64, segment_unit, scan_workers);
 
-        // Queues: the Stage's, and one per shard. The shard queues' receivers go
-        // to the shard workers alone (`shard_queues` drops at the end of this
-        // function), so a dead shard surfaces to its producers as a send error
-        // rather than a blocked send.
-        let stage_queue = TupleQueue::new(QUEUE_CAPACITY);
+        // One lane per shard. The lanes' receivers go to the shard workers alone
+        // (`shard_queues` drops at the end of this function), so a dead shard
+        // surfaces to its producers as a send error rather than a blocked send.
         let shard_queues = ShardQueues::new(shards, QUEUE_CAPACITY);
         let shard_txs = shard_queues.senders();
 
@@ -467,7 +446,6 @@ impl CjoinEngine {
         let (cmd_tx, cmd_rx) = unbounded();
         let (mut sibling_txs, sibling_rxs): (Vec<_>, Vec<_>) =
             (1..scan_workers).map(|_| unbounded()).unzip();
-        let stall = ScanStall::new(scan_workers);
         let mut scan_worker_handles = Vec::with_capacity(scan_workers);
         for (worker, (&(start, end), commands)) in scan_ranges
             .iter()
@@ -478,10 +456,7 @@ impl CjoinEngine {
                 worker,
                 // Worker 0 takes them all; the others get the emptied vector.
                 siblings: std::mem::take(&mut sibling_txs),
-                stall: Arc::clone(&stall),
-                stage_tx: stage_queue.sender(),
-                distributor_tx: shard_txs.clone(),
-                in_flight: Arc::clone(&in_flight),
+                shards: shard_txs.clone(),
                 pool: Arc::clone(&pool),
                 slot_count: Arc::clone(&shared.slot_count),
                 chain: Arc::clone(&chain),
@@ -489,7 +464,6 @@ impl CjoinEngine {
                 worker_counters: Arc::clone(&scan_worker_counters[worker]),
                 config: config.clone(),
                 snapshots: Arc::clone(shared.catalog.snapshots()),
-                poison: Arc::clone(&poison),
             };
             let scan = ContinuousScan::new(Arc::clone(&fact)).with_segment(start, end);
             let replica = columnar
@@ -503,28 +477,9 @@ impl CjoinEngine {
             ));
         }
 
-        // The Stage: every worker runs the whole chain and hands each batch to a
-        // shard.
-        let stage_worker_handles = (0..stage_workers)
-            .map(|worker| {
-                let input = stage_queue.receiver();
-                let output = shard_txs.clone();
-                let chain = Arc::clone(&chain);
-                let early_skip = config.early_skip;
-                let batched_probing = config.batched_probing;
-                let faults = config.fault_plan.clone();
-                spawn_supervised(
-                    RoleKind::StageWorker(worker),
-                    failure_tx.clone(),
-                    move || {
-                        run_stage_worker(input, output, chain, early_skip, batched_probing, faults)
-                    },
-                )
-            })
-            .collect();
-
-        // Aggregation stage: the shards, over one set of merge slots. The shard
-        // that finishes a query runs Algorithm 2 for it.
+        // The shards, over one set of merge slots: each runs the Filter chain
+        // and aggregates its lane's batches. The shard that finishes a query
+        // runs Algorithm 2 for it.
         let merge = MergeSlots::new(config.max_concurrency, shards);
         let cleanup: Cleanup = {
             let chain = Arc::clone(&chain);
@@ -534,8 +489,8 @@ impl CjoinEngine {
         let mut distributor_handles = Vec::with_capacity(shards);
         for (shard, shard_counter) in shard_counters.iter().enumerate() {
             let mut distributor = Distributor::new(
-                shard_queues.shard(shard).receiver(),
-                Arc::clone(&in_flight),
+                shard_queues.receiver(shard),
+                Arc::clone(&chain),
                 Arc::clone(&pool),
                 Arc::clone(&counters),
                 Arc::clone(shard_counter),
@@ -552,19 +507,14 @@ impl CjoinEngine {
 
         Ok(PipelineCore {
             cmd_tx,
-            stage_queue,
             shards: shard_txs,
             stage_plan,
-            in_flight,
             pool,
             shard_counters,
             scan_worker_counters,
             columnar,
-            stall,
-            poison,
             threads: PipelineThreads {
                 scan_workers: scan_worker_handles,
-                stage_workers: stage_worker_handles,
                 distributors: distributor_handles,
             },
         })
@@ -800,8 +750,8 @@ impl CjoinEngine {
         let cmd_tx = core.cmd_tx.clone();
         drop(admission);
         // Release the core lock BEFORE waiting for the installation ack. The
-        // scan front-end acks at its own pace (it may be mid-stall behind a
-        // drain barrier), and if it dies instead, only the supervisor can
+        // scan front-end acks at its own pace (it may be blocked on a full
+        // lane), and if it dies instead, only the supervisor can
         // resolve this query — by taking this same lock. Waiting under the
         // lock would deadlock the whole engine: supervisor blocked on the
         // lock, this thread blocked on an ack only the supervisor can unblock.
@@ -894,8 +844,8 @@ impl CjoinEngine {
             queries_completed: counters.queries_completed.load(Ordering::Relaxed),
             active_queries: self.active_queries(),
             filter_reorders: counters.filter_reorders.load(Ordering::Relaxed),
-            control_barriers: counters.control_barriers.load(Ordering::Relaxed),
-            barrier_wait_ns: counters.barrier_wait_ns.load(Ordering::Relaxed),
+            control_barriers: 0,
+            barrier_wait_ns: 0,
             filters,
             scan_workers: core
                 .map(|c| {
@@ -915,7 +865,7 @@ impl CjoinEngine {
                         .collect()
                 })
                 .unwrap_or_default(),
-            batches_in_flight: core.map_or(0, |c| c.in_flight.load(Ordering::Acquire)),
+            queued_messages: core.map_or(0, |c| c.shards.queued()),
             pool_hits: core.map_or(0, |c| c.pool.hits()),
             pool_misses: core.map_or(0, |c| c.pool.misses()),
             tuples_allocated: counters.tuples_allocated.load(Ordering::Relaxed),
@@ -944,10 +894,10 @@ impl CjoinEngine {
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let config = self.config();
         SchedulerStats {
-            auto_tune: self.shared.host_sized_stage,
+            auto_tune: self.shared.host_sized_shards,
             available_parallelism: self.shared.cores,
             scan_workers: config.scan_workers,
-            stage_workers: config.worker_threads,
+            stage_workers: 0,
             distributor_shards: config.distributor_shards,
             resizes: self.shared.resizes.lock().events(),
         }
@@ -1517,11 +1467,10 @@ fn drain_failures(
 /// Fails all in-flight queries with a typed error, tears the dead pipeline
 /// down, steps the failed axis down and respawns.
 ///
-/// The ordering is load-bearing (see the module docs and
-/// `crate::preprocessor::drain_barrier`): queries are resolved to
-/// [`QueryError::StageFailed`] *before* the poison flag releases any blocked
-/// drain barrier, so the first-wins latch guarantees no truncated result is
-/// ever delivered as `Ok`.
+/// The ordering is load-bearing (see the module docs and [`crate::pipeline`]):
+/// queries are resolved to [`QueryError::StageFailed`] *before* the teardown,
+/// so the first-wins latch guarantees no truncated result is ever delivered
+/// as `Ok`.
 fn handle_failure(
     shared: &Arc<EngineShared>,
     failure: RoleFailure,
@@ -1541,7 +1490,7 @@ fn handle_failure(
     let mut core_guard = shared.core.lock();
     let core = core_guard.take();
 
-    // Resolve every in-flight query BEFORE any barrier can release truncated.
+    // Resolve every in-flight query BEFORE the teardown lets any end tuple through.
     fail_all_in_flight(shared, &failure.role.to_string(), &failure.detail);
 
     // Collapse a cascade (several roles dying around the same incident, e.g.
@@ -1646,58 +1595,37 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
 
 /// Tears one pipeline incarnation down and joins every thread.
 ///
-/// `poisoned == false` is the graceful path: shutdown messages flow through
-/// the queues so every stage drains its pending batches in order.
+/// `failed == false` is the graceful path: a shutdown message flows through
+/// every lane behind the data, so each shard drains its pending batches in
+/// order.
 ///
-/// `poisoned == true` is the failure path, which must never block on a queue
-/// whose consumer is dead. It releases every blocking primitive up front —
-/// the poison flag (drain barriers), the stall gate (scan workers parked
-/// behind, or closing a query and waiting for, a dead sibling), a best-effort
-/// shutdown command (idle command loops) — then DROPS the engine-side queue
-/// handles before joining, so a producer blocked on a full queue observes the
-/// channel disconnect once the dead consumer's receiver is gone instead of
-/// waiting forever. Surviving consumers keep draining until their upstream
-/// disconnects, which preserves the join order's termination argument stage by
-/// stage. Every query a shard finished was cleaned up before the shard moved
-/// on, so nothing is left to do once the shards are joined.
-fn teardown_core(core: PipelineCore, poisoned: bool) {
+/// `failed == true` is the failure path, which must never block on a lane
+/// whose consumer is dead. It DROPS the engine-side lane senders before
+/// joining: a scan worker blocked on a dead shard's full lane gets a send
+/// error (the receiver died with the shard), every other lane keeps draining,
+/// and once the scan workers have exited every shard sees its lane disconnect.
+/// Every query a shard finished was cleaned up before the shard moved on, so
+/// nothing is left to do once the shards are joined.
+fn teardown_core(core: PipelineCore, failed: bool) {
     let PipelineCore {
         cmd_tx,
-        stage_queue,
         shards,
-        stall,
-        poison,
         threads,
         ..
     } = core;
-    if poisoned {
-        poison.store(true, Ordering::Release);
-        stall.shutdown();
-    }
     // Stop the producers first so no new data enters the pipeline: worker 0
-    // consumes the shutdown and relays the stop to its siblings.
+    // consumes the shutdown and relays the stop to its siblings (a dead
+    // worker 0 disconnects them instead).
     let _ = cmd_tx.send(PreprocessorCommand::Shutdown);
     drop(cmd_tx);
-    // The graceful path keeps the queues, to carry the shutdown messages; the
-    // failure path drops them here, and every role exits on its upstream's
-    // disconnect instead.
-    let queues = (!poisoned).then_some((stage_queue, shards));
+    let shards = (!failed).then_some(shards);
     // A panicked thread's `Err` join result is discarded throughout: its
     // payload already travelled to the supervisor as a [`RoleFailure`].
     for handle in threads.scan_workers {
         let _ = handle.join();
     }
-    // One shutdown per Stage worker; the shards keep draining meanwhile.
-    if let Some((stage_queue, _)) = &queues {
-        for _ in 0..threads.stage_workers.len() {
-            let _ = stage_queue.send(Message::Shutdown);
-        }
-    }
-    for handle in threads.stage_workers {
-        let _ = handle.join();
-    }
-    // Then one per shard: nothing can send data behind it any more.
-    if let Some((_, shards)) = &queues {
+    // Then one shutdown per shard: nothing can send data behind it any more.
+    if let Some(shards) = &shards {
         shards.broadcast_shutdown();
     }
     for handle in threads.distributors {
@@ -1761,7 +1689,6 @@ mod tests {
     fn test_config() -> CjoinConfig {
         CjoinConfig::default()
             .with_max_concurrency(32)
-            .with_worker_threads(2)
             .with_batch_size(64)
     }
 
@@ -1846,7 +1773,6 @@ mod tests {
         let catalog = small_catalog(120);
         let config = CjoinConfig::default()
             .with_max_concurrency(2)
-            .with_worker_threads(1)
             .with_batch_size(32);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
         // More sequential queries than maxConc: ids must be recycled.
@@ -1863,10 +1789,7 @@ mod tests {
     #[test]
     fn an_ok_result_means_the_query_is_already_cleaned_up() {
         let catalog = small_catalog(120);
-        let config = test_config()
-            .with_max_concurrency(1)
-            .with_worker_threads(1)
-            .with_batch_size(32);
+        let config = test_config().with_max_concurrency(1).with_batch_size(32);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
         for round in 0..200 {
             let result = engine.execute(red_sum_query(&format!("q{round}")));
@@ -1887,7 +1810,7 @@ mod tests {
     #[test]
     fn filter_churn_does_not_grow_dimension_slots() {
         let catalog = small_catalog(120);
-        let config = test_config().with_worker_threads(1).with_batch_size(32);
+        let config = test_config().with_batch_size(32);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
         let expected =
             reference::evaluate(&catalog, &red_sum_query("red"), SnapshotId::INITIAL).unwrap();
@@ -1923,34 +1846,12 @@ mod tests {
         let catalog = small_catalog(50_000);
         let config = CjoinConfig::default()
             .with_max_concurrency(2)
-            .with_worker_threads(1)
             .with_batch_size(128);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
         let _h1 = engine.submit(red_sum_query("a")).unwrap();
         let _h2 = engine.submit(red_sum_query("b")).unwrap();
         let err = engine.submit(red_sum_query("c")).unwrap_err();
         assert!(matches!(err, Error::TooManyConcurrentQueries { .. }));
-        engine.shutdown();
-    }
-
-    #[test]
-    fn three_stage_workers_over_two_shards_produce_identical_results() {
-        let catalog = small_catalog(400);
-        let config = test_config()
-            .with_worker_threads(3)
-            .with_distributor_shards(2);
-        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-        let query = StarQuery::builder("two_dims")
-            .join_dimension("color", "colorkey", "k", Predicate::eq("name", "green"))
-            .join_dimension("size", "sizekey", "k", Predicate::True)
-            .group_by(ColumnRef::dim("size", "label"))
-            .aggregate(AggregateSpec::over(AggFunc::Sum, ColumnRef::fact("amount")))
-            .build();
-        let expected = reference::evaluate(&catalog, &query, SnapshotId::INITIAL).unwrap();
-        let result = engine.execute(query).unwrap();
-        assert!(result.approx_eq(&expected), "{:?}", result.diff(&expected));
-        let plan = engine.stage_plan();
-        assert_eq!((plan.stage_workers, plan.distributor_shards), (3, 2));
         engine.shutdown();
     }
 
@@ -1982,7 +1883,7 @@ mod tests {
         assert_eq!(stats.distributor_shards.len(), 4);
         assert_eq!(stats.shard_tuples_distributed(), stats.tuples_distributed);
         assert_eq!(stats.shard_routings(), stats.routings);
-        assert_eq!(stats.batches_in_flight, 0, "quiesced pipeline");
+        assert_eq!(stats.queued_messages, 0, "quiesced pipeline");
         engine.shutdown();
     }
 
@@ -2029,7 +1930,7 @@ mod tests {
             "the segmented scan actually spread work: {:?}",
             stats.scan_workers
         );
-        assert_eq!(stats.batches_in_flight, 0, "quiesced pipeline");
+        assert_eq!(stats.queued_messages, 0, "quiesced pipeline");
         engine.shutdown();
     }
 
@@ -2221,38 +2122,38 @@ mod tests {
         engine.shutdown();
     }
 
-    /// An install that is never acked is not an admission-latency sample: the
-    /// scan worker acks the first query, then sleeps 40 ms inside its first
-    /// scan event and dies there, so the second query's install is queued but
-    /// never processed and its `submit` returns only after the supervisor
-    /// resolved it. The EWMA behind `quote_eta` must not move.
+    /// An install that is never acked is not an admission-latency sample. The
+    /// first query is acked; then worker 0 is told to shut down on its own
+    /// command channel, and the second query's install queues behind that
+    /// shutdown, or finds the channel already closed. Either way worker 0
+    /// never processes it: its `submit` gives up on the ack without a clock
+    /// deciding anything, and the EWMA behind `quote_eta` must not move. The
+    /// second query resolves when the engine shuts down; the first may have
+    /// finished before worker 0 stopped.
     #[test]
     fn unacked_install_does_not_feed_the_install_latency_ewma() {
-        use crate::fault::{FaultPlan, FaultSite};
         let catalog = small_catalog(300);
-        let config = test_config().with_fault_plan(
-            FaultPlan::seeded(1)
-                .delay(FaultSite::ScanWorker, 40_000)
-                .panic_at_event(FaultSite::ScanWorker, 0)
-                .build(),
-        );
-        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+        let engine = CjoinEngine::start(Arc::clone(&catalog), test_config()).unwrap();
         let ewma = &engine.shared.counters.install_ns_ewma;
 
         let acked = engine.submit(red_sum_query("acked")).unwrap();
         let after_acked = ewma.load(Ordering::Relaxed);
         assert!(after_acked > 0, "an acked install is a sample");
 
+        let cmd_tx = engine.shared.core.lock().as_ref().unwrap().cmd_tx.clone();
+        cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
         let unacked = engine.submit(red_sum_query("unacked")).unwrap();
-        assert!(
-            unacked.submission_time() >= Duration::from_millis(10),
-            "the second install must have sat through at least one ack poll"
-        );
         assert_eq!(ewma.load(Ordering::Relaxed), after_acked);
-        for handle in [acked, unacked] {
-            assert!(matches!(handle.wait(), Err(QueryError::StageFailed { .. })));
-        }
+        assert!(unacked.try_result().is_none(), "nobody resolved it yet");
         engine.shutdown();
+        assert!(matches!(
+            acked.wait(),
+            Ok(_) | Err(QueryError::StageFailed { .. })
+        ));
+        assert!(matches!(
+            unacked.wait(),
+            Err(QueryError::StageFailed { .. })
+        ));
     }
 
     /// Regression test for reaper starvation: the supervisor used to reap only

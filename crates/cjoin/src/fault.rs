@@ -34,9 +34,9 @@ use std::time::Duration;
 pub enum FaultSite {
     /// A scan worker.
     ScanWorker,
-    /// A filter Stage worker.
-    StageWorker,
-    /// A distributor aggregation shard.
+    /// A distributor shard: the hook fires as the shard takes a message, so a
+    /// panic lands in the role that runs both the Filter chain and the
+    /// aggregation.
     DistributorShard,
     /// A WAL record append on the durable ingestion path.
     WalAppend,
@@ -48,9 +48,8 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, for matrix tests.
-    pub const ALL: [FaultSite; 6] = [
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::ScanWorker,
-        FaultSite::StageWorker,
         FaultSite::DistributorShard,
         FaultSite::WalAppend,
         FaultSite::WalSync,
@@ -60,11 +59,10 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::ScanWorker => 0,
-            FaultSite::StageWorker => 1,
-            FaultSite::DistributorShard => 2,
-            FaultSite::WalAppend => 3,
-            FaultSite::WalSync => 4,
-            FaultSite::WalReplay => 5,
+            FaultSite::DistributorShard => 1,
+            FaultSite::WalAppend => 2,
+            FaultSite::WalSync => 3,
+            FaultSite::WalReplay => 4,
         }
     }
 }
@@ -73,7 +71,6 @@ impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             FaultSite::ScanWorker => "scan-worker",
-            FaultSite::StageWorker => "stage-worker",
             FaultSite::DistributorShard => "distributor-shard",
             FaultSite::WalAppend => "wal-append",
             FaultSite::WalSync => "wal-sync",
@@ -316,17 +313,17 @@ mod tests {
 
     #[test]
     fn plans_compare_by_schedule_not_runtime_state() {
-        let a = FaultPlan::seeded(3).panic_at(FaultSite::StageWorker);
-        let b = FaultPlan::seeded(3).panic_at(FaultSite::StageWorker);
+        let a = FaultPlan::seeded(3).panic_at(FaultSite::ScanWorker);
+        let b = FaultPlan::seeded(3).panic_at(FaultSite::ScanWorker);
         a.hit(FaultSite::DistributorShard);
         assert_eq!(a, b);
-        let c = FaultPlan::seeded(4).panic_at(FaultSite::StageWorker);
+        let c = FaultPlan::seeded(4).panic_at(FaultSite::ScanWorker);
         assert_ne!(a, c);
     }
 
     #[test]
     fn wal_sites_are_injectable_and_displayed() {
-        assert_eq!(FaultSite::ALL.len(), 6);
+        assert_eq!(FaultSite::ALL.len(), 5);
         let plan = FaultPlan::seeded(0).panic_at(FaultSite::WalSync).build();
         plan.hit(FaultSite::WalAppend);
         plan.hit(FaultSite::WalReplay);

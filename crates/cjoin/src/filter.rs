@@ -16,16 +16,17 @@
 //!
 //! ## Two hot-path implementations
 //!
-//! [`FilterChain::process_batch`] dispatches on the `batched_probing` knob
-//! ([`CjoinConfig::batched_probing`](crate::config::CjoinConfig::batched_probing)):
+//! [`FilterChain::process_batch`] dispatches on its `batched_probing` argument.
+//! The shards always pass `true` (and `early_skip = true`); the other settings
+//! are the reference the tests compare the kernel against:
 //!
-//! * **batched** (default): a *filter-major* loop. For each Filter the entries read
+//! * **batched**: a *filter-major* loop. For each Filter the entries read
 //!   lock is taken once ([`DimensionTable::probe_batch`]), entries are borrowed
 //!   instead of `Arc`-cloned, per-filter statistics accumulate in batch-local
 //!   counters flushed with one `fetch_add` per counter per (batch, filter), the
 //!   AND + emptiness test is fused into a single word pass, and survivors are
 //!   compacted in place with stable swap-retention.
-//! * **per-tuple** (ablation baseline): the tuple-major loop the paper's
+//! * **per-tuple** (reference): the tuple-major loop the paper's
 //!   description starts from — one lock acquisition, one `Arc` clone and up to four
 //!   atomic increments per tuple per Filter via [`apply_filter`].
 //!
@@ -33,7 +34,7 @@
 //! hit / multi-version / miss outcome — is `probe_bits`, which works on bare
 //! bit-vector words so that the columnar scan front-end can run the chain's
 //! leading Filter on rows it has not materialised yet (see
-//! [`crate::preprocessor`]); the Stage and the scan side share that one kernel.
+//! [`crate::preprocessor`]); the shards and the scan side share that one kernel.
 //!
 //! Both produce identical surviving tuples and statistics totals; the rig's
 //! `cjoin.filter.tuples_per_s` measures the batched path. (When dimension churn
@@ -162,7 +163,7 @@ pub(crate) fn probe_bits<'g>(
     }
 }
 
-/// Applies one Filter to a single tuple (the `batched_probing = false` baseline).
+/// Applies one Filter to a single tuple (the `batched_probing = false` reference).
 ///
 /// Returns `true` if the tuple survives (non-zero bit-vector). `early_skip` enables
 /// the §3.2.2 optimisation: when every query the tuple is still relevant to ignores
@@ -320,9 +321,9 @@ impl FilterChain {
     /// spares and keep their allocations; the relative order of survivors is
     /// preserved by both paths.
     ///
-    /// This is the body of a Stage worker: it is deliberately a free function over a
-    /// snapshot of the order so that the Stage can leave out the Filter the scan
-    /// front-end already probed.
+    /// This is the body of a shard's Filter step: it is deliberately a free
+    /// function over a snapshot of the order so that the shard can leave out the
+    /// Filter the scan front-end already probed.
     pub fn process_batch(
         filters: &[Arc<DimensionTable>],
         batch: &mut Batch,
@@ -405,7 +406,7 @@ impl FilterChain {
     }
 
     /// Tuple-major baseline: per-tuple locking, `Arc` clones and atomic statistics
-    /// (kept for the `batched_probing` ablation).
+    /// (kept as the reference the batched path is tested against).
     fn process_batch_per_tuple(
         filters: &[Arc<DimensionTable>],
         batch: &mut Batch,

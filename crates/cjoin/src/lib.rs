@@ -55,11 +55,11 @@
 //! | [`preprocessor`] | §3.2.2, §3.3 | bit-vector initialisation, query start/end detection; sharded segment-scan front-end |
 //! | [`colscan`] | §5 | compressed columnar scan: encoded-predicate kernel, zone-map skipping, late materialization |
 //! | [`progress`] | §3.2.3 | per-query progress / estimated completion from the scan position |
-//! | [`distributor`] | §3.2.2 | routing to per-query aggregation operators, sharded |
+//! | [`distributor`] | §3.2.2, §4 | the shards: the Filter chain, then routing to per-query aggregation operators |
 //! | [`optimizer`] | §3.4 | run-time filter reordering from observed selectivities |
-//! | [`pipeline`] | §4 | thread layout: scan workers, one horizontal Stage, aggregation shards |
+//! | [`pipeline`] | §4 | thread layout: scan workers and shards, supervision, lock order |
 //! | [`engine`] | §3.3 | public API: admission (Algorithm 1), finalization (Algorithm 2) |
-//! | [`scheduler`] | §4 | the scan/stage/shard width axes and the log of width changes |
+//! | [`scheduler`] | §4 | the scan and shard width axes and the log of width changes |
 //! | [`fault`] | — | deterministic fault injection for supervision tests |
 //! | [`stats`] | §6 | operator statistics used by the experiments |
 
@@ -83,7 +83,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod tuple;
 
-pub use config::{stage_width_for, CjoinConfig};
+pub use config::{shard_width_for, CjoinConfig};
 pub use engine::{CjoinEngine, IngestSession, QueryHandle};
 pub use fault::{FaultPlan, FaultSite};
 pub use progress::QueryProgress;

@@ -19,8 +19,8 @@
 //! which is itself bounded by the queue capacities.
 //!
 //! Concurrency: the pool is a lock-free MPMC queue; a batch is owned by exactly one
-//! thread at any time (Preprocessor while filling, one Stage worker while
-//! filtering, Distributor while draining), so its spare tuples need no
+//! thread at any time (Preprocessor while filling, one shard while filtering and
+//! draining it), so its spare tuples need no
 //! synchronisation — recycling only moves the batch's live watermark.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,7 +12,8 @@
 //! 3. applies pending admissions: a newly registered query is installed between
 //!    two chunks — its starting position is recorded, its bit joins the active mask,
 //!    and a *query-start* control tuple is emitted (§3.3.1, Algorithm 1 lines 17–22);
-//! 4. batches surviving tuples and pushes them into the filter stage.
+//! 4. batches surviving tuples and hands each batch to a Distributor shard,
+//!    which runs the Filter chain and aggregates it.
 //!
 //! The scan loop is allocation-free at steady state: the per-row bit-vector is
 //! computed in a Preprocessor-owned scratch `QuerySet` (as is the list of queries
@@ -35,18 +36,18 @@
 //! ([`cjoin_storage::segment_ranges`]; one segment, the whole table, for
 //! `N = 1`); each segment is owned by one worker — a [`Preprocessor`] on its own
 //! thread — running the full per-row path above over its own circular segment
-//! cursor, feeding the Stage concurrently with its siblings. No thread
+//! cursor, feeding the shard lanes concurrently with its siblings. No thread
 //! owns the query lifecycle; the workers keep the paper's §3.3 guarantees among
 //! themselves:
 //!
 //! * **Admission** — worker 0 owns the engine-facing command channel. On an
-//!   install it broadcasts the query-start control tuple to every shard queue
+//!   install it broadcasts the query-start control tuple to every shard lane
 //!   *first*, then relays the install to each sibling's FIFO command queue,
 //!   then installs the query itself and acks; cancels and shutdown are relayed
 //!   the same way. Each worker installs the query at its own segment-batch
 //!   boundary, recording where the query's pass over its segment ends. Any
 //!   data tuple carrying the new bit is therefore produced strictly after the
-//!   start tuple was enqueued, so every shard's FIFO queue observes
+//!   start tuple was enqueued, so every shard's FIFO lane observes
 //!   start-before-data (invariant 1) with no global pause.
 //! * **Exactly one pass** — each worker independently retires the query's bit the
 //!   moment its segment cursor reaches the query's end in its segment: the
@@ -59,22 +60,11 @@
 //! * **Completion** — a worker that retires a bit flushes what can still carry
 //!   it and marks its segment complete on the query's [`QueryProgress`], whose
 //!   count worker 0 restarted at `N` before relaying the install. The worker
-//!   whose mark is the `N`-th closes the query itself: it takes the
-//!   [`ScanStall`] gate, which parks its siblings at their next batch boundary,
-//!   runs the drain barrier below, emits the single end-of-query control tuple,
-//!   and releases the gate. With no siblings the relay loops are empty and the
-//!   gate has nobody to wait for: install, scan, wrap, drain, end.
-//! * **Two closers at once** — workers finishing *different* queries may both
-//!   want the gate. A worker counts as parked from the moment it asks — it
-//!   produces nothing while it waits — so the holder never waits for a
-//!   sibling that is itself waiting for the gate, and the waiting closer takes
-//!   its turn when the holder releases.
-//! * **A dead sibling** never parks, so a closer could wait for it forever. The
-//!   supervisor owns that case: its failure-path teardown opens the gate
-//!   ([`ScanStall::shutdown`]) after resolving every in-flight query and
-//!   setting the poison flag, the closer's drain barrier returns on poison, and
-//!   the closer emits nothing for the truncated scan. A worker that leaves its
-//!   loop in an orderly way opens the gate itself on the way out.
+//!   whose mark is the `N`-th closes the query itself: it broadcasts the single
+//!   end-of-query control tuple to every lane, in-band behind the data (see
+//!   "Control-tuple ordering" below), and goes on scanning. Nobody parks and
+//!   nobody waits. With no siblings the relay loops are empty: install, scan,
+//!   wrap, end.
 //!
 //! ## Chunks
 //!
@@ -160,16 +150,16 @@
 //!    encoded foreign-key column: one bulk gather
 //!    ([`IntEncoding::gather`](cjoin_storage::IntEncoding::gather)), one
 //!    [`ProbeGuard`](crate::dimension::ProbeGuard) for the chunk, the §3.2.2
-//!    early skip honoured, bits ANDed in place by the kernel the Stage uses
+//!    early skip honoured, bits ANDed in place by the kernel the shards use
 //!    (`filter::probe_bits`), the selection compacted to the survivors.
 //! 4. **Materialisation.** `project_row` + `reset` for the survivors only — the
 //!    union of columns the active queries' join keys, group-bys and aggregates
 //!    read, positions preserved, the rest NULL — with the joined dimension row
 //!    attached and every emitted batch marked
 //!    ([`Batch::mark_filter_applied`]) with the slot of the Filter that probed
-//!    it, so the Stage runs the *rest* of the chain and never probes it again
-//!    (the argument for chains that change between chunk and Stage is in
-//!    `crate::pipeline::run_stage_worker`).
+//!    it, so the shard runs the *rest* of the chain and never probes it again
+//!    (the argument for chains that change between chunk and shard is under
+//!    "Control-tuple ordering" below).
 //!
 //! **Why only the leading Filter.** The paper drops tuples as early as possible
 //! (§3.2.2) and names tuple materialisation as the cost its allocator exists to
@@ -181,17 +171,16 @@
 //! batch, so reordering needs no coordination with the scan. When phase 3
 //! cannot run — the chain is empty, no active query references the leading
 //! dimension, or its foreign key is not a non-null integer column of the
-//! replica — phase 4 materialises the whole selection unmarked and the Stage
+//! replica — phase 4 materialises the whole selection unmarked and the shard
 //! probes it. Chunks read from the row store are unmarked too.
 //!
 //! **Lock discipline.** The probe guard is the read lock of the dimension's
-//! hash table, and a Stage needs the same lock to make progress. Phase 3 takes
+//! hash table, and a shard needs the same lock to make progress. Phase 3 takes
 //! it and releases it before phase 4 begins; only phase 4 flushes (which can
-//! block on a full Stage queue) and only after phase 4 does the chunk finalize
-//! queries (which can wait on the stall gate and the drain barrier).
-//! So the scan never blocks while holding it — with a writer-preferring lock, a
-//! `register_query` / `unregister_query` queued behind a guard held across a
-//! blocked flush would stall the Stage's next read and deadlock all three.
+//! block on a full lane). So the scan never blocks while holding it — with a
+//! writer-preferring lock, a `register_query` / `unregister_query` queued
+//! behind a guard held across a blocked flush would stall the shard's next
+//! read, and the shard would never drain the lane the flush waits on.
 //!
 //! **Filter statistics.** The leading Filter's `tuples_in` / `probes` / `skips`
 //! / `tuples_dropped` for a chunk are flushed once, from the scan side, so its
@@ -200,28 +189,76 @@
 //!
 //! ## Control-tuple ordering
 //!
-//! §3.3.3 requires that a control tuple enqueued before (after) a fact tuple is never
-//! processed by the Distributor after (before) that tuple. Data tuples travel through
-//! the Stage while control tuples take a direct path to every Distributor shard's
-//! queue, so ordering is enforced with a *drain barrier*: before emitting an
-//! end-of-query control tuple the closing worker waits until every batch already
-//! sent has been fully processed by the Distributor (an atomic in-flight counter
-//! reaches zero). Every batch that can carry the query's bit is already counted:
-//! each worker flushed before it retired the bit, and the closer's mark —
-//! the last — acquires the earlier ones. So the counter reaching zero at any
-//! instant is enough for correctness; the [`ScanStall`] gate is what makes the
-//! wait *terminate* — with the siblings parked at their next batch boundary and
-//! the closer itself not producing, the counter can only fall. The wait uses
-//! bounded spin-then-park backoff and records its duration in
-//! `SharedCounters::barrier_wait_ns` (one `control_barriers` increment per
-//! drain, i.e. per end-of-query tuple), so submission-latency predictability
-//! analyses can attribute stalls. Admissions and completions are rare relative
-//! to tuple flow, so the stall is negligible — it is the same "stall the
-//! pipeline" step the paper describes.
+//! §3.3.3 requires that a control tuple enqueued before (after) a fact tuple is
+//! never processed by the Distributor after (before) that tuple. Every message
+//! reaches a shard in one hop, scan worker → lane, and each lane is FIFO: the
+//! vendored channel is a `Mutex<VecDeque>`, so a shard receives two pushes to
+//! its lane in the order they took the lane's mutex, and that order agrees with
+//! happens-before. Both halves of §3.3.3 follow, at every scan width and every
+//! shard count, with no barrier:
+//!
+//! * **Start before data.** Worker 0 pushes `QueryStart(q)` on every lane
+//!   before it relays the install, and a worker sets `q`'s bit only after it
+//!   has the install. So on every lane the start tuple is ahead of every batch
+//!   that carries the bit.
+//! * **Data before end.** A worker retires `q`'s bit at a chunk start or a
+//!   command boundary, after the previous chunk's last flush, so every batch of
+//!   its own that can carry the bit is already on a lane. Only then does it
+//!   mark its segment complete on `q`'s [`QueryProgress`], a release
+//!   increment. The closer's mark, the `N`-th, reads the count with acquire, so
+//!   each sibling's pushes happen before the closer's
+//!   `broadcast_control(QueryEnd)`, and the closer's own pushes precede it in
+//!   program order. On every lane, every batch that carries the bit is ahead
+//!   of the end tuple; a batch pushed later cannot carry it, because every
+//!   worker retired the bit before it marked.
+//!
+//! At width 1 this is the paper's FIFO pipeline with the control tuple in
+//! band: nothing stalls, nothing drains, nothing waits.
+//!
+//! **A dead sibling.** A scan worker that dies never marks its segment, so no
+//! end tuple is ever sent for a query it carried. Nobody waits for that end:
+//! no other worker parks behind a closer, and a closer's broadcast does not
+//! depend on any sibling being alive. The supervisor resolves every in-flight
+//! query with `StageFailed` before it tears the incarnation down (see
+//! [`crate::pipeline`]), so the end that never comes is owed to nobody. A dead
+//! shard drops its lane's receiver, so a worker blocked on that full lane gets
+//! a send error instead of waiting.
+//!
+//! **Filters that change while a batch waits.** A batch can meet a different
+//! chain at its shard than the scan saw, and the shard skips only the Filter
+//! whose slot the scan marked. That is exact:
+//!
+//! * A Filter that entered the chain after the batch was produced may run on
+//!   it or not. The batch cannot carry the bit of the query whose admission
+//!   created the Filter: the bit is set only after that query is installed,
+//!   which follows its registration and comes at a chunk boundary after the
+//!   batch's chunk. Every other registered query has a 1 in the new Filter's
+//!   `bDj`, so the Filter passes their tuples through and attaches nothing
+//!   they read.
+//! * A Filter is retired only by the clean-up of the last query that
+//!   references it, which runs after that query's end tuple reached every lane
+//!   and the last shard drained it. Every batch that carries such a query's
+//!   bit was ahead of the end on its lane, so it was drained before the Filter
+//!   could go. A batch the shard drains after the retirement carries no bit of
+//!   a query that referenced it.
+//! * A dimension keeps its slot for the engine's lifetime, so a Filter
+//!   re-created for a dimension whose previous Filter was retired inherits the
+//!   slot, and a batch may carry the mark its predecessor left. By the point
+//!   above, such a batch carries no bit of a query that referenced the
+//!   predecessor. Nor can it carry the bit of a query registered with the
+//!   successor: that query was admitted after the predecessor's retirement,
+//!   after the scan chose the predecessor for the batch's chunk, so its
+//!   install comes at a later chunk boundary. Its ids cannot be reused either:
+//!   a bit the batch carries is released only by a clean-up behind that
+//!   query's end, which the batch is ahead of. So the successor has nothing to
+//!   do on the batch, and skipping it is exact.
+//!
+//! The pinned `control_barriers` and `barrier_wait_ns` statistics of the
+//! drain barrier this replaced read 0.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
@@ -270,7 +307,7 @@ pub enum PreprocessorCommand {
         ack: Option<Sender<()>>,
     },
     /// Cancel an in-flight query: finalize it immediately (retire its bit,
-    /// emit the end-of-query control tuple behind the usual drain barrier) so
+    /// emit the end-of-query control tuple behind its data as usual) so
     /// its partial state is released through the normal lifecycle machinery.
     /// The canceller marks the query cancelled and resolves its outcome
     /// *before* sending this, so the Distributor's eventual result for the
@@ -303,30 +340,20 @@ pub struct PreprocessorContext {
     pub worker: usize,
     /// Worker 0 only: the command queues of workers `1..`, in order.
     pub siblings: Vec<Sender<PreprocessorCommand>>,
-    /// The front-end's stall gate, shared by all of its workers.
-    pub stall: Arc<ScanStall>,
-    /// Queue into the first filter Stage.
-    pub stage_tx: Sender<Message>,
-    /// Direct path for control tuples to every aggregation shard's queue.
-    pub distributor_tx: ShardSenders,
-    /// Batches in flight between the front-end and the aggregation stage.
-    pub in_flight: Arc<AtomicI64>,
+    /// Every shard's lane: each batch goes to the next one in this worker's
+    /// rotation, each control tuple to all of them.
+    pub shards: ShardSenders,
     /// Pooled batch allocator.
     pub pool: Arc<BatchPool>,
     /// Number of dimension slots currently allocated (for tuple sizing).
     pub slot_count: Arc<AtomicUsize>,
-    /// The filter chain the Stage runs. An encoded chunk probes its leading
+    /// The filter chain the shards run. An encoded chunk probes its leading
     /// Filter itself, before it materialises a row.
     pub chain: Arc<FilterChain>,
     /// Global pipeline counters.
     pub counters: Arc<SharedCounters>,
     /// This worker's own counters (always sum to the global totals).
     pub worker_counters: Arc<ScanWorkerCounters>,
-    /// Supervisor poison flag: set (before teardown) when a pipeline role died,
-    /// releasing the drain barrier and stopping the scan loop so a failed
-    /// pipeline can always be joined. See the barrier-release-on-failure
-    /// argument in [`crate::pipeline`].
-    pub poison: Arc<AtomicBool>,
     /// Engine configuration.
     pub config: CjoinConfig,
     /// The catalog's snapshots. A query whose snapshot is committed at install
@@ -461,16 +488,14 @@ pub struct Preprocessor {
     commands: Receiver<PreprocessorCommand>,
     worker: usize,
     siblings: Vec<Sender<PreprocessorCommand>>,
-    stall: Arc<ScanStall>,
-    stage_tx: Sender<Message>,
-    distributor_tx: ShardSenders,
-    in_flight: Arc<AtomicI64>,
+    shards: ShardSenders,
+    /// The lane the next flushed batch goes to.
+    next_shard: usize,
     pool: Arc<BatchPool>,
     slot_count: Arc<AtomicUsize>,
     chain: Arc<FilterChain>,
     counters: Arc<SharedCounters>,
     worker_counters: Arc<ScanWorkerCounters>,
-    poison: Arc<AtomicBool>,
     config: CjoinConfig,
     snapshots: Arc<SnapshotManager>,
     /// Busy time accumulated in the current scan pass, published to
@@ -535,18 +560,16 @@ impl Preprocessor {
             scan: scan.with_batch_rows(ctx.config.batch_size),
             replica,
             commands,
+            // Workers start their rotations on different lanes.
+            next_shard: ctx.worker % ctx.shards.num_shards(),
             worker: ctx.worker,
             siblings: ctx.siblings,
-            stall: ctx.stall,
-            stage_tx: ctx.stage_tx,
-            distributor_tx: ctx.distributor_tx,
-            in_flight: ctx.in_flight,
+            shards: ctx.shards,
             pool: ctx.pool,
             slot_count: ctx.slot_count,
             chain: ctx.chain,
             counters: ctx.counters,
             worker_counters: ctx.worker_counters,
-            poison: ctx.poison,
             config: ctx.config,
             snapshots: ctx.snapshots,
             pass_busy: Duration::ZERO,
@@ -573,14 +596,11 @@ impl Preprocessor {
     /// Runs the Preprocessor loop until shutdown.
     ///
     /// On shutdown the Preprocessor simply stops producing; the engine is responsible
-    /// for shutting down the Stage and the Distributor shards afterwards.
+    /// for shutting down the Distributor shards afterwards.
     pub fn run(&mut self) {
         loop {
-            self.stall.park_if_requested();
             self.apply_commands();
-            if self.shutdown || self.poison.load(Ordering::Acquire) {
-                // This worker will never park again: nobody may wait for it to.
-                self.stall.shutdown();
+            if self.shutdown {
                 return;
             }
             if !self.active_mask.is_empty() {
@@ -713,7 +733,7 @@ impl Preprocessor {
         // Before the relay: a sibling may mark its segment complete the moment
         // it has the install.
         runtime.progress.split(self.siblings.len() as u64 + 1);
-        self.distributor_tx
+        self.shards
             .broadcast_control(&ControlTuple::QueryStart(Arc::clone(runtime)));
         let relayed = self.relay(|| PreprocessorCommand::Install {
             runtime: Arc::clone(runtime),
@@ -852,25 +872,16 @@ impl Preprocessor {
     }
 
     /// Ends a query every segment has completed its pass for: the one
-    /// end-of-query control tuple, behind the drain barrier.
+    /// end-of-query control tuple, on every lane.
     ///
     /// Invariant 2 (§3.3.2/§3.3.3): every worker has retired the bit, so batches
-    /// produced from here on cannot carry it — but batches already in flight
-    /// can. Holding the stall gate parks the siblings at their next batch
-    /// boundary, which makes the in-flight counter monotonically non-increasing;
-    /// drain it to zero, and only then emit the control tuple.
+    /// produced from here on cannot carry it, and every batch that can is
+    /// already on a lane, ahead of where this end tuple lands (see
+    /// "Control-tuple ordering" in the module doc).
     fn close_query(&self, bit: usize, progress: &QueryProgress) {
-        self.stall.stall();
-        drain_barrier(&self.in_flight, &self.counters, &self.poison);
-        // A barrier released by supervisor poison was not a real drain: the
-        // query's outcome was already resolved with an error, so no end-of-query
-        // tuple is owed for the truncated scan (and the run loop stops next).
-        if !self.poison.load(Ordering::Acquire) {
-            progress.mark_completed();
-            self.distributor_tx
-                .broadcast_control(&ControlTuple::QueryEnd(QueryId(bit as u32)));
-        }
-        self.stall.release();
+        progress.mark_completed();
+        self.shards
+            .broadcast_control(&ControlTuple::QueryEnd(QueryId(bit as u32)));
     }
 
     // ------------------------------------------------------------------
@@ -952,8 +963,8 @@ impl Preprocessor {
         // extent clamp below guarantees it): queries that already passed their
         // start end here (at the wrap-around, §3.3.2, or after their last row
         // group that can match) — everything produced so far was flushed at
-        // the previous chunk's end, so the drain barrier inside finalize
-        // covers it — and the queries starting here pass their start now.
+        // the previous chunk's end, so the end tuple lands behind it — and
+        // the queries starting here pass their start now.
         let mut ending = std::mem::take(&mut self.ending_scratch);
         ending.clear();
         for &bit in self.ends_at.get(&position).into_iter().flatten() {
@@ -1252,7 +1263,7 @@ impl Preprocessor {
     /// bits ANDed in place, the selection compacted to the survivors and what
     /// each is owed recorded in `chunk.joined`. Returns the Filter that probed
     /// (so the batches can be marked with *its* slot) and its statistics for
-    /// the chunk, or `None` when the Stage must run the Filter itself: the chain
+    /// the chunk, or `None` when the shard must run the Filter itself: the chain
     /// is empty, no active query references the dimension (every row would
     /// take the early skip), or the foreign key is not a non-null integer
     /// column of the replica.
@@ -1290,13 +1301,12 @@ impl Preprocessor {
             tuples_in: chunk.sel.len() as u64,
             ..BatchLocalStats::default()
         };
-        let early_skip = self.config.early_skip;
         let guard = dim.probe_batch();
         let mut kept = 0usize;
         for k in 0..chunk.sel.len() {
             let fk = chunk.values[k];
             let bits = &mut chunk.sel_bits[k * words..(k + 1) * words];
-            let joined = match probe_bits(&dim, &guard, early_skip, bits, || fk, &mut stats) {
+            let joined = match probe_bits(&dim, &guard, true, bits, || fk, &mut stats) {
                 ProbeOutcome::Dropped => continue,
                 ProbeOutcome::Kept => Joined::Nothing,
                 ProbeOutcome::Joined(entry) => Joined::Row(entry.row.clone()),
@@ -1320,7 +1330,7 @@ impl Preprocessor {
     /// the rest are NULL, so downstream indices keep working), into recycled
     /// tuples. When phase 3 probed the leading Filter, its joined dimension row
     /// is attached (claimed-split for a multi-version key), every batch is
-    /// marked with its slot so no Stage probes it again, and its statistics for
+    /// marked with its slot so no shard probes it again, and its statistics for
     /// the chunk are flushed. Returns the number of rows materialised.
     fn materialise_selected(
         &mut self,
@@ -1392,8 +1402,8 @@ impl Preprocessor {
 
     /// [`Preprocessor::flush`] for a batch whose tuples the Filter at dimension
     /// slot `applied` has already processed (scan-side probe): the mark travels
-    /// with the batch so every Stage skips that Filter.
-    fn flush_applied(&self, mut batch: Batch, applied: Option<usize>) -> Batch {
+    /// with the batch so its shard skips that Filter.
+    fn flush_applied(&mut self, mut batch: Batch, applied: Option<usize>) -> Batch {
         if let Some(slot) = applied {
             batch.mark_filter_applied(slot);
         }
@@ -1459,191 +1469,31 @@ impl Preprocessor {
         }
     }
 
-    /// Sends a non-empty batch to the filter stage and returns a fresh batch.
-    fn flush(&self, batch: Batch) -> Batch {
+    /// Sends a non-empty batch, whole, to the next shard in this worker's
+    /// rotation and returns a fresh batch. A send error means the shard is gone
+    /// and the pipeline is tearing down; the batch is dropped.
+    fn flush(&mut self, batch: Batch) -> Batch {
         if batch.is_empty() {
             return batch;
         }
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
         SharedCounters::add(&self.counters.batches_sent, 1);
         SharedCounters::add(&self.worker_counters.batches_sent, 1);
-        if self.stage_tx.send(Message::Data(batch)).is_err() {
-            // Pipeline tearing down; undo the in-flight accounting so barriers do not
-            // hang during shutdown.
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
+        let shard = self.next_shard;
+        self.next_shard = (shard + 1) % self.shards.num_shards();
+        let _ = self.shards.send_to(shard, Message::Data(batch));
         self.pool.take(self.config.batch_size)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Drain barrier
-// ---------------------------------------------------------------------------
-
-/// Waits until the in-flight batch counter reaches zero, with bounded
-/// spin-then-park backoff (pure spins, then yields, then exponentially growing
-/// micro-sleeps capped at ~256 µs), recording the wait in `control_barriers` /
-/// `barrier_wait_ns`. Run before every end-of-query control tuple, by the scan
-/// worker closing the query, while it holds the [`ScanStall`] gate.
-///
-/// The barrier's termination argument assumes every downstream consumer is
-/// alive; a dead Stage or Distributor leaves the counter stuck above zero
-/// forever. `poison` is the supervisor's escape hatch: it is set (after every
-/// in-flight query outcome has been resolved with an error) before teardown, and
-/// the wait loop re-checks it so a poisoned barrier releases in bounded time
-/// instead of deadlocking the failure path.
-pub(crate) fn drain_barrier(in_flight: &AtomicI64, counters: &SharedCounters, poison: &AtomicBool) {
-    SharedCounters::add(&counters.control_barriers, 1);
-    if in_flight.load(Ordering::Acquire) <= 0 {
-        return;
-    }
-    let started = Instant::now();
-    let mut round = 0u32;
-    while in_flight.load(Ordering::Acquire) > 0 {
-        if poison.load(Ordering::Acquire) {
-            // A role died; the counter may never drain. Exit — our caller's
-            // next loop iteration observes the poison flag and stops too.
-            break;
-        }
-        if round < 64 {
-            std::hint::spin_loop();
-        } else if round < 96 {
-            std::thread::yield_now();
-        } else {
-            // "Park": no wake-up event exists for the counter, so sleep with an
-            // exponentially growing, bounded interval instead of burning a core.
-            let exp = (round - 96).min(6);
-            std::thread::sleep(Duration::from_micros(4u64 << exp));
-        }
-        round += 1;
-    }
-    SharedCounters::add(
-        &counters.barrier_wait_ns,
-        started.elapsed().as_nanos() as u64,
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Stall gate
-// ---------------------------------------------------------------------------
-
-/// The gate a scan worker holds while it closes a query: its siblings park at
-/// their next batch boundary, so nothing is produced while the closer drains
-/// the pipeline for the end-of-query control tuple.
-///
-/// Every worker calls [`ScanStall::park_if_requested`] once per loop iteration
-/// — a single uncontended mutex acquisition per scan batch. A closer's
-/// [`ScanStall::stall`] returns once it holds the gate alone and every other
-/// worker is parked, which makes the subsequent drain barrier terminate: no
-/// producer is running, so the in-flight counter can only fall.
-/// [`ScanStall::release`] hands the gate to the next waiting closer, or resumes
-/// the parked workers when there is none.
-///
-/// A worker counts as parked from the moment it *asks* for the gate — it
-/// produces nothing while it waits its turn — so workers closing different
-/// queries at once take the gate one after the other instead of each waiting
-/// for the other to park. With a single worker nobody else is to park and
-/// `stall` returns at once.
-#[derive(Debug)]
-pub struct ScanStall {
-    state: Mutex<StallState>,
-    cv: Condvar,
-    workers: usize,
-}
-
-#[derive(Debug, Default)]
-struct StallState {
-    /// Workers between `stall` and `release`: holding the gate or waiting for it.
-    closers: usize,
-    /// Whether one of the closers holds the gate.
-    held: bool,
-    /// Workers producing nothing: parked at a batch boundary, or a closer.
-    parked: usize,
-    shutdown: bool,
-}
-
-impl ScanStall {
-    /// Creates the stall gate of a front-end of `workers` scan workers.
-    pub fn new(workers: usize) -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(StallState::default()),
-            cv: Condvar::new(),
-            workers,
-        })
-    }
-
-    /// At a batch boundary: parks while any sibling is closing a query;
-    /// otherwise returns immediately.
-    pub fn park_if_requested(&self) {
-        let mut s = self.lock_state();
-        if s.closers == 0 || s.shutdown {
-            return;
-        }
-        s.parked += 1;
-        self.cv.notify_all();
-        while s.closers > 0 && !s.shutdown {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.parked -= 1;
-    }
-
-    /// Closer side: blocks until this worker holds the gate alone and every
-    /// other worker is parked (or the gate is shut down).
-    pub fn stall(&self) {
-        let mut s = self.lock_state();
-        s.closers += 1;
-        s.parked += 1;
-        if s.held {
-            // The holder may be waiting for this worker to stop producing.
-            self.cv.notify_all();
-        }
-        while s.held && !s.shutdown {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.held = true;
-        while s.parked < self.workers && !s.shutdown {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closer side: gives the gate up.
-    pub fn release(&self) {
-        let mut s = self.lock_state();
-        s.held = false;
-        s.closers -= 1;
-        s.parked -= 1;
-        if s.parked > 0 {
-            // Parked siblings, or closers waiting their turn.
-            self.cv.notify_all();
-        }
-    }
-
-    /// Permanently opens the gate: parked workers resume, a waiting closer
-    /// proceeds, and no future stall blocks. Called by a worker leaving its
-    /// loop (it can never park again) and by the failure-path teardown (a dead
-    /// worker cannot call it for itself).
-    pub fn shutdown(&self) {
-        let mut s = self.lock_state();
-        s.shutdown = true;
-        self.cv.notify_all();
-    }
-
-    /// Locks the stall state, surviving poisoning: a panicking scan worker (the
-    /// supervised fault path) must not wedge the gate for everyone else — the
-    /// `StallState` fields stay consistent under any interleaving of the
-    /// protocol, so the poison carries no information here.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, StallState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::ShardQueues;
     use cjoin_common::splitmix64;
     use cjoin_query::{AggregateSpec, StarQuery};
     use cjoin_storage::{segment_ranges, Catalog, Column, Row, Schema, Table, Value};
     use crossbeam::channel::{bounded, unbounded};
+    use std::sync::atomic::AtomicBool;
     use std::time::Instant;
 
     /// `fact(fk, v)`, 16 rows a page, holding rows `0..rows` (`fk = i % 3`,
@@ -1688,53 +1538,61 @@ mod tests {
         Preprocessor::new(scan, replica, commands, ctx)
     }
 
-    /// The context of a one-worker front-end; tests of wider ones overwrite
-    /// `worker`, `siblings`, `stall` and the shared counters.
-    fn context(
-        config: &CjoinConfig,
-        stage_tx: Sender<Message>,
-        dist_tx: Sender<Message>,
-        in_flight: Arc<AtomicI64>,
-    ) -> PreprocessorContext {
+    /// The context of a one-worker front-end over `lanes`; tests of wider
+    /// ones overwrite `worker`, `siblings` and the shared counters.
+    fn context(config: &CjoinConfig, lanes: ShardSenders) -> PreprocessorContext {
         PreprocessorContext {
             worker: 0,
             siblings: Vec::new(),
-            stall: ScanStall::new(1),
-            stage_tx,
-            distributor_tx: std::iter::once(dist_tx).collect(),
-            in_flight,
+            shards: lanes,
             pool: BatchPool::new(8),
             slot_count: Arc::new(AtomicUsize::new(1)),
             chain: Arc::new(FilterChain::new()),
             counters: SharedCounters::new(),
             worker_counters: Arc::new(ScanWorkerCounters::default()),
-            poison: Arc::new(AtomicBool::new(false)),
             config: config.clone(),
             snapshots: Arc::new(SnapshotManager::new()),
         }
     }
 
-    /// Builds a one-worker front-end over `table` (and `replica`, if any) wired
-    /// to in-memory channels, returning the pieces the test drives directly.
-    #[allow(clippy::type_complexity)]
+    /// One unbounded lane. Data and control share it, so its order is the
+    /// emission order.
+    fn one_lane() -> (ShardSenders, Receiver<Message>) {
+        let (tx, rx) = unbounded();
+        (std::iter::once(tx).collect(), rx)
+    }
+
+    /// Builds a one-worker front-end over `table` (and `replica`, if any)
+    /// wired to one lane, returning the pieces the test drives directly.
     fn harness(
         table: Arc<Table>,
         replica: Option<Arc<ColumnarTable>>,
         config: &CjoinConfig,
-    ) -> (
-        Preprocessor,
-        Sender<PreprocessorCommand>,
-        Receiver<Message>,
-        Receiver<Message>,
-        Arc<AtomicI64>,
-    ) {
+    ) -> (Preprocessor, Sender<PreprocessorCommand>, Receiver<Message>) {
         let (cmd_tx, cmd_rx) = unbounded();
-        let (stage_tx, stage_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded();
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let ctx = context(config, stage_tx, dist_tx, Arc::clone(&in_flight));
+        let (lanes, rx) = one_lane();
+        let ctx = context(config, lanes);
         let pre = scan_worker(&table, replica.as_ref(), (0, None), cmd_rx, ctx);
-        (pre, cmd_tx, stage_rx, dist_rx, in_flight)
+        (pre, cmd_tx, rx)
+    }
+
+    /// Takes what `rx` holds right now: the number of data tuples carrying
+    /// `bit` (every data tuple for `None`), and the ids whose end tuple came.
+    fn drain(rx: &Receiver<Message>, bit: Option<usize>) -> (usize, Vec<QueryId>) {
+        let (mut tuples, mut ends) = (0, Vec::new());
+        for msg in rx.try_iter() {
+            match msg {
+                Message::Data(batch) => {
+                    tuples += batch
+                        .iter()
+                        .filter(|t| bit.is_none_or(|b| t.bits.get(b)))
+                        .count();
+                }
+                Message::Control(ControlTuple::QueryEnd(id)) => ends.push(id),
+                _ => {}
+            }
+        }
+        (tuples, ends)
     }
 
     fn dummy_runtime(bit: u32) -> (Arc<QueryRuntime>, Receiver<cjoin_query::QueryOutcome>) {
@@ -1788,12 +1646,12 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, _stage_rx, dist_rx, _) = harness(fact_table(25), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
         let (rt, _res) = dummy_runtime(0);
         install(&cmd_tx, rt);
         pre.apply_commands();
         assert_eq!(pre.active_queries(), 1);
-        match dist_rx.try_recv().unwrap() {
+        match rx.try_recv().unwrap() {
             Message::Control(ControlTuple::QueryStart(rt)) => assert_eq!(rt.id, QueryId(0)),
             other => panic!("expected QueryStart, got {other:?}"),
         }
@@ -1804,32 +1662,28 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
-            harness(fact_table(25), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
         let (rt, _res) = dummy_runtime(0);
         install(&cmd_tx, rt);
         pre.apply_commands();
-        let _ = dist_rx.try_recv(); // QueryStart
 
-        // Drive scan batches; acknowledge data batches by decrementing in-flight as
-        // the distributor would, so drain barriers complete.
+        // Nothing drains the lane in between: the end needs no consumer.
+        let mut ends = Vec::new();
         let mut data_tuples = 0usize;
-        let mut saw_end = false;
         for _ in 0..10 {
             pre.process_next_chunk();
-            while let Ok(msg) = stage_rx.try_recv() {
-                if let Message::Data(batch) = msg {
-                    data_tuples += batch.len();
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            if let Ok(Message::Control(ControlTuple::QueryEnd(id))) = dist_rx.try_recv() {
-                assert_eq!(id, QueryId(0));
-                saw_end = true;
+            let (tuples, ended) = drain(&rx, None);
+            data_tuples += tuples;
+            ends.extend(ended);
+            if !ends.is_empty() {
                 break;
             }
         }
-        assert!(saw_end, "query must finalize after one full pass");
+        assert_eq!(
+            ends,
+            [QueryId(0)],
+            "query must finalize after one full pass"
+        );
         assert_eq!(
             data_tuples, 25,
             "exactly one pass worth of tuples had the query's bit"
@@ -1846,18 +1700,12 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
-            harness(fact_table(25), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
         let (rt, _res) = dummy_runtime(0);
         install(&cmd_tx, rt);
         pre.apply_commands();
-        let _ = dist_rx.try_recv(); // QueryStart
         pre.process_next_chunk(); // rows 0..10
-        let mut data_tuples = 0usize;
-        while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-            data_tuples += batch.len();
-            in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
+        let mut data_tuples = drain(&rx, None).0;
         cmd_tx
             .send(PreprocessorCommand::Cancel { id: QueryId(0) })
             .unwrap();
@@ -1867,11 +1715,9 @@ mod tests {
         let mut ended = false;
         for _ in 0..10 {
             pre.process_next_chunk();
-            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                data_tuples += batch.len();
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
-            if let Ok(Message::Control(ControlTuple::QueryEnd(_))) = dist_rx.try_recv() {
+            let (tuples, ends) = drain(&rx, None);
+            data_tuples += tuples;
+            if !ends.is_empty() {
                 ended = true;
                 break;
             }
@@ -1899,8 +1745,7 @@ mod tests {
             .with_batch_size(10);
         let table = fact_table(25);
         for replica in [None, Some(replica_of(&table))] {
-            let (mut pre, cmd_tx, stage_rx, _dist_rx, in_flight) =
-                harness(Arc::clone(&table), replica, &config);
+            let (mut pre, cmd_tx, _rx) = harness(Arc::clone(&table), replica, &config);
             for serial in 1..=3u64 {
                 let (rt, _res) = dummy_runtime(0);
                 install(&cmd_tx, rt);
@@ -1909,9 +1754,6 @@ mod tests {
                 while pre.active_queries() > 0 {
                     pre.process_next_chunk();
                     chunks += 1;
-                    while let Ok(Message::Data(_)) = stage_rx.try_recv() {
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
                 }
                 assert_eq!(chunks, 4, "three chunks of rows, then the retirement");
                 let passes = pre.counters.scan_passes.load(Ordering::Relaxed);
@@ -1932,38 +1774,27 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
-            harness(fact_table(30), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(30), None, &config);
 
         // First query keeps the scan busy.
         let (rt0, _r0) = dummy_runtime(0);
         install(&cmd_tx, rt0);
         pre.apply_commands();
-        let _ = dist_rx.try_recv();
         pre.process_next_chunk(); // rows 0..10 for q0
 
         // Second query arrives mid-scan (position 10).
         let (rt1, _r1) = dummy_runtime(1);
         install(&cmd_tx, rt1);
         pre.apply_commands();
-        let _ = dist_rx.try_recv();
 
-        let mut q1_tuples = 0usize;
+        let mut q1_tuples = drain(&rx, Some(1)).0;
         let mut q1_ended = false;
         for _ in 0..20 {
             pre.process_next_chunk();
-            while let Ok(msg) = stage_rx.try_recv() {
-                if let Message::Data(batch) = msg {
-                    q1_tuples += batch.iter().filter(|t| t.bits.get(1)).count();
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            while let Ok(msg) = dist_rx.try_recv() {
-                if let Message::Control(ControlTuple::QueryEnd(QueryId(1))) = msg {
-                    q1_ended = true;
-                }
-            }
-            if q1_ended {
+            let (tuples, ends) = drain(&rx, Some(1));
+            q1_tuples += tuples;
+            if ends.contains(&QueryId(1)) {
+                q1_ended = true;
                 break;
             }
         }
@@ -1979,8 +1810,7 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(100);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
-            harness(fact_table(30), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(30), None, &config);
         let (rt, _r) = dummy_runtime(0);
         // Predicate: fk = 1 (10 of 30 rows).
         let catalog = Catalog::new();
@@ -2002,15 +1832,11 @@ mod tests {
             })
             .unwrap();
         pre.apply_commands();
-        let _ = dist_rx.try_recv();
 
         let mut relevant = 0usize;
         for _ in 0..3 {
             pre.process_next_chunk();
-            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                relevant += batch.len();
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
+            relevant += drain(&rx, None).0;
             if pre.active_queries() == 0 {
                 break;
             }
@@ -2024,17 +1850,10 @@ mod tests {
     #[test]
     fn shutdown_command_stops_the_loop() {
         let config = CjoinConfig::default().with_max_concurrency(4);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, _) = harness(fact_table(5), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(5), None, &config);
         cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
         pre.run(); // returns instead of scanning forever
-        assert!(
-            stage_rx.try_recv().is_err(),
-            "no data produced after shutdown"
-        );
-        assert!(
-            dist_rx.try_recv().is_err(),
-            "no control produced after shutdown"
-        );
+        assert!(rx.try_recv().is_err(), "nothing produced after shutdown");
     }
 
     #[test]
@@ -2055,7 +1874,7 @@ mod tests {
             t.insert(vec![Value::int(i), Value::int(i)], SnapshotId(1))
                 .unwrap();
         }
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(Arc::new(t), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(Arc::new(t), None, &config);
         // Query pinned at snapshot 0 must only see the first 5 rows.
         let (rt, _r) = dummy_runtime(0);
         let (ack_tx, _ack) = bounded(1);
@@ -2068,14 +1887,10 @@ mod tests {
             })
             .unwrap();
         pre.apply_commands();
-        let _ = dist_rx.try_recv();
         let mut forwarded = 0usize;
         for _ in 0..3 {
             pre.process_next_chunk();
-            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                forwarded += batch.len();
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
+            forwarded += drain(&rx, None).0;
             if pre.active_queries() == 0 {
                 break;
             }
@@ -2090,225 +1905,24 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(16)
             .with_batch_size(10);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) =
-            harness(fact_table(30), None, &config);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(30), None, &config);
         let runtimes: Vec<_> = (0..8).map(dummy_runtime).collect();
         for (rt, _) in &runtimes {
             install(&cmd_tx, Arc::clone(rt));
         }
         pre.apply_commands();
-        while dist_rx.try_recv().is_ok() {}
         assert_eq!(pre.active_queries(), 8);
 
         let mut ended = 0usize;
         for _ in 0..10 {
             pre.process_next_chunk();
-            while let Ok(msg) = stage_rx.try_recv() {
-                if let Message::Data(_) = msg {
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            while let Ok(msg) = dist_rx.try_recv() {
-                if matches!(msg, Message::Control(ControlTuple::QueryEnd(_))) {
-                    ended += 1;
-                }
-            }
+            ended += drain(&rx, None).1.len();
             if ended == 8 {
                 break;
             }
         }
         assert_eq!(ended, 8, "every query ends after exactly one pass");
         assert_eq!(pre.active_queries(), 0);
-    }
-
-    #[test]
-    fn drain_barrier_records_wait_time() {
-        let counters = SharedCounters::new();
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let poison = AtomicBool::new(false);
-        // Fast path: nothing in flight, no wait recorded.
-        drain_barrier(&in_flight, &counters, &poison);
-        assert_eq!(counters.control_barriers.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.barrier_wait_ns.load(Ordering::Relaxed), 0);
-        // Slow path: a helper drains the counter after a delay.
-        in_flight.store(3, Ordering::Release);
-        let helper = {
-            let in_flight = Arc::clone(&in_flight);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                in_flight.store(0, Ordering::Release);
-            })
-        };
-        drain_barrier(&in_flight, &counters, &poison);
-        helper.join().unwrap();
-        assert_eq!(counters.control_barriers.load(Ordering::Relaxed), 2);
-        assert!(
-            counters.barrier_wait_ns.load(Ordering::Relaxed) >= 1_000_000,
-            "the ~5 ms wait is attributed to the barrier"
-        );
-    }
-
-    #[test]
-    fn drain_barrier_releases_on_poison() {
-        let counters = SharedCounters::new();
-        let in_flight = Arc::new(AtomicI64::new(7));
-        let poison = Arc::new(AtomicBool::new(false));
-        // Nothing will ever drain the counter (the "dead Stage" case); only the
-        // poison flag can release the barrier.
-        let setter = {
-            let poison = Arc::clone(&poison);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                poison.store(true, Ordering::Release);
-            })
-        };
-        let started = Instant::now();
-        drain_barrier(&in_flight, &counters, &poison);
-        setter.join().unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "a poisoned barrier must release in bounded time"
-        );
-        assert_eq!(in_flight.load(Ordering::Acquire), 7, "nothing was drained");
-    }
-
-    /// The stall gate under seeded schedules: 2–4 emulated scan workers with
-    /// randomised yields, several of them closing queries at once, one idling
-    /// between batches, one arriving late. A `producing` flag per worker is up
-    /// exactly while the real worker could flush a batch (between two batch
-    /// boundaries and not inside `stall`..`release`).
-    #[test]
-    fn stall_gate_serialises_closers_and_parks_everyone_else() {
-        const SEEDS: u64 = 1_200;
-        const BOUNDED: Duration = Duration::from_secs(20);
-        for seed in 0..SEEDS {
-            let mut rng = seed;
-            let workers = 2 + (splitmix64(&mut rng) % 3) as usize;
-            let stall = ScanStall::new(workers);
-            let producing: Arc<Vec<AtomicBool>> =
-                Arc::new((0..workers).map(|_| AtomicBool::new(false)).collect());
-            let in_section = Arc::new(AtomicUsize::new(0));
-            // Closes per worker: at least two workers close, so turns collide.
-            let quotas: Vec<usize> = (0..workers)
-                .map(|w| {
-                    if w < 2 {
-                        1 + (splitmix64(&mut rng) % 3) as usize
-                    } else {
-                        (splitmix64(&mut rng) % 3) as usize
-                    }
-                })
-                .collect();
-            let remaining = Arc::new(AtomicUsize::new(quotas.iter().sum()));
-            let idler = (splitmix64(&mut rng) % workers as u64) as usize;
-            let late = (splitmix64(&mut rng) % workers as u64) as usize;
-            let (done_tx, done_rx) = unbounded();
-            for (w, quota) in quotas.into_iter().enumerate() {
-                let stall = Arc::clone(&stall);
-                let producing = Arc::clone(&producing);
-                let in_section = Arc::clone(&in_section);
-                let remaining = Arc::clone(&remaining);
-                let done_tx = done_tx.clone();
-                let mut rng = seed ^ ((w as u64 + 1) << 32);
-                std::thread::spawn(move || {
-                    let mut jitter = move || {
-                        for _ in 0..splitmix64(&mut rng) % 4 {
-                            std::thread::yield_now();
-                        }
-                    };
-                    if w == late {
-                        std::thread::sleep(Duration::from_micros(300));
-                    }
-                    let mut quota = quota;
-                    while remaining.load(Ordering::Acquire) > 0 {
-                        stall.park_if_requested();
-                        if w == idler {
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                        producing[w].store(true, Ordering::SeqCst);
-                        jitter();
-                        if quota > 0 {
-                            quota -= 1;
-                            // Flushed, then blocked inside the gate.
-                            producing[w].store(false, Ordering::SeqCst);
-                            stall.stall();
-                            assert_eq!(
-                                in_section.fetch_add(1, Ordering::SeqCst),
-                                0,
-                                "seed {seed}: two closers inside the gate"
-                            );
-                            for _ in 0..2 {
-                                for (other, flag) in producing.iter().enumerate() {
-                                    assert!(
-                                        !flag.load(Ordering::SeqCst),
-                                        "seed {seed}: worker {w} closing while {other} produces"
-                                    );
-                                }
-                                jitter();
-                            }
-                            in_section.fetch_sub(1, Ordering::SeqCst);
-                            stall.release();
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                            producing[w].store(true, Ordering::SeqCst);
-                            jitter();
-                        }
-                        producing[w].store(false, Ordering::SeqCst);
-                    }
-                    let _ = done_tx.send(w);
-                });
-            }
-            for _ in 0..workers {
-                done_rx
-                    .recv_timeout(BOUNDED)
-                    .unwrap_or_else(|_| panic!("seed {seed}: a closer never got its turn"));
-            }
-            let s = stall.lock_state();
-            assert_eq!(
-                (s.parked, s.closers, s.held),
-                (0, 0, false),
-                "seed {seed}: the gate is not back at rest"
-            );
-        }
-
-        // `shutdown` releases a closer waiting for a worker that will never
-        // park (the dead-sibling case) and the worker parked behind it.
-        let stall = ScanStall::new(3);
-        let (done_tx, done_rx) = unbounded();
-        let closer = {
-            let (stall, done_tx) = (Arc::clone(&stall), done_tx.clone());
-            std::thread::spawn(move || {
-                stall.stall();
-                stall.release();
-                let _ = done_tx.send(());
-            })
-        };
-        let parker = {
-            let stall = Arc::clone(&stall);
-            std::thread::spawn(move || {
-                while stall.lock_state().closers == 0 {
-                    std::thread::yield_now();
-                }
-                stall.park_if_requested();
-                let _ = done_tx.send(());
-            })
-        };
-        while stall.lock_state().parked < 2 {
-            std::thread::yield_now();
-        }
-        assert!(
-            done_rx.try_recv().is_err(),
-            "both wait for the third worker"
-        );
-        stall.shutdown();
-        for _ in 0..2 {
-            done_rx
-                .recv_timeout(BOUNDED)
-                .expect("shutdown releases everyone");
-        }
-        closer.join().unwrap();
-        parker.join().unwrap();
-        assert_eq!(stall.lock_state().parked, 0);
-        stall.stall(); // an open gate never blocks again
-        stall.release();
     }
 
     /// A sibling whose command receiver is gone outside an orderly shutdown
@@ -2321,13 +1935,11 @@ mod tests {
             .with_max_concurrency(8)
             .with_batch_size(10);
         let (cmd_tx, cmd_rx) = unbounded();
-        let (stage_tx, _stage_rx) = unbounded();
-        let (dist_tx, dist_rx) = unbounded();
+        let (lanes, rx) = one_lane();
         let (dead_tx, dead_rx) = unbounded();
         drop(dead_rx); // the sibling is gone
-        let mut ctx = context(&config, stage_tx, dist_tx, Arc::new(AtomicI64::new(0)));
+        let mut ctx = context(&config, lanes);
         ctx.siblings = vec![dead_tx];
-        ctx.stall = ScanStall::new(2);
         let counters = Arc::clone(&ctx.counters);
         let mut lead = scan_worker(&fact_table(25), None, (0, None), cmd_rx, ctx);
 
@@ -2346,7 +1958,7 @@ mod tests {
         assert_eq!(lead.active_queries(), 0);
         // The start tuple was already enqueued (it precedes the relay); what
         // matters is that no end tuple ever will be.
-        while let Ok(msg) = dist_rx.try_recv() {
+        while let Ok(msg) = rx.try_recv() {
             assert!(
                 matches!(msg, Message::Control(ControlTuple::QueryStart(_))),
                 "unexpected message after failed install: {msg:?}"
@@ -2354,19 +1966,26 @@ mod tests {
         }
     }
 
-    /// The whole front-end at widths 1 and 3 — scan worker threads over
-    /// in-memory channels, with a consumer emulating the filter stages and the
-    /// Distributor (drains data, decrements in-flight, records per-bit tuple
-    /// counts and control ordering) — without a replica, with one frozen at row
-    /// 40 (its frontier inside a segment at either width) and with a full one.
+    /// The lane-order test: the whole front-end, scan worker threads at widths
+    /// 1, 2 and 4 over 1 and 4 lanes, without a replica, with one frozen at row
+    /// 40 (its frontier inside a segment at every width) and with a full one.
+    /// Each lane holds two messages and its consumer sleeps a seeded while
+    /// between messages, so the workers keep blocking on full lanes. Of three
+    /// queries, two run to their end — one installed at once, one mid-scan —
+    /// and the third is cancelled mid-pass. Every consumer checks, on its own
+    /// lane and for each query, Start < every batch carrying its bit < End, and
+    /// the two complete queries see each fact row exactly once across all
+    /// lanes and segments.
     #[test]
-    fn front_end_delivers_exactly_one_pass_and_ordered_controls() {
+    fn every_lane_orders_start_before_data_before_end() {
         const ROWS: i64 = 95;
-        let cases = [None, Some(40), Some(ROWS)]
-            .into_iter()
-            .flat_map(|frontier| [(frontier, 1), (frontier, 3)]);
-        for (frontier, width) in cases {
-            let case = format!("replica {frontier:?}, width {width}");
+        const SEEDS: u64 = 3;
+        const BOUNDED: Duration = Duration::from_secs(20);
+        for seed in 0..3 * 2 * 3 * SEEDS {
+            let width = [1, 2, 4][(seed % 3) as usize];
+            let lanes = [1, 4][(seed / 3 % 2) as usize];
+            let frontier = [None, Some(40), Some(ROWS)][(seed / 6 % 3) as usize];
+            let case = format!("seed {seed}: width {width}, {lanes} lanes, replica {frontier:?}");
             let config = CjoinConfig::default()
                 .with_max_concurrency(8)
                 .with_batch_size(10)
@@ -2374,11 +1993,55 @@ mod tests {
             let table = fact_table(frontier.unwrap_or(ROWS));
             let replica = frontier.map(|_| replica_of(&table));
             append_rows(&table, table.len() as i64..ROWS, SnapshotId::INITIAL);
-            let (stage_tx, stage_rx) = unbounded();
-            let (dist_tx, dist_rx) = unbounded::<Message>();
-            let in_flight = Arc::new(AtomicI64::new(0));
             let counters = SharedCounters::new();
-            let stall = ScanStall::new(width);
+
+            // One consumer per lane: checks the order and counts tuples per bit.
+            let queues = ShardQueues::new(lanes, 2);
+            let consumers: Vec<_> = (0..lanes)
+                .map(|lane| {
+                    let rx = queues.receiver(lane);
+                    let mut rng = seed << 8 | lane as u64;
+                    let case = case.clone();
+                    std::thread::spawn(move || {
+                        let (mut tuples, mut started, mut ends) =
+                            ([0u64; 8], [false; 8], [0u32; 8]);
+                        for msg in &rx {
+                            if splitmix64(&mut rng).is_multiple_of(3) {
+                                std::thread::sleep(Duration::from_micros(
+                                    splitmix64(&mut rng) % 300,
+                                ));
+                            }
+                            match msg {
+                                Message::Control(ControlTuple::QueryStart(rt)) => {
+                                    started[rt.id.index()] = true;
+                                }
+                                Message::Control(ControlTuple::QueryEnd(id)) => {
+                                    assert!(
+                                        started[id.index()],
+                                        "{case}: end before start on lane {lane}"
+                                    );
+                                    ends[id.index()] += 1;
+                                }
+                                Message::Data(batch) => {
+                                    for bit in batch.iter().flat_map(|t| t.bits.iter()) {
+                                        assert!(
+                                            started[bit],
+                                            "{case}: data before start on lane {lane}"
+                                        );
+                                        assert_eq!(
+                                            ends[bit], 0,
+                                            "{case}: data after end on lane {lane}"
+                                        );
+                                        tuples[bit] += 1;
+                                    }
+                                }
+                                Message::Shutdown => unreachable!("nobody sends it"),
+                            }
+                        }
+                        (tuples, ends)
+                    })
+                })
+                .collect();
 
             let ranges = segment_ranges(table.len() as u64, table.rows_per_page(), width);
             let (cmd_tx, cmd_rx) = unbounded();
@@ -2388,122 +2051,74 @@ mod tests {
             command_rxs.extend(sibling_rxs);
             let mut worker_handles = Vec::new();
             for (w, (&segment, commands)) in ranges.iter().zip(command_rxs).enumerate() {
-                let mut ctx = context(
-                    &config,
-                    stage_tx.clone(),
-                    dist_tx.clone(),
-                    Arc::clone(&in_flight),
-                );
+                let mut ctx = context(&config, queues.senders());
                 ctx.worker = w;
                 ctx.siblings = std::mem::take(&mut sibling_txs); // all to worker 0
-                ctx.stall = Arc::clone(&stall);
                 ctx.counters = Arc::clone(&counters);
                 let mut worker = scan_worker(&table, replica.as_ref(), segment, commands, ctx);
                 worker_handles.push(std::thread::spawn(move || worker.run()));
             }
-            drop((stage_tx, dist_tx));
+            // The consumers end once every worker has dropped its senders.
+            drop(queues);
 
-            // Consumer thread: emulates stages + Distributor (decrements in-flight
-            // per batch, counts per-bit tuples, checks start-before-data-before-end).
-            //
-            // The ordering assertions are sound even though data and control ride
-            // different channels: a data tuple carrying a bit implies its
-            // query-start is already *enqueued* (worker 0 sends it before any
-            // worker installs the query), so draining the control queue on demand
-            // must surface it; and a query-end is only enqueued once in-flight hit
-            // zero — which, with this consumer being the sole decrementer, means
-            // every prior data batch was already consumed, so any data seen after
-            // the end tuple was produced after it and cannot carry the ended bit.
-            let consumer = {
-                let in_flight = Arc::clone(&in_flight);
-                std::thread::spawn(move || {
-                    let mut tuples_per_bit = [0u64; 8];
-                    let mut started = [false; 8];
-                    let mut ends = [0u32; 8];
-                    loop {
-                        let drain_control = |started: &mut [bool; 8], ends: &mut [u32; 8]| {
-                            while let Ok(msg) = dist_rx.try_recv() {
-                                match msg {
-                                    Message::Control(ControlTuple::QueryStart(rt)) => {
-                                        started[rt.id.index()] = true;
-                                    }
-                                    Message::Control(ControlTuple::QueryEnd(id)) => {
-                                        ends[id.index()] += 1;
-                                    }
-                                    other => panic!("unexpected control-path message {other:?}"),
-                                }
-                            }
-                        };
-                        drain_control(&mut started, &mut ends);
-                        while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                            for t in &batch {
-                                for bit in t.bits.iter() {
-                                    if !started[bit] {
-                                        drain_control(&mut started, &mut ends);
-                                    }
-                                    assert!(started[bit], "data before query-start for bit {bit}");
-                                    assert_eq!(ends[bit], 0, "data after query-end for bit {bit}");
-                                    tuples_per_bit[bit] += 1;
-                                }
-                            }
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        if ends[0] > 0 && ends[1] > 0 {
-                            return (tuples_per_bit, ends, dist_rx);
-                        }
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                })
-            };
-
-            // Two queries: one immediately, one mid-scan.
+            // Query 0 at once, query 1 mid-scan, query 2 cancelled mid-pass.
+            let mut rng = seed;
             let mut trackers = Vec::new();
-            for bit in 0..2 {
+            for bit in 0..3 {
                 let (rt, _res) = dummy_runtime(bit);
                 trackers.push(Arc::clone(&rt.progress));
-                install(&cmd_tx, rt).recv().unwrap();
-                std::thread::sleep(Duration::from_millis(2));
+                install(&cmd_tx, Arc::clone(&rt)).recv().unwrap();
+                std::thread::sleep(Duration::from_micros(500 + splitmix64(&mut rng) % 2000));
+                if bit == 2 {
+                    rt.mark_cancelled();
+                    cmd_tx
+                        .send(PreprocessorCommand::Cancel { id: rt.id })
+                        .unwrap();
+                }
             }
-
-            let (tuples_per_bit, mut ends, dist_rx) = consumer.join().unwrap();
-            assert_eq!(
-                tuples_per_bit[0], ROWS as u64,
-                "{case}: query 0 sees each fact row exactly once across segments"
-            );
-            assert_eq!(
-                tuples_per_bit[1], ROWS as u64,
-                "{case}: the mid-scan query sees each fact row exactly once"
-            );
-            assert_eq!(
-                in_flight.load(Ordering::Acquire),
-                0,
-                "{case}: quiesced after both queries ended"
-            );
-            for tracker in &trackers {
-                assert!(tracker.is_completed());
-                assert_eq!(
-                    (tracker.segments_completed(), tracker.segments_total()),
-                    (width as u64, width as u64)
-                );
+            let started = Instant::now();
+            while !trackers.iter().all(|t| t.is_completed()) {
+                assert!(started.elapsed() < BOUNDED, "{case}: a query never ended");
+                std::thread::sleep(Duration::from_micros(200));
             }
-
             cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
             for h in worker_handles {
                 h.join().unwrap();
             }
-            for msg in dist_rx.try_iter() {
-                match msg {
-                    Message::Control(ControlTuple::QueryEnd(id)) => ends[id.index()] += 1,
-                    other => panic!("{case}: stray message at shutdown: {other:?}"),
+
+            let mut tuples = [0u64; 8];
+            for consumer in consumers {
+                let (lane_tuples, ends) = consumer.join().unwrap();
+                assert_eq!(
+                    ends[..3],
+                    [1, 1, 1],
+                    "{case}: one end tuple per query per lane"
+                );
+                for (total, n) in tuples.iter_mut().zip(lane_tuples) {
+                    *total += n;
                 }
             }
-            assert_eq!(ends[..2], [1, 1], "{case}: one end tuple per query");
             assert_eq!(
-                counters.control_barriers.load(Ordering::Relaxed),
-                2,
-                "{case}: one drain per end tuple"
+                tuples[..2],
+                [ROWS as u64; 2],
+                "{case}: each fact row exactly once"
             );
-            assert_eq!(counters.queries_admitted.load(Ordering::Relaxed), 2);
+            assert!(
+                tuples[2] <= ROWS as u64,
+                "{case}: the cancelled query saw a part"
+            );
+            for tracker in &trackers {
+                assert_eq!(
+                    (tracker.segments_completed(), tracker.segments_total()),
+                    (width as u64, width as u64),
+                    "{case}"
+                );
+            }
+            assert_eq!(
+                counters.queries_admitted.load(Ordering::Relaxed),
+                3,
+                "{case}"
+            );
         }
     }
 
@@ -2536,19 +2151,16 @@ mod tests {
                 .with_max_concurrency(8)
                 .with_batch_size(10);
 
-            // Data and control share one channel, so its order is the emission
-            // order. The consumer stands in for the Stages and the Distributor.
-            let (tx, rx) = unbounded();
+            // The consumer stands in for the shard.
+            let (lanes, rx) = one_lane();
             let (cmd_tx, cmd_rx) = unbounded();
-            let in_flight = Arc::new(AtomicI64::new(0));
-            let ctx = context(&config, tx.clone(), tx, Arc::clone(&in_flight));
+            let ctx = context(&config, lanes);
             let mut pre = scan_worker(&table, replica.as_ref(), (0, None), cmd_rx, ctx);
             let consumer = std::thread::spawn(move || {
                 let mut emitted = Vec::new();
                 for msg in &rx {
                     emitted.push(match msg {
                         Message::Data(batch) => {
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
                             let tuples =
                                 batch.iter().map(|t| (t.row_id.0, t.bits.iter().collect()));
                             Emitted::Batch(tuples.collect())
@@ -2665,10 +2277,9 @@ mod tests {
         // Per query: its rows in emission order, then the number of its end
         // tuples.
         let run = |replica: Option<&Arc<ColumnarTable>>, handoff: Option<&Arc<ColumnarTable>>| {
-            let (tx, rx) = unbounded();
+            let (lanes, rx) = one_lane();
             let (cmd_tx, cmd_rx) = unbounded();
-            let in_flight = Arc::new(AtomicI64::new(0));
-            let ctx = context(&config, tx.clone(), tx, Arc::clone(&in_flight));
+            let ctx = context(&config, lanes);
             let mut pre = scan_worker(&table, replica, (0, None), cmd_rx, ctx);
             let install = |pre: &mut Preprocessor, bit, predicate| {
                 let query = StarQuery::builder(format!("q{bit}"))
@@ -2702,7 +2313,6 @@ mod tests {
                                     seen[bit].0.push(t.row_id.0);
                                 }
                             }
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
                         }
                         Message::Control(ControlTuple::QueryEnd(id)) => seen[id.index()].1 += 1,
                         _ => {}
@@ -2801,10 +2411,10 @@ mod tests {
     }
 
     /// The leading Filter is swapped by the optimizer between two chunks while
-    /// the batches of the earlier chunks are still queued for the Stage: the
+    /// the batches of the earlier chunks are still in their lane: the
     /// front-end marks each batch with the Filter that actually probed it, and
-    /// the Stage runs exactly the rest — every Filter once per tuple that
-    /// reaches it, none twice, none skipped.
+    /// the shard's Filter step runs exactly the rest — every Filter once per
+    /// tuple that reaches it, none twice, none skipped.
     #[test]
     fn leading_filter_swap_between_chunks_applies_every_filter_exactly_once() {
         const ROWS: i64 = 64;
@@ -2844,11 +2454,10 @@ mod tests {
             .aggregate(AggregateSpec::count_star())
             .build();
 
-        // The front-end reads a full replica and shares `chain` with the Stage.
+        // The front-end reads a full replica and shares `chain` with the shard.
         let fact = catalog.fact_table().unwrap();
         let replica = replica_of(&fact);
-        let (mut pre, cmd_tx, stage_rx, _dist_rx, _in_flight) =
-            harness(fact, Some(replica), &config);
+        let (mut pre, cmd_tx, rx) = harness(fact, Some(replica), &config);
         pre.chain = Arc::clone(&chain);
         pre.slot_count = Arc::new(AtomicUsize::new(2));
         install_with(
@@ -2859,7 +2468,7 @@ mod tests {
         pre.apply_commands();
 
         // Chunks 0 and 1 under [a, b], chunks 2 and 3 under [b, a]; nothing
-        // has been taken off the Stage queue yet.
+        // has been taken off the lane yet.
         pre.process_next_chunk();
         pre.process_next_chunk();
         assert!(chain.reorder(&["b".into(), "a".into()]));
@@ -2875,22 +2484,15 @@ mod tests {
         let (a_in, _, a_probes, a_skips) = filters[0].stats.snapshot();
         assert_eq!(a_in, half as u64, "a has only probed the chunks it led");
 
-        let (out_tx, out_rx) = unbounded();
-        let stage = {
-            let chain = Arc::clone(&chain);
-            let input = stage_rx.clone();
-            std::thread::spawn(move || {
-                let output = std::iter::once(out_tx).collect();
-                crate::pipeline::run_stage_worker(input, output, chain, true, true, None)
-            })
-        };
-        pre.stage_tx.send(Message::Shutdown).unwrap();
-        stage.join().unwrap();
         assert_eq!((a_probes, a_skips), (half as u64, 0));
 
         let mut survivors = Vec::new();
         let mut batches = 0;
-        while let Ok(Message::Data(batch)) = out_rx.try_recv() {
+        for msg in rx.try_iter() {
+            let Message::Data(mut batch) = msg else {
+                continue;
+            };
+            crate::distributor::run_filters(&chain, &mut batch);
             batches += 1;
             assert!(
                 batch.filter_applied(0) != batch.filter_applied(1),
@@ -2922,7 +2524,7 @@ mod tests {
 
     /// Timing probe for the front-end alone over encoded chunks: a
     /// date-clustered replica, eight registered 90-day-window queries joining
-    /// one dimension at 5 % selectivity, `Preprocessor::run` into a receiver that only drains.
+    /// one dimension at 5 % selectivity, `Preprocessor::run` into a lane that only drains.
     /// `cargo test --release -p cjoin-core columnar_probe_before_materialise_timing -- --ignored --nocapture`
     #[test]
     #[ignore = "timing probe; run with --ignored --nocapture"]
@@ -2944,7 +2546,7 @@ mod tests {
         chain.push(Arc::clone(&dim));
         let fact = catalog.fact_table().unwrap();
         let replica = replica_of(&fact);
-        let (mut pre, cmd_tx, stage_rx, dist_rx, in_flight) = harness(fact, Some(replica), &config);
+        let (mut pre, cmd_tx, rx) = harness(fact, Some(replica), &config);
         pre.chain = Arc::clone(&chain);
         pre.slot_count = Arc::new(AtomicUsize::new(2));
         let counters = Arc::clone(&pre.counters);
@@ -2975,13 +2577,9 @@ mod tests {
         let scan = std::thread::spawn(move || pre.run());
         let (mut ended, mut materialised) = (0, 0u64);
         while ended < QUERIES {
-            while let Ok(Message::Data(batch)) = stage_rx.try_recv() {
-                materialised += batch.len() as u64;
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
-            while let Ok(msg) = dist_rx.try_recv() {
-                ended += u32::from(matches!(msg, Message::Control(ControlTuple::QueryEnd(_))));
-            }
+            let (tuples, ends) = drain(&rx, None);
+            materialised += tuples as u64;
+            ended += ends.len() as u32;
             std::thread::yield_now();
         }
         let elapsed = started.elapsed();

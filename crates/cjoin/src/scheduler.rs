@@ -1,9 +1,9 @@
-//! Parallelism widths: the three axes and the log of width changes.
+//! Parallelism widths: the two axes and the log of width changes.
 //!
 //! Every width lives in one place, the engine's current
-//! [`CjoinConfig`]. The Stage's default width is sized from the host once,
-//! when the configuration is built ([`crate::config::stage_width_for`]); the
-//! scan and aggregation axes default to the classic width 1. Nothing changes a
+//! [`CjoinConfig`]. The shards' default width is sized from the host once,
+//! when the configuration is built ([`crate::config::shard_width_for`]); the
+//! scan axis defaults to the classic width 1. Nothing changes a
 //! width at run time except the supervisor stepping a failed axis down. Each
 //! such change is recorded as a [`ResizeEvent`], and [`SchedulerStats`] — in
 //! [`crate::stats::PipelineStats`] and, summarised, over the server stats RPC —
@@ -18,8 +18,6 @@ use crate::config::CjoinConfig;
 pub enum Axis {
     /// Continuous-scan (Preprocessor) workers — `CjoinConfig::scan_workers`.
     ScanWorkers,
-    /// Stage worker threads — `CjoinConfig::worker_threads`.
-    StageWorkers,
     /// Aggregation (Distributor) shards — `CjoinConfig::distributor_shards`.
     DistributorShards,
 }
@@ -29,7 +27,6 @@ impl Axis {
     pub fn width_in(self, config: &mut CjoinConfig) -> &mut usize {
         match self {
             Axis::ScanWorkers => &mut config.scan_workers,
-            Axis::StageWorkers => &mut config.worker_threads,
             Axis::DistributorShards => &mut config.distributor_shards,
         }
     }
@@ -38,7 +35,6 @@ impl Axis {
     pub fn label(self) -> &'static str {
         match self {
             Axis::ScanWorkers => "scan-workers",
-            Axis::StageWorkers => "stage-workers",
             Axis::DistributorShards => "distributor-shards",
         }
     }
@@ -61,14 +57,15 @@ pub struct ResizeEvent {
 /// Point-in-time snapshot of the engine's widths and how they were reached.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulerStats {
-    /// Whether the engine started at the host-derived Stage width
-    /// ([`crate::config::stage_width_for`] of `available_parallelism`).
+    /// Whether the engine started at the host-derived shard width
+    /// ([`crate::config::shard_width_for`] of `available_parallelism`).
     pub auto_tune: bool,
     /// `available_parallelism()` observed at engine start.
     pub available_parallelism: usize,
     /// Current scan-worker width.
     pub scan_workers: usize,
-    /// Current stage-worker width.
+    /// Always 0: the pipeline has no Stage. Kept because the stats consumers
+    /// read it by name.
     pub stage_workers: usize,
     /// Current Distributor-shard width.
     pub distributor_shards: usize,

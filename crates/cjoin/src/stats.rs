@@ -13,7 +13,7 @@ use std::sync::Arc;
 pub struct SharedCounters {
     /// Fact tuples read from the continuous scan.
     pub tuples_scanned: AtomicU64,
-    /// Data batches sent into the filter stage(s).
+    /// Data batches the scan workers sent to the shard lanes.
     pub batches_sent: AtomicU64,
     /// Tuples that reached the Distributor with a non-zero bit-vector.
     pub tuples_distributed: AtomicU64,
@@ -27,13 +27,6 @@ pub struct SharedCounters {
     pub queries_completed: AtomicU64,
     /// Filter-order changes applied by the run-time optimizer.
     pub filter_reorders: AtomicU64,
-    /// Pipeline stalls taken to emit control tuples (drain barriers).
-    pub control_barriers: AtomicU64,
-    /// Cumulative nanoseconds the scan front-end spent waiting in drain barriers
-    /// (spin-then-park backoff included). Submission-latency predictability
-    /// analyses (fig6-style) use this to attribute stalls to control-tuple
-    /// ordering rather than filter work.
-    pub barrier_wait_ns: AtomicU64,
     /// In-flight tuples freshly heap-allocated by the Preprocessor (cold path;
     /// should stop growing once the batch pool is warm).
     pub tuples_allocated: AtomicU64,
@@ -93,10 +86,15 @@ pub struct ShardCounters {
     pub tuples_distributed: AtomicU64,
     /// (tuple, query) routing events this shard performed.
     pub routings: AtomicU64,
-    /// Data batches this shard drained from its queue.
+    /// Data batches this shard drained from its lane.
     pub batches_drained: AtomicU64,
     /// Per-query partial aggregations this shard emitted at query end.
     pub partials_emitted: AtomicU64,
+    /// Set bits of surviving tuples that named no query this shard had seen
+    /// start, or one it had already seen end. Zero in a correct pipeline,
+    /// where every lane orders a query's start before its data and its data
+    /// before its end.
+    pub stray_bits: AtomicU64,
 }
 
 impl ShardCounters {
@@ -113,6 +111,7 @@ impl ShardCounters {
             routings: self.routings.load(Ordering::Relaxed),
             batches_drained: self.batches_drained.load(Ordering::Relaxed),
             partials_emitted: self.partials_emitted.load(Ordering::Relaxed),
+            stray_bits: self.stray_bits.load(Ordering::Relaxed),
         }
     }
 }
@@ -129,7 +128,7 @@ impl ShardCounters {
 pub struct ScanWorkerCounters {
     /// Fact tuples this worker read from its segment cursor.
     pub tuples_scanned: AtomicU64,
-    /// Data batches this worker pushed into the filter stage(s).
+    /// Data batches this worker sent to the shard lanes.
     pub batches_sent: AtomicU64,
     /// Completed passes over this worker's segment (whole-table passes for a
     /// single worker).
@@ -160,7 +159,7 @@ pub struct ScanWorkerStats {
     pub worker: usize,
     /// Fact tuples this worker read from its segment cursor.
     pub tuples_scanned: u64,
-    /// Data batches this worker pushed into the filter stage(s).
+    /// Data batches this worker sent to the shard lanes.
     pub batches_sent: u64,
     /// Completed passes over this worker's segment.
     pub segment_passes: u64,
@@ -175,10 +174,13 @@ pub struct DistributorShardStats {
     pub tuples_distributed: u64,
     /// (tuple, query) routing events this shard performed.
     pub routings: u64,
-    /// Data batches this shard drained from its queue.
+    /// Data batches this shard drained from its lane.
     pub batches_drained: u64,
     /// Per-query partial aggregations this shard emitted at query end.
     pub partials_emitted: u64,
+    /// Set bits that named no query started and not yet ended on this shard
+    /// (zero in a correct pipeline; see [`ShardCounters::stray_bits`]).
+    pub stray_bits: u64,
 }
 
 /// Point-in-time statistics of one Filter.
@@ -310,7 +312,7 @@ pub struct IngestStats {
 pub struct PipelineStats {
     /// Fact tuples read from the continuous scan.
     pub tuples_scanned: u64,
-    /// Data batches sent into the filter stage(s).
+    /// Data batches the scan workers sent to the shard lanes.
     pub batches_sent: u64,
     /// Tuples that reached the Distributor.
     pub tuples_distributed: u64,
@@ -326,9 +328,10 @@ pub struct PipelineStats {
     pub active_queries: usize,
     /// Filter-order changes applied.
     pub filter_reorders: u64,
-    /// Drain barriers taken for control tuples.
+    /// Always 0: a query's end travels in-band behind its data, so no drain
+    /// barrier is taken. Kept because the stats consumers read it by name.
     pub control_barriers: u64,
-    /// Cumulative nanoseconds the scan front-end waited in drain barriers.
+    /// Always 0, for the same reason as `control_barriers`.
     pub barrier_wait_ns: u64,
     /// Current filter order with per-filter statistics.
     pub filters: Vec<FilterStatsSnapshot>,
@@ -341,9 +344,9 @@ pub struct PipelineStats {
     /// entry when `distributor_shards = 1`). The per-shard `tuples_distributed` /
     /// `routings` values sum to the pipeline-wide totals above.
     pub distributor_shards: Vec<DistributorShardStats>,
-    /// Data batches currently in flight between the Preprocessor and the
-    /// aggregation shards (zero whenever the pipeline is quiesced).
-    pub batches_in_flight: i64,
+    /// Messages waiting in the shard lanes (zero whenever the pipeline is
+    /// quiesced).
+    pub queued_messages: usize,
     /// Batch-pool hits (recycled batches).
     pub pool_hits: u64,
     /// Batch-pool misses (fresh allocations).
@@ -507,6 +510,7 @@ mod tests {
                     routings: 150,
                     batches_drained: 4,
                     partials_emitted: 1,
+                    stray_bits: 0,
                 },
                 DistributorShardStats {
                     shard: 1,
@@ -514,9 +518,10 @@ mod tests {
                     routings: 250,
                     batches_drained: 6,
                     partials_emitted: 1,
+                    stray_bits: 0,
                 },
             ],
-            batches_in_flight: 0,
+            queued_messages: 0,
             pool_hits: 5,
             pool_misses: 5,
             tuples_allocated: 100,

@@ -7,10 +7,10 @@
 //! batches to amortise queue synchronisation (§4).
 //!
 //! Control tuples (`query start` / `query end`, §3.3) carry query lifecycle events
-//! from the Preprocessor straight to every Distributor shard's queue. The pipeline
-//! guarantees they are never reordered relative to data tuples (§3.3.3); see
-//! [`crate::preprocessor`] (the drain barrier) and [`crate::distributor`] (the
-//! per-shard FIFO argument) for how that ordering is enforced.
+//! from the Preprocessor to every Distributor shard's lane, the same lanes the
+//! data batches take. The pipeline guarantees they are never reordered relative
+//! to data tuples (§3.3.3); see "Control-tuple ordering" in
+//! [`crate::preprocessor`] for why the FIFO lanes are enough.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -106,11 +106,11 @@ pub struct Batch {
     /// Number of live tuples at the front of `tuples`.
     live: usize,
     /// Slot of the dimension Filter the columnar scan front-end already probed
-    /// for this batch, before it materialised the batch's tuples. The Stage
+    /// for this batch, before it materialised the batch's tuples. The shard
     /// skips that Filter, because the chain can grow, shrink or be reordered
-    /// between the chunk and the Stage (see [`crate::pipeline::run_stage_worker`],
-    /// which also argues why a re-created Filter inheriting its dimension's slot
-    /// is safe).
+    /// between the chunk and the shard ("Control-tuple ordering" in
+    /// [`crate::preprocessor`] also argues why a re-created Filter inheriting
+    /// its dimension's slot is safe).
     applied_filter: Option<usize>,
 }
 

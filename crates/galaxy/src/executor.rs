@@ -272,7 +272,6 @@ mod tests {
 
     fn test_config() -> CjoinConfig {
         CjoinConfig::default()
-            .with_worker_threads(2)
             .with_max_concurrency(16)
             .with_batch_size(64)
     }

@@ -170,21 +170,22 @@ pub struct EngineStats {
 }
 
 /// A point-in-time summary of an engine's parallelism widths, when it has
-/// them: the current width per pipeline axis, whether the Stage started at the
-/// host-derived default, and how many times a width changed.
+/// them: the current width per pipeline axis, whether the shards started at
+/// the host-derived default, and how many times a width changed.
 ///
 /// Lives here (not in the CJOIN crate) so the server can report it over the
 /// stats RPC through `&dyn JoinEngine` without depending on engine internals,
 /// mirroring [`EngineStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerSummary {
-    /// Whether the engine started at the host-derived Stage width.
+    /// Whether the engine started at the host-derived shard width.
     pub auto_tune: bool,
     /// `std::thread::available_parallelism()` as observed at engine start.
     pub available_parallelism: u64,
     /// Current number of continuous-scan workers.
     pub scan_workers: u64,
-    /// Current number of filter-stage worker threads.
+    /// Always 0 for CJOIN, whose shards run the Filter chain; kept on the
+    /// wire for the clients that read it.
     pub stage_workers: u64,
     /// Current number of aggregation (Distributor) shards.
     pub distributor_shards: u64,

@@ -87,7 +87,7 @@ fn main() -> cjoin_repro::Result<()> {
         Arc::clone(&catalog),
         "orders",
         "shipments",
-        CjoinConfig::default().with_worker_threads(2),
+        CjoinConfig::default(),
     )?;
     println!(
         "galaxy engine started: {} orders rows, {} shipments rows\n",

@@ -11,6 +11,14 @@
 # ticks / (CLK_TCK * seconds)); threads sharing a name are summed. Run nothing
 # else on the host meanwhile. The run is stopped once sampled; its output goes
 # to a temporary directory that is removed.
+#
+# The engine's roles, as the kernel names them (it keeps 15 bytes):
+#   cjoin-scan-w<i>   scan worker i
+#   cjoin-distribut   every Distributor shard, summed: each runs the Filter
+#                     chain and aggregates its own lane
+#   cjoin-superviso   the supervisor (failures, deadlines, Filter reordering)
+# There is no Stage and no manager thread. The rig's own threads (client
+# drivers, the server) appear under their own names.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then

@@ -25,7 +25,6 @@ fn sustained_query_churn_with_interleaved_updates_stays_correct() {
     let catalog = data.catalog();
     // A small maxConc forces heavy id recycling across the churn.
     let config = CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(16)
         .with_batch_size(256);
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();

@@ -51,7 +51,6 @@ use cjoin_repro::{
 
 fn config(scan_workers: usize) -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
         .with_scan_workers(scan_workers)

@@ -23,21 +23,19 @@ fn data(sf: f64, seed: u64) -> SsbDataSet {
 
 fn cjoin_config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(3)
         .with_max_concurrency(64)
         .with_batch_size(512)
 }
 
 /// Runs `queries` through all evaluation paths and asserts agreement. The engines
-/// are consumed only as `&dyn JoinEngine`; the shared CJOIN pipeline is exercised
-/// under **both** settings of the `batched_probing` hot-path knob.
+/// are consumed only as `&dyn JoinEngine`.
 fn assert_all_engines_agree(data: &SsbDataSet, queries: &[StarQuery]) {
     let catalog = data.catalog();
     let baseline = BaselineEngine::new(Arc::clone(&catalog), BaselineConfig::default());
     let oracle: &dyn JoinEngine = &baseline;
 
-    // The reference and baseline answers do not depend on the CJOIN hot-path knob:
-    // compute them once per query, then compare both CJOIN arms against them.
+    // Compute the reference and baseline answers first, then compare CJOIN
+    // against them.
     let expected: Vec<_> = queries
         .iter()
         .map(|q| {
@@ -53,31 +51,25 @@ fn assert_all_engines_agree(data: &SsbDataSet, queries: &[StarQuery]) {
         })
         .collect();
 
-    for batched_probing in [true, false] {
-        let cjoin = CjoinEngine::start(
-            Arc::clone(&catalog),
-            cjoin_config().with_batched_probing(batched_probing),
-        )
-        .unwrap();
-        let shared: &dyn JoinEngine = &cjoin;
+    let cjoin = CjoinEngine::start(Arc::clone(&catalog), cjoin_config()).unwrap();
+    let shared: &dyn JoinEngine = &cjoin;
 
-        // Submit everything to CJOIN first so the queries genuinely share the pipeline.
-        let tickets: Vec<_> = queries
-            .iter()
-            .map(|q| shared.submit(q.clone()).unwrap())
-            .collect();
+    // Submit everything to CJOIN first so the queries genuinely share the pipeline.
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|q| shared.submit(q.clone()).unwrap())
+        .collect();
 
-        for ((query, expected), ticket) in queries.iter().zip(&expected).zip(tickets) {
-            let cjoin_result = ticket.wait().unwrap();
-            assert!(
-                cjoin_result.approx_eq(expected),
-                "{} (batched_probing={batched_probing}): cjoin vs reference: {:?}",
-                query.name,
-                cjoin_result.diff(expected)
-            );
-        }
-        shared.shutdown();
+    for ((query, expected), ticket) in queries.iter().zip(&expected).zip(tickets) {
+        let cjoin_result = ticket.wait().unwrap();
+        assert!(
+            cjoin_result.approx_eq(expected),
+            "{}: cjoin vs reference: {:?}",
+            query.name,
+            cjoin_result.diff(expected)
+        );
     }
+    shared.shutdown();
 }
 
 #[test]

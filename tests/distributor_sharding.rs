@@ -1,10 +1,11 @@
 //! Oracle-backed test matrix for the sharded Distributor
 //! (`CjoinConfig::distributor_shards`).
 //!
-//! Three suites pin down the sharded aggregation stage:
+//! Four suites pin down the shards, each of which runs the Filter chain and
+//! then aggregates:
 //!
 //! 1. **Oracle equivalence** — fixed-seed randomized SSB workloads run under
-//!    shards ∈ {1, 2, 4} × both `batched_probing` settings must produce results
+//!    shards ∈ {1, 2, 4} × scan workers ∈ {1, 4} must produce results
 //!    identical to the single-threaded reference evaluator (`AggValue::approx_eq`
 //!    under the hood of `QueryResult::approx_eq`, so AVG merge order cannot flake
 //!    the suite).
@@ -14,11 +15,14 @@
 //!    before its query-start would be silently dropped from the aggregate), and
 //!    every shard emitted exactly one partial per completed query (a query-end
 //!    finalizes only once *all* shards have folded theirs into the merge slot). Post-quiesce,
-//!    the admitted/completed counters balance and the in-flight batch counter is
-//!    back to zero.
+//!    the admitted/completed counters balance and every lane is empty.
 //! 3. **Counter consistency** — for a deterministic (sequential) workload the
 //!    per-shard `ShardCounters` must sum to the pipeline totals, and a 4-shard run
 //!    must count exactly what the single-shard run counts.
+//! 4. **Lane order** — with the lanes kept full and queries ending and being
+//!    cancelled mid-flight, across scan widths {1, 2, 4} × shards {1, 4} ×
+//!    columnar {off, on}, no shard ever meets a tuple bit outside its query's
+//!    start..end (`stray_bits == 0`), and every answer equals the reference.
 
 use std::sync::Arc;
 
@@ -30,7 +34,6 @@ use cjoin_repro::SnapshotId;
 
 fn config(shards: usize) -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
         .with_distributor_shards(shards)
@@ -43,32 +46,27 @@ fn sharded_results_match_the_oracle_across_the_knob_matrix() {
     let workload = Workload::generate(&data, WorkloadConfig::new(10, 0.05, 302));
 
     for shards in [1usize, 2, 4] {
-        for batched_probing in [true, false] {
-            for scan_workers in [1usize, 4] {
-                let engine = CjoinEngine::start(
-                    Arc::clone(&catalog),
-                    config(shards)
-                        .with_batched_probing(batched_probing)
-                        .with_scan_workers(scan_workers),
-                )
-                .unwrap();
-                for query in workload.queries() {
-                    let expected =
-                        reference::evaluate(&catalog, query, SnapshotId::INITIAL).unwrap();
-                    let result = engine.execute(query.clone()).unwrap();
-                    assert!(
-                        result.approx_eq(&expected),
-                        "[shards={shards} batched={batched_probing} scan={scan_workers}] {}: {:?}",
-                        query.name,
-                        result.diff(&expected)
-                    );
-                }
-                let stats = engine.stats();
-                assert_eq!(stats.distributor_shards.len(), shards);
-                assert_eq!(stats.scan_workers.len(), scan_workers);
-                assert_eq!(stats.queries_completed, 10);
-                engine.shutdown();
+        for scan_workers in [1usize, 4] {
+            let engine = CjoinEngine::start(
+                Arc::clone(&catalog),
+                config(shards).with_scan_workers(scan_workers),
+            )
+            .unwrap();
+            for query in workload.queries() {
+                let expected = reference::evaluate(&catalog, query, SnapshotId::INITIAL).unwrap();
+                let result = engine.execute(query.clone()).unwrap();
+                assert!(
+                    result.approx_eq(&expected),
+                    "[shards={shards} scan={scan_workers}] {}: {:?}",
+                    query.name,
+                    result.diff(&expected)
+                );
             }
+            let stats = engine.stats();
+            assert_eq!(stats.distributor_shards.len(), shards);
+            assert_eq!(stats.scan_workers.len(), scan_workers);
+            assert_eq!(stats.queries_completed, 10);
+            engine.shutdown();
         }
     }
 }
@@ -134,19 +132,18 @@ fn lifecycle_churn_under_sharding_holds_control_invariants_and_quiesces() {
     assert_eq!(stats.queries_admitted, total);
     assert_eq!(stats.queries_completed, total);
     assert_eq!(engine.active_queries(), 0, "all ids recycled post-churn");
-    assert_eq!(
-        stats.batches_in_flight, 0,
-        "in-flight accounting returns to zero post-quiesce"
-    );
+    assert_eq!(stats.queued_messages, 0, "the lanes are empty post-quiesce");
     // The end-barrier invariant in numbers: a query only completed because every
     // shard flushed exactly one partial for it — and the start-broadcast invariant:
-    // a shard can only emit a partial for a query whose start tuple it saw.
+    // a shard can only emit a partial for a query whose start tuple it saw, and
+    // meets no tuple bit outside a query's start..end.
     for shard in &stats.distributor_shards {
         assert_eq!(
             shard.partials_emitted, total,
             "shard {} missed a merge barrier",
             shard.shard
         );
+        assert_eq!(shard.stray_bits, 0, "shard {} met a stray bit", shard.shard);
     }
     assert_eq!(stats.shard_tuples_distributed(), stats.tuples_distributed);
     assert_eq!(stats.shard_routings(), stats.routings);
@@ -214,4 +211,90 @@ fn per_shard_counters_sum_to_the_single_shard_totals() {
         "sharding degenerated to one worker: {:?}",
         sharded.distributor_shards
     );
+}
+
+/// The lane-order test at the engine: per cell of scan widths {1, 2, 4} ×
+/// shards {1, 4} × columnar {off, on}, a seeded wave of queries runs while a
+/// per-message shard delay keeps every lane full, so the scan workers block
+/// on their sends and each end tuple queues behind data. A seeded third of the
+/// queries is cancelled mid-flight. Every answer must equal the reference (a
+/// cancel can come too late), a cancelled query resolves `Cancelled` (its
+/// truncated scan still ends in-band and frees its id), and no shard meets a
+/// tuple bit outside its query's start..end.
+#[test]
+fn lane_order_holds_while_queries_end_and_cancel_mid_flight() {
+    use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
+    use cjoin_repro::query::QueryError;
+    use std::time::{Duration, Instant};
+
+    let data = SsbDataSet::generate(SsbConfig::for_tests(0.001, 331));
+    let catalog = data.catalog();
+    let mut seed = 0u64;
+    for scan_workers in [1usize, 2, 4] {
+        for shards in [1usize, 4] {
+            for columnar in [false, true] {
+                seed += 1;
+                let what = format!("scan={scan_workers} shards={shards} columnar={columnar}");
+                let workload = Workload::generate(&data, WorkloadConfig::new(6, 0.05, 340 + seed));
+                let plan = FaultPlan::seeded(seed)
+                    .delay(FaultSite::DistributorShard, 100)
+                    .build();
+                let engine = CjoinEngine::start(
+                    Arc::clone(&catalog),
+                    config(shards)
+                        .with_batch_size(64)
+                        .with_scan_workers(scan_workers)
+                        .with_columnar_scan(columnar)
+                        .with_fault_plan(plan),
+                )
+                .unwrap();
+                let handles: Vec<_> = workload
+                    .queries()
+                    .iter()
+                    .map(|q| engine.submit(q.clone()).unwrap())
+                    .collect();
+                std::thread::sleep(Duration::from_millis(seed % 4));
+                let cancelled = |i: usize| (i as u64 + seed).is_multiple_of(3);
+                for (i, handle) in handles.iter().enumerate() {
+                    if cancelled(i) {
+                        handle.cancel();
+                    }
+                }
+                for (i, (query, handle)) in workload.queries().iter().zip(handles).enumerate() {
+                    match handle.wait() {
+                        Err(QueryError::Cancelled) if cancelled(i) => {}
+                        Ok(result) => {
+                            let expected =
+                                reference::evaluate(&catalog, query, SnapshotId::INITIAL).unwrap();
+                            assert!(
+                                result.approx_eq(&expected),
+                                "[{what}] {}: {:?}",
+                                query.name,
+                                result.diff(&expected)
+                            );
+                        }
+                        other => panic!("[{what}] {}: unexpected outcome {other:?}", query.name),
+                    }
+                }
+                // A cancelled query's pipeline work ends after its ticket
+                // resolved; its id comes back once its end reached every lane.
+                let started = Instant::now();
+                while engine.active_queries() > 0 {
+                    assert!(
+                        started.elapsed() < Duration::from_secs(60),
+                        "[{what}] an id never came back"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let stats = engine.stats();
+                assert_eq!(stats.role_failures, 0, "[{what}]");
+                assert_eq!(stats.queries_completed, 6, "[{what}] every query ends once");
+                for shard in &stats.distributor_shards {
+                    assert_eq!(shard.stray_bits, 0, "[{what}] shard {}", shard.shard);
+                    assert_eq!(shard.partials_emitted, 6, "[{what}] shard {}", shard.shard);
+                }
+                engine.shutdown();
+            }
+        }
+    }
 }

@@ -8,9 +8,8 @@
 //! constructor to `engines_under_test` — the assertions don't change.
 //!
 //! The CJOIN points of the matrix: `scan_workers` {1,2,4} × `distributor_shards`
-//! {1,4} × Stage width `worker_threads` {1,3}; per-tuple probing at the widest point;
-//! `columnar_scan` {off,on} × `scan_workers` {1,4}; and an engine at the
-//! host-derived default widths. A red cell names its configuration in the
+//! {1,4} × `columnar_scan` {off,on}, and an engine at the host-derived default
+//! widths. A red cell names its configuration in the
 //! engine's `name()`.
 
 use std::sync::Arc;
@@ -25,20 +24,16 @@ use cjoin_repro::{AggFunc, AggregateSpec, ColumnRef, SnapshotId, StarQuery};
 
 fn cjoin_config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
 }
 
 /// Constructs every engine under test over the same catalog, boxed behind the
 /// shared trait. CJOIN appears once per point of the `scan_workers` ×
-/// `distributor_shards` × `worker_threads` matrix (one and several scan
-/// workers, one and several aggregation shards, one Stage worker and several
-/// rotating their batches over the shards), plus one
-/// per-tuple-probing configuration at the widest point so the equivalence
-/// contract covers both filter implementations there, plus the compressed
-/// columnar front-end (`columnar_scan`) at one and at four scan workers — the
-/// bit-identical-results contract of the storage-layout knob.
+/// `distributor_shards` × `columnar_scan` matrix: one and several scan workers
+/// rotating their batches over one and several shards, each read from the row
+/// store and from the compressed replica — the bit-identical-results contract
+/// of the storage-layout knob.
 fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
     let mut engines: Vec<Box<dyn JoinEngine>> = vec![
         Box::new(BaselineEngine::new(
@@ -50,14 +45,14 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             BaselineConfig::postgres_like(),
         )),
     ];
-    for stage_workers in [1usize, 3] {
+    for columnar in [false, true] {
         for shards in [1usize, 4] {
             for scan_workers in [1usize, 2, 4] {
                 engines.push(Box::new(
                     CjoinEngine::start(
                         Arc::clone(catalog),
                         cjoin_config()
-                            .with_worker_threads(stage_workers)
+                            .with_columnar_scan(columnar)
                             .with_distributor_shards(shards)
                             .with_scan_workers(scan_workers),
                     )
@@ -66,29 +61,8 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             }
         }
     }
-    engines.push(Box::new(
-        CjoinEngine::start(
-            Arc::clone(catalog),
-            cjoin_config()
-                .with_batched_probing(false)
-                .with_distributor_shards(4)
-                .with_scan_workers(4),
-        )
-        .unwrap(),
-    ));
-    for scan_workers in [1usize, 4] {
-        engines.push(Box::new(
-            CjoinEngine::start(
-                Arc::clone(catalog),
-                cjoin_config()
-                    .with_columnar_scan(true)
-                    .with_scan_workers(scan_workers),
-            )
-            .unwrap(),
-        ));
-    }
     // Host-derived default widths: every parallelism knob left at its
-    // default, so the Stage is as wide as `stage_width_for` the host.
+    // default, so there are as many shards as `shard_width_for` the host.
     engines.push(Box::new(
         CjoinEngine::start(
             Arc::clone(catalog),

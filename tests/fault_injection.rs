@@ -6,12 +6,13 @@
 //! complete correctly if the role died after the query's answer was sealed),
 //! the engine must step the failed axis down from the width that was running
 //! (its configuration is the one source of widths) and keep serving fresh
-//! queries, and quiescing afterwards must leave no batch accounting residue.
+//! queries, and quiescing afterwards must leave every shard lane empty.
 //!
 //! The matrix crosses every [`FaultSite`] with the parallelism axes that change
 //! how many threads each role has ({scan_workers 1,4} x {distributor_shards
-//! 1,4} x {columnar on,off}). Every pipeline role — scan worker, Stage worker,
-//! distributor shard — exists in every cell, so its site must fire there; the
+//! 1,4} x {columnar on,off}). Every pipeline role — scan worker, distributor
+//! shard (which runs the Filter chain, then aggregates) — exists in every
+//! cell, so its site must fire there; the
 //! WAL sites have no role in an engine without a log and never fire, and the
 //! queries then must resolve `Ok` and match the oracle, which the harness
 //! asserts rather than skips.
@@ -21,7 +22,7 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
-use cjoin_repro::cjoin::{stage_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle};
+use cjoin_repro::cjoin::{shard_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle};
 use cjoin_repro::query::{reference, QueryError, QueryOutcome, QueryResult};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
 use cjoin_repro::storage::RowId;
@@ -47,18 +48,18 @@ fn wait_bounded(handle: &QueryHandle, what: &str) -> QueryOutcome {
     }
 }
 
-/// Waits (bounded) until the pipeline's batch accounting drains to zero.
+/// Waits (bounded) until every shard lane is empty.
 fn assert_quiesces(engine: &CjoinEngine, what: &str) {
     let start = Instant::now();
     loop {
         let stats = engine.stats();
-        if stats.batches_in_flight == 0 {
+        if stats.queued_messages == 0 {
             return;
         }
         assert!(
             start.elapsed() < RESOLVE_TIMEOUT,
-            "{what}: batches_in_flight stuck at {} after {RESOLVE_TIMEOUT:?}",
-            stats.batches_in_flight
+            "{what}: {} messages stuck in the lanes after {RESOLVE_TIMEOUT:?}",
+            stats.queued_messages
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -103,7 +104,7 @@ fn assert_matches_oracle(result: &QueryResult, expected: &QueryResult, what: &st
 /// parallelism configurations that change which threads exist. For every cell:
 /// all in-flight tickets resolve in bounded time, `Ok` results match the
 /// oracle, the engine serves a fresh correct query afterwards, and the pipeline
-/// quiesces with `batches_in_flight == 0`.
+/// quiesces with every shard lane empty.
 #[test]
 fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
     let data = test_data();
@@ -131,7 +132,6 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
                     // queries are genuinely in flight rather than during spawn.
                     let plan = FaultPlan::seeded(seed).panic_at_event(site, 3).build();
                     let config = CjoinConfig::default()
-                        .with_worker_threads(2)
                         .with_max_concurrency(16)
                         .with_batch_size(128)
                         .with_scan_workers(scan_workers)
@@ -216,12 +216,8 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
                     assert_quiesces(&engine, &what);
                     engine.shutdown();
                     // The one-shot panic fires at the site's fourth event.
-                    let hosted = matches!(
-                        site,
-                        FaultSite::ScanWorker
-                            | FaultSite::StageWorker
-                            | FaultSite::DistributorShard
-                    );
+                    let hosted =
+                        matches!(site, FaultSite::ScanWorker | FaultSite::DistributorShard);
                     assert_eq!(
                         plan.hits(site) > 3,
                         hosted,
@@ -233,22 +229,24 @@ fn panic_at_every_site_never_hangs_a_ticket_and_engine_recovers() {
     }
 }
 
-/// A ticket whose filter Stage dies mid-query must resolve with `Err(StageFailed)` in bounded time instead of
-/// blocking `wait()` forever on a result channel nobody will ever write to.
+/// A ticket whose shard dies mid-query — the stage that runs the Filter chain
+/// and the aggregation — must resolve with `Err(StageFailed)` in bounded time
+/// instead of blocking `wait()` forever on a result channel nobody will ever
+/// write to.
 #[test]
 fn dead_stage_resolves_ticket_with_stage_failed_in_bounded_time() {
     let data = test_data();
     let catalog = data.catalog();
     let query = test_queries(&data, 21).remove(0);
 
-    // Slow the scan slightly so the query is reliably still in flight when the
-    // Stage worker panics, then kill the Stage on its first processed batch.
+    // Slow the scan slightly so the query is still in flight when a shard
+    // panics. The shards' third message is at the latest the first end tuple,
+    // and the query needs every shard's, so the panic always lands first.
     let plan = FaultPlan::seeded(7)
         .delay(FaultSite::ScanWorker, 500)
-        .panic_at_event(FaultSite::StageWorker, 2)
+        .panic_at_event(FaultSite::DistributorShard, 2)
         .build();
     let config = CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(8)
         .with_batch_size(128)
         .with_fault_plan(plan);
@@ -266,14 +264,14 @@ fn dead_stage_resolves_ticket_with_stage_failed_in_bounded_time() {
         "StageFailed took {elapsed:?} to surface"
     );
 
-    // The degradation ladder must collapse the Stage axis. The ticket is
+    // The degradation ladder must collapse the shard axis. The ticket is
     // resolved *before* the supervisor finishes the restart (so clients never
     // wait on the respawn), hence the bounded poll here.
     let start = Instant::now();
     while engine.degradations().is_empty() {
         assert!(
             start.elapsed() < RESOLVE_TIMEOUT,
-            "stage death never recorded a degradation step"
+            "shard death never recorded a degradation step"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -309,7 +307,6 @@ fn deadline_reap_leaves_concurrent_query_untouched() {
         .delay(FaultSite::ScanWorker, 2_000)
         .build();
     let config = CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(8)
         .with_batch_size(256)
         .with_fault_plan(plan);
@@ -344,7 +341,6 @@ fn corrupt_row_group_is_quarantined_and_answers_stay_exact() {
 
     let plan = FaultPlan::seeded(5).corrupt_row_group(0).build();
     let config = CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(8)
         .with_batch_size(256)
         .with_columnar_scan(true)
@@ -386,30 +382,31 @@ fn await_restart(engine: &CjoinEngine, what: &str) {
     }
 }
 
-/// A Stage panic at Stage width 2 makes the supervisor step the axis down to
-/// 1, logged once as a note and once as a resize event, and the engine must
-/// serve an oracle-exact query on the degraded pipeline.
+/// A shard panic — inside the stage that runs the Filter chain — at shard
+/// width 2 makes the supervisor step the axis down to 1, logged once as a note
+/// and once as a resize event, and the engine must serve an oracle-exact query
+/// on the degraded pipeline.
 #[test]
 fn stage_death_at_width_two_is_logged_and_serves_exact_answers() {
     let data = test_data();
     let catalog = data.catalog();
     let doomed = test_queries(&data, 51).remove(0);
 
-    // The fault plan kills a Stage worker on its second processed batch while
-    // the scan is slowed enough to keep the query in flight.
+    // The fault plan kills a shard on the shards' third message while the
+    // scan is slowed enough to keep the query in flight.
     let plan = FaultPlan::seeded(11)
         .delay(FaultSite::ScanWorker, 500)
-        .panic_at_event(FaultSite::StageWorker, 2)
+        .panic_at_event(FaultSite::DistributorShard, 2)
         .build();
     let config = CjoinConfig {
         max_concurrency: 8,
         batch_size: 128,
         ..CjoinConfig::default()
     }
-    .with_worker_threads(2)
+    .with_distributor_shards(2)
     .with_fault_plan(plan);
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-    assert_eq!(engine.stage_plan().stage_workers, 2);
+    assert_eq!(engine.stage_plan().distributor_shards, 2);
 
     // The doomed query resolves with StageFailed (or completes, if the panic
     // landed after its answer was sealed) — bounded either way.
@@ -417,16 +414,16 @@ fn stage_death_at_width_two_is_logged_and_serves_exact_answers() {
         Ok(_) | Err(QueryError::StageFailed { .. }) => {}
         other => panic!("expected Ok or StageFailed, got {other:?}"),
     }
-    await_restart(&engine, "stage death");
-    assert_eq!(engine.degradations(), ["stage-workers 2 → 1"]);
+    await_restart(&engine, "shard death");
+    assert_eq!(engine.degradations(), ["distributor-shards 2 → 1"]);
     let degraded = engine.scheduler_stats().resizes;
     assert_eq!(degraded.len(), 1, "{degraded:?}");
     assert_eq!(
         (degraded[0].axis, degraded[0].from, degraded[0].to),
-        (Axis::StageWorkers, 2, 1)
+        (Axis::DistributorShards, 2, 1)
     );
-    assert_eq!(engine.stage_plan().stage_workers, 1);
-    assert_eq!(engine.scheduler_stats().stage_workers, 1);
+    assert_eq!(engine.stage_plan().distributor_shards, 1);
+    assert_eq!(engine.scheduler_stats().distributor_shards, 1);
 
     // The degraded pipeline serves fresh queries oracle-exactly. The fault
     // plan's one-shot panic already fired, so these run clean.
@@ -443,9 +440,9 @@ fn stage_death_at_width_two_is_logged_and_serves_exact_answers() {
 }
 
 /// The supervisor steps down the width that was running. A default-config
-/// engine runs its Stage at [`stage_width_for`] the host, so where that is 1
-/// a Stage death has nothing to step down: the role is respawned as-is and
-/// neither a note nor an event is logged.
+/// engine runs [`shard_width_for`] the host shards, at least two, so a death
+/// in the stage that runs the Filter chain steps that width down to 1, and
+/// one note and one event are logged.
 #[test]
 fn stage_death_degrades_the_width_that_was_running() {
     let data = test_data();
@@ -454,7 +451,7 @@ fn stage_death_degrades_the_width_that_was_running() {
 
     let plan = FaultPlan::seeded(13)
         .delay(FaultSite::ScanWorker, 500)
-        .panic_at_event(FaultSite::StageWorker, 2)
+        .panic_at_event(FaultSite::DistributorShard, 2)
         .build();
     let config = CjoinConfig {
         max_concurrency: 8,
@@ -462,24 +459,23 @@ fn stage_death_degrades_the_width_that_was_running() {
         ..CjoinConfig::default()
     }
     .with_fault_plan(plan);
-    let running = config.worker_threads;
+    let running = config.distributor_shards;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(running, stage_width_for(cores));
+    assert_eq!(running, shard_width_for(cores));
+    assert!(running >= 2);
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
 
     match wait_bounded(&engine.submit(doomed).unwrap(), "doomed ticket") {
         Ok(_) | Err(QueryError::StageFailed { .. }) => {}
         other => panic!("expected Ok or StageFailed, got {other:?}"),
     }
-    await_restart(&engine, "stage death");
-    let expected: Vec<String> = if running > 1 {
-        vec![format!("stage-workers {running} → 1")]
-    } else {
-        Vec::new()
-    };
-    assert_eq!(engine.degradations(), expected);
-    assert_eq!(engine.scheduler_stats().resizes.len(), expected.len());
-    assert_eq!(engine.stage_plan().stage_workers, 1);
+    await_restart(&engine, "shard death");
+    assert_eq!(
+        engine.degradations(),
+        [format!("distributor-shards {running} → 1")]
+    );
+    assert_eq!(engine.scheduler_stats().resizes.len(), 1);
+    assert_eq!(engine.stage_plan().distributor_shards, 1);
 
     let probe = test_queries(&data, 54).remove(0);
     let expected = reference::evaluate(&catalog, &probe, SnapshotId::INITIAL).unwrap();
@@ -531,7 +527,6 @@ fn handoff_with_queries_in_flight(
     }
     let plan = plan.build();
     let config = CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(MAX_CONCURRENCY)
         .with_batch_size(128)
         .with_scan_workers(scan_workers)

@@ -99,7 +99,6 @@ fn random_galaxy(seed: u64, purchases_rows: usize, calls_rows: usize) -> Arc<Cat
 
 fn config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
 }
@@ -298,7 +297,6 @@ fn galaxy_queries_respect_snapshot_isolation() {
 fn resubmission_recycles_ids_across_both_pipelines() {
     let catalog = random_galaxy(53, 1_200, 900);
     let tight = CjoinConfig::default()
-        .with_worker_threads(1)
         .with_max_concurrency(4)
         .with_batch_size(128);
     let engine =

@@ -151,7 +151,6 @@ fn assert_same(result: &QueryResult, expected: &QueryResult, what: &str) {
 
 fn wal_config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(8)
         .with_batch_size(64)
 }
@@ -452,7 +451,6 @@ fn sustained_ingest_with_query_churn_never_hangs_and_stays_prefix_consistent() {
         let path = temp_wal(&format!("churn-{scan_workers}-{shards}-{columnar}"));
         let catalog = warehouse(600);
         let mut config = CjoinConfig::default()
-            .with_worker_threads(2)
             .with_max_concurrency(8)
             .with_batch_size(128)
             .with_scan_workers(scan_workers)

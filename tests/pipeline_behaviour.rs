@@ -16,7 +16,6 @@ use cjoin_repro::{AggFunc, ColumnRef, SnapshotId, StarQuery};
 
 fn engine_config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(3)
         .with_max_concurrency(128)
         .with_batch_size(512)
 }
@@ -251,9 +250,10 @@ fn stats_are_internally_consistent_after_a_workload() {
     assert!(stats.batches_sent > 0);
     assert!(stats.tuples_distributed <= stats.tuples_scanned);
     assert!(stats.survival_rate() <= 1.0);
-    assert!(
-        stats.control_barriers >= 12,
-        "every completion takes a drain barrier"
+    assert_eq!(
+        (stats.control_barriers, stats.barrier_wait_ns),
+        (0, 0),
+        "a query's end travels in-band: no completion takes a drain barrier"
     );
     // Every filter's drop count is bounded by its input count.
     for f in &stats.filters {
@@ -346,10 +346,11 @@ fn baseline_contention_grows_with_concurrency_while_cjoin_stays_flat() {
 }
 
 /// Thread census (Linux): the live `cjoin-*` threads of an engine are exactly
-/// the ones its [`StagePlan`] names — scan workers, Stage workers, shards —
-/// plus the supervisor. Query lifecycle has no thread of its own at any
-/// width, no thread sits between the Stage and the shards, nothing samples the
-/// pipeline to re-size it, and no manager thread cleans up or reorders. Runs [`thread_census_in_a_process_of_its_own`] in a child
+/// the ones its [`StagePlan`] names — scan workers and shards — plus the
+/// supervisor. Query lifecycle has no thread of its own at any width, no Stage
+/// thread sits between the scan and the shards, nothing samples the pipeline
+/// to re-size it, and no manager thread cleans up or reorders. Runs
+/// [`thread_census_in_a_process_of_its_own`] in a child
 /// process: the other tests of this binary run engines on sibling threads, and
 /// a census cannot tell whose `cjoin-scan-w0` it is looking at.
 #[cfg(target_os = "linux")]
@@ -388,20 +389,12 @@ fn thread_census_in_a_process_of_its_own() {
         names.sort();
         names
     }
-    fn census(engine: &CjoinEngine, widths: (usize, usize, usize)) {
+    fn census(engine: &CjoinEngine, widths: (usize, usize)) {
         let plan = engine.stage_plan();
-        let (scan, stage, shards) = widths;
-        assert_eq!(
-            (
-                plan.scan_workers,
-                plan.stage_workers,
-                plan.distributor_shards
-            ),
-            widths
-        );
+        let (scan, shards) = widths;
+        assert_eq!((plan.scan_workers, plan.distributor_shards), widths);
 
         let mut roles: Vec<RoleKind> = (0..scan).map(RoleKind::ScanWorker).collect();
-        roles.extend((0..stage).map(RoleKind::StageWorker));
         roles.extend((0..shards).map(RoleKind::DistributorShard));
         let mut expected: Vec<String> = roles.iter().map(|r| comm(&r.thread_name())).collect();
         expected.push(comm("cjoin-supervisor"));
@@ -416,11 +409,12 @@ fn thread_census_in_a_process_of_its_own() {
         for name in live() {
             assert!(
                 !name.starts_with("cjoin-scan-coor")
+                    && !name.starts_with("cjoin-stage")
                     && !name.starts_with("cjoin-dist-merg")
                     && !name.starts_with("cjoin-dist-rout")
                     && !name.starts_with("cjoin-tuner")
                     && !name.starts_with("cjoin-manager"),
-                "a lifecycle, routing, tuning or manager thread is back: {name}"
+                "a lifecycle, Stage, routing, tuning or manager thread is back: {name}"
             );
         }
     }
@@ -428,17 +422,16 @@ fn thread_census_in_a_process_of_its_own() {
     let data = SsbDataSet::generate(SsbConfig::for_tests(0.001, 309));
     let catalog = data.catalog();
 
-    for width in [1, 2] {
+    for (scan, shards) in [(1, 1), (2, 2), (1, 4), (4, 1)] {
         let engine = CjoinEngine::start(
             Arc::clone(&catalog),
             CjoinConfig::default()
                 .with_max_concurrency(16)
-                .with_scan_workers(width)
-                .with_worker_threads(width)
-                .with_distributor_shards(width),
+                .with_scan_workers(scan)
+                .with_distributor_shards(shards),
         )
         .unwrap();
-        census(&engine, (width, width, width));
+        census(&engine, (scan, shards));
         engine.shutdown();
         assert_eq!(live(), Vec::<String>::new(), "shutdown joins every thread");
     }

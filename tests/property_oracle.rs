@@ -204,7 +204,6 @@ fn engines_agree_on_random_workloads() {
         let engine = CjoinEngine::start(
             Arc::clone(&catalog),
             CjoinConfig::default()
-                .with_worker_threads(2)
                 .with_max_concurrency(16)
                 .with_batch_size(32),
         )
@@ -533,7 +532,6 @@ fn unfiltered_count_equals_fact_cardinality() {
         let engine = CjoinEngine::start(
             Arc::clone(&catalog),
             CjoinConfig::default()
-                .with_worker_threads(1)
                 .with_max_concurrency(4)
                 .with_batch_size(16),
         )

@@ -1,7 +1,7 @@
 //! Oracle-backed test matrix for the scan front-end's width
 //! (`CjoinConfig::scan_workers`), run beside `tests/engine_equivalence.rs`'s
-//! `scan_workers` {1,2,4} × `distributor_shards` {1,4} × `worker_threads`
-//! {1,3} oracle matrix so a red front-end is attributable at a glance.
+//! `scan_workers` {1,2,4} × `distributor_shards` {1,4} oracle matrix so a red
+//! front-end is attributable at a glance.
 //!
 //! Three suites pin down the segment scan workers:
 //!
@@ -16,9 +16,9 @@
 //!    exactly the same tuples under 4 scan workers as under one (the width
 //!    only changes *who* scans, never *what* a query sees).
 //! 3. **Lifecycle/quiesce** — concurrent admission waves across the scan-workers
-//!    × Stage-workers × distributor-shards grid leave no residue: admitted == completed, ids are
-//!    recycled, `batches_in_flight` returns to zero, and every query observed all
-//!    of its segment passes (`segments_completed == segments_total`).
+//!    × distributor-shards grid leave no residue: admitted == completed, ids are
+//!    recycled, the shard lanes are empty, and every query observed all of its
+//!    segment passes (`segments_completed == segments_total`).
 
 use std::sync::Arc;
 
@@ -30,7 +30,6 @@ use cjoin_repro::{AggFunc, AggregateSpec, ColumnRef, SnapshotId, StarQuery};
 
 fn config(scan_workers: usize) -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
         .with_scan_workers(scan_workers)
@@ -170,14 +169,13 @@ fn lifecycle_churn_across_the_scan_grid_quiesces_cleanly() {
 
     let data = SsbDataSet::generate(SsbConfig::for_tests(0.001, 421));
     let catalog = data.catalog();
-    for (scan_workers, stage_workers, shards) in [(2usize, 1usize, 1usize), (4, 3, 4)] {
+    for (scan_workers, shards) in [(2usize, 1usize), (4, 4)] {
         // Small maxConc forces id recycling across waves; the warehouse grows
         // mid-wave so the open-ended last segment absorbs appended rows.
         let engine = CjoinEngine::start(
             Arc::clone(&catalog),
             config(scan_workers)
                 .with_max_concurrency(16)
-                .with_worker_threads(stage_workers)
                 .with_distributor_shards(shards),
         )
         .unwrap();
@@ -214,7 +212,7 @@ fn lifecycle_churn_across_the_scan_grid_quiesces_cleanly() {
                 let expected = reference::evaluate(&catalog, query, snapshot).unwrap();
                 assert!(
                     result.approx_eq(&expected),
-                    "[scan={scan_workers} stage={stage_workers} shards={shards}] {} diverged under churn: {:?}",
+                    "[scan={scan_workers} shards={shards}] {} diverged under churn: {:?}",
                     query.name,
                     result.diff(&expected)
                 );
@@ -226,10 +224,7 @@ fn lifecycle_churn_across_the_scan_grid_quiesces_cleanly() {
         assert_eq!(stats.queries_admitted, total);
         assert_eq!(stats.queries_completed, total);
         assert_eq!(engine.active_queries(), 0, "all ids recycled post-churn");
-        assert_eq!(
-            stats.batches_in_flight, 0,
-            "in-flight accounting returns to zero post-quiesce"
-        );
+        assert_eq!(stats.queued_messages, 0, "the lanes are empty post-quiesce");
         assert_eq!(stats.scan_worker_tuples_scanned(), stats.tuples_scanned);
         assert_eq!(stats.scan_worker_batches_sent(), stats.batches_sent);
         engine.shutdown();

@@ -1,6 +1,6 @@
 //! Width integration tests.
 //!
-//! Widths are configured, not resized: the Stage's default width is sized
+//! Widths are configured, not resized: the shards' default width is sized
 //! from the host once, explicit widths are used as given, invalid widths are
 //! refused at start, and nothing changes a width of a healthy engine — the
 //! resize log stays empty. The supervisor's degradations, the only run-time
@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cjoin_repro::cjoin::{stage_width_for, CjoinConfig, CjoinEngine, QueryHandle};
+use cjoin_repro::cjoin::{shard_width_for, CjoinConfig, CjoinEngine, QueryHandle};
 use cjoin_repro::query::{reference, JoinEngine, QueryOutcome};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
 use cjoin_repro::{SnapshotId, StarQuery};
@@ -31,17 +31,18 @@ fn wait_bounded(handle: &QueryHandle, what: &str) -> QueryOutcome {
     }
 }
 
+/// Waits (bounded) until every shard lane is empty.
 fn assert_quiesces(engine: &CjoinEngine, what: &str) {
     let start = Instant::now();
     loop {
         let stats = engine.stats();
-        if stats.batches_in_flight == 0 {
+        if stats.queued_messages == 0 {
             return;
         }
         assert!(
             start.elapsed() < RESOLVE_TIMEOUT,
-            "{what}: batches_in_flight stuck at {} after {RESOLVE_TIMEOUT:?}",
-            stats.batches_in_flight
+            "{what}: {} messages stuck in the lanes after {RESOLVE_TIMEOUT:?}",
+            stats.queued_messages
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -57,10 +58,11 @@ fn test_queries(data: &SsbDataSet, count: usize, seed: u64) -> Vec<StarQuery> {
         .to_vec()
 }
 
-/// The Stage's default width is sized from the host once, by
-/// [`stage_width_for`]; the scan and aggregation axes default to the classic
-/// width 1. On up to three cores the whole pipeline is the paper's classic one
-/// thread per stage. The width is configured, not resized: no event is logged.
+/// The shards' default width is sized from the host once, by
+/// [`shard_width_for`]; the scan axis defaults to the classic width 1. On up to
+/// three cores the pipeline is one scan thread and two shards, the two threads
+/// that used to sit downstream of the scan. The width is configured, not
+/// resized: no event is logged.
 #[test]
 fn startup_sizing_collapses_to_classic_shape_when_cores_are_scarce() {
     let data = test_data();
@@ -70,39 +72,30 @@ fn startup_sizing_collapses_to_classic_shape_when_cores_are_scarce() {
         max_concurrency: 16,
         ..CjoinConfig::default()
     };
-    assert_eq!(config.worker_threads, stage_width_for(cores));
+    assert_eq!(config.distributor_shards, shard_width_for(cores));
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
 
     let stats = engine.scheduler_stats();
     assert!(stats.auto_tune);
     assert_eq!(stats.available_parallelism, cores);
     assert!(stats.resizes.is_empty(), "{:?}", stats.resizes);
-    let shape = (
-        stats.scan_workers,
-        stats.stage_workers,
-        stats.distributor_shards,
-    );
-    assert_eq!(shape, (1, stage_width_for(cores), 1));
+    assert_eq!(stats.stage_workers, 0, "there is no Stage");
+    let shape = (stats.scan_workers, stats.distributor_shards);
+    assert_eq!(shape, (1, shard_width_for(cores)));
     if cores <= 3 {
-        assert_eq!(shape, (1, 1, 1), "classic one thread per stage");
+        assert_eq!(shape, (1, 2), "one scan thread, two shards");
     }
     // The spawned pipeline actually has that shape.
     let plan = engine.stage_plan();
-    assert_eq!(
-        (
-            plan.scan_workers,
-            plan.stage_workers,
-            plan.distributor_shards
-        ),
-        shape
-    );
+    assert_eq!((plan.scan_workers, plan.distributor_shards), shape);
 
     // The summary is visible through the engine-independent trait (and hence
     // the server stats RPC, which forwards it verbatim).
     let summary = (&engine as &dyn JoinEngine).scheduler_summary().unwrap();
     assert!(summary.auto_tune);
     assert_eq!(summary.available_parallelism, cores as u64);
-    assert_eq!(summary.stage_workers, stage_width_for(cores) as u64);
+    assert_eq!(summary.stage_workers, 0);
+    assert_eq!(summary.distributor_shards, shard_width_for(cores) as u64);
     assert_eq!(summary.resizes, 0);
     engine.shutdown();
 }
@@ -117,7 +110,6 @@ fn pinned_knobs_behave_bit_identically() {
     let engine = CjoinEngine::start(
         Arc::clone(&catalog),
         CjoinConfig::default()
-            .with_worker_threads(2)
             .with_scan_workers(2)
             .with_distributor_shards(2)
             .with_max_concurrency(16),
@@ -126,23 +118,9 @@ fn pinned_knobs_behave_bit_identically() {
 
     let stats = engine.scheduler_stats();
     assert!(stats.resizes.is_empty(), "no resize on explicit widths");
-    assert_eq!(
-        (
-            stats.scan_workers,
-            stats.stage_workers,
-            stats.distributor_shards
-        ),
-        (2, 2, 2)
-    );
+    assert_eq!((stats.scan_workers, stats.distributor_shards), (2, 2));
     let plan = engine.stage_plan();
-    assert_eq!(
-        (
-            plan.scan_workers,
-            plan.stage_workers,
-            plan.distributor_shards
-        ),
-        (2, 2, 2)
-    );
+    assert_eq!((plan.scan_workers, plan.distributor_shards), (2, 2));
 
     for query in &queries {
         let expected = reference::evaluate(&catalog, query, SnapshotId::INITIAL).unwrap();
@@ -172,7 +150,6 @@ fn invalid_widths_are_refused_at_start() {
     for (config, what) in [
         (valid.clone().with_scan_workers(0), "scan workers 0"),
         (valid.clone().with_scan_workers(65), "scan workers 65"),
-        (valid.clone().with_worker_threads(0), "stage workers 0"),
         (valid.clone().with_distributor_shards(0), "shards 0"),
         (valid.clone().with_distributor_shards(257), "shards 257"),
     ] {

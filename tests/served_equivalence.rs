@@ -6,8 +6,8 @@
 //! Because `RemoteEngine` implements `JoinEngine`, the assertions are the same
 //! ones `tests/engine_equivalence.rs` makes; only the transport differs. A
 //! reduced engine matrix keeps the suite fast while still covering both
-//! baselines, one and several Stage workers, the sharded front-/back-end,
-//! per-tuple probing, and the columnar scan.
+//! baselines, the default widths, the sharded front-/back-end and the
+//! columnar scan.
 
 use std::sync::Arc;
 
@@ -22,14 +22,13 @@ use cjoin_repro::SnapshotId;
 
 fn cjoin_config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
 }
 
 /// A reduced slice of the engine-equivalence matrix: every *kind* of engine
-/// and hot path, and several Stage workers over several shards, without the
-/// full cartesian sweep.
+/// and storage path, and several scan workers over several shards, without
+/// the full cartesian sweep.
 fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
     vec![
         Box::new(BaselineEngine::new(
@@ -54,17 +53,6 @@ fn engines_under_test(catalog: &Arc<Catalog>) -> Vec<Box<dyn JoinEngine>> {
             CjoinEngine::start(
                 Arc::clone(catalog),
                 cjoin_config()
-                    .with_worker_threads(3)
-                    .with_distributor_shards(4)
-                    .with_scan_workers(4),
-            )
-            .unwrap(),
-        ),
-        Box::new(
-            CjoinEngine::start(
-                Arc::clone(catalog),
-                cjoin_config()
-                    .with_batched_probing(false)
                     .with_distributor_shards(4)
                     .with_scan_workers(4),
             )

@@ -32,7 +32,6 @@ fn small_data(seed: u64) -> SsbDataSet {
 
 fn cjoin_config() -> CjoinConfig {
     CjoinConfig::default()
-        .with_worker_threads(2)
         .with_max_concurrency(32)
         .with_batch_size(256)
 }
