@@ -2,10 +2,10 @@
 //! front-end as one scan worker versus 2 or 4 segment scan workers, at both a
 //! 1-shard and a 4-shard aggregation stage. Each sample drives a fig5-style
 //! closed-loop workload through a full `CjoinEngine`, so the measurement
-//! includes install relays and the in-band end-of-query broadcasts, not just
-//! the raw segment cursors. The oracle-backed equivalence of all
-//! `scan_workers` settings is asserted by `tests/scan_parallelism.rs` and
-//! `tests/engine_equivalence.rs`; this bench only measures.
+//! includes the per-worker install sends and the in-band end-of-query
+//! broadcasts, not just the raw segment cursors. The oracle-backed equivalence
+//! of all `scan_workers` settings is asserted by `tests/scan_parallelism.rs`
+//! and `tests/engine_equivalence.rs`; this bench only measures.
 
 use std::sync::Arc;
 use std::time::Duration;

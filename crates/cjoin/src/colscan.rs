@@ -34,9 +34,10 @@
 //! (`Int < Str < Null` by variant). Cross-type and NULL literals therefore
 //! compile to constant nodes (`PredNode::Const`, matching nothing, or
 //! `PredNode::NonNull`, matching every non-NULL row) rather than being
-//! rejected. Any shape that cannot be translated exactly makes `compile`
-//! return `None`, and the Preprocessor falls back to evaluating the stored
-//! `BoundPredicate` on fully materialised rows — slower, never wrong.
+//! rejected. `compile` returns `None` only for a column the schema lacks or a
+//! string column the replica stores as integers; neither happens to a
+//! predicate `StarQuery::bind` accepted, over a replica built from the same
+//! schema, so the Preprocessor has no row-at-a-time fallback.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -142,8 +143,8 @@ fn str_codes_matching(dict: &Dictionary, op: CompareOp, s: &str) -> Vec<u32> {
 
 impl EncodedFactPredicate {
     /// Compiles `pred` for evaluation over `replica`'s encoded columns, or
-    /// `None` if any leaf cannot be translated exactly (the caller falls back
-    /// to row-at-a-time `BoundPredicate` evaluation).
+    /// `None` if a leaf names a column `schema` lacks, or a string column
+    /// `replica` does not store as strings.
     pub fn compile(pred: &Predicate, schema: &Schema, replica: &ColumnarTable) -> Option<Self> {
         let root = compile_node(pred, schema, replica)?;
         let mut columns = Vec::new();
@@ -876,10 +877,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compiled_predicates_agree_with_bound_evaluation() {
-        let table = fact_table(400);
-        let preds = vec![
+    /// The predicate shapes the tests below evaluate over `fact_table`.
+    fn lineorder_shapes() -> Vec<Predicate> {
+        vec![
             Predicate::True,
             Predicate::eq("lo_orderdate", 19940103),
             Predicate::eq("lo_shipmode", "AIR"),
@@ -917,14 +917,19 @@ mod tests {
             },
             Predicate::eq("lo_orderkey", Value::Null),
             Predicate::in_list("lo_orderkey", Vec::<i64>::new()),
-        ];
-        for pred in &preds {
+        ]
+    }
+
+    #[test]
+    fn compiled_predicates_agree_with_bound_evaluation() {
+        let table = fact_table(400);
+        for pred in &lineorder_shapes() {
             assert_matches_bound(&table, pred);
         }
     }
 
-    #[test]
-    fn compiled_predicates_agree_on_nullable_columns() {
+    /// `t(a, s)`: every fifth row NULL in both columns.
+    fn nullable_table() -> Table {
         let schema = Schema::new("t", vec![Column::int("a"), Column::str("s")]);
         let table = Table::new(schema);
         for i in 0..40 {
@@ -938,15 +943,85 @@ mod tests {
             };
             table.insert(vec![a, s], SnapshotId::INITIAL).unwrap();
         }
-        for pred in [
+        table
+    }
+
+    /// The predicate shapes the tests below evaluate over `nullable_table`.
+    fn nullable_shapes() -> Vec<Predicate> {
+        vec![
             Predicate::eq("a", 10),
             Predicate::Not(Box::new(Predicate::eq("a", 10))), // matches NULL rows
             Predicate::eq("s", "x"),
             Predicate::Not(Box::new(Predicate::eq("s", "x"))),
             Predicate::between("a", 5, 20),
             Predicate::in_list("s", vec!["y"]),
+        ]
+    }
+
+    #[test]
+    fn compiled_predicates_agree_on_nullable_columns() {
+        let table = nullable_table();
+        for pred in &nullable_shapes() {
+            assert_matches_bound(&table, pred);
+        }
+    }
+
+    /// Every fact predicate the engine can install compiles, which is why the
+    /// scan has no row-at-a-time fallback: each SSB query's — every classic
+    /// query and an instance of every workload template, as generated, with a
+    /// 90-day `lo_orderdate` window and with flight 1's discount and quantity
+    /// ranges — bound against a generated warehouse, and every shape the tests
+    /// of this module evaluate.
+    #[test]
+    fn every_bound_fact_predicate_compiles() {
+        use cjoin_ssb::templates::workload_templates;
+        use cjoin_ssb::{classic_queries, SsbConfig, SsbDataSet, Workload, WorkloadConfig};
+
+        let data = SsbDataSet::generate(SsbConfig::tiny_for_tests(7));
+        let catalog = data.catalog();
+        let fact = catalog.fact_table().unwrap();
+        let ssb_replica = replica(&fact);
+        let mut queries = classic_queries();
+        for template in workload_templates() {
+            let config = WorkloadConfig::new(1, 0.05, 7).with_template(template.id);
+            queries.extend_from_slice(Workload::generate(&data, config).queries());
+        }
+        let fact_predicates = [
+            None,
+            Some(Predicate::between("lo_orderdate", 19_940_101, 19_940_331)),
+            Some(
+                Predicate::between("lo_discount", 1, 3).and(Predicate::Compare {
+                    column: "lo_quantity".into(),
+                    op: CompareOp::Lt,
+                    value: Value::int(25),
+                }),
+            ),
+        ];
+        for mut query in queries {
+            for predicate in &fact_predicates {
+                if let Some(predicate) = predicate {
+                    query.fact_predicate = predicate.clone();
+                }
+                let bound = query.bind(&catalog).unwrap();
+                let raw = &bound.fact_predicate_raw;
+                assert!(
+                    EncodedFactPredicate::compile(raw, fact.schema(), &ssb_replica).is_some(),
+                    "{}: {raw:?}",
+                    query.name
+                );
+            }
+        }
+
+        for (table, shapes) in [
+            (fact_table(400), lineorder_shapes()),
+            (nullable_table(), nullable_shapes()),
         ] {
-            assert_matches_bound(&table, &pred);
+            let shape_replica = replica(&table);
+            for pred in &shapes {
+                pred.bind(table.schema()).unwrap();
+                let compiled = EncodedFactPredicate::compile(pred, table.schema(), &shape_replica);
+                assert!(compiled.is_some(), "{pred:?}");
+            }
         }
     }
 

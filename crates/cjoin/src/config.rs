@@ -49,9 +49,9 @@ pub struct CjoinConfig {
     /// table's page range is split into that many static segments (one — the
     /// whole table, the paper's Preprocessor — by default), each owned by a scan
     /// worker that runs the full per-row path over its own segment cursor.
-    /// Worker 0 emits a query's start control tuple and relays the install to
-    /// the others; the worker that completes the query's pass last emits the
-    /// single end-of-query control tuple, in-band behind the data.
+    /// Admission emits a query's start control tuple and then sends the install
+    /// to every worker; the worker that completes the query's pass last emits
+    /// the single end-of-query control tuple, in-band behind the data.
     pub scan_workers: usize,
     /// Build and scan a compressed replica (§5, Column Stores / Compressed
     /// Tables): the pipeline builds a read-optimised columnar replica of the

@@ -73,10 +73,10 @@
 //! ## Control tuples and the end-barrier
 //!
 //! Control tuples drive query lifecycle and reach **every** shard (every shard
-//! owns partial state for every query; the scan front-end broadcasts them):
+//! owns partial state for every query; each is broadcast to every lane):
 //!
-//! * *query start* creates the shard-local aggregation operator. The scan
-//!   front-end enqueues the start tuple on every lane before any worker
+//! * *query start* creates the shard-local aggregation operator. Admission
+//!   enqueues the start tuple on every lane before any worker
 //!   installs the query — so before any data carrying the query's bit exists —
 //!   and each lane is FIFO, so no shard can see a query's tuple before its
 //!   start tuple (invariant 1).
@@ -100,19 +100,30 @@
 //!
 //! ## Lock order
 //!
+//! This is the one statement of the engine's lock order: the core lock, then
+//! the admission mutex, then one Filter's entries lock at a time — and a lane
+//! send under none of them.
+//!
 //! A shard takes each Filter's entries read lock to probe it — one
 //! [`ProbeGuard`](crate::dimension::ProbeGuard) per Filter per batch, dropped
-//! before the next Filter — and, when it finishes a query, the engine's
-//! admission mutex and then each Filter's entries write lock to clean it up. A
-//! shard waiting for either drains nothing, and it never holds either while it
-//! blocks: a shard sends nothing into the pipeline. Every other holder keeps
-//! the same rule: `submit` evaluates σ_cij(Dj) before it takes admission and
-//! sends the install after releasing it; the deadline reaper and
-//! `fail_all_in_flight` hold admission only for bookkeeping and clean-ups; the
-//! supervisor joins a dead pipeline's shards under the core lock alone, which
-//! no shard takes; and the scan's `probe_leading` guard is dropped before the
-//! scan flushes into a lane. So the order is: core, then admission, then one
-//! Filter's entries lock at a time, and a lane send under none of them.
+//! before the next Filter — and, when it finishes a query, the admission
+//! mutex and then each Filter's entries write lock to clean it up. A shard
+//! waiting for either drains nothing, and it never holds either while it
+//! blocks: a shard sends nothing into the pipeline. So whoever holds one of
+//! them must not wait on a lane:
+//!
+//! * `submit` evaluates σ_cij(Dj) before it takes any lock, and sends the
+//!   query-start tuple on every lane and the install on every scan worker's
+//!   command channel after releasing both the core lock and the admission
+//!   mutex: a full lane drains only while its shard can take the admission
+//!   mutex to clean a finished query up.
+//! * The deadline reaper and `fail_all_in_flight` hold admission only for
+//!   bookkeeping and clean-ups. The reaper sends its cancels under the core
+//!   lock, on command channels, which never block.
+//! * The supervisor joins a dead pipeline's shards under the core lock alone,
+//!   which no shard takes.
+//! * The scan's `probe_leading` guard is dropped before the scan flushes into
+//!   a lane.
 //!
 //! ## Failure
 //!
@@ -436,7 +447,7 @@ mod tests {
                 deadline_at: None,
                 admitted_at: Instant::now(),
                 snapshot: SnapshotId::INITIAL,
-                progress: Arc::new(crate::progress::QueryProgress::new(0)),
+                progress: Arc::new(crate::progress::QueryProgress::new(0, 1)),
             }),
             rx,
         )

@@ -40,17 +40,11 @@
 //!    store — and
 //! 5. respawns the pipeline, leaving the engine serviceable for fresh queries.
 //!
-//! Two liveness rules keep the supervisor itself unblockable. First, no client
-//! thread ever sleeps while holding the core lock: [`CjoinEngine::submit`]
-//! registers the query under the lock but waits for the installation ack
-//! outside it, with a polling wait (`await_install_ack`) that detects both a
-//! supervisor-resolved outcome and a dead command receiver (a queued install
-//! is *retained* when its receiver dies — the ack sender inside it never drops,
-//! so a blocking `recv` would hang forever). Second, resolution of every
-//! registered query is owned by exactly one party: the pipeline on success,
-//! the supervisor (or engine shutdown) on failure — a failed install therefore
-//! does not roll itself back, it lets the supervisor's registry drain fail it,
-//! so a query id is never released twice.
+//! Resolution of every registered query is owned by exactly one party: the
+//! pipeline on success, the supervisor (or engine shutdown) on failure. An
+//! install a scan worker never received therefore does not roll itself back,
+//! it lets the supervisor's registry drain fail it, so a query id is never
+//! released twice.
 //!
 //! The same supervisor loop doubles as the deadline reaper: queries submitted
 //! with [`StarQuery::deadline`] are resolved to
@@ -96,9 +90,11 @@ use crate::distributor::{Cleanup, Distributor, MergeSlots};
 use crate::fault::{inject, FaultPlan, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
-use crate::pipeline::{spawn_supervised, RoleFailure, RoleKind, StagePlan, SupervisorEvent};
+use crate::pipeline::{spawn_supervised, RoleFailure, RoleKind, SupervisorEvent};
 use crate::pool::BatchPool;
-use crate::preprocessor::{Preprocessor, PreprocessorCommand, PreprocessorContext};
+use crate::preprocessor::{
+    send_to_workers, start_query, Preprocessor, PreprocessorCommand, PreprocessorContext,
+};
 use crate::progress::QueryProgress;
 use crate::queue::{ShardQueues, ShardSenders};
 use crate::scheduler::{Axis, ResizeEvent, ResizeLog, SchedulerStats};
@@ -115,8 +111,8 @@ struct Registered {
 }
 
 /// State shared between admissions (caller threads), the shards that clean
-/// finished queries up and the supervisor. Lock order: after the core lock,
-/// before every Filter's entries lock (see [`crate::distributor`]).
+/// finished queries up and the supervisor. Its place in the lock order is
+/// stated once, in [`crate::distributor`].
 #[derive(Debug)]
 struct AdmissionState {
     allocator: QueryIdAllocator,
@@ -157,10 +153,11 @@ pub struct QueryHandle {
     submitted_at: Instant,
     submission_time: Duration,
     progress: Arc<QueryProgress>,
-    /// Cancellation hooks (`None` for queries shed at admission, which never
-    /// entered the pipeline). The runtime is held weakly so the handle never
-    /// pins the result channel of a query the pipeline already dropped.
-    cancel: Option<(Weak<QueryRuntime>, Sender<PreprocessorCommand>)>,
+    /// Cancellation hooks: the runtime and the scan workers' command channels
+    /// (`None` for queries shed at admission, which never entered the
+    /// pipeline). The runtime is held weakly so the handle never pins the
+    /// result channel of a query the pipeline already dropped.
+    cancel: Option<(Weak<QueryRuntime>, Workers)>,
 }
 
 impl QueryHandle {
@@ -174,8 +171,9 @@ impl QueryHandle {
         &self.name
     }
 
-    /// Time spent in admission: from submission until the query-start control tuple
-    /// entered the pipeline (the paper's "submission time", Tables 1–3).
+    /// Time spent in admission: from submission until the query-start control
+    /// tuple was on every lane and the install on every scan worker's channel
+    /// (the paper's "submission time", Tables 1–3).
     pub fn submission_time(&self) -> Duration {
         self.submission_time
     }
@@ -218,7 +216,7 @@ impl QueryHandle {
     /// exactly-once bookkeeping and id recycling are preserved). No-op if the
     /// query already resolved.
     pub fn cancel(&self) {
-        let Some((runtime, cmd_tx)) = &self.cancel else {
+        let Some((runtime, workers)) = &self.cancel else {
             return;
         };
         let Some(runtime) = runtime.upgrade() else {
@@ -226,7 +224,7 @@ impl QueryHandle {
         };
         runtime.mark_cancelled();
         if runtime.resolve(Err(QueryError::Cancelled)) {
-            let _ = cmd_tx.send(PreprocessorCommand::Cancel { id: self.id });
+            send_to_workers(workers, || PreprocessorCommand::Cancel { id: self.id });
         }
     }
 
@@ -237,6 +235,9 @@ impl QueryHandle {
         &self.progress
     }
 }
+
+/// Each scan worker's own command channel, in worker order.
+type Workers = Arc<[Sender<PreprocessorCommand>]>;
 
 struct PipelineThreads {
     /// Scan front-end: one thread per scan worker.
@@ -250,11 +251,11 @@ struct PipelineThreads {
 /// role failure; state that must survive restarts (filter chain, dimension
 /// tables, admission registry, global counters) lives in [`EngineShared`].
 struct PipelineCore {
-    cmd_tx: Sender<PreprocessorCommand>,
+    /// The scan workers' command channels; their number is the scan width.
+    workers: Workers,
     /// Sender-only handle to the shard lanes: each shard worker is the sole
     /// receiver of its own.
     shards: ShardSenders,
-    stage_plan: StagePlan,
     pool: Arc<BatchPool>,
     shard_counters: Vec<Arc<ShardCounters>>,
     scan_worker_counters: Vec<Arc<ScanWorkerCounters>>,
@@ -398,11 +399,7 @@ impl CjoinEngine {
         let fact = shared.catalog.fact_table()?;
         let failure_tx = shared.failure_tx.clone();
 
-        let stage_plan = StagePlan::of(config);
-        let StagePlan {
-            scan_workers,
-            distributor_shards: shards,
-        } = stage_plan;
+        let (scan_workers, shards) = (config.scan_workers, config.distributor_shards);
         let chain = Arc::clone(&shared.chain);
         let counters = Arc::clone(&shared.counters);
         let shard_counters = ShardCounters::new_vec(shards);
@@ -441,21 +438,14 @@ impl CjoinEngine {
         let shard_queues = ShardQueues::new(shards, QUEUE_CAPACITY);
         let shard_txs = shard_queues.senders();
 
-        // Scan front-end: one worker per scan range. Worker 0 owns the
-        // engine-facing command channel and relays to its siblings' queues.
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (mut sibling_txs, sibling_rxs): (Vec<_>, Vec<_>) =
-            (1..scan_workers).map(|_| unbounded()).unzip();
+        // Scan front-end: one worker per scan range, each with its own command
+        // channel.
+        let (workers, worker_rxs): (Vec<_>, Vec<_>) =
+            scan_ranges.iter().map(|_| unbounded()).unzip();
         let mut scan_worker_handles = Vec::with_capacity(scan_workers);
-        for (worker, (&(start, end), commands)) in scan_ranges
-            .iter()
-            .zip(std::iter::once(cmd_rx).chain(sibling_rxs))
-            .enumerate()
-        {
+        for (worker, (&(start, end), commands)) in scan_ranges.iter().zip(worker_rxs).enumerate() {
             let context = PreprocessorContext {
                 worker,
-                // Worker 0 takes them all; the others get the emptied vector.
-                siblings: std::mem::take(&mut sibling_txs),
                 shards: shard_txs.clone(),
                 pool: Arc::clone(&pool),
                 slot_count: Arc::clone(&shared.slot_count),
@@ -506,9 +496,8 @@ impl CjoinEngine {
         }
 
         Ok(PipelineCore {
-            cmd_tx,
+            workers: workers.into(),
             shards: shard_txs,
-            stage_plan,
             pool,
             shard_counters,
             scan_worker_counters,
@@ -542,9 +531,10 @@ impl CjoinEngine {
     }
 
     /// The completion-time quote admission sheds deadlines against: measured
-    /// submit→install latency (EWMA) plus one full scan cycle at the scan's
-    /// current rate. `None` until a first pass completes (nothing measured yet
-    /// — deadline queries are then admitted optimistically).
+    /// submission time (EWMA, see [`QueryHandle::submission_time`]) plus one
+    /// full scan cycle at the scan's current rate. `None` until a first pass
+    /// completes (nothing measured yet — deadline queries are then admitted
+    /// optimistically).
     ///
     /// The cycle term prefers the *live* in-pass rate — rows covered and busy
     /// time accumulated in the current pass, extrapolated to the full cycle —
@@ -552,8 +542,8 @@ impl CjoinEngine {
     /// otherwise it falls back to the last completed pass's busy time. Both
     /// clocks count only busy scan time, so an engine that idled mid-pass
     /// quotes its true scan cost instead of the idle-inflated wall time that
-    /// used to over-shed, and the install EWMA term covers the submit→install
-    /// backlog that used to cause under-shedding.
+    /// used to over-shed, and the EWMA term covers admission's own cost, whose
+    /// omission used to cause under-shedding.
     pub fn quote_eta(&self) -> Option<Duration> {
         let c = &self.shared.counters;
         let last_pass_ns = c.last_pass_ns.load(Ordering::Relaxed);
@@ -618,7 +608,7 @@ impl CjoinEngine {
                         result_rx,
                         submitted_at,
                         submission_time: submitted_at.elapsed(),
-                        progress: Arc::new(QueryProgress::new(0)),
+                        progress: Arc::new(QueryProgress::new(0, 1)),
                         cancel: None,
                     });
                 }
@@ -642,14 +632,15 @@ impl CjoinEngine {
         let fact_rows = self.shared.catalog.fact_table()?.len() as u64;
 
         // Hold the core lock across admission + registration (NOT across the
-        // installation ack wait — see below). Registering under the lock means
-        // a concurrent supervisor restart either finishes strictly before this
-        // query registers (and it installs cleanly on the fresh pipeline), or
-        // observes it in the runtimes registry and resolves it like any other
-        // in-flight query. A stale install can never corrupt a recycled id:
-        // the install is sent on *this* core's command channel, and a restarted
-        // core has a fresh channel, so the message is fenced to the dead
-        // incarnation.
+        // sends that put the query into the pipeline — see below). Registering
+        // under the lock means a concurrent supervisor restart either finishes
+        // strictly before this query registers (and it installs cleanly on the
+        // fresh pipeline), or observes it in the runtimes registry and resolves
+        // it like any other in-flight query. A stale start or install can never
+        // corrupt a recycled id: both go to *this* core's lanes and channels,
+        // and the supervisor joins a dead core's threads before it releases
+        // the core lock that any new allocation needs, so the messages are
+        // fenced to the dead incarnation.
         let core_guard = self.shared.core.lock();
         let Some(core) = core_guard.as_ref() else {
             return Err(Error::invalid_state("pipeline is not running"));
@@ -720,7 +711,7 @@ impl CjoinEngine {
         }
 
         let (result_tx, result_rx) = bounded(1);
-        let progress = Arc::new(QueryProgress::new(fact_rows));
+        let progress = Arc::new(QueryProgress::new(fact_rows, core.workers.len() as u64));
         let runtime = Arc::new(QueryRuntime {
             id,
             name: query.name.clone(),
@@ -738,39 +729,29 @@ impl CjoinEngine {
             .registered
             .insert(id.0, Registered { referenced_dims });
         admission.runtimes.insert(id.0, Arc::clone(&runtime));
-        // ---- Algorithm 1, lines 17–22: install in Preprocessor & Distributor ----
-        let (ack_tx, ack_rx) = bounded(1);
-        let install = PreprocessorCommand::Install {
-            runtime: Arc::clone(&runtime),
-            fact_predicate: (!runtime.bound.fact_predicate_is_true)
-                .then(|| runtime.bound.fact_predicate.clone()),
-            snapshot,
-            ack: Some(ack_tx),
-        };
-        let cmd_tx = core.cmd_tx.clone();
+        let lanes = core.shards.clone();
+        let workers = Arc::clone(&core.workers);
         drop(admission);
-        // Release the core lock BEFORE waiting for the installation ack. The
-        // scan front-end acks at its own pace (it may be blocked on a full
-        // lane), and if it dies instead, only the supervisor can
-        // resolve this query — by taking this same lock. Waiting under the
-        // lock would deadlock the whole engine: supervisor blocked on the
-        // lock, this thread blocked on an ack only the supervisor can unblock.
         drop(core_guard);
 
-        // An install that is never acked is NOT rolled back here: the query is
-        // in the runtimes registry, so whoever broke the install owns it — the
-        // supervisor resolves and cleans every registered query after a role
-        // death, shutdown resolves it. Rolling back here too would release the
-        // id twice, corrupting whichever later query recycled it. The returned
-        // handle resolves with the owner's outcome.
-        let acked = cmd_tx.send(install).is_ok() && await_install_ack(&cmd_tx, &ack_rx, &runtime);
+        // ---- Algorithm 1, lines 17–22: the query-start tuple, then the installs ----
+        // Under no lock: a send can wait on a full lane, and a shard drains its
+        // lane only as long as it can take the admission mutex to clean a
+        // finished query up (see "Lock order" in `crate::distributor`).
+        //
+        // An install some worker never received is NOT rolled back here: the
+        // query is in the runtimes registry, and a gone worker belongs to a core
+        // the supervisor is replacing; it resolves and cleans every registered
+        // query after a role death, shutdown resolves it. Rolling back here too
+        // would release the id twice, corrupting whichever later query recycled
+        // it. The returned handle resolves with the owner's outcome.
+        let started = start_query(&runtime, &lanes, &workers, &self.shared.counters);
         let submission_time = submitted_at.elapsed();
 
-        // Fold this submit→install latency into the EWMA (α = 1/8) the
-        // deadline quote charges for admission overhead. Only an acked install
-        // is a latency sample; an unacked one measured the failure-detection
-        // poll, not admission.
-        if acked {
+        // Fold this submission time into the EWMA (α = 1/8) the deadline quote
+        // charges for admission overhead. Only a query every worker was sent is
+        // a sample; any other measured a pipeline that is going away.
+        if started {
             let install_ns = submission_time.as_nanos() as u64;
             let ewma = &self.shared.counters.install_ns_ewma;
             let prev = ewma.load(Ordering::Relaxed);
@@ -799,7 +780,7 @@ impl CjoinEngine {
             submitted_at,
             submission_time,
             progress,
-            cancel: Some((Arc::downgrade(&runtime), cmd_tx)),
+            cancel: Some((Arc::downgrade(&runtime), workers)),
         })
     }
 
@@ -954,18 +935,6 @@ impl CjoinEngine {
                 detail: "engine shut down before the query completed".into(),
             }));
         }
-    }
-
-    /// The derived stage plan (diagnostics / tests): the running pipeline
-    /// incarnation's, or — between incarnations — the configured widths the
-    /// next one spawns with.
-    pub fn stage_plan(&self) -> StagePlan {
-        self.shared
-            .core
-            .lock()
-            .as_ref()
-            .map(|c| c.stage_plan.clone())
-            .unwrap_or_else(|| StagePlan::of(&self.shared.config.lock()))
     }
 }
 
@@ -1240,12 +1209,10 @@ fn maybe_compact(shared: &Arc<EngineShared>) {
     else {
         return;
     };
-    // A dead worker 0 drops the replica unsent; the supervisor owns that core.
-    if core
-        .cmd_tx
-        .send(PreprocessorCommand::Replica(Arc::clone(&replica)))
-        .is_ok()
-    {
+    // A dead worker drops the replica unsent; the supervisor owns that core.
+    if send_to_workers(&core.workers, || {
+        PreprocessorCommand::Replica(Arc::clone(&replica))
+    }) {
         *current = replica;
         shared
             .ingest_counters
@@ -1344,37 +1311,6 @@ fn cleanup_query(id: QueryId, chain: &Arc<FilterChain>, admission: &Arc<Mutex<Ad
         }
     }
     let _ = admission.allocator.release(id);
-}
-
-/// Waits for the scan front-end to ack an install sent on `cmd_tx`, returning
-/// whether it did.
-///
-/// A plain blocking `recv` can hang forever: a message queued when its
-/// receiver dies is retained, not destroyed
-/// (`queue::tests::queued_messages_survive_receiver_drop`), so the ack sender
-/// inside a ghost install never drops. Instead poll, and between polls give up
-/// (`false`) once (a) someone else resolved the query — the supervisor after a
-/// role death, the reaper, a cancel; its outcome is already in the result
-/// channel — or (b) the command channel errors, which it does once the
-/// front-end receiver is gone.
-fn await_install_ack(
-    cmd_tx: &Sender<PreprocessorCommand>,
-    ack_rx: &Receiver<()>,
-    runtime: &QueryRuntime,
-) -> bool {
-    loop {
-        match ack_rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(()) => return true,
-            Err(RecvTimeoutError::Disconnected) => return false,
-            Err(RecvTimeoutError::Timeout) => {
-                if runtime.resolved.load(Ordering::Acquire)
-                    || cmd_tx.send(PreprocessorCommand::Probe).is_err()
-                {
-                    return false;
-                }
-            }
-        }
-    }
 }
 
 /// How often the supervisor re-derives the Filter order (§3.4).
@@ -1562,10 +1498,10 @@ fn degrade(config: &mut CjoinConfig, axis: Axis) -> Option<String> {
 /// The deadline reaper (one supervisor tick): resolves overdue queries to
 /// [`QueryError::DeadlineExceeded`] and retires them from the scan through the
 /// normal cancel path, so partial state is released with exactly-once
-/// bookkeeping and the id recycles through the closing shard as usual.
+/// bookkeeping and the id recycles through the closing shard as usual. Locks
+/// as [`crate::distributor`]'s lock order says.
 fn reap_deadlines(shared: &Arc<EngineShared>) {
     let now = Instant::now();
-    // Lock order everywhere: core before admission.
     let core_guard = shared.core.lock();
     let Some(core) = core_guard.as_ref() else {
         return;
@@ -1586,9 +1522,9 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
             .duration_since(runtime.admitted_at);
         runtime.mark_cancelled();
         if runtime.resolve(Err(QueryError::DeadlineExceeded { deadline })) {
-            let _ = core
-                .cmd_tx
-                .send(PreprocessorCommand::Cancel { id: runtime.id });
+            send_to_workers(&core.workers, || PreprocessorCommand::Cancel {
+                id: runtime.id,
+            });
         }
     }
 }
@@ -1608,16 +1544,14 @@ fn reap_deadlines(shared: &Arc<EngineShared>) {
 /// nothing is left to do once the shards are joined.
 fn teardown_core(core: PipelineCore, failed: bool) {
     let PipelineCore {
-        cmd_tx,
+        workers,
         shards,
         threads,
         ..
     } = core;
-    // Stop the producers first so no new data enters the pipeline: worker 0
-    // consumes the shutdown and relays the stop to its siblings (a dead
-    // worker 0 disconnects them instead).
-    let _ = cmd_tx.send(PreprocessorCommand::Shutdown);
-    drop(cmd_tx);
+    // Stop the producers first so no new data enters the pipeline.
+    send_to_workers(&workers, || PreprocessorCommand::Shutdown);
+    drop(workers);
     let shards = (!failed).then_some(shards);
     // A panicked thread's `Err` join result is discarded throughout: its
     // payload already travelled to the supervisor as a [`RoleFailure`].
@@ -1860,7 +1794,7 @@ mod tests {
         let catalog = small_catalog(500);
         let config = test_config().with_distributor_shards(4);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-        assert_eq!(engine.stage_plan().distributor_shards, 4);
+        assert_eq!(engine.scheduler_stats().distributor_shards, 4);
         let queries = vec![
             red_sum_query("scalar"),
             StarQuery::builder("grouped")
@@ -1894,7 +1828,7 @@ mod tests {
             .with_scan_workers(4)
             .with_distributor_shards(2);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
-        assert_eq!(engine.stage_plan().scan_workers, 4);
+        assert_eq!(engine.scheduler_stats().scan_workers, 4);
         let queries = vec![
             red_sum_query("scalar"),
             StarQuery::builder("grouped")
@@ -2122,38 +2056,47 @@ mod tests {
         engine.shutdown();
     }
 
-    /// An install that is never acked is not an admission-latency sample. The
-    /// first query is acked; then worker 0 is told to shut down on its own
-    /// command channel, and the second query's install queues behind that
-    /// shutdown, or finds the channel already closed. Either way worker 0
-    /// never processes it: its `submit` gives up on the ack without a clock
-    /// deciding anything, and the EWMA behind `quote_eta` must not move. The
-    /// second query resolves when the engine shuts down; the first may have
-    /// finished before worker 0 stopped.
+    /// An install no worker received is not an admission-latency sample. The
+    /// first query reaches the scan worker; then the worker is told to shut
+    /// down on its own command channel, and once it has exited the second
+    /// query's install finds the channel closed. Its `submit` sees the failed
+    /// send, and the EWMA behind `quote_eta` must not move. The second query
+    /// resolves when the engine shuts down; the first may have finished
+    /// before the worker stopped.
     #[test]
-    fn unacked_install_does_not_feed_the_install_latency_ewma() {
+    fn an_install_no_worker_received_is_not_a_latency_sample() {
         let catalog = small_catalog(300);
         let engine = CjoinEngine::start(Arc::clone(&catalog), test_config()).unwrap();
         let ewma = &engine.shared.counters.install_ns_ewma;
 
-        let acked = engine.submit(red_sum_query("acked")).unwrap();
-        let after_acked = ewma.load(Ordering::Relaxed);
-        assert!(after_acked > 0, "an acked install is a sample");
+        let installed = engine.submit(red_sum_query("installed")).unwrap();
+        let after_installed = ewma.load(Ordering::Relaxed);
+        assert!(after_installed > 0, "a received install is a sample");
 
-        let cmd_tx = engine.shared.core.lock().as_ref().unwrap().cmd_tx.clone();
-        cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
-        let unacked = engine.submit(red_sum_query("unacked")).unwrap();
-        assert_eq!(ewma.load(Ordering::Relaxed), after_acked);
-        assert!(unacked.try_result().is_none(), "nobody resolved it yet");
+        {
+            let core = engine.shared.core.lock();
+            let core = core.as_ref().unwrap();
+            assert!(send_to_workers(&core.workers, || {
+                PreprocessorCommand::Shutdown
+            }));
+            while !core
+                .threads
+                .scan_workers
+                .iter()
+                .all(JoinHandle::is_finished)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let lost = engine.submit(red_sum_query("lost")).unwrap();
+        assert_eq!(ewma.load(Ordering::Relaxed), after_installed);
+        assert!(lost.try_result().is_none(), "nobody resolved it yet");
         engine.shutdown();
         assert!(matches!(
-            acked.wait(),
+            installed.wait(),
             Ok(_) | Err(QueryError::StageFailed { .. })
         ));
-        assert!(matches!(
-            unacked.wait(),
-            Err(QueryError::StageFailed { .. })
-        ));
+        assert!(matches!(lost.wait(), Err(QueryError::StageFailed { .. })));
     }
 
     /// Regression test for reaper starvation: the supervisor used to reap only

@@ -13,28 +13,19 @@
 //! worker threads, each over its own segment of the fact table (see
 //! [`crate::preprocessor`]). Each scan worker hands every batch it flushes,
 //! whole, to the next shard in its own rotation, and broadcasts control tuples
-//! to every lane itself, so a query's end travels in-band behind its data. The
-//! [`StagePlan`] records the two widths so diagnostics and tests can reason
-//! about the whole pipeline.
+//! to every lane itself, so a query's end travels in-band behind its data.
 //!
 //! The supervised roles are therefore two ([`RoleKind`]): scan worker and
-//! distributor shard. Query lifecycle has no thread of its own — worker 0 of
-//! the front-end emits a query's start tuple, the scan worker that finishes
-//! the query's pass last emits its end tuple, and the shard that drains that
-//! end tuple last cleans the query up (Algorithm 2) and delivers the result.
+//! distributor shard. Query lifecycle has no thread of its own — the
+//! submitting thread enqueues a query's start tuple and hands the install to
+//! every scan worker, the scan worker that finishes the query's pass last
+//! emits its end tuple, and the shard that drains that end tuple last cleans
+//! the query up (Algorithm 2) and delivers the result.
 //! The engine's supervisor thread, outside the pipeline, re-derives the
 //! Filter order (§3.4) on its timer.
 //!
-//! # Lock order
-//!
-//! A shard takes a Filter's entries read lock to probe it
-//! ([`ProbeGuard`](crate::dimension::ProbeGuard), one Filter at a time) and,
-//! when it finishes a query, the engine's admission mutex and then each
-//! Filter's entries write lock to clean the query up. It never holds either
-//! while it blocks: a shard sends nothing, and the scan's `probe_leading`
-//! guard is dropped before the scan flushes. So a scan worker blocked on a
-//! full lane waits only for a shard that is probing or aggregating, which
-//! always finishes. The full order is stated in [`crate::distributor`].
+//! Which locks a role may hold while it sends on a lane is stated once, under
+//! "Lock order" in [`crate::distributor`].
 //!
 //! # Supervision
 //!
@@ -52,7 +43,7 @@
 //!
 //! The supervisor first resolves every in-flight query's outcome channel with
 //! `QueryError::StageFailed` (so no client can observe a truncated `Ok`), then
-//! tears the incarnation down: it sends the scan front-end a shutdown command
+//! tears the incarnation down: it sends every scan worker a shutdown command
 //! and drops the engine's lane senders. A dead shard's receiver died with it,
 //! so a scan worker blocked on its lane gets a send error; every other lane
 //! keeps draining. Nobody blocks on the end-barrier — a contributing shard
@@ -68,7 +59,6 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::Sender;
 
-use crate::config::CjoinConfig;
 use crate::scheduler::Axis;
 
 /// Identity of one supervised pipeline role, used in thread names, failure
@@ -172,49 +162,4 @@ pub fn spawn_supervised(
             }
         })
         .expect("failed to spawn pipeline thread")
-}
-
-/// The thread layout of one pipeline incarnation: the width of each axis.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StagePlan {
-    /// Continuous-scan (Preprocessor) workers.
-    pub scan_workers: usize,
-    /// Distributor shards, each running the Filter chain and aggregation.
-    pub distributor_shards: usize,
-}
-
-impl StagePlan {
-    /// The plan a pipeline spawned from `config` has: every width as
-    /// configured, and at least 1.
-    pub fn of(config: &CjoinConfig) -> Self {
-        Self {
-            scan_workers: config.scan_workers.max(1),
-            distributor_shards: config.distributor_shards.max(1),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plan_is_the_configured_widths_each_at_least_one() {
-        let config = CjoinConfig::default()
-            .with_scan_workers(4)
-            .with_distributor_shards(2);
-        let plan = StagePlan::of(&config);
-        assert_eq!((plan.scan_workers, plan.distributor_shards), (4, 2));
-        let zero = CjoinConfig {
-            scan_workers: 0,
-            distributor_shards: 0,
-            ..CjoinConfig::default()
-        };
-        let plan = StagePlan::of(&zero);
-        assert_eq!(
-            (plan.scan_workers, plan.distributor_shards),
-            (1, 1),
-            "degenerate zeros clamp to the classic single-thread shape"
-        );
-    }
 }

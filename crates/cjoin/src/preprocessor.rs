@@ -36,19 +36,16 @@
 //! ([`cjoin_storage::segment_ranges`]; one segment, the whole table, for
 //! `N = 1`); each segment is owned by one worker — a [`Preprocessor`] on its own
 //! thread — running the full per-row path above over its own circular segment
-//! cursor, feeding the shard lanes concurrently with its siblings. No thread
-//! owns the query lifecycle; the workers keep the paper's §3.3 guarantees among
-//! themselves:
+//! cursor, feeding the shard lanes concurrently with the other workers. No
+//! thread owns the query lifecycle; the workers keep the paper's §3.3
+//! guarantees among themselves:
 //!
-//! * **Admission** — worker 0 owns the engine-facing command channel. On an
-//!   install it broadcasts the query-start control tuple to every shard lane
-//!   *first*, then relays the install to each sibling's FIFO command queue,
-//!   then installs the query itself and acks; cancels and shutdown are relayed
-//!   the same way. Each worker installs the query at its own segment-batch
-//!   boundary, recording where the query's pass over its segment ends. Any
-//!   data tuple carrying the new bit is therefore produced strictly after the
-//!   start tuple was enqueued, so every shard's FIFO lane observes
-//!   start-before-data (invariant 1) with no global pause.
+//! * **Admission** — every worker has its own command channel, and the
+//!   engine's `submit` runs `start_query` on its own thread: it enqueues the
+//!   query-start control tuple on every shard lane, then sends the install to
+//!   every worker. Each worker installs the query at its own chunk boundary,
+//!   recording where the query's pass over its segment ends. Cancels, replica
+//!   handoffs and shutdown reach every worker the same way, one send each.
 //! * **Exactly one pass** — each worker independently retires the query's bit the
 //!   moment its segment cursor reaches the query's end in its segment: the
 //!   starting tuple, one wrap later, or earlier, after the last row group that
@@ -58,13 +55,12 @@
 //!   query can want is missed. The segment ranges partition the table, so the
 //!   union over workers is at most one pass.
 //! * **Completion** — a worker that retires a bit flushes what can still carry
-//!   it and marks its segment complete on the query's [`QueryProgress`], whose
-//!   count worker 0 restarted at `N` before relaying the install. The worker
-//!   whose mark is the `N`-th closes the query itself: it broadcasts the single
-//!   end-of-query control tuple to every lane, in-band behind the data (see
-//!   "Control-tuple ordering" below), and goes on scanning. Nobody parks and
-//!   nobody waits. With no siblings the relay loops are empty: install, scan,
-//!   wrap, end.
+//!   it and marks its segment complete on the query's [`QueryProgress`], which
+//!   admission created split across the `N` segments. The worker whose mark is
+//!   the `N`-th closes the query itself: it broadcasts the single end-of-query
+//!   control tuple to every lane, in-band behind the data (see "Control-tuple
+//!   ordering" below), and goes on scanning. Nobody parks and nobody waits. At
+//!   width 1: install, scan, wrap, end.
 //!
 //! ## Chunks
 //!
@@ -84,9 +80,9 @@
 //! end, never straddles two row groups and never straddles the frontier.
 //!
 //! **Where a query ends.** Each worker decides at install, for its own
-//! segment (`colscan::pass_end`). Without a replica, or when the query's fact
-//! predicate did not compile for it, the query ends where it started, one
-//! wrap later (§3.3.2). With one, it ends at the end of the last row group,
+//! segment (`colscan::pass_end`). Without a replica, or without a fact
+//! predicate, the query ends where it started, one wrap later (§3.3.2). With
+//! both, it ends at the end of the last row group,
 //! in pass order from the start, whose zone verdict is not `Never` — the
 //! row-store tail and a group whose checksum fails always count as able to
 //! match — or, if no row of the segment can match, at install. That end is
@@ -112,8 +108,8 @@
 //!
 //! **The replica handoff.** A tail compaction rebuilds the replica from the
 //! row store as it is then and sends it on the command channel
-//! ([`PreprocessorCommand::Replica`]); worker 0 relays it like an install, and
-//! each worker adopts it at its next command boundary, between two chunks.
+//! ([`PreprocessorCommand::Replica`]) to every worker, and each worker adopts
+//! it at its next command boundary, between two chunks.
 //! The cursor, the active queries and where they end stay as they are. Both
 //! replicas are prefixes of the same append-only row store, so a chunk reads
 //! the same tuples from either; the longer one only moves rows from the row
@@ -197,16 +193,19 @@
 //! happens-before. Both halves of §3.3.3 follow, at every scan width and every
 //! shard count, with no barrier:
 //!
-//! * **Start before data.** Worker 0 pushes `QueryStart(q)` on every lane
-//!   before it relays the install, and a worker sets `q`'s bit only after it
-//!   has the install. So on every lane the start tuple is ahead of every batch
-//!   that carries the bit.
+//! * **Start before data.** `start_query` pushes `QueryStart(q)` on every
+//!   lane before it sends any worker the install, all on the submitting
+//!   thread, and a worker sets `q`'s bit only after it has the install. So on
+//!   every lane the start tuple is ahead of every batch that carries the bit.
+//!   A reused id is no exception: Algorithm 2 frees an id only after the last
+//!   shard has drained its previous query's end tuple, so the new start tuple
+//!   lands behind that end on every lane.
 //! * **Data before end.** A worker retires `q`'s bit at a chunk start or a
 //!   command boundary, after the previous chunk's last flush, so every batch of
 //!   its own that can carry the bit is already on a lane. Only then does it
 //!   mark its segment complete on `q`'s [`QueryProgress`], a release
 //!   increment. The closer's mark, the `N`-th, reads the count with acquire, so
-//!   each sibling's pushes happen before the closer's
+//!   each other worker's pushes happen before the closer's
 //!   `broadcast_control(QueryEnd)`, and the closer's own pushes precede it in
 //!   program order. On every lane, every batch that carries the bit is ahead
 //!   of the end tuple; a batch pushed later cannot carry it, because every
@@ -215,11 +214,11 @@
 //! At width 1 this is the paper's FIFO pipeline with the control tuple in
 //! band: nothing stalls, nothing drains, nothing waits.
 //!
-//! **A dead sibling.** A scan worker that dies never marks its segment, so no
+//! **A dead worker.** A scan worker that dies never marks its segment, so no
 //! end tuple is ever sent for a query it carried. Nobody waits for that end:
 //! no other worker parks behind a closer, and a closer's broadcast does not
-//! depend on any sibling being alive. The supervisor resolves every in-flight
-//! query with `StageFailed` before it tears the incarnation down (see
+//! depend on any other worker being alive. The supervisor resolves every
+//! in-flight query with `StageFailed` before it tears the incarnation down (see
 //! [`crate::pipeline`]), so the end that never comes is owed to nobody. A dead
 //! shard drops its lane's receiver, so a worker blocked on that full lane gets
 //! a send error instead of waiting.
@@ -286,26 +285,15 @@ use crate::tuple::{Batch, ControlTuple, InFlightTuple, Message, QueryRuntime};
 /// an empty segment): the operator is always on but must not spin.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// A command to a scan worker: from the engine (acting as the Pipeline Manager)
-/// to worker 0, and from worker 0 — which relays installs, cancels and shutdown
-/// — to each of its siblings.
+/// A command to one scan worker, on that worker's own channel: every command
+/// the engine (acting as the Pipeline Manager) gives the front-end is sent to
+/// each worker.
 #[derive(Debug)]
 pub enum PreprocessorCommand {
-    /// Install a freshly admitted query (Algorithm 1, lines 17–22).
-    Install {
-        /// Everything the Distributor needs to run the query.
-        runtime: Arc<QueryRuntime>,
-        /// The query's fact-table predicate, if it has a non-trivial one.
-        fact_predicate: Option<BoundPredicate>,
-        /// Snapshot the query reads.
-        snapshot: SnapshotId,
-        /// Acknowledged once the query-start control tuple has been enqueued,
-        /// the install has been relayed to every sibling's FIFO command queue
-        /// and worker 0 has installed the query itself; the elapsed time up to
-        /// this point is the paper's "submission time" metric. `None` on the
-        /// relays — the engine-facing ack does not wait for a round-trip.
-        ack: Option<Sender<()>>,
-    },
+    /// Install a freshly admitted query (Algorithm 1, lines 17–22). Sent by
+    /// `start_query` after the query-start control tuple is on every lane.
+    /// A worker reads the query's fact predicate and snapshot from the runtime.
+    Install(Arc<QueryRuntime>),
     /// Cancel an in-flight query: finalize it immediately (retire its bit,
     /// emit the end-of-query control tuple behind its data as usual) so
     /// its partial state is released through the normal lifecycle machinery.
@@ -315,31 +303,64 @@ pub enum PreprocessorCommand {
     /// accounting is preserved because the control-tuple protocol is unchanged.
     /// The send happens without any lock, so by the time it arrives the query
     /// may have finished and a new one may run under the same id: a worker
-    /// retires only a query whose runtime is marked cancelled.
+    /// retires only a query whose runtime is marked cancelled. It may also
+    /// arrive before the install: a worker retires a query that is already
+    /// cancelled when it installs it.
     Cancel {
         /// The query to cancel.
         id: QueryId,
     },
-    /// A tail compaction's rebuilt replica: relayed like an install, and
-    /// adopted by each worker between two chunks (see "The replica handoff"
-    /// in the module doc).
+    /// A tail compaction's rebuilt replica, adopted by each worker between
+    /// two chunks (see "The replica handoff" in the module doc).
     Replica(Arc<ColumnarTable>),
-    /// Shut the pipeline down: forward shutdown messages and exit.
+    /// Shut the worker down: it stops producing and exits.
     Shutdown,
-    /// Liveness probe: ignored. A sender waiting on an install ack sends one
-    /// between polls, so a dead worker 0 (dropped command receiver) surfaces as
-    /// a send error instead of a wait that never ends.
-    Probe,
 }
 
-/// Everything a scan worker shares with the rest of the pipeline and with its
-/// siblings. Bundled so the constructor stays readable as the front-end grows.
+/// Sends `command()` to every scan worker's own channel, in worker order, and
+/// returns whether every worker's receiver was still there. A worker that is
+/// gone belongs to an incarnation the supervisor is tearing down.
+pub(crate) fn send_to_workers(
+    workers: &[Sender<PreprocessorCommand>],
+    command: impl Fn() -> PreprocessorCommand,
+) -> bool {
+    let mut delivered = true;
+    for tx in workers {
+        delivered &= tx.send(command()).is_ok();
+    }
+    delivered
+}
+
+/// Algorithm 1, lines 17–22: puts an admitted query into the pipeline. Run
+/// by the engine's `submit` on the caller's thread once it holds no lock (see
+/// "Lock order" in [`crate::distributor`]). It enqueues the query-start
+/// control tuple on every lane of the incarnation that registered the query,
+/// *then* sends the install to each of its scan workers (see "Control-tuple
+/// ordering" in the module doc), and counts the admission if every worker was
+/// sent the install. `runtime`'s progress must be split across
+/// `workers.len()` segments. Returns whether every worker was sent it.
+pub(crate) fn start_query(
+    runtime: &Arc<QueryRuntime>,
+    lanes: &ShardSenders,
+    workers: &[Sender<PreprocessorCommand>],
+    counters: &SharedCounters,
+) -> bool {
+    lanes.broadcast_control(&ControlTuple::QueryStart(Arc::clone(runtime)));
+    let sent = send_to_workers(workers, || {
+        PreprocessorCommand::Install(Arc::clone(runtime))
+    });
+    if sent {
+        SharedCounters::add(&counters.queries_admitted, 1);
+    }
+    sent
+}
+
+/// Everything a scan worker shares with the rest of the pipeline. Bundled so
+/// the constructor stays readable as the front-end grows.
 pub struct PreprocessorContext {
-    /// This worker's index in the front-end. Worker 0 owns the engine-facing
-    /// command channel.
+    /// This worker's index in the front-end. Worker 0 publishes the live
+    /// in-pass counters.
     pub worker: usize,
-    /// Worker 0 only: the command queues of workers `1..`, in order.
-    pub siblings: Vec<Sender<PreprocessorCommand>>,
     /// Every shard's lane: each batch goes to the next one in this worker's
     /// rotation, each control tuple to all of them.
     pub shards: ShardSenders,
@@ -369,8 +390,7 @@ struct ActiveQuery {
     runtime: Arc<QueryRuntime>,
     fact_predicate: Option<BoundPredicate>,
     /// The fact predicate compiled for evaluation over encoded column data
-    /// (only with a replica; `None` falls back to `fact_predicate` on
-    /// materialised replica rows — slower, never wrong).
+    /// (with a replica and a fact predicate only).
     encoded_predicate: Option<EncodedFactPredicate>,
     /// Fact columns this query's join keys, group-bys and aggregate inputs
     /// read (only with a replica): the refcounted inputs to the
@@ -385,19 +405,6 @@ struct ActiveQuery {
     /// that ends where it started (the second encounter is the wrap-around);
     /// true from install for a query that ends elsewhere.
     passed_start: bool,
-}
-
-/// A per-row test phase 2 still owes one query after the chunk-level verdicts
-/// (queries whose zone verdict was `Always`, or that have no fact predicate,
-/// owe nothing; a `Never` verdict already removed the bit from the chunk's base
-/// mask).
-#[derive(Debug)]
-enum RowTest {
-    /// The encoded kernel's match buffer at this index.
-    Buf(usize),
-    /// The predicate did not compile: evaluate the bound predicate on a
-    /// materialised replica row (shared across queries within the row).
-    RowEval,
 }
 
 /// What the scan-side probe of the leading Filter (phase 3) owes a surviving
@@ -419,14 +426,17 @@ enum Joined {
 /// steady state allocates nothing.
 #[derive(Debug, Default)]
 struct ChunkScratch {
-    /// Match bitmaps of the encoded predicate kernels, one per `RowTest::Buf`.
+    /// Match bitmaps of the encoded predicate kernels, one per owed test.
     match_bufs: Vec<Vec<bool>>,
     /// Columns whose encoded bytes this chunk read for all of its rows.
     touched: Vec<bool>,
     /// The chunk's rows, when it is read from the row store.
     tail_rows: Vec<(RowId, Row, RowVersion)>,
-    /// Phase 1: the per-row tests still owed, `(query bit, test)`.
-    tests: Vec<(usize, RowTest)>,
+    /// Phase 1: the per-row tests phase 2 still owes, `(query bit, match
+    /// buffer)` (a query whose zone verdict was `Always`, or that has no fact
+    /// predicate, owes none; a `Never` verdict already removed the bit from
+    /// `base`).
+    tests: Vec<(usize, usize)>,
     /// Phase 1: words of the active mask minus the queries the zone maps ruled out.
     base: Vec<u64>,
     /// Phase 2: OR of the match buffers, when every active query has one.
@@ -448,17 +458,6 @@ fn clear_bit(words: &mut [u64], bit: usize) {
     words[bit / 64] &= !(1u64 << (bit % 64));
 }
 
-/// What phase 1 learnt about the chunk as a whole.
-#[derive(Debug, Default)]
-struct ChunkVerdicts {
-    /// Some active query wants every row before visibility: it has no fact
-    /// predicate, the zone maps prove its predicate over the whole group, or
-    /// its predicate must be evaluated row by row.
-    unconditional: bool,
-    /// Some predicate did not compile and is evaluated on materialised rows.
-    any_row_eval: bool,
-}
-
 /// The fact columns `bound`'s join keys, group-bys and aggregate inputs read —
 /// the set an encoded chunk must materialise for tuples carrying its bit.
 fn query_column_needs(bound: &BoundStarQuery) -> Vec<ColumnId> {
@@ -477,6 +476,19 @@ fn query_column_needs(bound: &BoundStarQuery) -> Vec<ColumnId> {
     needs
 }
 
+/// `bound`'s fact predicate compiled for evaluation over `replica`'s encoded
+/// columns.
+///
+/// # Panics
+/// Never for a query the engine admits: `compile` gives up only on a column
+/// the schema lacks, which `StarQuery::bind` already rejected, or on a string
+/// column the replica stores as integers, which `ColumnarTable::from_table`
+/// cannot build from the same schema.
+fn compile_for(bound: &BoundStarQuery, replica: &ColumnarTable) -> EncodedFactPredicate {
+    EncodedFactPredicate::compile(&bound.fact_predicate_raw, replica.schema(), replica)
+        .expect("a bound fact predicate compiles against a replica built from the same schema")
+}
+
 /// One scan worker: owns a continuous scan over its segment of the fact table
 /// and the active-query bookkeeping for it.
 pub struct Preprocessor {
@@ -487,7 +499,6 @@ pub struct Preprocessor {
     replica: Option<ReplicaScan>,
     commands: Receiver<PreprocessorCommand>,
     worker: usize,
-    siblings: Vec<Sender<PreprocessorCommand>>,
     shards: ShardSenders,
     /// The lane the next flushed batch goes to.
     next_shard: usize,
@@ -544,8 +555,8 @@ impl Preprocessor {
     /// row-group-aligned segment bounds keep a group's zone maps with one
     /// worker). The scan's batch length is set to `ctx.config.batch_size`
     /// here, so its steps are the one source of a chunk's longest extent.
-    /// Worker 0 receives the engine's commands on `commands`; every other
-    /// worker receives worker 0's relays.
+    /// The worker receives the engine's commands on `commands`, its own
+    /// channel.
     pub fn new(
         scan: ContinuousScan,
         replica: Option<ReplicaScan>,
@@ -563,7 +574,6 @@ impl Preprocessor {
             // Workers start their rotations on different lanes.
             next_shard: ctx.worker % ctx.shards.num_shards(),
             worker: ctx.worker,
-            siblings: ctx.siblings,
             shards: ctx.shards,
             pool: ctx.pool,
             slot_count: ctx.slot_count,
@@ -633,11 +643,9 @@ impl Preprocessor {
         }
     }
 
-    /// Whether this is worker 0: the one that receives the engine's commands
-    /// (and so emits query-start tuples and relays to its siblings) and the one
-    /// that publishes the live `pass_rows` / `pass_busy_ns` counters, so those
-    /// are a consistent single-segment sample rather than an interleaving of
-    /// workers racing `store`s.
+    /// Whether this is worker 0: the one that publishes the live `pass_rows` /
+    /// `pass_busy_ns` counters, so those are a consistent single-segment
+    /// sample rather than an interleaving of workers racing `store`s.
     fn leads(&self) -> bool {
         self.worker == 0
     }
@@ -649,29 +657,8 @@ impl Preprocessor {
     fn apply_commands(&mut self) {
         loop {
             match self.commands.try_recv() {
-                Ok(PreprocessorCommand::Install {
-                    runtime,
-                    fact_predicate,
-                    snapshot,
-                    ack,
-                }) => {
-                    if self.leads() && !self.admit(&runtime, &fact_predicate, snapshot) {
-                        // The ack sender drops unsent, so the submitter observes
-                        // the failure instead of an admission that cannot complete.
-                        return;
-                    }
-                    self.install_query(runtime, fact_predicate, snapshot);
-                    if let Some(ack) = ack {
-                        let _ = ack.send(());
-                    }
-                }
+                Ok(PreprocessorCommand::Install(runtime)) => self.install_query(runtime),
                 Ok(PreprocessorCommand::Cancel { id }) => {
-                    // Siblings first, whether or not this worker still carries
-                    // the bit: each retires it at its own next boundary, and the
-                    // last of them closes the query the ordinary way.
-                    if !self.relay(|| PreprocessorCommand::Cancel { id }) {
-                        return;
-                    }
                     // A stale cancel names a query that already finished; the
                     // id's current query, if any, was never cancelled.
                     let bit = id.index();
@@ -680,15 +667,8 @@ impl Preprocessor {
                         self.finalize_query(bit);
                     }
                 }
-                Ok(PreprocessorCommand::Replica(replica)) => {
-                    if !self.relay(|| PreprocessorCommand::Replica(Arc::clone(&replica))) {
-                        return;
-                    }
-                    self.adopt_replica(replica);
-                }
-                Ok(PreprocessorCommand::Probe) => {}
+                Ok(PreprocessorCommand::Replica(replica)) => self.adopt_replica(replica),
                 Ok(PreprocessorCommand::Shutdown) | Err(TryRecvError::Disconnected) => {
-                    self.relay(|| PreprocessorCommand::Shutdown);
                     self.shutdown = true;
                     return;
                 }
@@ -697,66 +677,15 @@ impl Preprocessor {
         }
     }
 
-    /// Sends one command to every sibling (worker 0 has them; for every other
-    /// worker this is an empty loop). A sibling whose command receiver is gone
-    /// outside an orderly shutdown can no longer deliver its segment's pass:
-    /// this worker stops consuming commands, so submissions fail fast instead of
-    /// hanging, and returns false.
-    fn relay(&mut self, mut command: impl FnMut() -> PreprocessorCommand) -> bool {
-        let mut delivered = true;
-        for tx in &self.siblings {
-            delivered &= tx.send(command()).is_ok();
-        }
-        self.shutdown |= !delivered;
-        delivered
-    }
-
-    /// Worker 0's half of an install, ahead of installing the query on its own
-    /// segment: split the progress tracker across this front-end's width, emit
-    /// the query-start control tuple, relay the install to every sibling.
-    /// Returns false if a sibling is unreachable.
-    ///
-    /// Invariant 1 (§3.3.1): the query-start control tuple enters the
-    /// Distributor's queue before any worker has installed the query, so no
-    /// data tuple carrying its bit can precede it. The relays need no
-    /// round-trip: the paper's submission contract ("the query-start control
-    /// tuple has entered the pipeline") is already met, each sibling's command
-    /// queue is FIFO (the install precedes any later command to it), and the
-    /// exactly-one-pass argument only depends on *where* a worker installs the
-    /// bit, not on when the engine learns about it.
-    fn admit(
-        &mut self,
-        runtime: &Arc<QueryRuntime>,
-        fact_predicate: &Option<BoundPredicate>,
-        snapshot: SnapshotId,
-    ) -> bool {
-        // Before the relay: a sibling may mark its segment complete the moment
-        // it has the install.
-        runtime.progress.split(self.siblings.len() as u64 + 1);
-        self.shards
-            .broadcast_control(&ControlTuple::QueryStart(Arc::clone(runtime)));
-        let relayed = self.relay(|| PreprocessorCommand::Install {
-            runtime: Arc::clone(runtime),
-            fact_predicate: fact_predicate.clone(),
-            snapshot,
-            ack: None,
-        });
-        if relayed {
-            SharedCounters::add(&self.counters.queries_admitted, 1);
-        }
-        relayed
-    }
-
     /// Installs a query on this worker's segment between two chunks: tuples
     /// produced from here on carry its bit, until the cursor reaches the
-    /// query's end (see "Where a query ends" in the module doc).
-    fn install_query(
-        &mut self,
-        runtime: Arc<QueryRuntime>,
-        fact_predicate: Option<BoundPredicate>,
-        snapshot: SnapshotId,
-    ) {
+    /// query's end (see "Where a query ends" in the module doc). A query that
+    /// was cancelled before its install arrived is retired at once.
+    fn install_query(&mut self, runtime: Arc<QueryRuntime>) {
         let bit = runtime.id.index();
+        let snapshot = runtime.snapshot;
+        let fact_predicate =
+            (!runtime.bound.fact_predicate_is_true).then(|| runtime.bound.fact_predicate.clone());
         let start = self.scan.normalized_position();
         let special = fact_predicate.is_some() || snapshot != SnapshotId::INITIAL;
         // With a replica: compile the fact predicate for encoded evaluation
@@ -766,11 +695,7 @@ impl Preprocessor {
         let mut needs = Vec::new();
         if let Some(r) = &self.replica {
             if fact_predicate.is_some() {
-                encoded_predicate = EncodedFactPredicate::compile(
-                    &runtime.bound.fact_predicate_raw,
-                    r.replica.schema(),
-                    &r.replica,
-                );
+                encoded_predicate = Some(compile_for(&runtime.bound, &r.replica));
             }
             needs = query_column_needs(&runtime.bound);
         }
@@ -794,6 +719,9 @@ impl Preprocessor {
             PassEnd::At(position) => position,
             PassEnd::Wrap | PassEnd::Nothing => start,
         };
+        // No row of this segment can match, or nobody wants the answer: the
+        // pass is trivially complete, before any of its bits were produced.
+        let retire = end == PassEnd::Nothing || runtime.is_cancelled();
         self.queries[bit] = Some(ActiveQuery {
             runtime,
             fact_predicate,
@@ -809,9 +737,7 @@ impl Preprocessor {
             self.special_index[bit] = Some(self.special_bits.len());
             self.special_bits.push(bit);
         }
-        if end == PassEnd::Nothing {
-            // No row of this segment can match: its pass is trivially
-            // complete, before any of its bits were produced.
+        if retire {
             self.finalize_query(bit);
         }
     }
@@ -829,11 +755,7 @@ impl Preprocessor {
         *r = ReplicaScan::new(replica, Arc::clone(&r.volume));
         for q in self.queries.iter_mut().flatten() {
             if q.fact_predicate.is_some() {
-                q.encoded_predicate = EncodedFactPredicate::compile(
-                    &q.runtime.bound.fact_predicate_raw,
-                    r.replica.schema(),
-                    &r.replica,
-                );
+                q.encoded_predicate = Some(compile_for(&q.runtime.bound, &r.replica));
             }
         }
     }
@@ -1071,7 +993,7 @@ impl Preprocessor {
         self.note_rows_scanned(chunk_len as u64);
 
         // Phase 1: one verdict per query for the whole chunk.
-        let Some(verdicts) = self.chunk_verdicts(replica, volume, group, at, chunk_len, chunk)
+        let Some(unconditional) = self.chunk_verdicts(replica, volume, group, at, chunk_len, chunk)
         else {
             // Zone-map chunk skip: every active query's predicate is provably
             // false over this group.
@@ -1080,7 +1002,7 @@ impl Preprocessor {
         };
 
         // Phase 2: the rows some query still wants, with their bit-vectors.
-        self.select_rows(replica, group, at, chunk_len, &verdicts, chunk);
+        self.select_rows(replica, group, at, chunk_len, unconditional, chunk);
 
         // Phase 3: the leading Filter, before any row exists. Its read lock is
         // released inside; nothing below blocks while holding it.
@@ -1107,9 +1029,11 @@ impl Preprocessor {
 
     /// Phase 1. Resolves each active fact predicate once for the whole chunk:
     /// a zone verdict where the maps decide, an encoded-kernel evaluation into
-    /// a match bitmap otherwise, or a per-row fallback for predicates that did
-    /// not compile. Leaves the chunk's base mask and owed row tests in `chunk`;
-    /// `None` means no query can want any row of the chunk.
+    /// a match bitmap otherwise. Leaves the chunk's base mask and owed row
+    /// tests in `chunk`. Returns whether some active query wants every row
+    /// before visibility (it has no fact predicate, or the zone maps prove it
+    /// over the whole group); `None` means no query can want any row of the
+    /// chunk.
     fn chunk_verdicts(
         &self,
         replica: &ColumnarTable,
@@ -1118,31 +1042,26 @@ impl Preprocessor {
         at: usize,
         chunk_len: usize,
         chunk: &mut ChunkScratch,
-    ) -> Option<ChunkVerdicts> {
+    ) -> Option<bool> {
         chunk.touched.clear();
         chunk.touched.resize(replica.schema().arity(), false);
         chunk.tests.clear();
         chunk.base.clear();
         chunk.base.extend_from_slice(self.active_mask.words());
-        let mut verdicts = ChunkVerdicts::default();
+        let mut unconditional = false;
         let mut bufs_used = 0usize;
         for bit in self.active_mask.iter() {
             let Some(q) = &self.queries[bit] else {
                 continue;
             };
-            if q.fact_predicate.is_none() {
-                verdicts.unconditional = true;
-                continue;
-            }
             let Some(encoded) = &q.encoded_predicate else {
-                verdicts.unconditional = true;
-                verdicts.any_row_eval = true;
-                chunk.tests.push((bit, RowTest::RowEval));
+                // No fact predicate.
+                unconditional = true;
                 continue;
             };
             match encoded.zone_verdict(&group.zones) {
                 ZoneVerdict::Never => clear_bit(&mut chunk.base, bit),
-                ZoneVerdict::Always => verdicts.unconditional = true,
+                ZoneVerdict::Always => unconditional = true,
                 ZoneVerdict::Maybe => {
                     if chunk.match_bufs.len() == bufs_used {
                         chunk.match_bufs.push(Vec::new());
@@ -1154,33 +1073,26 @@ impl Preprocessor {
                     for &c in encoded.columns() {
                         chunk.touched[c] = true;
                     }
-                    chunk.tests.push((bit, RowTest::Buf(bufs_used)));
+                    chunk.tests.push((bit, bufs_used));
                     bufs_used += 1;
                 }
             }
         }
-        if !verdicts.unconditional && bufs_used == 0 {
-            return None;
-        }
-        if verdicts.any_row_eval {
-            // The fallback materialises full rows: every column is touched.
-            chunk.touched.fill(true);
-        }
-        Some(verdicts)
+        (unconditional || bufs_used > 0).then_some(unconditional)
     }
 
     /// Phase 2. Builds the selection vector: the chunk's rows whose `bτ` is
     /// non-zero after the owed row tests and snapshot visibility, with their
-    /// bit-vectors side by side in `chunk.sel_bits`. When every active query
-    /// owns a match buffer, a row none of them matched costs its share of one
-    /// OR over the buffers and nothing else.
+    /// bit-vectors side by side in `chunk.sel_bits`. Unless some query wants
+    /// every row (`unconditional`), a row none of the match buffers matched
+    /// costs its share of one OR over the buffers and nothing else.
     fn select_rows(
         &self,
         replica: &ColumnarTable,
         group: &RowGroup,
         at: usize,
         chunk_len: usize,
-        verdicts: &ChunkVerdicts,
+        unconditional: bool,
         chunk: &mut ChunkScratch,
     ) {
         chunk.sel.clear();
@@ -1195,16 +1107,14 @@ impl Preprocessor {
             ..
         } = chunk;
 
-        let wanted: Option<&[bool]> = if verdicts.unconditional {
+        let wanted: Option<&[bool]> = if unconditional {
             None
         } else {
             wanted.clear();
             wanted.resize(chunk_len, false);
-            for (_, test) in tests.iter() {
-                if let RowTest::Buf(b) = test {
-                    for (w, &m) in wanted.iter_mut().zip(&match_bufs[*b]) {
-                        *w |= m;
-                    }
+            for &(_, b) in tests.iter() {
+                for (w, &m) in wanted.iter_mut().zip(&match_bufs[b]) {
+                    *w |= m;
                 }
             }
             Some(wanted)
@@ -1216,21 +1126,8 @@ impl Preprocessor {
                 let first_word = sel_bits.len();
                 sel_bits.extend_from_slice(base);
                 let bits = &mut sel_bits[first_word..];
-                let mut full_row = None;
-                for &(bit, ref test) in tests.iter() {
-                    let keep = match test {
-                        RowTest::Buf(b) => match_bufs[*b][j],
-                        RowTest::RowEval => {
-                            let row = full_row.get_or_insert_with(|| {
-                                replica.row(at + j).expect("row in replica")
-                            });
-                            self.queries[bit]
-                                .as_ref()
-                                .and_then(|q| q.fact_predicate.as_ref())
-                                .is_some_and(|p| p.eval(row))
-                        }
-                    };
-                    if !keep {
+                for &(bit, b) in tests.iter() {
+                    if !match_bufs[b][j] {
                         clear_bit(bits, bit);
                     }
                 }
@@ -1539,11 +1436,10 @@ mod tests {
     }
 
     /// The context of a one-worker front-end over `lanes`; tests of wider
-    /// ones overwrite `worker`, `siblings` and the shared counters.
+    /// ones overwrite `worker` and the shared counters.
     fn context(config: &CjoinConfig, lanes: ShardSenders) -> PreprocessorContext {
         PreprocessorContext {
             worker: 0,
-            siblings: Vec::new(),
             shards: lanes,
             pool: BatchPool::new(8),
             slot_count: Arc::new(AtomicUsize::new(1)),
@@ -1595,61 +1491,38 @@ mod tests {
         (tuples, ends)
     }
 
-    fn dummy_runtime(bit: u32) -> (Arc<QueryRuntime>, Receiver<cjoin_query::QueryOutcome>) {
-        // A minimal bound query against a catalog with a fact table only.
+    /// An unfiltered `count(*)` over `fact(fk, v)` as bit `bit`, its pass
+    /// split across `segments` scan segments.
+    fn dummy_runtime(bit: u32, segments: u64) -> Arc<QueryRuntime> {
         let catalog = Catalog::new();
-        let fact = Table::new(Schema::new(
-            "fact",
-            vec![Column::int("fk"), Column::int("v")],
-        ));
-        catalog.add_fact_table(Arc::new(fact));
-        let bound = StarQuery::builder(format!("q{bit}"))
+        catalog.add_fact_table(fact_table(0));
+        let query = StarQuery::builder(format!("q{bit}"))
             .aggregate(AggregateSpec::count_star())
-            .build()
-            .bind(&catalog)
-            .unwrap();
-        let (tx, rx) = bounded(1);
-        (
-            Arc::new(QueryRuntime {
-                id: QueryId(bit),
-                name: format!("q{bit}"),
-                bound: Arc::new(bound),
-                slot_map: vec![],
-                result_tx: tx,
-                resolved: AtomicBool::new(false),
-                cancelled: AtomicBool::new(false),
-                deadline_at: None,
-                admitted_at: Instant::now(),
-                snapshot: SnapshotId::INITIAL,
-                progress: Arc::new(QueryProgress::new(0)),
-            }),
-            rx,
-        )
+            .build();
+        runtime_for(&catalog, bit, query, SnapshotId::INITIAL, segments)
     }
 
-    /// Sends an unfiltered install for `runtime`; returns the ack's receiver.
-    fn install(cmd_tx: &Sender<PreprocessorCommand>, runtime: Arc<QueryRuntime>) -> Receiver<()> {
-        let (ack_tx, ack_rx) = bounded(1);
-        cmd_tx
-            .send(PreprocessorCommand::Install {
-                runtime,
-                fact_predicate: None,
-                snapshot: SnapshotId::INITIAL,
-                ack: Some(ack_tx),
-            })
-            .unwrap();
-        ack_rx
+    /// Admits `runtime` to a one-worker front-end the way `submit` does
+    /// ([`start_query`] over the worker's lanes and channel), then lets the
+    /// worker take the install.
+    fn admit_to(
+        pre: &mut Preprocessor,
+        cmd_tx: &Sender<PreprocessorCommand>,
+        runtime: Arc<QueryRuntime>,
+    ) {
+        let workers = std::slice::from_ref(cmd_tx);
+        assert!(start_query(&runtime, &pre.shards, workers, &pre.counters));
+        pre.apply_commands();
     }
 
     #[test]
-    fn install_emits_query_start_control() {
+    fn admission_emits_query_start_control() {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(10);
         let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
-        let (rt, _res) = dummy_runtime(0);
-        install(&cmd_tx, rt);
-        pre.apply_commands();
+        let rt = dummy_runtime(0, 1);
+        admit_to(&mut pre, &cmd_tx, rt);
         assert_eq!(pre.active_queries(), 1);
         match rx.try_recv().unwrap() {
             Message::Control(ControlTuple::QueryStart(rt)) => assert_eq!(rt.id, QueryId(0)),
@@ -1663,9 +1536,8 @@ mod tests {
             .with_max_concurrency(8)
             .with_batch_size(10);
         let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
-        let (rt, _res) = dummy_runtime(0);
-        install(&cmd_tx, rt);
-        pre.apply_commands();
+        let rt = dummy_runtime(0, 1);
+        admit_to(&mut pre, &cmd_tx, rt);
 
         // Nothing drains the lane in between: the end needs no consumer.
         let mut ends = Vec::new();
@@ -1701,9 +1573,8 @@ mod tests {
             .with_max_concurrency(8)
             .with_batch_size(10);
         let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
-        let (rt, _res) = dummy_runtime(0);
-        install(&cmd_tx, rt);
-        pre.apply_commands();
+        let rt = dummy_runtime(0, 1);
+        admit_to(&mut pre, &cmd_tx, rt);
         pre.process_next_chunk(); // rows 0..10
         let mut data_tuples = drain(&rx, None).0;
         cmd_tx
@@ -1725,14 +1596,49 @@ mod tests {
         assert!(ended, "the query ends at its wrap");
         assert_eq!(data_tuples, 25, "after one full pass");
 
-        let (rt, _res) = dummy_runtime(0);
+        let rt = dummy_runtime(0, 1);
+        admit_to(&mut pre, &cmd_tx, Arc::clone(&rt));
         rt.mark_cancelled();
-        install(&cmd_tx, rt);
         cmd_tx
             .send(PreprocessorCommand::Cancel { id: QueryId(0) })
             .unwrap();
         pre.apply_commands();
         assert_eq!(pre.active_queries(), 0, "a cancelled query retires at once");
+    }
+
+    /// The reaper (or a client) can resolve a query and send its `Cancel`
+    /// after `submit` registered it but before the install reaches a worker.
+    /// The worker finds nothing to cancel then; when the install arrives it
+    /// retires the query at once instead of scanning a pass for an answer
+    /// nobody will read: its start tuple, its end tuple, and no data tuple
+    /// carrying its bit.
+    #[test]
+    fn a_query_cancelled_before_its_install_scans_nothing() {
+        let config = CjoinConfig::default()
+            .with_max_concurrency(8)
+            .with_batch_size(10);
+        let (mut pre, cmd_tx, rx) = harness(fact_table(25), None, &config);
+        let rt = dummy_runtime(0, 1);
+        rt.mark_cancelled();
+        cmd_tx
+            .send(PreprocessorCommand::Cancel { id: QueryId(0) })
+            .unwrap();
+        pre.apply_commands();
+        admit_to(&mut pre, &cmd_tx, rt);
+        for _ in 0..5 {
+            pre.process_next_chunk();
+        }
+        let emitted: Vec<String> = rx
+            .try_iter()
+            .map(|msg| match msg {
+                Message::Control(ControlTuple::QueryStart(rt)) => format!("start {}", rt.id.0),
+                Message::Control(ControlTuple::QueryEnd(id)) => format!("end {}", id.0),
+                Message::Data(batch) => format!("{} tuples", batch.len()),
+                Message::Shutdown => "shutdown".into(),
+            })
+            .collect();
+        assert_eq!(emitted, ["start 0", "end 0"]);
+        assert_eq!(pre.active_queries(), 0);
     }
 
     /// The last query retiring at the segment start leaves the cursor there, and
@@ -1747,9 +1653,8 @@ mod tests {
         for replica in [None, Some(replica_of(&table))] {
             let (mut pre, cmd_tx, _rx) = harness(Arc::clone(&table), replica, &config);
             for serial in 1..=3u64 {
-                let (rt, _res) = dummy_runtime(0);
-                install(&cmd_tx, rt);
-                pre.apply_commands();
+                let rt = dummy_runtime(0, 1);
+                admit_to(&mut pre, &cmd_tx, rt);
                 let mut chunks = 0;
                 while pre.active_queries() > 0 {
                     pre.process_next_chunk();
@@ -1777,15 +1682,13 @@ mod tests {
         let (mut pre, cmd_tx, rx) = harness(fact_table(30), None, &config);
 
         // First query keeps the scan busy.
-        let (rt0, _r0) = dummy_runtime(0);
-        install(&cmd_tx, rt0);
-        pre.apply_commands();
+        let rt0 = dummy_runtime(0, 1);
+        admit_to(&mut pre, &cmd_tx, rt0);
         pre.process_next_chunk(); // rows 0..10 for q0
 
         // Second query arrives mid-scan (position 10).
-        let (rt1, _r1) = dummy_runtime(1);
-        install(&cmd_tx, rt1);
-        pre.apply_commands();
+        let rt1 = dummy_runtime(1, 1);
+        admit_to(&mut pre, &cmd_tx, rt1);
 
         let mut q1_tuples = drain(&rx, Some(1)).0;
         let mut q1_ended = false;
@@ -1810,28 +1713,17 @@ mod tests {
         let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(100);
-        let (mut pre, cmd_tx, rx) = harness(fact_table(30), None, &config);
-        let (rt, _r) = dummy_runtime(0);
-        // Predicate: fk = 1 (10 of 30 rows).
+        let table = fact_table(30);
         let catalog = Catalog::new();
-        let fact = Table::new(Schema::new(
-            "fact",
-            vec![Column::int("fk"), Column::int("v")],
-        ));
-        catalog.add_fact_table(Arc::new(fact));
-        let pred = cjoin_query::Predicate::eq("fk", 1)
-            .bind(catalog.fact_table().unwrap().schema())
-            .unwrap();
-        let (ack_tx, _ack) = bounded(1);
-        cmd_tx
-            .send(PreprocessorCommand::Install {
-                runtime: rt,
-                fact_predicate: Some(pred),
-                snapshot: SnapshotId::INITIAL,
-                ack: Some(ack_tx),
-            })
-            .unwrap();
-        pre.apply_commands();
+        catalog.add_fact_table(Arc::clone(&table));
+        let (mut pre, cmd_tx, rx) = harness(table, None, &config);
+        // Predicate: fk = 1 (10 of 30 rows).
+        let query = StarQuery::builder("fk_is_1")
+            .fact_predicate(cjoin_query::Predicate::eq("fk", 1))
+            .aggregate(AggregateSpec::count_star())
+            .build();
+        let rt = runtime_for(&catalog, 0, query, SnapshotId::INITIAL, 1);
+        admit_to(&mut pre, &cmd_tx, rt);
 
         let mut relevant = 0usize;
         for _ in 0..3 {
@@ -1876,17 +1768,7 @@ mod tests {
         }
         let (mut pre, cmd_tx, rx) = harness(Arc::new(t), None, &config);
         // Query pinned at snapshot 0 must only see the first 5 rows.
-        let (rt, _r) = dummy_runtime(0);
-        let (ack_tx, _ack) = bounded(1);
-        cmd_tx
-            .send(PreprocessorCommand::Install {
-                runtime: rt,
-                fact_predicate: None,
-                snapshot: SnapshotId(0),
-                ack: Some(ack_tx),
-            })
-            .unwrap();
-        pre.apply_commands();
+        admit_to(&mut pre, &cmd_tx, dummy_runtime(0, 1));
         let mut forwarded = 0usize;
         for _ in 0..3 {
             pre.process_next_chunk();
@@ -1906,11 +1788,9 @@ mod tests {
             .with_max_concurrency(16)
             .with_batch_size(10);
         let (mut pre, cmd_tx, rx) = harness(fact_table(30), None, &config);
-        let runtimes: Vec<_> = (0..8).map(dummy_runtime).collect();
-        for (rt, _) in &runtimes {
-            install(&cmd_tx, Arc::clone(rt));
+        for bit in 0..8 {
+            admit_to(&mut pre, &cmd_tx, dummy_runtime(bit, 1));
         }
-        pre.apply_commands();
         assert_eq!(pre.active_queries(), 8);
 
         let mut ended = 0usize;
@@ -1925,57 +1805,19 @@ mod tests {
         assert_eq!(pre.active_queries(), 0);
     }
 
-    /// A sibling whose command receiver is gone outside an orderly shutdown
-    /// must fail the submission fast — the ack sender is dropped unsent and
-    /// worker 0 stops consuming commands — instead of admitting a query whose
-    /// pass can never complete.
-    #[test]
-    fn install_fails_fast_when_a_sibling_is_unreachable() {
-        let config = CjoinConfig::default()
-            .with_max_concurrency(8)
-            .with_batch_size(10);
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (lanes, rx) = one_lane();
-        let (dead_tx, dead_rx) = unbounded();
-        drop(dead_rx); // the sibling is gone
-        let mut ctx = context(&config, lanes);
-        ctx.siblings = vec![dead_tx];
-        let counters = Arc::clone(&ctx.counters);
-        let mut lead = scan_worker(&fact_table(25), None, (0, None), cmd_rx, ctx);
-
-        let (rt, _res) = dummy_runtime(0);
-        let ack_rx = install(&cmd_tx, rt);
-        lead.run(); // returns: the worker shut itself down
-        assert!(
-            ack_rx.recv().is_err(),
-            "the submission must observe the failure, not a successful admission"
-        );
-        assert_eq!(
-            counters.queries_admitted.load(Ordering::Relaxed),
-            0,
-            "a failed install is not counted as an admission"
-        );
-        assert_eq!(lead.active_queries(), 0);
-        // The start tuple was already enqueued (it precedes the relay); what
-        // matters is that no end tuple ever will be.
-        while let Ok(msg) = rx.try_recv() {
-            assert!(
-                matches!(msg, Message::Control(ControlTuple::QueryStart(_))),
-                "unexpected message after failed install: {msg:?}"
-            );
-        }
-    }
-
     /// The lane-order test: the whole front-end, scan worker threads at widths
     /// 1, 2 and 4 over 1 and 4 lanes, without a replica, with one frozen at row
     /// 40 (its frontier inside a segment at every width) and with a full one.
     /// Each lane holds two messages and its consumer sleeps a seeded while
-    /// between messages, so the workers keep blocking on full lanes. Of three
-    /// queries, two run to their end — one installed at once, one mid-scan —
-    /// and the third is cancelled mid-pass. Every consumer checks, on its own
-    /// lane and for each query, Start < every batch carrying its bit < End, and
-    /// the two complete queries see each fact row exactly once across all
-    /// lanes and segments.
+    /// between messages, so the workers and the admitting threads keep
+    /// blocking on full lanes. Three queries are admitted through
+    /// [`start_query`], each from its own thread after a seeded delay, so the
+    /// admissions race each other and the scan. Two run to their end; the
+    /// third is cancelled from yet another thread, at a seeded moment that can
+    /// fall before its admission, between its start tuple and its installs, or
+    /// mid-pass. Every consumer checks, on its own lane and for each query,
+    /// Start < every batch carrying its bit < End, and the two complete queries
+    /// see each fact row exactly once across all lanes and segments.
     #[test]
     fn every_lane_orders_start_before_data_before_end() {
         const ROWS: i64 = 95;
@@ -2044,44 +1886,49 @@ mod tests {
                 .collect();
 
             let ranges = segment_ranges(table.len() as u64, table.rows_per_page(), width);
-            let (cmd_tx, cmd_rx) = unbounded();
-            let (mut sibling_txs, sibling_rxs): (Vec<_>, Vec<_>) =
-                (1..width).map(|_| unbounded()).unzip();
-            let mut command_rxs = vec![cmd_rx];
-            command_rxs.extend(sibling_rxs);
+            let (workers, commands): (Vec<_>, Vec<_>) = ranges.iter().map(|_| unbounded()).unzip();
+            let workers: Arc<[Sender<PreprocessorCommand>]> = workers.into();
             let mut worker_handles = Vec::new();
-            for (w, (&segment, commands)) in ranges.iter().zip(command_rxs).enumerate() {
+            for (w, (&segment, commands)) in ranges.iter().zip(commands).enumerate() {
                 let mut ctx = context(&config, queues.senders());
                 ctx.worker = w;
-                ctx.siblings = std::mem::take(&mut sibling_txs); // all to worker 0
                 ctx.counters = Arc::clone(&counters);
                 let mut worker = scan_worker(&table, replica.as_ref(), segment, commands, ctx);
                 worker_handles.push(std::thread::spawn(move || worker.run()));
             }
-            // The consumers end once every worker has dropped its senders.
-            drop(queues);
 
-            // Query 0 at once, query 1 mid-scan, query 2 cancelled mid-pass.
+            // One admitting thread per query and one cancelling query 2, each
+            // starting after its own seeded delay.
             let mut rng = seed;
-            let mut trackers = Vec::new();
-            for bit in 0..3 {
-                let (rt, _res) = dummy_runtime(bit);
-                trackers.push(Arc::clone(&rt.progress));
-                install(&cmd_tx, Arc::clone(&rt)).recv().unwrap();
-                std::thread::sleep(Duration::from_micros(500 + splitmix64(&mut rng) % 2000));
-                if bit == 2 {
-                    rt.mark_cancelled();
-                    cmd_tx
-                        .send(PreprocessorCommand::Cancel { id: rt.id })
-                        .unwrap();
-                }
+            let mut delay = || Duration::from_micros(splitmix64(&mut rng) % 2500);
+            let runtimes: Vec<_> = (0..3).map(|bit| dummy_runtime(bit, width as u64)).collect();
+            let mut callers = Vec::new();
+            for rt in &runtimes {
+                let (rt, lanes, workers) = (Arc::clone(rt), queues.senders(), Arc::clone(&workers));
+                let (counters, pause) = (Arc::clone(&counters), delay());
+                callers.push(std::thread::spawn(move || {
+                    std::thread::sleep(pause);
+                    assert!(start_query(&rt, &lanes, &workers, &counters));
+                }));
+            }
+            let (rt, cancel_to, pause) = (Arc::clone(&runtimes[2]), Arc::clone(&workers), delay());
+            callers.push(std::thread::spawn(move || {
+                std::thread::sleep(pause);
+                rt.mark_cancelled();
+                send_to_workers(&cancel_to, || PreprocessorCommand::Cancel { id: rt.id });
+            }));
+            // The consumers end once every worker and admitting thread has
+            // dropped its senders.
+            drop(queues);
+            for caller in callers {
+                caller.join().unwrap();
             }
             let started = Instant::now();
-            while !trackers.iter().all(|t| t.is_completed()) {
+            while !runtimes.iter().all(|rt| rt.progress.is_completed()) {
                 assert!(started.elapsed() < BOUNDED, "{case}: a query never ended");
                 std::thread::sleep(Duration::from_micros(200));
             }
-            cmd_tx.send(PreprocessorCommand::Shutdown).unwrap();
+            assert!(send_to_workers(&workers, || PreprocessorCommand::Shutdown));
             for h in worker_handles {
                 h.join().unwrap();
             }
@@ -2107,9 +1954,12 @@ mod tests {
                 tuples[2] <= ROWS as u64,
                 "{case}: the cancelled query saw a part"
             );
-            for tracker in &trackers {
+            for rt in &runtimes {
                 assert_eq!(
-                    (tracker.segments_completed(), tracker.segments_total()),
+                    (
+                        rt.progress.segments_completed(),
+                        rt.progress.segments_total()
+                    ),
                     (width as u64, width as u64),
                     "{case}"
                 );
@@ -2178,8 +2028,7 @@ mod tests {
                     .fact_predicate(predicate)
                     .aggregate(AggregateSpec::count_star())
                     .build();
-                install_with(&cmd_tx, star_runtime(&catalog, bit, query), snapshot);
-                pre.apply_commands();
+                admit_to(pre, &cmd_tx, runtime_for(&catalog, bit, query, snapshot, 1));
             };
             use cjoin_query::Predicate;
 
@@ -2286,9 +2135,8 @@ mod tests {
                     .fact_predicate(predicate)
                     .aggregate(AggregateSpec::count_star())
                     .build();
-                let runtime = star_runtime(&catalog, bit, query);
-                install_with(&cmd_tx, runtime, SnapshotId::INITIAL);
-                pre.apply_commands();
+                let runtime = runtime_for(&catalog, bit, query, SnapshotId::INITIAL, 1);
+                admit_to(pre, &cmd_tx, runtime);
             };
             install(&mut pre, 0, Predicate::eq("tag", "new"));
             pre.process_next_chunk();
@@ -2364,22 +2212,24 @@ mod tests {
         Arc::new(catalog)
     }
 
-    /// A runtime for `query` (bit `bit`) plus its bound fact predicate, the way
-    /// admission hands them to the front-end. Dimension slots: `a` = 0, `b` = 1.
-    fn star_runtime(
+    /// A runtime for `query` as bit `bit`, reading `snapshot`, its pass split
+    /// across `segments` scan segments: what admission registers. Dimension
+    /// slots: `b` = 1, any other = 0.
+    fn runtime_for(
         catalog: &Catalog,
         bit: u32,
         query: StarQuery,
-    ) -> (Arc<QueryRuntime>, Option<BoundPredicate>) {
+        snapshot: SnapshotId,
+        segments: u64,
+    ) -> Arc<QueryRuntime> {
         let bound = query.bind(catalog).unwrap();
-        let fact_predicate = (!bound.fact_predicate_is_true).then(|| bound.fact_predicate.clone());
         let slot_map = bound
             .dimensions
             .iter()
             .map(|d| usize::from(d.table == "b"))
             .collect();
         let (tx, _rx) = bounded(1);
-        let runtime = Arc::new(QueryRuntime {
+        Arc::new(QueryRuntime {
             id: QueryId(bit),
             name: query.name,
             bound: Arc::new(bound),
@@ -2389,25 +2239,9 @@ mod tests {
             cancelled: AtomicBool::new(false),
             deadline_at: None,
             admitted_at: Instant::now(),
-            snapshot: SnapshotId::INITIAL,
-            progress: Arc::new(QueryProgress::new(0)),
-        });
-        (runtime, fact_predicate)
-    }
-
-    fn install_with(
-        cmd_tx: &Sender<PreprocessorCommand>,
-        (runtime, fact_predicate): (Arc<QueryRuntime>, Option<BoundPredicate>),
-        snapshot: SnapshotId,
-    ) {
-        cmd_tx
-            .send(PreprocessorCommand::Install {
-                runtime,
-                fact_predicate,
-                snapshot,
-                ack: None,
-            })
-            .unwrap();
+            snapshot,
+            progress: Arc::new(QueryProgress::new(0, segments)),
+        })
     }
 
     /// The leading Filter is swapped by the optimizer between two chunks while
@@ -2460,12 +2294,11 @@ mod tests {
         let (mut pre, cmd_tx, rx) = harness(fact, Some(replica), &config);
         pre.chain = Arc::clone(&chain);
         pre.slot_count = Arc::new(AtomicUsize::new(2));
-        install_with(
+        admit_to(
+            &mut pre,
             &cmd_tx,
-            star_runtime(&catalog, 0, query),
-            SnapshotId::INITIAL,
+            runtime_for(&catalog, 0, query, SnapshotId::INITIAL, 1),
         );
-        pre.apply_commands();
 
         // Chunks 0 and 1 under [a, b], chunks 2 and 3 under [b, a]; nothing
         // has been taken off the lane yet.
@@ -2566,10 +2399,10 @@ mod tests {
                 .join_dimension("a", "fk_a", "k", cjoin_query::Predicate::True)
                 .aggregate(AggregateSpec::count_star())
                 .build();
-            install_with(
+            admit_to(
+                &mut pre,
                 &cmd_tx,
-                star_runtime(&catalog, q, query),
-                SnapshotId::INITIAL,
+                runtime_for(&catalog, q, query, SnapshotId::INITIAL, 1),
             );
         }
 

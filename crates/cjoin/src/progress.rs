@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 /// Progress of one registered query.
 ///
 /// The pass is split across the front-end's `CjoinConfig::scan_workers`
-/// segment workers: each worker advances `rows_seen` by the rows of its own
+/// segment workers, a width fixed when the tracker is created: each worker advances `rows_seen` by the rows of its own
 /// segment (the segment rows sum to the table, so [`QueryProgress::fraction`]
 /// stays exact) and marks its segment's pass complete when its cursor reaches
 /// the query's end in that segment. The worker whose mark is the last one
@@ -30,7 +30,7 @@ pub struct QueryProgress {
     /// Fact rows one full pass needs to cover (table size at admission).
     rows_total: u64,
     /// Scan segments the pass is split across.
-    segments_total: AtomicU64,
+    segments_total: u64,
     /// Segments that have completed their pass; doubles as the front-end's
     /// count of segments still to report.
     segments_completed: AtomicU64,
@@ -41,25 +41,17 @@ pub struct QueryProgress {
 }
 
 impl QueryProgress {
-    /// Creates a tracker for a query whose pass must cover `rows_total` fact rows.
-    pub fn new(rows_total: u64) -> Self {
+    /// Creates a tracker for a query whose pass must cover `rows_total` fact
+    /// rows, split across `segments` scan segments (at least one).
+    pub fn new(rows_total: u64, segments: u64) -> Self {
         Self {
             rows_seen: AtomicU64::new(0),
             rows_total,
-            segments_total: AtomicU64::new(1),
+            segments_total: segments.max(1),
             segments_completed: AtomicU64::new(0),
             completed: AtomicBool::new(false),
             started: Instant::now(),
         }
-    }
-
-    /// Splits the pass across `segments` scan segments. Called once, by the
-    /// front-end's worker 0 when it installs the query, before it relays the
-    /// install to the other workers: the relay orders this store before any
-    /// worker can advance or mark the query.
-    pub fn split(&self, segments: u64) {
-        self.segments_total
-            .store(segments.max(1), Ordering::Relaxed);
     }
 
     /// Records that the scan produced `rows` more fact rows for this query.
@@ -74,16 +66,16 @@ impl QueryProgress {
     /// last segment outstanding — exactly one caller sees `true`.
     ///
     /// AcqRel: the caller that sees `true` has acquired every earlier marker's
-    /// writes, in particular the in-flight counts of the batches they flushed
+    /// writes, in particular their lane pushes of the batches they flushed
     /// before marking.
     pub fn mark_segment_completed(&self) -> bool {
         let done = self.segments_completed.fetch_add(1, Ordering::AcqRel) + 1;
-        done == self.segments_total()
+        done == self.segments_total
     }
 
     /// Scan segments the pass is split across.
     pub fn segments_total(&self) -> u64 {
-        self.segments_total.load(Ordering::Relaxed)
+        self.segments_total
     }
 
     /// Segments that have completed their pass.
@@ -155,7 +147,7 @@ mod tests {
 
     #[test]
     fn starts_at_zero_and_advances() {
-        let p = QueryProgress::new(100);
+        let p = QueryProgress::new(100, 1);
         assert_eq!(p.fraction(), 0.0);
         assert_eq!(p.rows_seen(), 0);
         assert_eq!(p.rows_total(), 100);
@@ -171,11 +163,11 @@ mod tests {
 
     #[test]
     fn fraction_is_clamped_and_completion_wins() {
-        let p = QueryProgress::new(10);
+        let p = QueryProgress::new(10, 1);
         p.advance(50); // over-counting (e.g. table grew) must not exceed 1.0
         assert_eq!(p.fraction(), 1.0);
 
-        let q = QueryProgress::new(1_000_000);
+        let q = QueryProgress::new(1_000_000, 1);
         q.advance(1);
         q.mark_completed();
         assert_eq!(q.fraction(), 1.0);
@@ -185,7 +177,7 @@ mod tests {
 
     #[test]
     fn empty_table_has_zero_progress_until_completed() {
-        let p = QueryProgress::new(0);
+        let p = QueryProgress::new(0, 1);
         assert_eq!(p.fraction(), 0.0);
         assert!(p.estimated_remaining().is_none());
         p.mark_completed();
@@ -194,8 +186,7 @@ mod tests {
 
     #[test]
     fn segment_completion_is_tracked_per_segment() {
-        let p = QueryProgress::new(100);
-        p.split(4);
+        let p = QueryProgress::new(100, 4);
         assert_eq!(p.segments_total(), 4);
         assert_eq!(p.segments_completed(), 0);
         for done in 1..=4 {
@@ -209,17 +200,14 @@ mod tests {
         assert!(!p.is_completed(), "marking segments does not complete");
         p.mark_completed();
         assert!(p.is_completed());
-        // A tracker starts at a single segment; zero clamps to one.
-        assert_eq!(QueryProgress::new(10).segments_total(), 1);
-        assert!(QueryProgress::new(10).mark_segment_completed());
-        let q = QueryProgress::new(10);
-        q.split(0);
-        assert_eq!(q.segments_total(), 1);
+        // One segment closes on its first mark; zero clamps to one.
+        assert!(QueryProgress::new(10, 1).mark_segment_completed());
+        assert_eq!(QueryProgress::new(10, 0).segments_total(), 1);
     }
 
     #[test]
     fn estimated_remaining_shrinks_with_progress() {
-        let p = QueryProgress::new(1000);
+        let p = QueryProgress::new(1000, 1);
         p.advance(100);
         std::thread::sleep(Duration::from_millis(5));
         let early = p.estimated_remaining().unwrap();

@@ -199,10 +199,11 @@ mod tests {
     /// Documents a channel property the engine's failure handling depends on:
     /// messages already queued when the last receiver drops are RETAINED (kept
     /// alive by the remaining sender handles), not destroyed. Anything owned by
-    /// a queued message — e.g. the ack sender inside an `Install` command —
-    /// therefore never drops just because its consumer died, so waiting on such
-    /// an ack must poll and probe (see `CjoinEngine::submit`) instead of
-    /// relying on a disconnect error that will never come.
+    /// a queued message — e.g. the query runtime inside an `Install` command,
+    /// which owns the query's result sender — therefore never drops just
+    /// because its consumer died, so a query stranded on a dead worker is
+    /// resolved explicitly (the supervisor does, see `crate::engine`) instead
+    /// of by a disconnect error that will never come.
     #[test]
     fn queued_messages_survive_receiver_drop() {
         use crossbeam::channel::{unbounded, RecvTimeoutError};

@@ -54,9 +54,10 @@ pub struct SharedCounters {
     /// Busy nanoseconds the reporting scan worker has accumulated in the
     /// current pass so far (reset at each wrap; written with `store`).
     pub pass_busy_ns: AtomicU64,
-    /// Exponentially weighted moving average (α = 1/8) of submit→install
-    /// latency in nanoseconds, updated after every acked install. The
-    /// deadline quote adds this to the cycle estimate so install backlog
+    /// Exponentially weighted moving average (α = 1/8) of `submit`'s own time
+    /// in nanoseconds — the submission time, up to the last install send —
+    /// sampled after every submission whose installs all reached a worker.
+    /// The deadline quote adds this to the cycle estimate so admission's cost
     /// does not cause under-shedding.
     pub install_ns_ewma: AtomicU64,
 }

@@ -1,5 +1,6 @@
 //! Quickstart: build a tiny star schema by hand, start the always-on CJOIN pipeline,
-//! and run a few concurrent star queries against it.
+//! and run a few concurrent star queries against it. Each answer is checked
+//! against the reference evaluator; a mismatch panics, so CI runs this example.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -8,7 +9,7 @@
 use std::sync::Arc;
 
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
-use cjoin_repro::query::{AggFunc, AggregateSpec, ColumnRef, Predicate, StarQuery};
+use cjoin_repro::query::{reference, AggFunc, AggregateSpec, ColumnRef, Predicate, StarQuery};
 use cjoin_repro::storage::{Catalog, Column, Schema, SnapshotId, Table, Value};
 
 fn main() -> cjoin_repro::Result<()> {
@@ -113,18 +114,25 @@ fn main() -> cjoin_repro::Result<()> {
         .build();
 
     // Submit all three at once: one shared plan evaluates them together.
-    let handles: Vec<_> = [revenue_by_region, widget_sales_in_europe, sales_by_category]
-        .into_iter()
-        .map(|q| engine.submit(q))
+    let queries = [revenue_by_region, widget_sales_in_europe, sales_by_category];
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|q| engine.submit(q.clone()))
         .collect::<cjoin_repro::Result<_>>()?;
 
-    for handle in handles {
+    for (query, handle) in queries.iter().zip(handles) {
         let name = handle.name().to_string();
         let submission = handle.submission_time();
         let (result, response) = handle.wait_with_time()?;
         println!("=== {name} (admitted in {submission:?}, answered in {response:?}) ===");
         print!("{result}");
         println!();
+        let expected = reference::evaluate(&catalog, query, SnapshotId::INITIAL)?;
+        assert!(
+            result.approx_eq(&expected),
+            "{name} differs from the reference: {:?}",
+            result.diff(&expected)
+        );
     }
 
     // ------------------------------------------------------------------

@@ -346,7 +346,7 @@ fn baseline_contention_grows_with_concurrency_while_cjoin_stays_flat() {
 }
 
 /// Thread census (Linux): the live `cjoin-*` threads of an engine are exactly
-/// the ones its [`StagePlan`] names — scan workers and shards — plus the
+/// the ones its scheduler widths name — scan workers and shards — plus the
 /// supervisor. Query lifecycle has no thread of its own at any width, no Stage
 /// thread sits between the scan and the shards, nothing samples the pipeline
 /// to re-size it, and no manager thread cleans up or reorders. Runs
@@ -355,7 +355,7 @@ fn baseline_contention_grows_with_concurrency_while_cjoin_stays_flat() {
 /// a census cannot tell whose `cjoin-scan-w0` it is looking at.
 #[cfg(target_os = "linux")]
 #[test]
-fn thread_census_matches_the_stage_plan() {
+fn thread_census_matches_the_scheduler_widths() {
     let child = std::process::Command::new(std::env::current_exe().unwrap())
         .args(["thread_census_in_a_process_of_its_own", "--exact"])
         .args(["--ignored", "--test-threads=1", "--nocapture"])
@@ -371,7 +371,7 @@ fn thread_census_matches_the_stage_plan() {
 
 #[cfg(target_os = "linux")]
 #[test]
-#[ignore = "needs the process to itself; run by thread_census_matches_the_stage_plan"]
+#[ignore = "needs the process to itself; run by thread_census_matches_the_scheduler_widths"]
 fn thread_census_in_a_process_of_its_own() {
     use cjoin_repro::cjoin::pipeline::RoleKind;
 
@@ -390,9 +390,9 @@ fn thread_census_in_a_process_of_its_own() {
         names
     }
     fn census(engine: &CjoinEngine, widths: (usize, usize)) {
-        let plan = engine.stage_plan();
+        let stats = engine.scheduler_stats();
         let (scan, shards) = widths;
-        assert_eq!((plan.scan_workers, plan.distributor_shards), widths);
+        assert_eq!((stats.scan_workers, stats.distributor_shards), widths);
 
         let mut roles: Vec<RoleKind> = (0..scan).map(RoleKind::ScanWorker).collect();
         roles.extend((0..shards).map(RoleKind::DistributorShard));

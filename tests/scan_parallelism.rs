@@ -15,8 +15,9 @@
 //!    pipeline totals, and a deterministic sequential workload must distribute
 //!    exactly the same tuples under 4 scan workers as under one (the width
 //!    only changes *who* scans, never *what* a query sees).
-//! 3. **Lifecycle/quiesce** — concurrent admission waves across the scan-workers
-//!    × distributor-shards grid leave no residue: admitted == completed, ids are
+//! 3. **Lifecycle/quiesce** — admission waves, each query submitted from its
+//!    own thread, across the scan-workers × distributor-shards grid get the
+//!    reference answers and leave no residue: admitted == completed, ids are
 //!    recycled, the shard lanes are empty, and every query observed all of its
 //!    segment passes (`segments_completed == segments_total`).
 
@@ -197,26 +198,31 @@ fn lifecycle_churn_across_the_scan_grid_quiesces_cleanly() {
                 })
                 .collect();
 
-            let handles: Vec<_> = queries
-                .iter()
-                .map(|q| engine.submit(q.clone()).unwrap())
-                .collect();
-            let load_snapshot = catalog.snapshots().commit();
-            fact.insert_batch_unchecked(
-                (0..120).map(|_| Row::new(template_row.values().to_vec())),
-                load_snapshot,
-            );
-
-            for (query, handle) in queries.iter().zip(handles) {
-                let result = handle.wait().unwrap();
-                let expected = reference::evaluate(&catalog, query, snapshot).unwrap();
-                assert!(
-                    result.approx_eq(&expected),
-                    "[scan={scan_workers} shards={shards}] {} diverged under churn: {:?}",
-                    query.name,
-                    result.diff(&expected)
+            // One submitting thread per query: the admissions race each
+            // other, the append below and the clean-ups that free the previous
+            // wave's ids.
+            std::thread::scope(|scope| {
+                let submitters: Vec<_> = queries
+                    .iter()
+                    .map(|q| scope.spawn(|| engine.submit(q.clone()).unwrap()))
+                    .collect();
+                let load_snapshot = catalog.snapshots().commit();
+                fact.insert_batch_unchecked(
+                    (0..120).map(|_| Row::new(template_row.values().to_vec())),
+                    load_snapshot,
                 );
-            }
+
+                for (query, submitter) in queries.iter().zip(submitters) {
+                    let result = submitter.join().unwrap().wait().unwrap();
+                    let expected = reference::evaluate(&catalog, query, snapshot).unwrap();
+                    assert!(
+                        result.approx_eq(&expected),
+                        "[scan={scan_workers} shards={shards}] {} diverged under churn: {:?}",
+                        query.name,
+                        result.diff(&expected)
+                    );
+                }
+            });
         }
 
         let stats = engine.stats();

@@ -86,8 +86,11 @@ fn startup_sizing_collapses_to_classic_shape_when_cores_are_scarce() {
         assert_eq!(shape, (1, 2), "one scan thread, two shards");
     }
     // The spawned pipeline actually has that shape.
-    let plan = engine.stage_plan();
-    assert_eq!((plan.scan_workers, plan.distributor_shards), shape);
+    let running = engine.stats();
+    assert_eq!(
+        (running.scan_workers.len(), running.distributor_shards.len()),
+        shape
+    );
 
     // The summary is visible through the engine-independent trait (and hence
     // the server stats RPC, which forwards it verbatim).
@@ -119,8 +122,11 @@ fn pinned_knobs_behave_bit_identically() {
     let stats = engine.scheduler_stats();
     assert!(stats.resizes.is_empty(), "no resize on explicit widths");
     assert_eq!((stats.scan_workers, stats.distributor_shards), (2, 2));
-    let plan = engine.stage_plan();
-    assert_eq!((plan.scan_workers, plan.distributor_shards), (2, 2));
+    let running = engine.stats();
+    assert_eq!(
+        (running.scan_workers.len(), running.distributor_shards.len()),
+        (2, 2)
+    );
 
     for query in &queries {
         let expected = reference::evaluate(&catalog, query, SnapshotId::INITIAL).unwrap();
