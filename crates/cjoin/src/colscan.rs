@@ -44,8 +44,8 @@ use std::sync::Arc;
 
 use cjoin_query::{CompareOp, Predicate};
 use cjoin_storage::{
-    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, ScanVolume, Schema, Value,
-    ZoneCodes, ZoneMap,
+    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, RowGroup, ScanVolume, Schema,
+    Value, ZoneCodes, ZoneMap,
 };
 
 /// What a row group's zone maps prove about a compiled predicate.
@@ -165,8 +165,8 @@ impl EncodedFactPredicate {
     }
 
     /// Evaluates the predicate over rows `start .. start + out.len()` of
-    /// `replica`, writing one match flag per row into `out` and recording
-    /// probe counts into `volume`.
+    /// `replica`, which lie in one row group, writing one match flag per row
+    /// into `out` and recording probe counts into `volume`.
     pub fn eval_range(
         &self,
         replica: &ColumnarTable,
@@ -174,7 +174,19 @@ impl EncodedFactPredicate {
         out: &mut [bool],
         volume: &ScanVolume,
     ) {
-        eval_node(&self.root, replica, start, out, volume);
+        let group = &replica.row_groups()[replica.group_of(start as u64)];
+        self.eval_group(group, start - group.start as usize, out, volume);
+    }
+
+    /// [`EncodedFactPredicate::eval_range`] from row `offset` of `group`.
+    pub(crate) fn eval_group(
+        &self,
+        group: &RowGroup,
+        offset: usize,
+        out: &mut [bool],
+        volume: &ScanVolume,
+    ) {
+        eval_node(&self.root, group, offset, out, volume);
     }
 }
 
@@ -194,7 +206,7 @@ fn compile_node(pred: &Predicate, schema: &Schema, replica: &ColumnarTable) -> O
                 (ColumnType::Int, Value::Str(_)) => non_null_const(col, int_vs_str(*op)),
                 (ColumnType::Str, Value::Int(_)) => non_null_const(col, str_vs_int(*op)),
                 (ColumnType::Str, Value::Str(s)) => {
-                    let dict = str_dictionary(replica, col)?;
+                    let dict = replica.dictionary(col)?;
                     if *op == CompareOp::Eq {
                         match dict.code_of(s) {
                             Some(code) => PredNode::StrIn {
@@ -235,14 +247,14 @@ fn compile_node(pred: &Predicate, schema: &Schema, replica: &ColumnarTable) -> O
                 (ColumnType::Str, _, Value::Int(_)) => PredNode::Const(false),
                 // `Str(v) >= Int(_)` is true: only the upper bound constrains.
                 (ColumnType::Str, Value::Int(_), Value::Str(hi)) => {
-                    let dict = str_dictionary(replica, col)?;
+                    let dict = replica.dictionary(col)?;
                     PredNode::StrIn {
                         col,
                         codes: str_codes_matching(dict, CompareOp::Le, hi),
                     }
                 }
                 (ColumnType::Str, Value::Str(lo), Value::Str(hi)) => {
-                    let dict = str_dictionary(replica, col)?;
+                    let dict = replica.dictionary(col)?;
                     let codes = (0..dict.len() as u32)
                         .filter(|&c| {
                             let v = dict.value_of(c).expect("code in range");
@@ -275,7 +287,7 @@ fn compile_node(pred: &Predicate, schema: &Schema, replica: &ColumnarTable) -> O
                     }
                 }
                 ColumnType::Str => {
-                    let dict = str_dictionary(replica, col)?;
+                    let dict = replica.dictionary(col)?;
                     let mut codes: Vec<u32> = values
                         .iter()
                         .filter_map(|v| match v {
@@ -307,15 +319,6 @@ fn compile_node(pred: &Predicate, schema: &Schema, replica: &ColumnarTable) -> O
         ),
         Predicate::Not(p) => PredNode::Not(Box::new(compile_node(p, schema, replica)?)),
     })
-}
-
-/// The dictionary of a string column of the replica (`None` on a type mismatch,
-/// which means the replica disagrees with the schema — fall back).
-fn str_dictionary(replica: &ColumnarTable, col: ColumnId) -> Option<&Dictionary> {
-    match replica.encoded_column(col) {
-        EncodedColumn::Str { codes, .. } => Some(codes.dictionary()),
-        EncodedColumn::Int { .. } => None,
-    }
 }
 
 fn collect_columns(node: &PredNode, out: &mut Vec<ColumnId>) {
@@ -495,7 +498,7 @@ fn node_verdict(node: &PredNode, zones: &[ZoneMap]) -> ZoneVerdict {
 /// RLE columns pay one `test` per run overlapping the range instead of one per
 /// row — the §5 "predicates evaluated on compressed data" win.
 fn eval_int_leaf(
-    replica: &ColumnarTable,
+    group: &RowGroup,
     col: ColumnId,
     start: usize,
     out: &mut [bool],
@@ -503,7 +506,7 @@ fn eval_int_leaf(
     test: impl Fn(i64) -> bool,
 ) {
     let len = out.len();
-    let EncodedColumn::Int { data, nulls } = replica.encoded_column(col) else {
+    let EncodedColumn::Int { data, nulls } = group.encoded_column(col) else {
         out.fill(false);
         return;
     };
@@ -562,7 +565,7 @@ fn eval_int_leaf(
 
 fn eval_node(
     node: &PredNode,
-    replica: &ColumnarTable,
+    group: &RowGroup,
     start: usize,
     out: &mut [bool],
     volume: &ScanVolume,
@@ -570,7 +573,7 @@ fn eval_node(
     match node {
         PredNode::Const(b) => out.fill(*b),
         PredNode::NonNull { col } => {
-            let nulls = match replica.encoded_column(*col) {
+            let nulls = match group.encoded_column(*col) {
                 EncodedColumn::Int { nulls, .. } => nulls,
                 EncodedColumn::Str { nulls, .. } => nulls,
             };
@@ -585,18 +588,16 @@ fn eval_node(
         }
         PredNode::IntCmp { col, op, value } => {
             let (op, value) = (*op, *value);
-            eval_int_leaf(replica, *col, start, out, volume, move |v| {
+            eval_int_leaf(group, *col, start, out, volume, move |v| {
                 cmp_ord(op, v, value)
             });
         }
         PredNode::IntBetween { col, lo, hi } => {
             let (lo, hi) = (*lo, *hi);
-            eval_int_leaf(replica, *col, start, out, volume, move |v| {
-                v >= lo && v <= hi
-            });
+            eval_int_leaf(group, *col, start, out, volume, move |v| v >= lo && v <= hi);
         }
         PredNode::IntIn { col, values } => {
-            eval_int_leaf(replica, *col, start, out, volume, |v| {
+            eval_int_leaf(group, *col, start, out, volume, |v| {
                 values.binary_search(&v).is_ok()
             });
         }
@@ -605,7 +606,7 @@ fn eval_node(
             let EncodedColumn::Str {
                 codes: column,
                 nulls,
-            } = replica.encoded_column(*col)
+            } = group.encoded_column(*col)
             else {
                 out.fill(false);
                 return;
@@ -613,10 +614,7 @@ fn eval_node(
             for (i, o) in out.iter_mut().enumerate() {
                 let row = start + i;
                 let null = nulls.is_some_and(|ns| ns[row]);
-                *o = !null
-                    && codes
-                        .binary_search(&column.code(row).expect("row in range"))
-                        .is_ok();
+                *o = !null && codes.binary_search(&column[row]).is_ok();
             }
             volume.record_predicate(len as u64, len as u64);
         }
@@ -625,11 +623,11 @@ fn eval_node(
                 out.fill(true);
                 return;
             }
-            eval_node(&ps[0], replica, start, out, volume);
+            eval_node(&ps[0], group, start, out, volume);
             if ps.len() > 1 {
                 let mut scratch = vec![false; out.len()];
                 for p in &ps[1..] {
-                    eval_node(p, replica, start, &mut scratch, volume);
+                    eval_node(p, group, start, &mut scratch, volume);
                     for (o, &s) in out.iter_mut().zip(&scratch) {
                         *o &= s;
                     }
@@ -641,11 +639,11 @@ fn eval_node(
                 out.fill(false);
                 return;
             }
-            eval_node(&ps[0], replica, start, out, volume);
+            eval_node(&ps[0], group, start, out, volume);
             if ps.len() > 1 {
                 let mut scratch = vec![false; out.len()];
                 for p in &ps[1..] {
-                    eval_node(p, replica, start, &mut scratch, volume);
+                    eval_node(p, group, start, &mut scratch, volume);
                     for (o, &s) in out.iter_mut().zip(&scratch) {
                         *o |= s;
                     }
@@ -653,7 +651,7 @@ fn eval_node(
             }
         }
         PredNode::Not(p) => {
-            eval_node(p, replica, start, out, volume);
+            eval_node(p, group, start, out, volume);
             for o in out.iter_mut() {
                 *o = !*o;
             }
@@ -668,14 +666,14 @@ fn eval_node(
 /// What a scan worker holds of the compressed replica, when the engine built
 /// one (`CjoinConfig::columnar_scan`).
 ///
-/// The replica is a prefix of the live fact table, frozen when it was built;
-/// a tail compaction hands the worker a longer one, which replaces this
-/// handle between two chunks. It has no cursor of its own: the worker's
-/// [`cjoin_storage::ContinuousScan`]
+/// The replica is a prefix of the live fact table in whole row groups; a
+/// commit that completes a group hands the worker a longer one, which it
+/// adopts between two chunks (`ReplicaScan::adopt`). It has no cursor of its
+/// own: the worker's [`cjoin_storage::ContinuousScan`]
 /// owns position, segment and wrap-around, and a chunk of that scan is read
 /// from the replica when it lies inside a row group whose checksum verified —
-/// every other row (appended since the build, or in a quarantined group) comes
-/// from the row store.
+/// every other row (past the replica's last group, or in a quarantined group)
+/// comes from the row store.
 #[derive(Debug)]
 pub struct ReplicaScan {
     /// The encoded replica.
@@ -703,6 +701,24 @@ impl ReplicaScan {
             volume,
             col_bytes_per_row,
             group_verified,
+        }
+    }
+
+    /// Takes over `replica`, grown from the current one by sealed row groups.
+    /// A group the two share by `Arc` keeps its checksum verdict, so a corrupt
+    /// group is verified, counted and logged once per worker however often
+    /// the replica grows; a new group is verified when first touched.
+    pub(crate) fn adopt(&mut self, replica: Arc<ColumnarTable>) {
+        let old = std::mem::replace(self, Self::new(replica, Arc::clone(&self.volume)));
+        let shared = old
+            .replica
+            .row_groups()
+            .iter()
+            .zip(self.replica.row_groups());
+        for (g, (a, b)) in shared.enumerate() {
+            if Arc::ptr_eq(a, b) {
+                self.group_verified[g] = old.group_verified[g];
+            }
         }
     }
 
@@ -1251,6 +1267,14 @@ mod tests {
         assert_eq!(volume.groups_quarantined(), 1);
         // Verified once: asking again costs no second verdict.
         assert_eq!(scan.pass_end(&compiled, 0..4096, 0), PassEnd::At(3072));
+        assert_eq!(volume.groups_quarantined(), 1);
+
+        // Nor does adopting a replica grown by a sealed group: the shared
+        // corrupt group keeps its verdict, and the new group verifies.
+        let grown = scan.replica.with_sealed_groups(&fact_table(5120)).unwrap();
+        scan.adopt(Arc::new(grown.expect("group 4 is complete")));
+        assert_eq!(scan.pass_end(&compiled, 0..5120, 0), PassEnd::At(3072));
+        assert!(scan.group_verified(4));
         assert_eq!(volume.groups_quarantined(), 1);
     }
 }

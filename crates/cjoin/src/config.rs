@@ -54,16 +54,18 @@ pub struct CjoinConfig {
     /// the single end-of-query control tuple, in-band behind the data.
     pub scan_workers: usize,
     /// Build and scan a compressed replica (§5, Column Stores / Compressed
-    /// Tables): the pipeline builds a read-optimised columnar replica of the
-    /// fact table when it spawns, and the continuous scan reads the chunks the
+    /// Tables): the engine builds a read-optimised columnar replica of the
+    /// fact table at start, each ingestion commit encodes the row groups it
+    /// completed into it, and the continuous scan reads the chunks the
     /// replica covers from it — evaluating fact predicates and snapshot
     /// visibility directly on encoded data (one probe per RLE run, dictionary
     /// predicates pre-translated to code comparisons at install), skipping
     /// row groups whose zone maps no active query can match, and materialising
     /// only the union of columns the admitted queries' join keys, group-bys,
     /// and aggregates need (late materialization). Rows it does not cover
-    /// (appended since it was built, or in a row group that failed its
-    /// checksum) come from the row store; results are bit-identical either
+    /// (fewer than a row group appended since its last group, or in a row
+    /// group that failed its checksum) come from the row store; results are
+    /// bit-identical either
     /// way. The zone maps also end each query's pass at its last row group
     /// that can match (§5, Fact Table Partitioning, without declared
     /// partitions). Off, no replica exists, every row comes from the row store
@@ -84,12 +86,6 @@ pub struct CjoinConfig {
     /// Defaults to [`SyncPolicy::OnCommit`] (group commit: one fsync per
     /// ingestion batch).
     pub wal_sync: SyncPolicy,
-    /// Row-store tail length (rows appended since the columnar replica was
-    /// built) at which an ingestion commit rebuilds the replica and hands it
-    /// to the running scan workers, so the compressed scan re-absorbs the
-    /// tail. `0` disables compaction. Ignored unless `columnar_scan` is
-    /// enabled.
-    pub tail_compaction_rows: usize,
 }
 
 impl Default for CjoinConfig {
@@ -103,7 +99,6 @@ impl Default for CjoinConfig {
             fault_plan: None,
             wal_path: None,
             wal_sync: SyncPolicy::OnCommit,
-            tail_compaction_rows: 8192,
         }
     }
 }
@@ -189,13 +184,6 @@ impl CjoinConfig {
     /// Convenience: a configuration with the given WAL sync policy.
     pub fn with_wal_sync(mut self, policy: SyncPolicy) -> Self {
         self.wal_sync = policy;
-        self
-    }
-
-    /// Convenience: a configuration with the given columnar tail-compaction
-    /// threshold (`0` disables compaction).
-    pub fn with_tail_compaction_rows(mut self, rows: usize) -> Self {
-        self.tail_compaction_rows = rows;
         self
     }
 }
@@ -299,17 +287,14 @@ mod tests {
         let c = CjoinConfig::default();
         assert!(c.wal_path.is_none());
         assert_eq!(c.wal_sync, SyncPolicy::OnCommit);
-        assert_eq!(c.tail_compaction_rows, 8192);
         let c = c
             .with_wal("/tmp/cjoin.wal")
-            .with_wal_sync(SyncPolicy::EveryRecord)
-            .with_tail_compaction_rows(0);
+            .with_wal_sync(SyncPolicy::EveryRecord);
         assert_eq!(
             c.wal_path.as_deref(),
             Some(std::path::Path::new("/tmp/cjoin.wal"))
         );
         assert_eq!(c.wal_sync, SyncPolicy::EveryRecord);
-        assert_eq!(c.tail_compaction_rows, 0);
         c.validate().unwrap();
     }
 

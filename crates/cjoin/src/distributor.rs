@@ -913,4 +913,100 @@ mod tests {
             );
         }
     }
+
+    /// [`MergeSlots`] under contention: `SHARDS` threads each contribute one
+    /// seeded partial per id per round, in a per-thread order of the ids, with
+    /// a barrier between rounds (an id's next query starts only after the last
+    /// one merged). Per (id, round) exactly one contribution gets the merged
+    /// state back, and it equals the fold of that round's partials; afterwards
+    /// every slot is empty and merges one more round the same way.
+    #[test]
+    fn merge_slots_deliver_each_merge_once_under_contention() {
+        const SHARDS: usize = 4;
+        const IDS: usize = 3;
+        const ROUNDS: u64 = 200;
+        let catalog = catalog();
+        let bound = Arc::clone(&runtime(&catalog, 0, true).0.bound);
+        // Shard `shard`'s partial of query `id` in `round`: up to seven rows.
+        let partial = |id: usize, round: u64, shard: usize| {
+            let mut seed = (round << 16) ^ ((id as u64) << 8) ^ shard as u64;
+            let mut aggregator = GroupedAggregator::new(&bound);
+            for _ in 0..cjoin_common::splitmix64(&mut seed) % 8 {
+                let fk = 1 + (cjoin_common::splitmix64(&mut seed) % 2) as i64;
+                let amount = (cjoin_common::splitmix64(&mut seed) % 1000) as i64;
+                let name = if fk == 1 { "red" } else { "green" };
+                let dim = Row::new(vec![Value::int(fk), Value::str(name)]);
+                let fact = Row::new(vec![Value::int(fk), Value::int(amount)]);
+                aggregator.accumulate(&fact, &[Some(&dim)]);
+            }
+            aggregator
+        };
+        let fold = |id: usize, round: u64| {
+            let mut merged = partial(id, round, 0);
+            for shard in 1..SHARDS {
+                merged.merge(partial(id, round, shard));
+            }
+            merged.finalize()
+        };
+
+        let slots = MergeSlots::new(IDS, SHARDS);
+        let barrier = std::sync::Barrier::new(SHARDS);
+        let delivered: Vec<(usize, u64, cjoin_query::QueryResult)> = std::thread::scope(|scope| {
+            let shards: Vec<_> = (0..SHARDS)
+                .map(|shard| {
+                    let (slots, barrier, partial) = (&slots, &barrier, &partial);
+                    scope.spawn(move || {
+                        let mut merged = Vec::new();
+                        for round in 0..ROUNDS {
+                            for k in 0..IDS {
+                                let id = (k + shard + round as usize) % IDS;
+                                let part = partial(id, round, shard);
+                                if let Some(m) = slots.contribute(QueryId(id as u32), part) {
+                                    merged.push((id, round, m.finalize()));
+                                }
+                            }
+                            barrier.wait();
+                        }
+                        merged
+                    })
+                })
+                .collect();
+            shards
+                .into_iter()
+                .flat_map(|shard| shard.join().unwrap())
+                .collect()
+        });
+
+        let mut seen = std::collections::BTreeSet::new();
+        for (id, round, result) in delivered {
+            assert!(
+                seen.insert((id, round)),
+                "id {id}, round {round}: merged twice"
+            );
+            assert_eq!(result, fold(id, round), "id {id}, round {round}");
+        }
+        assert_eq!(
+            seen.len(),
+            IDS * ROUNDS as usize,
+            "a merge was never delivered"
+        );
+        for slot in &slots.slots {
+            let slot = slot.lock();
+            assert!(
+                slot.merged.is_none() && slot.received == 0,
+                "slot left non-empty"
+            );
+        }
+        for id in 0..IDS {
+            let qid = QueryId(id as u32);
+            for shard in 0..SHARDS - 1 {
+                assert!(slots.contribute(qid, partial(id, ROUNDS, shard)).is_none());
+            }
+            let last = slots.contribute(qid, partial(id, ROUNDS, SHARDS - 1));
+            assert_eq!(
+                last.expect("the last partial merges").finalize(),
+                fold(id, ROUNDS)
+            );
+        }
+    }
 }

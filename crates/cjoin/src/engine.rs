@@ -61,11 +61,11 @@
 //! recorded in a bounded resize log. A running pipeline is never replaced for
 //! any other reason.
 //!
-//! With `CjoinConfig::columnar_scan`, rows appended after the columnar replica
-//! was built are read from the row store. Once that tail reaches
-//! `CjoinConfig::tail_compaction_rows`, the committing thread rebuilds the
-//! replica off the pipeline and hands it to the running scan workers, which
-//! adopt it between two chunks (see [`crate::preprocessor`]). In-flight
+//! With `CjoinConfig::columnar_scan`, the engine builds the columnar replica
+//! once, at start; a respawned pipeline reads the same one. A commit, under
+//! the ingest mutex, encodes the row groups its rows completed into a replica
+//! that shares every older group, and hands it to the running scan workers,
+//! which adopt it between two chunks (see [`crate::preprocessor`]). In-flight
 //! queries keep their pass, their progress and their place in the scan.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -80,14 +80,14 @@ use cjoin_common::{Error, FxHashMap, QueryId, QueryIdAllocator, QuerySet, Result
 use cjoin_query::{QueryError, QueryOutcome, QueryResult, StarQuery};
 use cjoin_storage::{
     apply_record, segment_ranges, Catalog, ColumnarTable, CompressionPolicy, ContinuousScan, Row,
-    ScanVolume, Table, Value, WalRecord, WarehouseLog, DEFAULT_ROW_GROUP_ROWS,
+    ScanVolume, Value, WalRecord, WarehouseLog, DEFAULT_ROW_GROUP_ROWS,
 };
 
 use crate::colscan::ReplicaScan;
 use crate::config::{host_cores, shard_width_for, CjoinConfig};
 use crate::dimension::DimensionTable;
 use crate::distributor::{Cleanup, Distributor, MergeSlots};
-use crate::fault::{inject, FaultPlan, FaultSite};
+use crate::fault::{inject, FaultSite};
 use crate::filter::FilterChain;
 use crate::optimizer::reorder_filters;
 use crate::pipeline::{spawn_supervised, RoleFailure, RoleKind, SupervisorEvent};
@@ -259,10 +259,9 @@ struct PipelineCore {
     pool: Arc<BatchPool>,
     shard_counters: Vec<Arc<ShardCounters>>,
     scan_worker_counters: Vec<Arc<ScanWorkerCounters>>,
-    /// The compressed columnar scan front-end's replica — the one last handed
-    /// to the scan workers — and byte-accounting counters (`None` unless
-    /// `CjoinConfig::columnar_scan` is enabled).
-    columnar: Option<(Arc<ColumnarTable>, Arc<ScanVolume>)>,
+    /// The byte accounting of the scan workers' reads from the columnar
+    /// replica (`None` when they have none).
+    columnar: Option<Arc<ScanVolume>>,
     threads: PipelineThreads,
 }
 
@@ -301,6 +300,10 @@ struct EngineShared {
     ingest: Mutex<Option<WarehouseLog>>,
     /// Durable-ingestion counters surfaced through [`PipelineStats::ingest`].
     ingest_counters: IngestCounters,
+    /// The columnar replica (`CjoinConfig::columnar_scan`): built at start,
+    /// grown under the ingest and core locks by the commits that complete row
+    /// groups, dropped by a fallback to the row store. Lock order: after core.
+    replica: Mutex<Option<Arc<ColumnarTable>>>,
 }
 
 /// The CJOIN engine: one always-on pipeline over a catalog's fact table.
@@ -318,7 +321,7 @@ impl CjoinEngine {
         config.validate()?;
         // Durable ingestion: replay the WAL into the catalog *before* the
         // pipeline spawns, so the continuous scan (and the columnar replica,
-        // which is built from the fact table at spawn) sees every recovered
+        // which is built from the fact table right after) sees every recovered
         // row, and the snapshot watermark is already past every recovered
         // epoch. Replay truncates any torn tail, so the log then opens at a
         // clean record boundary for appending.
@@ -338,6 +341,19 @@ impl CjoinEngine {
                 );
             }
             Some(WarehouseLog::open(path, config.wal_sync)?)
+        } else {
+            None
+        };
+        // A configured fault plan's corrupt row groups have their bits flipped
+        // before the replica is shared, so their checksums fail on first
+        // decode and the scan quarantines them onto the row store.
+        let replica = if config.columnar_scan {
+            let fact = catalog.fact_table()?;
+            let mut replica = ColumnarTable::from_table(&fact, CompressionPolicy::Adaptive)?;
+            for &group in config.fault_plan.iter().flat_map(|p| p.corrupt_groups()) {
+                replica.corrupt_group(group);
+            }
+            Some(Arc::new(replica))
         } else {
             None
         };
@@ -365,6 +381,7 @@ impl CjoinEngine {
             catalog,
             ingest: Mutex::new(ingest_log),
             ingest_counters: IngestCounters::default(),
+            replica: Mutex::new(replica),
         });
         shared
             .ingest_counters
@@ -410,15 +427,18 @@ impl CjoinEngine {
         let pool_capacity = 2 * scan_workers + shards * (QUEUE_CAPACITY + 1);
         let pool = BatchPool::new(pool_capacity);
 
-        // `columnar_scan`: a read-optimised replica of the fact table; the scan
-        // reads the chunks it covers from it and every other row (appended
-        // later, or quarantined) from the row store.
-        let columnar = if config.columnar_scan {
-            let volume = Arc::new(ScanVolume::with_columns(fact.schema().arity()));
-            Some((build_replica(&fact, config.fault_plan.as_deref())?, volume))
-        } else {
-            None
+        // `columnar_scan`: the engine's replica of the fact table; the scan
+        // reads the chunks it covers from it and every other row (past its
+        // last group, or quarantined) from the row store. A fallback to the
+        // row store drops it.
+        let replica = {
+            let mut slot = shared.replica.lock();
+            slot.take_if(|_| !config.columnar_scan);
+            slot.clone()
         };
+        let columnar = replica
+            .as_ref()
+            .map(|_| Arc::new(ScanVolume::with_columns(fact.schema().arity())));
 
         // The fact table's page range is split into one static segment per scan
         // worker; the last segment's end is open so appended rows are picked up on
@@ -456,8 +476,9 @@ impl CjoinEngine {
                 snapshots: Arc::clone(shared.catalog.snapshots()),
             };
             let scan = ContinuousScan::new(Arc::clone(&fact)).with_segment(start, end);
-            let replica = columnar
+            let replica = replica
                 .as_ref()
+                .zip(columnar.as_ref())
                 .map(|(replica, volume)| ReplicaScan::new(Arc::clone(replica), Arc::clone(volume)));
             let mut preprocessor = Preprocessor::new(scan, replica, commands, context);
             scan_worker_handles.push(spawn_supervised(
@@ -855,7 +876,7 @@ impl CjoinEngine {
             pipeline_restarts: counters.pipeline_restarts.load(Ordering::Relaxed),
             columnar: core
                 .and_then(|c| c.columnar.as_ref())
-                .map(|(_, volume)| ColumnarScanStats {
+                .map(|volume| ColumnarScanStats {
                     bytes_scanned: volume.bytes_scanned(),
                     rows_scanned: volume.rows_scanned(),
                     row_groups_skipped: volume.row_groups_skipped(),
@@ -884,14 +905,11 @@ impl CjoinEngine {
         }
     }
 
-    /// The read-optimised columnar replica of the fact table last handed to the
-    /// scan workers, when the engine runs with `CjoinConfig::columnar_scan`
-    /// (for compression-ratio reporting by the experiment harness).
+    /// The read-optimised columnar replica of the fact table the scan workers
+    /// read, when the engine runs with `CjoinConfig::columnar_scan` (for
+    /// compression-ratio reporting by the experiment harness).
     pub fn columnar_replica(&self) -> Option<Arc<ColumnarTable>> {
-        let core = self.shared.core.lock();
-        core.as_ref()
-            .and_then(|c| c.columnar.as_ref())
-            .map(|(replica, _)| Arc::clone(replica))
+        self.shared.replica.lock().clone()
     }
 
     /// Current filter order (dimension names), for diagnostics and tests.
@@ -1035,7 +1053,7 @@ impl IngestSession<'_> {
     /// errors.
     ///
     /// # Panics
-    /// A configured [`FaultPlan`] torn write or
+    /// A configured [`FaultPlan`](crate::fault::FaultPlan) torn write or
     /// scheduled panic at a WAL site panics here by design, simulating a crash
     /// mid-commit; the batch is not visible and recovery discards its torn
     /// tail.
@@ -1106,8 +1124,8 @@ impl IngestSession<'_> {
             .ingest_counters
             .commits
             .fetch_add(1, Ordering::Relaxed);
+        seal_groups(shared);
         drop(log_guard);
-        maybe_compact(shared);
         Ok(cjoin_query::IngestReceipt {
             epoch: epoch.0,
             records,
@@ -1148,76 +1166,40 @@ fn validate_record(catalog: &Catalog, record: &WalRecord) -> Result<()> {
     Ok(())
 }
 
-/// A columnar replica of `fact` as it is now. A configured fault plan's
-/// corrupt row groups have their bits flipped before the replica is shared, so
-/// their checksums fail on first decode and the scan quarantines them onto the
-/// row store.
-fn build_replica(fact: &Table, faults: Option<&FaultPlan>) -> Result<Arc<ColumnarTable>> {
-    let mut replica = ColumnarTable::from_table(fact, CompressionPolicy::Adaptive)?;
-    if let Some(plan) = faults {
-        for &group in plan.corrupt_groups() {
-            replica.corrupt_group(group);
-        }
-    }
-    Ok(Arc::new(replica))
-}
-
-/// Tail compaction: once the row-store tail has reached
-/// `CjoinConfig::tail_compaction_rows`, rebuilds the columnar replica on the
-/// committing thread, outside every lock, and hands it to the running scan
-/// workers, which adopt it between two chunks. Failure is not an error for the
-/// triggering commit — the tail is still served correctly from the row store,
-/// and the next commit retries.
-fn maybe_compact(shared: &Arc<EngineShared>) {
-    let (threshold, faults) = {
-        let config = shared.config.lock();
-        if !config.columnar_scan || config.tail_compaction_rows == 0 {
-            return;
-        }
-        (config.tail_compaction_rows, config.fault_plan.clone())
+/// Encodes the row groups a commit completed into the engine's replica and
+/// hands the grown replica to the running scan workers, which adopt it
+/// between two chunks. The caller holds the ingest mutex, so commits seal one
+/// at a time. A group the encoder refuses stays in the row-store tail, where
+/// the scan reads it exactly, and the next commit tries again.
+fn seal_groups(shared: &EngineShared) {
+    let Some(replica) = shared.replica.lock().clone() else {
+        return;
     };
     let Ok(fact) = shared.catalog.fact_table() else {
         return;
     };
-    let frontier = {
-        let core_guard = shared.core.lock();
-        let Some((replica, _)) = core_guard.as_ref().and_then(|c| c.columnar.as_ref()) else {
-            return;
-        };
-        replica.len()
+    let Ok(Some(grown)) = replica.with_sealed_groups(&fact) else {
+        return;
     };
-    if fact.len().saturating_sub(frontier) < threshold {
+    let sealed = grown.len() / grown.group_rows() - replica.len() / replica.group_rows();
+    let grown = Arc::new(grown);
+    let core = shared.core.lock();
+    let mut slot = shared.replica.lock();
+    // A scan worker's failure may have fallen back to the row store meanwhile.
+    if slot.is_none() {
         return;
     }
-    let replica = match build_replica(&fact, faults.as_deref()) {
-        Ok(replica) => replica,
-        Err(e) => {
-            eprintln!("cjoin: columnar tail compaction deferred: {e}");
-            return;
-        }
-    };
-    let mut core_guard = shared.core.lock();
-    let Some(core) = core_guard.as_mut() else {
-        return;
-    };
-    // A concurrent commit may have handed over a longer replica meanwhile,
-    // and a core respawned meanwhile built its own.
-    let Some((current, _)) = core
-        .columnar
-        .as_mut()
-        .filter(|(r, _)| r.len() < replica.len())
-    else {
-        return;
-    };
-    // A dead worker drops the replica unsent; the supervisor owns that core.
-    if send_to_workers(&core.workers, || {
-        PreprocessorCommand::Replica(Arc::clone(&replica))
-    }) {
-        *current = replica;
-        shared
-            .ingest_counters
-            .tail_compactions
-            .fetch_add(1, Ordering::Relaxed);
+    *slot = Some(Arc::clone(&grown));
+    shared
+        .ingest_counters
+        .groups_sealed
+        .fetch_add(sealed as u64, Ordering::Relaxed);
+    // A dead worker drops the replica unsent; the supervisor's respawn reads
+    // the slot.
+    if let Some(core) = core.as_ref() {
+        send_to_workers(&core.workers, || {
+            PreprocessorCommand::Replica(Arc::clone(&grown))
+        });
     }
 }
 

@@ -97,27 +97,30 @@
 //! observe, not from a mode: a chunk inside a row group of a replica
 //! (`CjoinConfig::columnar_scan` builds one) whose checksum verified is read
 //! from the encoded data, in the four phases below; any other chunk — there
-//! is no replica, the rows were appended after it was built, or the group is
+//! is no replica, the rows lie past its last row group, or the group is
 //! quarantined — is read from the row store with
 //! [`Table::read_range`](cjoin_storage::Table::read_range) and each row gets
 //! its `bτ` from the active mask, snapshot visibility and the fact predicates
-//! in turn (`Preprocessor::emit_materialized_rows`). The replica is a frozen
-//! prefix of the row store, so both give the same tuples; see
+//! in turn (`Preprocessor::emit_materialized_rows`). The replica is a prefix
+//! of the row store in whole row groups, so both give the same tuples; see
 //! [`crate::colscan`] for why encoded evaluation and late materialisation are
 //! exact.
 //!
-//! **The replica handoff.** A tail compaction rebuilds the replica from the
-//! row store as it is then and sends it on the command channel
-//! ([`PreprocessorCommand::Replica`]) to every worker, and each worker adopts
-//! it at its next command boundary, between two chunks.
-//! The cursor, the active queries and where they end stay as they are. Both
-//! replicas are prefixes of the same append-only row store, so a chunk reads
-//! the same tuples from either; the longer one only moves rows from the row
-//! store to the encoded side. An end decided against the old replica stays
-//! exact: the rows it ruled out are the same rows under the new one, and the
-//! rows it had to read as tail are simply read encoded now. Only the encoded
-//! predicates are compiled again, because string codes belong to one replica's
-//! dictionaries, and each row group's checksum is verified afresh.
+//! **The replica handoff.** A commit that completes a row group encodes it
+//! into a replica that shares every older group by `Arc`, and sends that
+//! replica on the command channel ([`PreprocessorCommand::Replica`]) to every
+//! worker; each worker adopts it at its next command boundary, between two
+//! chunks. The cursor, the active queries and where they end stay as they
+//! are. Both replicas are prefixes of the same append-only row store, so a
+//! chunk reads the same tuples from either; the longer one only moves rows
+//! from the row store to the encoded side. An end decided against the old
+//! replica stays exact: the rows it ruled out are the same rows under the new
+//! one, and the rows it had to read as tail are simply read encoded now. Each
+//! group the two replicas share keeps the checksum verdict the worker already
+//! reached, and only a new group is verified. The encoded predicates are
+//! compiled again, because a string column's dictionary only appends: a
+//! grown one keeps every code, but may now hold a string a predicate names,
+//! which compiled to "no row" before.
 //!
 //! Without a replica every query ends where it started, so only batch size,
 //! segment end and query starts cut chunks, and a query start is itself a
@@ -310,7 +313,7 @@ pub enum PreprocessorCommand {
         /// The query to cancel.
         id: QueryId,
     },
-    /// A tail compaction's rebuilt replica, adopted by each worker between
+    /// A replica grown by sealed row groups, adopted by each worker between
     /// two chunks (see "The replica handoff" in the module doc).
     Replica(Arc<ColumnarTable>),
     /// Shut the worker down: it stops producing and exits.
@@ -742,17 +745,17 @@ impl Preprocessor {
         }
     }
 
-    /// Takes over a tail compaction's rebuilt replica between two chunks. Each
-    /// active query's fact predicate is compiled again for it: the rebuilt
-    /// dictionaries may code strings differently. Where each query ends stays
-    /// as it was decided at install (see "The replica handoff" in the module
-    /// doc). A worker that has no replica — it fell back to the row store —
-    /// ignores the handoff.
+    /// Takes over a replica grown by sealed row groups between two chunks.
+    /// Each active query's fact predicate is compiled again for it: a grown
+    /// dictionary may hold strings the predicate names. Where each query ends
+    /// stays as it was decided at install (see "The replica handoff" in the
+    /// module doc). A worker that has no replica — it fell back to the row
+    /// store — ignores the handoff.
     fn adopt_replica(&mut self, replica: Arc<ColumnarTable>) {
         let Some(r) = &mut self.replica else {
             return;
         };
-        *r = ReplicaScan::new(replica, Arc::clone(&r.volume));
+        r.adopt(replica);
         for q in self.queries.iter_mut().flatten() {
             if q.fact_predicate.is_some() {
                 q.encoded_predicate = Some(compile_for(&q.runtime.bound, &r.replica));
@@ -941,9 +944,9 @@ impl Preprocessor {
         match encoded {
             Some(r) => self.scan_encoded_chunk(r, position, chunk_len, &mut chunk),
             None => {
-                // No replica, a row beyond its frontier (appended after it was
-                // built) or a quarantined group: the live row store, a row at a
-                // time. The replica is a frozen prefix of the row store, so a
+                // No replica, a row beyond its frontier (its group is not yet
+                // complete) or a quarantined group: the live row store, a row at
+                // a time. The replica is a prefix of the row store, so a
                 // quarantined group's rows (and results) are identical, just
                 // slower.
                 self.note_rows_scanned(chunk_len as u64);
@@ -988,13 +991,12 @@ impl Preprocessor {
         chunk: &mut ChunkScratch,
     ) {
         let (replica, volume) = (&*r.replica, &*r.volume);
-        let at = position as usize;
         let group = &replica.row_groups()[replica.group_of(position)];
+        let at = (position - group.start) as usize;
         self.note_rows_scanned(chunk_len as u64);
 
         // Phase 1: one verdict per query for the whole chunk.
-        let Some(unconditional) = self.chunk_verdicts(replica, volume, group, at, chunk_len, chunk)
-        else {
+        let Some(unconditional) = self.chunk_verdicts(volume, group, at, chunk_len, chunk) else {
             // Zone-map chunk skip: every active query's predicate is provably
             // false over this group.
             volume.record_group_skip(chunk_len as u64);
@@ -1002,11 +1004,11 @@ impl Preprocessor {
         };
 
         // Phase 2: the rows some query still wants, with their bit-vectors.
-        self.select_rows(replica, group, at, chunk_len, unconditional, chunk);
+        self.select_rows(group, at, chunk_len, unconditional, chunk);
 
         // Phase 3: the leading Filter, before any row exists. Its read lock is
         // released inside; nothing below blocks while holding it.
-        let probed = self.probe_leading(replica, at, chunk_len, chunk);
+        let probed = self.probe_leading(group, at, chunk_len, chunk);
 
         // Phase 4: rows for the survivors only.
         let materialised = self.materialise_selected(replica, position, probed, chunk);
@@ -1027,16 +1029,15 @@ impl Preprocessor {
         volume.record_scan(chunk_len as u64, chunk_bytes);
     }
 
-    /// Phase 1. Resolves each active fact predicate once for the whole chunk:
-    /// a zone verdict where the maps decide, an encoded-kernel evaluation into
-    /// a match bitmap otherwise. Leaves the chunk's base mask and owed row
-    /// tests in `chunk`. Returns whether some active query wants every row
-    /// before visibility (it has no fact predicate, or the zone maps prove it
-    /// over the whole group); `None` means no query can want any row of the
-    /// chunk.
+    /// Phase 1. Resolves each active fact predicate once for the whole chunk,
+    /// rows `at..at + chunk_len` of `group`: a zone verdict where the maps
+    /// decide, an encoded-kernel evaluation into a match bitmap otherwise.
+    /// Leaves the chunk's base mask and owed row tests in `chunk`. Returns
+    /// whether some active query wants every row before visibility (it has no
+    /// fact predicate, or the zone maps prove it over the whole group); `None`
+    /// means no query can want any row of the chunk.
     fn chunk_verdicts(
         &self,
-        replica: &ColumnarTable,
         volume: &ScanVolume,
         group: &RowGroup,
         at: usize,
@@ -1044,7 +1045,7 @@ impl Preprocessor {
         chunk: &mut ChunkScratch,
     ) -> Option<bool> {
         chunk.touched.clear();
-        chunk.touched.resize(replica.schema().arity(), false);
+        chunk.touched.resize(group.zones.len(), false);
         chunk.tests.clear();
         chunk.base.clear();
         chunk.base.extend_from_slice(self.active_mask.words());
@@ -1069,7 +1070,7 @@ impl Preprocessor {
                     let buf = &mut chunk.match_bufs[bufs_used];
                     buf.clear();
                     buf.resize(chunk_len, false);
-                    encoded.eval_range(replica, at, buf, volume);
+                    encoded.eval_group(group, at, buf, volume);
                     for &c in encoded.columns() {
                         chunk.touched[c] = true;
                     }
@@ -1088,7 +1089,6 @@ impl Preprocessor {
     /// costs its share of one OR over the buffers and nothing else.
     fn select_rows(
         &self,
-        replica: &ColumnarTable,
         group: &RowGroup,
         at: usize,
         chunk_len: usize,
@@ -1133,8 +1133,8 @@ impl Preprocessor {
                 }
                 if check_visibility {
                     // Snapshot visibility as a virtual fact predicate (§3.5),
-                    // from the replica's frozen version metadata.
-                    let version = replica.version(at + j).expect("row in replica");
+                    // from the version metadata the group was sealed with.
+                    let version = group.version(at + j).expect("row in group");
                     if version != RowVersion::ALWAYS_VISIBLE {
                         for bit in self.active_mask.iter() {
                             if let Some(q) = &self.queries[bit] {
@@ -1168,7 +1168,7 @@ impl Preprocessor {
     /// [`ProbeGuard`]: crate::dimension::ProbeGuard
     fn probe_leading(
         &self,
-        replica: &ColumnarTable,
+        group: &RowGroup,
         at: usize,
         chunk_len: usize,
         chunk: &mut ChunkScratch,
@@ -1181,7 +1181,7 @@ impl Preprocessor {
         if dim.complement.contains_all(&self.active_mask) {
             return None;
         }
-        let EncodedColumn::Int { data, nulls: None } = replica.encoded_column(dim.fact_fk_column)
+        let EncodedColumn::Int { data, nulls: None } = group.encoded_column(dim.fact_fk_column)
         else {
             return None;
         };
@@ -2088,11 +2088,12 @@ mod tests {
         assert_eq!(run(true), without);
     }
 
-    /// A tail compaction hands a width-1 worker a longer replica mid-pass.
-    /// Query 0's string predicate matches only rows the first replica did not
-    /// cover, so its code exists only in the rebuilt dictionary; query 1 is
-    /// installed after the handoff. Each query must get the rows, the order
-    /// and the end tuple it gets with no handoff and with no replica at all.
+    /// A commit's sealed row groups reach a width-1 worker mid-pass as a
+    /// longer replica. Query 0's string predicate matches only rows the first
+    /// replica did not cover, so its code exists only in the grown dictionary;
+    /// query 1 is installed after the handoff. Each query must get the rows,
+    /// the order and the end tuple it gets with no handoff and with no replica
+    /// at all.
     #[test]
     fn a_replica_handoff_mid_pass_changes_no_querys_rows() {
         use cjoin_query::Predicate;
@@ -2114,9 +2115,22 @@ mod tests {
             );
         };
         append(0..40);
-        let first = replica_of(&table);
+        let first = Arc::new(
+            ColumnarTable::from_table_with_row_groups(
+                &table,
+                cjoin_storage::CompressionPolicy::Adaptive,
+                10,
+            )
+            .unwrap(),
+        );
         append(40..70);
-        let rebuilt = replica_of(&table);
+        let grown = Arc::new(first.with_sealed_groups(&table).unwrap().unwrap());
+        for (old, new) in first.row_groups().iter().zip(grown.row_groups()) {
+            assert!(
+                Arc::ptr_eq(old, new),
+                "the grown replica shares every group"
+            );
+        }
         let catalog = Catalog::new();
         catalog.add_fact_table(Arc::clone(&table));
         let config = CjoinConfig::default()
@@ -2141,13 +2155,13 @@ mod tests {
             install(&mut pre, 0, Predicate::eq("tag", "new"));
             pre.process_next_chunk();
             pre.process_next_chunk();
-            if let Some(rebuilt) = handoff {
+            if let Some(grown) = handoff {
                 cmd_tx
-                    .send(PreprocessorCommand::Replica(Arc::clone(rebuilt)))
+                    .send(PreprocessorCommand::Replica(Arc::clone(grown)))
                     .unwrap();
                 pre.apply_commands();
                 let adopted = pre.replica.as_ref().map(|r| r.replica.len());
-                assert_eq!(adopted, Some(70), "the worker reads the rebuilt replica");
+                assert_eq!(adopted, Some(70), "the worker reads the grown replica");
             }
             install(&mut pre, 1, Predicate::True);
             let mut seen: [(Vec<u64>, usize); 2] = Default::default();
@@ -2174,7 +2188,7 @@ mod tests {
         assert_eq!(plain[0], ((40..70).collect::<Vec<_>>(), 1));
         assert_eq!(plain[1], ((20..70).chain(0..20).collect::<Vec<_>>(), 1));
         assert_eq!(run(Some(&first), None), plain, "first replica, kept");
-        assert_eq!(run(Some(&first), Some(&rebuilt)), plain, "handed over");
+        assert_eq!(run(Some(&first), Some(&grown)), plain, "handed over");
     }
 
     // ------------------------------------------------------------------

@@ -274,9 +274,9 @@ pub struct IngestCounters {
     /// Logs truncated during crash recovery because a torn or corrupt record
     /// was found (0 or 1 per engine start; summed across restarts).
     pub recovery_truncations: AtomicU64,
-    /// Columnar replicas rebuilt from row-store tail growth and handed to the
-    /// running scan workers.
-    pub tail_compactions: AtomicU64,
+    /// Row groups ingestion commits have encoded into the columnar replica
+    /// since start (a short last group encoded again once full counts once).
+    pub groups_sealed: AtomicU64,
 }
 
 impl IngestCounters {
@@ -287,7 +287,7 @@ impl IngestCounters {
             commits: self.commits.load(Ordering::Relaxed),
             sync_ns: self.sync_ns.load(Ordering::Relaxed),
             recovery_truncations: self.recovery_truncations.load(Ordering::Relaxed),
-            tail_compactions: self.tail_compactions.load(Ordering::Relaxed),
+            groups_sealed: self.groups_sealed.load(Ordering::Relaxed),
         }
     }
 }
@@ -303,9 +303,9 @@ pub struct IngestStats {
     pub sync_ns: u64,
     /// Logs truncated during crash recovery (torn tail / corrupt record).
     pub recovery_truncations: u64,
-    /// Columnar replicas rebuilt from row-store tail growth and handed to the
-    /// running scan workers.
-    pub tail_compactions: u64,
+    /// Row groups ingestion commits have encoded into the columnar replica
+    /// since start.
+    pub groups_sealed: u64,
 }
 
 /// Point-in-time statistics of the whole pipeline.

@@ -6,10 +6,11 @@
 //! volume of data the shared scan moves. This module provides that substrate:
 //!
 //! * [`ColumnarTable`] — a column-oriented, read-optimised copy of a [`Table`]
-//!   snapshot. String columns are dictionary-encoded and integer columns pick the
-//!   smallest of plain / RLE / bit-packed / delta encoding (see
-//!   [`CompressionPolicy`]). The table is split into fixed-size [`RowGroup`]s, each
-//!   carrying a [`ZoneMap`] per column (min/max for int columns, a distinct-code
+//!   snapshot: a list of fixed-size [`RowGroup`]s plus one append-only
+//!   [`Dictionary`] per string column. Each group stores its string columns as
+//!   codes into those dictionaries and picks, per integer column, the smallest of
+//!   plain / RLE / bit-packed / delta encoding (see [`CompressionPolicy`]); it
+//!   carries a [`ZoneMap`] per column (min/max for int columns, a distinct-code
 //!   summary for dictionary columns) so a scan can prove "no row in this group can
 //!   match any active predicate" without touching the group's bytes.
 //! * [`ColumnarContinuousScan`] — the circular scan over a columnar table. It has the
@@ -31,10 +32,11 @@
 //!   sequence of the source column ([`ColumnarTable::value`] and the encoded
 //!   accessors agree by construction), so evaluating a predicate on encoded values —
 //!   including once-per-run over RLE data — is evaluating it on the true values.
-//! * **Dictionary codes are injective.** Two rows have equal string values iff they
-//!   have equal codes, so any string predicate can be pre-translated at query install
-//!   into a set of matching codes; comparing codes row-by-row (or consulting the
-//!   zone's code summary) is then exact, never approximate.
+//! * **Dictionary codes are injective and stable.** Two rows have equal string values
+//!   iff they have equal codes, so any string predicate can be pre-translated at query
+//!   install into a set of matching codes; comparing codes row-by-row (or consulting
+//!   the zone's code summary) is then exact, never approximate. A dictionary only
+//!   ever appends, so a code keeps its string in every later replica.
 //! * **Zone maps over-approximate.** A [`ZoneMap`] covers every *stored* (even
 //!   deleted) row of its group and NULLs are tracked separately (`has_null`), so a
 //!   "no possible match" verdict is conservative: skipping the group can never drop a
@@ -46,25 +48,24 @@
 //!   and are never consulted downstream (the projection is the union of all admitted
 //!   queries' join/group-by/aggregate columns, maintained on admission/completion).
 //!
-//! The columnar table is a *read-optimised replica*: it captures the rows visible in
-//! the source table at build time (all versions, with their visibility metadata), the
-//! way a column-store warehouse would maintain a read-optimised partition alongside a
-//! write-optimised store. Rows appended to the source table after the replica was
-//! built are served from the row store by the hybrid scan path; *deletes* applied
-//! after build time are **not** reflected in the replica's visibility metadata — the
-//! replica serves the snapshot range that existed when the engine started, which is
-//! the same contract the paper's read-optimised column-store partition provides.
+//! The columnar table is a *read-optimised replica* of an append-only table, as a
+//! column-store warehouse keeps one beside a write-optimised store. It grows by
+//! whole groups (group `g` covers rows `[g·G, (g+1)·G)`): once a group's rows are
+//! all appended, [`ColumnarTable::with_sealed_groups`] encodes it into a replica
+//! that shares every older group by `Arc`. Rows past the last group are served
+//! from the row store by the hybrid scan path. A group captures its rows'
+//! versions when it is encoded; later *deletes* are **not** reflected in it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cjoin_common::{Error, Result};
 
-use crate::compress::{BitPackedVec, DeltaVec, DictColumn, RleVec};
+use crate::compress::{BitPackedVec, DeltaVec, Dictionary, RleVec};
 use crate::row::{Row, RowId};
 use crate::scan::ScanBatch;
 use crate::schema::{ColumnId, ColumnType, Schema};
-use crate::snapshot::{RowVersion, SnapshotId};
+use crate::snapshot::RowVersion;
 use crate::table::Table;
 use crate::value::Value;
 
@@ -75,12 +76,13 @@ pub enum CompressionPolicy {
     /// (dictionary encoding is always a win for the `Arc<str>`-based row model).
     #[default]
     Plain,
-    /// Additionally encode each NULL-free integer column with whichever of plain,
-    /// run-length, bit-packed, or delta encoding is smallest (ties keep plain).
+    /// Additionally encode each NULL-free integer column of a group with whichever
+    /// of plain, run-length, bit-packed, or delta encoding is smallest (ties keep
+    /// plain).
     Adaptive,
 }
 
-/// One column of a [`ColumnarTable`].
+/// One column of a [`RowGroup`].
 #[derive(Debug, Clone)]
 enum ColumnData {
     /// Plain integer column with an optional null bitmap (allocated only when the
@@ -95,23 +97,50 @@ enum ColumnData {
     IntPacked(BitPackedVec),
     /// Block-wise delta-encoded integer column (no NULLs).
     IntDelta(DeltaVec),
-    /// Dictionary-encoded string column with an optional null bitmap.
+    /// String column: codes into the table's dictionary for the column, with an
+    /// optional null bitmap.
     Str {
-        codes: DictColumn,
+        codes: Vec<u32>,
         nulls: Option<Vec<bool>>,
     },
 }
 
-/// FNV-1a over the decoded values of rows `[start, start + len)`, row-major
-/// across all columns. Decoding through [`ColumnData::value`] (rather than
-/// hashing the encoded bytes) means a corrupted run length, dictionary code or
-/// packed frame changes the checksum exactly when it changes what a scan would
-/// observe.
-fn group_checksum(columns: &[ColumnData], start: usize, len: usize) -> u64 {
+/// FNV-1a over the decoded values of a group's rows, row-major across all
+/// columns. Decoding through [`ColumnData::value`] (rather than hashing the
+/// encoded bytes) means a corrupted run length, dictionary code or packed frame
+/// changes the checksum exactly when it changes what a scan would observe.
+fn group_checksum(columns: &[ColumnData], dictionaries: &[Dictionary], len: usize) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in start..start + len {
-        for column in columns {
-            hash = column.fold_value(row, hash);
+    for row in 0..len {
+        for (column, dictionary) in columns.iter().zip(dictionaries) {
+            hash = fold_value(&column.value(row, dictionary), hash);
+        }
+    }
+    hash
+}
+
+/// Folds `value` into an FNV-1a state with a type tag, so `Int(0)`, `Null` and
+/// `Str("")` hash differently.
+fn fold_value(value: &Value, mut hash: u64) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut feed = |byte: u8| {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(PRIME);
+    };
+    match value {
+        Value::Null => feed(0),
+        Value::Int(v) => {
+            feed(1);
+            for b in v.to_le_bytes() {
+                feed(b);
+            }
+        }
+        Value::Str(s) => {
+            feed(2);
+            for b in s.as_bytes() {
+                feed(*b);
+            }
+            feed(0xff);
         }
     }
     hash
@@ -128,7 +157,9 @@ fn null_bitmap_bytes(nulls: &Option<Vec<bool>>) -> u64 {
 }
 
 impl ColumnData {
-    fn value(&self, row: usize) -> Value {
+    /// The value at `row` of the group; `dictionary` is the table's dictionary
+    /// for the column (empty, and unused, for an integer column).
+    fn value(&self, row: usize, dictionary: &Dictionary) -> Value {
         match self {
             ColumnData::IntPlain { values, nulls } => {
                 if is_null(nulls, row) {
@@ -144,13 +175,16 @@ impl ColumnData {
                 if is_null(nulls, row) {
                     Value::Null
                 } else {
-                    codes.get(row).map_or(Value::Null, Value::Str)
+                    dictionary
+                        .value_of(codes[row])
+                        .map_or(Value::Null, |s| Value::Str(Arc::clone(s)))
                 }
             }
         }
     }
 
-    /// Approximate heap footprint of the encoded column.
+    /// Approximate heap footprint of the encoded column (a string column's
+    /// dictionary is the table's, and is counted there).
     fn encoded_bytes(&self) -> u64 {
         match self {
             ColumnData::IntPlain { values, nulls } => {
@@ -159,39 +193,14 @@ impl ColumnData {
             ColumnData::IntRle(v) => v.encoded_bytes(),
             ColumnData::IntPacked(v) => v.encoded_bytes(),
             ColumnData::IntDelta(v) => v.encoded_bytes(),
-            ColumnData::Str { codes, nulls } => codes.encoded_bytes() + null_bitmap_bytes(nulls),
-        }
-    }
-
-    /// Folds `value` into an FNV-1a state with a type tag, so `Int(0)`, `Null`
-    /// and `Str("")` hash differently.
-    fn fold_value(&self, row: usize, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut feed = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        };
-        match self.value(row) {
-            Value::Null => feed(0),
-            Value::Int(v) => {
-                feed(1);
-                for b in v.to_le_bytes() {
-                    feed(b);
-                }
-            }
-            Value::Str(s) => {
-                feed(2);
-                for b in s.as_bytes() {
-                    feed(*b);
-                }
-                feed(0xff);
+            ColumnData::Str { codes, nulls } => {
+                (codes.len() * std::mem::size_of::<u32>()) as u64 + null_bitmap_bytes(nulls)
             }
         }
-        hash
     }
 
     /// Heap footprint of the same data in the row-store representation.
-    fn plain_bytes(&self) -> u64 {
+    fn plain_bytes(&self, dictionary: &Dictionary) -> u64 {
         match self {
             ColumnData::IntPlain { values, .. } => {
                 (values.len() * std::mem::size_of::<i64>()) as u64
@@ -199,7 +208,14 @@ impl ColumnData {
             ColumnData::IntRle(v) => v.plain_bytes(),
             ColumnData::IntPacked(v) => v.plain_bytes(),
             ColumnData::IntDelta(v) => v.plain_bytes(),
-            ColumnData::Str { codes, .. } => codes.plain_bytes(),
+            ColumnData::Str { codes, .. } => codes
+                .iter()
+                .map(|&c| {
+                    dictionary
+                        .value_of(c)
+                        .map_or(0, |s| (s.len() + std::mem::size_of::<String>()) as u64)
+                })
+                .sum(),
         }
     }
 }
@@ -266,12 +282,15 @@ pub enum ZoneMap {
     },
 }
 
-/// A fixed-size horizontal slice of a [`ColumnarTable`] with per-column zone maps.
+/// A fixed-size horizontal slice of a [`ColumnarTable`], encoded once and
+/// shared by `Arc` with every replica grown from the one that encoded it. It
+/// owns its rows' integer encodings, dictionary codes (offsets relative to
+/// `start`), versions, zone maps and checksum.
 #[derive(Debug, Clone)]
 pub struct RowGroup {
     /// First row position covered by the group.
     pub start: u64,
-    /// Number of rows in the group (the last group may be short).
+    /// Number of rows in the group (only the last group may be short).
     pub len: u64,
     /// One [`ZoneMap`] per column, in schema order.
     pub zones: Vec<ZoneMap>,
@@ -279,10 +298,12 @@ pub struct RowGroup {
     /// which case the scan can skip per-row visibility checks.
     pub all_always_visible: bool,
     /// FNV-1a checksum over the group's decoded values (all columns, row-major),
-    /// computed at build time. [`ColumnarTable::verify_group`] recomputes it so a
-    /// scan can detect a corrupted group before trusting its zone maps, and fall
-    /// back to the row store for just that group.
+    /// computed when the group was encoded. [`ColumnarTable::verify_group`]
+    /// recomputes it so a scan can detect a corrupted group before trusting its
+    /// zone maps, and fall back to the row store for just that group.
     pub checksum: u64,
+    columns: Vec<ColumnData>,
+    versions: Vec<RowVersion>,
 }
 
 /// A borrowed view of one integer column's encoded representation.
@@ -344,8 +365,9 @@ impl IntEncoding<'_> {
     }
 }
 
-/// A borrowed view of one column's encoded representation, for scan kernels that
-/// evaluate predicates without materialising [`Value`]s.
+/// A borrowed view of one column of a [`RowGroup`] in its encoded form, for
+/// scan kernels that evaluate predicates without materialising [`Value`]s.
+/// Row `i` of the view is row `start + i` of the table.
 #[derive(Debug, Clone, Copy)]
 pub enum EncodedColumn<'a> {
     /// Integer column: encoded values plus an optional null bitmap.
@@ -357,347 +379,30 @@ pub enum EncodedColumn<'a> {
     },
     /// String column: dictionary codes plus an optional null bitmap.
     Str {
-        /// The dictionary-encoded codes (NULL positions hold the code of `""`).
-        codes: &'a DictColumn,
+        /// One code per row into [`ColumnarTable::dictionary`] (NULL positions
+        /// hold the code of `""`).
+        codes: &'a [u32],
         /// Per-row null flags, when the column contains NULLs.
         nulls: Option<&'a [bool]>,
     },
 }
 
-/// Builds per-group zone maps for an integer column.
-fn int_zones(values: &[i64], nulls: &Option<Vec<bool>>, group_rows: usize) -> Vec<ZoneMap> {
-    let mut zones = Vec::with_capacity(values.len().div_ceil(group_rows.max(1)));
-    for (g, block) in values.chunks(group_rows).enumerate() {
-        let start = g * group_rows;
-        let (mut min, mut max, mut has_null) = (i64::MAX, i64::MIN, false);
-        for (i, &v) in block.iter().enumerate() {
-            if is_null(nulls, start + i) {
-                has_null = true;
-            } else {
-                min = min.min(v);
-                max = max.max(v);
-            }
-        }
-        zones.push(ZoneMap::Int { min, max, has_null });
+/// The zone summary of a string column's non-null codes.
+fn code_summary(mut distinct: Vec<u32>) -> ZoneCodes {
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mask = distinct
+        .iter()
+        .fold(0, |mask, code| mask | 1 << (code % 64));
+    if distinct.len() <= ZONE_EXACT_CODES {
+        ZoneCodes::Exact(distinct)
+    } else {
+        ZoneCodes::Bloom(mask)
     }
-    zones
 }
 
-/// Builds per-group zone maps for a dictionary-encoded string column.
-fn str_zones(codes: &DictColumn, nulls: &Option<Vec<bool>>, group_rows: usize) -> Vec<ZoneMap> {
-    let len = codes.len();
-    let mut zones = Vec::with_capacity(len.div_ceil(group_rows.max(1)));
-    let mut start = 0usize;
-    while start < len {
-        let end = (start + group_rows).min(len);
-        let mut distinct: Vec<u32> = Vec::new();
-        let mut has_null = false;
-        for i in start..end {
-            if is_null(nulls, i) {
-                has_null = true;
-                continue;
-            }
-            let code = codes.code(i).expect("row in range");
-            if let Err(at) = distinct.binary_search(&code) {
-                distinct.insert(at, code);
-            }
-        }
-        let summary = if distinct.len() <= ZONE_EXACT_CODES {
-            ZoneCodes::Exact(distinct)
-        } else {
-            let mut mask = 0u64;
-            for &code in &distinct {
-                mask |= 1u64 << (code % 64);
-            }
-            ZoneCodes::Bloom(mask)
-        };
-        zones.push(ZoneMap::Str {
-            codes: summary,
-            has_null,
-        });
-        start = end;
-    }
-    zones
-}
-
-/// A read-optimised, column-oriented copy of a table.
-#[derive(Debug)]
-pub struct ColumnarTable {
-    schema: Schema,
-    columns: Vec<ColumnData>,
-    versions: Vec<RowVersion>,
-    policy: CompressionPolicy,
-    groups: Vec<RowGroup>,
-    group_rows: usize,
-}
-
-impl ColumnarTable {
-    /// Builds a columnar replica of `table` with [`DEFAULT_ROW_GROUP_ROWS`]-row
-    /// groups, capturing every stored row version.
-    ///
-    /// # Errors
-    /// Returns a type-mismatch error if a stored row does not match the schema (which
-    /// indicates a corrupted source table).
-    pub fn from_table(table: &Table, policy: CompressionPolicy) -> Result<Self> {
-        Self::from_table_with_row_groups(table, policy, DEFAULT_ROW_GROUP_ROWS)
-    }
-
-    /// Builds a columnar replica of `table` split into `group_rows`-row groups with
-    /// per-group zone maps.
-    ///
-    /// # Errors
-    /// Returns a type-mismatch error if a stored row does not match the schema.
-    ///
-    /// # Panics
-    /// Panics if `group_rows` is zero.
-    pub fn from_table_with_row_groups(
-        table: &Table,
-        policy: CompressionPolicy,
-        group_rows: usize,
-    ) -> Result<Self> {
-        assert!(group_rows > 0, "group_rows must be positive");
-        let schema = table.schema().clone();
-        let arity = schema.arity();
-        let len = table.len();
-
-        // Gather all rows once, in RowId order (the order every scan uses).
-        let mut rows = Vec::with_capacity(len);
-        let mut buffer = Vec::new();
-        let mut position = 0u64;
-        loop {
-            buffer.clear();
-            let read = table.read_range(position, 8192, &mut buffer);
-            if read == 0 {
-                break;
-            }
-            position += read as u64;
-            rows.append(&mut buffer);
-        }
-
-        let versions: Vec<RowVersion> = rows.iter().map(|(_, _, v)| *v).collect();
-
-        let mut columns = Vec::with_capacity(arity);
-        let mut column_zones: Vec<Vec<ZoneMap>> = Vec::with_capacity(arity);
-        for (col_idx, column) in schema.columns().iter().enumerate() {
-            let data = match column.ty {
-                ColumnType::Int => {
-                    let mut values: Vec<i64> = Vec::with_capacity(len);
-                    let mut nulls: Option<Vec<bool>> = None;
-                    for (i, (_, row, _)) in rows.iter().enumerate() {
-                        match row.get(col_idx) {
-                            Value::Int(v) => values.push(*v),
-                            Value::Null => {
-                                nulls.get_or_insert_with(|| vec![false; len])[i] = true;
-                                values.push(0);
-                            }
-                            other => {
-                                return Err(Error::type_mismatch(format!(
-                                    "column {} of table {}: expected Int, found {other:?}",
-                                    column.name, schema.table
-                                )))
-                            }
-                        }
-                    }
-                    column_zones.push(int_zones(&values, &nulls, group_rows));
-                    if policy == CompressionPolicy::Adaptive && nulls.is_none() {
-                        Self::best_int_encoding(values)
-                    } else {
-                        ColumnData::IntPlain { values, nulls }
-                    }
-                }
-                ColumnType::Str => {
-                    let mut codes = DictColumn::new();
-                    let mut nulls: Option<Vec<bool>> = None;
-                    for (i, (_, row, _)) in rows.iter().enumerate() {
-                        match row.get(col_idx) {
-                            Value::Str(s) => codes.push(s),
-                            Value::Null => {
-                                nulls.get_or_insert_with(|| vec![false; len])[i] = true;
-                                codes.push("");
-                            }
-                            other => {
-                                return Err(Error::type_mismatch(format!(
-                                    "column {} of table {}: expected Str, found {other:?}",
-                                    column.name, schema.table
-                                )))
-                            }
-                        }
-                    }
-                    column_zones.push(str_zones(&codes, &nulls, group_rows));
-                    ColumnData::Str { codes, nulls }
-                }
-            };
-            columns.push(data);
-        }
-
-        // Transpose the per-column zone lists into per-group RowGroups.
-        let num_groups = len.div_ceil(group_rows);
-        let mut groups = Vec::with_capacity(num_groups);
-        for g in 0..num_groups {
-            let start = g * group_rows;
-            let group_len = group_rows.min(len - start);
-            let zones = column_zones.iter().map(|zones| zones[g].clone()).collect();
-            let all_always_visible = versions[start..start + group_len]
-                .iter()
-                .all(|v| *v == RowVersion::ALWAYS_VISIBLE);
-            groups.push(RowGroup {
-                start: start as u64,
-                len: group_len as u64,
-                zones,
-                all_always_visible,
-                checksum: group_checksum(&columns, start, group_len),
-            });
-        }
-
-        Ok(Self {
-            schema,
-            columns,
-            versions,
-            policy,
-            groups,
-            group_rows,
-        })
-    }
-
-    /// Picks the smallest of plain / RLE / bit-packed / delta for a NULL-free
-    /// integer column (ties keep the simpler plain representation).
-    fn best_int_encoding(values: Vec<i64>) -> ColumnData {
-        let plain_bytes = (values.len() * std::mem::size_of::<i64>()) as u64;
-        let rle = RleVec::from_slice(&values);
-        let packed = BitPackedVec::from_slice(&values);
-        let delta = DeltaVec::from_slice(&values);
-        let best = [
-            rle.encoded_bytes(),
-            packed.encoded_bytes(),
-            delta.encoded_bytes(),
-        ]
-        .into_iter()
-        .min()
-        .unwrap_or(u64::MAX);
-        if best >= plain_bytes {
-            ColumnData::IntPlain {
-                values,
-                nulls: None,
-            }
-        } else if rle.encoded_bytes() == best {
-            ColumnData::IntRle(rle)
-        } else if packed.encoded_bytes() == best {
-            ColumnData::IntPacked(packed)
-        } else {
-            ColumnData::IntDelta(delta)
-        }
-    }
-
-    /// The table's schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The table's name.
-    pub fn name(&self) -> &str {
-        &self.schema.table
-    }
-
-    /// The compression policy the table was built with.
-    pub fn policy(&self) -> CompressionPolicy {
-        self.policy
-    }
-
-    /// Number of stored rows (all versions).
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// Whether the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-
-    /// Returns the value of `column` at `row`, or `None` when the row is out of range.
-    ///
-    /// # Panics
-    /// Panics if `column` is out of range for the schema.
-    pub fn value(&self, row: usize, column: ColumnId) -> Option<Value> {
-        if row >= self.len() {
-            return None;
-        }
-        Some(self.columns[column].value(row))
-    }
-
-    /// Materialises the full-width row at `row`, or `None` when out of range.
-    pub fn row(&self, row: usize) -> Option<Row> {
-        if row >= self.len() {
-            return None;
-        }
-        // Collected straight into the row's `Arc<[Value]>`: the range's exact
-        // length makes it one allocation, with no intermediate `Vec` to copy.
-        Some(
-            (0..self.schema.arity())
-                .map(|c| self.columns[c].value(row))
-                .collect(),
-        )
-    }
-
-    /// Visibility metadata of the row at `row`.
-    pub fn version(&self, row: usize) -> Option<RowVersion> {
-        self.versions.get(row).copied()
-    }
-
-    /// The row groups the table is split into, in position order.
-    pub fn row_groups(&self) -> &[RowGroup] {
-        &self.groups
-    }
-
-    /// Rows per group (the last group may be shorter).
-    pub fn group_rows(&self) -> usize {
-        self.group_rows
-    }
-
-    /// Index of the row group containing row position `row`.
-    pub fn group_of(&self, row: u64) -> usize {
-        (row / self.group_rows as u64) as usize
-    }
-
-    /// Recomputes group `g`'s checksum over the decoded values and compares it
-    /// with the checksum stored at build time. `false` means the group's encoded
-    /// data (or its stored checksum) was corrupted after the build and its zone
-    /// maps must not be trusted — neither to skip the group nor to end a scan
-    /// before it — so callers should serve the group from the row store
-    /// instead. Out-of-range groups verify trivially.
-    pub fn verify_group(&self, g: usize) -> bool {
-        let Some(group) = self.groups.get(g) else {
-            return true;
-        };
-        group_checksum(&self.columns, group.start as usize, group.len as usize) == group.checksum
-    }
-
-    /// Test hook: corrupts group `g` in place so [`ColumnarTable::verify_group`]
-    /// fails for it. Flips a stored value when the group has a plain-encoded
-    /// integer column, otherwise flips the stored checksum. Returns `false` when
-    /// `g` is out of range or empty.
-    #[doc(hidden)]
-    pub fn corrupt_group(&mut self, g: usize) -> bool {
-        let Some(group) = self.groups.get(g) else {
-            return false;
-        };
-        if group.len == 0 {
-            return false;
-        }
-        let row = group.start as usize;
-        for column in &mut self.columns {
-            if let ColumnData::IntPlain { values, .. } = column {
-                if let Some(v) = values.get_mut(row) {
-                    *v ^= 0x55aa;
-                    return true;
-                }
-            }
-        }
-        self.groups[g].checksum ^= 0x55aa;
-        true
-    }
-
-    /// A borrowed view of `column`'s encoded representation, for kernels that
-    /// evaluate predicates directly over encoded data.
+impl RowGroup {
+    /// A borrowed view of `column`'s encoded representation in this group.
     ///
     /// # Panics
     /// Panics if `column` is out of range for the schema.
@@ -726,55 +431,379 @@ impl ColumnarTable {
         }
     }
 
-    /// Visits every row visible at `snapshot`, materialising only the projected
-    /// columns (the rest read as NULL). Used by admission-time dimension loading when
-    /// dimensions are stored columnar.
-    pub fn for_each_visible_projected<F: FnMut(RowId, &Row)>(
-        &self,
-        snapshot: SnapshotId,
-        projection: &[ColumnId],
-        mut f: F,
-    ) {
-        for i in 0..self.len() {
-            if self.versions[i].visible_at(snapshot) {
-                let row = self.project_row(i, projection);
-                f(RowId(i as u64), &row);
+    /// Visibility metadata of row `start + offset`, as it was when encoded.
+    pub fn version(&self, offset: usize) -> Option<RowVersion> {
+        self.versions.get(offset).copied()
+    }
+}
+
+/// Picks the smallest of plain / RLE / bit-packed / delta for a NULL-free
+/// integer column (ties keep the simpler plain representation).
+fn best_int_encoding(values: Vec<i64>) -> ColumnData {
+    let plain_bytes = (values.len() * std::mem::size_of::<i64>()) as u64;
+    let rle = RleVec::from_slice(&values);
+    let packed = BitPackedVec::from_slice(&values);
+    let delta = DeltaVec::from_slice(&values);
+    let best = [
+        rle.encoded_bytes(),
+        packed.encoded_bytes(),
+        delta.encoded_bytes(),
+    ]
+    .into_iter()
+    .min()
+    .unwrap_or(u64::MAX);
+    if best >= plain_bytes {
+        ColumnData::IntPlain {
+            values,
+            nulls: None,
+        }
+    } else if rle.encoded_bytes() == best {
+        ColumnData::IntRle(rle)
+    } else if packed.encoded_bytes() == best {
+        ColumnData::IntPacked(packed)
+    } else {
+        ColumnData::IntDelta(delta)
+    }
+}
+
+/// A read-optimised, column-oriented copy of a table: its row groups, in
+/// position order, and one append-only dictionary per string column.
+#[derive(Debug, Clone)]
+pub struct ColumnarTable {
+    schema: Schema,
+    policy: CompressionPolicy,
+    group_rows: usize,
+    /// One dictionary per column, empty for an integer column. Shared with the
+    /// replica this one grew from until a new string is interned.
+    dictionaries: Arc<Vec<Dictionary>>,
+    groups: Vec<Arc<RowGroup>>,
+}
+
+impl ColumnarTable {
+    /// Builds a columnar replica of `table` with [`DEFAULT_ROW_GROUP_ROWS`]-row
+    /// groups, capturing every stored row version.
+    ///
+    /// # Errors
+    /// Returns a type-mismatch error if a stored row does not match the schema (which
+    /// indicates a corrupted source table).
+    pub fn from_table(table: &Table, policy: CompressionPolicy) -> Result<Self> {
+        Self::from_table_with_row_groups(table, policy, DEFAULT_ROW_GROUP_ROWS)
+    }
+
+    /// Builds a columnar replica of `table` split into `group_rows`-row groups
+    /// (the last one holds what is left, and may be short) with per-group zone
+    /// maps.
+    ///
+    /// # Errors
+    /// Returns a type-mismatch error if a stored row does not match the schema.
+    ///
+    /// # Panics
+    /// Panics if `group_rows` is zero.
+    pub fn from_table_with_row_groups(
+        table: &Table,
+        policy: CompressionPolicy,
+        group_rows: usize,
+    ) -> Result<Self> {
+        assert!(group_rows > 0, "group_rows must be positive");
+        let schema = table.schema().clone();
+        let mut replica = Self {
+            dictionaries: Arc::new(vec![Dictionary::new(); schema.arity()]),
+            schema,
+            policy,
+            group_rows,
+            groups: Vec::new(),
+        };
+        replica.encode_through(table, table.len())?;
+        Ok(replica)
+    }
+
+    /// This replica grown by every row group `table` — the append-only table it
+    /// was built from — has completed since, or `None` if there is none. Only
+    /// the new groups are encoded (a short last group again, once full); the
+    /// others are shared by `Arc`. The result stops fewer than
+    /// [`ColumnarTable::group_rows`] rows short of `table`.
+    ///
+    /// # Errors
+    /// Returns a type-mismatch error if a stored row does not match the schema.
+    pub fn with_sealed_groups(&self, table: &Table) -> Result<Option<Self>> {
+        let end = table.len() / self.group_rows * self.group_rows;
+        if end <= self.len() {
+            return Ok(None);
+        }
+        let mut grown = self.clone();
+        grown.encode_through(table, end)?;
+        Ok(Some(grown))
+    }
+
+    /// Encodes `table`'s rows from the end of the last full group up to `end`
+    /// into groups of `group_rows` rows (the last one may be short), replacing
+    /// a short last group.
+    fn encode_through(&mut self, table: &Table, end: usize) -> Result<()> {
+        self.groups.pop_if(|g| g.len < self.group_rows as u64);
+        let mut rows = Vec::with_capacity(self.group_rows);
+        while self.len() < end {
+            let start = self.len();
+            rows.clear();
+            if table.read_range(start as u64, self.group_rows.min(end - start), &mut rows) == 0 {
+                break;
+            }
+            let group = self.encode_group(start, &rows)?;
+            self.groups.push(Arc::new(group));
+        }
+        Ok(())
+    }
+
+    /// Encodes `rows` — every stored version of rows `start..start + rows.len()`,
+    /// in position order — as one group, interning new strings into the
+    /// dictionaries (cloned first if another replica still shares them).
+    fn encode_group(
+        &mut self,
+        start: usize,
+        rows: &[(RowId, Row, RowVersion)],
+    ) -> Result<RowGroup> {
+        let (schema, dictionaries) = (&self.schema, &mut self.dictionaries);
+        let len = rows.len();
+        let mut columns = Vec::with_capacity(schema.arity());
+        let mut zones = Vec::with_capacity(schema.arity());
+        for (c, column) in schema.columns().iter().enumerate() {
+            let mismatch = |found: &Value| {
+                Error::type_mismatch(format!(
+                    "column {} of table {}: expected {:?}, found {found:?}",
+                    column.name, schema.table, column.ty
+                ))
+            };
+            let mut nulls = None;
+            match column.ty {
+                ColumnType::Int => {
+                    let (mut min, mut max) = (i64::MAX, i64::MIN);
+                    let mut values = Vec::with_capacity(len);
+                    for (i, (_, row, _)) in rows.iter().enumerate() {
+                        match row.get(c) {
+                            Value::Int(v) => {
+                                (min, max) = (min.min(*v), max.max(*v));
+                                values.push(*v);
+                            }
+                            Value::Null => {
+                                nulls.get_or_insert_with(|| vec![false; len])[i] = true;
+                                values.push(0);
+                            }
+                            other => return Err(mismatch(other)),
+                        }
+                    }
+                    zones.push(ZoneMap::Int {
+                        min,
+                        max,
+                        has_null: nulls.is_some(),
+                    });
+                    columns.push(
+                        if self.policy == CompressionPolicy::Adaptive && nulls.is_none() {
+                            best_int_encoding(values)
+                        } else {
+                            ColumnData::IntPlain { values, nulls }
+                        },
+                    );
+                }
+                ColumnType::Str => {
+                    let mut code_of = |s: &str| match dictionaries[c].code_of(s) {
+                        Some(code) => code,
+                        None => Arc::make_mut(dictionaries)[c].intern(s),
+                    };
+                    let (mut codes, mut distinct) = (Vec::with_capacity(len), Vec::new());
+                    for (i, (_, row, _)) in rows.iter().enumerate() {
+                        match row.get(c) {
+                            Value::Str(s) => {
+                                let code = code_of(s);
+                                distinct.push(code);
+                                codes.push(code);
+                            }
+                            Value::Null => {
+                                nulls.get_or_insert_with(|| vec![false; len])[i] = true;
+                                codes.push(code_of(""));
+                            }
+                            other => return Err(mismatch(other)),
+                        }
+                    }
+                    zones.push(ZoneMap::Str {
+                        codes: code_summary(distinct),
+                        has_null: nulls.is_some(),
+                    });
+                    columns.push(ColumnData::Str { codes, nulls });
+                }
             }
         }
+        let versions: Vec<RowVersion> = rows.iter().map(|(_, _, v)| *v).collect();
+        Ok(RowGroup {
+            start: start as u64,
+            len: len as u64,
+            zones,
+            all_always_visible: versions.iter().all(|v| *v == RowVersion::ALWAYS_VISIBLE),
+            checksum: group_checksum(&columns, dictionaries, len),
+            columns,
+            versions,
+        })
+    }
+
+    /// The table's schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The table's name.
+    pub fn name(&self) -> &str {
+        &self.schema.table
+    }
+
+    /// The compression policy the table was built with.
+    pub fn policy(&self) -> CompressionPolicy {
+        self.policy
+    }
+
+    /// Number of stored rows (all versions).
+    pub fn len(&self) -> usize {
+        self.groups.last().map_or(0, |g| (g.start + g.len) as usize)
+    }
+
+    /// Whether the table holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// The group holding row position `row`, and the row's offset in it.
+    fn locate(&self, row: usize) -> Option<(&RowGroup, usize)> {
+        let group = self.groups.get(self.group_of(row as u64))?;
+        let offset = row - group.start as usize;
+        (offset < group.len as usize).then_some((group, offset))
+    }
+
+    /// Returns the value of `column` at `row`, or `None` when the row is out of range.
+    ///
+    /// # Panics
+    /// Panics if `column` is out of range for the schema.
+    pub fn value(&self, row: usize, column: ColumnId) -> Option<Value> {
+        let (group, offset) = self.locate(row)?;
+        Some(group.columns[column].value(offset, &self.dictionaries[column]))
+    }
+
+    /// Materialises the full-width row at `row`, or `None` when out of range.
+    pub fn row(&self, row: usize) -> Option<Row> {
+        let (group, offset) = self.locate(row)?;
+        // Collected straight into the row's `Arc<[Value]>`: the range's exact
+        // length makes it one allocation, with no intermediate `Vec` to copy.
+        Some(
+            (group.columns.iter().zip(self.dictionaries.iter()))
+                .map(|(column, dictionary)| column.value(offset, dictionary))
+                .collect(),
+        )
+    }
+
+    /// Visibility metadata of the row at `row`.
+    pub fn version(&self, row: usize) -> Option<RowVersion> {
+        let (group, offset) = self.locate(row)?;
+        group.version(offset)
+    }
+
+    /// The row groups the table is split into, in position order.
+    pub fn row_groups(&self) -> &[Arc<RowGroup>] {
+        &self.groups
+    }
+
+    /// Rows per group (the last group may be shorter).
+    pub fn group_rows(&self) -> usize {
+        self.group_rows
+    }
+
+    /// Index of the row group containing row position `row`.
+    pub fn group_of(&self, row: u64) -> usize {
+        (row / self.group_rows as u64) as usize
+    }
+
+    /// The dictionary of a string column (`None` for an integer column).
+    pub fn dictionary(&self, column: ColumnId) -> Option<&Dictionary> {
+        (self.schema.columns()[column].ty == ColumnType::Str).then(|| &self.dictionaries[column])
+    }
+
+    /// Recomputes group `g`'s checksum over the decoded values and compares it
+    /// with the checksum stored when it was encoded. `false` means the group's
+    /// encoded data (or its stored checksum) was corrupted since and its zone
+    /// maps must not be trusted — neither to skip the group nor to end a scan
+    /// before it — so callers should serve the group from the row store
+    /// instead. Out-of-range groups verify trivially.
+    pub fn verify_group(&self, g: usize) -> bool {
+        self.groups.get(g).is_none_or(|group| {
+            group_checksum(&group.columns, &self.dictionaries, group.len as usize) == group.checksum
+        })
+    }
+
+    /// Test hook: corrupts group `g` so [`ColumnarTable::verify_group`] fails
+    /// for it (a copy of the group, if another replica shares it). Flips a
+    /// stored value when the group has a plain-encoded integer column, otherwise
+    /// flips the stored checksum. Returns `false` when `g` is out of range or
+    /// empty.
+    #[doc(hidden)]
+    pub fn corrupt_group(&mut self, g: usize) -> bool {
+        let Some(group) = self.groups.get_mut(g).filter(|group| group.len > 0) else {
+            return false;
+        };
+        let group = Arc::make_mut(group);
+        for column in &mut group.columns {
+            if let ColumnData::IntPlain { values, .. } = column {
+                values[0] ^= 0x55aa;
+                return true;
+            }
+        }
+        group.checksum ^= 0x55aa;
+        true
     }
 
     /// Materialises a row with only the projected columns populated; all other
     /// columns are NULL. Column positions are preserved so bound column indices keep
     /// working.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range.
     pub fn project_row(&self, row: usize, projection: &[ColumnId]) -> Row {
+        let (group, offset) = self.locate(row).expect("row in range");
         // One allocation: the all-NULL row is built in its final `Arc<[Value]>`
         // and the projected columns are written in place while it is unshared.
         let mut values: Arc<[Value]> = (0..self.schema.arity()).map(|_| Value::Null).collect();
         let slots = Arc::get_mut(&mut values).expect("a freshly built Arc is unshared");
         for &c in projection {
-            slots[c] = self.columns[c].value(row);
+            slots[c] = group.columns[c].value(offset, &self.dictionaries[c]);
         }
         Row::from(values)
     }
 
     /// Approximate encoded heap footprint of one column, in bytes.
     pub fn column_encoded_bytes(&self, column: ColumnId) -> u64 {
-        self.columns[column].encoded_bytes()
+        let groups: u64 = self
+            .groups
+            .iter()
+            .map(|g| g.columns[column].encoded_bytes())
+            .sum();
+        groups + self.dictionaries[column].encoded_bytes()
     }
 
     /// Approximate heap footprint of one column in the row-store representation.
     pub fn column_plain_bytes(&self, column: ColumnId) -> u64 {
-        self.columns[column].plain_bytes()
+        let dictionary = &self.dictionaries[column];
+        self.groups
+            .iter()
+            .map(|g| g.columns[column].plain_bytes(dictionary))
+            .sum()
     }
 
     /// Total encoded footprint across all columns.
     pub fn total_encoded_bytes(&self) -> u64 {
-        self.columns.iter().map(ColumnData::encoded_bytes).sum()
+        (0..self.schema.arity())
+            .map(|c| self.column_encoded_bytes(c))
+            .sum()
     }
 
     /// Total row-store footprint across all columns.
     pub fn total_plain_bytes(&self) -> u64 {
-        self.columns.iter().map(ColumnData::plain_bytes).sum()
+        (0..self.schema.arity())
+            .map(|c| self.column_plain_bytes(c))
+            .sum()
     }
 
     /// Overall compression ratio (`plain / encoded`); 1.0 for an empty table.
@@ -874,20 +903,6 @@ impl ScanVolume {
             .collect()
     }
 
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.bytes_scanned.store(0, Ordering::Relaxed);
-        self.rows_scanned.store(0, Ordering::Relaxed);
-        self.row_groups_skipped.store(0, Ordering::Relaxed);
-        self.rows_predicate_skipped.store(0, Ordering::Relaxed);
-        self.predicate_probes.store(0, Ordering::Relaxed);
-        self.predicate_rows.store(0, Ordering::Relaxed);
-        self.groups_quarantined.store(0, Ordering::Relaxed);
-        for c in &self.column_bytes {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Records `rows` produced at a cost of `bytes` of column data.
     pub fn record_scan(&self, rows: u64, bytes: u64) {
         self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
@@ -977,11 +992,6 @@ impl ColumnarContinuousScan {
         self
     }
 
-    /// The projected column indices.
-    pub fn projection(&self) -> &[ColumnId] {
-        &self.projection
-    }
-
     /// Average encoded bytes touched per produced row.
     pub fn bytes_per_row(&self) -> u64 {
         self.bytes_per_row
@@ -1029,6 +1039,7 @@ impl ColumnarContinuousScan {
 mod tests {
     use super::*;
     use crate::schema::Column;
+    use crate::snapshot::SnapshotId;
 
     fn source_table(rows: i64) -> Table {
         let schema = Schema::new(
@@ -1099,6 +1110,67 @@ mod tests {
         }
     }
 
+    /// Growing a replica by sealed groups encodes only the groups the appends
+    /// completed — the short last group included — and shares every other
+    /// group by `Arc`; the result is what a build from scratch over the same
+    /// rows gives, and a new string grows only the new replica's dictionary.
+    #[test]
+    fn sealed_groups_share_the_old_ones_and_match_a_fresh_build() {
+        let table = source_table(200);
+        for policy in [CompressionPolicy::Plain, CompressionPolicy::Adaptive] {
+            let first = ColumnarTable::from_table_with_row_groups(&table, policy, 64).unwrap();
+            assert_eq!(first.row_groups().len(), 4);
+            assert_eq!(first.len(), 200, "the short last group holds 8 rows");
+            assert!(first.with_sealed_groups(&table).unwrap().is_none());
+
+            let grown_table = source_table(200);
+            grown_table.insert_batch_unchecked(
+                (200..330).map(|i| {
+                    let mode = if i == 300 { "SHIP" } else { "AIR" };
+                    Row::new(vec![
+                        Value::int(i),
+                        Value::int(19940105),
+                        Value::str(mode),
+                        Value::int(i),
+                    ])
+                }),
+                SnapshotId(4),
+            );
+            let grown = first.with_sealed_groups(&grown_table).unwrap().unwrap();
+            assert_eq!(grown.len(), 320, "{policy:?}: 10 rows stay in the tail");
+            assert_eq!(grown.row_groups().len(), 5);
+            for g in 0..3 {
+                assert!(Arc::ptr_eq(&first.row_groups()[g], &grown.row_groups()[g]));
+            }
+            assert!(!Arc::ptr_eq(&first.row_groups()[3], &grown.row_groups()[3]));
+            assert!(!grown.row_groups()[4].all_always_visible);
+
+            let shipmode = 2;
+            assert_eq!(first.dictionary(shipmode).unwrap().len(), 2);
+            assert_eq!(grown.dictionary(shipmode).unwrap().len(), 3);
+            assert!(first.dictionary(0).is_none());
+
+            let fresh =
+                ColumnarTable::from_table_with_row_groups(&grown_table, policy, 64).unwrap();
+            for (g, (a, b)) in grown
+                .row_groups()
+                .iter()
+                .zip(fresh.row_groups())
+                .enumerate()
+            {
+                assert_eq!(a.zones, b.zones, "{policy:?} group {g}");
+                assert_eq!(a.checksum, b.checksum, "{policy:?} group {g}");
+                assert!(grown.verify_group(g), "{policy:?} group {g}");
+            }
+            for i in 0..320 {
+                assert_eq!(grown.row(i), grown_table.row(RowId(i as u64)), "row {i}");
+                assert_eq!(grown.version(i), fresh.version(i), "row {i}");
+            }
+            assert!(grown.row(320).is_none());
+            assert!(grown.with_sealed_groups(&grown_table).unwrap().is_none());
+        }
+    }
+
     #[test]
     fn group_checksums_are_value_determined() {
         // Plain and adaptive encodings store the same values, so their group
@@ -1147,29 +1219,31 @@ mod tests {
     fn encoded_column_views_agree_with_values() {
         let table = source_table(300);
         for policy in [CompressionPolicy::Plain, CompressionPolicy::Adaptive] {
-            let columnar = ColumnarTable::from_table(&table, policy).unwrap();
-            for c in 0..columnar.schema().arity() {
-                match columnar.encoded_column(c) {
-                    EncodedColumn::Int { data, nulls } => {
-                        assert!(nulls.is_none());
-                        for i in 0..columnar.len() {
-                            assert_eq!(
-                                Value::Int(data.get(i).unwrap()),
-                                columnar.value(i, c).unwrap(),
-                                "{policy:?} col {c} row {i}"
-                            );
-                        }
-                        assert_eq!(data.get(columnar.len()), None);
+            let columnar = ColumnarTable::from_table_with_row_groups(&table, policy, 128).unwrap();
+            for group in columnar.row_groups() {
+                let start = group.start as usize;
+                for c in 0..columnar.schema().arity() {
+                    for i in 0..group.len as usize {
+                        let decoded = match group.encoded_column(c) {
+                            EncodedColumn::Int { data, nulls } => {
+                                assert!(nulls.is_none());
+                                Value::Int(data.get(i).unwrap())
+                            }
+                            EncodedColumn::Str { codes, nulls } => {
+                                assert!(nulls.is_none());
+                                let dictionary = columnar.dictionary(c).unwrap();
+                                Value::Str(dictionary.value_of(codes[i]).unwrap().clone())
+                            }
+                        };
+                        assert_eq!(
+                            decoded,
+                            columnar.value(start + i, c).unwrap(),
+                            "{policy:?} col {c} row {}",
+                            start + i
+                        );
                     }
-                    EncodedColumn::Str { codes, nulls } => {
-                        assert!(nulls.is_none());
-                        for i in 0..columnar.len() {
-                            assert_eq!(
-                                Value::Str(codes.get(i).unwrap()),
-                                columnar.value(i, c).unwrap(),
-                                "{policy:?} col {c} row {i}"
-                            );
-                        }
+                    if let EncodedColumn::Int { data, .. } = group.encoded_column(c) {
+                        assert_eq!(data.get(group.len as usize), None);
                     }
                 }
             }
@@ -1241,10 +1315,7 @@ mod tests {
         };
         assert!(*has_null);
         // The "" sentinel interned for NULLs must not appear in the code set.
-        let x_code = match columnar.encoded_column(1) {
-            EncodedColumn::Str { codes, .. } => codes.code(0).unwrap(),
-            _ => unreachable!(),
-        };
+        let x_code = columnar.dictionary(1).unwrap().code_of("x").unwrap();
         assert!(codes.may_contain(x_code));
         assert_eq!(codes.exact().unwrap().len(), 2);
     }
@@ -1300,10 +1371,6 @@ mod tests {
         assert_eq!(volume.rows_predicate_skipped(), 1024);
         assert_eq!(volume.predicate_probes(), 3);
         assert_eq!(volume.predicate_rows(), 1000);
-        volume.reset();
-        assert_eq!(volume.column_bytes(), vec![0, 0]);
-        assert_eq!(volume.row_groups_skipped(), 0);
-        assert_eq!(volume.predicate_probes(), 0);
     }
 
     #[test]
@@ -1356,7 +1423,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visible_projected_respects_snapshots() {
+    fn captured_versions_respect_snapshots() {
         let schema = Schema::new("t", vec![Column::int("a")]);
         let table = Table::new(schema);
         let early = table.insert(vec![Value::int(1)], SnapshotId(0)).unwrap();
@@ -1365,9 +1432,10 @@ mod tests {
         let columnar = ColumnarTable::from_table(&table, CompressionPolicy::Plain).unwrap();
 
         let collect = |snap: SnapshotId| {
-            let mut seen = Vec::new();
-            columnar.for_each_visible_projected(snap, &[0], |_, row| seen.push(row.int(0)));
-            seen
+            (0..columnar.len())
+                .filter(|&i| columnar.version(i).unwrap().visible_at(snap))
+                .map(|i| columnar.project_row(i, &[0]).int(0))
+                .collect::<Vec<_>>()
         };
         assert_eq!(collect(SnapshotId(0)), vec![1]);
         assert_eq!(collect(SnapshotId(4)), Vec::<i64>::new());
@@ -1438,10 +1506,6 @@ mod tests {
             full_volume.bytes_scanned()
         );
         assert!(narrow.bytes_per_row() < full.bytes_per_row());
-
-        narrow_volume.reset();
-        assert_eq!(narrow_volume.bytes_scanned(), 0);
-        assert_eq!(narrow_volume.rows_scanned(), 0);
     }
 
     #[test]

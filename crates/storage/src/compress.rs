@@ -6,7 +6,7 @@
 //! and fields extracted. This module provides the two encodings the columnar store
 //! ([`crate::columnar`]) uses:
 //!
-//! * [`Dictionary`] / [`DictColumn`] — dictionary encoding for string columns. Star
+//! * [`Dictionary`] — dictionary encoding for string columns. Star
 //!   schema dimension attributes (regions, nations, brands, …) and even many fact
 //!   columns have tiny domains, so storing a `u32` code per row plus one copy of each
 //!   distinct string is a large win.
@@ -557,95 +557,6 @@ impl Dictionary {
     }
 }
 
-/// A dictionary-encoded string column: one `u32` code per row plus the dictionary.
-#[derive(Debug, Clone, Default)]
-pub struct DictColumn {
-    codes: Vec<u32>,
-    dictionary: Dictionary,
-}
-
-impl DictColumn {
-    /// Creates an empty column.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a dictionary column from an iterator of strings.
-    pub fn from_values<'a, I: IntoIterator<Item = &'a str>>(values: I) -> Self {
-        let mut col = Self::new();
-        for v in values {
-            col.push(v);
-        }
-        col
-    }
-
-    /// Appends a value.
-    pub fn push(&mut self, value: &str) {
-        let code = self.dictionary.intern(value);
-        self.codes.push(code);
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Number of distinct values.
-    pub fn cardinality(&self) -> usize {
-        self.dictionary.len()
-    }
-
-    /// Returns the string at row `index`, or `None` when out of range.
-    ///
-    /// The returned `Arc<str>` shares the dictionary's single copy of the string, so
-    /// materialising a [`crate::Value`] from it does not allocate.
-    pub fn get(&self, index: usize) -> Option<Arc<str>> {
-        let code = *self.codes.get(index)?;
-        self.dictionary.value_of(code).cloned()
-    }
-
-    /// Returns the code at row `index` (useful for predicate evaluation directly on
-    /// codes, the partial-decompression trick BLINK uses).
-    pub fn code(&self, index: usize) -> Option<u32> {
-        self.codes.get(index).copied()
-    }
-
-    /// The underlying dictionary.
-    pub fn dictionary(&self) -> &Dictionary {
-        &self.dictionary
-    }
-
-    /// Approximate heap footprint in bytes of the encoded form.
-    pub fn encoded_bytes(&self) -> u64 {
-        (self.codes.len() * std::mem::size_of::<u32>()) as u64 + self.dictionary.encoded_bytes()
-    }
-
-    /// Heap footprint the same data would occupy as one owned `String` per row.
-    pub fn plain_bytes(&self) -> u64 {
-        self.codes
-            .iter()
-            .map(|&c| {
-                self.dictionary
-                    .value_of(c)
-                    .map_or(0, |s| s.len() + std::mem::size_of::<String>())
-            })
-            .sum::<usize>() as u64
-    }
-
-    /// Compression ratio (`plain / encoded`); 1.0 for an empty column.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.encoded_bytes() == 0 {
-            return 1.0;
-        }
-        self.plain_bytes() as f64 / self.encoded_bytes() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,6 +725,7 @@ mod tests {
     #[test]
     fn dictionary_interns_and_reuses_codes() {
         let mut dict = Dictionary::new();
+        assert!(dict.is_empty());
         let a = dict.intern("ASIA");
         let b = dict.intern("EUROPE");
         let a2 = dict.intern("ASIA");
@@ -825,43 +737,6 @@ mod tests {
         assert_eq!(dict.code_of("EUROPE"), Some(b));
         assert_eq!(dict.code_of("AFRICA"), None);
         assert_eq!(dict.value_of(99), None);
-    }
-
-    #[test]
-    fn dict_column_roundtrip_and_cardinality() {
-        let values = ["ASIA", "ASIA", "EUROPE", "AMERICA", "ASIA"];
-        let col = DictColumn::from_values(values.iter().copied());
-        assert_eq!(col.len(), 5);
-        assert_eq!(col.cardinality(), 3);
-        for (i, v) in values.iter().enumerate() {
-            assert_eq!(col.get(i).unwrap().as_ref(), *v);
-        }
-        assert_eq!(col.get(5), None);
-        assert_eq!(col.code(0), col.code(1));
-        assert_ne!(col.code(0), col.code(2));
-        assert_eq!(col.code(9), None);
-    }
-
-    #[test]
-    fn dict_column_low_cardinality_compresses_well() {
-        let col =
-            DictColumn::from_values(
-                (0..10_000).map(|i| if i % 2 == 0 { "MFGR#1" } else { "MFGR#2" }),
-            );
-        assert_eq!(col.cardinality(), 2);
-        assert!(
-            col.compression_ratio() > 5.0,
-            "ratio {}",
-            col.compression_ratio()
-        );
-    }
-
-    #[test]
-    fn dict_column_empty() {
-        let col = DictColumn::new();
-        assert!(col.is_empty());
-        assert_eq!(col.compression_ratio(), 1.0);
-        assert_eq!(col.dictionary().len(), 0);
     }
 
     // Randomized round-trip properties over a fixed-seed RNG (deterministic runs;
@@ -896,15 +771,16 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let col = DictColumn::from_values(values.iter().map(String::as_str));
-            assert_eq!(col.len(), values.len(), "case {case}");
-            for (i, v) in values.iter().enumerate() {
-                let got = col.get(i).unwrap();
+            let mut dict = Dictionary::new();
+            let codes: Vec<u32> = values.iter().map(|v| dict.intern(v)).collect();
+            for (i, (v, &code)) in values.iter().zip(&codes).enumerate() {
+                let got = dict.value_of(code).unwrap();
                 assert_eq!(got.as_ref(), v.as_str(), "case {case} index {i}");
+                assert_eq!(dict.code_of(v), Some(code), "case {case} index {i}");
             }
             let distinct: std::collections::BTreeSet<&str> =
                 values.iter().map(String::as_str).collect();
-            assert_eq!(col.cardinality(), distinct.len(), "case {case}");
+            assert_eq!(dict.len(), distinct.len(), "case {case}");
         }
     }
 }

@@ -47,7 +47,7 @@ pub use columnar::{
     ColumnarContinuousScan, ColumnarTable, CompressionPolicy, EncodedColumn, IntEncoding, RowGroup,
     ScanVolume, ZoneCodes, ZoneMap, DEFAULT_ROW_GROUP_ROWS,
 };
-pub use compress::{BitPackedVec, DeltaVec, DictColumn, Dictionary, RleVec, RunCursor};
+pub use compress::{BitPackedVec, DeltaVec, Dictionary, RleVec, RunCursor};
 pub use io::{AccessKind, IoModel, IoStats};
 pub use row::{Row, RowId};
 pub use scan::{segment_ranges, ContinuousScan, ScanBatch, ScanStep, TableScan};

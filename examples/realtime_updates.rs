@@ -4,9 +4,14 @@
 //! batches through the write-ahead log while a dimension update stream mutates
 //! `customer` rows — and a long-running report pinned to its admission
 //! snapshot keeps returning consistent answers through all of it. Every batch
-//! is logged, group-committed and only then made visible atomically; the
-//! example finishes by "crashing" (dropping the engine), recovering a fresh
-//! warehouse from the WAL and showing the recovered answer is identical.
+//! is logged, group-committed and only then made visible atomically. The
+//! engine runs the compressed columnar scan, so the feed's 3 000 rows are
+//! sealed into the read-optimised replica a row group at a time as their
+//! commits complete groups. The example finishes by "crashing" (dropping the
+//! engine), recovering a fresh warehouse from the WAL and showing the
+//! recovered answer is identical. Every answer is checked against the
+//! reference evaluator at its snapshot; a mismatch panics, so CI runs this
+//! example.
 //!
 //! ```text
 //! cargo run --release --example realtime_updates
@@ -15,7 +20,7 @@
 use std::sync::Arc;
 
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
-use cjoin_repro::query::{AggFunc, AggregateSpec, ColumnRef, Predicate, StarQuery};
+use cjoin_repro::query::{reference, AggFunc, AggregateSpec, ColumnRef, Predicate, StarQuery};
 use cjoin_repro::ssb::{schema::join_columns, SsbConfig, SsbDataSet};
 use cjoin_repro::storage::Value;
 
@@ -42,8 +47,10 @@ fn main() -> cjoin_repro::Result<()> {
     let mut wal = std::env::temp_dir();
     wal.push(format!("cjoin-realtime-updates-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal);
-    let config = CjoinConfig::default().with_wal(&wal);
-    let engine = CjoinEngine::start(Arc::clone(&catalog), config)?;
+    let config = CjoinConfig::default()
+        .with_columnar_scan(true)
+        .with_wal(&wal);
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config.clone())?;
 
     // A long-running report pinned to the pre-ingest snapshot.
     let initial_snapshot = catalog.snapshots().current();
@@ -119,12 +126,32 @@ fn main() -> cjoin_repro::Result<()> {
     print!("{pinned_result}");
     println!("\nreading snapshot {feed_snapshot:?} (after the feed):");
     print!("{fresh_result}");
+    let expected =
+        |name, snapshot| reference::evaluate(&catalog, &asia_revenue(name, None), snapshot);
+    assert_eq!(
+        pinned_result,
+        expected("report_before_feed", initial_snapshot)?
+    );
+    assert_eq!(fresh_result, expected("report_after_feed", feed_snapshot)?);
+    assert_ne!(pinned_result, fresh_result, "the feed changes the answer");
 
     let stats = engine.stats();
     println!("\ningest stats (durable path):");
     println!("  records appended: {}", stats.ingest.records_appended);
     println!("  batch commits:    {}", stats.ingest.commits);
     println!("  fsync time:       {} ns", stats.ingest.sync_ns);
+    println!("  groups sealed:    {}", stats.ingest.groups_sealed);
+    let replica = engine.columnar_replica().expect("the columnar scan is on");
+    println!(
+        "  replica:          {} of {} fact rows, {} row-store tail rows",
+        replica.len(),
+        fact.len(),
+        fact.len() - replica.len()
+    );
+    assert!(
+        stats.ingest.groups_sealed >= 2,
+        "the feed crosses group edges"
+    );
     engine.shutdown();
     drop(engine);
 
@@ -132,10 +159,7 @@ fn main() -> cjoin_repro::Result<()> {
     // ingested rows) replays the WAL at startup and answers identically.
     let recovered_data = SsbDataSet::generate(ssb_config);
     let recovered_catalog = recovered_data.catalog();
-    let recovered_engine = CjoinEngine::start(
-        Arc::clone(&recovered_catalog),
-        CjoinConfig::default().with_wal(&wal),
-    )?;
+    let recovered_engine = CjoinEngine::start(Arc::clone(&recovered_catalog), config)?;
     let recovered_stats = recovered_engine.stats();
     println!("\nrecovered a fresh warehouse from the WAL:");
     println!(
@@ -145,11 +169,18 @@ fn main() -> cjoin_repro::Result<()> {
     let recovered = recovered_engine
         .submit(asia_revenue("report_recovered", None))?
         .wait()?;
-    println!(
-        "  recovered answer matches pre-crash: {}",
-        recovered.approx_eq(&fresh_result)
-    );
     print!("{recovered}");
+    let recovered_snapshot = recovered_catalog.snapshots().current();
+    assert_eq!(
+        recovered,
+        reference::evaluate(
+            &recovered_catalog,
+            &asia_revenue("report_recovered", None),
+            recovered_snapshot
+        )?
+    );
+    assert_eq!(recovered, fresh_result, "recovery changes no answer");
+    println!("  recovered answer matches pre-crash and the reference evaluator");
 
     recovered_engine.shutdown();
     let _ = std::fs::remove_file(&wal);

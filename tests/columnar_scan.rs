@@ -1,7 +1,7 @@
 //! Oracle-backed tests for the compressed columnar scan front-end
 //! (`CjoinConfig::columnar_scan`).
 //!
-//! Six suites pin down the in-pipeline columnar path:
+//! Seven suites pin down the in-pipeline columnar path:
 //!
 //! 1. **Zone-map skip oracle** — an independently computed per-group min/max
 //!    over the raw fact rows predicts *exactly* how many rows a clustered range
@@ -34,6 +34,11 @@
 //!    a query that can match everywhere runs exactly one pass; and a window
 //!    admitted after an ingest commit still sees the appended rows, with and
 //!    without a replica.
+//! 7. **Growth by sealed row groups** — each commit encodes exactly the row
+//!    groups it completed and shares every older one by `Arc`, leaving fewer
+//!    than one group to the row store; a string the replica has never seen
+//!    grows its dictionary, and queries admitted before and after the seal
+//!    that brings it in answer exactly.
 
 use std::sync::Arc;
 
@@ -336,11 +341,7 @@ fn sales_by(name: &str, color: Option<Predicate>, size: Option<Predicate>) -> St
 }
 
 fn small_config(scan_workers: usize) -> CjoinConfig {
-    config(scan_workers)
-        .with_max_concurrency(8)
-        // Appended rows must stay in the hybrid tail, not be folded into a
-        // rebuilt replica.
-        .with_tail_compaction_rows(0)
+    config(scan_workers).with_max_concurrency(8)
 }
 
 /// Submits every query at once (so they share chunks, and whichever dimension
@@ -444,7 +445,9 @@ fn quarantined_groups_and_the_hybrid_tail_bypass_the_scan_side_probe() {
         let config = small_config(scan_workers).with_fault_plan(plan);
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
 
-        // Rows past the replica: served from the row store by the tail path.
+        // The first 120 rows complete the replica's short last group, which
+        // the commit seals; the other 180 lie past the replica and are served
+        // from the row store by the tail path.
         let mut session = engine.ingest_session();
         for i in 0..300i64 {
             session.append_fact(vec![
@@ -465,14 +468,17 @@ fn quarantined_groups_and_the_hybrid_tail_bypass_the_scan_side_probe() {
     }
 }
 
-/// One pass over everything a chunk can be. The table outgrows the replica by
-/// many row groups before the first queries and by more than another one
-/// while queries are in flight, so a pass runs through encoded chunks, over
-/// the replica's frontier, through row-store chunks (some of which were not
-/// there when it started) and around the wrap; queries are installed while
-/// the cursor is inside the replica and while it is beyond the frontier. Every answer is
-/// bit-identical to the reference and to an engine without a replica that is
-/// fed the same queries over the same catalog.
+/// One pass over everything a chunk can be. The table grows by many row
+/// groups before the first queries and by more than another one while
+/// queries are in flight, and each commit seals the groups it completed, so
+/// a pass runs through encoded chunks of the groups built at start and of
+/// groups sealed since (some of them sealed mid-pass), over the replica's
+/// frontier, through the row-store tail behind it (some of whose rows were
+/// not there when the pass started) and around the wrap; queries are
+/// installed while the cursor is in the groups built at start and while it is
+/// in rows appended after start. Every answer is bit-identical to the
+/// reference and to an engine without a replica that is fed the same queries
+/// over the same catalog.
 #[test]
 fn one_pass_crosses_the_frontier_with_queries_installed_on_both_sides() {
     for scan_workers in [1, 4] {
@@ -521,8 +527,8 @@ fn one_pass_crosses_the_frontier_with_queries_installed_on_both_sides() {
         // cursors are.
         let mut submitted = submit(&[&mix[5], &mix[0], &mix[2]], &|| ());
         let cursor = Arc::clone(submitted[0].1.progress());
-        // Every segment but the last lies inside the replica's 5 000 rows, so
-        // beyond that count the last worker's cursor is past the frontier.
+        // Every segment but the last lies inside the 5 000 rows of the start,
+        // so beyond that count the last worker's cursor is in appended rows.
         while cursor.rows_seen() <= 5_000 && !cursor.is_completed() {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
@@ -682,8 +688,8 @@ fn a_clustered_window_ends_at_its_last_group() {
 
 /// A window admitted after an ingest commit sees the rows that commit
 /// appended: they are part of its snapshot, so no early end may stop short of
-/// them, whether they sit in the row-store tail behind a replica or there is
-/// no replica at all.
+/// them, whether they sit in a row group the commit sealed, in the row-store
+/// tail behind a replica, or there is no replica at all.
 #[test]
 fn a_window_admitted_after_an_ingest_commit_sees_the_appended_rows() {
     for columnar in [false, true] {
@@ -701,12 +707,13 @@ fn a_window_admitted_after_an_ingest_commit_sees_the_appended_rows() {
                 .into_iter()
                 .next()
                 .expect("an order of 1995");
-            let config = config(scan_workers)
-                .with_columnar_scan(columnar)
-                .with_tail_compaction_rows(0);
+            let config = config(scan_workers).with_columnar_scan(columnar);
             let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+            // A group's worth: with a replica, the rows that complete its
+            // short last group are sealed into it and the rest stay in the
+            // row-store tail.
             let mut session = engine.ingest_session();
-            for _ in 0..300 {
+            for _ in 0..DEFAULT_ROW_GROUP_ROWS {
                 session.append_fact(row_of_1995.values().to_vec());
             }
             session.commit().unwrap();
@@ -717,5 +724,116 @@ fn a_window_admitted_after_an_ingest_commit_sees_the_appended_rows() {
             assert_eq!(engine.execute(query).unwrap(), expected, "{case}");
             engine.shutdown();
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 7. Growth by sealed row groups
+// ---------------------------------------------------------------------------
+
+/// COUNT(*) and SUM(lo_revenue) of the orders shipped by `mode`, by a fact
+/// predicate only.
+fn shipped_by(name: &str, mode: &str) -> StarQuery {
+    StarQuery::builder(name)
+        .fact_predicate(Predicate::eq("lo_shipmode", mode))
+        .aggregate(AggregateSpec::count_star())
+        .aggregate(AggregateSpec::over(
+            AggFunc::Sum,
+            ColumnRef::fact("lo_revenue"),
+        ))
+        .build()
+}
+
+/// Each commit encodes exactly the row groups it completed, and no other:
+/// every group below the old frontier is the previous replica's, by `Arc`,
+/// and fewer than one group of rows is left to the row store. Rows shipped by
+/// a mode the replica has never seen first sit in that tail, then are sealed
+/// into a group under a query admitted before the seal — whose predicate
+/// compiled to "no row" against the old dictionary and must be compiled again
+/// when its scan workers adopt the grown one — and a query admitted after it.
+/// Both answer as `reference::evaluate` does at their snapshots.
+#[test]
+fn sealed_groups_grow_the_replica_and_its_dictionaries() {
+    const G: usize = DEFAULT_ROW_GROUP_ROWS;
+    for scan_workers in [1, 4] {
+        let case = format!("scan_workers={scan_workers}");
+        let data = SsbDataSet::generate(SsbConfig::for_tests(0.002, 707));
+        let catalog = data.catalog();
+        let fact = catalog.fact_table().unwrap();
+        let mode = fact.schema().column_index("lo_shipmode").unwrap();
+        let template = fact.row(RowId(0)).unwrap();
+        // Slow every chunk so the query admitted before the seal is still
+        // mid-pass when its workers adopt the grown replica.
+        let plan = FaultPlan::seeded(17)
+            .delay(FaultSite::ScanWorker, 2_000)
+            .build();
+        let config = config(scan_workers).with_fault_plan(plan);
+        let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+        let mut replica = engine.columnar_replica().unwrap();
+        // Appends `rows` copies of the template, every other one shipped by
+        // DRONE if `drone`, and checks what the commit sealed.
+        let mut commit = |rows: usize, drone: bool, sealed: u64| {
+            let before = engine.stats().ingest.groups_sealed;
+            let mut session = engine.ingest_session();
+            for i in 0..rows {
+                let mut values = template.values().to_vec();
+                if drone && i % 2 == 0 {
+                    values[mode] = Value::str("DRONE");
+                }
+                session.append_fact(values);
+            }
+            session.commit().unwrap();
+            let grown = engine.columnar_replica().unwrap();
+            let sealed_now = engine.stats().ingest.groups_sealed - before;
+            assert_eq!(sealed_now, sealed, "{case}: groups sealed by {rows} rows");
+            let tail = fact.len() - grown.len();
+            assert!(tail < G, "{case}: {tail} rows past the replica");
+            for g in 0..replica.len() / G {
+                let (old, new) = (&replica.row_groups()[g], &grown.row_groups()[g]);
+                assert!(Arc::ptr_eq(old, new), "{case}: group {g} encoded again");
+            }
+            replica = grown;
+        };
+
+        // Completes the short last group (or, on a whole number of groups,
+        // one more): the table is a whole number of groups after it.
+        commit(G - fact.len() % G, false, 1);
+        commit(2 * G, false, 2);
+        // Half a group, half of it DRONE: left in the row-store tail.
+        let no_drone = catalog.snapshots().current();
+        commit(G / 2, true, 0);
+
+        let before_seal = shipped_by("admitted_before_the_seal", "DRONE");
+        let snapshot = catalog.snapshots().current();
+        let expected_before = reference::evaluate(&catalog, &before_seal, snapshot).unwrap();
+        assert_ne!(
+            expected_before,
+            reference::evaluate(&catalog, &before_seal, no_drone).unwrap(),
+            "the tail holds DRONE orders"
+        );
+        let in_flight = engine.submit(before_seal).unwrap();
+        // The other half of the group: the commit seals it, DRONE rows and all.
+        commit(G / 2, true, 1);
+        assert!(
+            in_flight.try_result().is_none(),
+            "{case}: the query admitted before the seal must still be in flight"
+        );
+
+        let after_seal = shipped_by("admitted_after_the_seal", "DRONE");
+        let expected_after =
+            reference::evaluate(&catalog, &after_seal, catalog.snapshots().current()).unwrap();
+        assert_eq!(
+            engine.execute(after_seal).unwrap(),
+            expected_after,
+            "{case}"
+        );
+        assert_eq!(in_flight.wait().unwrap(), expected_before, "{case}");
+        let dictionary = engine.columnar_replica().unwrap();
+        assert!(dictionary
+            .dictionary(mode)
+            .unwrap()
+            .code_of("DRONE")
+            .is_some());
+        engine.shutdown();
     }
 }

@@ -25,7 +25,7 @@ use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
 use cjoin_repro::cjoin::{shard_width_for, Axis, CjoinConfig, CjoinEngine, QueryHandle};
 use cjoin_repro::query::{reference, QueryError, QueryOutcome, QueryResult};
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
-use cjoin_repro::storage::RowId;
+use cjoin_repro::storage::{RowId, DEFAULT_ROW_GROUP_ROWS};
 use cjoin_repro::{SnapshotId, StarQuery};
 
 /// Generous bound on how long a ticket may take to resolve. The point is not
@@ -365,6 +365,119 @@ fn corrupt_row_group_is_quarantined_and_answers_stay_exact() {
     engine.shutdown();
 }
 
+/// Appends one row group's worth of copies of fact row 0 in one commit,
+/// which completes exactly one group of the replica: the short last one or,
+/// on a table whose length is a multiple of the group size, a new one.
+fn append_one_group(engine: &CjoinEngine, catalog: &cjoin_repro::Catalog) {
+    let row = catalog.fact_table().unwrap().row(RowId(0)).unwrap();
+    let mut session = engine.ingest_session();
+    for _ in 0..DEFAULT_ROW_GROUP_ROWS {
+        session.append_fact(row.values().to_vec());
+    }
+    session.commit().unwrap();
+}
+
+/// A corrupt row group is quarantined once per scan worker, however often
+/// the replica grows: each of three commits seals a group and hands the scan
+/// worker a longer replica, which shares the corrupt group and with it the
+/// verdict the worker already reached. A query after every seal scans the
+/// corrupt group again and answers oracle-exactly at the current snapshot.
+#[test]
+fn a_corrupt_group_is_quarantined_once_across_seals() {
+    let data = test_data();
+    let catalog = data.catalog();
+    let queries = test_queries(&data, 42);
+    let plan = FaultPlan::seeded(5).corrupt_row_group(0).build();
+    let config = CjoinConfig::default()
+        .with_max_concurrency(8)
+        .with_batch_size(256)
+        .with_scan_workers(1)
+        .with_columnar_scan(true)
+        .with_fault_plan(plan);
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+
+    for round in 0..4 {
+        if round > 0 {
+            append_one_group(&engine, &catalog);
+        }
+        let snapshot = catalog.snapshots().current();
+        for query in &queries {
+            let expected = reference::evaluate(&catalog, query, snapshot).unwrap();
+            let result = wait_bounded(&engine.submit(query.clone()).unwrap(), "after a seal");
+            assert_matches_oracle(&result.unwrap(), &expected, &format!("round {round}"));
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.ingest.groups_sealed, 3);
+    let columnar = stats.columnar.expect("columnar stats present");
+    assert_eq!(
+        columnar.groups_quarantined, 1,
+        "one corrupt group, one worker"
+    );
+    engine.shutdown();
+}
+
+/// A supervised restart reads the engine's replica as it is: after a scan
+/// worker dies at width 2, the respawned worker scans the very replica the
+/// dead one did — every row group shared, nothing transcoded again — and a
+/// commit after the restart grows it by one sealed group.
+#[test]
+fn a_scan_worker_restart_reuses_the_replica() {
+    let data = test_data();
+    let catalog = data.catalog();
+    let plan = FaultPlan::seeded(13)
+        .panic_at_event(FaultSite::ScanWorker, 3)
+        .build();
+    let config = CjoinConfig::default()
+        .with_max_concurrency(8)
+        .with_batch_size(128)
+        .with_scan_workers(2)
+        .with_columnar_scan(true)
+        .with_fault_plan(plan);
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+    let before = engine.columnar_replica().expect("columnar replica active");
+
+    let probe = test_queries(&data, 62).remove(0);
+    let expected = reference::evaluate(&catalog, &probe, SnapshotId::INITIAL).unwrap();
+    match wait_bounded(
+        &submit_with_retry(&engine, &probe, "doomed"),
+        "doomed ticket",
+    ) {
+        Ok(_) | Err(QueryError::StageFailed { .. }) => {}
+        other => panic!("expected Ok or StageFailed, got {other:?}"),
+    }
+    await_restart(&engine, "scan worker death");
+    assert_eq!(engine.scheduler_stats().scan_workers, 1);
+    let after = engine
+        .columnar_replica()
+        .expect("the replica survives at width 1");
+    assert_eq!(after.row_groups().len(), before.row_groups().len());
+    for (g, (old, new)) in before
+        .row_groups()
+        .iter()
+        .zip(after.row_groups())
+        .enumerate()
+    {
+        assert!(Arc::ptr_eq(old, new), "group {g} was encoded again");
+    }
+    let result = wait_bounded(
+        &submit_with_retry(&engine, &probe, "post-restart probe"),
+        "post-restart probe",
+    );
+    assert_matches_oracle(&result.unwrap(), &expected, "post-restart probe");
+
+    append_one_group(&engine, &catalog);
+    let grown = engine.columnar_replica().unwrap();
+    assert_eq!(engine.stats().ingest.groups_sealed, 1);
+    assert!(catalog.fact_table().unwrap().len() - grown.len() < DEFAULT_ROW_GROUP_ROWS);
+    let full = before.len() / DEFAULT_ROW_GROUP_ROWS;
+    for g in 0..full {
+        assert!(Arc::ptr_eq(&before.row_groups()[g], &grown.row_groups()[g]));
+    }
+    assert_quiesces(&engine, "post-restart quiesce");
+    engine.shutdown();
+}
+
 /// Waits (bounded) until the supervisor has recorded a role failure and
 /// finished the respawn it owns.
 fn await_restart(engine: &CjoinEngine, what: &str) {
@@ -494,8 +607,8 @@ const QUOTE_TOLERANCE: Duration = Duration::from_millis(150);
 
 /// One engine lifetime of the handoff-under-fault scenario: a warm-up query
 /// (so `quote_eta` has a pre-fault value), then `queries` in flight across an
-/// ingestion commit whose tail compaction hands the scan workers a rebuilt
-/// replica, with a scan worker scheduled to panic at ScanWorker event
+/// ingestion commit that seals a row group and hands the scan workers the
+/// grown replica, with a scan worker scheduled to panic at ScanWorker event
 /// `panic_at` (`None` = fault-free calibration run). Every query reads the
 /// initial snapshot, so the appended rows change no expected answer. Asserts
 /// the contract at every step and returns the ScanWorker event counts read
@@ -530,7 +643,6 @@ fn handoff_with_queries_in_flight(
         .with_batch_size(128)
         .with_scan_workers(scan_workers)
         .with_columnar_scan(true)
-        .with_tail_compaction_rows(1)
         .with_fault_plan(Arc::clone(&plan));
     let engine = CjoinEngine::start(Arc::clone(catalog), config).unwrap();
 
@@ -542,17 +654,20 @@ fn handoff_with_queries_in_flight(
         .iter()
         .map(|q| submit_with_retry(&engine, q, &what))
         .collect();
-    // One appended row reaches the one-row threshold: the commit rebuilds the
-    // replica and hands it over. A commit needs no pipeline, so it succeeds
-    // even while the supervisor is mid-restart.
+    // One row group's worth of appended rows completes exactly one group
+    // (the short last one, or a new one): the commit seals it and hands the
+    // grown replica over. A commit needs no pipeline, so it succeeds even
+    // while the supervisor is mid-restart.
     let row = catalog.fact_table().unwrap().row(RowId(0)).unwrap();
     let events_before = plan.hits(FaultSite::ScanWorker);
     let mut session = engine.ingest_session();
-    session.append_fact(row.values().to_vec());
+    for _ in 0..DEFAULT_ROW_GROUP_ROWS {
+        session.append_fact(row.values().to_vec());
+    }
     session.commit().unwrap();
     let events_after = plan.hits(FaultSite::ScanWorker);
     if panic_at.is_none() {
-        assert_eq!(engine.stats().ingest.tail_compactions, 1, "{what}");
+        assert_eq!(engine.stats().ingest.groups_sealed, 1, "{what}");
     }
     for (i, handle) in handles.iter().enumerate() {
         check(
@@ -617,12 +732,12 @@ fn handoff_with_queries_in_flight(
 }
 
 /// A scan worker dying around a replica handoff is owned by the supervisor
-/// alone: every query in flight across the tail compaction resolves — `Ok`
+/// alone: every query in flight across the sealing commit resolves — `Ok`
 /// and oracle-exact, or `StageFailed` — no id leaks, and the respawned
 /// pipeline serves a full `maxConc` of fresh queries exactly. Per front-end
 /// width, a fault-free run measures which ScanWorker event ordinals the
 /// commit spans; the panic is then swept across that span and a margin either
-/// side, so it lands before the handoff, while the workers adopt the rebuilt
+/// side, so it lands before the handoff, while the workers adopt the grown
 /// replica, and just after.
 #[test]
 fn scan_worker_death_around_a_replica_handoff_is_owned_by_the_supervisor() {

@@ -17,9 +17,9 @@
 //! * Under sustained ingest concurrent with query churn, across the
 //!   parallelism matrix, no ticket hangs and every answer corresponds to a
 //!   committed snapshot — never a partially applied batch.
-//! * Columnar tail compaction (a rebuilt replica, handed to the running scan
-//!   workers, that folds the row-store tail back in) never changes an answer
-//!   and never restarts a query in flight.
+//! * Sealing row groups into the columnar replica (a commit that completes a
+//!   group encodes it and hands the grown replica to the running scan
+//!   workers) never changes an answer and never restarts a query in flight.
 //! * A query's snapshot stays pinned across a dimension re-keying mid-pass.
 //!
 //! Every sync policy is covered, and recovery is checked at every byte offset
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use cjoin_repro::cjoin::fault::{FaultPlan, FaultSite};
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine, QueryHandle};
 use cjoin_repro::query::{reference, AggValue, QueryOutcome, QueryResult};
-use cjoin_repro::storage::{Column, Schema, SyncPolicy, Table, Value};
+use cjoin_repro::storage::{Column, Schema, SyncPolicy, Table, Value, DEFAULT_ROW_GROUP_ROWS};
 use cjoin_repro::{AggFunc, AggregateSpec, Catalog, ColumnRef, Predicate, SnapshotId, StarQuery};
 
 /// Bound on every wait in this file: a hang is a test failure, not a CI
@@ -437,10 +437,10 @@ fn kill_at_every_offset_recovers_bit_identical_answers() {
 }
 
 /// Sustained ingest concurrent with query churn, across the parallelism
-/// matrix (scan workers x distributor shards x columnar, with tail compaction
-/// armed on the columnar cells): no ticket hangs, and every answer equals a
-/// committed prefix sum — a partially visible batch would produce a sum
-/// outside the set.
+/// matrix (scan workers x distributor shards x columnar, where every batch
+/// appends a whole row group so each commit seals one): no ticket hangs, and
+/// every answer equals a committed prefix sum — a partially visible batch
+/// would produce a sum outside the set.
 #[test]
 fn sustained_ingest_with_query_churn_never_hangs_and_stays_prefix_consistent() {
     const BATCHES: i64 = 25;
@@ -450,17 +450,15 @@ fn sustained_ingest_with_query_churn_never_hangs_and_stays_prefix_consistent() {
         let what = format!("scan={scan_workers} shards={shards} columnar={columnar}");
         let path = temp_wal(&format!("churn-{scan_workers}-{shards}-{columnar}"));
         let catalog = warehouse(600);
-        let mut config = CjoinConfig::default()
+        let config = CjoinConfig::default()
             .with_max_concurrency(8)
             .with_batch_size(128)
             .with_scan_workers(scan_workers)
             .with_distributor_shards(shards)
             .with_columnar_scan(columnar)
             .with_wal(&path);
-        if columnar {
-            config = config.with_tail_compaction_rows(8);
-        }
         let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+        let rows_per_batch = if columnar { DEFAULT_ROW_GROUP_ROWS } else { 1 };
 
         let seed_sum = sum_of(&oracle(&catalog, SnapshotId::INITIAL));
         // Every sum a query may legally observe. Each cumulative sum is
@@ -474,10 +472,12 @@ fn sustained_ingest_with_query_churn_never_hangs_and_stays_prefix_consistent() {
                 let mut cumulative = seed_sum;
                 for b in 0..BATCHES {
                     let amount = 10_000 + b;
-                    cumulative += i128::from(amount);
+                    cumulative += i128::from(amount) * rows_per_batch as i128;
                     valid_sums.lock().unwrap().push(cumulative);
                     let mut session = engine.ingest_session();
-                    session.append_fact(vec![Value::int(1), Value::int(amount)]);
+                    for _ in 0..rows_per_batch {
+                        session.append_fact(vec![Value::int(1), Value::int(amount)]);
+                    }
                     if b % 5 == 0 {
                         // Dimension churn that never touches the red key set.
                         session.upsert_dimension(
@@ -514,40 +514,41 @@ fn sustained_ingest_with_query_churn_never_hangs_and_stays_prefix_consistent() {
         let stats = engine.stats().ingest;
         assert_eq!(stats.commits, BATCHES as u64, "{what}");
         assert!(stats.records_appended >= BATCHES as u64, "{what}");
+        let sealed = if columnar { BATCHES as u64 } else { 0 };
+        assert_eq!(stats.groups_sealed, sealed, "{what}");
         engine.shutdown();
         let _ = std::fs::remove_file(&path);
     }
 }
 
-/// Tail compaction equivalence: with a tiny threshold, sustained appends must
-/// trigger replica rebuilds (counted in `tail_compactions`) — and answers
-/// before, across and after each handoff stay oracle-exact.
+/// Sealing equivalence: four commits of one row group each seal four groups
+/// (counted in `groups_sealed`) — and answers before, across and after each
+/// handoff stay oracle-exact.
 #[test]
 fn tail_compaction_preserves_answers_and_is_counted() {
-    let path = temp_wal("compaction");
+    let path = temp_wal("sealing");
     let catalog = warehouse(40);
-    let config = wal_config()
-        .with_wal(&path)
-        .with_columnar_scan(true)
-        .with_tail_compaction_rows(4);
+    let config = wal_config().with_wal(&path).with_columnar_scan(true);
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
 
     for batch in 0..4 {
         let mut session = engine.ingest_session();
-        session
-            .append_fact(vec![Value::int(1), Value::int(batch * 2)])
-            .append_fact(vec![Value::int(2), Value::int(batch * 2 + 1)]);
+        for _ in 0..DEFAULT_ROW_GROUP_ROWS / 2 {
+            session
+                .append_fact(vec![Value::int(1), Value::int(batch * 2)])
+                .append_fact(vec![Value::int(2), Value::int(batch * 2 + 1)]);
+        }
         session.commit().unwrap();
         assert_same(
-            &ask(&engine, "between compactions"),
+            &ask(&engine, "between seals"),
             &oracle(&catalog, catalog.snapshots().current()),
-            "between compactions",
+            "between seals",
         );
     }
     let stats = engine.stats();
-    assert!(
-        stats.ingest.tail_compactions >= 1,
-        "8 ingested rows never crossed the 4-row compaction threshold: {:?}",
+    assert_eq!(
+        stats.ingest.groups_sealed, 4,
+        "four groups' worth of rows sealed four groups: {:?}",
         stats.ingest
     );
     assert!(stats.columnar.is_some(), "columnar replica active");
@@ -555,8 +556,8 @@ fn tail_compaction_preserves_answers_and_is_counted() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A tail compaction leaves a query in flight alone: the committing thread
-/// hands the running scan workers a rebuilt replica, so the query keeps its
+/// Sealing a row group leaves a query in flight alone: the committing thread
+/// hands the running scan workers the grown replica, so the query keeps its
 /// pass — its progress never goes back — and answers exactly at its
 /// snapshot, with no pipeline restart. The scan's byte accounting carries
 /// across the handoff.
@@ -568,10 +569,7 @@ fn a_tail_compaction_hands_the_running_scan_a_rebuilt_replica() {
     let plan = FaultPlan::seeded(5)
         .delay(FaultSite::ScanWorker, 1_000)
         .build();
-    let config = wal_config()
-        .with_columnar_scan(true)
-        .with_tail_compaction_rows(4)
-        .with_fault_plan(plan);
+    let config = wal_config().with_columnar_scan(true).with_fault_plan(plan);
     let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
     let expected = oracle(&catalog, catalog.snapshots().current());
     let handle = submit_with_retry(&engine, &red_sum_query(), "in flight");
@@ -587,18 +585,19 @@ fn a_tail_compaction_hands_the_running_scan_a_rebuilt_replica() {
     );
     let mut last = progress.rows_seen();
 
+    // One group's worth of rows completes the replica's short last group.
     let mut session = engine.ingest_session();
-    for amount in 0..4 {
+    for amount in 0..DEFAULT_ROW_GROUP_ROWS as i64 {
         session.append_fact(vec![Value::int(1), Value::int(amount)]);
     }
     session.commit().unwrap();
     let at_commit = engine.stats();
-    assert_eq!(at_commit.ingest.tail_compactions, 1);
+    assert_eq!(at_commit.ingest.groups_sealed, 1);
     let replica = engine.columnar_replica().expect("columnar replica active");
     assert_eq!(
         replica.len(),
-        FACTS + 4,
-        "the rebuilt replica covers the tail"
+        (FACTS / DEFAULT_ROW_GROUP_ROWS + 1) * DEFAULT_ROW_GROUP_ROWS,
+        "the grown replica covers every complete group"
     );
 
     let outcome = loop {
@@ -615,8 +614,8 @@ fn a_tail_compaction_hands_the_running_scan_a_rebuilt_replica() {
         std::thread::sleep(Duration::from_millis(1));
     };
     match outcome {
-        Ok(result) => assert_same(&result, &expected, "in flight across the compaction"),
-        Err(err) => panic!("query in flight across the compaction failed: {err}"),
+        Ok(result) => assert_same(&result, &expected, "in flight across the seal"),
+        Err(err) => panic!("query in flight across the seal failed: {err}"),
     }
     let after = engine.stats();
     assert_eq!(after.pipeline_restarts, 0);
@@ -635,9 +634,9 @@ fn a_tail_compaction_hands_the_running_scan_a_rebuilt_replica() {
 
     // A query admitted after the commit sees the appended rows.
     assert_same(
-        &ask(&engine, "after the compaction"),
+        &ask(&engine, "after the seal"),
         &oracle(&catalog, catalog.snapshots().current()),
-        "after the compaction",
+        "after the seal",
     );
     engine.shutdown();
 }
