@@ -1,6 +1,10 @@
-//! Table 3 — query submission overhead vs. data scale factor: dimension tables grow
-//! (sub-linearly) with the scale factor, so admission-time predicate evaluation and
-//! hash-table loading grow with them while the fixed costs stay constant.
+//! Table 3 — query submission overhead vs. data scale factor. Dimension tables grow
+//! (sub-linearly) with the scale factor, but admission does not read them whole: it
+//! evaluates `σ_cij(Dj)` only on the pages whose zone maps the predicate's page test
+//! cannot rule out, so for the workload's key ranges over keys stored in key order
+//! submission cost grows with the pages a predicate touches and the rows it selects
+//! (and with them the hash-table loading), not with |Dj|, while the fixed costs stay
+//! constant.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -42,23 +42,15 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use cjoin_query::{CompareOp, Predicate};
+use cjoin_query::{CompareOp, IntLeaf, Predicate};
 use cjoin_storage::{
-    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, RowGroup, ScanVolume, Schema,
-    Value, ZoneCodes, ZoneMap,
+    ColumnId, ColumnarTable, Dictionary, EncodedColumn, IntEncoding, IntZone, RowGroup, ScanVolume,
+    Schema, Value, ZoneCodes, ZoneMap,
 };
 
-/// What a row group's zone maps prove about a compiled predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZoneVerdict {
-    /// No row in the group can match: the group's bytes need not be touched
-    /// for this query.
-    Never,
-    /// Some rows may match: evaluate per row (or per run).
-    Maybe,
-    /// Every row in the group matches: the match bitmap fill can be skipped.
-    Always,
-}
+/// What a row group's zone maps prove about a compiled predicate (shared with
+/// the row store's page test, which decides integer leaves the same way).
+pub use cjoin_query::ZoneVerdict;
 
 /// A fact predicate compiled against a specific [`ColumnarTable`] replica.
 #[derive(Debug, Clone)]
@@ -342,6 +334,14 @@ fn collect_columns(node: &PredNode, out: &mut Vec<ColumnId>) {
 // Zone verdicts
 // ---------------------------------------------------------------------------
 
+/// An integer leaf's verdict on a group's zone map for its column.
+fn int_verdict(zone: &ZoneMap, leaf: IntLeaf<'_>) -> ZoneVerdict {
+    match *zone {
+        ZoneMap::Int { min, max, has_null } => leaf.verdict(&IntZone { min, max, has_null }),
+        ZoneMap::Str { .. } => ZoneVerdict::Maybe,
+    }
+}
+
 fn node_verdict(node: &PredNode, zones: &[ZoneMap]) -> ZoneVerdict {
     match node {
         PredNode::Const(true) => ZoneVerdict::Always,
@@ -366,60 +366,11 @@ fn node_verdict(node: &PredNode, zones: &[ZoneMap]) -> ZoneVerdict {
                 }
             }
         },
-        PredNode::IntCmp { col, op, value } => {
-            let ZoneMap::Int { min, max, has_null } = &zones[*col] else {
-                return ZoneVerdict::Maybe;
-            };
-            let (min, max, v) = (*min, *max, *value);
-            if min > max {
-                return ZoneVerdict::Never; // all-NULL group: no row matches a comparison
-            }
-            let (never, always) = match op {
-                CompareOp::Eq => (v < min || v > max, min == max && min == v),
-                CompareOp::Ne => (min == max && min == v, v < min || v > max),
-                CompareOp::Lt => (min >= v, max < v),
-                CompareOp::Le => (min > v, max <= v),
-                CompareOp::Gt => (max <= v, min > v),
-                CompareOp::Ge => (max < v, min >= v),
-            };
-            if never {
-                ZoneVerdict::Never
-            } else if always && !has_null {
-                ZoneVerdict::Always
-            } else {
-                ZoneVerdict::Maybe
-            }
-        }
+        PredNode::IntCmp { col, op, value } => int_verdict(&zones[*col], IntLeaf::Cmp(*op, *value)),
         PredNode::IntBetween { col, lo, hi } => {
-            let ZoneMap::Int { min, max, has_null } = &zones[*col] else {
-                return ZoneVerdict::Maybe;
-            };
-            if min > max || *max < *lo || *min > *hi {
-                ZoneVerdict::Never
-            } else if !has_null && *min >= *lo && *max <= *hi {
-                ZoneVerdict::Always
-            } else {
-                ZoneVerdict::Maybe
-            }
+            int_verdict(&zones[*col], IntLeaf::Between(*lo, *hi))
         }
-        PredNode::IntIn { col, values } => {
-            let ZoneMap::Int { min, max, has_null } = &zones[*col] else {
-                return ZoneVerdict::Maybe;
-            };
-            if min > max {
-                return ZoneVerdict::Never;
-            }
-            // First candidate value >= min; the group may match only if it is <= max.
-            let at = values.partition_point(|v| v < min);
-            let overlaps = values.get(at).is_some_and(|v| v <= max);
-            if !overlaps {
-                ZoneVerdict::Never
-            } else if !has_null && min == max && values.binary_search(min).is_ok() {
-                ZoneVerdict::Always
-            } else {
-                ZoneVerdict::Maybe
-            }
-        }
+        PredNode::IntIn { col, values } => int_verdict(&zones[*col], IntLeaf::In(values)),
         PredNode::StrIn { col, codes } => {
             let ZoneMap::Str {
                 codes: zone,

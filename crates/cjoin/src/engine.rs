@@ -68,6 +68,7 @@
 //! which adopt it between two chunks (see [`crate::preprocessor`]). In-flight
 //! queries keep their pass, their progress and their place in the scan.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -144,6 +145,19 @@ impl AdmissionState {
     }
 }
 
+/// The admission work a query did on one dimension it joins (Algorithm 1,
+/// lines 11–16): a clock-free measure of its submission cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DimensionAdmission {
+    /// The dimension table.
+    pub dimension: String,
+    /// Visible dimension rows `σ_cij` was evaluated on: those of the pages the
+    /// predicate's page test could not rule out.
+    pub rows_evaluated: u64,
+    /// Keys registered into the dimension hash table: the rows `σ_cij` selected.
+    pub keys_registered: u64,
+}
+
 /// Handle to a query registered with the CJOIN pipeline.
 #[derive(Debug)]
 pub struct QueryHandle {
@@ -152,6 +166,7 @@ pub struct QueryHandle {
     result_rx: Receiver<QueryOutcome>,
     submitted_at: Instant,
     submission_time: Duration,
+    admission: Vec<DimensionAdmission>,
     progress: Arc<QueryProgress>,
     /// Cancellation hooks: the runtime and the scan workers' command channels
     /// (`None` for queries shed at admission, which never entered the
@@ -176,6 +191,12 @@ impl QueryHandle {
     /// (the paper's "submission time", Tables 1–3).
     pub fn submission_time(&self) -> Duration {
         self.submission_time
+    }
+
+    /// The admission work per joined dimension, in the query's clause order;
+    /// empty for a query shed at admission.
+    pub fn admission_work(&self) -> &[DimensionAdmission] {
+        &self.admission
     }
 
     /// Blocks until the query resolves: its result on success, or a typed
@@ -629,6 +650,7 @@ impl CjoinEngine {
                         result_rx,
                         submitted_at,
                         submission_time: submitted_at.elapsed(),
+                        admission: Vec::new(),
                         progress: Arc::new(QueryProgress::new(0, 1)),
                         cancel: None,
                     });
@@ -639,15 +661,33 @@ impl CjoinEngine {
         // ---- Algorithm 1, lines 11–16, first half: evaluate σ_cij(Dj) ----------
         // Before any lock: the snapshot is fixed above, so the rows are the ones
         // the locks would see, the shards' clean-ups never wait on a dimension
-        // scan, and a failed lookup returns before any id is allocated.
+        // scan, and a failed lookup returns before any id is allocated. Each
+        // dimension page's zone maps go through the predicate's page test first,
+        // so a key range over keys stored in key order reads O(pages + selected
+        // rows), not all of Dj; the rows, and their `RowId` order, are the full
+        // scan's.
         let mut selections = Vec::with_capacity(bound.dimensions.len());
+        let mut admission_work = Vec::with_capacity(bound.dimensions.len());
         for clause in &bound.dimensions {
             let dimension = self.shared.catalog.table(&clause.table)?;
+            let evaluated = Cell::new(0u64);
             let rows: Vec<(i64, Row)> = dimension
-                .select(snapshot, |row| clause.predicate.eval(row))
+                .select_where(
+                    snapshot,
+                    |page| clause.predicate.may_match_page(page),
+                    |row| {
+                        evaluated.set(evaluated.get() + 1);
+                        clause.predicate.eval(row)
+                    },
+                )
                 .into_iter()
                 .map(|(_, row)| (row.int(clause.dim_key_column), row))
                 .collect();
+            admission_work.push(DimensionAdmission {
+                dimension: clause.table.clone(),
+                rows_evaluated: evaluated.get(),
+                keys_registered: rows.len() as u64,
+            });
             selections.push(rows);
         }
         let fact_rows = self.shared.catalog.fact_table()?.len() as u64;
@@ -800,6 +840,7 @@ impl CjoinEngine {
             result_rx,
             submitted_at,
             submission_time,
+            admission: admission_work,
             progress,
             cancel: Some((Arc::downgrade(&runtime), workers)),
         })
@@ -1425,9 +1466,12 @@ fn handle_failure(
         return;
     }
 
-    // Step each failed axis down and respawn.
+    // Step each failed axis down and respawn. The torn-down scan workers
+    // published their last pass timings already, so a changed scan shape can
+    // forget them before any new worker publishes.
     let config = {
         let mut config = shared.config.lock();
+        let scan_shape = (config.scan_workers, config.columnar_scan);
         let pass = shared.counters.scan_passes.load(Ordering::Relaxed);
         for role in &roles {
             let axis = role.axis();
@@ -1442,6 +1486,9 @@ fn handle_failure(
                 to: *axis.width_in(&mut config),
                 pass,
             });
+        }
+        if (config.scan_workers, config.columnar_scan) != scan_shape {
+            shared.counters.forget_pass_timings();
         }
         config.clone()
     };

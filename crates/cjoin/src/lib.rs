@@ -84,7 +84,7 @@ pub mod stats;
 pub mod tuple;
 
 pub use config::{shard_width_for, CjoinConfig};
-pub use engine::{CjoinEngine, IngestSession, QueryHandle};
+pub use engine::{CjoinEngine, DimensionAdmission, IngestSession, QueryHandle};
 pub use fault::{FaultPlan, FaultSite};
 pub use progress::QueryProgress;
 pub use scheduler::{Axis, ResizeEvent, SchedulerStats};

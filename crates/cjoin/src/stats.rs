@@ -73,6 +73,22 @@ impl SharedCounters {
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
+
+    /// Forgets the pass timings the deadline quote extrapolates from
+    /// (`last_pass_ns`, `cycle_rows`, `pass_rows`, `pass_busy_ns`). A pass is
+    /// one worker's segment, so after the scan width changes the old width's
+    /// pass would be read against the new one's segment; until a new worker
+    /// completes a pass, `quote_eta` has no quote, as at engine start.
+    pub fn forget_pass_timings(&self) {
+        for counter in [
+            &self.last_pass_ns,
+            &self.cycle_rows,
+            &self.pass_rows,
+            &self.pass_busy_ns,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Atomic counters owned by one Distributor shard.

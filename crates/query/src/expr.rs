@@ -10,12 +10,19 @@
 //! NULL semantics are simplified to two-valued logic: any comparison involving NULL
 //! evaluates to `false` (and `Not` negates that), which matches the behaviour star
 //! schema workloads rely on in practice (SSB has no NULLs).
+//!
+//! A bound predicate also has a conservative page test,
+//! [`BoundPredicate::may_match_page`], which [`cjoin_storage::Table::select_where`]
+//! asks before it reads a page: it rejects a page only when the page's integer
+//! bounds prove that no row on it satisfies the predicate.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use cjoin_common::Result;
-use cjoin_storage::{ColumnId, Row, Schema, Value};
+use cjoin_storage::{ColumnId, PageZones, Row, Schema, Value};
+
+use crate::zone::{IntLeaf, ZoneVerdict};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,6 +220,18 @@ impl Predicate {
             Predicate::InList { column, values } => BoundNode::InList {
                 column: schema.column_index(column)?,
                 values: values.clone(),
+                ints: values
+                    .iter()
+                    .map(|v| match v {
+                        Value::Int(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()
+                    .map(|mut ints| {
+                        ints.sort_unstable();
+                        ints.dedup();
+                        ints
+                    }),
             },
             Predicate::And(ps) => BoundNode::And(
                 ps.iter()
@@ -245,6 +264,9 @@ enum BoundNode {
     InList {
         column: ColumnId,
         values: Vec<Value>,
+        /// `values` sorted and distinct, if every one is an integer: the form
+        /// the page test reads.
+        ints: Option<Vec<i64>>,
     },
     And(Vec<BoundNode>),
     Or(Vec<BoundNode>),
@@ -264,13 +286,41 @@ impl BoundNode {
                     v >= low && v <= high
                 }
             }
-            BoundNode::InList { column, values } => {
+            BoundNode::InList { column, values, .. } => {
                 let v = row.get(*column);
                 !v.is_null() && values.contains(v)
             }
             BoundNode::And(ps) => ps.iter().all(|p| p.eval(row)),
             BoundNode::Or(ps) => ps.iter().any(|p| p.eval(row)),
             BoundNode::Not(p) => !p.eval(row),
+        }
+    }
+
+    fn may_match_page(&self, page: PageZones<'_>) -> bool {
+        let int_leaf = |column: &ColumnId, leaf: IntLeaf<'_>| {
+            page.int(*column)
+                .is_none_or(|zone| leaf.verdict(zone) != ZoneVerdict::Never)
+        };
+        match self {
+            BoundNode::Compare {
+                column,
+                op,
+                value: Value::Int(v),
+            } => int_leaf(column, IntLeaf::Cmp(*op, *v)),
+            BoundNode::Between {
+                column,
+                low: Value::Int(lo),
+                high: Value::Int(hi),
+            } => int_leaf(column, IntLeaf::Between(*lo, *hi)),
+            BoundNode::InList {
+                column,
+                ints: Some(ints),
+                ..
+            } => int_leaf(column, IntLeaf::In(ints)),
+            BoundNode::And(ps) => ps.iter().all(|p| p.may_match_page(page)),
+            BoundNode::Or(ps) => ps.iter().any(|p| p.may_match_page(page)),
+            // `True`, `Not`, string leaves and NULL or cross-type literals.
+            _ => true,
         }
     }
 }
@@ -286,6 +336,17 @@ impl BoundPredicate {
     #[inline]
     pub fn eval(&self, row: &Row) -> bool {
         self.node.eval(row)
+    }
+
+    /// Whether a page with the integer bounds `page` may hold a row the
+    /// predicate accepts. Conservative: `And` needs every child to pass and
+    /// `Or` any; integer `Compare`, `Between` and `InList` leaves are decided by
+    /// [`IntLeaf::verdict`] on the leaf column's bounds (a leaf on a column the
+    /// page keeps no bounds for passes); `Not`, string leaves and NULL or
+    /// cross-type literals always pass.
+    #[inline]
+    pub fn may_match_page(&self, page: PageZones<'_>) -> bool {
+        self.node.may_match_page(page)
     }
 
     /// A bound predicate that accepts every row.

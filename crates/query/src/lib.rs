@@ -19,6 +19,9 @@
 //!   typed outcomes spoken between `cjoin-client` and `cjoin-server`.
 //! * [`reference::evaluate`] — a deliberately simple single-threaded evaluator used
 //!   as the correctness oracle in tests.
+//! * [`ZoneVerdict`] / [`IntLeaf`] — what an integer column's stored bounds prove
+//!   about a predicate leaf, shared by the row store's page test and the
+//!   columnar replica's row-group skipping.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,6 +33,7 @@ pub mod reference;
 pub mod result;
 pub mod star;
 pub mod wire;
+pub mod zone;
 
 pub use aggregate::{AggFunc, AggValue, GroupedAggregator};
 pub use engine::{
@@ -42,3 +46,4 @@ pub use star::{
     AggregateSpec, BoundAggregateSpec, BoundColumnRef, BoundDimensionClause, BoundStarQuery,
     ColumnRef, DimensionClause, StarQuery, StarQueryBuilder, TableRef,
 };
+pub use zone::{IntLeaf, ZoneVerdict};

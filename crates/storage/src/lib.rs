@@ -5,7 +5,9 @@
 //! memory. This crate provides the equivalent substrate:
 //!
 //! * [`Table`] — an in-memory, paged row store with per-row multi-version visibility
-//!   (`xmin`/`xmax`), standing in for the PostgreSQL heap.
+//!   (`xmin`/`xmax`), standing in for the PostgreSQL heap. Each page keeps an
+//!   [`IntZone`] per integer column, so [`Table::select_where`] reads only the pages
+//!   a predicate's page test cannot rule out.
 //! * [`ContinuousScan`] — the circular fact-table scan that drives the CJOIN pipeline:
 //!   it returns tuples in a stable order and wraps around indefinitely (§3.1, §3.3.3).
 //! * [`IoModel`] / [`IoStats`] — an accounting-only model of disk behaviour
@@ -53,6 +55,6 @@ pub use row::{Row, RowId};
 pub use scan::{segment_ranges, ContinuousScan, ScanBatch, ScanStep, TableScan};
 pub use schema::{Column, ColumnId, ColumnType, Schema};
 pub use snapshot::{RowVersion, SnapshotId, SnapshotManager};
-pub use table::Table;
+pub use table::{IntZone, PageZones, Table};
 pub use value::Value;
 pub use wal::{apply_record, ReplayReport, SyncPolicy, WalDefect, WalRecord, WarehouseLog};

@@ -1,11 +1,22 @@
 //! In-memory paged row store.
+//!
+//! Rows live in insertion order, grouped into logical pages of
+//! [`Table::rows_per_page`] rows. Each page keeps a zone map per integer column
+//! — the [`IntZone`] min, max and has-NULL flag of every row stored on it —
+//! widened under the write lock on every append and never narrowed: a delete
+//! only stamps `xmax`, so the bounds stay a sound superset of the page's visible
+//! rows at every snapshot. [`Table::select_where`] is the one scan loop; it asks a
+//! caller-supplied page test about each page's zones before it visits the page's
+//! rows, so a key-range predicate over keys stored in key order (every SSB
+//! dimension) reads O(pages + selected rows), not O(|table|). [`Table::select`]
+//! is the same loop with a test that accepts every page.
 
 use parking_lot::RwLock;
 
 use cjoin_common::Result;
 
 use crate::row::{Row, RowId};
-use crate::schema::Schema;
+use crate::schema::{ColumnId, ColumnType, Schema};
 use crate::snapshot::{RowVersion, SnapshotId};
 use crate::value::Value;
 
@@ -16,6 +27,66 @@ use crate::value::Value;
 /// would do.
 pub const DEFAULT_ROWS_PER_PAGE: usize = 80;
 
+/// The bounds of one integer column over one page: the min and max of its
+/// non-NULL values, and whether it holds a NULL. A page whose column holds no
+/// non-NULL value keeps inverted bounds (`min > max`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntZone {
+    /// Smallest non-NULL value (`i64::MAX` when there is none).
+    pub min: i64,
+    /// Largest non-NULL value (`i64::MIN` when there is none).
+    pub max: i64,
+    /// Whether any value is NULL.
+    pub has_null: bool,
+}
+
+impl IntZone {
+    /// The bounds of no value at all.
+    const EMPTY: IntZone = IntZone {
+        min: i64::MAX,
+        max: i64::MIN,
+        has_null: false,
+    };
+
+    /// Whether a non-NULL `value` may lie within the bounds.
+    #[inline]
+    pub fn may_contain(&self, value: i64) -> bool {
+        self.min <= value && value <= self.max
+    }
+
+    fn widen(&mut self, value: Option<&Value>) {
+        match value {
+            Some(Value::Int(v)) => {
+                self.min = self.min.min(*v);
+                self.max = self.max.max(*v);
+            }
+            Some(Value::Null) => self.has_null = true,
+            // A schema-conforming row holds nothing else in an integer column.
+            _ => {}
+        }
+    }
+}
+
+/// One page's zone maps, as a page test passed to [`Table::select_where`] sees
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub struct PageZones<'a> {
+    int_columns: &'a [ColumnId],
+    zones: &'a [IntZone],
+}
+
+impl PageZones<'_> {
+    /// The page's bounds on `column`, or `None` if `column` is not an integer
+    /// column of the table.
+    #[inline]
+    pub fn int(&self, column: ColumnId) -> Option<&IntZone> {
+        self.int_columns
+            .iter()
+            .position(|&c| c == column)
+            .map(|slot| &self.zones[slot])
+    }
+}
+
 #[derive(Debug)]
 struct StoredRow {
     row: Row,
@@ -25,6 +96,8 @@ struct StoredRow {
 #[derive(Debug, Default)]
 struct TableInner {
     rows: Vec<StoredRow>,
+    /// One [`IntZone`] per integer column per page, page-major.
+    zones: Vec<IntZone>,
 }
 
 /// An append-only, multi-versioned, in-memory table.
@@ -37,6 +110,8 @@ struct TableInner {
 pub struct Table {
     schema: Schema,
     rows_per_page: usize,
+    /// The integer columns, in schema order: the columns pages keep zones for.
+    int_columns: Vec<ColumnId>,
     inner: RwLock<TableInner>,
 }
 
@@ -49,9 +124,13 @@ impl Table {
     /// Creates an empty table with an explicit page size (rows per page).
     pub fn with_rows_per_page(schema: Schema, rows_per_page: usize) -> Self {
         assert!(rows_per_page > 0, "rows_per_page must be positive");
+        let int_columns = (0..schema.arity())
+            .filter(|&c| schema.columns()[c].ty == ColumnType::Int)
+            .collect();
         Self {
             schema,
             rows_per_page,
+            int_columns,
             inner: RwLock::new(TableInner::default()),
         }
     }
@@ -86,6 +165,23 @@ impl Table {
         (self.len() as u64).div_ceil(self.rows_per_page as u64)
     }
 
+    /// Appends one row under the write lock, opening a page when the last one
+    /// is full and widening the last page's zones by the row's values.
+    fn push(&self, inner: &mut TableInner, row: Row, version: RowVersion) {
+        let width = self.int_columns.len();
+        if inner.rows.len().is_multiple_of(self.rows_per_page) {
+            inner
+                .zones
+                .resize(inner.zones.len() + width, IntZone::EMPTY);
+        }
+        let page = inner.zones.len() - width;
+        let values = row.values();
+        for (zone, &column) in inner.zones[page..].iter_mut().zip(&self.int_columns) {
+            zone.widen(values.get(column));
+        }
+        inner.rows.push(StoredRow { row, version });
+    }
+
     /// Appends a row visible from `xmin` onwards, validating it against the schema.
     ///
     /// # Errors
@@ -94,10 +190,7 @@ impl Table {
         self.schema.validate_row(&values)?;
         let mut inner = self.inner.write();
         let id = RowId(inner.rows.len() as u64);
-        inner.rows.push(StoredRow {
-            row: Row::new(values),
-            version: RowVersion::inserted_at(xmin),
-        });
+        self.push(&mut inner, Row::new(values), RowVersion::inserted_at(xmin));
         Ok(id)
     }
 
@@ -109,15 +202,13 @@ impl Table {
     {
         let mut inner = self.inner.write();
         for row in rows {
-            inner.rows.push(StoredRow {
-                row,
-                version: RowVersion::inserted_at(xmin),
-            });
+            self.push(&mut inner, row, RowVersion::inserted_at(xmin));
         }
     }
 
     /// Marks a row as deleted as of snapshot `xmax`. Returns `false` if the row does
-    /// not exist or was already deleted.
+    /// not exist or was already deleted. The row's page keeps its zones: they
+    /// still bound every stored row, which is all a page test relies on.
     pub fn delete(&self, id: RowId, xmax: SnapshotId) -> bool {
         let mut inner = self.inner.write();
         match inner.rows.get_mut(id.index()) {
@@ -178,28 +269,69 @@ impl Table {
     ///
     /// Holds the read lock for the duration of the visit; intended for dimension
     /// tables (small) and test oracles, not for the fact-table hot path.
-    pub fn for_each_visible<F: FnMut(RowId, &Row)>(&self, snapshot: SnapshotId, mut f: F) {
+    pub fn for_each_visible<F: FnMut(RowId, &Row)>(&self, snapshot: SnapshotId, f: F) {
+        self.for_each_visible_where(snapshot, |_| true, f);
+    }
+
+    /// The one scan loop: visits, in [`RowId`] order, every row visible at
+    /// `snapshot` on each page whose zones `page_may_match` accepts. A page test
+    /// must accept every page holding a row the caller wants, so it may reject
+    /// only pages whose bounds prove no row there qualifies.
+    fn for_each_visible_where<P, F>(&self, snapshot: SnapshotId, page_may_match: P, mut f: F)
+    where
+        P: Fn(PageZones<'_>) -> bool,
+        F: FnMut(RowId, &Row),
+    {
         let inner = self.inner.read();
-        for (i, stored) in inner.rows.iter().enumerate() {
-            if stored.version.visible_at(snapshot) {
-                f(RowId(i as u64), &stored.row);
+        let width = self.int_columns.len();
+        for (page, rows) in inner.rows.chunks(self.rows_per_page).enumerate() {
+            let zones = PageZones {
+                int_columns: &self.int_columns,
+                zones: &inner.zones[page * width..(page + 1) * width],
+            };
+            if !page_may_match(zones) {
+                continue;
+            }
+            let first = page * self.rows_per_page;
+            for (offset, stored) in rows.iter().enumerate() {
+                if stored.version.visible_at(snapshot) {
+                    f(RowId((first + offset) as u64), &stored.row);
+                }
             }
         }
     }
 
-    /// Collects the rows visible at `snapshot` that satisfy `pred`.
+    /// Collects the rows visible at `snapshot` that satisfy `pred`, in
+    /// [`RowId`] order, evaluating `pred` only on the pages `page_may_match`
+    /// accepts. With a sound page test (one that rejects a page only if no row
+    /// on it can satisfy `pred`) the result equals [`Table::select`]'s.
     ///
     /// This is the access path used when a new CJOIN query is admitted: Algorithm 1
     /// evaluates `σ_cnj(Dj)` over each referenced dimension table and loads the
     /// matches into the dimension hash table.
-    pub fn select<F: Fn(&Row) -> bool>(&self, snapshot: SnapshotId, pred: F) -> Vec<(RowId, Row)> {
+    pub fn select_where<P, F>(
+        &self,
+        snapshot: SnapshotId,
+        page_may_match: P,
+        pred: F,
+    ) -> Vec<(RowId, Row)>
+    where
+        P: Fn(PageZones<'_>) -> bool,
+        F: Fn(&Row) -> bool,
+    {
         let mut result = Vec::new();
-        self.for_each_visible(snapshot, |id, row| {
+        self.for_each_visible_where(snapshot, page_may_match, |id, row| {
             if pred(row) {
                 result.push((id, row.clone()));
             }
         });
         result
+    }
+
+    /// Collects the rows visible at `snapshot` that satisfy `pred`, reading
+    /// every page: [`Table::select_where`] with a page test that accepts all.
+    pub fn select<F: Fn(&Row) -> bool>(&self, snapshot: SnapshotId, pred: F) -> Vec<(RowId, Row)> {
+        self.select_where(snapshot, |_| true, pred)
     }
 }
 

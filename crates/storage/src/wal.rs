@@ -499,13 +499,21 @@ pub fn apply_record(catalog: &Catalog, epoch: SnapshotId, record: &WalRecord) ->
 
 /// Marks the currently visible row with `key` (if any) deleted at `epoch`.
 /// Readers at older snapshots keep seeing the old version (MVCC), readers at
-/// `epoch` and later do not.
+/// `epoch` and later do not. Only the pages whose `key_column` bounds can hold
+/// `key` are read.
 fn retire_dimension_row(dim: &crate::table::Table, key_column: usize, key: i64, epoch: SnapshotId) {
     // "Currently visible" = visible at the newest possible snapshot.
-    let live = dim.select(SnapshotId(u64::MAX), |row| {
-        row.try_get(key_column)
-            .is_some_and(|v| v.as_int() == Ok(key))
-    });
+    let live = dim.select_where(
+        SnapshotId(u64::MAX),
+        |page| {
+            page.int(key_column)
+                .is_none_or(|zone| zone.may_contain(key))
+        },
+        |row| {
+            row.try_get(key_column)
+                .is_some_and(|v| v.as_int() == Ok(key))
+        },
+    );
     for (id, _) in live {
         dim.delete(id, epoch);
     }

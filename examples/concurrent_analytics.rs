@@ -5,18 +5,22 @@
 //! 64-query ad-hoc workload three ways — through the shared CJOIN pipeline, through
 //! the independent-scan query-at-a-time baseline ("System X"), and through the
 //! synchronized-scan baseline (PostgreSQL-like) — and compares throughput and
-//! response-time behaviour.
+//! response-time behaviour. Every engine's answer to every query must have as
+//! many groups as the reference evaluator's, or the example fails.
 //!
 //! ```text
 //! cargo run --release --example concurrent_analytics
 //! ```
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cjoin_repro::baseline::{BaselineConfig, BaselineEngine};
-use cjoin_repro::bench::{run_closed_loop, JoinEngine};
+use cjoin_repro::bench::{run_closed_loop, JoinEngine, RunReport};
 use cjoin_repro::cjoin::{CjoinConfig, CjoinEngine};
+use cjoin_repro::query::reference;
 use cjoin_repro::ssb::{SsbConfig, SsbDataSet, Workload, WorkloadConfig};
+use cjoin_repro::storage::SnapshotId;
 
 const CONCURRENCY: usize = 64;
 const TOTAL_QUERIES: usize = 128;
@@ -36,6 +40,25 @@ fn main() -> cjoin_repro::Result<()> {
     // An ad-hoc workload: 128 queries drawn from the SSB templates, each selecting
     // ~1% of the dimensions it touches.
     let workload = Workload::generate(&data, WorkloadConfig::new(TOTAL_QUERIES, 0.01, 99));
+    let expected_rows: HashMap<&str, usize> = workload
+        .queries()
+        .iter()
+        .map(|q| {
+            let rows = reference::evaluate(&catalog, q, SnapshotId::INITIAL)?.num_rows();
+            Ok((q.name.as_str(), rows))
+        })
+        .collect::<cjoin_repro::Result<_>>()?;
+    let check = |engine: &str, report: &RunReport| {
+        assert_eq!(report.timings.len(), TOTAL_QUERIES, "{engine}");
+        for timing in &report.timings {
+            assert_eq!(
+                timing.result_rows,
+                expected_rows[timing.name.as_str()],
+                "{engine}: {} has the wrong number of groups",
+                timing.name
+            );
+        }
+    };
 
     // --- CJOIN: one always-on shared plan -----------------------------------
     let cjoin = CjoinEngine::start(Arc::clone(&catalog), CjoinConfig::default())?;
@@ -60,6 +83,7 @@ fn main() -> cjoin_repro::Result<()> {
         (JoinEngine::name(&system_x), &system_x_report),
         (JoinEngine::name(&postgres), &postgres_report),
     ] {
+        check(name, report);
         println!(
             "{:<28} {:>10.0} q/h {:>13.1} ms {:>13.1} ms",
             name,

@@ -601,9 +601,70 @@ fn stage_death_degrades_the_width_that_was_running() {
     engine.shutdown();
 }
 
+/// A scan-worker death at width 2 degrades the scan to one worker, whose
+/// segment is the whole table rather than half of it. The quote's cycle is one
+/// worker's segment, so the supervisor forgets the two-worker pass timings
+/// when it respawns at the new width: until the new worker completes a pass
+/// there is no quote, as at engine start, instead of half a cycle.
+#[test]
+fn a_scan_width_change_forgets_the_old_widths_pass_timings() {
+    const PANIC_AT: u64 = 400;
+    let data = test_data();
+    let catalog = data.catalog();
+    let queries = test_queries(&data, 57);
+    let plan = FaultPlan::seeded(17)
+        .delay(FaultSite::ScanWorker, 300)
+        .panic_at_event(FaultSite::ScanWorker, PANIC_AT)
+        .build();
+    let config = CjoinConfig::default()
+        .with_max_concurrency(8)
+        .with_batch_size(128)
+        .with_scan_workers(2)
+        .with_fault_plan(Arc::clone(&plan));
+    let engine = CjoinEngine::start(Arc::clone(&catalog), config).unwrap();
+
+    let warm = engine.submit(queries[0].clone()).unwrap();
+    wait_bounded(&warm, "warm-up").unwrap();
+    assert!(
+        plan.hits(FaultSite::ScanWorker) < PANIC_AT,
+        "warm-up reached the fault"
+    );
+    assert_eq!(engine.scheduler_stats().scan_workers, 2);
+    assert!(
+        engine.quote_eta().is_some(),
+        "a completed pass gives a quote"
+    );
+
+    // No query runs after the one that meets the fault, and an idle scan
+    // worker completes no pass, so nothing can publish a new timing.
+    let start = Instant::now();
+    while plan.hits(FaultSite::ScanWorker) <= PANIC_AT {
+        let filler = submit_with_retry(&engine, &queries[1], "filler");
+        match wait_bounded(&filler, "filler") {
+            Ok(_) | Err(QueryError::StageFailed { .. }) => {}
+            other => panic!("filler: unexpected outcome {other:?}"),
+        }
+        assert!(start.elapsed() < RESOLVE_TIMEOUT, "fault never fired");
+    }
+    await_restart(&engine, "scan-worker death");
+    assert_eq!(engine.scheduler_stats().scan_workers, 1);
+    assert_eq!(engine.quote_eta(), None, "the two-worker quote survived");
+    assert_quiesces(&engine, "post-restart quiesce");
+    engine.shutdown();
+}
+
 /// Shared-host slack on a `quote_eta` comparison: the 150 ms the engine's own
 /// `idle_time_does_not_inflate_the_deadline_quote` allows over an honest quote.
 const QUOTE_TOLERANCE: Duration = Duration::from_millis(150);
+
+/// The most `quote_eta` may honestly read after a recovery that changed the
+/// scan-worker width from `workers_before` to `workers_after`. The quoted
+/// cycle is one worker's segment, so it scales with `table / width`: a fault
+/// that degrades two workers to one doubles it. Only the host's slack is
+/// added on top.
+fn quote_bound(before: Duration, workers_before: usize, workers_after: usize) -> Duration {
+    before * workers_before as u32 / workers_after.max(1) as u32 + QUOTE_TOLERANCE
+}
 
 /// One engine lifetime of the handoff-under-fault scenario: a warm-up query
 /// (so `quote_eta` has a pre-fault value), then `queries` in flight across an
@@ -649,6 +710,7 @@ fn handoff_with_queries_in_flight(
     let warm = submit_with_retry(&engine, &queries[0], &what);
     check(wait_bounded(&warm, &what), 0, "warm-up");
     let quote_before = engine.quote_eta();
+    let workers_before = engine.scheduler_stats().scan_workers;
 
     let handles: Vec<QueryHandle> = queries
         .iter()
@@ -694,10 +756,13 @@ fn handoff_with_queries_in_flight(
     }
     assert_quiesces(&engine, &what);
 
+    let workers_after = engine.scheduler_stats().scan_workers;
     if let (Some(before), Some(after)) = (quote_before, engine.quote_eta()) {
+        let bound = quote_bound(before, workers_before, workers_after);
         assert!(
-            after <= before + QUOTE_TOLERANCE,
-            "{what}: quote rose from {before:?} to {after:?} across the recovery"
+            after <= bound,
+            "{what}: quote rose from {before:?} ({workers_before} scan workers) to \
+             {after:?} ({workers_after}) across the recovery, past {bound:?}"
         );
     }
 
